@@ -33,9 +33,9 @@ use crate::scheduler::{
 };
 use crate::speculation::SPECULATION_HEARTBEAT;
 use crate::state::{
-    decode, tag, tag_full, JobState, SplitInfo, TaskPhase, PH_IGNORE, PH_MAP_COMPUTE, PH_MAP_READ,
-    PH_MAP_STARTUP, PH_MAP_WRITE, PH_REDUCE_COMPUTE, PH_REDUCE_STARTUP, PH_REDUCE_WRITE,
-    PH_REQUEUE_MAP, PH_REQUEUE_REDUCE, PH_SHUFFLE, PH_SPECULATE,
+    decode, tag, tag_full, JobState, Partition, SplitInfo, TaskPhase, PH_IGNORE, PH_MAP_COMPUTE,
+    PH_MAP_READ, PH_MAP_STARTUP, PH_MAP_WRITE, PH_REDUCE_COMPUTE, PH_REDUCE_STARTUP,
+    PH_REDUCE_WRITE, PH_REQUEUE_MAP, PH_REQUEUE_REDUCE, PH_SHUFFLE, PH_SPECULATE,
 };
 use simcore::owners;
 use simcore::prelude::*;
@@ -240,7 +240,7 @@ impl MrEngine {
             reduce_started_at: vec![None; n_reduces],
             shuffle_started_at: vec![None; n_reduces],
             map_outputs: (0..n_maps).map(|_| (0..n_reduces).map(|_| None).collect()).collect(),
-            reduce_outputs: vec![None; n_reduces],
+            reduce_outputs: (0..n_reduces).map(|_| None).collect(),
             completed_maps: 0,
             completed_reduces: 0,
             counters: Counters::default(),
@@ -568,20 +568,18 @@ impl MrEngine {
         // first, then partition 1's, ... (map index order for map-only
         // jobs). With a total-order partitioner this makes `outputs`
         // globally sorted — exactly TeraValidate's contract.
-        let mut outputs: Vec<crate::types::Record> = Vec::new();
-        let mut partition_sizes = Vec::new();
-        if job.spec.config.num_reduces == 0 {
-            for m in 0..job.maps.len() {
-                let recs = job.map_outputs[m][0].take().expect("map output present");
-                partition_sizes.push(recs.len());
-                outputs.extend(recs);
-            }
+        let parts: Vec<Partition> = if job.map_only() {
+            job.map_outputs.iter_mut().map(|m| m[0].take().expect("map output present")).collect()
         } else {
-            for r in 0..job.reduces.len() {
-                let recs = job.reduce_outputs[r].take().expect("reduce output present");
-                partition_sizes.push(recs.len());
-                outputs.extend(recs);
-            }
+            job.reduce_outputs
+                .iter_mut()
+                .map(|r| r.take().expect("reduce output present"))
+                .collect()
+        };
+        let partition_sizes: Vec<usize> = parts.iter().map(|p| p.records.len()).collect();
+        let mut outputs = Vec::with_capacity(partition_sizes.iter().sum());
+        for p in parts {
+            outputs.extend(p.records);
         }
         JobResult {
             id: job.id,

@@ -1,11 +1,13 @@
 //! Input formats: how a job's splits materialize into records.
 //!
 //! A split corresponds 1:1 to an HDFS block of the job's input file (or to
-//! a synthetic generator shard for input-less jobs like TeraGen). Records
-//! are produced lazily when a map task reaches its execute phase and are
-//! dropped right after, so large inputs never live in memory whole.
+//! a synthetic generator shard for input-less jobs like TeraGen). A map
+//! task borrows its split for the execute phase only: generated splits
+//! are produced then and dropped right after, so large inputs never live
+//! in memory whole; held splits are lent, never copied.
 
 use crate::types::{records_size, Record};
+use std::sync::Arc;
 
 /// Supplies the records of each input split.
 pub trait InputFormat: Send {
@@ -19,24 +21,39 @@ pub trait InputFormat: Send {
     /// Implementations may panic on out-of-range `idx`.
     fn read_split(&self, idx: usize) -> Vec<Record>;
 
+    /// Lends the records of split `idx` to `f`. This is the engine's only
+    /// way in: a format that holds its records overrides it to lend them
+    /// without a copy; the default materializes the split for the call.
+    fn with_split(&self, idx: usize, f: &mut dyn FnMut(&[Record])) {
+        f(&self.read_split(idx));
+    }
+
     /// Logical byte size of split `idx` (drives the HDFS read flow when
     /// the job has no real input file registered).
     fn split_bytes(&self, idx: usize) -> u64 {
-        records_size(&self.read_split(idx))
+        let mut bytes = 0;
+        self.with_split(idx, &mut |records| bytes = records_size(records));
+        bytes
     }
 }
 
-/// Fully materialized input: a vector of splits. Fine for tests and small
-/// data sets.
+/// Fully materialized input: a vector of splits, shared by every clone —
+/// an iterative driver builds it once and hands a clone to each job.
+#[derive(Debug, Clone)]
 pub struct VecInput {
-    splits: Vec<Vec<Record>>,
+    /// Each split with its byte size.
+    splits: Arc<Vec<(Vec<Record>, u64)>>,
 }
 
 impl VecInput {
     /// Wraps pre-built splits.
     pub fn new(splits: Vec<Vec<Record>>) -> Self {
         assert!(!splits.is_empty(), "input needs at least one split");
-        VecInput { splits }
+        let sized = splits.into_iter().map(|s| {
+            let bytes = records_size(&s);
+            (s, bytes)
+        });
+        VecInput { splits: Arc::new(sized.collect()) }
     }
 
     /// Splits `records` into `n` round-robin shards.
@@ -46,7 +63,7 @@ impl VecInput {
         for (i, r) in records.into_iter().enumerate() {
             splits[i % n].push(r);
         }
-        VecInput { splits }
+        VecInput::new(splits)
     }
 }
 
@@ -56,7 +73,15 @@ impl InputFormat for VecInput {
     }
 
     fn read_split(&self, idx: usize) -> Vec<Record> {
-        self.splits[idx].clone()
+        self.splits[idx].0.clone()
+    }
+
+    fn with_split(&self, idx: usize, f: &mut dyn FnMut(&[Record])) {
+        f(&self.splits[idx].0);
+    }
+
+    fn split_bytes(&self, idx: usize) -> u64 {
+        self.splits[idx].1
     }
 }
 
@@ -101,7 +126,15 @@ mod tests {
         let input = VecInput::new(vec![vec![(K::Int(1), V::Null)], vec![(K::Int(2), V::Null)]]);
         assert_eq!(input.split_count(), 2);
         assert_eq!(input.read_split(1)[0].0, K::Int(2));
-        assert!(input.split_bytes(0) > 0);
+        assert_eq!(input.split_bytes(0), 9);
+        // A clone shares the splits, and lending hands out the very records.
+        let lent = |input: &VecInput| {
+            let mut at = std::ptr::null();
+            input.with_split(1, &mut |records| at = records.as_ptr());
+            at
+        };
+        assert!(!lent(&input).is_null());
+        assert_eq!(lent(&input), lent(&input.clone()));
     }
 
     #[test]

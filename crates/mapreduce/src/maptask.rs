@@ -10,8 +10,8 @@
 
 use crate::app::run_combiner;
 use crate::job::{JobEvent, JobId};
-use crate::state::{tag_full, TaskPhase, PH_MAP_COMPUTE, PH_MAP_READ, PH_MAP_WRITE};
-use crate::types::{records_size, Record, K, V};
+use crate::state::{tag_full, Partition, TaskPhase, PH_MAP_COMPUTE, PH_MAP_READ, PH_MAP_WRITE};
+use crate::types::{records_size, Record};
 use simcore::prelude::*;
 use vcluster::cluster::{VirtualCluster, VmId};
 use vhdfs::hdfs::Hdfs;
@@ -86,66 +86,85 @@ impl MrEngine {
         }
         let job = self.jobs.get_mut(&jid.0).expect("unknown job");
         let vm = job.map_attempt_vm[m][attempt].expect("attempt ran somewhere");
-        let records = job.input.read_split(m);
-        let in_records = records.len() as u64;
-        let in_bytes =
-            if job.splits[m].bytes > 0 { job.splits[m].bytes } else { records_size(&records) };
-
-        // Really run the user's map function.
+        // Really run the user's map function, over the lent split.
         let mut emitted: Vec<Record> = Vec::new();
-        for (k, v) in &records {
-            let mut emit = |ek: K, ev: V| emitted.push((ek, ev));
-            job.app.map(k, v, &mut emit);
-        }
-        drop(records);
+        let (mut in_records, mut in_bytes) = (0, job.splits[m].bytes);
+        let app = job.app.as_ref();
+        job.input.with_split(m, &mut |records| {
+            in_records = records.len() as u64;
+            if in_bytes == 0 {
+                in_bytes = records_size(records);
+            }
+            for (k, v) in records {
+                app.map(k, v, &mut |ek, ev| emitted.push((ek, ev)));
+            }
+        });
         let out_records = emitted.len() as u64;
-        let out_bytes = records_size(&emitted);
 
+        let cost = app.cost();
+        let cycles =
+            cost.map_cpu_per_byte * in_bytes as f64 + cost.map_cpu_per_record * in_records as f64;
+
+        let out_bytes;
+        let spill_bytes;
+        if job.map_only() {
+            // Map-only: emitted records ARE the output; the compute-done
+            // handler writes them to HDFS.
+            let output = Partition::seal(emitted);
+            out_bytes = output.bytes;
+            spill_bytes = 0;
+            job.map_outputs[m] = vec![Some(output)];
+        } else {
+            // Partition, optionally combine, then spill to local (NFS)
+            // disk. Two passes, so that every partition is allocated once
+            // at its exact length and sized while its records are at hand.
+            let n_red = job.num_reduces();
+            let mut lens = vec![0usize; n_red];
+            let mut bytes = vec![0u64; n_red];
+            let ids: Vec<u32> = emitted
+                .iter()
+                .map(|(k, v)| {
+                    let p = job.partitioner.partition(k, n_red as u32).min(n_red as u32 - 1);
+                    lens[p as usize] += 1;
+                    bytes[p as usize] += k.size_bytes() + v.size_bytes();
+                    p
+                })
+                .collect();
+            let mut parts: Vec<Vec<Record>> = lens.into_iter().map(Vec::with_capacity).collect();
+            for (record, p) in emitted.into_iter().zip(ids) {
+                parts[p as usize].push(record);
+            }
+            out_bytes = bytes.iter().sum();
+            let use_combiner = job.spec.config.use_combiner;
+            let mut combined_records = 0u64;
+            let mut total_bytes = 0u64;
+            let stored: Vec<Option<Partition>> = parts
+                .into_iter()
+                .zip(bytes)
+                .map(|(records, bytes)| {
+                    let p = if use_combiner {
+                        Partition::seal(run_combiner(app, records))
+                    } else {
+                        debug_assert_eq!(bytes, records_size(&records));
+                        Partition { records, bytes }
+                    };
+                    combined_records += p.records.len() as u64;
+                    total_bytes += p.bytes;
+                    Some(p)
+                })
+                .collect();
+            job.counters.combine_output_records += combined_records;
+            spill_bytes = total_bytes;
+            job.map_outputs[m] = stored;
+        }
         job.counters.map_input_records += in_records;
         job.counters.map_input_bytes += in_bytes;
         job.counters.map_output_records += out_records;
         job.counters.map_output_bytes += out_bytes;
 
-        let cost = job.app.cost();
-        let cycles =
-            cost.map_cpu_per_byte * in_bytes as f64 + cost.map_cpu_per_record * in_records as f64;
-
-        let spill_bytes;
-        if job.map_only() {
-            // Map-only: emitted records ARE the output; the compute-done
-            // handler writes them to HDFS.
-            spill_bytes = 0.0;
-            job.map_outputs[m] = vec![Some(emitted)];
-        } else {
-            // Partition, optionally combine, then spill to local (NFS) disk.
-            let n_red = job.num_reduces();
-            let mut parts: Vec<Vec<Record>> = (0..n_red).map(|_| Vec::new()).collect();
-            for (k, v) in emitted {
-                let p = job.partitioner.partition(&k, n_red as u32) as usize;
-                parts[p.min(n_red - 1)].push((k, v));
-            }
-            let mut combined_records = 0u64;
-            let mut total_bytes = 0u64;
-            let use_combiner = job.spec.config.use_combiner;
-            let app = job.app.as_ref();
-            let stored: Vec<Option<Vec<Record>>> = parts
-                .into_iter()
-                .map(|p| {
-                    let p =
-                        if use_combiner { run_combiner(app, p.clone()).unwrap_or(p) } else { p };
-                    combined_records += p.len() as u64;
-                    total_bytes += records_size(&p);
-                    Some(p)
-                })
-                .collect();
-            job.counters.combine_output_records += combined_records;
-            spill_bytes = total_bytes as f64;
-            job.map_outputs[m] = stored;
-        }
-
         let mut chain = cluster.compute(vm, cycles);
-        if spill_bytes > 0.0 {
-            chain = chain.then(cluster.disk_write(vm, spill_bytes));
+        if spill_bytes > 0 {
+            chain = chain.then(cluster.disk_write(vm, spill_bytes as f64));
         }
         let ep = self.jobs.get(&jid.0).expect("unknown job").map_epoch[m];
         engine.start_chain(chain, tag_full(jid, PH_MAP_COMPUTE, attempt, ep, m));
@@ -176,10 +195,10 @@ impl MrEngine {
                 // First attempt to finish computing claims the HDFS write.
                 job.write_claimed[m] = true;
                 job.map_vm[m] = Some(vm);
-                let recs = job.map_outputs[m][0].as_ref().expect("map output present");
+                let output = job.map_outputs[m][0].as_ref().expect("map output present");
                 Outcome::MapOnlyWrite {
                     vm,
-                    bytes: records_size(recs),
+                    bytes: output.bytes,
                     path: format!("{}/part-m-{m:05}", job.spec.output_path),
                 }
             } else {
@@ -263,9 +282,9 @@ impl MrEngine {
                     &[("job", f64::from(jid.0)), ("task", m as f64)],
                 );
             }
-            let recs = job.map_outputs[m][0].as_ref().expect("map output present");
-            job.counters.output_bytes += records_size(recs);
-            job.counters.reduce_output_records += recs.len() as u64;
+            let output = job.map_outputs[m][0].as_ref().expect("map output present");
+            job.counters.output_bytes += output.bytes;
+            job.counters.reduce_output_records += output.records.len() as u64;
             let finished = job.completed_maps == job.maps.len();
             if finished {
                 job.map_phase_done = Some(engine.now());

@@ -16,7 +16,7 @@ use crate::engine::MrEngine;
 use crate::input::InputFormat;
 use crate::job::{JobId, JobSpec};
 use crate::scheduler::SchedulerPolicy;
-use crate::state::{JobState, SplitInfo, TaskPhase};
+use crate::state::{JobState, Partition, SplitInfo, TaskPhase};
 use crate::types::{K, V};
 use simcore::persist::{Decoder, Encoder, Persist};
 use std::collections::{HashMap, VecDeque};
@@ -246,6 +246,16 @@ impl Persist for TaskPhase {
             2 => TaskPhase::Done,
             other => panic!("snapshot: unknown task phase {other}"),
         }
+    }
+}
+
+/// Encoded as the bare record vector; the size is recomputed on decode.
+impl Persist for Partition {
+    fn encode(&self, e: &mut Encoder) {
+        self.records.encode(e);
+    }
+    fn decode(d: &mut Decoder) -> Self {
+        Partition::seal(Persist::decode(d))
     }
 }
 

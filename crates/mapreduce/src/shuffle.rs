@@ -9,10 +9,12 @@
 //! boundaries is what separates the paper's normal vs. cross-domain
 //! wordcount curves (Fig. 2).
 
-use crate::app::group_by_key;
+use crate::app::for_each_group;
 use crate::job::{JobEvent, JobId};
-use crate::state::{tag, tag_full, PH_IGNORE, PH_REDUCE_COMPUTE, PH_REDUCE_WRITE, PH_SHUFFLE};
-use crate::types::{records_size, Record, K, V};
+use crate::state::{
+    tag, tag_full, Partition, PH_IGNORE, PH_REDUCE_COMPUTE, PH_REDUCE_WRITE, PH_SHUFFLE,
+};
+use crate::types::Record;
 use simcore::prelude::*;
 use vcluster::cluster::VirtualCluster;
 use vhdfs::hdfs::Hdfs;
@@ -34,10 +36,10 @@ impl MrEngine {
         let mut shuffle_bytes = 0u64;
         for m in 0..job.maps.len() {
             let Some(part) = job.map_outputs[m][r].as_ref() else { continue };
-            if part.is_empty() {
+            if part.records.is_empty() {
                 continue;
             }
-            let bytes = records_size(part);
+            let bytes = part.bytes;
             shuffle_bytes += bytes;
             let map_vm = job.map_vm[m].expect("map ran somewhere");
             let chain = cluster
@@ -70,39 +72,37 @@ impl MrEngine {
             );
         }
         // Merge all fetched partitions, group, and really reduce. The
-        // partitions are kept (cloned, not taken) until the job finishes
-        // so a failed reduce can re-run from them, as Hadoop re-fetches
-        // map output that is still alive.
-        let mut merged: Vec<Record> = Vec::new();
-        let mut segments = 0u32;
-        for m in 0..job.maps.len() {
-            if let Some(part) = job.map_outputs[m][r].clone() {
-                if !part.is_empty() {
-                    segments += 1;
-                }
-                merged.extend(part);
-            }
-        }
+        // partitions are lent to the merge, not taken: they stay until the
+        // job finishes so a failed reduce can re-run from them, as Hadoop
+        // re-fetches map output that is still alive.
+        let fetched = || job.map_outputs.iter().filter_map(|parts| parts[r].as_ref());
+        let segments = fetched().filter(|p| !p.records.is_empty()).count() as u32;
+        let in_bytes: u64 = fetched().map(|p| p.bytes).sum();
+        let mut merged: Vec<&mut Record> = job
+            .map_outputs
+            .iter_mut()
+            .filter_map(|parts| parts[r].as_mut())
+            .flat_map(|p| p.records.iter_mut())
+            .collect();
         let in_records = merged.len() as u64;
-        let in_bytes = records_size(&merged);
-        let grouped = group_by_key(merged);
-        let groups = grouped.len() as u64;
 
+        let mut groups = 0u64;
         let mut out: Vec<Record> = Vec::new();
-        for (k, vals) in &grouped {
-            let mut emit = |ek: K, ev: V| out.push((ek, ev));
-            job.app.reduce(k, vals, &mut emit);
-        }
+        let app = job.app.as_ref();
+        for_each_group(&mut merged, |k, vals| {
+            groups += 1;
+            app.reduce(k, vals, &mut |ek, ev| out.push((ek, ev)));
+        });
         job.counters.reduce_input_records += in_records;
         job.counters.reduce_input_groups += groups;
 
-        let cost = job.app.cost();
+        let cost = app.cost();
         let sort_cycles =
             cost.sort_cpu_per_byte * in_bytes as f64 * f64::from(segments.max(2)).log2();
         let cycles = cost.reduce_cpu_per_byte * in_bytes as f64
             + cost.reduce_cpu_per_record * in_records as f64
             + sort_cycles;
-        job.reduce_outputs[r] = Some(out);
+        job.reduce_outputs[r] = Some(Partition::seal(out));
         let ep = job.reduce_epoch[r];
         engine.start_chain(cluster.compute(vm, cycles), tag_full(jid, PH_REDUCE_COMPUTE, 0, ep, r));
     }
@@ -118,8 +118,8 @@ impl MrEngine {
         let (vm, bytes, path) = {
             let job = self.jobs.get(&jid.0).expect("unknown job");
             let vm = job.running_reduce_vm(r);
-            let recs = job.reduce_outputs[r].as_ref().expect("reduce output present");
-            (vm, records_size(recs), format!("{}/part-r-{r:05}", job.spec.output_path))
+            let output = job.reduce_outputs[r].as_ref().expect("reduce output present");
+            (vm, output.bytes, format!("{}/part-r-{r:05}", job.spec.output_path))
         };
         // A reduce re-run after a failure may find the partial output of
         // its killed predecessor; replace it, as Hadoop's output committer
@@ -150,9 +150,9 @@ impl MrEngine {
             let vm = job.running_reduce_vm(r);
             job.reduces[r] = crate::state::TaskPhase::Done;
             job.completed_reduces += 1;
-            let recs = job.reduce_outputs[r].as_ref().expect("reduce output present");
-            job.counters.output_bytes += records_size(recs);
-            job.counters.reduce_output_records += recs.len() as u64;
+            let output = job.reduce_outputs[r].as_ref().expect("reduce output present");
+            job.counters.output_bytes += output.bytes;
+            job.counters.reduce_output_records += output.records.len() as u64;
             if let Some(t0) = job.reduce_started_at[r] {
                 engine.trace_span(
                     "reduce",

@@ -81,6 +81,24 @@ pub(crate) struct SplitInfo {
     pub(crate) locations: Vec<VmId>,
 }
 
+/// A sealed record batch — one map-output partition or one task's output
+/// — with the byte size computed once, when it was sealed. Batches live
+/// until their job finishes, so sealing also returns the unused tail of a
+/// vector that grew by doubling.
+#[derive(Debug)]
+pub(crate) struct Partition {
+    pub(crate) records: Vec<Record>,
+    pub(crate) bytes: u64,
+}
+
+impl Partition {
+    pub(crate) fn seal(mut records: Vec<Record>) -> Self {
+        records.shrink_to_fit();
+        let bytes = records_size(&records);
+        Partition { records, bytes }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TaskPhase {
     Pending,
@@ -131,11 +149,12 @@ pub(crate) struct JobState {
     pub(crate) pending_maps: VecDeque<usize>,
     pub(crate) pending_reduces: VecDeque<usize>,
     /// Per map: per reduce partition, the (possibly combined) records.
-    /// Consumed (taken) by the owning reduce during merge. Map-only jobs
-    /// store the whole map output in a single pseudo-partition.
-    pub(crate) map_outputs: Vec<Vec<Option<Vec<Record>>>>,
+    /// Lent to the owning reduce's merge and kept until the job finishes,
+    /// so a failed reduce can re-run from them. Map-only jobs store the
+    /// whole map output in a single pseudo-partition.
+    pub(crate) map_outputs: Vec<Vec<Option<Partition>>>,
     /// Per reduce: output records awaiting the HDFS write.
-    pub(crate) reduce_outputs: Vec<Option<Vec<Record>>>,
+    pub(crate) reduce_outputs: Vec<Option<Partition>>,
     pub(crate) completed_maps: usize,
     pub(crate) completed_reduces: usize,
     pub(crate) counters: Counters,
@@ -173,10 +192,7 @@ impl JobState {
         }
         (0..self.num_reduces())
             .map(|r| {
-                self.map_outputs
-                    .iter()
-                    .map(|parts| parts[r].as_ref().map_or(0, |p| records_size(p)))
-                    .sum()
+                self.map_outputs.iter().map(|parts| parts[r].as_ref().map_or(0, |p| p.bytes)).sum()
             })
             .collect()
     }

@@ -47,7 +47,9 @@ pub struct MlRuntime {
     /// The underlying MapReduce runtime.
     pub rt: MrRuntime,
     points: Arc<Vec<Vec<f64>>>,
-    chunks: Vec<Vec<Record>>,
+    /// The point records in contiguous chunks, one per HDFS block; built
+    /// once, shared by the input of every pass.
+    input: VecInput,
     path: String,
     passes: u32,
 }
@@ -100,7 +102,8 @@ impl MlRuntime {
                 (lo..hi).map(|i| (K::Int(i as i64), V::Vector(points[i].clone()))).collect()
             })
             .collect();
-        MlRuntime { rt, points, chunks, path: "/ml/data".to_string(), passes: 0 }
+        let input = VecInput::new(chunks);
+        MlRuntime { rt, points, input, path: "/ml/data".to_string(), passes: 0 }
     }
 
     /// The loaded points.
@@ -110,7 +113,7 @@ impl MlRuntime {
 
     /// Number of map splits per pass.
     pub fn splits(&self) -> usize {
-        self.chunks.len()
+        self.input.split_count()
     }
 
     /// Runs one MapReduce pass of `app` over the point set.
@@ -123,8 +126,7 @@ impl MlRuntime {
         self.passes += 1;
         let out = format!("/ml/out/{name}-{:04}", self.passes);
         let spec = JobSpec::new(name, &self.path, out).with_config(config);
-        let input = VecInput::new(self.chunks.clone());
-        self.rt.run_job(spec, app, Box::new(input))
+        self.rt.run_job(spec, app, Box::new(self.input.clone()))
     }
 
     /// Runs the generic nearest-center assignment pass, returning the

@@ -29,6 +29,7 @@ use mapreduce::prelude::*;
 use rand::Rng;
 use simcore::rng::RootSeed;
 use simcore::time::SimTime;
+use std::ops::Range;
 use vhdfs::hdfs::HdfsConfig;
 
 /// Accounted bytes per HS record ([`records_size`]-exact: a 10-byte key
@@ -459,30 +460,28 @@ pub fn hssort_job(plan: &HsPlan) -> (JobSpec, Box<dyn MapReduceApp>, Box<dyn Inp
     (spec, Box::new(HsSortApp), Box::new(input))
 }
 
-/// The sorted output grouped into per-HDFS-block record runs, in
-/// directory order (`part-r-00000` block 0, 1, …, then `part-r-00001`,
-/// …). Block boundaries are exact because every record accounts exactly
-/// [`RECORD_BYTES`].
-fn output_block_groups(rt: &MrRuntime, sort: &JobResult) -> Vec<(String, Vec<Vec<Record>>)> {
+/// The sorted output divided into per-HDFS-block record runs, as ranges
+/// of `sort.outputs`, in directory order (`part-r-00000` block 0, 1, …,
+/// then `part-r-00001`, …). Block boundaries are exact because every
+/// record accounts exactly [`RECORD_BYTES`].
+fn output_block_groups(rt: &MrRuntime, sort: &JobResult) -> Vec<(String, Vec<Range<usize>>)> {
     let mut groups = Vec::new();
-    let mut offset = 0usize;
+    let mut at = 0usize;
     for (r, &n) in sort.partition_sizes.iter().enumerate() {
         let path = format!("{HS_OUT}/part-r-{r:05}");
-        let recs = &sort.outputs[offset..offset + n];
-        offset += n;
+        let start = at;
         let locs = rt
             .hdfs
             .block_locations(&path)
             .unwrap_or_else(|| panic!("HSSort output {path} not in HDFS"));
         let mut runs = Vec::with_capacity(locs.len());
-        let mut at = 0usize;
         for (_, len, _) in &locs {
             assert!(len % RECORD_BYTES == 0, "{path}: block length {len} not record-aligned");
             let cnt = (len / RECORD_BYTES) as usize;
-            runs.push(recs[at..at + cnt].to_vec());
+            runs.push(at..at + cnt);
             at += cnt;
         }
-        assert_eq!(at, n, "{path}: block lengths cover {at} of {n} records");
+        assert_eq!(at - start, n, "{path}: block lengths cover {} of {n} records", at - start);
         groups.push((path, runs));
     }
     groups
@@ -494,10 +493,11 @@ fn output_block_groups(rt: &MrRuntime, sort: &JobResult) -> Vec<(String, Vec<Vec
 pub fn record_sort_checksums(rt: &mut MrRuntime, sort: &JobResult) -> usize {
     let groups = output_block_groups(rt, sort);
     let mut total = 0;
-    for (path, runs) in &groups {
-        let sums: Vec<u64> = runs.iter().map(|r| multiset_checksum(r)).collect();
+    for (path, runs) in groups {
+        let sums: Vec<u64> =
+            runs.into_iter().map(|run| multiset_checksum(&sort.outputs[run])).collect();
         total += sums.len();
-        rt.hdfs.record_checksums(path, &sums);
+        rt.hdfs.record_checksums(&path, &sums);
     }
     total
 }
@@ -525,8 +525,13 @@ pub fn hsvalidate_job(
     plan: &HsPlan,
     sort: &JobResult,
 ) -> (JobSpec, Box<dyn MapReduceApp>, Box<dyn InputFormat>) {
-    let blocks: Vec<Vec<Record>> =
-        output_block_groups(rt, sort).into_iter().flat_map(|(_, runs)| runs).collect();
+    // The one copy of the sorted output: the job's app must own what its
+    // maps summarize.
+    let blocks: Vec<Vec<Record>> = output_block_groups(rt, sort)
+        .into_iter()
+        .flat_map(|(_, runs)| runs)
+        .map(|run| sort.outputs[run].to_vec())
+        .collect();
     let n = blocks.len();
     let input = GeneratorInput::new(n, plan.block_size, |idx| vec![(K::Int(idx as i64), V::Null)]);
     let spec = JobSpec::new("hsvalidate", HS_OUT, "/hs/validate")

@@ -49,7 +49,7 @@ echo "==> faults: chaos & property suites"
 before=$(git status --porcelain)
 cargo test -q -p vhadoop-integration \
     --test chaos --test seed_sweep --test session_api \
-    --test speculation_recovery --test cross_crate_props
+    --test speculation_recovery --test cross_crate_props --test record_path
 cargo test -q -p proptest
 
 echo "==> faults: ablation case & fault-annotated trace"
@@ -347,6 +347,13 @@ cmcsv=results/costmodel_ablation.csv
 test -s "$cmcsv" || { echo "missing or empty $cmcsv" >&2; exit 1; }
 grep -q "hand_err_mean" "$cmcsv" && grep -q "learned_err_mean" "$cmcsv" \
     || { echo "bad $cmcsv" >&2; exit 1; }
+
+echo "==> platbench: quick smoke of the platform benchmark"
+# platbench is a workspace of its own (so the `Instant` ban below stands);
+# its tests run all four BENCHMARK.json workloads at --quick size through
+# the real executable, untraced and traced, with the in-run determinism
+# and output checks on. ~5 s once built.
+cargo test -q --offline --manifest-path platbench/Cargo.toml
 
 echo "==> determinism lint"
 # A run must be a pure function of config + seed: no wall clock and no OS

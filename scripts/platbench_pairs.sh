@@ -1,0 +1,83 @@
+#!/usr/bin/env bash
+# Paired before/after evidence for a host-speed change (ROADMAP "rules of
+# evidence", platbench/README.md): builds platbench in a parent checkout
+# and in this one, runs alternating parent/change pairs of every
+# BENCHMARK.json workload plus one traced run per side, and prints the
+# markdown tables EXPERIMENTS.md carries. Runs already in <out-dir> are
+# kept, so an interrupted session resumes and the tables can be re-printed.
+#
+#   scripts/platbench_pairs.sh <parent-checkout> <out-dir> [pairs=10] [seed=2012]
+set -euo pipefail
+parent=$(cd "$1" && pwd)
+mkdir -p "$2"
+out=$(cd "$2" && pwd)
+pairs=${3:-10}
+seed=${4:-2012}
+change=$(cd "$(dirname "$0")/.." && pwd)
+workloads="wc_fig2 tpcxhs_sort kmeans_chain stream_1024"
+
+for side in parent change; do
+    cargo build --release --offline --quiet \
+        --manifest-path "${!side}/platbench/Cargo.toml" --target-dir "$out/target-$side"
+done
+
+run() { # side workload file args...
+    local side=$1 w=$2 file=$3
+    shift 3
+    test -s "$file" || (cd "$out" && "target-$side/release/platbench" --workload "$w" "$@" > "$file" 2>&1) \
+        || { echo "$side $w failed, see $file" >&2; exit 1; }
+}
+for i in $(seq 1 "$pairs"); do
+    for w in $workloads; do
+        # Odd pairs run the parent first, even pairs the change.
+        if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+        for side in $order; do
+            run "$side" "$w" "$out/$w.$i.$side.txt" --seed "$seed"
+        done
+    done
+done
+for w in $workloads; do
+    for side in parent change; do
+        run "$side" "$w" "$out/$w.trace.$side.txt" --seed "$seed" --trace 1
+    done
+done
+
+python3 - "$out" "$pairs" $workloads <<'PY'
+import re, sys
+out, pairs, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+
+def metrics(path):
+    rows = re.findall(r'^(\S+)\s+(-?[\d.]+(?:e-?\d+)?) \S+$', open(path).read(), re.M)
+    return {name: float(value) for name, value in rows}
+
+def quartiles(xs):
+    xs = sorted(xs)
+    rank = lambda q: xs[min(len(xs) - 1, max(0, -(-len(xs) * q // 100) - 1))]  # nearest rank
+    return rank(25), rank(50), rank(75)
+
+print("| workload | metric | parent median (quartiles) | change median (quartiles) | change/parent | pairs won |")
+print("|---|---|---|---|---|---|")
+for w in workloads:
+    runs = {s: [metrics(f"{out}/{w}.{i}.{s}.txt") for i in range(1, pairs + 1)] for s in ("parent", "change")}
+    for m in ("wall_s", "setup_s", "peak_heap_mb", "sim_makespan_s"):
+        p, c = ([r[m] for r in runs[s]] for s in ("parent", "change"))
+        (p25, p50, p75), (c25, c50, c75) = quartiles(p), quartiles(c)
+        won = sum(b < a for a, b in zip(p, c))
+        tied = sum(b == a for a, b in zip(p, c))
+        score = "identical" if tied == pairs else f"{won}/{pairs - tied}"
+        print(f"| `{w}` | `{m}` | {p50:.4g} ({p25:.4g}–{p75:.4g}) | {c50:.4g} ({c25:.4g}–{c75:.4g}) "
+              f"| {c50 / p50:.3f} | {score} |")
+
+print()
+print("| workload | count (`--trace 1`, exact repeat) | parent | change | parent/change |")
+print("|---|---|---|---|---|")
+for w in workloads:
+    p, c = (metrics(f"{out}/{w}.trace.{s}.txt") for s in ("parent", "change"))
+    moved = [m for m in p if re.match(r'(simcore|mapreduce|vhdfs)\.', m)
+             and not re.search(r'_s$|frac$', m) and p[m] != c[m]]
+    for m in ("alloc.calls_per_pass", "alloc.bytes_per_pass", *moved):
+        ratio = f"{p[m] / c[m]:.2f}" if c[m] else "-"
+        print(f"| `{w}` | `{m}` | {p[m]:.0f} | {c[m]:.0f} | {ratio} |")
+    if not moved:
+        print(f"| `{w}` | every `simcore.*`, `mapreduce.*`, `vhdfs.*` count | | | unchanged |")
+PY

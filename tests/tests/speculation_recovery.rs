@@ -7,6 +7,12 @@
 //! completion event is orphaned and swallowed by the epoch check, its
 //! slot is released, and the task re-runs once. Wasteful by design, never
 //! a double-schedule: output is counted exactly once and no slot leaks.
+//!
+//! Also here, because they guard the same recovery contract from the
+//! record path's side (DESIGN.md §20): a reduce lost *after* its merge
+//! re-runs from map output the merge only borrowed, and an input format
+//! that implements `read_split` alone drives the same simulation as one
+//! that lends its splits.
 
 mod common;
 
@@ -43,17 +49,21 @@ fn launch(plan: FaultPlan) -> VHadoop {
             )
             .hdfs(HdfsConfig { block_size: 1 << 20, replication: 2 })
             .no_monitor()
+            .tracing(true)
             .seed(77)
             .faults(plan)
             .build(),
     )
 }
 
+/// The records of split `idx` of the heavy job's input.
+fn heavy_split(idx: usize) -> Vec<Record> {
+    (0..40).map(|i| (K::Int((idx * 100 + i) as i64), V::Float(i as f64))).collect()
+}
+
 fn submit_heavy(p: &mut VHadoop) -> JobId {
     p.register_input("/in", INPUT, VmId(1));
-    let input = GeneratorInput::new(8, 1 << 20, |idx| {
-        (0..40).map(|i| (K::Int((idx * 100 + i) as i64), V::Float(i as f64))).collect()
-    });
+    let input = GeneratorInput::new(8, 1 << 20, heavy_split);
     let config = JobConfig {
         speculative: true,
         locality_aware: false,
@@ -105,12 +115,16 @@ fn run_with_intervention(
     }
 }
 
-/// Baseline payload: the same job, no faults, no failures.
-fn clean_outputs() -> Vec<(i64, i64)> {
+/// Baseline: the same job, no faults, no failures.
+fn clean_run() -> JobResult {
     let mut p = launch(FaultPlan::new());
     let id = submit_heavy(&mut p);
-    let (res, _) = run_with_intervention(&mut p, id, |_, _, _| true);
-    sorted(&res)
+    run_with_intervention(&mut p, id, |_, _, _| true).0
+}
+
+/// Baseline payload.
+fn clean_outputs() -> Vec<(i64, i64)> {
+    sorted(&clean_run())
 }
 
 #[test]
@@ -165,4 +179,70 @@ fn deferred_tracker_timeout_during_speculation_recovers_once() {
     assert_eq!(sorted(&res), clean, "output must be counted exactly once");
     assert!(res.counters.relaunched_tasks >= 1);
     assert!(p.rt.mr.busy_trackers().is_empty(), "a slot leaked after recovery");
+}
+
+#[test]
+fn reduce_lost_after_its_merge_reruns_from_the_kept_map_output() {
+    let clean = clean_run();
+
+    let mut p = launch(FaultPlan::new());
+    let id = submit_heavy(&mut p);
+    let mut lost = None;
+    let res = loop {
+        let merged = p.rt.mr.job_counters(id).is_some_and(|c| c.reduce_input_records > 0);
+        if lost.is_none() && merged {
+            // The job's one reduce has merged and reduced its input and is
+            // computing or writing; nothing else holds a slot any more.
+            let busy = p.rt.mr.busy_trackers();
+            assert_eq!(busy.len(), 1, "only the reduce should be running");
+            let rt = &mut p.rt;
+            rt.mr.lose_tracker(&mut rt.engine, &rt.cluster, busy[0], SimDuration::from_millis(500));
+            lost = Some(busy[0]);
+        }
+        let (_, events) = p.step().expect("job must finish before the simulation drains");
+        let done = events.into_iter().find_map(|ev| match ev {
+            PlatformEvent::Job(JobEvent::JobDone(res)) if res.id == id => Some(*res),
+            _ => None,
+        });
+        if let Some(res) = done {
+            break res;
+        }
+    };
+    assert!(lost.is_some(), "the reduce never got as far as its merge");
+    assert_eq!(res.outputs, clean.outputs, "the re-run must merge the same map output again");
+    assert_eq!(res.counters.relaunched_tasks, 1);
+    assert_eq!(res.counters.reduce_input_records, 2 * clean.counters.reduce_input_records);
+    assert!(p.rt.mr.busy_trackers().is_empty(), "a slot leaked after recovery");
+}
+
+/// An input format that, like an external one written before splits were
+/// lent, implements `read_split` and nothing else of the record path.
+struct ReadSplitOnly(VecInput);
+
+impl InputFormat for ReadSplitOnly {
+    fn split_count(&self) -> usize {
+        self.0.split_count()
+    }
+    fn read_split(&self, idx: usize) -> Vec<Record> {
+        self.0.read_split(idx)
+    }
+}
+
+#[test]
+fn read_split_only_input_and_lent_splits_run_the_same_simulation() {
+    let run = |input: Box<dyn InputFormat>| {
+        let mut p = launch(FaultPlan::new());
+        p.register_input("/in", INPUT, VmId(1));
+        // The default config keeps the combiner on, which HeavyApp lacks.
+        let res = p.run_job(JobSpec::new("heavy", "/in", "/out"), Box::new(HeavyApp), input);
+        (res.outputs, res.counters, p.rt.engine.tracer().to_chrome_json())
+    };
+    let splits = VecInput::new((0..8).map(heavy_split).collect());
+    let lent = run(Box::new(splits.clone()));
+    let copied = run(Box::new(ReadSplitOnly(splits)));
+    assert!(lent.2.contains("\"cat\":\"shuffle\""), "the trace must cover the whole job");
+    assert!(
+        lent == copied,
+        "the two inputs must be indistinguishable in outputs, counters and trace"
+    );
 }
