@@ -7,8 +7,6 @@
 
 #![warn(missing_docs)]
 
-pub mod legacy;
-
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::path::PathBuf;

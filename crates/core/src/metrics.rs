@@ -34,7 +34,7 @@ pub struct MetricsSnapshot {
 }
 
 /// Controller decisions distilled for `MetricsSnapshot` (printed by
-/// `scalability`/`simbench` alongside kernel stats).
+/// `scalability` alongside kernel stats).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ControllerStats {
     /// Jobs admitted into the queue.

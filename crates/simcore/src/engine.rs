@@ -166,8 +166,8 @@ struct Batch {
 
 /// Cumulative kernel-level work counters exposed by
 /// [`Engine::kernel_stats`] — the fluid solver's [`FluidStats`] plus event
-/// queue health. The `simbench` harness and the check.sh perf stage pin
-/// ceilings on these; they are machine-speed independent.
+/// queue health. Machine-speed independent: platbench reports them per
+/// workload and `batching_counts_on_iterative_waves` pins them exactly.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct KernelStats {
     /// Fluid reallocation passes that found dirty state.
@@ -179,13 +179,11 @@ pub struct KernelStats {
     /// Mutations absorbed by coalesced reallocation passes (batched event
     /// application; see [`FluidStats::batch_applied`]).
     pub batch_applied: u64,
-    /// Components solved on the fluid worker pool (thread-dependent).
-    pub components_solved_parallel: u64,
     /// p50 of re-solved component flow counts (lifetime histogram).
     pub comp_size_p50: u64,
     /// p99 of re-solved component flow counts.
     pub comp_size_p99: u64,
-    /// Largest component ever re-solved (the parallel speedup ceiling).
+    /// Largest component ever re-solved (see [`FluidStats::comp_size_max`]).
     pub comp_size_max: u64,
     /// Current completion-index heap length (live + stale).
     pub completion_heap_len: usize,
@@ -241,9 +239,6 @@ pub struct Engine {
     /// Cancelled timers whose heap entry has not yet popped or been
     /// compacted away.
     dead_timers: usize,
-    /// Interned counter names for [`Engine::trace_kernel_counters`],
-    /// created on first use.
-    kernel_counter_names: Option<[Name; 5]>,
     tracer: Tracer,
 }
 
@@ -273,7 +268,6 @@ impl Engine {
             out: VecDeque::new(),
             wakeups_delivered: 0,
             dead_timers: 0,
-            kernel_counter_names: None,
             tracer: Tracer::new(),
         }
     }
@@ -327,7 +321,6 @@ impl Engine {
             flows_touched,
             resources_touched,
             batch_applied,
-            components_solved_parallel,
             comp_size_p50,
             comp_size_p99,
             comp_size_max,
@@ -338,7 +331,6 @@ impl Engine {
             flows_touched,
             resources_touched,
             batch_applied,
-            components_solved_parallel,
             comp_size_p50,
             comp_size_p99,
             comp_size_max,
@@ -349,25 +341,6 @@ impl Engine {
             timer_arena_slots: self.timer_slots.len(),
             wakeups: self.wakeups_delivered,
         }
-    }
-
-    /// Sets the fluid solver's worker-pool width (see
-    /// [`FluidNet::set_threads`]); 1 = sequential. Rates and wakeups are
-    /// bit-identical at any width.
-    pub fn set_solver_threads(&mut self, threads: usize) {
-        self.fluid.set_threads(threads);
-    }
-
-    /// Current fluid solver worker-pool width.
-    pub fn solver_threads(&self) -> usize {
-        self.fluid.threads()
-    }
-
-    /// Forces every fluid reallocation to re-solve the whole network (the
-    /// pre-incremental global algorithm). Output-identical either way; the
-    /// bench harness uses it as the counter/wall-clock baseline.
-    pub fn set_full_reallocate(&mut self, on: bool) {
-        self.fluid.set_full_solve(on);
     }
 
     // ----- tracing --------------------------------------------------------
@@ -399,31 +372,6 @@ impl Engine {
     /// name. No-op while tracing is disabled.
     pub fn trace_counter(&mut self, name: Name, value: f64) {
         self.tracer.counter(name, self.now, value);
-    }
-
-    /// Emits the kernel work counters (`engine.reallocations`,
-    /// `engine.flows_touched`, `engine.heap_len`, `engine.batch_applied`,
-    /// `engine.comp_p99`) as trace counter samples at the current instant.
-    /// Deliberately *not* called by the engine itself — monitored runs pin
-    /// exact counter counts — so harnesses that want the kernel trajectory
-    /// (e.g. `simbench`) call this explicitly at their own sampling points.
-    /// No-op while tracing is disabled.
-    pub fn trace_kernel_counters(&mut self) {
-        let names = *self.kernel_counter_names.get_or_insert_with(|| {
-            [
-                self.tracer.intern("engine.reallocations"),
-                self.tracer.intern("engine.flows_touched"),
-                self.tracer.intern("engine.heap_len"),
-                self.tracer.intern("engine.batch_applied"),
-                self.tracer.intern("engine.comp_p99"),
-            ]
-        });
-        let stats = self.kernel_stats();
-        self.tracer.counter(names[0], self.now, stats.reallocations as f64);
-        self.tracer.counter(names[1], self.now, stats.flows_touched as f64);
-        self.tracer.counter(names[2], self.now, stats.event_heap_len as f64);
-        self.tracer.counter(names[3], self.now, stats.batch_applied as f64);
-        self.tracer.counter(names[4], self.now, stats.comp_size_p99 as f64);
     }
 
     // ----- timers ---------------------------------------------------------
@@ -791,15 +739,6 @@ impl Engine {
             }
         }
         e.u64(self.wakeups_delivered);
-        match self.kernel_counter_names {
-            None => e.u8(0),
-            Some(names) => {
-                e.u8(1);
-                for n in names {
-                    n.encode(e);
-                }
-            }
-        }
         self.tracer.encode_state(e);
     }
 
@@ -907,16 +846,6 @@ impl Engine {
             out.push_back((t, w));
         }
         let wakeups_delivered = d.u64();
-        let kernel_counter_names = match d.u8() {
-            0 => None,
-            _ => Some([
-                Name::decode(d),
-                Name::decode(d),
-                Name::decode(d),
-                Name::decode(d),
-                Name::decode(d),
-            ]),
-        };
         let tracer = Tracer::decode_state(d);
 
         Engine {
@@ -936,7 +865,6 @@ impl Engine {
             out,
             wakeups_delivered,
             dead_timers: 0,
-            kernel_counter_names,
             tracer,
         }
     }
@@ -1279,29 +1207,6 @@ mod tests {
         assert_eq!(w, Wakeup::Timer { id: b, tag: Tag::new(T, 2, 0) });
         assert!(e.next_wakeup().is_none());
         assert_eq!(e.kernel_stats().timer_arena_slots, 1, "one slot serves both timers");
-    }
-
-    #[test]
-    fn full_reallocate_mode_is_wakeup_identical() {
-        let run = |full: bool| {
-            let (mut e, r) = engine1();
-            e.set_full_reallocate(full);
-            let r2 = e.add_resource("link2", ResourceKind::Net, 40.0);
-            for i in 0..8u32 {
-                let res = if i % 2 == 0 { r } else { r2 };
-                e.start_flow(
-                    vec![Demand::unit(res)],
-                    50.0 + f64::from(i) * 13.0,
-                    Tag::new(T, i, 0),
-                );
-            }
-            let mut trace = Vec::new();
-            while let Some((t, w)) = e.next_wakeup() {
-                trace.push((t.as_nanos(), w.tag().a));
-            }
-            trace
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]

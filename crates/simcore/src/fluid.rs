@@ -28,7 +28,7 @@
 //! full-flow scan, so scheduling the next wake costs `O(log flows)` instead
 //! of `O(flows)`.
 //!
-//! ## Arena/SoA storage and parallel re-solve (DESIGN.md §18)
+//! ## Arena/SoA storage and batched re-solve (DESIGN.md §18)
 //!
 //! Flow state lives in structure-of-arrays arenas: parallel `Vec`s for
 //! generation, stamp, rate, remaining, total, plus a flat demand arena
@@ -36,14 +36,10 @@
 //! inner loops are linear scans over dense scalar arrays rather than
 //! pointer chases through per-flow heap allocations. Reallocation runs in
 //! three phases: **split** the dirty closure into its connected components
-//! (serial, deterministic discovery order), **solve** each component
-//! independently — on a fixed-size `std::thread::scope` worker pool when
-//! the closure is large enough (components are assigned to workers by
-//! canonical component index, and each worker writes into its components'
-//! pre-carved disjoint output slices) — then **apply** results serially in
-//! component order. Because components share no state and outputs land in
-//! positions fixed before any thread runs, rates are `f64::to_bits`
-//! identical to the sequential pass and thread count is unobservable.
+//! (deterministic discovery order), **solve** each component's restricted
+//! progressive filling in turn, then **apply** results in component order.
+//! This is the only max-min implementation in the workspace; its reference
+//! is the global-pass `Oracle` in `tests/tests/fluid_equivalence.rs`.
 
 use crate::ids::{FlowId, ResourceId};
 use crate::persist::{Decoder, Encoder, Persist};
@@ -67,9 +63,6 @@ const HEAP_SLACK: usize = 4;
 /// Demand-arena compaction: rebuild once the arena holds at least this many
 /// rows *and* more than half of them are garbage (freed flows).
 const DEM_COMPACT_MIN: usize = 4096;
-/// Minimum dirty-closure flow count before the parallel solve path engages;
-/// below this, spawning a worker pool costs more than it saves.
-const PAR_MIN_CLOSURE_FLOWS: usize = 1024;
 
 /// What a resource meters; used by monitors to group utilization report rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -113,9 +106,11 @@ pub struct FinishedFlow {
     pub id: FlowId,
 }
 
-/// Cumulative kernel work counters (monotonic; see DESIGN.md §13/§18). The
-/// perf harness and the check.sh `perf` stage pin ceilings on these, so a
-/// regression in incremental behavior fails CI machine-independently.
+/// Cumulative kernel work counters (monotonic; see DESIGN.md §13/§18).
+/// Machine-speed independent: `batching_counts_on_iterative_waves`
+/// (`tests/tests/fluid_equivalence.rs`) pins them exactly on a 1024-VM
+/// scenario and platbench reports them per workload, so a regression in
+/// incremental or batching behavior fails tier-1 on any host.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FluidStats {
     /// Number of [`FluidNet::reallocate`] passes that found dirty state.
@@ -130,15 +125,12 @@ pub struct FluidStats {
     /// by coalesced reallocation passes. `batch_applied / reallocations`
     /// is the mean batch size — how much event application amortizes.
     pub batch_applied: u64,
-    /// Components solved on the scoped worker pool (thread-dependent by
-    /// nature: excluded from snapshots and cross-thread equality checks).
-    pub components_solved_parallel: u64,
     /// p50 of per-reallocation component flow counts (lifetime histogram).
     pub comp_size_p50: u64,
     /// p99 of per-reallocation component flow counts.
     pub comp_size_p99: u64,
-    /// Largest component (in flows) ever re-solved — the parallel speedup
-    /// ceiling: one component is always solved by one worker.
+    /// Largest component (in flows) ever re-solved — the cost ceiling of a
+    /// single incremental re-solve on this workload.
     pub comp_size_max: u64,
     /// Current completion-heap length (live + stale entries).
     pub completion_heap_len: usize,
@@ -154,9 +146,9 @@ struct Comp {
     res_len: usize,
 }
 
-/// Per-worker scratch for `solve_component`, indexed by component-local
-/// resource position (so each worker touches a dense, cache-resident
-/// window regardless of network size).
+/// Scratch for `solve_component`, indexed by component-local resource
+/// position (so a solve touches a dense, cache-resident window regardless
+/// of network size).
 #[derive(Debug, Default, Clone)]
 struct SolveScratch {
     residual: Vec<f64>,
@@ -177,23 +169,6 @@ impl SolveScratch {
             self.saturated.resize(res_len, false);
         }
     }
-}
-
-/// Read-only view of everything `solve_component` needs, so component
-/// solves can run on scoped worker threads while output slices are carved
-/// out of the (separately owned) result pools.
-struct SolveView<'a> {
-    res_capacity: &'a [f64],
-    dem_res: &'a [u32],
-    dem_w: &'a [f64],
-    f_dem_start: &'a [u32],
-    f_dem_len: &'a [u32],
-    comp_flows: &'a [u32],
-    comp_res: &'a [u32],
-    comps: &'a [Comp],
-    /// Component-local index of each resource (valid only for resources of
-    /// the current closure; written during the split phase).
-    res_local: &'a [u32],
 }
 
 /// The fluid network: resources plus active flows plus the current max-min
@@ -264,17 +239,9 @@ pub struct FluidNet {
     /// Component-local resource index, full network size; only entries for
     /// the current closure are meaningful.
     res_local: Vec<u32>,
-    /// Sequential-path solver scratch.
+    /// Solver scratch, recycled across reallocations.
     scratch: SolveScratch,
-    /// Worker-pool scratches (lazily grown to the thread count).
-    par_scratch: Vec<SolveScratch>,
 
-    /// Worker-pool width for the parallel solve path; 1 = sequential.
-    /// Execution strategy, not simulation state: never snapshotted.
-    threads: usize,
-    /// When true, every reallocation seeds all resources — the former
-    /// global solve. Bench baseline knob; output-identical by construction.
-    full_solve: bool,
     /// Mutations since the last reallocation that found dirty state.
     pending_mutations: u64,
     stats: FluidStats,
@@ -325,9 +292,6 @@ impl FluidNet {
             comp_used: Vec::new(),
             res_local: Vec::new(),
             scratch: SolveScratch::default(),
-            par_scratch: Vec::new(),
-            threads: 1,
-            full_solve: false,
             pending_mutations: 0,
             stats: FluidStats::default(),
             comp_hist: SizeHist::new(),
@@ -426,30 +390,6 @@ impl FluidNet {
     /// component re-solved, zero-flow capacity-only components excluded).
     pub fn component_hist(&self) -> &SizeHist {
         &self.comp_hist
-    }
-
-    /// Forces every reallocation to re-solve the whole network (the former
-    /// global algorithm). Rates are identical either way — this is the
-    /// bench harness's baseline knob for counter/wall-clock comparisons.
-    pub fn set_full_solve(&mut self, on: bool) {
-        self.full_solve = on;
-    }
-
-    /// Whether full (global) re-solves are forced on.
-    pub fn full_solve(&self) -> bool {
-        self.full_solve
-    }
-
-    /// Sets the solver worker-pool width (clamped to [1, 64]); 1 keeps the
-    /// solve sequential. Rates and wakeups are bit-identical at any width,
-    /// so this is purely a wall-clock knob and is never snapshotted.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.clamp(1, 64);
-    }
-
-    /// Current solver worker-pool width.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Starts a flow of `work` units over `demands`. The allocation is
@@ -625,21 +565,14 @@ impl FluidNet {
     /// component changed since the last call.
     ///
     /// Three phases (DESIGN.md §18): **split** the dirty closure into
-    /// connected components (serial; discovery order is a pure function of
-    /// the mutation sequence), **solve** each component's restricted
-    /// progressive filling independently — on the scoped worker pool when
-    /// the closure is ≥ [`PAR_MIN_CLOSURE_FLOWS`] flows and spans ≥ 2
-    /// components — and **apply** rates/usage/completions serially in
+    /// connected components (discovery order is a pure function of the
+    /// mutation sequence), **solve** each component's restricted
+    /// progressive filling, and **apply** rates/usage/completions in
     /// component order. Flows outside the closure keep their rates —
     /// max-min shares of independent components are unaffected by each
     /// other, so the result is identical to a global solve.
     pub fn reallocate(&mut self) {
         self.allocation_dirty = false;
-        if self.full_solve {
-            for r in 0..self.res_name.len() {
-                self.mark_dirty(r);
-            }
-        }
         if self.dirty.is_empty() {
             return;
         }
@@ -723,90 +656,130 @@ impl FluidNet {
         self.dirty.clear();
     }
 
-    /// Phase 2: solve every component into the `comp_rates` / `comp_used`
-    /// pools. Output positions are carved out of the pools *before* any
-    /// worker runs, each component's slices are disjoint, and the solve
-    /// reads only shared immutable state — so the parallel path writes the
-    /// same bytes to the same places as the sequential one.
+    /// Phase 2: solve every component into its own slice of the
+    /// `comp_rates` / `comp_used` pools (parallel to `comp_flows` /
+    /// `comp_res`).
     fn solve_components(&mut self) {
-        /// One worker's batch: (component index, rates slice, used slice).
-        type WorkerBatch<'a> = Vec<(usize, &'a mut [f64], &'a mut [f64])>;
         let mut rates = std::mem::take(&mut self.comp_rates);
         let mut used = std::mem::take(&mut self.comp_used);
+        let mut scratch = std::mem::take(&mut self.scratch);
         rates.clear();
         rates.resize(self.comp_flows.len(), 0.0);
         used.clear();
         used.resize(self.comp_res.len(), 0.0);
-        let ncomps = self.comps.len();
-        let use_par =
-            self.threads > 1 && ncomps >= 2 && self.comp_flows.len() >= PAR_MIN_CLOSURE_FLOWS;
-        if use_par {
-            let workers = self.threads.min(ncomps);
-            let mut scratches = std::mem::take(&mut self.par_scratch);
-            scratches.resize(workers.max(scratches.len()), SolveScratch::default());
-            {
-                let view = self.solve_view();
-                // Carve disjoint per-component output slices, then deal
-                // them round-robin: worker w owns components w, w+n, ...
-                // (canonical index → worker assignment).
-                let mut work: Vec<WorkerBatch> = (0..workers).map(|_| Vec::new()).collect();
-                let mut rates_rest: &mut [f64] = &mut rates;
-                let mut used_rest: &mut [f64] = &mut used;
-                for (ci, c) in view.comps.iter().enumerate() {
-                    let (rs, rr) = rates_rest.split_at_mut(c.flow_len);
-                    let (us, ur) = used_rest.split_at_mut(c.res_len);
-                    rates_rest = rr;
-                    used_rest = ur;
-                    work[ci % workers].push((ci, rs, us));
-                }
-                std::thread::scope(|sc| {
-                    for (batch, scratch) in work.into_iter().zip(scratches.iter_mut()) {
-                        let view = &view;
-                        sc.spawn(move || {
-                            for (ci, rs, us) in batch {
-                                solve_component(view, ci, scratch, rs, us);
-                            }
-                        });
-                    }
-                });
-            }
-            self.par_scratch = scratches;
-            self.stats.components_solved_parallel += ncomps as u64;
-        } else {
-            let mut scratch = std::mem::take(&mut self.scratch);
-            {
-                let view = self.solve_view();
-                for ci in 0..ncomps {
-                    let c = view.comps[ci];
-                    let rs = &mut rates[c.flow_start..c.flow_start + c.flow_len];
-                    let us = &mut used[c.res_start..c.res_start + c.res_len];
-                    solve_component(&view, ci, &mut scratch, rs, us);
-                }
-            }
-            self.scratch = scratch;
+        for c in &self.comps {
+            let rs = &mut rates[c.flow_start..c.flow_start + c.flow_len];
+            let us = &mut used[c.res_start..c.res_start + c.res_len];
+            self.solve_component(c, &mut scratch, rs, us);
         }
         self.comp_rates = rates;
         self.comp_used = used;
+        self.scratch = scratch;
     }
 
-    fn solve_view(&self) -> SolveView<'_> {
-        SolveView {
-            res_capacity: &self.res_capacity,
-            dem_res: &self.dem_res,
-            dem_w: &self.dem_w,
-            f_dem_start: &self.f_dem_start,
-            f_dem_len: &self.f_dem_len,
-            comp_flows: &self.comp_flows,
-            comp_res: &self.comp_res,
-            comps: &self.comps,
-            res_local: &self.res_local,
+    /// Restricted progressive filling over one connected component: every
+    /// unfrozen flow's rate rises uniformly; the resource with the smallest
+    /// residual fair share saturates first and freezes every flow crossing it;
+    /// repeat. Scratch is indexed by component-local resource position (via
+    /// `res_local`); rates land in `rates` (parallel to the component's flow
+    /// list), per-resource usage in `used` (parallel to its resource list).
+    fn solve_component(
+        &self,
+        c: &Comp,
+        scratch: &mut SolveScratch,
+        rates: &mut [f64],
+        used: &mut [f64],
+    ) {
+        let flows = &self.comp_flows[c.flow_start..c.flow_start + c.flow_len];
+        let res = &self.comp_res[c.res_start..c.res_start + c.res_len];
+        scratch.ensure(res.len());
+        for (j, &r) in res.iter().enumerate() {
+            scratch.residual[j] = self.res_capacity[r as usize];
+            scratch.weight[j] = 0.0;
+            scratch.count[j] = 0;
+            used[j] = 0.0;
+        }
+        for &s in flows {
+            let d0 = self.f_dem_start[s as usize] as usize;
+            let d1 = d0 + self.f_dem_len[s as usize] as usize;
+            for k in d0..d1 {
+                let j = self.res_local[self.dem_res[k] as usize] as usize;
+                scratch.weight[j] += self.dem_w[k];
+                scratch.count[j] += 1;
+            }
+        }
+
+        scratch.unfrozen.clear();
+        scratch.unfrozen.extend(0..flows.len() as u32);
+        while !scratch.unfrozen.is_empty() {
+            // Find the bottleneck share among component resources that still
+            // carry unfrozen flows (the integer count is the authoritative
+            // membership test — floating-point weight subtraction can leave
+            // dust).
+            let mut share = f64::INFINITY;
+            for j in 0..res.len() {
+                if scratch.count[j] > 0 && scratch.weight[j] > 0.0 {
+                    let s = scratch.residual[j] / scratch.weight[j];
+                    if s < share {
+                        share = s;
+                    }
+                }
+            }
+            let share = share.clamp(0.0, RATE_CAP);
+
+            // Freeze flows that cross a saturating resource (or all of them
+            // when nothing constrains).
+            let tol = share * 1e-12 + 1e-30;
+            let mut any_saturated = false;
+            for j in 0..res.len() {
+                scratch.saturated[j] = false;
+                if share < RATE_CAP
+                    && scratch.count[j] > 0
+                    && scratch.weight[j] > 0.0
+                    && scratch.residual[j] / scratch.weight[j] <= share + tol
+                {
+                    scratch.saturated[j] = true;
+                    any_saturated = true;
+                }
+            }
+
+            scratch.still.clear();
+            for ui in 0..scratch.unfrozen.len() {
+                let li = scratch.unfrozen[ui];
+                let s = flows[li as usize] as usize;
+                let d0 = self.f_dem_start[s] as usize;
+                let d1 = d0 + self.f_dem_len[s] as usize;
+                let frozen_now = !any_saturated
+                    || (d0..d1).any(|k| {
+                        scratch.saturated[self.res_local[self.dem_res[k] as usize] as usize]
+                    });
+                if frozen_now {
+                    rates[li as usize] = share;
+                    for k in d0..d1 {
+                        let j = self.res_local[self.dem_res[k] as usize] as usize;
+                        let w = self.dem_w[k];
+                        scratch.residual[j] = (scratch.residual[j] - share * w).max(0.0);
+                        scratch.weight[j] -= w;
+                        scratch.count[j] -= 1;
+                        if scratch.count[j] == 0 {
+                            scratch.weight[j] = 0.0;
+                        }
+                        used[j] += share * w;
+                    }
+                } else {
+                    scratch.still.push(li);
+                }
+            }
+            debug_assert!(
+                scratch.still.len() < scratch.unfrozen.len(),
+                "progressive filling must freeze at least one flow per round"
+            );
+            std::mem::swap(&mut scratch.unfrozen, &mut scratch.still);
         }
     }
 
     /// Phase 3: commit solved rates and resource usage, re-stamp every
-    /// touched flow, and index projected completions — serially, in
-    /// canonical component order, so the heap and counters never see the
-    /// worker schedule.
+    /// touched flow, and index projected completions, in component order.
     fn apply_components(&mut self) {
         for ci in 0..self.comps.len() {
             let c = self.comps[ci];
@@ -960,109 +933,6 @@ impl FluidNet {
     }
 }
 
-/// Restricted progressive filling over one connected component: every
-/// unfrozen flow's rate rises uniformly; the resource with the smallest
-/// residual fair share saturates first and freezes every flow crossing it;
-/// repeat. Scratch is indexed by component-local resource position (via
-/// `view.res_local`); rates land in `rates` (parallel to the component's
-/// flow list), per-resource usage in `used` (parallel to its resource
-/// list). Pure function of `view` + the component id: safe to run on any
-/// worker, bit-identical wherever it runs.
-fn solve_component(
-    view: &SolveView<'_>,
-    ci: usize,
-    scratch: &mut SolveScratch,
-    rates: &mut [f64],
-    used: &mut [f64],
-) {
-    let c = view.comps[ci];
-    let flows = &view.comp_flows[c.flow_start..c.flow_start + c.flow_len];
-    let res = &view.comp_res[c.res_start..c.res_start + c.res_len];
-    scratch.ensure(res.len());
-    for (j, &r) in res.iter().enumerate() {
-        scratch.residual[j] = view.res_capacity[r as usize];
-        scratch.weight[j] = 0.0;
-        scratch.count[j] = 0;
-        used[j] = 0.0;
-    }
-    for &s in flows {
-        let d0 = view.f_dem_start[s as usize] as usize;
-        let d1 = d0 + view.f_dem_len[s as usize] as usize;
-        for k in d0..d1 {
-            let j = view.res_local[view.dem_res[k] as usize] as usize;
-            scratch.weight[j] += view.dem_w[k];
-            scratch.count[j] += 1;
-        }
-    }
-
-    scratch.unfrozen.clear();
-    scratch.unfrozen.extend(0..flows.len() as u32);
-    while !scratch.unfrozen.is_empty() {
-        // Find the bottleneck share among component resources that still
-        // carry unfrozen flows (the integer count is the authoritative
-        // membership test — floating-point weight subtraction can leave
-        // dust).
-        let mut share = f64::INFINITY;
-        for j in 0..res.len() {
-            if scratch.count[j] > 0 && scratch.weight[j] > 0.0 {
-                let s = scratch.residual[j] / scratch.weight[j];
-                if s < share {
-                    share = s;
-                }
-            }
-        }
-        let share = share.clamp(0.0, RATE_CAP);
-
-        // Freeze flows that cross a saturating resource (or all of them
-        // when nothing constrains).
-        let tol = share * 1e-12 + 1e-30;
-        let mut any_saturated = false;
-        for j in 0..res.len() {
-            scratch.saturated[j] = false;
-            if share < RATE_CAP
-                && scratch.count[j] > 0
-                && scratch.weight[j] > 0.0
-                && scratch.residual[j] / scratch.weight[j] <= share + tol
-            {
-                scratch.saturated[j] = true;
-                any_saturated = true;
-            }
-        }
-
-        scratch.still.clear();
-        for ui in 0..scratch.unfrozen.len() {
-            let li = scratch.unfrozen[ui];
-            let s = flows[li as usize] as usize;
-            let d0 = view.f_dem_start[s] as usize;
-            let d1 = d0 + view.f_dem_len[s] as usize;
-            let frozen_now = !any_saturated
-                || (d0..d1)
-                    .any(|k| scratch.saturated[view.res_local[view.dem_res[k] as usize] as usize]);
-            if frozen_now {
-                rates[li as usize] = share;
-                for k in d0..d1 {
-                    let j = view.res_local[view.dem_res[k] as usize] as usize;
-                    let w = view.dem_w[k];
-                    scratch.residual[j] = (scratch.residual[j] - share * w).max(0.0);
-                    scratch.weight[j] -= w;
-                    scratch.count[j] -= 1;
-                    if scratch.count[j] == 0 {
-                        scratch.weight[j] = 0.0;
-                    }
-                    used[j] += share * w;
-                }
-            } else {
-                scratch.still.push(li);
-            }
-        }
-        debug_assert!(
-            scratch.still.len() < scratch.unfrozen.len(),
-            "progressive filling must freeze at least one flow per round"
-        );
-        std::mem::swap(&mut scratch.unfrozen, &mut scratch.still);
-    }
-}
-
 // ----- persistence (DESIGN.md §16/§18) ------------------------------------
 
 impl FluidNet {
@@ -1083,9 +953,7 @@ impl FluidNet {
     /// The completion heap is written as a sorted vector; demand lists are
     /// written per-flow (arena offsets are layout, not state, so demand
     /// compaction never perturbs snapshot bytes); scratch buffers, visit
-    /// marks, component pools, the thread knob, and the thread-dependent
-    /// `components_solved_parallel` counter are rebuilt or reset on decode
-    /// rather than encoded.
+    /// marks and component pools are rebuilt on decode rather than encoded.
     pub(crate) fn encode_state(&mut self, e: &mut Encoder) {
         self.canonicalize();
         e.usize(self.res_name.len());
@@ -1121,7 +989,6 @@ impl FluidNet {
             self.completions.iter().map(|&Reverse(t)| t).collect();
         entries.sort_unstable();
         entries.encode(e);
-        e.bool(self.full_solve);
         e.u64(self.stats.reallocations);
         e.u64(self.stats.flows_touched);
         e.u64(self.stats.resources_touched);
@@ -1179,7 +1046,6 @@ impl FluidNet {
         net.near_done = d.usize();
         let completion_entries = Vec::<(u64, u32, u32)>::decode(d);
         net.completions = completion_entries.into_iter().map(Reverse).collect();
-        net.full_solve = d.bool();
         net.stats.reallocations = d.u64();
         net.stats.flows_touched = d.u64();
         net.stats.resources_touched = d.u64();
@@ -1387,27 +1253,6 @@ mod tests {
     }
 
     #[test]
-    fn full_solve_mode_matches_incremental() {
-        let build = |full: bool| {
-            let mut net = FluidNet::new();
-            net.set_full_solve(full);
-            let r1 = net.add_resource("l1", ResourceKind::Net, 100.0);
-            let r2 = net.add_resource("l2", ResourceKind::Net, 40.0);
-            let f1 = net.add_flow(vec![Demand::unit(r1)], 500.0);
-            net.reallocate();
-            let f2 = net.add_flow(vec![Demand::unit(r1), Demand::unit(r2)], 300.0);
-            let f3 = net.add_flow(vec![Demand::unit(r2)], 200.0);
-            net.reallocate();
-            net.advance_to(SimTime::from_secs(1));
-            net.remove_flow(f3);
-            net.reallocate();
-            let e = net.earliest_completion();
-            (net.flow_rate(f1), net.flow_rate(f2), net.used(r1), net.cumulative(r2), e)
-        };
-        assert_eq!(build(false), build(true));
-    }
-
-    #[test]
     fn completion_heap_compacts_under_churn() {
         let (mut net, r) = net1();
         // One long-lived flow plus heavy add/remove churn: stale entries
@@ -1470,43 +1315,6 @@ mod tests {
         // stale completion entries must not surface it early.
         let t = net.earliest_completion().expect("reborn flow progressing");
         assert_eq!(t.as_nanos(), SimTime::from_secs(2).as_nanos() + 1);
-    }
-
-    /// Builds a many-component net (several independent links, many flows
-    /// each) large enough to clear `PAR_MIN_CLOSURE_FLOWS`, solves it at
-    /// the given thread count, and returns every rate's bit pattern.
-    fn parallel_fixture(threads: usize) -> (Vec<u64>, FluidStats) {
-        let mut net = FluidNet::new();
-        net.set_threads(threads);
-        let links: Vec<ResourceId> = (0..8)
-            .map(|i| net.add_resource(format!("l{i}"), ResourceKind::Net, 50.0 + 25.0 * i as f64))
-            .collect();
-        let mut flows = Vec::new();
-        for i in 0..(2 * PAR_MIN_CLOSURE_FLOWS) {
-            let l = links[i % links.len()];
-            let w = [0.5, 1.0, 2.0][i % 3];
-            flows.push(net.add_flow(vec![Demand::weighted(l, w)], 1e9));
-        }
-        net.reallocate();
-        let bits = flows.iter().map(|&f| net.flow_rate(f).to_bits()).collect();
-        (bits, net.stats())
-    }
-
-    #[test]
-    fn parallel_solve_is_bit_identical_to_sequential() {
-        let (seq_bits, seq_stats) = parallel_fixture(1);
-        for threads in [2, 3, 8] {
-            let (par_bits, par_stats) = parallel_fixture(threads);
-            assert_eq!(seq_bits, par_bits, "rates diverged at threads={threads}");
-            // All counters except the thread-dependent parallel tally must
-            // match the sequential run exactly.
-            let scrub = |s: FluidStats| FluidStats { components_solved_parallel: 0, ..s };
-            assert_eq!(scrub(seq_stats), scrub(par_stats));
-        }
-        // The fixture is big enough that the pool actually engaged.
-        let (_, par_stats) = parallel_fixture(8);
-        assert!(par_stats.components_solved_parallel >= 8, "worker pool never engaged");
-        assert_eq!(seq_stats.components_solved_parallel, 0);
     }
 
     #[test]

@@ -28,8 +28,9 @@ pub const SNAPSHOT_MAGIC: [u8; 6] = *b"VHSNAP";
 /// (v2: HDFS namespace gained the block-checksum side table. v3: SoA/arena
 /// fluid kernel — batch/histogram counters, generation-stamped timer arena,
 /// five interned kernel counter names. v4: `WhatIfOutcome` records which
-/// makespan model produced each estimate.)
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// makespan model produced each estimate. v5: the fluid net's global-solve
+/// bench switch and the engine's kernel counter names are gone.)
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Checks the header of a snapshot byte string without constructing a
 /// decoder; returns the embedded format version.

@@ -121,8 +121,8 @@ impl Summary {
 /// Fixed-bucket histogram of small integer sizes (one bucket per value up
 /// to [`SizeHist::EXACT`], a single overflow bucket above that which
 /// remembers only the maximum). Used by the fluid kernel to record the
-/// flow count of every connected component it re-solves, so the parallel
-/// speedup ceiling (p99 / max component size) is observable.
+/// flow count of every connected component it re-solves, so the cost of
+/// an incremental re-solve (p99 / max component size) is observable.
 ///
 /// Deterministic: state is a pure function of the pushed samples, so the
 /// histogram participates in snapshot round-trips.

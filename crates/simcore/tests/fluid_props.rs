@@ -32,16 +32,23 @@ fn random_flow(rng: &mut StdRng, n_resources: usize) -> (Vec<usize>, Vec<f64>, f
 #[test]
 fn maxmin_feasible_and_bottlenecked() {
     let mut rng = StdRng::seed_from_u64(0xF1D0);
-    for _case in 0..64 {
-        let n_res = rng.gen_range(1..6usize);
+    for case in 0..65 {
+        // Case 0 is the shrunk failure the retired `.proptest-regressions`
+        // seed file recorded; the offline shim never replayed it.
+        let (caps, flows) = if case == 0 {
+            let shared = (vec![0, 4], vec![0.1, 2.791908062142391], 1.0);
+            (vec![1.0; 5], vec![(vec![0], vec![0.1], 1.0), shared, (vec![4], vec![0.1], 1.0)])
+        } else {
+            let n_res = rng.gen_range(1..6usize);
+            let caps: Vec<f64> = (0..n_res).map(|_| random_cap(&mut rng)).collect();
+            let n_flows = rng.gen_range(1..12usize);
+            (caps, (0..n_flows).map(|_| random_flow(&mut rng, n_res)).collect())
+        };
         let mut net = FluidNet::new();
-        let rids: Vec<ResourceId> = (0..n_res)
-            .map(|i| net.add_resource(format!("r{i}"), ResourceKind::Other, random_cap(&mut rng)))
-            .collect();
-        let n_flows = rng.gen_range(1..12usize);
+        let rids: Vec<ResourceId> =
+            caps.iter().map(|&c| net.add_resource("r", ResourceKind::Other, c)).collect();
         let mut fids = Vec::new();
-        for _ in 0..n_flows {
-            let (resources, weights, work) = random_flow(&mut rng, n_res);
+        for (resources, weights, work) in flows {
             let demands: Vec<Demand> = resources
                 .iter()
                 .zip(&weights)

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Regenerates every table and figure of the paper. Results land in
-# results/*.{json,csv} and logs in results/logs/.
+# Regenerates every table and figure of the paper plus the TPCx-HS sweep:
+# every binary under crates/bench/src/bin (check.sh fails if BINS drifts).
+# Results land in results/*.{json,csv} and logs in results/logs/.
 set -uo pipefail
 cd "$(dirname "$0")"
 mkdir -p results/logs
 BINS=(table1_benchmarks fig2_wordcount fig3_mrbench fig4_terasort fig4_dfsio \
       fig5_migration table2_migration fig6_control_chart fig7_display_clustering \
       scalability \
-      fig8_screenshots ablations)
+      fig8_screenshots ablations tpcxhs)
 status=0
 for b in "${BINS[@]}"; do
   echo "=== $b ==="

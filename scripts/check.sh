@@ -151,69 +151,6 @@ cargo test -q -p vhadoop-integration --test cross_crate_props rack > /dev/null
 cargo run --release -q -p vhadoop-bench --bin scalability -- \
     --scale 32 --racks 3 > /dev/null
 
-echo "==> perf: simbench quick scenario (batched SoA kernel, 1024 VMs)"
-# Runs the deterministic 1024-VM iterative-waves scenario through the
-# frozen PR-4 kernel, the new kernel single-threaded, and the new kernel
-# on an 8-thread scoped pool. The binary itself asserts the wakeup
-# sequences are bit-identical across all three; here we additionally pin
-# machine-independent counter ceilings so a regression in batching or the
-# dirty-component closure (e.g. per-spawn re-solves sneaking back in)
-# fails CI regardless of host speed. Current values: reallocations 3,
-# flows_touched 3072, batch_applied 5120 (ceilings carry headroom except
-# batch_applied, which is exact — the scenario's mutation count is pinned).
-cargo run --release -q -p vhadoop-bench --bin simbench -- --quick --threads 8
-perf=results/bench_simcore.json
-test -s "$perf" || { echo "missing or empty $perf" >&2; exit 1; }
-if command -v python3 > /dev/null; then
-    python3 - "$perf" <<'PY'
-import json, sys
-with open(sys.argv[1]) as f:
-    d = json.load(f)
-assert d["bench"] == "simcore" and d["cases"], "bad bench schema"
-for s in d["cases"]:
-    for k in ("scenario", "vms", "events", "legacy", "seq", "par",
-              "touched_ratio_vs_legacy", "wall_speedup_vs_legacy",
-              "identical_wakeups"):
-        assert k in s, f"case missing key {k}"
-    for side in ("legacy", "seq", "par"):
-        for k in ("wall_s", "reallocations", "flows_touched",
-                  "resources_touched", "flows_per_realloc"):
-            assert k in s[side], f"{side} missing key {k}"
-    assert s["identical_wakeups"] is True, "kernel output diverged"
-quick = [s for s in d["cases"]
-         if s["scenario"] == "iterative_waves" and s["vms"] == 1024]
-assert quick, "quick case missing from results"
-q = quick[0]
-assert q["threads"] == 8, "quick case must exercise the 8-thread pool"
-for side in ("seq", "par"):
-    c = q[side]
-    assert c["reallocations"] <= 6, \
-        f"{side} reallocations regressed: {c['reallocations']} (batching broken?)"
-    assert c["flows_touched"] <= 4608, \
-        f"{side} flows_touched regressed: {c['flows_touched']}"
-    assert c["batch_applied"] == 5120, \
-        f"{side} batch_applied drifted: {c['batch_applied']}"
-# threads=1 vs threads=8 must agree on every thread-independent counter,
-# and the pool must actually have engaged under 8 threads.
-for k in ("reallocations", "flows_touched", "resources_touched",
-          "batch_applied", "comp_size_p99", "comp_size_max"):
-    assert q["seq"][k] == q["par"][k], \
-        f"counter {k} depends on thread count: {q['seq'][k]} vs {q['par'][k]}"
-assert q["seq"]["components_solved_parallel"] == 0, "seq run used the pool"
-assert q["par"]["components_solved_parallel"] > 0, "8-thread run never used the pool"
-print(f"    iterative_waves@1024: {q['wall_speedup_vs_legacy']:.1f}x wall vs legacy, "
-      f"{q['seq']['reallocations']} reallocations, "
-      f"batch_applied {q['seq']['batch_applied']}, "
-      f"pool solved {q['par']['components_solved_parallel']} components")
-PY
-else
-    # No python3: textual envelope + the identity flag at least.
-    grep -q '"bench": "simcore"' "$perf"
-    grep -q '"identical_wakeups": true' "$perf" \
-        || { echo "kernel output diverged" >&2; exit 1; }
-    grep -q '"touched_ratio_vs_legacy"' "$perf"
-fi
-
 echo "==> snap: snapshot/restore/fork round-trips & what-if ablation"
 # The round-trip suite pins byte-identical replay after a mid-run
 # checkpoint (8 seeds x clean/faulted), fork divergence isolation, the
@@ -357,28 +294,29 @@ cargo test -q --offline --manifest-path platbench/Cargo.toml
 
 echo "==> determinism lint"
 # A run must be a pure function of config + seed: no wall clock and no OS
-# entropy anywhere in the simulation crates. The two offline bench
-# harnesses (simbench, scalability) are the sanctioned exception: they
-# measure host wall-clock *around* deterministic runs.
+# entropy anywhere in the simulation crates. The one sanctioned exception
+# is the `scalability` bench binary, which measures host wall-clock
+# *around* deterministic runs.
 if grep -rnE 'Instant::now|SystemTime::now|thread_rng' crates/*/src \
-    | grep -vE '^crates/bench/src/bin/(simbench|scalability)\.rs:[0-9]+:.*Instant'; then
+    | grep -vE '^crates/bench/src/bin/scalability\.rs:[0-9]+:.*Instant'; then
     echo "determinism lint FAILED: wall clock or OS entropy in crates/" >&2
     exit 1
 fi
-# Threads are sanctioned in exactly three places: the scoped component-
-# solve pool in simcore's fluid module (deterministic by construction —
-# results are merged in canonical component order), the vchar sweep
-# runner (workers own disjoint contiguous slot ranges and results are
-# assembled in configuration order — the `char` stage above pins the
-# byte-identity), and the bench binaries (which only pick a default
-# --threads from host parallelism). Anywhere else, threading is a
-# determinism hazard.
+# Threads are sanctioned in exactly one place: the vchar sweep runner
+# (workers own disjoint contiguous slot ranges and results are assembled in
+# configuration order — the `char` stage above pins the byte-identity).
+# Anywhere else, threading is a determinism hazard.
 if grep -rnE 'std::thread|thread::(spawn|scope|Builder)' crates/*/src \
-    | grep -vE '^crates/simcore/src/fluid\.rs:' \
-    | grep -vE '^crates/vchar/src/sweep\.rs:' \
-    | grep -vE '^crates/bench/src/bin/(simbench|scalability)\.rs:'; then
-    echo "determinism lint FAILED: threading outside the sanctioned pool" >&2
+    | grep -vE '^crates/vchar/src/sweep\.rs:'; then
+    echo "determinism lint FAILED: threading outside the vchar sweep" >&2
     exit 1
 fi
+
+echo "==> run_experiments.sh lists every bench binary"
+for f in crates/bench/src/bin/*.rs; do
+    b=$(basename "$f" .rs)
+    sed -n '/^BINS=(/,/)/p' run_experiments.sh | grep -qw "$b" \
+        || { echo "run_experiments.sh BINS is missing $b" >&2; exit 1; }
+done
 
 echo "all checks passed"

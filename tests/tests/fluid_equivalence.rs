@@ -11,14 +11,11 @@
 //! the contract that keeps the nanosecond-pinned golden traces
 //! (`scheduler_golden`, `seed_sweep`) valid across the solver rewrite.
 //!
-//! The same contract extends to the worker pool
-//! (`solver_threads_are_unobservable`): thread count is a performance knob,
-//! never an observable one.
+//! `Oracle` is the repository's one reference solver; the at-scale tests
+//! hold the kernel to it in whole bursts and pin the engine's batching.
 
-use proptest::{check, Config};
-use simcore::fluid::{Demand, FluidNet, ResourceKind};
-use simcore::ids::ResourceId;
-use simcore::time::SimDuration;
+use proptest::{check, Config, Gen};
+use simcore::prelude::*;
 
 /// Verbatim port of the pre-incremental solver (identical arithmetic and
 /// iteration order), with resources as plain indices.
@@ -343,109 +340,6 @@ fn fluid_incremental_equivalence() {
     });
 }
 
-/// The parallel component re-solve must be unobservable: for any churn
-/// script, running the identical script with the worker pool at 1, 2, and
-/// 8 threads yields `f64::to_bits`-identical rates, remaining work,
-/// per-resource `used`/`cumulative`, identical completion instants, and
-/// identical work counters (`components_solved_parallel` excepted — it is
-/// the one deliberately thread-dependent statistic).
-///
-/// Cases build two independent resource banks with > `PAR_MIN_CLOSURE`
-/// flows so the initial reallocation genuinely engages the pool (small
-/// closures are solved inline regardless of the knob).
-#[test]
-fn solver_threads_are_unobservable() {
-    check("solver_threads_are_unobservable", Config { cases: 4, seed: 0xF1D2 }, |g| {
-        let n_res = g.usize_in(4, 8);
-        let caps: Vec<f64> = (0..n_res).map(|_| *g.choose(&CAPS)).collect();
-        let base_flows = g.usize_in(1100, 1400);
-        let run = |threads: usize, g: &mut proptest::Gen| {
-            let mut net = FluidNet::new();
-            net.set_threads(threads);
-            for (i, &c) in caps.iter().enumerate() {
-                net.add_resource(format!("r{i}"), ResourceKind::Other, c);
-            }
-            let mut live = Vec::new();
-            // A wide first wave so the dirty closure crosses the parallel
-            // threshold, spread over every resource (several components).
-            for k in 0..base_flows {
-                let r = k % n_res;
-                let w = *g.choose(&WEIGHTS);
-                let id = net.add_flow(
-                    vec![Demand::weighted(ResourceId::from_index(r), w)],
-                    g.f64_in(50.0, 500.0),
-                );
-                live.push(id);
-            }
-            let mut out: Vec<u64> = Vec::new();
-            for _ in 0..12 {
-                match g.usize_in(0, 4) {
-                    0 => {
-                        let r = g.usize_in(0, n_res - 1);
-                        let w = *g.choose(&WEIGHTS);
-                        live.push(net.add_flow(
-                            vec![Demand::weighted(ResourceId::from_index(r), w)],
-                            g.f64_in(1.0, 200.0),
-                        ));
-                    }
-                    1 if !live.is_empty() => {
-                        let k = g.usize_in(0, live.len() - 1);
-                        net.remove_flow(live.swap_remove(k));
-                    }
-                    2 => {
-                        let r = g.usize_in(0, n_res - 1);
-                        net.set_capacity(ResourceId::from_index(r), *g.choose(&CAPS));
-                    }
-                    _ => {
-                        net.reallocate();
-                        if let Some(t) = net.earliest_completion() {
-                            net.advance_to(t);
-                            for f in net.take_finished() {
-                                live.retain(|&id| id != f.id);
-                            }
-                        }
-                    }
-                }
-                net.reallocate();
-                for &id in &live {
-                    out.push(net.flow_rate(id).to_bits());
-                    out.push(net.flow_remaining(id).map_or(u64::MAX, f64::to_bits));
-                }
-                for r in 0..n_res {
-                    let rid = ResourceId::from_index(r);
-                    out.push(net.used(rid).to_bits());
-                    out.push(net.cumulative(rid).to_bits());
-                }
-                out.push(net.now().as_nanos());
-                out.push(net.earliest_completion().map_or(u64::MAX, |t| t.as_nanos()));
-            }
-            // Thread-independent counters travel with the trace; the one
-            // thread-dependent statistic is compared separately below.
-            let s = net.stats();
-            out.extend([
-                s.reallocations,
-                s.flows_touched,
-                s.resources_touched,
-                s.batch_applied,
-                s.comp_size_p50,
-                s.comp_size_p99,
-                s.comp_size_max,
-                s.completion_heap_len as u64,
-            ]);
-            (out, s.components_solved_parallel)
-        };
-        let mut g2 = g.clone();
-        let mut g8 = g.clone();
-        let (seq, par_seq) = run(1, g);
-        let (two, _) = run(2, &mut g2);
-        let (eight, par_eight) = run(8, &mut g8);
-        assert_eq!(seq, two, "threads=2 diverged from sequential");
-        assert_eq!(seq, eight, "threads=8 diverged from sequential");
-        assert_eq!(par_seq, 0, "sequential run must never use the pool");
-        assert!(par_eight > 0, "wide closure must engage the pool at 8 threads");
-    });
-}
-
 /// Flow-arena free-list ABA regression through the public handle API: a
 /// handle kept past its flow's removal must stay dead after the slot is
 /// recycled, and must not bleed state into (or observe state of) the
@@ -475,57 +369,155 @@ fn flow_arena_recycling_rejects_stale_handles() {
     assert_eq!(fin[0].id, reborn);
 }
 
-/// The `full_solve` baseline knob (used by `simbench` as the "before"
-/// measurement) must also be bit-identical to the incremental path — it
-/// runs the same restricted solve with every resource seeded.
+/// Synthetic datacenter for the at-scale tests, as resource indices into
+/// `caps`: host CPUs (32e9; host `h`'s is `h`), then NICs (1.25e9), vCPUs
+/// (4e9, 8 a host), the switch (10e9) and one never-binding 1e12 aggregator
+/// per 256 VMs that joins a rack's wave tasks into one component.
+struct Topo {
+    caps: Vec<f64>,
+    nic: usize,
+    vcpu: usize,
+    switch: usize,
+}
+
+impl Topo {
+    fn new(vms: usize) -> Topo {
+        let (hosts, racks) = (vms.div_ceil(8), vms.div_ceil(256));
+        let banks =
+            [vec![32e9; hosts], vec![1.25e9; hosts], vec![4e9; vms], vec![10e9], vec![1e12; racks]];
+        Topo { caps: banks.concat(), nic: hosts, vcpu: 2 * hosts, switch: 2 * hosts + vms }
+    }
+
+    fn compute(&self, vm: usize) -> Vec<usize> {
+        vec![self.vcpu + vm, vm / 8]
+    }
+
+    fn wave_task(&self, vm: usize) -> Vec<usize> {
+        vec![self.vcpu + vm, vm / 8, self.switch + 1 + vm / 256]
+    }
+
+    fn transfer(&self, src: usize, dst: usize) -> Vec<usize> {
+        let mut d = vec![self.switch, self.nic + src / 8, self.nic + dst / 8];
+        d.dedup(); // a same-host transfer crosses its NIC once
+        d
+    }
+}
+
+/// `iterative_waves` task sizes: equal within a wave, distinct across waves.
+const WAVE_WORK: [f64; 4] = [4e9, 6e9, 3e9, 8e9];
+
+fn unit_demands(res: &[usize]) -> Vec<Demand> {
+    res.iter().map(|&r| Demand::unit(ResourceId::from_index(r))).collect()
+}
+
+/// `FluidNet` and `Oracle` driven in lockstep, one `step` per burst.
+struct Lockstep {
+    net: FluidNet,
+    ora: oracle::Oracle,
+    live: Vec<(FlowId, usize)>,
+}
+
+impl Lockstep {
+    fn new(caps: &[f64]) -> Lockstep {
+        let mut net = FluidNet::new();
+        for (i, &c) in caps.iter().enumerate() {
+            net.add_resource(format!("r{i}"), ResourceKind::Other, c);
+        }
+        Lockstep { net, ora: oracle::Oracle::new(caps), live: Vec::new() }
+    }
+
+    fn add(&mut self, res: Vec<usize>, work: f64) {
+        let id = self.net.add_flow(unit_demands(&res), work);
+        self.live.push((id, self.ora.add_flow(res.into_iter().map(|r| (r, 1.0)).collect(), work)));
+    }
+
+    /// Ends a burst (one `reallocate()` for all its mutations, then full
+    /// bit-equality) and harvests the next completion instant.
+    fn step(&mut self) -> usize {
+        self.net.reallocate();
+        self.ora.reallocate();
+        assert_state_identical(&mut self.net, &self.ora, &self.live, self.ora.used.len());
+        let t = self.ora.earliest_completion().expect("a flow is progressing");
+        self.net.advance_to(t);
+        self.ora.advance_to(t);
+        let done = self.ora.take_finished();
+        assert_eq!(self.net.take_finished().len(), done.len(), "finished count");
+        self.live.retain(|&(_, os)| !done.contains(&os));
+        done.len()
+    }
+}
+
+/// `fluid_incremental_equivalence` re-solves after each single mutation on
+/// at most six resources; here whole bursts land between re-solves.
 #[test]
-fn full_solve_knob_is_equivalent() {
-    check("full_solve_knob_is_equivalent", Config { cases: 8, seed: 0xF1D1 }, |g| {
-        let n_res = g.usize_in(2, 5);
-        let caps: Vec<f64> = (0..n_res).map(|_| *g.choose(&CAPS)).collect();
-        let run = |full: bool, g: &mut proptest::Gen| {
-            let mut net = FluidNet::new();
-            net.set_full_solve(full);
-            for (i, &c) in caps.iter().enumerate() {
-                net.add_resource(format!("r{i}"), ResourceKind::Other, c);
-            }
-            let mut out: Vec<u64> = Vec::new();
-            let mut live = Vec::new();
-            for _ in 0..30 {
-                match g.usize_in(0, 5) {
-                    0..=2 => {
-                        let r = g.usize_in(0, n_res - 1);
-                        let w = *g.choose(&WEIGHTS);
-                        let id = net.add_flow(
-                            vec![Demand::weighted(ResourceId::from_index(r), w)],
-                            g.f64_in(1.0, 200.0),
-                        );
-                        live.push(id);
-                    }
-                    3 if !live.is_empty() => {
-                        let k = g.usize_in(0, live.len() - 1);
-                        let id = live.swap_remove(k);
-                        net.remove_flow(id);
-                    }
-                    _ => {
-                        net.reallocate();
-                        if let Some(t) = net.earliest_completion() {
-                            net.advance_to(t);
-                            for f in net.take_finished() {
-                                live.retain(|&id| id != f.id);
-                            }
-                        }
-                    }
+fn bursts_at_scale_match_the_oracle() {
+    // iterative_waves, four racks: a wave's 1024 finishes + 1024 respawns.
+    let topo = Topo::new(1024);
+    let mut ls = Lockstep::new(&topo.caps);
+    for work in WAVE_WORK {
+        (0..1024).for_each(|vm| ls.add(topo.wave_task(vm), work));
+        assert_eq!(ls.step(), 1024, "an equal-work wave drains at one instant");
+    }
+
+    // shuffle_storm, 256 VMs: two compute flows per VM, then bursts of 16
+    // seeded respawns (one in six a transfer, merging into the switch's
+    // component), cancels and NIC/vCPU degrades. Every capacity is first
+    // derated by its own seeded factor: a global pass applies its 1e-12
+    // saturation tolerance across components, so two that reach one share by
+    // different arithmetic (a busy host CPU is exactly its 8 vCPUs, an ulp off
+    // once a vCPU splits in thirds) get smeared together by `Oracle` alone.
+    let mut topo = Topo::new(256);
+    let mut g = Gen::from_seed(2012);
+    topo.caps.iter_mut().for_each(|c| *c *= g.f64_in(0.5, 1.0));
+    let mut ls = Lockstep::new(&topo.caps);
+    (0..512).for_each(|i| ls.add(topo.compute(i / 2), g.f64_in(1e9, 8e9)));
+    for _ in 0..48 {
+        for _ in 0..16 {
+            let vm = g.usize_in(0, 255);
+            match g.usize_in(0, 9) {
+                0..=4 => ls.add(topo.compute(vm), g.f64_in(1e9, 8e9)),
+                5 => ls.add(topo.transfer(vm, g.usize_in(0, 255)), g.f64_in(1e8, 1e9)),
+                6..=7 => {
+                    let (id, os) = ls.live.swap_remove(g.usize_in(0, ls.live.len() - 1));
+                    assert_eq!(ls.net.remove_flow(id), Some(ls.ora.remove_flow(os)));
                 }
-                net.reallocate();
-                for &id in &live {
-                    out.push(net.flow_rate(id).to_bits());
+                _ => {
+                    let r = *g.choose(&[topo.nic + vm / 8, topo.vcpu + vm]);
+                    let cap = topo.caps[r] * g.choose(&[0.25, 0.5, 1.0]);
+                    ls.net.set_capacity(ResourceId::from_index(r), cap);
+                    ls.ora.set_capacity(r, cap);
                 }
-                out.push(net.now().as_nanos());
             }
-            out
-        };
-        let mut g2 = g.clone();
-        assert_eq!(run(false, g), run(true, &mut g2));
-    });
+        }
+        ls.step();
+    }
+}
+
+/// Same-timestamp batching, pinned exactly: each 1024-VM wave through
+/// `Engine` ends at one instant and costs one reallocation, not one per task.
+#[test]
+fn batching_counts_on_iterative_waves() {
+    let topo = Topo::new(1024);
+    let mut e = Engine::new();
+    for (i, &c) in topo.caps.iter().enumerate() {
+        e.add_resource(format!("r{i}"), ResourceKind::Other, c);
+    }
+    let spawn = |e: &mut Engine, vm: u32, wave: u64| {
+        let task = unit_demands(&topo.wave_task(vm as usize));
+        e.start_flow(task, WAVE_WORK[wave as usize], Tag::new(1, vm, wave));
+    };
+    (0..1024).for_each(|vm| spawn(&mut e, vm, 0));
+    let mut seen = Vec::new();
+    for _ in 0..3072 {
+        let (t, w) = e.next_wakeup().expect("a wave task completes");
+        seen.push((t, w.tag().b));
+        spawn(&mut e, w.tag().a, w.tag().b + 1);
+    }
+    seen.dedup();
+    assert_eq!(seen.iter().map(|s| s.1).collect::<Vec<_>>(), [0, 1, 2], "a wave split up");
+    let s = e.kernel_stats();
+    assert_eq!(
+        (s.wakeups, s.reallocations, s.flows_touched, s.batch_applied, s.comp_size_max),
+        (3072, 3, 3072, 5120, 256)
+    );
 }
