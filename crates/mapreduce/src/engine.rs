@@ -214,6 +214,7 @@ impl MrEngine {
         self.next_job += 1;
         let n_maps = splits.len();
         let n_reduces = spec.config.num_reduces as usize;
+        let n_outputs = if n_reduces == 0 { n_maps } else { n_reduces };
         let partitioner: Rc<dyn crate::app::Partitioner> = Rc::from(app.partitioner());
         let state = JobState {
             id,
@@ -240,7 +241,7 @@ impl MrEngine {
             reduce_started_at: vec![None; n_reduces],
             shuffle_started_at: vec![None; n_reduces],
             map_outputs: (0..n_maps).map(|_| (0..n_reduces).map(|_| None).collect()).collect(),
-            reduce_outputs: (0..n_reduces).map(|_| None).collect(),
+            task_outputs: (0..n_outputs).map(|_| None).collect(),
             completed_maps: 0,
             completed_reduces: 0,
             counters: Counters::default(),
@@ -564,18 +565,15 @@ impl MrEngine {
         }
         let finished = engine.now();
         let map_done = job.map_phase_done.unwrap_or(finished);
+        // The map output has been reduced; it must not sit beside the
+        // flattened copy of the task outputs.
+        job.map_outputs = Vec::new();
         // Flatten output records in task-index order: partition 0's records
         // first, then partition 1's, ... (map index order for map-only
         // jobs). With a total-order partitioner this makes `outputs`
         // globally sorted — exactly TeraValidate's contract.
-        let parts: Vec<Partition> = if job.map_only() {
-            job.map_outputs.iter_mut().map(|m| m[0].take().expect("map output present")).collect()
-        } else {
-            job.reduce_outputs
-                .iter_mut()
-                .map(|r| r.take().expect("reduce output present"))
-                .collect()
-        };
+        let parts: Vec<Partition> =
+            job.task_outputs.into_iter().map(|p| p.expect("task output present")).collect();
         let partition_sizes: Vec<usize> = parts.iter().map(|p| p.records.len()).collect();
         let mut outputs = Vec::with_capacity(partition_sizes.iter().sum());
         for p in parts {

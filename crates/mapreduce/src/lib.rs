@@ -10,6 +10,7 @@
 //! * [`app::MapReduceApp`] — the user-code trait (+ [`app::CostProfile`]);
 //! * [`input::InputFormat`] — how splits materialize into records;
 //! * [`config::JobConfig`] / [`job::JobSpec`] — job knobs;
+//! * [`run::Run`] — how map output is held until it is reduced;
 //! * [`engine::MrEngine`] — the JobTracker;
 //! * [`runtime::MrRuntime`] — engine + cluster + HDFS + event loop in one.
 //!
@@ -48,6 +49,7 @@ pub mod job;
 mod maptask;
 pub mod persist;
 mod recovery;
+pub mod run;
 pub mod runtime;
 pub mod scheduler;
 mod shuffle;
@@ -58,8 +60,7 @@ pub mod types;
 /// Convenience imports.
 pub mod prelude {
     pub use crate::app::{
-        group_by_key, run_combiner, CostProfile, HashPartitioner, MapReduceApp, Partitioner,
-        RangePartitioner,
+        group_by_key, CostProfile, HashPartitioner, MapReduceApp, Partitioner, RangePartitioner,
     };
     pub use crate::config::JobConfig;
     pub use crate::counters::Counters;

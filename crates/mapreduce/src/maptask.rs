@@ -8,10 +8,10 @@
 //! optionally combined) before spilling to the VM's (NFS-backed) disk,
 //! which is where the paper's NFS-bottleneck conclusion bites.
 
-use crate::app::run_combiner;
 use crate::job::{JobEvent, JobId};
+use crate::run::{combine_run, Run};
 use crate::state::{tag_full, Partition, TaskPhase, PH_MAP_COMPUTE, PH_MAP_READ, PH_MAP_WRITE};
-use crate::types::{records_size, Record};
+use crate::types::{records_size, Record, K, V};
 use simcore::prelude::*;
 use vcluster::cluster::{VirtualCluster, VmId};
 use vhdfs::hdfs::Hdfs;
@@ -86,20 +86,35 @@ impl MrEngine {
         }
         let job = self.jobs.get_mut(&jid.0).expect("unknown job");
         let vm = job.map_attempt_vm[m][attempt].expect("attempt ran somewhere");
-        // Really run the user's map function, over the lent split.
-        let mut emitted: Vec<Record> = Vec::new();
+        // Really run the user's map function, over the lent split. What it
+        // emits goes where it will stay: a reduce job's records into the
+        // run of their partition (the emitted `K` dies here), a map-only
+        // job's into the task's output.
+        let n_red = job.num_reduces();
+        let mut runs: Vec<Run> = (0..n_red).map(|_| Run::default()).collect();
+        let mut output: Vec<Record> = Vec::new();
+        let mut out_records = 0u64;
         let (mut in_records, mut in_bytes) = (0, job.splits[m].bytes);
         let app = job.app.as_ref();
+        let partitioner = job.partitioner.as_ref();
         job.input.with_split(m, &mut |records| {
             in_records = records.len() as u64;
             if in_bytes == 0 {
                 in_bytes = records_size(records);
             }
+            let mut emit = |ek: K, ev: V| {
+                out_records += 1;
+                if n_red == 0 {
+                    output.push((ek, ev));
+                } else {
+                    let p = partitioner.partition(&ek, n_red as u32).min(n_red as u32 - 1);
+                    runs[p as usize].push(&ek, ev);
+                }
+            };
             for (k, v) in records {
-                app.map(k, v, &mut |ek, ev| emitted.push((ek, ev)));
+                app.map(k, v, &mut emit);
             }
         });
-        let out_records = emitted.len() as u64;
 
         let cost = app.cost();
         let cycles =
@@ -110,51 +125,26 @@ impl MrEngine {
         if job.map_only() {
             // Map-only: emitted records ARE the output; the compute-done
             // handler writes them to HDFS.
-            let output = Partition::seal(emitted);
+            let output = Partition::seal(output);
             out_bytes = output.bytes;
             spill_bytes = 0;
-            job.map_outputs[m] = vec![Some(output)];
+            job.task_outputs[m] = Some(output);
         } else {
-            // Partition, optionally combine, then spill to local (NFS)
-            // disk. Two passes, so that every partition is allocated once
-            // at its exact length and sized while its records are at hand.
-            let n_red = job.num_reduces();
-            let mut lens = vec![0usize; n_red];
-            let mut bytes = vec![0u64; n_red];
-            let ids: Vec<u32> = emitted
-                .iter()
-                .map(|(k, v)| {
-                    let p = job.partitioner.partition(k, n_red as u32).min(n_red as u32 - 1);
-                    lens[p as usize] += 1;
-                    bytes[p as usize] += k.size_bytes() + v.size_bytes();
-                    p
-                })
-                .collect();
-            let mut parts: Vec<Vec<Record>> = lens.into_iter().map(Vec::with_capacity).collect();
-            for (record, p) in emitted.into_iter().zip(ids) {
-                parts[p as usize].push(record);
-            }
-            out_bytes = bytes.iter().sum();
+            // Optionally combine, then spill to local (NFS) disk.
+            out_bytes = runs.iter().map(Run::bytes).sum();
             let use_combiner = job.spec.config.use_combiner;
-            let mut combined_records = 0u64;
-            let mut total_bytes = 0u64;
-            let stored: Vec<Option<Partition>> = parts
+            let stored: Vec<Option<Run>> = runs
                 .into_iter()
-                .zip(bytes)
-                .map(|(records, bytes)| {
-                    let p = if use_combiner {
-                        Partition::seal(run_combiner(app, records))
-                    } else {
-                        debug_assert_eq!(bytes, records_size(&records));
-                        Partition { records, bytes }
-                    };
-                    combined_records += p.records.len() as u64;
-                    total_bytes += p.bytes;
-                    Some(p)
+                .map(|run| {
+                    let mut run = if use_combiner { combine_run(app, run) } else { run };
+                    run.seal();
+                    Some(run)
                 })
                 .collect();
-            job.counters.combine_output_records += combined_records;
-            spill_bytes = total_bytes;
+            let spilled = || stored.iter().flatten();
+            job.counters.combine_output_records +=
+                spilled().map(|run| run.len() as u64).sum::<u64>();
+            spill_bytes = spilled().map(Run::bytes).sum();
             job.map_outputs[m] = stored;
         }
         job.counters.map_input_records += in_records;
@@ -195,7 +185,7 @@ impl MrEngine {
                 // First attempt to finish computing claims the HDFS write.
                 job.write_claimed[m] = true;
                 job.map_vm[m] = Some(vm);
-                let output = job.map_outputs[m][0].as_ref().expect("map output present");
+                let output = job.task_outputs[m].as_ref().expect("map output present");
                 Outcome::MapOnlyWrite {
                     vm,
                     bytes: output.bytes,
@@ -282,7 +272,7 @@ impl MrEngine {
                     &[("job", f64::from(jid.0)), ("task", m as f64)],
                 );
             }
-            let output = job.map_outputs[m][0].as_ref().expect("map output present");
+            let output = job.task_outputs[m].as_ref().expect("map output present");
             job.counters.output_bytes += output.bytes;
             job.counters.reduce_output_records += output.records.len() as u64;
             let finished = job.completed_maps == job.maps.len();

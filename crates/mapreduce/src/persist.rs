@@ -250,6 +250,7 @@ impl Persist for TaskPhase {
 }
 
 /// Encoded as the bare record vector; the size is recomputed on decode.
+/// ([`crate::run::Run`] encodes as the same bytes.)
 impl Persist for Partition {
     fn encode(&self, e: &mut Encoder) {
         self.records.encode(e);
@@ -309,8 +310,22 @@ impl JobState {
         self.shuffle_started_at.encode(e);
         self.pending_maps.encode(e);
         self.pending_reduces.encode(e);
-        self.map_outputs.encode(e);
-        self.reduce_outputs.encode(e);
+        if self.map_only() {
+            // As a map-only job's outputs have always been written: each
+            // map's as its only partition once it is there, and no reduce
+            // outputs after them.
+            e.usize(self.task_outputs.len());
+            for output in &self.task_outputs {
+                e.usize(usize::from(output.is_some()));
+                if output.is_some() {
+                    output.encode(e);
+                }
+            }
+            e.usize(0);
+        } else {
+            self.map_outputs.encode(e);
+            self.task_outputs.encode(e);
+        }
         e.usize(self.completed_maps);
         e.usize(self.completed_reduces);
         self.counters.encode(e);
@@ -339,6 +354,22 @@ impl JobState {
         let write_claimed = Persist::decode(d);
         let n = d.usize();
         let attempt_active = (0..n).map(|_| [d.bool(), d.bool()]).collect();
+        let map_epoch = Persist::decode(d);
+        let reduce_epoch = Persist::decode(d);
+        let map_retries = Persist::decode(d);
+        let reduce_retries = Persist::decode(d);
+        let reduce_started_at = Persist::decode(d);
+        let shuffle_started_at = Persist::decode(d);
+        let pending_maps = VecDeque::<usize>::decode(d);
+        let pending_reduces = VecDeque::<usize>::decode(d);
+        let (map_outputs, task_outputs) = if spec.config.num_reduces == 0 {
+            let per_map = Vec::<Vec<Option<Partition>>>::decode(d);
+            assert_eq!(d.usize(), 0, "snapshot: a map-only job with reduce outputs");
+            let no_runs = per_map.iter().map(|_| Vec::new()).collect();
+            (no_runs, per_map.into_iter().map(|mut only| only.pop().flatten()).collect())
+        } else {
+            (Persist::decode(d), Persist::decode(d))
+        };
         JobState {
             id,
             spec,
@@ -355,16 +386,16 @@ impl JobState {
             speculated,
             write_claimed,
             attempt_active,
-            map_epoch: Persist::decode(d),
-            reduce_epoch: Persist::decode(d),
-            map_retries: Persist::decode(d),
-            reduce_retries: Persist::decode(d),
-            reduce_started_at: Persist::decode(d),
-            shuffle_started_at: Persist::decode(d),
-            pending_maps: VecDeque::<usize>::decode(d),
-            pending_reduces: VecDeque::<usize>::decode(d),
-            map_outputs: Persist::decode(d),
-            reduce_outputs: Persist::decode(d),
+            map_epoch,
+            reduce_epoch,
+            map_retries,
+            reduce_retries,
+            reduce_started_at,
+            shuffle_started_at,
+            pending_maps,
+            pending_reduces,
+            map_outputs,
+            task_outputs,
             completed_maps: d.usize(),
             completed_reduces: d.usize(),
             counters: Counters::decode(d),

@@ -262,7 +262,7 @@ impl MrEngine {
     fn invalidate_reduce(job: &mut JobState, r: usize) {
         job.reduce_epoch[r] = (job.reduce_epoch[r] + 1) & 0x7F;
         job.reduces[r] = TaskPhase::Pending;
-        job.reduce_outputs[r] = None;
+        job.task_outputs[r] = None;
         job.reduce_started_at[r] = None;
         job.shuffle_started_at[r] = None;
         job.counters.relaunched_tasks += 1;

@@ -9,8 +9,8 @@
 //! boundaries is what separates the paper's normal vs. cross-domain
 //! wordcount curves (Fig. 2).
 
-use crate::app::for_each_group;
 use crate::job::{JobEvent, JobId};
+use crate::run::{for_each_group, Run};
 use crate::state::{
     tag, tag_full, Partition, PH_IGNORE, PH_REDUCE_COMPUTE, PH_REDUCE_WRITE, PH_SHUFFLE,
 };
@@ -35,11 +35,11 @@ impl MrEngine {
         let mut members: Vec<(ChainSpec, Tag)> = Vec::new();
         let mut shuffle_bytes = 0u64;
         for m in 0..job.maps.len() {
-            let Some(part) = job.map_outputs[m][r].as_ref() else { continue };
-            if part.records.is_empty() {
+            let Some(run) = job.map_outputs[m][r].as_ref() else { continue };
+            if run.is_empty() {
                 continue;
             }
-            let bytes = part.bytes;
+            let bytes = run.bytes();
             shuffle_bytes += bytes;
             let map_vm = job.map_vm[m].expect("map ran somewhere");
             let chain = cluster
@@ -71,25 +71,20 @@ impl MrEngine {
                 &[("job", f64::from(jid.0)), ("task", r as f64)],
             );
         }
-        // Merge all fetched partitions, group, and really reduce. The
-        // partitions are lent to the merge, not taken: they stay until the
-        // job finishes so a failed reduce can re-run from them, as Hadoop
-        // re-fetches map output that is still alive.
-        let fetched = || job.map_outputs.iter().filter_map(|parts| parts[r].as_ref());
-        let segments = fetched().filter(|p| !p.records.is_empty()).count() as u32;
-        let in_bytes: u64 = fetched().map(|p| p.bytes).sum();
-        let mut merged: Vec<&mut Record> = job
-            .map_outputs
-            .iter_mut()
-            .filter_map(|parts| parts[r].as_mut())
-            .flat_map(|p| p.records.iter_mut())
-            .collect();
-        let in_records = merged.len() as u64;
+        // Merge all fetched runs, group, and really reduce. The runs are
+        // lent to the merge, not taken: they stay until the job finishes so
+        // a failed reduce can re-run from them, as Hadoop re-fetches map
+        // output that is still alive.
+        let mut fetched: Vec<&mut Run> =
+            job.map_outputs.iter_mut().filter_map(|parts| parts[r].as_mut()).collect();
+        let segments = fetched.iter().filter(|run| !run.is_empty()).count() as u32;
+        let in_bytes: u64 = fetched.iter().map(|run| run.bytes()).sum();
+        let in_records = fetched.iter().map(|run| run.len() as u64).sum::<u64>();
 
         let mut groups = 0u64;
         let mut out: Vec<Record> = Vec::new();
         let app = job.app.as_ref();
-        for_each_group(&mut merged, |k, vals| {
+        for_each_group(&mut fetched, |k, vals| {
             groups += 1;
             app.reduce(k, vals, &mut |ek, ev| out.push((ek, ev)));
         });
@@ -102,7 +97,7 @@ impl MrEngine {
         let cycles = cost.reduce_cpu_per_byte * in_bytes as f64
             + cost.reduce_cpu_per_record * in_records as f64
             + sort_cycles;
-        job.reduce_outputs[r] = Some(Partition::seal(out));
+        job.task_outputs[r] = Some(Partition::seal(out));
         let ep = job.reduce_epoch[r];
         engine.start_chain(cluster.compute(vm, cycles), tag_full(jid, PH_REDUCE_COMPUTE, 0, ep, r));
     }
@@ -118,7 +113,7 @@ impl MrEngine {
         let (vm, bytes, path) = {
             let job = self.jobs.get(&jid.0).expect("unknown job");
             let vm = job.running_reduce_vm(r);
-            let output = job.reduce_outputs[r].as_ref().expect("reduce output present");
+            let output = job.task_outputs[r].as_ref().expect("reduce output present");
             (vm, output.bytes, format!("{}/part-r-{r:05}", job.spec.output_path))
         };
         // A reduce re-run after a failure may find the partial output of
@@ -150,7 +145,7 @@ impl MrEngine {
             let vm = job.running_reduce_vm(r);
             job.reduces[r] = crate::state::TaskPhase::Done;
             job.completed_reduces += 1;
-            let output = job.reduce_outputs[r].as_ref().expect("reduce output present");
+            let output = job.task_outputs[r].as_ref().expect("reduce output present");
             job.counters.output_bytes += output.bytes;
             job.counters.reduce_output_records += output.records.len() as u64;
             if let Some(t0) = job.reduce_started_at[r] {

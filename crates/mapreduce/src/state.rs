@@ -11,6 +11,7 @@ use crate::config::JobConfig;
 use crate::counters::Counters;
 use crate::input::InputFormat;
 use crate::job::{JobId, JobSpec};
+use crate::run::Run;
 use crate::types::{records_size, Record};
 use simcore::owners;
 use simcore::prelude::*;
@@ -81,10 +82,11 @@ pub(crate) struct SplitInfo {
     pub(crate) locations: Vec<VmId>,
 }
 
-/// A sealed record batch — one map-output partition or one task's output
-/// — with the byte size computed once, when it was sealed. Batches live
-/// until their job finishes, so sealing also returns the unused tail of a
-/// vector that grew by doubling.
+/// One task's sealed output records (a reduce's, or a map's in a map-only
+/// job; map output bound for a reduce is a [`Run`]), with the byte size
+/// computed once, when it was sealed. Outputs live until their job
+/// finishes, so sealing also returns the unused tail of a vector that grew
+/// by doubling.
 #[derive(Debug)]
 pub(crate) struct Partition {
     pub(crate) records: Vec<Record>,
@@ -150,11 +152,11 @@ pub(crate) struct JobState {
     pub(crate) pending_reduces: VecDeque<usize>,
     /// Per map: per reduce partition, the (possibly combined) records.
     /// Lent to the owning reduce's merge and kept until the job finishes,
-    /// so a failed reduce can re-run from them. Map-only jobs store the
-    /// whole map output in a single pseudo-partition.
-    pub(crate) map_outputs: Vec<Vec<Option<Partition>>>,
-    /// Per reduce: output records awaiting the HDFS write.
-    pub(crate) reduce_outputs: Vec<Option<Partition>>,
+    /// so a failed reduce can re-run from them.
+    pub(crate) map_outputs: Vec<Vec<Option<Run>>>,
+    /// Per output task — reduce, or map of a map-only job: the output
+    /// records awaiting the HDFS write.
+    pub(crate) task_outputs: Vec<Option<Partition>>,
     pub(crate) completed_maps: usize,
     pub(crate) completed_reduces: usize,
     pub(crate) counters: Counters,
@@ -192,7 +194,7 @@ impl JobState {
         }
         (0..self.num_reduces())
             .map(|r| {
-                self.map_outputs.iter().map(|parts| parts[r].as_ref().map_or(0, |p| p.bytes)).sum()
+                self.map_outputs.iter().map(|parts| parts[r].as_ref().map_or(0, Run::bytes)).sum()
             })
             .collect()
     }

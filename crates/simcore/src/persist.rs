@@ -114,6 +114,11 @@ impl Encoder {
         self.usize(s.len());
         self.buf.extend_from_slice(s.as_bytes());
     }
+
+    /// Appends bytes that are already in this format (no length prefix).
+    pub fn raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
 }
 
 /// Sequential reader over snapshot bytes. Construction validates the
@@ -137,7 +142,8 @@ impl<'a> Decoder<'a> {
         Decoder { buf: bytes, pos: SNAPSHOT_MAGIC.len() + 4 }
     }
 
-    fn take(&mut self, n: usize) -> &'a [u8] {
+    /// Reads the next `n` bytes as they are.
+    pub fn raw(&mut self, n: usize) -> &'a [u8] {
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         s
@@ -150,20 +156,20 @@ impl<'a> Decoder<'a> {
 
     /// Reads one byte.
     pub fn u8(&mut self) -> u8 {
-        self.take(1)[0]
+        self.raw(1)[0]
     }
 
     /// Reads a `u32`, little-endian.
     pub fn u32(&mut self) -> u32 {
         let mut b = [0u8; 4];
-        b.copy_from_slice(self.take(4));
+        b.copy_from_slice(self.raw(4));
         u32::from_le_bytes(b)
     }
 
     /// Reads a `u64`, little-endian.
     pub fn u64(&mut self) -> u64 {
         let mut b = [0u8; 8];
-        b.copy_from_slice(self.take(8));
+        b.copy_from_slice(self.raw(8));
         u64::from_le_bytes(b)
     }
 
@@ -185,7 +191,7 @@ impl<'a> Decoder<'a> {
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> String {
         let n = self.usize();
-        String::from_utf8(self.take(n).to_vec()).expect("snapshot strings are UTF-8")
+        String::from_utf8(self.raw(n).to_vec()).expect("snapshot strings are UTF-8")
     }
 }
 

@@ -174,6 +174,25 @@ pub fn multiset_checksum(records: &[Record]) -> u64 {
     records.iter().fold(0u64, |acc, (k, _)| acc.wrapping_add(mix64(k.stable_hash())))
 }
 
+/// [`multiset_checksum`] of `n` records whose keys `fill` writes, one
+/// after the other, into one reused [`KEY_BYTES`]-long buffer.
+fn checksum_of_keys(n: u64, mut fill: impl FnMut(&mut [u8])) -> u64 {
+    let mut key = K::Bytes(vec![0; KEY_BYTES]);
+    (0..n).fold(0u64, |acc, _| {
+        if let K::Bytes(bytes) = &mut key {
+            fill(bytes);
+        }
+        acc.wrapping_add(mix64(key.stable_hash()))
+    })
+}
+
+/// `multiset_checksum(&hsgen_split(seed, idx, records))` without the
+/// records: the same key bytes drawn from the same stream.
+pub fn hsgen_checksum(seed: RootSeed, idx: usize, records: u64) -> u64 {
+    let mut rng = seed.stream_at("hsgen", idx as u64);
+    checksum_of_keys(records, |key| key.fill_with(|| rng.gen()))
+}
+
 /// splitmix64 finalizer: decorrelates the raw key hash so adjacent keys
 /// don't cancel in the multiset sum.
 fn mix64(mut x: u64) -> u64 {
@@ -241,14 +260,20 @@ struct BlockSummary {
 }
 
 impl BlockSummary {
-    fn of(records: &[Record]) -> Self {
-        let sorted = records.windows(2).all(|w| w[0].0 <= w[1].0);
+    /// Summary of the block whose record keys are the [`KEY_BYTES`]-long
+    /// chunks of `keys`.
+    fn of(keys: &[u8]) -> Self {
+        let chunks = || keys.chunks_exact(KEY_BYTES);
+        let records = chunks().len() as u64;
+        let mut next = chunks();
         BlockSummary {
-            records: records.len() as u64,
-            sorted,
-            checksum: multiset_checksum(records),
-            min: records.first().map(|(k, _)| k.as_bytes().to_vec()).unwrap_or_default(),
-            max: records.last().map(|(k, _)| k.as_bytes().to_vec()).unwrap_or_default(),
+            records,
+            sorted: chunks().zip(chunks().skip(1)).all(|(a, b)| a <= b),
+            checksum: checksum_of_keys(records, |key| {
+                key.copy_from_slice(next.next().expect("one chunk per record"))
+            }),
+            min: chunks().next().unwrap_or_default().to_vec(),
+            max: chunks().last().unwrap_or_default().to_vec(),
         }
     }
 
@@ -280,11 +305,11 @@ impl BlockSummary {
 }
 
 /// HSValidate: one map per output block summarizes the records it holds
-/// (the summarized data rides in the app; the job's reads against
-/// [`HS_OUT`] model the I/O); a single reduce collects the summaries in
-/// block order.
+/// (their keys ride in the app, [`KEY_BYTES`] each, back to back per
+/// block; the job's reads against [`HS_OUT`] model the I/O); a single
+/// reduce collects the summaries in block order.
 struct HsValidateApp {
-    blocks: Vec<Vec<Record>>,
+    blocks: Vec<Vec<u8>>,
 }
 
 impl MapReduceApp for HsValidateApp {
@@ -429,9 +454,8 @@ pub fn register_hsgen(rt: &mut MrRuntime, plan: &HsPlan) {
         plan.splits(),
     );
     let seed = plan.gen_seed();
-    let sums: Vec<u64> = (0..plan.splits())
-        .map(|i| multiset_checksum(&hsgen_split(seed, i, plan.records_in_split(i))))
-        .collect();
+    let sums: Vec<u64> =
+        (0..plan.splits()).map(|i| hsgen_checksum(seed, i, plan.records_in_split(i))).collect();
     rt.hdfs.record_checksums(HS_IN, &sums);
     if let Some(HsCorruption::FlipChecksum { block }) = plan.corrupt {
         rt.hdfs.corrupt_checksum(HS_IN, block);
@@ -525,12 +549,19 @@ pub fn hsvalidate_job(
     plan: &HsPlan,
     sort: &JobResult,
 ) -> (JobSpec, Box<dyn MapReduceApp>, Box<dyn InputFormat>) {
-    // The one copy of the sorted output: the job's app must own what its
-    // maps summarize.
-    let blocks: Vec<Vec<Record>> = output_block_groups(rt, sort)
+    // The job's app must own what its maps summarize, and they read the
+    // keys only.
+    let blocks: Vec<Vec<u8>> = output_block_groups(rt, sort)
         .into_iter()
         .flat_map(|(_, runs)| runs)
-        .map(|run| sort.outputs[run].to_vec())
+        .map(|run| {
+            let mut keys = Vec::with_capacity(run.len() * KEY_BYTES);
+            for (k, _) in &sort.outputs[run] {
+                assert_eq!(k.as_bytes().len(), KEY_BYTES, "HS keys are {KEY_BYTES} bytes");
+                keys.extend_from_slice(k.as_bytes());
+            }
+            keys
+        })
         .collect();
     let n = blocks.len();
     let input = GeneratorInput::new(n, plan.block_size, |idx| vec![(K::Int(idx as i64), V::Null)]);
@@ -711,6 +742,40 @@ mod tests {
         assert_eq!(records_size(&recs), 50 * RECORD_BYTES);
         assert_eq!(recs[0].0.as_bytes().len(), KEY_BYTES);
         assert_eq!(hsgen_split(RootSeed(7), 0, 50), recs, "generation is deterministic");
+    }
+
+    #[test]
+    fn hsgen_checksum_is_the_checksum_of_the_generated_split() {
+        for seed in [0, 7, 2012] {
+            for (idx, records) in [(0, 0), (0, 1), (3, 64), (17, 500)] {
+                assert_eq!(
+                    hsgen_checksum(RootSeed(seed), idx, records),
+                    multiset_checksum(&hsgen_split(RootSeed(seed), idx, records)),
+                    "seed {seed} split {idx} x {records}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn block_summary_reads_the_strided_keys() {
+        let mut recs = hsgen_split(RootSeed(5), 2, 40);
+        let strided = |recs: &[Record]| -> Vec<u8> {
+            recs.iter().flat_map(|(k, _)| k.as_bytes().to_vec()).collect()
+        };
+        let unsorted = BlockSummary::of(&strided(&recs));
+        assert!(!unsorted.sorted);
+        assert_eq!(unsorted.checksum, multiset_checksum(&recs));
+        recs.sort_by(|a, b| a.0.cmp(&b.0));
+        let sorted = BlockSummary::of(&strided(&recs));
+        assert!(sorted.sorted);
+        assert_eq!((sorted.records, sorted.checksum), (40, unsorted.checksum));
+        assert_eq!(sorted.min, recs[0].0.as_bytes());
+        assert_eq!(sorted.max, recs[39].0.as_bytes());
+        assert_eq!(BlockSummary::decode(&sorted.encode()), sorted);
+        let empty = BlockSummary::of(&[]);
+        assert_eq!((empty.records, empty.sorted, empty.checksum), (0, true, 0));
+        assert!(empty.min.is_empty() && empty.max.is_empty());
     }
 
     #[test]

@@ -3,8 +3,10 @@
 # evidence", platbench/README.md): builds platbench in a parent checkout
 # and in this one, runs alternating parent/change pairs of every
 # BENCHMARK.json workload plus one traced run per side, and prints the
-# markdown tables EXPERIMENTS.md carries. Runs already in <out-dir> are
-# kept, so an interrupted session resumes and the tables can be re-printed.
+# markdown tables EXPERIMENTS.md carries, each end-to-end row with its
+# `choosing-metrics` §8 verdict against the bounds in BENCHMARK.json; exits
+# non-zero if any row is `worse`. Runs already in <out-dir> are kept, so an
+# interrupted session resumes and the tables can be re-printed.
 #
 #   scripts/platbench_pairs.sh <parent-checkout> <out-dir> [pairs=10] [seed=2012]
 set -euo pipefail
@@ -42,9 +44,10 @@ for w in $workloads; do
     done
 done
 
-python3 - "$out" "$pairs" $workloads <<'PY'
-import re, sys
-out, pairs, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+python3 - "$out" "$pairs" "$change/BENCHMARK.json" $workloads <<'PY'
+import json, re, sys
+out, pairs, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[4:]
+end_to_end = json.load(open(sys.argv[3]))["end_to_end"]
 
 def metrics(path):
     rows = re.findall(r'^(\S+)\s+(-?[\d.]+(?:e-?\d+)?) \S+$', open(path).read(), re.M)
@@ -55,18 +58,33 @@ def quartiles(xs):
     rank = lambda q: xs[min(len(xs) - 1, max(0, -(-len(xs) * q // 100) - 1))]  # nearest rank
     return rank(25), rank(50), rank(75)
 
-print("| workload | metric | parent median (quartiles) | change median (quartiles) | change/parent | pairs won |")
-print("|---|---|---|---|---|---|")
+def verdict(won, untied, p25, p50, p75, c50, bound, sign):
+    # sign: +1 when lower is better. `worsened` is the change median's
+    # relative distance from the parent's, in the bad direction.
+    worsened = sign * (c50 - p50) / abs(p50)
+    if worsened > bound:
+        return "worse"
+    if untied and won * 10 >= untied * 9 and sign * (p50 - c50) > p75 - p25:
+        return "gain"
+    return "unresolved" if (p75 - p25) / abs(p50) > bound else "unchanged"
+
+print("| workload | metric | parent median (quartiles) | change median (quartiles) | change/parent | pairs won | verdict |")
+print("|---|---|---|---|---|---|---|")
+worse = []
 for w in workloads:
     runs = {s: [metrics(f"{out}/{w}.{i}.{s}.txt") for i in range(1, pairs + 1)] for s in ("parent", "change")}
-    for m in ("wall_s", "setup_s", "peak_heap_mb", "sim_makespan_s"):
+    for spec in end_to_end:
+        m, sign = spec["name"], 1 if spec["better"] == "lower" else -1
         p, c = ([r[m] for r in runs[s]] for s in ("parent", "change"))
         (p25, p50, p75), (c25, c50, c75) = quartiles(p), quartiles(c)
-        won = sum(b < a for a, b in zip(p, c))
+        won = sum(sign * (a - b) > 0 for a, b in zip(p, c))
         tied = sum(b == a for a, b in zip(p, c))
         score = "identical" if tied == pairs else f"{won}/{pairs - tied}"
+        v = verdict(won, pairs - tied, p25, p50, p75, c50, spec["bound"], sign)
+        if v == "worse":
+            worse.append(f"{w} {m}")
         print(f"| `{w}` | `{m}` | {p50:.4g} ({p25:.4g}–{p75:.4g}) | {c50:.4g} ({c25:.4g}–{c75:.4g}) "
-              f"| {c50 / p50:.3f} | {score} |")
+              f"| {c50 / p50:.3f} | {score} | {v} |")
 
 print()
 print("| workload | count (`--trace 1`, exact repeat) | parent | change | parent/change |")
@@ -80,4 +98,6 @@ for w in workloads:
         print(f"| `{w}` | `{m}` | {p[m]:.0f} | {c[m]:.0f} | {ratio} |")
     if not moved:
         print(f"| `{w}` | every `simcore.*`, `mapreduce.*`, `vhdfs.*` count | | | unchanged |")
+if worse:
+    sys.exit("worse than the parent beyond the BENCHMARK.json bound: " + ", ".join(worse))
 PY

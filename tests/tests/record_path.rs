@@ -1,11 +1,17 @@
 //! Properties of the copy-free record path (DESIGN.md §20): the sort
-//! index's key prefix against `K`'s own order, the index-sorted streaming
-//! merge and the in-place combiner against `group_by_key`.
+//! index's key prefix against `K`'s own order, the streaming merge over
+//! map-output runs and the combiner over one against `group_by_key`, and a
+//! snapshot taken while the runs are all there is of a job's data.
 
-use mapreduce::app::{for_each_group, SortKey};
+mod common;
+
+use common::{fig2_job, launch_fig2, MB};
 use mapreduce::prelude::*;
+use mapreduce::run::{combine_run, for_each_group, Run, SortKey};
 use proptest::{check, Config, Gen};
 use std::cmp::Ordering;
+use vhadoop::prelude::{FaultPlan, PlatformEvent, RootSeed, VHadoop};
+use workloads::tpcxhs::{hsgen_job, HsPlan};
 
 fn random_bytes(g: &mut Gen, len: usize) -> Vec<u8> {
     // A small alphabet with 0 in it: ties and embedded zero bytes are common.
@@ -85,41 +91,89 @@ fn key_prefix_order_never_contradicts_key_order() {
     assert!(SortKey::new(&K::Int(i64::MAX), 0) < SortKey::new(&K::from(""), 0));
 }
 
-/// Partitions drawn from a small key pool (so groups span partitions),
-/// with long keys that share 15 and more leading bytes in it; every value
-/// is unique, so per-key value order is checked too.
-fn random_partitions(g: &mut Gen) -> Vec<Vec<Record>> {
+/// Partitions drawn from a small key pool of all three variants (so
+/// groups span partitions and tie across them), with long keys that share
+/// 15 and more leading bytes in it, and an empty partition somewhere among
+/// the others; every value is unique, so per-key value order is checked
+/// too.
+fn random_partitions(g: &mut Gen, value: fn(&mut Gen, i64) -> V) -> Vec<Vec<Record>> {
     let mut pool: Vec<K> = (0..g.usize_in(1, 12)).map(|_| random_key(g)).collect();
     for shared in [15, 16, 20] {
         let (a, b) = sibling_keys(g, shared);
         pool.extend([a, b]);
     }
     let mut next = 0i64;
-    (0..g.usize_in(0, 6))
+    let mut parts: Vec<Vec<Record>> = (0..g.usize_in(0, 6))
         .map(|_| {
             (0..g.usize_in(0, 40))
                 .map(|_| {
                     next += 1;
-                    (g.choose(&pool).clone(), V::Int(next))
+                    (g.choose(&pool).clone(), value(g, next))
                 })
                 .collect()
         })
-        .collect()
+        .collect();
+    let at = g.usize_in(0, parts.len());
+    parts.insert(at, Vec::new());
+    parts
+}
+
+/// The `n`-th value as one of every kind a column can hold, scalar or
+/// heap-backed, so runs degrade to the mixed column at random points.
+fn any_value(g: &mut Gen, n: i64) -> V {
+    match g.usize_in(0, 5) {
+        0 => V::Int(n),
+        1 => V::Float(n as f64),
+        2 => V::Text(n.to_string()),
+        3 => V::Vector(vec![n as f64; 2]),
+        4 => V::Tuple(vec![V::Int(n), V::Null]),
+        _ => V::Bytes(n.to_le_bytes().to_vec()),
+    }
+}
+
+fn to_runs(parts: &[Vec<Record>]) -> Vec<Run> {
+    parts.iter().map(|part| part.iter().cloned().collect()).collect()
+}
+
+fn streamed(runs: &mut [Run]) -> Vec<(K, Vec<V>)> {
+    let mut lent: Vec<&mut Run> = runs.iter_mut().collect();
+    let mut groups = Vec::new();
+    for_each_group(&mut lent, |k, vals| groups.push((k.clone(), vals.to_vec())));
+    groups
 }
 
 #[test]
 fn streamed_groups_equal_group_by_key_of_the_concatenation() {
+    let values: [fn(&mut Gen, i64) -> V; 3] =
+        [|_, n| V::Int(n), |_, n| V::Float(n as f64), any_value];
     check("streamed-groups", Config::with_cases(200), |g| {
-        let mut parts = random_partitions(g);
-        let before = parts.clone();
+        let value = *g.choose(&values);
+        let parts = random_partitions(g, value);
         let expected = group_by_key(parts.concat());
+        let mut runs = to_runs(&parts);
+        let before = runs.clone();
 
-        let mut lent: Vec<&mut Record> = parts.iter_mut().flatten().collect();
-        let mut streamed: Vec<(K, Vec<V>)> = Vec::new();
-        for_each_group(&mut lent, |k, vals| streamed.push((k.clone(), vals.to_vec())));
+        assert_eq!(streamed(&mut runs), expected);
+        assert_eq!(runs, before, "the merge must leave the lent runs as they were");
+        // A reduce lost to a tracker failure re-runs from the same runs.
+        assert_eq!(streamed(&mut runs), expected);
+    });
+}
 
-        assert_eq!(streamed, expected);
-        assert_eq!(parts, before, "the merge must leave the lent partitions as they were");
+#[test]
+fn a_column_that_meets_another_kind_keeps_every_value_in_order() {
+    check("column-degrade", Config::with_cases(100), |g| {
+        let ints = g.usize_in(0, 20);
+        let mut records: Vec<Record> =
+            (0..ints).map(|i| (random_key(g), V::Int(i as i64))).collect();
+        records.push((random_key(g), V::from("text")));
+        for i in 0..g.usize_in(0, 20) {
+            records.push((random_key(g), any_value(g, i as i64)));
+        }
+        let run: Run = records.iter().cloned().collect();
+        assert_eq!(run.to_records(), records);
+        assert_eq!(run.bytes(), records_size(&records));
+        assert_eq!(streamed(&mut [run]), group_by_key(records));
     });
 }
 
@@ -162,9 +216,9 @@ impl MapReduceApp for NoCombinerApp {
     }
 }
 
-/// The combiner as it was before the in-place one: group, combine or put
-/// back verbatim, and fall back to the untouched partition if no group
-/// was combined.
+/// The combiner as it was before it worked in place: group, combine or
+/// put back verbatim, and fall back to the untouched partition if no
+/// group was combined.
 fn reference_combiner(app: &dyn MapReduceApp, records: Vec<Record>) -> Vec<Record> {
     let mut out: Vec<Record> = Vec::new();
     let mut any = false;
@@ -192,13 +246,89 @@ fn in_place_combiner_equals_the_grouping_one() {
         ("no combiner", Box::new(NoCombinerApp)),
     ];
     check("combiner", Config::with_cases(200), |g| {
-        let partition = random_partitions(g).concat();
+        let partition = random_partitions(g, |_, n| V::Int(n)).concat();
+        let run: Run = partition.iter().cloned().collect();
         for (name, app) in &apps {
-            let combined = run_combiner(app.as_ref(), partition.clone());
-            assert_eq!(combined, reference_combiner(app.as_ref(), partition.clone()), "{name}");
+            let combined = combine_run(app.as_ref(), run.clone());
+            let expected = reference_combiner(app.as_ref(), partition.clone());
+            assert_eq!(combined.to_records(), expected, "{name}");
+            assert_eq!(combined.bytes(), records_size(&expected), "{name}");
             if matches!(*name, "never" | "no combiner") {
-                assert_eq!(combined, partition, "{name}: emission order must survive");
+                assert_eq!(combined, run, "{name}: emission order must survive");
             }
         }
     });
+}
+
+/// Steps `p` until its job is done; the job's outputs.
+fn finish(mut p: VHadoop) -> Vec<Record> {
+    loop {
+        let (_, events) = p.step().expect("the job finishes before the queue drains");
+        for event in events {
+            if let PlatformEvent::Job(JobEvent::JobDone(result)) = event {
+                return result.outputs;
+            }
+        }
+    }
+}
+
+/// Between the end of the map phase and the first finished reduce, a
+/// no-combiner job's records exist only as map-output runs. A snapshot
+/// taken there must carry them: the restored platform finishes with the
+/// uninterrupted run's outputs, and encodes to the very bytes it was
+/// restored from.
+#[test]
+fn a_snapshot_of_live_runs_restores_and_finishes_alike() {
+    const INPUT: u64 = 4 * MB;
+    let launch = || {
+        let mut p = launch_fig2(INPUT, 31, FaultPlan::new());
+        let (spec, app, input) = fig2_job(&mut p, INPUT, 31);
+        p.rt.submit(spec, app, input);
+        p
+    };
+    let plain = finish(launch());
+    assert!(!plain.is_empty());
+
+    let mut p = launch();
+    let snap = loop {
+        let (_, events) = p.step().expect("the map phase ends");
+        let any = |f: fn(&JobEvent) -> bool| {
+            events.iter().any(|e| matches!(e, PlatformEvent::Job(j) if f(j)))
+        };
+        assert!(!any(|j| matches!(j, JobEvent::ReduceDone(..))), "a reduce finished first");
+        if any(|j| matches!(j, JobEvent::MapPhaseDone(_))) {
+            break p.snapshot();
+        }
+    };
+    assert_eq!(VHadoop::restore(&snap).snapshot().bytes, snap.bytes);
+    assert_eq!(finish(VHadoop::restore(&snap)), plain);
+    assert_eq!(finish(p), plain, "taking the snapshot must not disturb the parent");
+}
+
+/// A map-only job's outputs sit in the tasks' own slots, not among the
+/// runs; snapshots taken all along it restore to themselves and finish
+/// with the same records.
+#[test]
+fn a_snapshot_mid_map_only_job_restores_and_finishes_alike() {
+    let plan = HsPlan::new(400_000, 1, RootSeed(9)).with_block_size(50_000);
+    let mut p = launch_fig2(MB, 9, FaultPlan::new());
+    let (spec, app, input) = hsgen_job(&plan);
+    p.rt.submit(spec, app, input);
+    let mut snaps = Vec::new();
+    let plain = loop {
+        snaps.push(p.snapshot());
+        let (_, events) = p.step().expect("the job finishes before the queue drains");
+        let done = events.into_iter().find_map(|e| match e {
+            PlatformEvent::Job(JobEvent::JobDone(result)) => Some(result.outputs),
+            _ => None,
+        });
+        if let Some(outputs) = done {
+            break outputs;
+        }
+    };
+    assert_eq!(plain.len() as u64, plan.total_records());
+    for snap in &snaps {
+        assert_eq!(VHadoop::restore(snap).snapshot().bytes, snap.bytes);
+    }
+    assert_eq!(finish(VHadoop::restore(&snaps[snaps.len() / 2])), plain);
 }
