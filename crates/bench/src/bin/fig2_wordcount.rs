@@ -50,7 +50,7 @@ fn main() {
     let (_, trace) = run_wordcount_traced(spec, mb << 20, cfg, hdfs, RootSeed(2012));
     for cat in ["map", "shuffle", "reduce", "hdfs"] {
         assert!(
-            trace.contains(&format!("\"cat\":\"{cat}\"")),
+            trace.contains(&format!(r#""cat":"{cat}""#)),
             "trace covers the {cat} span category"
         );
     }

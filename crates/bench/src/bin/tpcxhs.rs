@@ -13,9 +13,10 @@
 //! cargo run --release -p vhadoop-bench --bin tpcxhs [--quick]
 //! ```
 //!
-//! Writes `results/tpcxhs.{json,csv}` plus the repo-root
-//! `BENCH_tpcxhs.json` conformance record (one HSph@SF per SF ×
-//! configuration, each with its HSValidate verdict).
+//! Writes `results/tpcxhs.{json,csv}`: per SF × configuration the
+//! HSph@SF figure of merit plus `<config>/total_s` and the per-phase
+//! `<config>/gen_s|sort_s|validate_s` series. Every run must pass
+//! HSValidate and account for `sf_bytes / 100` records (asserted).
 
 use mapreduce::prelude::MrRuntime;
 use mapreduce::runtime::NodeRoles;
@@ -88,8 +89,6 @@ fn main() {
     println!("tpcxhs: SFs {sfs:?} bytes, {REDUCES} reduces, block {BLOCK} (quick={quick})");
 
     let mut sink = ResultSink::new("tpcxhs", "scale factor MB", "HSph@SF (GB/h)");
-    let mut bench = String::from("{\n  \"benchmark\": \"tpcxhs\",\n  \"runs\": [\n");
-    let mut rows: Vec<String> = Vec::new();
     for cfg in configs() {
         for &sf in &sfs {
             let rep = run(&cfg, sf, 4242);
@@ -97,6 +96,12 @@ fn main() {
                 rep.validate.passed,
                 "{}@{sf}: clean run must validate, got {:?}",
                 cfg.name, rep.validate.violations
+            );
+            assert_eq!(
+                rep.records * 100,
+                sf,
+                "{}@{sf}: every scale-factor byte must be a 100-byte record",
+                cfg.name
             );
             println!(
                 "  {:<13} SF {:>9} B -> gen {:>7.1}s sort {:>7.1}s validate {:>7.1}s  HSph@SF {:>8.4}  [{}]",
@@ -110,28 +115,17 @@ fn main() {
             );
             let sf_mb = sf as f64 / 1e6;
             sink.push(cfg.name, sf_mb, rep.hsph);
-            sink.push(&format!("{}/total_s", cfg.name), sf_mb, rep.total_s);
-            rows.push(format!(
-                "    {{ \"config\": \"{}\", \"sf_bytes\": {}, \"hsph\": {:.6}, \"total_s\": {:.3}, \"gen_s\": {:.3}, \"sort_s\": {:.3}, \"validate_s\": {:.3}, \"records\": {}, \"validated\": {} }}",
-                cfg.name,
-                sf,
-                rep.hsph,
-                rep.total_s,
-                rep.gen_s,
-                rep.sort_s,
-                rep.validate_s,
-                rep.records,
-                rep.validate.passed,
-            ));
+            for (phase, secs) in [
+                ("total_s", rep.total_s),
+                ("gen_s", rep.gen_s),
+                ("sort_s", rep.sort_s),
+                ("validate_s", rep.validate_s),
+            ] {
+                sink.push(&format!("{}/{phase}", cfg.name), sf_mb, secs);
+            }
         }
     }
-    bench.push_str(&rows.join(",\n"));
-    bench.push_str("\n  ]\n}\n");
     sink.finish();
-    match std::fs::write("BENCH_tpcxhs.json", &bench) {
-        Ok(()) => println!("wrote BENCH_tpcxhs.json"),
-        Err(e) => eprintln!("could not write BENCH_tpcxhs.json: {e}"),
-    }
 
     // Shapes. The figure of merit amortizes startup with scale, so
     // HSph@SF grows with SF for every configuration. Between layouts

@@ -8,7 +8,8 @@
 #![warn(missing_docs)]
 
 use serde::{Deserialize, Serialize};
-use std::fmt::Write as _;
+use simcore::emit::{csv_row, Json};
+use std::fmt::{Display, Write as _};
 use std::path::PathBuf;
 
 /// One measured point of an experiment.
@@ -105,44 +106,34 @@ impl ResultSink {
         out
     }
 
-    /// Renders the sink as pretty-printed JSON (hand-rolled — the offline
-    /// build has no serde_json; the schema is flat enough to emit by hand).
+    /// Renders the sink as JSON: the labels, then one record per line.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"experiment\": \"{}\",", esc(&self.experiment));
-        let _ = writeln!(out, "  \"x_label\": \"{}\",", esc(&self.x_label));
-        let _ = writeln!(out, "  \"y_label\": \"{}\",", esc(&self.y_label));
-        out.push_str("  \"records\": [\n");
-        for (i, r) in self.records.iter().enumerate() {
-            let comma = if i + 1 < self.records.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{ \"series\": \"{}\", \"x\": {}, \"y\": {} }}{comma}",
-                esc(&r.series),
-                r.x,
-                r.y
-            );
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let records = self.records.iter().map(|r| {
+            Json::object([
+                ("series", Json::from(r.series.as_str())),
+                ("x", Json::from(r.x)),
+                ("y", Json::from(r.y)),
+            ])
+        });
+        Json::object([
+            ("experiment", Json::from(self.experiment.as_str())),
+            ("x_label", Json::from(self.x_label.as_str())),
+            ("y_label", Json::from(self.y_label.as_str())),
+            ("records", Json::Array(records.collect())),
+        ])
+        .render()
     }
 
     /// Writes `results/<experiment>.json` and `.csv`; returns the paths.
     pub fn write(&self) -> std::io::Result<Vec<PathBuf>> {
-        let dir = PathBuf::from("results");
-        std::fs::create_dir_all(&dir)?;
-        let json_path = dir.join(format!("{}.json", self.experiment));
-        std::fs::write(&json_path, self.to_json())?;
-        let csv_path = dir.join(format!("{}.csv", self.experiment));
-        let mut csv = format!("series,{},{}\n", self.x_label, self.y_label);
+        let json = write_artifact(&format!("{}.json", self.experiment), &self.to_json())?;
+        let mut csv = String::new();
+        csv_row(&mut csv, ["series", &self.x_label, &self.y_label]);
         for r in &self.records {
-            let _ = writeln!(csv, "{},{},{}", r.series, r.x, r.y);
+            csv_row(&mut csv, [&r.series as &dyn Display, &r.x, &r.y]);
         }
-        std::fs::write(&csv_path, csv)?;
-        Ok(vec![json_path, csv_path])
+        let csv = write_artifact(&format!("{}.csv", self.experiment), &csv)?;
+        Ok(vec![json, csv])
     }
 
     /// Prints the table plus a completion banner, and writes result files.

@@ -13,13 +13,10 @@
 //! plus the paper's two data sets ([`datasets`]), quality metrics
 //! ([`quality`]), and the DisplayClustering-style visualizer
 //! ([`display`]). [`suite`] wraps everything behind one driver for the
-//! Fig. 6/7 cluster-scale sweeps. The library's other two categories from
-//! the paper's module description are covered by [`bayes`]
-//! (classification) and [`recommend`] (recommendations).
+//! Fig. 6/7 cluster-scale sweeps.
 
 #![warn(missing_docs)]
 
-pub mod bayes;
 pub mod canopy;
 pub mod datasets;
 pub mod dirichlet;
@@ -30,13 +27,11 @@ pub mod meanshift;
 pub mod minhash;
 pub mod mlrt;
 pub mod quality;
-pub mod recommend;
 pub mod suite;
 pub mod vector;
 
 /// Convenience imports.
 pub mod prelude {
-    pub use crate::bayes::{BayesModel, ClassStats};
     pub use crate::canopy::{build_canopies, CanopyParams};
     pub use crate::datasets::{
         control_chart, control_chart_600, gaussian_mixture, gaussian_mixture_1000, Dataset,
@@ -48,8 +43,7 @@ pub mod prelude {
     pub use crate::meanshift::MeanShiftParams;
     pub use crate::minhash::MinHashParams;
     pub use crate::mlrt::{Clustering, MlRunStats, MlRuntime};
-    pub use crate::quality::{purity, rand_index, wcss};
-    pub use crate::recommend::{cooccurrence, synthetic_ratings, ItemSimilarity, Rating};
+    pub use crate::quality::{purity, wcss};
     pub use crate::suite::{run_algorithm, scaled_cluster, Algorithm, DatasetKind, SuiteRun};
     pub use crate::vector::Distance;
 }

@@ -26,27 +26,6 @@ pub fn purity(labels: &[usize], assignments: &[usize]) -> f64 {
     correct as f64 / labels.len() as f64
 }
 
-/// Rand index: fraction of point pairs on which two labelings agree
-/// (same-cluster vs. different-cluster). 1.0 is identical structure.
-pub fn rand_index(a: &[usize], b: &[usize]) -> f64 {
-    assert_eq!(a.len(), b.len(), "length mismatch");
-    let n = a.len();
-    assert!(n >= 2, "need at least two points");
-    let mut agree = 0u64;
-    let mut total = 0u64;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            total += 1;
-            let same_a = a[i] == a[j];
-            let same_b = b[i] == b[j];
-            if same_a == same_b {
-                agree += 1;
-            }
-        }
-    }
-    agree as f64 / total as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,16 +35,6 @@ mod tests {
         let labels = vec![0, 0, 1, 1];
         assert_eq!(purity(&labels, &[5, 5, 9, 9]), 1.0);
         assert_eq!(purity(&labels, &[1, 1, 1, 1]), 0.5);
-    }
-
-    #[test]
-    fn rand_index_bounds() {
-        let a = vec![0, 0, 1, 1];
-        assert_eq!(rand_index(&a, &a), 1.0);
-        let flipped = vec![1, 1, 0, 0];
-        assert_eq!(rand_index(&a, &flipped), 1.0, "relabeling is invisible");
-        let bad = vec![0, 1, 0, 1];
-        assert!(rand_index(&a, &bad) < 0.5);
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! * [`faults`] — a scriptable fault taxonomy ([`faults::FaultKind`]) and
 //!   deterministic, seed-drivable schedules ([`faults::FaultPlan`]);
 //! * [`stats`] — summary statistics used by monitors and benches;
+//! * [`emit`] — the JSON value tree and CSV row writer every result file
+//!   is rendered through;
 //! * [`trace::Tracer`] — span + counter registry recorded against the
 //!   simulation clock, with Chrome `trace_event` and CSV exporters.
 //!
@@ -37,6 +39,7 @@
 
 #![warn(missing_docs)]
 
+pub mod emit;
 pub mod engine;
 pub mod faults;
 pub mod fluid;

@@ -19,10 +19,11 @@
 //!   complete events (µs timestamps), counters as `"C"` events;
 //! * [`Tracer::to_csv`] — flat CSV for ad-hoc analysis.
 
+use crate::emit::{self, csv_row};
 use crate::persist::{Decoder, Encoder, Persist};
 use crate::time::{SimDuration, SimTime};
 use std::borrow::Cow;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 
 /// Maximum number of numeric args attached to one span.
 pub const MAX_SPAN_ARGS: usize = 4;
@@ -246,13 +247,12 @@ impl Tracer {
     /// Chrome `trace_event` JSON. Timestamps are microseconds with
     /// nanosecond precision (`ns / 1000` + three decimals), formatted from
     /// integers — no floating-point rounding, so identical runs export
-    /// byte-identical files.
+    /// byte-identical files. Streams straight into the output (a platform
+    /// run holds tens of thousands of spans); names and values go through
+    /// [`emit::escape`] and [`emit::number`].
     pub fn to_chrome_json(&self) -> String {
         fn us(ns: u64) -> String {
             format!("{}.{:03}", ns / 1_000, ns % 1_000)
-        }
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
         }
         let mut out = String::from("{\"traceEvents\":[\n");
         let mut first = true;
@@ -261,21 +261,22 @@ impl Tracer {
                 out.push_str(",\n");
             }
             first = false;
+            out.push_str("{\"name\":\"");
+            emit::escape(&mut out, self.name(s.name));
+            out.push_str("\",\"cat\":\"");
+            emit::escape(&mut out, self.name(s.cat));
             let _ = write!(
                 out,
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{}",
-                esc(self.name(s.name)),
-                esc(self.name(s.cat)),
+                "\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{},\"args\":{{",
                 us(s.start.as_nanos()),
                 us(s.duration().as_nanos()),
                 s.track,
             );
-            out.push_str(",\"args\":{");
             for (i, &(k, v)) in s.args().iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\":{v}", esc(self.name(k)));
+                out.push_str(if i > 0 { ",\"" } else { "\"" });
+                emit::escape(&mut out, self.name(k));
+                out.push_str("\":");
+                emit::number(&mut out, v);
             }
             out.push_str("}}");
         }
@@ -284,13 +285,15 @@ impl Tracer {
                 out.push_str(",\n");
             }
             first = false;
+            out.push_str("{\"name\":\"");
+            emit::escape(&mut out, self.name(c.name));
             let _ = write!(
                 out,
-                "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{},\"pid\":0,\"tid\":0,\"args\":{{\"value\":{}}}}}",
-                esc(self.name(c.name)),
+                "\",\"ph\":\"C\",\"ts\":{},\"pid\":0,\"tid\":0,\"args\":{{\"value\":",
                 us(c.t.as_nanos()),
-                c.value,
             );
+            emit::number(&mut out, c.value);
+            out.push_str("}}");
         }
         out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
         out
@@ -364,27 +367,23 @@ impl Tracer {
     /// Flat CSV: one row per span and per counter sample.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("kind,cat,name,track,start_ns,end_ns,dur_ns,value,args\n");
+        let mut args = String::new();
         for s in &self.spans {
-            let args = s
-                .args()
-                .iter()
-                .map(|&(k, v)| format!("{}={v}", self.name(k)))
-                .collect::<Vec<_>>()
-                .join(";");
-            let _ = writeln!(
-                out,
-                "span,{},{},{},{},{},{},,{args}",
-                self.name(s.cat),
-                self.name(s.name),
-                s.track,
-                s.start.as_nanos(),
-                s.end.as_nanos(),
-                s.duration().as_nanos(),
-            );
+            args.clear();
+            for (i, &(k, v)) in s.args().iter().enumerate() {
+                let sep = if i > 0 { ";" } else { "" };
+                let _ = write!(args, "{sep}{}={v}", self.name(k));
+            }
+            let (start, end, dur) = (s.start.as_nanos(), s.end.as_nanos(), s.duration().as_nanos());
+            let (cat, name) = (self.name(s.cat), self.name(s.name));
+            let row: [&dyn Display; 9] =
+                [&"span", &cat, &name, &s.track, &start, &end, &dur, &"", &args];
+            csv_row(&mut out, row);
         }
         for c in &self.counters {
-            let _ =
-                writeln!(out, "counter,,{},,{},,,{},", self.name(c.name), c.t.as_nanos(), c.value);
+            let (name, t) = (self.name(c.name), c.t.as_nanos());
+            let row: [&dyn Display; 9] = [&"counter", &"", &name, &"", &t, &"", &"", &c.value, &""];
+            csv_row(&mut out, row);
         }
         out
     }
@@ -456,6 +455,52 @@ mod tests {
         // 1 s = 1_000_000.000 µs.
         assert!(json.contains("\"dur\":1000000.000"));
         assert!(json.ends_with("],\"displayTimeUnit\":\"ms\"}\n"));
+    }
+
+    /// Names come back from snapshot bytes as owned strings — outside
+    /// input — so the exporters must escape them, and a non-finite value
+    /// must not reach the JSON as `NaN`.
+    #[test]
+    fn restored_hostile_names_and_nan_export_escaped() {
+        let hostile = "a\"b\\c\n\t\u{1}";
+        let mut tr = Tracer::new();
+        tr.set_enabled(true);
+        let n = tr.intern_owned(hostile.to_string());
+        tr.spans.push(Span {
+            cat: n,
+            name: n,
+            track: 2,
+            start: SimTime::ZERO,
+            end: t(1),
+            args: [(n, f64::INFINITY); MAX_SPAN_ARGS],
+            n_args: 1,
+        });
+        tr.counter(n, t(1), f64::NAN);
+        let mut e = Encoder::new();
+        tr.encode_state(&mut e);
+        let bytes = e.finish();
+        let restored = Tracer::decode_state(&mut Decoder::new(&bytes));
+        assert_eq!(restored.name(n), hostile);
+
+        let esc = r#"a\"b\\c\n\t\u0001"#;
+        let want = format!(
+            "{{\"traceEvents\":[\n\
+             {{\"name\":\"{esc}\",\"cat\":\"{esc}\",\"ph\":\"X\",\"ts\":0.000,\"dur\":1000000.000,\
+             \"pid\":0,\"tid\":2,\"args\":{{\"{esc}\":null}}}},\n\
+             {{\"name\":\"{esc}\",\"ph\":\"C\",\"ts\":1000000.000,\"pid\":0,\"tid\":0,\
+             \"args\":{{\"value\":null}}}}\n\
+             ],\"displayTimeUnit\":\"ms\"}}\n"
+        );
+        assert_eq!(restored.to_chrome_json(), want);
+
+        // The CSV quotes the same names (they hold a quote and a newline).
+        let q = "\"a\"\"b\\c\n\t\u{1}\"";
+        let want_csv = format!(
+            "kind,cat,name,track,start_ns,end_ns,dur_ns,value,args\n\
+             span,{q},{q},2,0,1000000000,1000000000,,\"a\"\"b\\c\n\t\u{1}=inf\"\n\
+             counter,,{q},,1000000000,,,NaN,\n"
+        );
+        assert_eq!(restored.to_csv(), want_csv);
     }
 
     #[test]

@@ -5,16 +5,16 @@
 //! (`vsched::model::FEATURE_NAMES`), the observed kernel/controller/
 //! locality counters, and the measured labels. The column dictionary is
 //! part of the format — [`Dataset::columns`] is written into both the
-//! CSV header and the JSON envelope, and the check.sh `char` stage
-//! validates it.
+//! CSV header and the JSON envelope.
 //!
-//! Serialization uses only `Display` formatting of Rust primitives, so
-//! the emitted bytes are a pure function of the rows — the determinism
-//! tests compare whole files with `==`.
+//! Serialization goes through `simcore::emit` (`Display` formatting of
+//! Rust primitives), so the emitted bytes are a pure function of the rows
+//! — the determinism tests compare whole files with `==`.
 
-use std::fmt::Write as _;
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
 
+use simcore::emit::{csv_row, Json};
 use vsched::model::FEATURE_NAMES;
 
 /// Bump when the row schema (columns or their meaning) changes.
@@ -104,31 +104,33 @@ impl Dataset {
 
     /// Renders the dataset as CSV (header + one line per row).
     pub fn to_csv(&self) -> String {
-        let mut out = Dataset::columns().join(",");
-        out.push('\n');
+        let mut out = String::new();
+        csv_row(&mut out, Dataset::columns());
         for r in &self.rows {
-            let _ = write!(
-                out,
-                "{},{},{},{},{},{},{},{}",
-                r.mix, r.placement, r.scheduler, r.hosts, r.vms, r.racks, r.fault, r.seed
-            );
-            for f in &r.features {
-                let _ = write!(out, ",{f}");
-            }
-            let _ = writeln!(
-                out,
-                ",{},{},{},{},{},{},{},{},{},{}",
-                r.wakeups,
-                r.reallocations,
-                r.flows_touched,
-                r.jobs_finished,
-                r.migrations_completed,
-                r.data_local_maps,
-                r.launched_maps,
-                r.shuffle_mb,
-                r.makespan_s,
-                r.slo_violations
-            );
+            let mut cells: Vec<&dyn Display> = vec![
+                &r.mix,
+                &r.placement,
+                &r.scheduler,
+                &r.hosts,
+                &r.vms,
+                &r.racks,
+                &r.fault,
+                &r.seed,
+            ];
+            cells.extend(r.features.iter().map(|f| f as &dyn Display));
+            cells.extend([
+                &r.wakeups as &dyn Display,
+                &r.reallocations,
+                &r.flows_touched,
+                &r.jobs_finished,
+                &r.migrations_completed,
+                &r.data_local_maps,
+                &r.launched_maps,
+                &r.shuffle_mb,
+                &r.makespan_s,
+                &r.slo_violations,
+            ]);
+            csv_row(&mut out, cells);
         }
         out
     }
@@ -136,41 +138,39 @@ impl Dataset {
     /// Renders the dataset as a versioned JSON envelope:
     /// `{"dataset":"characterization","version":N,"columns":[..],"rows":[[..]]}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"dataset\": \"characterization\",");
-        let _ = writeln!(out, "  \"version\": {DATASET_VERSION},");
-        let cols: Vec<String> = Dataset::columns().iter().map(|c| format!("\"{c}\"")).collect();
-        let _ = writeln!(out, "  \"columns\": [{}],", cols.join(", "));
-        out.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let mut cells: Vec<String> = vec![
-                format!("\"{}\"", r.mix),
-                format!("\"{}\"", r.placement),
-                format!("\"{}\"", r.scheduler),
-                r.hosts.to_string(),
-                r.vms.to_string(),
-                r.racks.to_string(),
-                format!("\"{}\"", r.fault),
-                r.seed.to_string(),
+        let rows = self.rows.iter().map(|r| {
+            let mut cells: Vec<Json> = vec![
+                r.mix.into(),
+                r.placement.into(),
+                r.scheduler.into(),
+                r.hosts.into(),
+                r.vms.into(),
+                r.racks.into(),
+                r.fault.into(),
+                r.seed.into(),
             ];
-            cells.extend(r.features.iter().map(|f| json_f64(*f)));
+            cells.extend(r.features.iter().map(|&f| Json::from(f)));
             cells.extend([
-                r.wakeups.to_string(),
-                r.reallocations.to_string(),
-                r.flows_touched.to_string(),
-                r.jobs_finished.to_string(),
-                r.migrations_completed.to_string(),
-                r.data_local_maps.to_string(),
-                r.launched_maps.to_string(),
-                json_f64(r.shuffle_mb),
-                json_f64(r.makespan_s),
-                r.slo_violations.to_string(),
+                r.wakeups.into(),
+                r.reallocations.into(),
+                r.flows_touched.into(),
+                r.jobs_finished.into(),
+                r.migrations_completed.into(),
+                r.data_local_maps.into(),
+                r.launched_maps.into(),
+                r.shuffle_mb.into(),
+                r.makespan_s.into(),
+                r.slo_violations.into(),
             ]);
-            let comma = if i + 1 < self.rows.len() { "," } else { "" };
-            let _ = writeln!(out, "    [{}]{comma}", cells.join(", "));
-        }
-        out.push_str("  ]\n}\n");
-        out
+            Json::Array(cells)
+        });
+        Json::object([
+            ("dataset", "characterization".into()),
+            ("version", DATASET_VERSION.into()),
+            ("columns", Json::array(Dataset::columns())),
+            ("rows", Json::Array(rows.collect())),
+        ])
+        .render()
     }
 
     /// Writes `characterization.csv` and `characterization.json` under
@@ -192,16 +192,6 @@ impl Dataset {
         let feats = self.rows.iter().map(|r| r.features.clone()).collect();
         let labels = self.rows.iter().map(|r| r.makespan_s).collect();
         (feats, labels)
-    }
-}
-
-/// JSON-safe float rendering: Rust's `Display` for finite values (JSON
-/// numbers), `null` otherwise.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -255,10 +245,28 @@ mod tests {
     #[test]
     fn json_envelope_is_versioned_and_rectangular() {
         let ds = Dataset { rows: vec![row(), row()] };
-        let json = ds.to_json();
-        assert!(json.contains("\"dataset\": \"characterization\""));
-        assert!(json.contains(&format!("\"version\": {DATASET_VERSION}")));
-        assert_eq!(json.matches("    [").count(), 2);
+        let cols = Dataset::columns();
+        let quoted: Vec<String> = cols.iter().map(|c| format!("{c:?}")).collect();
+        let halves = "0.5, ".repeat(FEATURE_NAMES.len());
+        let cells = format!(
+            r#"["cpu-bound", "pack", "fifo", 2, 6, 1, "none", 7, {halves}10, 3, 4, 2, 0, 5, 6, 1.25, 42.5, 0]"#
+        );
+        let want = format!(
+            r#"{{
+  "dataset": "characterization",
+  "version": {DATASET_VERSION},
+  "columns": [{}],
+  "rows": [
+    {cells},
+    {cells}
+  ]
+}}
+"#,
+            quoted.join(", ")
+        );
+        assert_eq!(ds.to_json(), want);
+        // The JSON column list and the CSV header are the same dictionary.
+        assert_eq!(ds.to_csv().lines().next().unwrap(), cols.join(","));
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! of having to rediscover it.
 
 use crate::dataset::Dataset;
+use simcore::emit::{csv_row, Json};
+use std::fmt::Display;
 use vsched::model::{RegressionTree, TreeConfig};
 
 /// Train/held-out quality report for one fitted cost model.
@@ -40,21 +42,19 @@ impl CostModelEval {
     /// Renders the evaluation as a small JSON object for
     /// `results/costmodel.json`.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"model\": \"cart\",\n  \"rows_total\": {},\n  \"rows_train\": {},\n  \
-             \"rows_heldout\": {},\n  \"tree_nodes\": {},\n  \"tree_depth\": {},\n  \
-             \"learned_mae_s\": {},\n  \"hand_mae_s\": {},\n  \"learned_p90_s\": {},\n  \
-             \"hand_p90_s\": {}\n}}\n",
-            self.rows_total,
-            self.rows_train,
-            self.rows_heldout,
-            self.tree_nodes,
-            self.tree_depth,
-            self.learned_mae_s,
-            self.hand_mae_s,
-            self.learned_p90_s,
-            self.hand_p90_s
-        )
+        Json::object([
+            ("model", "cart".into()),
+            ("rows_total", self.rows_total.into()),
+            ("rows_train", self.rows_train.into()),
+            ("rows_heldout", self.rows_heldout.into()),
+            ("tree_nodes", self.tree_nodes.into()),
+            ("tree_depth", self.tree_depth.into()),
+            ("learned_mae_s", self.learned_mae_s.into()),
+            ("hand_mae_s", self.hand_mae_s.into()),
+            ("learned_p90_s", self.learned_p90_s.into()),
+            ("hand_p90_s", self.hand_p90_s.into()),
+        ])
+        .render()
     }
 }
 
@@ -119,22 +119,23 @@ pub fn heldout_csv(ds: &Dataset, tree: &RegressionTree) -> String {
         }
         let hand = r.features[0];
         let learned = tree.predict(&r.features);
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            i,
-            r.mix,
-            r.placement,
-            r.scheduler,
-            r.hosts,
-            r.vms,
-            r.racks,
-            r.fault,
-            r.makespan_s,
-            hand,
-            learned,
-            (hand - r.makespan_s).abs(),
-            (learned - r.makespan_s).abs()
-        ));
+        let (hand_err, learned_err) = ((hand - r.makespan_s).abs(), (learned - r.makespan_s).abs());
+        let row: [&dyn Display; 13] = [
+            &i,
+            &r.mix,
+            &r.placement,
+            &r.scheduler,
+            &r.hosts,
+            &r.vms,
+            &r.racks,
+            &r.fault,
+            &r.makespan_s,
+            &hand,
+            &learned,
+            &hand_err,
+            &learned_err,
+        ];
+        csv_row(&mut out, row);
     }
     out
 }

@@ -7,6 +7,7 @@
 //! collects on every master and worker VM in parallel.
 
 use serde::{Deserialize, Serialize};
+use simcore::emit::csv_row;
 use simcore::fluid::ResourceKind;
 use simcore::owners;
 use simcore::prelude::*;
@@ -136,18 +137,14 @@ impl Monitor {
 
     /// CSV dump (nmon's file format spirit: one row per instant).
     pub fn to_csv(&self) -> String {
-        let mut out = String::from("time_s");
-        for c in &self.columns {
-            out.push(',');
-            out.push_str(&c.name);
-        }
-        out.push('\n');
+        let mut out = String::new();
+        csv_row(&mut out, std::iter::once("time_s").chain(self.columns.iter().map(|c| &*c.name)));
         for s in &self.samples {
-            out.push_str(&format!("{:.3}", s.t.as_secs_f64()));
-            for u in &s.util {
-                out.push_str(&format!(",{u:.4}"));
-            }
-            out.push('\n');
+            let time = format!("{:.3}", s.t.as_secs_f64());
+            csv_row(
+                &mut out,
+                std::iter::once(time).chain(s.util.iter().map(|u| format!("{u:.4}"))),
+            );
         }
         out
     }

@@ -864,16 +864,22 @@ mod tests {
     #[test]
     fn slo_json_has_the_schema_keys() {
         let ctrl = Controller::new(ControllerConfig::default());
-        let json = ctrl.slo_report_json();
-        for key in [
-            "\"report\": \"slo\"",
-            "\"starved\"",
-            "\"queue_wait_s\"",
-            "\"counters\"",
-            "\"violations\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
+        let want = r#"{
+  "report": "slo",
+  "jobs": 0,
+  "admitted": 0,
+  "rejected": 0,
+  "started": 0,
+  "finished": 0,
+  "starved": 0,
+  "queue_wait_s": { "p50": 0, "p95": 0, "max": 0 },
+  "makespan_s": { "mean": 0, "max": 0 },
+  "slowdown": { "mean": 0, "max": 0 },
+  "violations": 0,
+  "counters": { "queue_depth_hwm": 0, "migrations_planned": 0, "migrations_completed": 0, "migrations_aborted": 0, "rebalance_ticks": 0, "consolidations": 0 }
+}
+"#;
+        assert_eq!(ctrl.slo_report_json(), want);
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! queue waits, makespans, and slowdowns per job.
 
 use mapreduce::runtime::PendingJob;
+use simcore::emit::Json;
 use simcore::prelude::*;
 use simcore::stats::{percentile_sorted, OnlineStats};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 /// Order in which queued jobs are started.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -452,46 +452,45 @@ impl SloReport {
     }
 }
 
-/// Renders the report plus controller counters as the SLO-report JSON the
-/// CI stage validates (hand-rolled — the offline build has no serde_json).
+/// Renders the report plus controller counters as the SLO-report JSON
+/// (`results/job_stream.slo.json`).
 pub fn slo_report_json(
     report: &SloReport,
     counters: &crate::controller::ControllerCounters,
 ) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"report\": \"slo\",");
-    let _ = writeln!(out, "  \"jobs\": {},", report.jobs);
-    let _ = writeln!(out, "  \"admitted\": {},", report.admitted);
-    let _ = writeln!(out, "  \"rejected\": {},", report.rejected);
-    let _ = writeln!(out, "  \"started\": {},", report.started);
-    let _ = writeln!(out, "  \"finished\": {},", report.finished);
-    let _ = writeln!(out, "  \"starved\": {},", report.starved);
-    let _ = writeln!(
-        out,
-        "  \"queue_wait_s\": {{ \"p50\": {}, \"p95\": {}, \"max\": {} }},",
-        report.queue_wait_p50_s, report.queue_wait_p95_s, report.queue_wait_max_s
-    );
-    let _ = writeln!(
-        out,
-        "  \"makespan_s\": {{ \"mean\": {}, \"max\": {} }},",
-        report.makespan_mean_s, report.makespan_max_s
-    );
-    let _ = writeln!(
-        out,
-        "  \"slowdown\": {{ \"mean\": {}, \"max\": {} }},",
-        report.slowdown_mean, report.slowdown_max
-    );
-    let _ = writeln!(out, "  \"violations\": {},", report.violations);
-    let _ = writeln!(out, "  \"counters\": {{");
-    let _ = writeln!(out, "    \"queue_depth_hwm\": {},", counters.queue_depth_hwm);
-    let _ = writeln!(out, "    \"migrations_planned\": {},", counters.migrations_planned);
-    let _ = writeln!(out, "    \"migrations_completed\": {},", counters.migrations_completed);
-    let _ = writeln!(out, "    \"migrations_aborted\": {},", counters.migrations_aborted);
-    let _ = writeln!(out, "    \"rebalance_ticks\": {},", counters.rebalance_ticks);
-    let _ = writeln!(out, "    \"consolidations\": {}", counters.consolidations);
-    let _ = writeln!(out, "  }}");
-    out.push_str("}\n");
-    out
+    let floats = |fields: &[(&str, f64)]| Json::object(fields.iter().map(|&(k, v)| (k, v.into())));
+    Json::object([
+        ("report", "slo".into()),
+        ("jobs", report.jobs.into()),
+        ("admitted", report.admitted.into()),
+        ("rejected", report.rejected.into()),
+        ("started", report.started.into()),
+        ("finished", report.finished.into()),
+        ("starved", report.starved.into()),
+        (
+            "queue_wait_s",
+            floats(&[
+                ("p50", report.queue_wait_p50_s),
+                ("p95", report.queue_wait_p95_s),
+                ("max", report.queue_wait_max_s),
+            ]),
+        ),
+        ("makespan_s", floats(&[("mean", report.makespan_mean_s), ("max", report.makespan_max_s)])),
+        ("slowdown", floats(&[("mean", report.slowdown_mean), ("max", report.slowdown_max)])),
+        ("violations", report.violations.into()),
+        (
+            "counters",
+            Json::object([
+                ("queue_depth_hwm", counters.queue_depth_hwm.into()),
+                ("migrations_planned", counters.migrations_planned.into()),
+                ("migrations_completed", counters.migrations_completed.into()),
+                ("migrations_aborted", counters.migrations_aborted.into()),
+                ("rebalance_ticks", counters.rebalance_ticks.into()),
+                ("consolidations", counters.consolidations.into()),
+            ]),
+        ),
+    ])
+    .render()
 }
 
 #[cfg(test)]

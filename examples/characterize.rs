@@ -59,6 +59,8 @@ fn main() {
         spec.runs()
     );
     let dataset = run_sweep(&spec, threads);
+    assert_eq!(dataset.rows.len(), spec.runs(), "one row per configured run");
+    assert!(dataset.rows.iter().all(|r| r.makespan_s > 0.0), "zero makespan label");
     let (csv, json) = dataset.write(Path::new("results")).expect("write dataset");
     println!(
         "dataset v{DATASET_VERSION}: {} rows -> {}, {}",

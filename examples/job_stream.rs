@@ -84,6 +84,15 @@ fn main() {
         c.migrations_aborted,
         c.queue_depth_hwm
     );
+    // The run is deterministic: every admitted job starts and finishes,
+    // the rebalancer's session really completes, and the queue stays
+    // bounded.
+    assert_eq!(report.starved, 0, "an admitted job never started");
+    assert_eq!((report.jobs, report.admitted, report.finished), (6, 6, 6), "job accounting");
+    assert_eq!(report.rejected, 0);
+    assert!(c.migrations_planned >= 1, "rebalancer never planned a move");
+    assert_eq!(c.migrations_completed, c.migrations_planned, "moves aborted");
+    assert!(c.queue_depth_hwm <= 8, "queue ran away: {}", c.queue_depth_hwm);
     if let Some(energy) = ctrl.energy_report(&platform.rt.engine, &platform.rt.cluster) {
         println!(
             "energy: {:.0} J over {:.1}s ({:.0} J reclaimable by consolidating near-idle hosts)",
@@ -93,7 +102,7 @@ fn main() {
         );
     }
 
-    // 6. Persist the SLO report for CI (and the curious).
+    // 6. Persist the SLO report.
     let json = ctrl.slo_report_json();
     if let Err(e) = std::fs::create_dir_all("results")
         .and_then(|()| std::fs::write("results/job_stream.slo.json", &json))

@@ -77,28 +77,4 @@ fn main() {
     if std::fs::create_dir_all("target").and_then(|()| std::fs::write(path, &svg)).is_ok() {
         println!("iteration-trail SVG written to {path}");
     }
-
-    // --- classification: Naive Bayes on the control charts --------------
-    let train = mlkit::datasets::control_chart(seed.derive("train"), 80, 60);
-    let test = mlkit::datasets::control_chart(seed.derive("test"), 20, 60);
-    let mut ml = MlRuntime::new(scaled_cluster(8), train.points.clone(), seed);
-    let (bayes, stats) = mlkit::bayes::train_mr(&mut ml, &train.labels);
-    println!(
-        "\nnaive bayes trained in {:.1}s of cluster time; held-out accuracy {:.0}% over {} classes",
-        stats.elapsed_s,
-        bayes.accuracy(&test.points, &test.labels) * 100.0,
-        bayes.classes.len()
-    );
-
-    // --- recommendations: item-based collaborative filtering ------------
-    let ratings = mlkit::recommend::synthetic_ratings(seed.derive("recsys"), 90, 3);
-    let (similarity, rec_stats) =
-        mlkit::recommend::cooccurrence_mr(scaled_cluster(8), &ratings, seed.derive("recsys"));
-    let recs = similarity.recommend(&ratings, 0, 3);
-    println!(
-        "item co-occurrence computed in {:.1}s ({} item pairs); top picks for user 0: {:?}",
-        rec_stats.elapsed_s,
-        similarity.pairs.len(),
-        recs.iter().map(|(i, _)| i).collect::<Vec<_>>()
-    );
 }

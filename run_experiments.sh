@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Regenerates every table and figure of the paper plus the TPCx-HS sweep:
-# every binary under crates/bench/src/bin (check.sh fails if BINS drifts).
+# Regenerates every table and figure of the paper plus the TPCx-HS sweep
+# — every binary under crates/bench/src/bin (check.sh fails if BINS
+# drifts) — then the characterization dataset and cost-model evaluation
+# (the `characterize` example, at its default --quick grid).
 # Results land in results/*.{json,csv} and logs in results/logs/.
 set -uo pipefail
 cd "$(dirname "$0")"
@@ -10,12 +12,16 @@ BINS=(table1_benchmarks fig2_wordcount fig3_mrbench fig4_terasort fig4_dfsio \
       scalability \
       fig8_screenshots ablations tpcxhs)
 status=0
-for b in "${BINS[@]}"; do
-  echo "=== $b ==="
-  if cargo run --release -q -p vhadoop-bench --bin "$b" -- "$@" 2>&1 | tee "results/logs/$b.log"; then
-    echo "--- $b OK"
+run() { # run <name> <cargo run arguments...>: tee to results/logs/<name>.log
+  echo "=== $1 ==="
+  if cargo run --release -q "${@:2}" 2>&1 | tee "results/logs/$1.log"; then
+    echo "--- $1 OK"
   else
-    echo "--- $b FAILED"; status=1
+    echo "--- $1 FAILED"; status=1
   fi
+}
+for b in "${BINS[@]}"; do
+  run "$b" -p vhadoop-bench --bin "$b" -- "$@"
 done
+run characterize -p vhadoop-examples --bin characterize
 exit $status

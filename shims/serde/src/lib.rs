@@ -2,7 +2,7 @@
 //!
 //! The build container cannot reach crates.io. The workspace only ever
 //! *derives* `Serialize`/`Deserialize` (no runtime serde serialization —
-//! `vhadoop-bench` writes its JSON/CSV result files by hand), so this shim
+//! result files are written through `simcore::emit`), so this shim
 //! keeps every `#[derive(Serialize, Deserialize)]` and
 //! `use serde::{Serialize, Deserialize}` in the tree compiling without the
 //! real crate: the traits are empty markers blanket-implemented for all

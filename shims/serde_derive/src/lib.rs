@@ -2,7 +2,7 @@
 //!
 //! The build container cannot reach crates.io, and nothing in this
 //! workspace performs real serde serialization at runtime (result files
-//! are written with a hand-rolled JSON/CSV writer in `vhadoop-bench`).
+//! are written through `simcore::emit`).
 //! These derives therefore accept the usual syntax — including
 //! `#[serde(...)]` helper attributes — and expand to nothing; the marker
 //! traits in the sibling `serde` shim are blanket-implemented for all
