@@ -226,7 +226,7 @@ impl VHadoop {
                         any = true;
                     }
                     if !self.rt.mr.trackers().contains(&vmid) {
-                        self.rt.mr.rejoin_tracker(vmid);
+                        self.rt.mr.rejoin_tracker(&mut self.rt.engine, &self.rt.cluster, vmid);
                         any = true;
                     }
                 }

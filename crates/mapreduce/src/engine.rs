@@ -39,7 +39,7 @@ use crate::state::{
 };
 use simcore::owners;
 use simcore::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 use vcluster::cluster::{VirtualCluster, VmId};
 use vhdfs::hdfs::{Hdfs, HdfsCompletion};
@@ -47,8 +47,12 @@ use vhdfs::hdfs::{Hdfs, HdfsCompletion};
 /// The MapReduce engine (JobTracker + all TaskTrackers).
 pub struct MrEngine {
     pub(crate) trackers: Vec<VmId>,
-    pub(crate) jobs: HashMap<u32, JobState>,
+    /// Unfinished jobs; id order is submission order, which every walk
+    /// over the table (views, recovery, snapshots) relies on.
+    pub(crate) jobs: BTreeMap<u32, JobState>,
     pub(crate) next_job: u32,
+    /// Slots held per tracker VM id. These keep the persisted shape: a
+    /// present-with-0 entry and an absent one encode differently.
     pub(crate) used_map_slots: HashMap<u32, u32>,
     pub(crate) used_reduce_slots: HashMap<u32, u32>,
     pub(crate) scheduler: Box<dyn TaskScheduler>,
@@ -87,7 +91,7 @@ impl MrEngine {
         assert!(!trackers.is_empty(), "cluster too small: no TaskTrackers");
         MrEngine {
             trackers,
-            jobs: HashMap::new(),
+            jobs: BTreeMap::new(),
             next_job: 0,
             used_map_slots: HashMap::new(),
             used_reduce_slots: HashMap::new(),
@@ -262,17 +266,10 @@ impl MrEngine {
 
     // ----- scheduling -----------------------------------------------------
 
-    pub(crate) fn free_map_slots(&self, vm: VmId, cfg: &JobConfig) -> u32 {
-        cfg.map_slots_per_node.saturating_sub(self.used_map_slots.get(&vm.0).copied().unwrap_or(0))
-    }
-
-    pub(crate) fn free_reduce_slots(&self, vm: VmId, cfg: &JobConfig) -> u32 {
-        cfg.reduce_slots_per_node
-            .saturating_sub(self.used_reduce_slots.get(&vm.0).copied().unwrap_or(0))
-    }
-
     /// Builds the immutable [`SchedulerView`] snapshot and hands it (with
     /// the active scheduler) to `f`. All placement flows through here.
+    /// The topology tables and the per-job `map_locations` index are built
+    /// per call; queues, configs, replica lists and slot tables are lent.
     pub(crate) fn with_view<R>(
         &mut self,
         cluster: &VirtualCluster,
@@ -287,21 +284,17 @@ impl MrEngine {
             cluster.vms().map(|v| cluster.host_of(v)).collect();
         let vm_racks: Vec<vcluster::topology::RackId> =
             cluster.vms().map(|v| cluster.rack_of(v)).collect();
-        let mut job_ids: Vec<u32> = self.jobs.keys().copied().collect();
-        job_ids.sort_unstable();
-        let jobs: Vec<JobView> = job_ids
+        let jobs: Vec<JobView> = self
+            .jobs
             .iter()
-            .map(|jid| {
-                let job = &self.jobs[jid];
-                JobView {
-                    id: *jid,
-                    config: job.config(),
-                    pending_maps: &job.pending_maps,
-                    pending_reduces: &job.pending_reduces,
-                    map_locations: job.splits.iter().map(|s| s.locations.as_slice()).collect(),
-                    reduces_open: job.map_phase_done.is_some(),
-                    partition_bytes: job.partition_bytes(),
-                }
+            .map(|(&id, job)| JobView {
+                id,
+                config: job.config(),
+                pending_maps: &job.pending_maps,
+                pending_reduces: &job.pending_reduces,
+                map_locations: job.splits.iter().map(|s| s.locations.as_slice()).collect(),
+                reduces_open: job.map_phase_done.is_some(),
+                partition_bytes: job.partition_bytes(),
             })
             .collect();
         let view = SchedulerView {
@@ -316,19 +309,34 @@ impl MrEngine {
         f(&mut *self.scheduler, &view)
     }
 
-    /// Asks the scheduler for placements against the current snapshot and
-    /// applies them in order (the k-th assignment of a wave waits k
-    /// heartbeats — the JobTracker hands out one task per TT heartbeat),
-    /// then runs the straggler check per job.
+    /// One scheduling round, run after every event that can change what
+    /// is placeable (submit, task progress, re-queue timer, tracker loss or
+    /// rejoin). A heartbeat with nothing to hand out is answered with
+    /// nothing: the scheduler is asked only when some job has a pending map
+    /// or an open pending reduce (read off the job table, not a counter
+    /// that could drift). Its placements are applied in order (the k-th
+    /// assignment of a wave waits k heartbeats — the JobTracker hands out
+    /// one task per TT heartbeat); then the straggler check runs for the
+    /// jobs that asked for speculation.
     pub(crate) fn schedule(&mut self, engine: &mut Engine, cluster: &VirtualCluster) {
-        let assignments = self.with_view(cluster, |sched, view| sched.assign(view));
-        let mut wave: u64 = 0;
-        for a in assignments {
-            self.apply_assignment(engine, cluster, a, &mut wave);
+        let placeable = self.jobs.values().any(|j| {
+            !j.pending_maps.is_empty()
+                || (j.map_phase_done.is_some() && !j.pending_reduces.is_empty())
+        });
+        if placeable {
+            let assignments = self.with_view(cluster, |sched, view| sched.assign(view));
+            let mut live = vec![false; cluster.spec().vms as usize];
+            for vm in &self.trackers {
+                live[vm.0 as usize] = true;
+            }
+            let mut wave: u64 = 0;
+            for a in assignments {
+                self.apply_assignment(engine, cluster, &live, a, &mut wave);
+            }
         }
-        let mut job_ids: Vec<u32> = self.jobs.keys().copied().collect();
-        job_ids.sort_unstable();
-        for jid in job_ids {
+        let speculative: Vec<u32> =
+            self.jobs.iter().filter(|(_, j)| j.config().speculative).map(|(&id, _)| id).collect();
+        for jid in speculative {
             self.maybe_speculate(engine, cluster, jid);
         }
     }
@@ -340,22 +348,22 @@ impl MrEngine {
         &mut self,
         engine: &mut Engine,
         cluster: &VirtualCluster,
+        live: &[bool],
         a: Assignment,
         wave: &mut u64,
     ) {
-        let Some(job) = self.jobs.get(&a.job) else { return };
-        let cfg = job.config().clone();
-        if !self.trackers.contains(&a.vm) {
+        let Some(job) = self.jobs.get_mut(&a.job) else { return };
+        if live.get(a.vm.0 as usize) != Some(&true) {
             return;
         }
+        let held = |used: &HashMap<u32, u32>| used.get(&a.vm.0).copied().unwrap_or(0);
         match a.kind {
             TaskKind::Map(m) => {
                 let Some(pos) = job.pending_maps.iter().position(|&x| x == m) else { return };
-                if self.free_map_slots(a.vm, &cfg) == 0 {
+                if held(&self.used_map_slots) >= job.config().map_slots_per_node {
                     return;
                 }
                 *self.used_map_slots.entry(a.vm.0).or_insert(0) += 1;
-                let job = self.jobs.get_mut(&a.job).expect("job present");
                 job.pending_maps.remove(pos);
                 job.maps[m] = TaskPhase::Running(a.vm);
                 job.map_attempt_vm[m][0] = Some(a.vm);
@@ -377,7 +385,7 @@ impl MrEngine {
                 }
                 let ep = job.map_epoch[m];
                 engine.start_chain(
-                    Self::startup_chain(cluster, a.vm, &cfg, *wave),
+                    Self::startup_chain(cluster, a.vm, job.config(), *wave),
                     tag_full(JobId(a.job), PH_MAP_STARTUP, 0, ep, m),
                 );
                 *wave += 1;
@@ -387,18 +395,17 @@ impl MrEngine {
                     return;
                 }
                 let Some(pos) = job.pending_reduces.iter().position(|&x| x == r) else { return };
-                if self.free_reduce_slots(a.vm, &cfg) == 0 {
+                if held(&self.used_reduce_slots) >= job.config().reduce_slots_per_node {
                     return;
                 }
                 *self.used_reduce_slots.entry(a.vm.0).or_insert(0) += 1;
-                let job = self.jobs.get_mut(&a.job).expect("job present");
                 job.pending_reduces.remove(pos);
                 job.reduces[r] = TaskPhase::Running(a.vm);
                 job.reduce_started_at[r] = Some(engine.now());
                 job.counters.launched_reduces += 1;
                 let ep = job.reduce_epoch[r];
                 engine.start_chain(
-                    Self::startup_chain(cluster, a.vm, &cfg, *wave),
+                    Self::startup_chain(cluster, a.vm, job.config(), *wave),
                     tag_full(JobId(a.job), PH_REDUCE_STARTUP, 0, ep, r),
                 );
                 *wave += 1;

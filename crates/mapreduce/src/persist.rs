@@ -409,17 +409,13 @@ impl MrEngine {
     /// `Rc` clones of every unfinished job's user-code trait objects,
     /// ascending job id — the out-of-band half of a snapshot.
     pub fn residue(&self) -> Vec<JobResidue> {
-        let mut ids: Vec<u32> = self.jobs.keys().copied().collect();
-        ids.sort_unstable();
-        ids.into_iter()
-            .map(|id| {
-                let j = &self.jobs[&id];
-                JobResidue {
-                    id,
-                    app: Rc::clone(&j.app),
-                    input: Rc::clone(&j.input),
-                    partitioner: Rc::clone(&j.partitioner),
-                }
+        self.jobs
+            .iter()
+            .map(|(&id, j)| JobResidue {
+                id,
+                app: Rc::clone(&j.app),
+                input: Rc::clone(&j.input),
+                partitioner: Rc::clone(&j.partitioner),
             })
             .collect()
     }
@@ -432,12 +428,10 @@ impl MrEngine {
         self.used_map_slots.encode(e);
         self.used_reduce_slots.encode(e);
         self.scheduler.policy().encode(e);
-        let mut ids: Vec<u32> = self.jobs.keys().copied().collect();
-        ids.sort_unstable();
-        e.usize(ids.len());
-        for id in ids {
+        e.usize(self.jobs.len());
+        for (&id, job) in &self.jobs {
             e.u32(id);
-            self.jobs[&id].encode_state(e);
+            job.encode_state(e);
         }
     }
 
@@ -453,7 +447,7 @@ impl MrEngine {
         self.used_reduce_slots = HashMap::<u32, u32>::decode(d);
         self.set_policy(SchedulerPolicy::decode(d));
         let n = d.usize();
-        self.jobs = HashMap::with_capacity(n);
+        self.jobs.clear();
         for _ in 0..n {
             let id = d.u32();
             let r = residue

@@ -61,10 +61,7 @@ impl MrEngine {
         self.used_reduce_slots.remove(&vm.0);
 
         let mut remapped = 0usize;
-        let mut job_ids: Vec<u32> = self.jobs.keys().copied().collect();
-        job_ids.sort_unstable();
-        for jid in job_ids {
-            let job = self.jobs.get_mut(&jid).expect("job present");
+        for job in self.jobs.values_mut() {
             for m in 0..job.maps.len() {
                 let involved = job.map_attempt_vm[m].iter().flatten().any(|&a| a == vm);
                 if !involved {
@@ -136,10 +133,7 @@ impl MrEngine {
         self.used_reduce_slots.remove(&vm.0);
 
         let mut requeued = 0usize;
-        let mut job_ids: Vec<u32> = self.jobs.keys().copied().collect();
-        job_ids.sort_unstable();
-        for jid in job_ids {
-            let job = self.jobs.get_mut(&jid).expect("job present");
+        for (&jid, job) in &mut self.jobs {
             for m in 0..job.maps.len() {
                 let involved = job.map_attempt_vm[m].iter().flatten().any(|&a| a == vm);
                 if !involved {
@@ -186,11 +180,14 @@ impl MrEngine {
         requeued
     }
 
-    /// Re-admits a (previously failed) VM as an idle TaskTracker; a no-op
-    /// when it is already live.
-    pub fn rejoin_tracker(&mut self, vm: VmId) {
+    /// Re-admits a (previously failed) VM as an idle TaskTracker (a no-op
+    /// when it is already live) and runs a scheduling round: if every
+    /// tracker had been lost, the re-queue timers fired into an empty
+    /// list and no other event is left to place the waiting tasks.
+    pub fn rejoin_tracker(&mut self, engine: &mut Engine, cluster: &VirtualCluster, vm: VmId) {
         if !self.trackers.contains(&vm) {
             self.trackers.push(vm);
+            self.schedule(engine, cluster);
         }
     }
 

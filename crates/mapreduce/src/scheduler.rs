@@ -113,7 +113,8 @@ pub struct JobView<'a> {
 /// Immutable snapshot of everything a policy may consult.
 #[derive(Debug)]
 pub struct SchedulerView<'a> {
-    /// Live TaskTrackers, engine order (ascending VM id).
+    /// Live TaskTrackers, engine order: ascending VM id, then any
+    /// rejoined trackers in the order they came back.
     pub trackers: &'a [TrackerInfo],
     /// Physical host of every VM, indexed by `VmId.0` (covers replica VMs
     /// that are not live trackers, e.g. a failed datanode whose host still
@@ -164,6 +165,11 @@ pub trait TaskScheduler: std::fmt::Debug + Send {
     /// engine applies the assignments in the returned order (the k-th one
     /// launches after k heartbeat staggers) and re-validates each against
     /// live state, so a stale assignment is dropped, never misapplied.
+    ///
+    /// Returns nothing when nothing is pending — no job has a pending map
+    /// and no `reduces_open` job has a pending reduce — and the engine
+    /// does not call it then: a policy must not count on being asked
+    /// every round.
     fn assign(&mut self, view: &SchedulerView) -> Vec<Assignment>;
 
     /// Places a speculative (backup) map attempt for `job`, avoiding
@@ -171,12 +177,7 @@ pub trait TaskScheduler: std::fmt::Debug + Send {
     /// the emptiest other tracker, ties to the lowest id — stock Hadoop.
     fn place_speculative(&mut self, view: &SchedulerView, job: u32, avoid: VmId) -> Option<VmId> {
         let cfg = view.jobs.iter().find(|j| j.id == job)?.config;
-        let slots = Slots::snapshot(view);
-        view.trackers
-            .iter()
-            .map(|t| t.vm)
-            .filter(|&v| v != avoid && slots.free_map(v, cfg) > 0)
-            .max_by_key(|&v| (slots.free_map(v, cfg), Reverse(v.0)))
+        emptiest(view, &Slots::snapshot(view), cfg, Some(avoid))
     }
 }
 
@@ -190,88 +191,125 @@ pub fn make_scheduler(policy: SchedulerPolicy) -> Box<dyn TaskScheduler> {
 }
 
 /// Scratch slot ledger: policies charge tentative assignments against a
-/// copy of the engine's slot tables so one `assign` round never
-/// over-commits a tracker.
+/// dense copy of the engine's slot tables — indexed by `VmId.0`, filled
+/// once per round — so one `assign` round never over-commits a tracker
+/// and "is this replica's VM a live tracker with room" is two array reads.
 #[derive(Debug, Clone)]
 struct Slots {
-    used_map: HashMap<u32, u32>,
-    used_reduce: HashMap<u32, u32>,
+    used_map: Vec<u32>,
+    used_reduce: Vec<u32>,
+    live: Vec<bool>,
 }
 
 impl Slots {
     fn snapshot(view: &SchedulerView) -> Self {
-        Slots { used_map: view.used_map_slots.clone(), used_reduce: view.used_reduce_slots.clone() }
+        let vms = view.vm_hosts.len();
+        let dense = |held: &HashMap<u32, u32>| {
+            let mut table = vec![0; vms];
+            for (&vm, &n) in held {
+                table[vm as usize] = n;
+            }
+            table
+        };
+        let mut live = vec![false; vms];
+        for t in view.trackers {
+            live[t.vm.0 as usize] = true;
+        }
+        Slots {
+            used_map: dense(view.used_map_slots),
+            used_reduce: dense(view.used_reduce_slots),
+            live,
+        }
     }
 
     fn free_map(&self, vm: VmId, cfg: &JobConfig) -> u32 {
-        cfg.map_slots_per_node.saturating_sub(self.used_map.get(&vm.0).copied().unwrap_or(0))
+        cfg.map_slots_per_node.saturating_sub(self.used_map[vm.0 as usize])
     }
 
     fn free_reduce(&self, vm: VmId, cfg: &JobConfig) -> u32 {
-        cfg.reduce_slots_per_node.saturating_sub(self.used_reduce.get(&vm.0).copied().unwrap_or(0))
+        cfg.reduce_slots_per_node.saturating_sub(self.used_reduce[vm.0 as usize])
     }
 
     /// Map + reduce slots held on `vm` — total tracker load.
     fn total_used(&self, vm: VmId) -> u32 {
-        self.used_map.get(&vm.0).copied().unwrap_or(0)
-            + self.used_reduce.get(&vm.0).copied().unwrap_or(0)
+        self.used_map[vm.0 as usize] + self.used_reduce[vm.0 as usize]
     }
 
     fn take_map(&mut self, vm: VmId) {
-        *self.used_map.entry(vm.0).or_insert(0) += 1;
+        self.used_map[vm.0 as usize] += 1;
     }
 
     fn take_reduce(&mut self, vm: VmId) {
-        *self.used_reduce.entry(vm.0).or_insert(0) += 1;
+        self.used_reduce[vm.0 as usize] += 1;
     }
 }
 
-/// Stock Hadoop map placement over the locality tiers: data-local replica
-/// first, host-local second, rack-local third (multi-rack fabrics only),
-/// otherwise the emptiest tracker (ties to the lowest id).
+/// One tier of map placement: the tracker a map whose split has replicas
+/// on `locations` gets from this tier alone, if any.
+type Tier = fn(&SchedulerView, &Slots, &JobConfig, &[VmId]) -> Option<VmId>;
+
+/// The locality tiers, nearest first: data-local, host-local, rack-local.
+const LOCALITY_TIERS: [Tier; 3] = [data_local, host_local, rack_local];
+
+/// A replica VM with a free slot, in replica order (it must still be a
+/// live tracker — datanodes can fail).
+fn data_local(_: &SchedulerView, slots: &Slots, cfg: &JobConfig, at: &[VmId]) -> Option<VmId> {
+    at.iter().copied().find(|&v| slots.live[v.0 as usize] && slots.free_map(v, cfg) > 0)
+}
+
+/// The first tracker (view order) with a free slot that `near` accepts.
+fn first_free(
+    view: &SchedulerView,
+    slots: &Slots,
+    cfg: &JobConfig,
+    near: impl Fn(&TrackerInfo) -> bool,
+) -> Option<VmId> {
+    view.trackers.iter().find(|t| slots.free_map(t.vm, cfg) > 0 && near(t)).map(|t| t.vm)
+}
+
+fn host_local(view: &SchedulerView, slots: &Slots, cfg: &JobConfig, at: &[VmId]) -> Option<VmId> {
+    first_free(view, slots, cfg, |t| at.iter().any(|&l| view.vm_hosts[l.0 as usize] == t.host))
+}
+
+/// Only meaningful (and only run) when the fabric has more than one rack:
+/// on one rack this tier is every tracker and would shadow the
+/// emptiest-tracker balancing that follows it.
+fn rack_local(view: &SchedulerView, slots: &Slots, cfg: &JobConfig, at: &[VmId]) -> Option<VmId> {
+    if view.racks <= 1 {
+        return None;
+    }
+    first_free(view, slots, cfg, |t| at.iter().any(|&l| view.vm_racks[l.0 as usize] == t.rack))
+}
+
+/// The tracker with the most free map slots other than `avoid`, ties to
+/// the lowest id.
+fn emptiest(
+    view: &SchedulerView,
+    slots: &Slots,
+    cfg: &JobConfig,
+    avoid: Option<VmId>,
+) -> Option<VmId> {
+    view.trackers
+        .iter()
+        .map(|t| t.vm)
+        .filter(|&v| Some(v) != avoid && slots.free_map(v, cfg) > 0)
+        .max_by_key(|&v| (slots.free_map(v, cfg), Reverse(v.0)))
+}
+
+/// Stock Hadoop map placement: the nearest locality tier that has room
+/// (when the job is locality-aware), otherwise the emptiest tracker.
 fn pick_map_vm(
     view: &SchedulerView,
     slots: &Slots,
     cfg: &JobConfig,
     locations: &[VmId],
-    locality: bool,
 ) -> Option<VmId> {
-    if locality {
-        // Data-local first (the replica host must still be a live
-        // tracker — datanodes can fail).
-        if let Some(&vm) = locations
-            .iter()
-            .find(|&&v| view.trackers.iter().any(|t| t.vm == v) && slots.free_map(v, cfg) > 0)
-        {
-            return Some(vm);
-        }
-        // Host-local second.
-        let hosts: Vec<HostId> = locations.iter().map(|&l| view.vm_hosts[l.0 as usize]).collect();
-        if let Some(t) =
-            view.trackers.iter().find(|t| slots.free_map(t.vm, cfg) > 0 && hosts.contains(&t.host))
-        {
-            return Some(t.vm);
-        }
-        // Rack-local third — only meaningful (and only run) when the
-        // fabric actually has more than one rack.
-        if view.racks > 1 {
-            let racks: Vec<RackId> =
-                locations.iter().map(|&l| view.vm_racks[l.0 as usize]).collect();
-            if let Some(t) = view
-                .trackers
-                .iter()
-                .find(|t| slots.free_map(t.vm, cfg) > 0 && racks.contains(&t.rack))
-            {
-                return Some(t.vm);
-            }
-        }
-    }
-    // Emptiest tracker, lowest id.
-    view.trackers
-        .iter()
-        .map(|t| t.vm)
-        .filter(|&v| slots.free_map(v, cfg) > 0)
-        .max_by_key(|&v| (slots.free_map(v, cfg), Reverse(v.0)))
+    let near = if cfg.locality_aware {
+        LOCALITY_TIERS.iter().find_map(|tier| tier(view, slots, cfg, locations))
+    } else {
+        None
+    };
+    near.or_else(|| emptiest(view, slots, cfg, None))
 }
 
 /// Reduce placement: the tracker with the most free reduce slots, ties
@@ -303,11 +341,7 @@ impl TaskScheduler for Fifo {
         for job in &view.jobs {
             let cfg = job.config;
             for &m in job.pending_maps {
-                let Some(vm) =
-                    pick_map_vm(view, &slots, cfg, job.map_locations[m], cfg.locality_aware)
-                else {
-                    break;
-                };
+                let Some(vm) = pick_map_vm(view, &slots, cfg, job.map_locations[m]) else { break };
                 slots.take_map(vm);
                 out.push(Assignment { job: job.id, kind: TaskKind::Map(m), vm });
             }
@@ -344,9 +378,7 @@ impl TaskScheduler for Fair {
             for (ji, job) in view.jobs.iter().enumerate() {
                 let cfg = job.config;
                 if let Some(&m) = job.pending_maps.get(map_cursor[ji]) {
-                    if let Some(vm) =
-                        pick_map_vm(view, &slots, cfg, job.map_locations[m], cfg.locality_aware)
-                    {
+                    if let Some(vm) = pick_map_vm(view, &slots, cfg, job.map_locations[m]) {
                         slots.take_map(vm);
                         out.push(Assignment { job: job.id, kind: TaskKind::Map(m), vm });
                         map_cursor[ji] += 1;
@@ -389,75 +421,24 @@ impl TaskScheduler for JobDriven {
         let mut out = Vec::new();
         for job in &view.jobs {
             let cfg = job.config;
-            // Maps: three passes. Unlike FIFO, a map deep in the queue may
-            // jump ahead if its replica tracker has a free slot — that is
-            // the locality-first matching.
+            // Maps: one pass per locality tier over the whole queue.
+            // Unlike FIFO, a map deep in the queue may jump ahead if its
+            // replica tracker has a free slot — that is the locality-first
+            // matching.
             let mut remaining: Vec<usize> = job.pending_maps.iter().copied().collect();
-            // Pass 1: data-local.
-            remaining.retain(|&m| {
-                let local = job.map_locations[m].iter().copied().find(|&v| {
-                    view.trackers.iter().any(|t| t.vm == v) && slots.free_map(v, cfg) > 0
-                });
-                match local {
-                    Some(vm) => {
-                        slots.take_map(vm);
-                        out.push(Assignment { job: job.id, kind: TaskKind::Map(m), vm });
-                        false
-                    }
-                    None => true,
-                }
-            });
-            // Pass 2: host-local.
-            remaining.retain(|&m| {
-                let hosts: Vec<HostId> =
-                    job.map_locations[m].iter().map(|&l| view.vm_hosts[l.0 as usize]).collect();
-                let near = view
-                    .trackers
-                    .iter()
-                    .find(|t| slots.free_map(t.vm, cfg) > 0 && hosts.contains(&t.host));
-                match near {
-                    Some(t) => {
-                        let vm = t.vm;
-                        slots.take_map(vm);
-                        out.push(Assignment { job: job.id, kind: TaskKind::Map(m), vm });
-                        false
-                    }
-                    None => true,
-                }
-            });
-            // Pass 3: rack-local (multi-rack fabrics only; on one rack
-            // this tier is every tracker and would shadow the emptiest-
-            // tracker balancing below).
-            if view.racks > 1 {
+            for tier in LOCALITY_TIERS {
                 remaining.retain(|&m| {
-                    let racks: Vec<RackId> =
-                        job.map_locations[m].iter().map(|&l| view.vm_racks[l.0 as usize]).collect();
-                    let near = view
-                        .trackers
-                        .iter()
-                        .find(|t| slots.free_map(t.vm, cfg) > 0 && racks.contains(&t.rack));
-                    match near {
-                        Some(t) => {
-                            let vm = t.vm;
-                            slots.take_map(vm);
-                            out.push(Assignment { job: job.id, kind: TaskKind::Map(m), vm });
-                            false
-                        }
-                        None => true,
-                    }
+                    let Some(vm) = tier(view, &slots, cfg, job.map_locations[m]) else {
+                        return true;
+                    };
+                    slots.take_map(vm);
+                    out.push(Assignment { job: job.id, kind: TaskKind::Map(m), vm });
+                    false
                 });
             }
-            // Pass 4: whatever is left goes to the emptiest trackers.
+            // Whatever is left goes to the emptiest trackers.
             for m in remaining {
-                let Some(vm) = view
-                    .trackers
-                    .iter()
-                    .map(|t| t.vm)
-                    .filter(|&v| slots.free_map(v, cfg) > 0)
-                    .max_by_key(|&v| (slots.free_map(v, cfg), Reverse(v.0)))
-                else {
-                    break;
-                };
+                let Some(vm) = emptiest(view, &slots, cfg, None) else { break };
                 slots.take_map(vm);
                 out.push(Assignment { job: job.id, kind: TaskKind::Map(m), vm });
             }
@@ -469,17 +450,7 @@ impl TaskScheduler for JobDriven {
                     (Reverse(job.partition_bytes.get(r).copied().unwrap_or(0)), r)
                 });
                 for r in by_size {
-                    let Some(vm) = view
-                        .trackers
-                        .iter()
-                        .map(|t| t.vm)
-                        .filter(|&v| slots.free_reduce(v, cfg) > 0)
-                        .max_by_key(|&v| {
-                            (slots.free_reduce(v, cfg), Reverse(slots.total_used(v)), Reverse(v.0))
-                        })
-                    else {
-                        break;
-                    };
+                    let Some(vm) = pick_reduce_vm(view, &slots, cfg) else { break };
                     slots.take_reduce(vm);
                     out.push(Assignment { job: job.id, kind: TaskKind::Reduce(r), vm });
                 }
@@ -530,6 +501,19 @@ mod tests {
                 reduces_open: Vec::new(),
                 partition_bytes: Vec::new(),
             }
+        }
+
+        /// Makes `vms`, in that order, the live trackers (hosts and racks
+        /// from the VM tables).
+        fn set_trackers(&mut self, vms: impl IntoIterator<Item = u32>) {
+            self.trackers = vms
+                .into_iter()
+                .map(|v| TrackerInfo {
+                    vm: VmId(v),
+                    host: self.vm_hosts[v as usize],
+                    rack: self.vm_racks[v as usize],
+                })
+                .collect();
         }
 
         fn job(
@@ -724,6 +708,187 @@ mod tests {
         fx.job(cfg, 1, vec![vec![]], false, vec![]);
         let vm = Fifo.place_speculative(&fx.view(), 0, VmId(1)).expect("free slot exists");
         assert_ne!(vm, VmId(1), "backup attempt runs elsewhere");
+    }
+
+    /// FNV-1a over a sequence of words (little-endian bytes).
+    fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for w in words {
+            for b in w.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// A `stream_1024`-sized view: 1024 workers on 128 hosts in 8 racks,
+    /// ~70 % of the slots held by a seeded pattern (some entries present
+    /// with 0, as the engine leaves them), three dead VMs that replicas
+    /// still name, two rejoined trackers at the end of the list, and three
+    /// 64-map jobs with two replicas per split — one of them with its
+    /// reduces open over skewed partitions.
+    fn scale_fixture() -> ViewFixture {
+        let mut state = 2012u64;
+        let mut draw = move |n: u64| {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (state >> 33) % n
+        };
+        let n = 1024u32;
+        let mut fx = ViewFixture::new(n);
+        fx.racks = 8;
+        fx.vm_hosts = (0..=n).map(|v| HostId(v % 128)).collect();
+        fx.vm_racks = (0..=n).map(|v| RackId(v % 128 / 16)).collect();
+        let (dead, rejoined) = ([100, 300, 900], [512, 7]);
+        let alive = (1..=n).filter(|v| !dead.contains(v) && !rejoined.contains(v));
+        fx.set_trackers(alive.chain(rejoined));
+        for t in &fx.trackers {
+            for used in [&mut fx.used_map, &mut fx.used_reduce] {
+                let held = u32::from(draw(10) < 7) + u32::from(draw(10) < 7);
+                if held > 0 || draw(3) == 0 {
+                    used.insert(t.vm.0, held);
+                }
+            }
+        }
+        let configs = [
+            JobConfig::default(),
+            JobConfig::default().with_reduces(24),
+            JobConfig { map_slots_per_node: 3, ..JobConfig::default() },
+        ];
+        for (j, cfg) in configs.into_iter().enumerate() {
+            let locations = (0..64)
+                .map(|m| {
+                    let first = if m == 0 { dead[j] } else { 1 + draw(1024) as u32 };
+                    vec![VmId(first), VmId(1 + draw(1024) as u32)]
+                })
+                .collect();
+            let open = j == 1;
+            let bytes =
+                if open { (0..24).map(|r| (1 + r % 5) * (1 << (r % 7))).collect() } else { vec![] };
+            fx.job(cfg, 64, locations, open, bytes);
+        }
+        fx
+    }
+
+    /// The dense slot ledger must decide exactly what the hashed one did:
+    /// the hashes below were captured on the commit before the rewrite
+    /// (PR 21's tree) and cover the full `(job, kind, vm)` sequence of
+    /// `assign` plus eight `place_speculative` answers, per policy.
+    #[test]
+    fn assignments_at_1024_trackers_match_the_hashed_ledger() {
+        let fx = scale_fixture();
+        let view = fx.view();
+        let golden: [(SchedulerPolicy, u64, u64); 3] = [
+            (SchedulerPolicy::Fifo, 0xcb7d_caa1_51d1_90ae, 0xcf0a_7394_cc94_d2a5),
+            (SchedulerPolicy::Fair, 0x7341_d850_3143_99fe, 0xcf0a_7394_cc94_d2a5),
+            (SchedulerPolicy::JobDriven, 0xbebe_1cd6_5812_ecc2, 0xcf0a_7394_cc94_d2a5),
+        ];
+        for (policy, assign_hash, speculative_hash) in golden {
+            let mut sched = make_scheduler(policy);
+            let a = sched.assign(&view);
+            assert!(a.len() > 150, "{policy}: the view has work and room, got {}", a.len());
+            let got_assign = fnv1a(a.iter().flat_map(|x| {
+                let (kind, index) = match x.kind {
+                    TaskKind::Map(m) => (0, m),
+                    TaskKind::Reduce(r) => (1, r),
+                };
+                [u64::from(x.job), kind, index as u64, u64::from(x.vm.0)]
+            }));
+            // Each backup avoids the previous answer, so the pairs walk the
+            // runners-up too instead of asking for the same winner 8 times.
+            let mut avoid = VmId(1);
+            let got_speculative = fnv1a((0..8).map(|i| {
+                let vm = sched.place_speculative(&view, i % 3, avoid);
+                avoid = vm.unwrap_or(avoid);
+                vm.map_or(u64::MAX, |vm| u64::from(vm.0))
+            }));
+            assert_eq!(
+                (got_assign, got_speculative),
+                (assign_hash, speculative_hash),
+                "{policy}: placement diverged from the hashed ledger"
+            );
+        }
+    }
+
+    /// A generated view: 1–40 trackers out of a slightly larger VM set on
+    /// 1–3 racks, random held slots (dead VMs included), 0–4 jobs whose
+    /// replicas may name VMs that are not live trackers.
+    fn random_fixture(g: &mut proptest::Gen) -> ViewFixture {
+        let vms = g.u32_in(1, 40);
+        let mut fx = ViewFixture::new(vms);
+        fx.racks = g.u32_in(1, 3);
+        fx.vm_hosts = (0..=vms).map(|v| HostId(v % 6)).collect();
+        fx.vm_racks = fx.vm_hosts.iter().map(|h| RackId(h.0 % fx.racks)).collect();
+        let alive: Vec<u32> = (1..=vms).filter(|&v| v == 1 || g.bool(0.85)).collect();
+        fx.set_trackers(alive);
+        if g.bool(0.3) {
+            fx.trackers.rotate_left(1); // a rejoined tracker sits at the end
+        }
+        for v in 1..=vms {
+            if g.bool(0.6) {
+                fx.used_map.insert(v, g.u32_in(0, 3));
+            }
+            if g.bool(0.6) {
+                fx.used_reduce.insert(v, g.u32_in(0, 3));
+            }
+        }
+        for _ in 0..g.usize_in(0, 4) {
+            let cfg = JobConfig {
+                map_slots_per_node: g.u32_in(1, 3),
+                reduce_slots_per_node: g.u32_in(1, 3),
+                ..JobConfig::default().with_reduces(g.u32_in(0, 5)).with_locality(g.bool(0.8))
+            };
+            let maps = g.usize_in(0, 8);
+            let locations = (0..maps)
+                .map(|_| (0..g.usize_in(0, 3)).map(|_| VmId(g.u32_in(0, vms))).collect())
+                .collect();
+            let bytes = (0..cfg.num_reduces).map(|_| g.u64_in(0, 1 << 20)).collect();
+            fx.job(cfg, maps, locations, g.bool(0.5), bytes);
+        }
+        fx
+    }
+
+    /// The contract the engine's gate rests on: nothing pending ⇒ nothing
+    /// assigned; and whatever is pending, no tracker is handed more than
+    /// its free slots and no dead VM is handed anything.
+    #[test]
+    fn assign_respects_free_slots_and_is_empty_when_nothing_is_pending() {
+        proptest::check("scheduler-contract", proptest::Config::with_cases(200), |g| {
+            let mut fx = random_fixture(g);
+            for policy in SchedulerPolicy::all() {
+                let view = fx.view();
+                let (mut used_map, mut used_reduce) = (fx.used_map.clone(), fx.used_reduce.clone());
+                for a in make_scheduler(policy).assign(&view) {
+                    assert!(
+                        fx.trackers.iter().any(|t| t.vm == a.vm),
+                        "{policy}: {a:?} on a dead VM"
+                    );
+                    let cfg = &fx.configs[a.job as usize];
+                    let (held, cap) = match a.kind {
+                        TaskKind::Map(_) => (used_map.entry(a.vm.0), cfg.map_slots_per_node),
+                        TaskKind::Reduce(_) => {
+                            assert!(
+                                fx.reduces_open[a.job as usize],
+                                "{policy}: {a:?} before map end"
+                            );
+                            (used_reduce.entry(a.vm.0), cfg.reduce_slots_per_node)
+                        }
+                    };
+                    let held = held.or_insert(0);
+                    assert!(*held < cap, "{policy}: {a:?} over-commits ({held} of {cap} held)");
+                    *held += 1;
+                }
+            }
+            // Quiesce: no pending map anywhere, no pending reduce that is open.
+            for j in 0..fx.configs.len() {
+                fx.pending_maps[j].clear();
+                if fx.reduces_open[j] {
+                    fx.pending_reduces[j].clear();
+                }
+            }
+            for policy in SchedulerPolicy::all() {
+                assert_eq!(make_scheduler(policy).assign(&fx.view()), vec![], "{policy}");
+            }
+        });
     }
 
     #[test]

@@ -20,7 +20,8 @@ use crate::engine::MrEngine;
 pub(crate) const SPECULATION_HEARTBEAT: SimDuration = SimDuration::from_millis(2_000);
 
 impl MrEngine {
-    /// Launches backup attempts for straggling maps (Hadoop's speculative
+    /// Launches backup attempts for straggling maps of a job configured
+    /// `speculative` (the caller's filter — Hadoop's speculative
     /// execution): once no maps are pending, a running map that has taken
     /// over 1.5× the mean completed-map duration gets a second attempt on
     /// a different tracker; the first attempt to finish wins, the loser's
@@ -33,8 +34,7 @@ impl MrEngine {
     ) {
         let candidates: Vec<(usize, VmId)> = {
             let Some(job) = self.jobs.get(&jid) else { return };
-            let cfg = job.config();
-            if !cfg.speculative || !job.pending_maps.is_empty() || job.map_durations.is_empty() {
+            if !job.pending_maps.is_empty() || job.map_durations.is_empty() {
                 return;
             }
             let mean = job.map_durations.iter().sum::<f64>() / job.map_durations.len() as f64;
@@ -50,7 +50,6 @@ impl MrEngine {
                 .collect()
         };
         for (m, vm0) in candidates {
-            let cfg = self.jobs.get(&jid).expect("job present").config().clone();
             // Where the backup runs is a placement decision: ask the
             // scheduling layer for a different tracker with a free slot.
             let Some(vm) =
@@ -67,7 +66,7 @@ impl MrEngine {
             job.counters.speculative_maps += 1;
             let ep = job.map_epoch[m];
             engine.start_chain(
-                Self::startup_chain(cluster, vm, &cfg, 0),
+                Self::startup_chain(cluster, vm, job.config(), 0),
                 tag_full(JobId(jid), PH_MAP_STARTUP, 1, ep, m),
             );
         }

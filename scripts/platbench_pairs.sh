@@ -6,9 +6,11 @@
 # markdown tables EXPERIMENTS.md carries, each end-to-end row with its
 # `choosing-metrics` §8 verdict against the bounds in BENCHMARK.json; exits
 # non-zero if any row is `worse`. Runs already in <out-dir> are kept, so an
-# interrupted session resumes and the tables can be re-printed.
+# interrupted session resumes and the tables can be re-printed. A fifth
+# argument narrows the run to some workloads ("three more pairs at an
+# unseen seed for the claimed one"); tables and exit code cover that subset.
 #
-#   scripts/platbench_pairs.sh <parent-checkout> <out-dir> [pairs=10] [seed=2012]
+#   scripts/platbench_pairs.sh <parent-checkout> <out-dir> [pairs=10] [seed=2012] ["workload ..."]
 set -euo pipefail
 parent=$(cd "$1" && pwd)
 mkdir -p "$2"
@@ -16,7 +18,12 @@ out=$(cd "$2" && pwd)
 pairs=${3:-10}
 seed=${4:-2012}
 change=$(cd "$(dirname "$0")/.." && pwd)
-workloads="wc_fig2 tpcxhs_sort kmeans_chain stream_1024"
+all=$(python3 -c 'import json, sys; print(*(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
+    "$change/BENCHMARK.json")
+workloads=${5:-$all}
+for w in $workloads; do
+    case " $all " in *" $w "*) ;; *) echo "unknown workload '$w' (BENCHMARK.json has: $all)" >&2; exit 2 ;; esac
+done
 
 for side in parent change; do
     cargo build --release --offline --quiet \
@@ -91,13 +98,13 @@ print("| workload | count (`--trace 1`, exact repeat) | parent | change | parent
 print("|---|---|---|---|---|")
 for w in workloads:
     p, c = (metrics(f"{out}/{w}.trace.{s}.txt") for s in ("parent", "change"))
-    moved = [m for m in p if re.match(r'(simcore|mapreduce|vhdfs)\.', m)
+    moved = [m for m in p if re.match(r'(simcore|mapreduce|vhdfs|vsched)\.', m)
              and not re.search(r'_s$|frac$', m) and p[m] != c[m]]
     for m in ("alloc.calls_per_pass", "alloc.bytes_per_pass", *moved):
         ratio = f"{p[m] / c[m]:.2f}" if c[m] else "-"
         print(f"| `{w}` | `{m}` | {p[m]:.0f} | {c[m]:.0f} | {ratio} |")
     if not moved:
-        print(f"| `{w}` | every `simcore.*`, `mapreduce.*`, `vhdfs.*` count | | | unchanged |")
+        print(f"| `{w}` | every `simcore.*`, `mapreduce.*`, `vhdfs.*`, `vsched.*` count | | | unchanged |")
 if worse:
     sys.exit("worse than the parent beyond the BENCHMARK.json bound: " + ", ".join(worse))
 PY

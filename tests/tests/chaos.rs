@@ -129,6 +129,35 @@ fn crashed_node_can_rejoin_and_serve_again() {
     assert!(trace.contains("\"name\":\"node_rejoin\""));
 }
 
+/// Every TaskTracker dies and the re-queue timers fire into an empty
+/// tracker list; when the VMs come back nothing but the rejoin itself can
+/// start a scheduling round, so the rejoin must run one.
+#[test]
+fn job_resumes_when_every_tracker_was_lost_and_rejoins() {
+    let bytes = 6 * MB;
+    let plan = [1, 2].into_iter().fold(FaultPlan::new(), |plan, vm| {
+        plan.at(SimTime::from_secs(2), FaultKind::NodeCrash { vm })
+            .at(SimTime::from_secs(30), FaultKind::NodeRejoin { vm })
+    });
+    let mut p = VHadoop::launch(
+        PlatformConfig::builder()
+            .cluster(ClusterSpec::builder().hosts(2).vms(3).build())
+            .hdfs(HdfsConfig { block_size: MB, replication: 2 })
+            .no_monitor()
+            .faults(plan)
+            .seed(11)
+            .build(),
+    );
+    let (spec, app, input) = common::fig2_job(&mut p, bytes, 11);
+    let result = p.run_job(spec, app, input);
+    while p.step().is_some() {}
+
+    assert!(result.finished > SimTime::from_secs(30), "no tracker was alive before the rejoin");
+    assert!(result.counters.reduce_output_records > 0);
+    assert_no_data_loss(&p);
+    assert_eq!(p.rt.mr.trackers(), [VmId(1), VmId(2)]);
+}
+
 #[test]
 fn migration_abort_without_migration_is_a_recorded_noop() {
     let mut p = VHadoop::launch(
