@@ -107,7 +107,11 @@ impl MrEngine {
                 if n_red == 0 {
                     output.push((ek, ev));
                 } else {
-                    let p = partitioner.partition(&ek, n_red as u32).min(n_red as u32 - 1);
+                    // A single reduce takes every key, whatever its hash.
+                    let p = match n_red {
+                        1 => 0,
+                        _ => partitioner.partition(&ek, n_red as u32).min(n_red as u32 - 1),
+                    };
                     runs[p as usize].push(&ek, ev);
                 }
             };

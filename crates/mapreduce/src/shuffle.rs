@@ -10,7 +10,7 @@
 //! wordcount curves (Fig. 2).
 
 use crate::job::{JobEvent, JobId};
-use crate::run::{for_each_group, Run};
+use crate::run::{Groups, Run};
 use crate::state::{
     tag, tag_full, Partition, PH_IGNORE, PH_REDUCE_COMPUTE, PH_REDUCE_WRITE, PH_SHUFFLE,
 };
@@ -81,15 +81,16 @@ impl MrEngine {
         let in_bytes: u64 = fetched.iter().map(|run| run.bytes()).sum();
         let in_records = fetched.iter().map(|run| run.len() as u64).sum::<u64>();
 
-        let mut groups = 0u64;
-        let mut out: Vec<Record> = Vec::new();
+        // Outputs live until the job finishes: one record per group is
+        // what reduces emit, reserved once instead of grown by doubling.
+        let groups = Groups::over(&fetched);
+        let mut out: Vec<Record> = Vec::with_capacity(groups.len());
+        job.counters.reduce_input_groups += groups.len() as u64;
         let app = job.app.as_ref();
-        for_each_group(&mut fetched, |k, vals| {
-            groups += 1;
+        groups.for_each(&mut fetched, |k, vals| {
             app.reduce(k, vals, &mut |ek, ev| out.push((ek, ev)));
         });
         job.counters.reduce_input_records += in_records;
-        job.counters.reduce_input_groups += groups;
 
         let cost = app.cost();
         let sort_cycles =

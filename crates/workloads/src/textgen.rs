@@ -12,18 +12,30 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use simcore::rng::RootSeed;
 
+/// Buckets the unit interval is cut into for sampling. A power of two, so
+/// `u * GUIDE_BUCKETS` and `b / GUIDE_BUCKETS` are exact in `f64`.
+const GUIDE_BUCKETS: usize = 8192;
+
 /// A deterministic Zipf-distributed corpus generator.
 #[derive(Debug, Clone)]
 pub struct TextCorpus {
     vocab: Vec<String>,
-    /// Cumulative Zipf weights for sampling.
+    /// Cumulative Zipf weights for sampling, strictly increasing.
     cdf: Vec<f64>,
+    /// `guide[b]` is the first index whose cumulative weight reaches
+    /// `b / GUIDE_BUCKETS`: a draw in bucket `b` lands in
+    /// `guide[b]..=guide[b + 1]`.
+    guide: Vec<u32>,
     seed: RootSeed,
     words_per_line: usize,
 }
 
 impl TextCorpus {
     /// A corpus over `vocab_size` words with Zipf exponent `s`.
+    ///
+    /// # Panics
+    /// If the vocabulary is empty, or so large for `s` that the rarest
+    /// words' weights vanish in `f64`.
     pub fn new(seed: RootSeed, vocab_size: usize, s: f64) -> Self {
         assert!(vocab_size > 0, "vocabulary must be non-empty");
         let mut rng = seed.stream("vocab");
@@ -38,7 +50,16 @@ impl TextCorpus {
         for c in &mut cdf {
             *c /= total;
         }
-        TextCorpus { vocab, cdf, seed, words_per_line: 10 }
+        // The guide table brackets a draw only in a sorted table without
+        // repeats.
+        assert!(
+            cdf.windows(2).all(|w| w[0] < w[1]),
+            "Zipf weights underflow: {vocab_size} words at exponent {s}"
+        );
+        let guide = (0..=GUIDE_BUCKETS)
+            .map(|b| cdf.partition_point(|&c| c < b as f64 / GUIDE_BUCKETS as f64) as u32)
+            .collect();
+        TextCorpus { vocab, cdf, guide, seed, words_per_line: 10 }
     }
 
     /// Reasonable defaults: 5 000-word vocabulary, s = 1.05 (English-like).
@@ -51,11 +72,17 @@ impl TextCorpus {
         self.vocab.len()
     }
 
-    /// Samples one word index from the Zipf law.
-    fn sample_index(&self, rng: &mut StdRng) -> usize {
-        let u: f64 = rng.gen();
-        match self.cdf.binary_search_by(|c| c.partial_cmp(&u).expect("no NaN")) {
-            Ok(i) | Err(i) => i.min(self.vocab.len() - 1),
+    /// The word index a uniform draw `u` (in `[0, 1)`) samples from the
+    /// Zipf law: the first whose cumulative weight reaches `u`, or the
+    /// last one. Every weight below `b / GUIDE_BUCKETS <= u` is
+    /// left of the bucket's slice and every weight from
+    /// `(b + 1) / GUIDE_BUCKETS > u` on is right of it, so the search over
+    /// the slice finds what the search over the whole table would.
+    fn index_of(&self, u: f64) -> usize {
+        let b = (u * GUIDE_BUCKETS as f64) as usize;
+        let (lo, hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
+        match self.cdf[lo..hi].binary_search_by(|c| c.partial_cmp(&u).expect("no NaN")) {
+            Ok(i) | Err(i) => (lo + i).min(self.vocab.len() - 1),
         }
     }
 
@@ -66,7 +93,7 @@ impl TextCorpus {
             if i > 0 {
                 s.push(' ');
             }
-            s.push_str(&self.vocab[self.sample_index(rng)]);
+            s.push_str(&self.vocab[self.index_of(rng.gen())]);
         }
         s
     }
@@ -151,6 +178,39 @@ mod tests {
             freqs[0],
             freqs[freqs.len() / 2]
         );
+    }
+
+    #[test]
+    fn guided_search_equals_the_full_binary_search() {
+        use rand::SeedableRng;
+        for vocab in [1, 2, 5_000, 50_000] {
+            for s in [0.8, 1.05, 2.0] {
+                let c = TextCorpus::new(RootSeed(3), vocab, s);
+                let full = |u: f64| match c.cdf.binary_search_by(|x| x.partial_cmp(&u).unwrap()) {
+                    Ok(i) | Err(i) => i.min(vocab - 1),
+                };
+                let mut rng = StdRng::seed_from_u64(vocab as u64);
+                let edges = [0.0, 1.0 - f64::EPSILON / 2.0, 0.5, 1.0 / 8192.0];
+                let on_weights = c.cdf.iter().copied().filter(|&w| w < 1.0).take(1000);
+                let draws = (0..100_000).map(|_| rng.gen::<f64>());
+                for u in edges.into_iter().chain(on_weights).chain(draws) {
+                    assert_eq!(c.index_of(u), full(u), "vocab {vocab}, s {s}, u {u}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_records_are_pinned() {
+        // FNV-1a over the lines of one split, taken before the guide table.
+        let c = TextCorpus::english_like(RootSeed(9));
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (_, line) in c.split_records(3, 64 * 1024) {
+            for &b in line.as_text().as_bytes().iter().chain(b"\n") {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(h, 0x183b199c341af6d2);
     }
 
     #[test]

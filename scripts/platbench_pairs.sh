@@ -5,10 +5,16 @@
 # BENCHMARK.json workload plus one traced run per side, and prints the
 # markdown tables EXPERIMENTS.md carries, each end-to-end row with its
 # `choosing-metrics` §8 verdict against the bounds in BENCHMARK.json; exits
-# non-zero if any row is `worse`. Runs already in <out-dir> are kept, so an
-# interrupted session resumes and the tables can be re-printed. A fifth
-# argument narrows the run to some workloads ("three more pairs at an
-# unseen seed for the claimed one"); tables and exit code cover that subset.
+# non-zero if any row is `worse`. A metric whose runs agree to a part in ten
+# thousand on each side (`sim_makespan_s` repeats exactly, `peak_heap_mb` to
+# a few KB) has no spread to run the pairs rule on and is reported as `same`
+# or as the signed difference of the medians, to nine digits, judged against
+# the bound alone; a host-speed change must not move the simulation, so a
+# `sim_makespan_s` or an output digest that differs between the sides also
+# exits non-zero. Runs already in <out-dir> are kept, so an interrupted
+# session resumes and the tables can be re-printed. A fifth argument narrows
+# the run to some workloads ("three more pairs at an unseen seed for the
+# claimed one"); tables and exit code cover that subset.
 #
 #   scripts/platbench_pairs.sh <parent-checkout> <out-dir> [pairs=10] [seed=2012] ["workload ..."]
 set -euo pipefail
@@ -52,13 +58,17 @@ for w in $workloads; do
 done
 
 python3 - "$out" "$pairs" "$change/BENCHMARK.json" $workloads <<'PY'
-import json, re, sys
+import glob, json, re, sys
 out, pairs, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[4:]
 end_to_end = json.load(open(sys.argv[3]))["end_to_end"]
 
 def metrics(path):
     rows = re.findall(r'^(\S+)\s+(-?[\d.]+(?:e-?\d+)?) \S+$', open(path).read(), re.M)
     return {name: float(value) for name, value in rows}
+
+def digests(w, side):
+    return {re.search(r'digest (0x[0-9a-f]+)', open(path).read()).group(1)
+            for path in glob.glob(f"{out}/{w}.*.{side}.txt")}
 
 def quartiles(xs):
     xs = sorted(xs)
@@ -80,10 +90,23 @@ print("|---|---|---|---|---|---|---|")
 worse = []
 for w in workloads:
     runs = {s: [metrics(f"{out}/{w}.{i}.{s}.txt") for i in range(1, pairs + 1)] for s in ("parent", "change")}
+    before, after = digests(w, "parent"), digests(w, "change")
+    if before != after:
+        worse.append(f"{w} digest {before} -> {after}")
     for spec in end_to_end:
         m, sign = spec["name"], 1 if spec["better"] == "lower" else -1
         p, c = ([r[m] for r in runs[s]] for s in ("parent", "change"))
+        if m == "sim_makespan_s" and p != c:
+            worse.append(f"{w} {m} differs between the sides")
         (p25, p50, p75), (c25, c50, c75) = quartiles(p), quartiles(c)
+        if all(max(xs) - min(xs) <= 1e-4 * abs(x50) for xs, x50 in ((p, p50), (c, c50))):
+            # Exact repeat: the difference is a fact, not a sample.
+            delta = c50 - p50
+            v = "same" if delta == 0 else "worse" if sign * delta / abs(p50) > spec["bound"] else f"{delta:+.6g}"
+            if v == "worse":
+                worse.append(f"{w} {m}")
+            print(f"| `{w}` | `{m}` | {p50:.9g} | {c50:.9g} | {c50 / p50:.3f} | exact repeat | {v} |")
+            continue
         won = sum(sign * (a - b) > 0 for a, b in zip(p, c))
         tied = sum(b == a for a, b in zip(p, c))
         score = "identical" if tied == pairs else f"{won}/{pairs - tied}"
@@ -106,5 +129,6 @@ for w in workloads:
     if not moved:
         print(f"| `{w}` | every `simcore.*`, `mapreduce.*`, `vhdfs.*`, `vsched.*` count | | | unchanged |")
 if worse:
-    sys.exit("worse than the parent beyond the BENCHMARK.json bound: " + ", ".join(worse))
+    sys.exit("worse than the parent beyond the BENCHMARK.json bound, or a simulation that moved: "
+             + ", ".join(worse))
 PY
