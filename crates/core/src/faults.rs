@@ -60,6 +60,8 @@ pub struct InjectedFault {
     pub effective: bool,
 }
 
+simcore::persist_struct!(InjectedFault { at, kind, lost_blocks, effective });
+
 /// A throttle currently in force, so the restore timer can undo exactly
 /// what was applied.
 #[derive(Debug, Clone, Copy)]
@@ -69,6 +71,30 @@ struct ActiveScale {
     since: SimTime,
     name: &'static str,
     track: u32,
+}
+
+/// Trace span names of the throttle faults.
+const THROTTLE_NAMES: [&str; 3] = ["link_degrade", "slow_disk", "straggler_vm"];
+
+// codec by hand: `name` is a `&'static str`, written as the string and matched on decode
+impl Persist for ActiveScale {
+    fn encode(&self, e: &mut Encoder) {
+        self.resource.encode(e);
+        self.factor.encode(e);
+        self.since.encode(e);
+        e.str(self.name);
+        self.track.encode(e);
+    }
+    fn decode(d: &mut Decoder) -> Self {
+        let resource = ResourceId::decode(d);
+        let factor = f64::decode(d);
+        let since = SimTime::decode(d);
+        let name = d.str();
+        let Some(&name) = THROTTLE_NAMES.iter().find(|&&n| n == name) else {
+            panic!("snapshot corrupt: unknown throttle name {name:?}");
+        };
+        ActiveScale { resource, factor, since, name, track: d.u32() }
+    }
 }
 
 /// Per-platform fault-injection state (see module docs).
@@ -82,6 +108,12 @@ pub(crate) struct FaultDriver {
     log: Vec<InjectedFault>,
 }
 
+// Restores the driver wholesale, replacing whatever a fresh launch
+// installed: the snapshot's event list already holds the launch plan plus
+// any later `install_fault_plan` additions, and the apply/restore timers
+// travel with the engine snapshot, so nothing is re-armed.
+simcore::persist_state!(FaultDriver { events, scales, log });
+
 impl FaultDriver {
     /// Arms one apply-timer per event of `plan` (already in injection
     /// order — plans sort at insertion time).
@@ -91,65 +123,6 @@ impl FaultDriver {
             self.events.push(ev);
             engine.set_timer_at(ev.at, Tag::new(owners::FAULT, idx, FAULT_APPLY));
         }
-    }
-
-    /// Encodes installed events, live throttles, and the injection log.
-    /// The apply/restore timers themselves travel with the engine
-    /// snapshot; nothing is re-armed at restore.
-    pub(crate) fn encode_state(&self, e: &mut Encoder) {
-        self.events.encode(e);
-        let mut idxs: Vec<u32> = self.scales.keys().copied().collect();
-        idxs.sort_unstable();
-        idxs.len().encode(e);
-        for idx in idxs {
-            let s = &self.scales[&idx];
-            idx.encode(e);
-            s.resource.encode(e);
-            s.factor.encode(e);
-            s.since.encode(e);
-            s.name.to_string().encode(e);
-            s.track.encode(e);
-        }
-        self.log.len().encode(e);
-        for f in &self.log {
-            f.at.encode(e);
-            f.kind.encode(e);
-            f.lost_blocks.encode(e);
-            f.effective.encode(e);
-        }
-    }
-
-    /// Restores the driver wholesale (replacing whatever a fresh launch
-    /// installed — the snapshot's event list already contains the launch
-    /// plan plus any later [`VHadoop::install_fault_plan`] additions).
-    pub(crate) fn restore_state(&mut self, d: &mut Decoder) {
-        self.events = Vec::decode(d);
-        let n = usize::decode(d);
-        self.scales = (0..n)
-            .map(|_| {
-                let idx = u32::decode(d);
-                let resource = ResourceId::decode(d);
-                let factor = f64::decode(d);
-                let since = SimTime::decode(d);
-                let name = match String::decode(d).as_str() {
-                    "link_degrade" => "link_degrade",
-                    "slow_disk" => "slow_disk",
-                    "straggler_vm" => "straggler_vm",
-                    other => panic!("unknown throttle name in snapshot: {other}"),
-                };
-                let track = u32::decode(d);
-                (idx, ActiveScale { resource, factor, since, name, track })
-            })
-            .collect();
-        let n = usize::decode(d);
-        self.log = (0..n)
-            .map(|_| InjectedFault {
-                at: SimTime::decode(d),
-                kind: FaultKind::decode(d),
-                lost_blocks: usize::decode(d),
-                effective: bool::decode(d),
-            })
-            .collect();
     }
 }
 

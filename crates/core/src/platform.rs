@@ -22,7 +22,7 @@ use mapreduce::app::MapReduceApp;
 use mapreduce::config::JobConfig;
 use mapreduce::input::InputFormat;
 use mapreduce::job::{JobEvent, JobResult, JobSpec};
-use mapreduce::runtime::{MrRuntime, NodeRoles};
+use mapreduce::runtime::{MrRuntime, NodeRoles, UPLOAD_MARK};
 use mapreduce::scheduler::SchedulerPolicy;
 use simcore::owners;
 use simcore::prelude::*;
@@ -313,9 +313,9 @@ impl VHadoop {
     /// returns the upload duration. Unlike [`MrRuntime::upload`], monitor
     /// and migration wakeups keep flowing during the upload.
     pub fn upload_input(&mut self, path: &str, bytes: u64, writer: VmId) -> SimDuration {
-        let start = self.rt.engine.now();
-        let marker = Tag::new(owners::USER, u32::MAX, 0xB10C);
-        self.rt.hdfs.write_file(&mut self.rt.engine, &self.rt.cluster, path, bytes, writer, marker);
+        let rt = &mut self.rt;
+        let start = rt.engine.now();
+        rt.hdfs.write_file(&mut rt.engine, &rt.cluster, path, bytes, writer, UPLOAD_MARK);
         loop {
             let (t, w) = self
                 .rt
@@ -324,7 +324,7 @@ impl VHadoop {
                 .expect("upload must complete before the simulation drains");
             for ev in self.route(&w) {
                 if let PlatformEvent::Hdfs(c) = &ev {
-                    if c.client_tag == marker {
+                    if c.client_tag == UPLOAD_MARK {
                         return t.saturating_since(start);
                     }
                 }

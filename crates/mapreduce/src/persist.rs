@@ -15,242 +15,61 @@ use crate::counters::Counters;
 use crate::engine::MrEngine;
 use crate::input::InputFormat;
 use crate::job::{JobId, JobSpec};
+use crate::run::Run;
 use crate::scheduler::SchedulerPolicy;
 use crate::state::{JobState, Partition, SplitInfo, TaskPhase};
 use crate::types::{K, V};
 use simcore::persist::{Decoder, Encoder, Persist};
-use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
-use vcluster::cluster::VmId;
-use vhdfs::meta::BlockId;
 
-impl Persist for JobId {
-    fn encode(&self, e: &mut Encoder) {
-        e.u32(self.0);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        JobId(d.u32())
-    }
-}
+simcore::persist_struct!(JobId(0));
+simcore::persist_enum!(SchedulerPolicy { 0 => Fifo, 1 => Fair, 2 => JobDriven });
+simcore::persist_enum!(K { 0 => Int(i), 1 => Text(s), 2 => Bytes(b) });
+simcore::persist_enum!(V {
+    0 => Null,
+    1 => Int(i),
+    2 => Float(f),
+    3 => Text(s),
+    4 => Bytes(b),
+    5 => Vector(v),
+    6 => Tuple(t),
+});
+simcore::persist_struct!(Counters {
+    map_input_records,
+    map_input_bytes,
+    map_output_records,
+    map_output_bytes,
+    combine_output_records,
+    shuffle_bytes,
+    reduce_input_records,
+    reduce_input_groups,
+    reduce_output_records,
+    output_bytes,
+    data_local_maps,
+    rack_local_maps,
+    launched_maps,
+    launched_reduces,
+    speculative_maps,
+    relaunched_tasks,
+});
+simcore::persist_struct!(JobConfig {
+    num_reduces,
+    map_slots_per_node,
+    reduce_slots_per_node,
+    use_combiner,
+    locality_aware,
+    task_startup,
+    assignment_stagger,
+    output_replication,
+    speculative,
+    scheduler,
+});
+simcore::persist_struct!(JobSpec { name, input_path, output_path, config });
+simcore::persist_struct!(SplitInfo { block, bytes, locations });
+simcore::persist_enum!(TaskPhase { 0 => Pending, 1 => Running(vm), 2 => Done });
 
-impl Persist for SchedulerPolicy {
-    fn encode(&self, e: &mut Encoder) {
-        e.u8(match self {
-            SchedulerPolicy::Fifo => 0,
-            SchedulerPolicy::Fair => 1,
-            SchedulerPolicy::JobDriven => 2,
-        });
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        match d.u8() {
-            0 => SchedulerPolicy::Fifo,
-            1 => SchedulerPolicy::Fair,
-            2 => SchedulerPolicy::JobDriven,
-            other => panic!("snapshot: unknown scheduler policy code {other}"),
-        }
-    }
-}
-
-impl Persist for K {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            K::Int(i) => {
-                e.u8(0);
-                e.u64(*i as u64);
-            }
-            K::Text(s) => {
-                e.u8(1);
-                e.str(s);
-            }
-            K::Bytes(b) => {
-                e.u8(2);
-                b.encode(e);
-            }
-        }
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        match d.u8() {
-            0 => K::Int(d.u64() as i64),
-            1 => K::Text(d.str()),
-            2 => K::Bytes(Vec::<u8>::decode(d)),
-            other => panic!("snapshot: unknown key variant {other}"),
-        }
-    }
-}
-
-impl Persist for V {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            V::Null => e.u8(0),
-            V::Int(i) => {
-                e.u8(1);
-                e.u64(*i as u64);
-            }
-            V::Float(f) => {
-                e.u8(2);
-                e.f64(*f);
-            }
-            V::Text(s) => {
-                e.u8(3);
-                e.str(s);
-            }
-            V::Bytes(b) => {
-                e.u8(4);
-                b.encode(e);
-            }
-            V::Vector(v) => {
-                e.u8(5);
-                v.encode(e);
-            }
-            V::Tuple(t) => {
-                e.u8(6);
-                t.encode(e);
-            }
-        }
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        match d.u8() {
-            0 => V::Null,
-            1 => V::Int(d.u64() as i64),
-            2 => V::Float(d.f64()),
-            3 => V::Text(d.str()),
-            4 => V::Bytes(Vec::<u8>::decode(d)),
-            5 => V::Vector(Vec::<f64>::decode(d)),
-            6 => V::Tuple(Vec::<V>::decode(d)),
-            other => panic!("snapshot: unknown value variant {other}"),
-        }
-    }
-}
-
-impl Persist for Counters {
-    fn encode(&self, e: &mut Encoder) {
-        for v in [
-            self.map_input_records,
-            self.map_input_bytes,
-            self.map_output_records,
-            self.map_output_bytes,
-            self.combine_output_records,
-            self.shuffle_bytes,
-            self.reduce_input_records,
-            self.reduce_input_groups,
-            self.reduce_output_records,
-            self.output_bytes,
-            self.data_local_maps,
-            self.rack_local_maps,
-            self.launched_maps,
-            self.launched_reduces,
-            self.speculative_maps,
-            self.relaunched_tasks,
-        ] {
-            e.u64(v);
-        }
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        Counters {
-            map_input_records: d.u64(),
-            map_input_bytes: d.u64(),
-            map_output_records: d.u64(),
-            map_output_bytes: d.u64(),
-            combine_output_records: d.u64(),
-            shuffle_bytes: d.u64(),
-            reduce_input_records: d.u64(),
-            reduce_input_groups: d.u64(),
-            reduce_output_records: d.u64(),
-            output_bytes: d.u64(),
-            data_local_maps: d.u64(),
-            rack_local_maps: d.u64(),
-            launched_maps: d.u64(),
-            launched_reduces: d.u64(),
-            speculative_maps: d.u64(),
-            relaunched_tasks: d.u64(),
-        }
-    }
-}
-
-impl Persist for JobConfig {
-    fn encode(&self, e: &mut Encoder) {
-        e.u32(self.num_reduces);
-        e.u32(self.map_slots_per_node);
-        e.u32(self.reduce_slots_per_node);
-        e.bool(self.use_combiner);
-        e.bool(self.locality_aware);
-        self.task_startup.encode(e);
-        self.assignment_stagger.encode(e);
-        e.u32(self.output_replication);
-        e.bool(self.speculative);
-        self.scheduler.encode(e);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        JobConfig {
-            num_reduces: d.u32(),
-            map_slots_per_node: d.u32(),
-            reduce_slots_per_node: d.u32(),
-            use_combiner: d.bool(),
-            locality_aware: d.bool(),
-            task_startup: Persist::decode(d),
-            assignment_stagger: Persist::decode(d),
-            output_replication: d.u32(),
-            speculative: d.bool(),
-            scheduler: Persist::decode(d),
-        }
-    }
-}
-
-impl Persist for JobSpec {
-    fn encode(&self, e: &mut Encoder) {
-        e.str(&self.name);
-        self.input_path.encode(e);
-        e.str(&self.output_path);
-        self.config.encode(e);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        JobSpec {
-            name: d.str(),
-            input_path: Persist::decode(d),
-            output_path: d.str(),
-            config: Persist::decode(d),
-        }
-    }
-}
-
-impl Persist for SplitInfo {
-    fn encode(&self, e: &mut Encoder) {
-        self.block.encode(e);
-        e.u64(self.bytes);
-        self.locations.encode(e);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        SplitInfo {
-            block: Option::<BlockId>::decode(d),
-            bytes: d.u64(),
-            locations: Vec::<VmId>::decode(d),
-        }
-    }
-}
-
-impl Persist for TaskPhase {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            TaskPhase::Pending => e.u8(0),
-            TaskPhase::Running(vm) => {
-                e.u8(1);
-                vm.encode(e);
-            }
-            TaskPhase::Done => e.u8(2),
-        }
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        match d.u8() {
-            0 => TaskPhase::Pending,
-            1 => TaskPhase::Running(VmId::decode(d)),
-            2 => TaskPhase::Done,
-            other => panic!("snapshot: unknown task phase {other}"),
-        }
-    }
-}
-
-/// Encoded as the bare record vector; the size is recomputed on decode.
-/// ([`crate::run::Run`] encodes as the same bytes.)
+/// Encoded as the bare record vector, as [`crate::run::Run`] is.
+// codec by hand: the byte size is not written but recomputed by `Partition::seal`
 impl Persist for Partition {
     fn encode(&self, e: &mut Encoder) {
         self.records.encode(e);
@@ -288,20 +107,12 @@ impl JobState {
         self.maps.encode(e);
         self.reduces.encode(e);
         self.map_vm.encode(e);
-        e.usize(self.map_attempt_vm.len());
-        for pair in &self.map_attempt_vm {
-            pair[0].encode(e);
-            pair[1].encode(e);
-        }
+        self.map_attempt_vm.encode(e);
         self.map_started_at.encode(e);
         self.map_durations.encode(e);
         self.speculated.encode(e);
         self.write_claimed.encode(e);
-        e.usize(self.attempt_active.len());
-        for pair in &self.attempt_active {
-            e.bool(pair[0]);
-            e.bool(pair[1]);
-        }
+        self.attempt_active.encode(e);
         self.map_epoch.encode(e);
         self.reduce_epoch.encode(e);
         self.map_retries.encode(e);
@@ -326,83 +137,72 @@ impl JobState {
             self.map_outputs.encode(e);
             self.task_outputs.encode(e);
         }
-        e.usize(self.completed_maps);
-        e.usize(self.completed_reduces);
+        self.completed_maps.encode(e);
+        self.completed_reduces.encode(e);
         self.counters.encode(e);
         self.submitted.encode(e);
         self.map_phase_done.encode(e);
     }
 
-    fn decode_state(
-        d: &mut Decoder,
-        id: JobId,
-        app: Rc<dyn MapReduceApp>,
-        input: Rc<dyn InputFormat>,
-        partitioner: Rc<dyn Partitioner>,
-    ) -> Self {
+    // codec by hand: residue rejoin (the user code is not in the bytes) and the map-only output layout
+    fn decode_state(d: &mut Decoder, id: JobId, residue: &JobResidue) -> Self {
         let spec = JobSpec::decode(d);
-        let splits = Vec::<SplitInfo>::decode(d);
-        let maps = Vec::<TaskPhase>::decode(d);
-        let reduces = Vec::<TaskPhase>::decode(d);
-        let map_vm = Vec::<Option<VmId>>::decode(d);
-        let n = d.usize();
-        let map_attempt_vm =
-            (0..n).map(|_| [Option::<VmId>::decode(d), Option::<VmId>::decode(d)]).collect();
-        let map_started_at = Persist::decode(d);
-        let map_durations = Persist::decode(d);
-        let speculated = Persist::decode(d);
-        let write_claimed = Persist::decode(d);
-        let n = d.usize();
-        let attempt_active = (0..n).map(|_| [d.bool(), d.bool()]).collect();
-        let map_epoch = Persist::decode(d);
-        let reduce_epoch = Persist::decode(d);
-        let map_retries = Persist::decode(d);
-        let reduce_retries = Persist::decode(d);
-        let reduce_started_at = Persist::decode(d);
-        let shuffle_started_at = Persist::decode(d);
-        let pending_maps = VecDeque::<usize>::decode(d);
-        let pending_reduces = VecDeque::<usize>::decode(d);
-        let (map_outputs, task_outputs) = if spec.config.num_reduces == 0 {
-            let per_map = Vec::<Vec<Option<Partition>>>::decode(d);
-            assert_eq!(d.usize(), 0, "snapshot: a map-only job with reduce outputs");
-            let no_runs = per_map.iter().map(|_| Vec::new()).collect();
-            (no_runs, per_map.into_iter().map(|mut only| only.pop().flatten()).collect())
-        } else {
-            (Persist::decode(d), Persist::decode(d))
-        };
+        let map_only = spec.config.num_reduces == 0;
+        let mut task_outputs = Vec::new();
+        // Struct-literal fields are evaluated in the order written, which
+        // is the order `encode_state` wrote them.
         JobState {
             id,
             spec,
-            app,
-            input,
-            partitioner,
-            splits,
-            maps,
-            reduces,
-            map_vm,
-            map_attempt_vm,
-            map_started_at,
-            map_durations,
-            speculated,
-            write_claimed,
-            attempt_active,
-            map_epoch,
-            reduce_epoch,
-            map_retries,
-            reduce_retries,
-            reduce_started_at,
-            shuffle_started_at,
-            pending_maps,
-            pending_reduces,
-            map_outputs,
+            app: Rc::clone(&residue.app),
+            input: Rc::clone(&residue.input),
+            partitioner: Rc::clone(&residue.partitioner),
+            splits: Persist::decode(d),
+            maps: Persist::decode(d),
+            reduces: Persist::decode(d),
+            map_vm: Persist::decode(d),
+            map_attempt_vm: Persist::decode(d),
+            map_started_at: Persist::decode(d),
+            map_durations: Persist::decode(d),
+            speculated: Persist::decode(d),
+            write_claimed: Persist::decode(d),
+            attempt_active: Persist::decode(d),
+            map_epoch: Persist::decode(d),
+            reduce_epoch: Persist::decode(d),
+            map_retries: Persist::decode(d),
+            reduce_retries: Persist::decode(d),
+            reduce_started_at: Persist::decode(d),
+            shuffle_started_at: Persist::decode(d),
+            pending_maps: Persist::decode(d),
+            pending_reduces: Persist::decode(d),
+            map_outputs: decode_outputs(d, map_only, &mut task_outputs),
             task_outputs,
-            completed_maps: d.usize(),
-            completed_reduces: d.usize(),
-            counters: Counters::decode(d),
+            completed_maps: Persist::decode(d),
+            completed_reduces: Persist::decode(d),
+            counters: Persist::decode(d),
             submitted: Persist::decode(d),
             map_phase_done: Persist::decode(d),
         }
     }
+}
+
+/// Reads a job's map outputs and fills `task_outputs`, undoing the
+/// map-only layout of [`JobState::encode_state`].
+fn decode_outputs(
+    d: &mut Decoder,
+    map_only: bool,
+    task_outputs: &mut Vec<Option<Partition>>,
+) -> Vec<Vec<Option<Run>>> {
+    if !map_only {
+        let map_outputs = Persist::decode(d);
+        *task_outputs = Persist::decode(d);
+        return map_outputs;
+    }
+    let per_map = Vec::<Vec<Option<Partition>>>::decode(d);
+    assert_eq!(d.usize(), 0, "snapshot: a map-only job with reduce outputs");
+    let no_runs = per_map.iter().map(|_| Vec::new()).collect();
+    *task_outputs = per_map.into_iter().map(|mut only| only.pop().flatten()).collect();
+    no_runs
 }
 
 impl MrEngine {
@@ -424,13 +224,13 @@ impl MrEngine {
     /// tables sorted by key).
     pub fn encode_state(&self, e: &mut Encoder) {
         self.trackers.encode(e);
-        e.u32(self.next_job);
+        self.next_job.encode(e);
         self.used_map_slots.encode(e);
         self.used_reduce_slots.encode(e);
         self.scheduler.policy().encode(e);
         e.usize(self.jobs.len());
-        for (&id, job) in &self.jobs {
-            e.u32(id);
+        for (id, job) in &self.jobs {
+            id.encode(e);
             job.encode_state(e);
         }
     }
@@ -440,36 +240,30 @@ impl MrEngine {
     ///
     /// # Panics
     /// If a decoded job has no matching residue entry.
+    // codec by hand: residue rejoin, and the policy is installed through `set_policy`
     pub fn restore_state(&mut self, d: &mut Decoder, residue: &[JobResidue]) {
-        self.trackers = Vec::<VmId>::decode(d);
-        self.next_job = d.u32();
-        self.used_map_slots = HashMap::<u32, u32>::decode(d);
-        self.used_reduce_slots = HashMap::<u32, u32>::decode(d);
-        self.set_policy(SchedulerPolicy::decode(d));
-        let n = d.usize();
-        self.jobs.clear();
-        for _ in 0..n {
-            let id = d.u32();
-            let r = residue
-                .iter()
-                .find(|r| r.id == id)
-                .unwrap_or_else(|| panic!("snapshot residue missing job {id}"));
-            let state = JobState::decode_state(
-                d,
-                JobId(id),
-                Rc::clone(&r.app),
-                Rc::clone(&r.input),
-                Rc::clone(&r.partitioner),
-            );
-            self.jobs.insert(id, state);
-        }
+        self.trackers = Persist::decode(d);
+        self.next_job = Persist::decode(d);
+        self.used_map_slots = Persist::decode(d);
+        self.used_reduce_slots = Persist::decode(d);
+        self.set_policy(Persist::decode(d));
+        self.jobs = (0..d.usize())
+            .map(|_| {
+                let id = u32::decode(d);
+                let r = residue
+                    .iter()
+                    .find(|r| r.id == id)
+                    .unwrap_or_else(|| panic!("snapshot residue missing job {id}"));
+                (id, JobState::decode_state(d, JobId(id), r))
+            })
+            .collect();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::persist::{Decoder, Encoder};
+    use vcluster::cluster::VmId;
 
     fn round_trip<T: Persist + PartialEq + std::fmt::Debug>(v: T) {
         let mut e = Encoder::new();

@@ -304,6 +304,7 @@ impl FromIterator<Record> for Run {
 
 /// Encoded as the `Vec<Record>` it stands for — count, then key and value
 /// per record — so a snapshot does not depend on the representation.
+// codec by hand: packed keys are copied as their `K` bytes, not decoded and re-encoded
 impl Persist for Run {
     fn encode(&self, e: &mut Encoder) {
         e.usize(self.len());

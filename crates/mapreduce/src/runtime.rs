@@ -14,6 +14,10 @@ use vcluster::cluster::{VirtualCluster, VmId};
 use vcluster::spec::ClusterSpec;
 use vhdfs::hdfs::{Hdfs, HdfsConfig};
 
+/// Client tag of an input upload's HDFS write ([`MrRuntime::upload`] and
+/// the platform's upload both wait for it).
+pub const UPLOAD_MARK: Tag = Tag::new(owners::USER, u32::MAX, 0xB10C);
+
 /// Which VMs run which Hadoop daemons. The default (`None`/`None`) is the
 /// paper's colocated layout: every non-master VM runs both a datanode and
 /// a TaskTracker. Disaggregated data/compute layouts (the Frankfurt
@@ -108,22 +112,14 @@ impl MrRuntime {
     /// pipeline; returns the elapsed upload time.
     pub fn upload(&mut self, path: &str, bytes: u64, writer: VmId) -> SimDuration {
         let start = self.engine.now();
-        let marker = Tag::new(owners::USER, u32::MAX, 0xB10C);
-        self.hdfs.write_file(&mut self.engine, &self.cluster, path, bytes, writer, marker);
+        self.hdfs.write_file(&mut self.engine, &self.cluster, path, bytes, writer, UPLOAD_MARK);
         loop {
             let (t, w) = self
                 .engine
                 .next_wakeup()
                 .expect("upload must complete before the simulation drains");
-            if let Some(c) = self.hdfs.on_wakeup(&mut self.engine, &w) {
-                if c.client_tag == marker {
-                    return t.saturating_since(start);
-                }
-                if c.client_tag.owner == owners::MAPREDUCE {
-                    self.mr.on_hdfs_done(&mut self.engine, &self.cluster, &mut self.hdfs, &c);
-                }
-            } else if w.tag().owner == owners::MAPREDUCE {
-                self.mr.on_wakeup(&mut self.engine, &self.cluster, &mut self.hdfs, &w);
+            if self.route_full(&w).hdfs_completion.is_some_and(|c| c.client_tag == UPLOAD_MARK) {
+                return t.saturating_since(start);
             }
         }
     }

@@ -102,6 +102,13 @@ pub enum Wakeup {
     },
 }
 
+crate::persist_enum!(Step { 0 => Flow { demands, work }, 1 => Delay(duration) });
+crate::persist_enum!(Wakeup {
+    0 => Timer { id, tag },
+    1 => Activity { id, tag, batch },
+    2 => Batch { id, tag },
+});
+
 impl Wakeup {
     /// The routing tag regardless of variant.
     pub fn tag(&self) -> Tag {
@@ -125,6 +132,9 @@ struct Entry {
     seq: u64,
     ev: Ev,
 }
+
+crate::persist_enum!(Ev { 0 => FluidWake { epoch }, 1 => Timer { id } });
+crate::persist_struct!(Entry { time, seq, ev });
 
 impl Ord for Entry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
@@ -152,6 +162,9 @@ struct Activity {
     batch: Option<BatchId>,
 }
 
+crate::persist_enum!(Current { 0 => Idle, 1 => Flow(flow), 2 => Delay(timer) });
+crate::persist_struct!(Activity { remaining, current, tag, batch });
+
 #[derive(Debug, Clone, Copy)]
 enum TimerKind {
     User { tag: Tag },
@@ -163,6 +176,8 @@ struct Batch {
     tag: Tag,
     pending: usize,
 }
+
+crate::persist_struct!(Batch { tag, pending });
 
 /// Cumulative kernel-level work counters exposed by
 /// [`Engine::kernel_stats`] — the fluid solver's [`FluidStats`] plus event
@@ -212,6 +227,34 @@ const DEAD_TIMER_COMPACT_MIN: usize = 64;
 struct TimerSlot {
     gen: u32,
     kind: Option<TimerKind>,
+}
+
+// codec by hand: `kind` is one tag byte with 0 for a free slot, not an `Option` prefix
+impl Persist for TimerSlot {
+    fn encode(&self, e: &mut Encoder) {
+        e.u32(self.gen);
+        match self.kind {
+            None => e.u8(0),
+            Some(TimerKind::User { tag }) => {
+                e.u8(1);
+                tag.encode(e);
+            }
+            Some(TimerKind::ChainDelay { activity }) => {
+                e.u8(2);
+                activity.encode(e);
+            }
+        }
+    }
+    fn decode(d: &mut Decoder) -> Self {
+        let gen = d.u32();
+        let kind = match d.u8() {
+            0 => None,
+            1 => Some(TimerKind::User { tag: Tag::decode(d) }),
+            2 => Some(TimerKind::ChainDelay { activity: ActivityId::decode(d) }),
+            other => d.unknown_tag("TimerKind", other),
+        };
+        TimerSlot { gen, kind }
+    }
 }
 
 /// The simulation engine. See the module docs for the programming model.
@@ -623,250 +666,56 @@ impl Engine {
 
     /// Appends the complete engine state — clock, fluid network, event
     /// heap, activities, timers, batches, pending wakeups, and tracer — to
-    /// `e`, canonicalizing first. Heaps are written as sorted vectors and
+    /// `e`, canonicalizing first. The heap is written as a sorted vector and
     /// maps in ascending key order, so equal states produce equal bytes.
     pub fn encode_state(&mut self, e: &mut Encoder) {
         self.canonicalize();
         self.now.encode(e);
         self.fluid.encode_state(e);
-
-        let mut entries: Vec<Entry> = self.heap.iter().map(|&Reverse(en)| en).collect();
-        entries.sort_unstable();
-        e.usize(entries.len());
-        for en in entries {
-            en.time.encode(e);
-            e.u64(en.seq);
-            match en.ev {
-                Ev::FluidWake { epoch } => {
-                    e.u8(0);
-                    e.u64(epoch);
-                }
-                Ev::Timer { id } => {
-                    e.u8(1);
-                    id.encode(e);
-                }
-            }
-        }
-        e.u64(self.seq);
-        e.u64(self.epoch);
+        let mut heap: Vec<Entry> = self.heap.iter().map(|&Reverse(en)| en).collect();
+        heap.sort_unstable();
+        heap.encode(e);
+        self.seq.encode(e);
+        self.epoch.encode(e);
         self.flow_owner.encode(e);
-
-        let mut acts: Vec<(&ActivityId, &Activity)> = self.activities.iter().collect();
-        acts.sort_by_key(|(id, _)| **id);
-        e.usize(acts.len());
-        for (id, a) in acts {
-            id.encode(e);
-            e.usize(a.remaining.len());
-            for s in &a.remaining {
-                match s {
-                    Step::Flow { demands, work } => {
-                        e.u8(0);
-                        demands.encode(e);
-                        e.f64(*work);
-                    }
-                    Step::Delay(dur) => {
-                        e.u8(1);
-                        dur.encode(e);
-                    }
-                }
-            }
-            match a.current {
-                Current::Idle => e.u8(0),
-                Current::Flow(f) => {
-                    e.u8(1);
-                    f.encode(e);
-                }
-                Current::Delay(t) => {
-                    e.u8(2);
-                    t.encode(e);
-                }
-            }
-            a.tag.encode(e);
-            a.batch.encode(e);
-        }
-        e.u64(self.next_activity);
-
-        e.usize(self.timer_slots.len());
-        for s in &self.timer_slots {
-            e.u32(s.gen);
-            match s.kind {
-                None => e.u8(0),
-                Some(TimerKind::User { tag }) => {
-                    e.u8(1);
-                    tag.encode(e);
-                }
-                Some(TimerKind::ChainDelay { activity }) => {
-                    e.u8(2);
-                    activity.encode(e);
-                }
-            }
-        }
-        e.usize(self.timer_free.len());
-        for &f in &self.timer_free {
-            e.u32(f);
-        }
-
-        let mut bs: Vec<(&BatchId, &Batch)> = self.batches.iter().collect();
-        bs.sort_by_key(|(id, _)| **id);
-        e.usize(bs.len());
-        for (id, b) in bs {
-            id.encode(e);
-            b.tag.encode(e);
-            e.usize(b.pending);
-        }
-        e.u64(self.next_batch);
-
-        e.usize(self.out.len());
-        for (t, w) in &self.out {
-            t.encode(e);
-            match *w {
-                Wakeup::Timer { id, tag } => {
-                    e.u8(0);
-                    id.encode(e);
-                    tag.encode(e);
-                }
-                Wakeup::Activity { id, tag, batch } => {
-                    e.u8(1);
-                    id.encode(e);
-                    tag.encode(e);
-                    batch.encode(e);
-                }
-                Wakeup::Batch { id, tag } => {
-                    e.u8(2);
-                    id.encode(e);
-                    tag.encode(e);
-                }
-            }
-        }
-        e.u64(self.wakeups_delivered);
-        self.tracer.encode_state(e);
+        self.activities.encode(e);
+        self.next_activity.encode(e);
+        self.timer_slots.encode(e);
+        self.timer_free.encode(e);
+        self.batches.encode(e);
+        self.next_batch.encode(e);
+        self.out.encode(e);
+        self.wakeups_delivered.encode(e);
+        self.tracer.encode(e);
     }
 
     /// Rebuilds an engine from bytes written by [`Engine::encode_state`].
     /// The rebuilt engine delivers the exact same wakeup sequence as the
     /// original: heap entries keep their `(time, seq)` total order, so pop
     /// order is independent of the heap's internal array layout.
+    // codec by hand: canonical heap order, and the fluid arena and the live-timer count are rebuilt
     pub fn decode_state(d: &mut Decoder) -> Engine {
-        let now = SimTime::decode(d);
-        let fluid = FluidNet::decode_state(d);
-
-        let n_entries = d.usize();
-        let mut entries = Vec::with_capacity(n_entries);
-        for _ in 0..n_entries {
-            let time = SimTime::decode(d);
-            let seq = d.u64();
-            let ev = match d.u8() {
-                0 => Ev::FluidWake { epoch: d.u64() },
-                _ => Ev::Timer { id: TimerId::decode(d) },
-            };
-            entries.push(Reverse(Entry { time, seq, ev }));
-        }
-        let heap = BinaryHeap::from(entries);
-        let seq = d.u64();
-        let epoch = d.u64();
-        let flow_owner = HashMap::<FlowId, ActivityId>::decode(d);
-
-        let n_acts = d.usize();
-        let mut activities = HashMap::with_capacity(n_acts);
-        for _ in 0..n_acts {
-            let id = ActivityId::decode(d);
-            let n_steps = d.usize();
-            let mut remaining = VecDeque::with_capacity(n_steps);
-            for _ in 0..n_steps {
-                remaining.push_back(match d.u8() {
-                    0 => {
-                        let demands = Vec::<Demand>::decode(d);
-                        let work = d.f64();
-                        Step::Flow { demands, work }
-                    }
-                    _ => Step::Delay(SimDuration::decode(d)),
-                });
-            }
-            let current = match d.u8() {
-                0 => Current::Idle,
-                1 => Current::Flow(FlowId::decode(d)),
-                _ => Current::Delay(TimerId::decode(d)),
-            };
-            let tag = Tag::decode(d);
-            let batch = Option::<BatchId>::decode(d);
-            activities.insert(id, Activity { remaining, current, tag, batch });
-        }
-        let next_activity = d.u64();
-
-        let n_slots = d.usize();
-        let mut timer_slots = Vec::with_capacity(n_slots);
-        for _ in 0..n_slots {
-            let gen = d.u32();
-            let kind = match d.u8() {
-                0 => None,
-                1 => Some(TimerKind::User { tag: Tag::decode(d) }),
-                _ => Some(TimerKind::ChainDelay { activity: ActivityId::decode(d) }),
-            };
-            timer_slots.push(TimerSlot { gen, kind });
-        }
-        let n_free = d.usize();
-        let mut timer_free = Vec::with_capacity(n_free);
-        for _ in 0..n_free {
-            timer_free.push(d.u32());
-        }
-        let timer_live = timer_slots.iter().filter(|s| s.kind.is_some()).count();
-
-        let n_batches = d.usize();
-        let mut batches = HashMap::with_capacity(n_batches);
-        for _ in 0..n_batches {
-            let id = BatchId::decode(d);
-            let tag = Tag::decode(d);
-            let pending = d.usize();
-            batches.insert(id, Batch { tag, pending });
-        }
-        let next_batch = d.u64();
-
-        let n_out = d.usize();
-        let mut out = VecDeque::with_capacity(n_out);
-        for _ in 0..n_out {
-            let t = SimTime::decode(d);
-            let w = match d.u8() {
-                0 => {
-                    let id = TimerId::decode(d);
-                    let tag = Tag::decode(d);
-                    Wakeup::Timer { id, tag }
-                }
-                1 => {
-                    let id = ActivityId::decode(d);
-                    let tag = Tag::decode(d);
-                    let batch = Option::<BatchId>::decode(d);
-                    Wakeup::Activity { id, tag, batch }
-                }
-                _ => {
-                    let id = BatchId::decode(d);
-                    let tag = Tag::decode(d);
-                    Wakeup::Batch { id, tag }
-                }
-            };
-            out.push_back((t, w));
-        }
-        let wakeups_delivered = d.u64();
-        let tracer = Tracer::decode_state(d);
-
-        Engine {
-            now,
-            fluid,
-            heap,
-            seq,
-            epoch,
-            flow_owner,
-            activities,
-            next_activity,
-            timer_slots,
-            timer_free,
-            timer_live,
-            batches,
-            next_batch,
-            out,
-            wakeups_delivered,
+        let mut engine = Engine {
+            now: Persist::decode(d),
+            fluid: FluidNet::decode_state(d),
+            heap: Vec::<Entry>::decode(d).into_iter().map(Reverse).collect(),
+            seq: Persist::decode(d),
+            epoch: Persist::decode(d),
+            flow_owner: Persist::decode(d),
+            activities: Persist::decode(d),
+            next_activity: Persist::decode(d),
+            timer_slots: Persist::decode(d),
+            timer_free: Persist::decode(d),
+            timer_live: 0,
+            batches: Persist::decode(d),
+            next_batch: Persist::decode(d),
+            out: Persist::decode(d),
+            wakeups_delivered: Persist::decode(d),
             dead_timers: 0,
-            tracer,
-        }
+            tracer: Persist::decode(d),
+        };
+        engine.timer_live = engine.timer_slots.iter().filter(|s| s.kind.is_some()).count();
+        engine
     }
 
     // ----- internals ------------------------------------------------------
@@ -970,6 +819,43 @@ mod tests {
     use super::*;
 
     const T: u32 = 7;
+
+    /// Decodes a `T` from `body` written after a valid snapshot header.
+    fn decode_body<T: Persist>(body: &[u8]) -> T {
+        let mut bytes = Encoder::new().finish();
+        bytes.extend_from_slice(body);
+        T::decode(&mut Decoder::new(&bytes))
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot corrupt: unknown Ev tag 2 at byte 26")]
+    fn heap_entry_rejects_an_unknown_event_tag() {
+        decode_body::<Entry>(&[0; 16].into_iter().chain([2]).collect::<Vec<u8>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot corrupt: unknown Step tag 2 at byte 10")]
+    fn step_rejects_an_unknown_tag() {
+        decode_body::<Step>(&[2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot corrupt: unknown Current tag 3 at byte 10")]
+    fn current_rejects_an_unknown_tag() {
+        decode_body::<Current>(&[3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot corrupt: unknown TimerKind tag 3 at byte 14")]
+    fn timer_slot_rejects_an_unknown_kind_tag() {
+        decode_body::<TimerSlot>(&[1, 0, 0, 0, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot corrupt: unknown Wakeup tag 3 at byte 10")]
+    fn wakeup_rejects_an_unknown_tag() {
+        decode_body::<Wakeup>(&[3]);
+    }
 
     fn engine1() -> (Engine, ResourceId) {
         let mut e = Engine::new();

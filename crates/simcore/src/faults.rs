@@ -78,6 +78,16 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
+crate::persist_enum!(FaultKind {
+    0 => NodeCrash { vm },
+    1 => NodeRejoin { vm },
+    2 => LinkDegrade { host, factor, duration },
+    3 => SlowDisk { factor, duration },
+    4 => StragglerVm { vm, factor, duration },
+    5 => MigrationAbort,
+});
+crate::persist_struct!(FaultEvent { at, kind });
+
 /// A deterministic schedule of faults.
 ///
 /// Events may be added in any order; the plan keeps them sorted by instant

@@ -87,6 +87,9 @@ pub struct Demand {
     pub weight: f64,
 }
 
+crate::persist_enum!(ResourceKind { 0 => Cpu, 1 => Disk, 2 => Net, 3 => Other });
+crate::persist_struct!(Demand { resource, weight });
+
 impl Demand {
     /// Unit-weight demand on `resource`.
     pub fn unit(resource: ResourceId) -> Self {
@@ -994,14 +997,12 @@ impl FluidNet {
         e.u64(self.stats.resources_touched);
         e.u64(self.stats.batch_applied);
         e.u64(self.pending_mutations);
-        self.comp_hist.counts.encode(e);
-        e.u64(self.comp_hist.overflow);
-        e.u64(self.comp_hist.n);
-        e.u64(self.comp_hist.max);
+        self.comp_hist.encode(e);
     }
 
     /// Rebuilds a network from bytes written by
     /// [`FluidNet::encode_state`].
+    // codec by hand: the SoA arena, canonical completion-index order, and rebuilt scratch
     pub(crate) fn decode_state(d: &mut Decoder) -> FluidNet {
         let mut net = FluidNet::new();
         let nres = d.usize();
@@ -1051,10 +1052,7 @@ impl FluidNet {
         net.stats.resources_touched = d.u64();
         net.stats.batch_applied = d.u64();
         net.pending_mutations = d.u64();
-        net.comp_hist.counts = Vec::<u64>::decode(d);
-        net.comp_hist.overflow = d.u64();
-        net.comp_hist.n = d.u64();
-        net.comp_hist.max = d.u64();
+        net.comp_hist = SizeHist::decode(d);
         net.res_mark = vec![false; net.res_name.len()];
         for &r in &net.dirty.clone() {
             net.res_mark[r as usize] = true;

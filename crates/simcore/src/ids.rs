@@ -109,6 +109,13 @@ impl fmt::Display for Tag {
     }
 }
 
+crate::persist_struct!(ResourceId(0));
+crate::persist_struct!(FlowId { slot, gen });
+crate::persist_struct!(TimerId { slot, gen });
+crate::persist_struct!(ActivityId(0));
+crate::persist_struct!(BatchId(0));
+crate::persist_struct!(Tag { owner, a, b });
+
 #[cfg(test)]
 mod tests {
     use super::*;

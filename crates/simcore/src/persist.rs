@@ -1,24 +1,53 @@
 //! Versioned, deterministic state capture (DESIGN.md §16).
 //!
 //! A snapshot is a flat byte string: a 10-byte header (magic + format
-//! version) followed by fields written in a fixed order by visitor-style
-//! [`Persist`] implementations. The encoding has no self-description and no
-//! alignment — determinism comes from three rules every implementor follows:
+//! version) followed by fields written in a fixed order. The encoding has no
+//! field tags and no alignment — the order *is* the format, so every
+//! persisted type states its field order exactly once, as a field list:
 //!
-//! 1. **Canonicalize before encode.** Lazily-compacted structures (the
-//!    engine's tombstoned timer heap, the fluid completion index) are
-//!    compacted *first*, so two byte-identical simulation states always
-//!    produce byte-identical snapshots regardless of how much garbage each
-//!    happened to carry.
-//! 2. **Sort unordered containers.** `HashMap`s are encoded in ascending
-//!    key order; heaps are encoded as sorted vectors.
-//! 3. **Bit-exact floats.** `f64` is encoded via `to_bits` little-endian,
-//!    so rates and remaining-work amounts survive the round trip exactly —
-//!    the restored fluid allocation is the *same numbers*, not close ones.
+//! * [`persist_struct!`](crate::persist_struct)`(Tag { owner, a, b })`, or
+//!   `(BlockId(0))` for a tuple struct: [`Persist::encode`] writes the
+//!   listed fields in order and [`Persist::decode`] reads them back through
+//!   a struct literal written in the same order (Rust evaluates
+//!   struct-literal fields in the order written). Every field must be
+//!   listed, or the literal does not compile.
+//! * [`persist_enum!`](crate::persist_enum)`(TaskPhase { 0 => Pending, 1 =>
+//!   Running(vm), 2 => Done })`: one tag byte, then the variant's fields in
+//!   order. Tuple and struct variants name their fields (`Running(vm)`,
+//!   `Flow { demands, work }`). An unknown tag panics naming the type and
+//!   the byte offset.
+//! * [`persist_state!`](crate::persist_state)`(Monitor { samples, timer })`:
+//!   a subsystem's `encode_state` / `restore_state` pair over the listed
+//!   fields. The fields it leaves out are launch-derived: restore relaunches
+//!   from the snapshot's config, which re-derives them identically.
 //!
-//! Any change to what a component encodes must bump [`SNAPSHOT_VERSION`];
-//! the check.sh `snap` stage pins a golden hash to catch silent drift.
+//! The fields themselves go through the [`Persist`] impls of this module:
+//! integers little-endian (`usize` as `u64`, `i64` as its `u64` bits),
+//! `f64` bit-exactly via `to_bits` (the restored fluid allocation is the
+//! *same numbers*, not close ones), `bool` as one byte, strings and
+//! sequences length-prefixed, `Option` as a 0/1 byte then the value, arrays
+//! and tuples as their elements, and maps in ascending key order (two equal
+//! maps built in different insertion orders encode identically).
+//!
+//! A codec is written by hand only where the bytes are not a field list,
+//! and each such site says why in a `// codec by hand: <reason>` line
+//! (`scripts/check.sh` fails on a hand-written codec without one): the
+//! engine's event heap and the fluid completion index (canonicalized — lazily
+//! deferred garbage dropped — then written in sorted order), the fluid net's
+//! SoA arena, state rejoined with live residue at restore (`JobState`, the
+//! admission queue, the controller's future arrivals), the map-only job
+//! output layout, `&'static str` fields (HDFS op kinds, throttle names),
+//! RNG state, the timer slot's one-byte `Option<TimerKind>` tag, and
+//! `Run`/`Partition`.
+//!
+//! Malformed bytes fail in [`Decoder`]: a short read (or a sequence length
+//! beyond the bytes left) panics with "snapshot truncated at byte N, need
+//! M", an unknown enum or `Option` tag with the type's name and the tag's
+//! offset. Any change to what a component encodes must bump
+//! [`SNAPSHOT_VERSION`]; the golden hashes in
+//! `tests/tests/snapshot_roundtrip.rs` catch silent drift.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 
 /// Leading magic of every snapshot byte string.
@@ -122,8 +151,9 @@ impl Encoder {
 }
 
 /// Sequential reader over snapshot bytes. Construction validates the
-/// header; reads panic on truncation (a snapshot is trusted input once the
-/// header checks out — corruption is a bug, not a recoverable condition).
+/// header; a short read or an unknown tag panics here, naming the byte
+/// offset (a snapshot is trusted input once the header checks out —
+/// corruption is a bug, not a recoverable condition).
 #[derive(Debug)]
 pub struct Decoder<'a> {
     buf: &'a [u8],
@@ -143,10 +173,25 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads the next `n` bytes as they are.
+    ///
+    /// # Panics
+    /// If fewer than `n` bytes are left.
+    #[inline]
     pub fn raw(&mut self, n: usize) -> &'a [u8] {
-        let s = &self.buf[self.pos..self.pos + n];
+        let Some(s) = self.buf.get(self.pos..self.pos.wrapping_add(n)) else { self.truncated(n) };
         self.pos += n;
         s
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn truncated(&self, n: usize) -> ! {
+        panic!("snapshot truncated at byte {}, need {n}", self.pos)
+    }
+
+    /// Rejects the tag byte just read: no variant of `ty` owns it.
+    pub fn unknown_tag(&self, ty: &str, tag: u8) -> ! {
+        panic!("snapshot corrupt: unknown {ty} tag {tag} at byte {}", self.pos - 1)
     }
 
     /// True when every byte has been consumed.
@@ -154,12 +199,27 @@ impl<'a> Decoder<'a> {
         self.pos == self.buf.len()
     }
 
+    /// Reads a sequence length. Every element takes at least one byte, so
+    /// a length beyond the bytes left is a truncated snapshot, rejected
+    /// before anything is reserved for it.
+    fn seq_len(&mut self) -> usize {
+        let n = self.usize();
+        if n > self.buf.len() - self.pos {
+            self.truncated(n);
+        }
+        n
+    }
+
     /// Reads one byte.
+    #[inline]
     pub fn u8(&mut self) -> u8 {
-        self.raw(1)[0]
+        let Some(&b) = self.buf.get(self.pos) else { self.truncated(1) };
+        self.pos += 1;
+        b
     }
 
     /// Reads a `u32`, little-endian.
+    #[inline]
     pub fn u32(&mut self) -> u32 {
         let mut b = [0u8; 4];
         b.copy_from_slice(self.raw(4));
@@ -167,6 +227,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a `u64`, little-endian.
+    #[inline]
     pub fn u64(&mut self) -> u64 {
         let mut b = [0u8; 8];
         b.copy_from_slice(self.raw(8));
@@ -174,11 +235,13 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a `usize` (stored as `u64`).
+    #[inline]
     pub fn usize(&mut self) -> usize {
         self.u64() as usize
     }
 
     /// Reads a bit-exact `f64`.
+    #[inline]
     pub fn f64(&mut self) -> f64 {
         f64::from_bits(self.u64())
     }
@@ -200,6 +263,8 @@ impl<'a> Decoder<'a> {
 /// `decode` must read exactly the bytes `encode` wrote, in the same order;
 /// there are no field tags. Containers with nondeterministic iteration
 /// order must be written in a canonical order (see the module docs).
+/// Prefer [`persist_struct!`](crate::persist_struct) and
+/// [`persist_enum!`](crate::persist_enum) to a hand-written impl.
 pub trait Persist: Sized {
     /// Appends this value's state to `e`.
     fn encode(&self, e: &mut Encoder);
@@ -207,57 +272,104 @@ pub trait Persist: Sized {
     fn decode(d: &mut Decoder) -> Self;
 }
 
-impl Persist for u8 {
-    fn encode(&self, e: &mut Encoder) {
-        e.u8(*self);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        d.u8()
-    }
+/// Implements [`Persist`] for a struct from its field list (see the
+/// module docs): `persist_struct!(Tag { owner, a, b })` for named fields,
+/// `persist_struct!(BlockId(0))` for a tuple struct.
+#[macro_export]
+macro_rules! persist_struct {
+    ($ty:ident ( $($field:tt),+ )) => {
+        $crate::persist_struct!($ty { $($field),+ });
+    };
+    ($ty:ident { $($field:tt),+ $(,)? }) => {
+        impl $crate::persist::Persist for $ty {
+            fn encode(&self, e: &mut $crate::persist::Encoder) {
+                $($crate::persist::Persist::encode(&self.$field, e);)+
+            }
+            fn decode(d: &mut $crate::persist::Decoder) -> Self {
+                $ty { $($field: $crate::persist::Persist::decode(d)),+ }
+            }
+        }
+    };
 }
 
-impl Persist for u32 {
-    fn encode(&self, e: &mut Encoder) {
-        e.u32(*self);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        d.u32()
-    }
+/// Implements [`Persist`] for an enum from explicit `tag => Variant` arms
+/// (see the module docs): one tag byte, then the variant's named fields in
+/// order. Decoding an unknown tag panics naming the type.
+#[macro_export]
+macro_rules! persist_enum {
+    ($ty:ident {
+        $($tag:literal => $variant:ident $(( $($a:ident),+ ))? $({ $($f:ident),+ })?),+ $(,)?
+    }) => {
+        impl $crate::persist::Persist for $ty {
+            fn encode(&self, e: &mut $crate::persist::Encoder) {
+                match self {
+                    $(Self::$variant $(( $($a),+ ))? $({ $($f),+ })? => {
+                        e.u8($tag);
+                        $($($crate::persist::Persist::encode($a, e);)+)?
+                        $($($crate::persist::Persist::encode($f, e);)+)?
+                    })+
+                }
+            }
+            fn decode(d: &mut $crate::persist::Decoder) -> Self {
+                match d.u8() {
+                    $($tag => {
+                        $($(let $a = $crate::persist::Persist::decode(d);)+)?
+                        $($(let $f = $crate::persist::Persist::decode(d);)+)?
+                        Self::$variant $(( $($a),+ ))? $({ $($f),+ })?
+                    })+
+                    other => d.unknown_tag(stringify!($ty), other),
+                }
+            }
+        }
+    };
 }
 
-impl Persist for u64 {
-    fn encode(&self, e: &mut Encoder) {
-        e.u64(*self);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        d.u64()
-    }
+/// Generates a subsystem's `encode_state` / `restore_state` pair over the
+/// listed fields (see the module docs); the fields left out are
+/// launch-derived.
+#[macro_export]
+macro_rules! persist_state {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $ty {
+            /// Appends this subsystem's dynamic state to a snapshot; its
+            /// launch-derived fields are not written.
+            pub fn encode_state(&self, e: &mut $crate::persist::Encoder) {
+                $($crate::persist::Persist::encode(&self.$field, e);)+
+            }
+            /// Overwrites the dynamic state written by `encode_state`,
+            /// keeping the launch-derived fields of this relaunched value.
+            pub fn restore_state(&mut self, d: &mut $crate::persist::Decoder) {
+                $(self.$field = $crate::persist::Persist::decode(d);)+
+            }
+        }
+    };
 }
 
-impl Persist for usize {
-    fn encode(&self, e: &mut Encoder) {
-        e.usize(*self);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        d.usize()
-    }
+/// Scalars that map one-to-one onto an [`Encoder`]/[`Decoder`] method.
+macro_rules! persist_scalar {
+    ($($ty:ty => $rw:ident),+) => {$(
+        impl Persist for $ty {
+            #[inline]
+            fn encode(&self, e: &mut Encoder) {
+                e.$rw(*self);
+            }
+            #[inline]
+            fn decode(d: &mut Decoder) -> Self {
+                d.$rw()
+            }
+        }
+    )+};
 }
 
-impl Persist for f64 {
-    fn encode(&self, e: &mut Encoder) {
-        e.f64(*self);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        d.f64()
-    }
-}
+persist_scalar!(u8 => u8, u32 => u32, u64 => u64, usize => usize, f64 => f64, bool => bool);
 
-impl Persist for bool {
+/// Written as its `u64` bits, as the record keys and values always were.
+impl Persist for i64 {
     fn encode(&self, e: &mut Encoder) {
-        e.bool(*self);
+        e.u64(*self as u64);
     }
     fn decode(d: &mut Decoder) -> Self {
-        d.bool()
+        d.u64() as i64
     }
 }
 
@@ -267,6 +379,16 @@ impl Persist for String {
     }
     fn decode(d: &mut Decoder) -> Self {
         d.str()
+    }
+}
+
+/// Interned names; they decode as owned strings.
+impl Persist for Cow<'static, str> {
+    fn encode(&self, e: &mut Encoder) {
+        e.str(self);
+    }
+    fn decode(d: &mut Decoder) -> Self {
+        Cow::Owned(d.str())
     }
 }
 
@@ -283,57 +405,60 @@ impl<T: Persist> Persist for Option<T> {
     fn decode(d: &mut Decoder) -> Self {
         match d.u8() {
             0 => None,
-            _ => Some(T::decode(d)),
+            1 => Some(T::decode(d)),
+            other => d.unknown_tag("Option", other),
         }
     }
 }
 
-impl<T: Persist> Persist for Vec<T> {
+/// Length-prefixed sequences.
+macro_rules! persist_seq {
+    ($($seq:ident),+) => {$(
+        impl<T: Persist> Persist for $seq<T> {
+            fn encode(&self, e: &mut Encoder) {
+                e.usize(self.len());
+                for v in self {
+                    v.encode(e);
+                }
+            }
+            fn decode(d: &mut Decoder) -> Self {
+                (0..d.seq_len()).map(|_| T::decode(d)).collect()
+            }
+        }
+    )+};
+}
+
+persist_seq!(Vec, VecDeque);
+
+/// Fixed-size arrays carry no length prefix.
+impl<T: Persist, const N: usize> Persist for [T; N] {
     fn encode(&self, e: &mut Encoder) {
-        e.usize(self.len());
         for v in self {
             v.encode(e);
         }
     }
     fn decode(d: &mut Decoder) -> Self {
-        let n = d.usize();
-        (0..n).map(|_| T::decode(d)).collect()
+        std::array::from_fn(|_| T::decode(d))
     }
 }
 
-impl<T: Persist> Persist for VecDeque<T> {
-    fn encode(&self, e: &mut Encoder) {
-        e.usize(self.len());
-        for v in self {
-            v.encode(e);
+/// Tuples are their elements in order.
+macro_rules! persist_tuple {
+    ($($t:ident $i:tt),+) => {
+        impl<$($t: Persist),+> Persist for ($($t,)+) {
+            fn encode(&self, e: &mut Encoder) {
+                $(self.$i.encode(e);)+
+            }
+            fn decode(d: &mut Decoder) -> Self {
+                ($($t::decode(d),)+)
+            }
         }
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        let n = d.usize();
-        (0..n).map(|_| T::decode(d)).collect()
-    }
+    };
 }
 
-impl<A: Persist, B: Persist> Persist for (A, B) {
-    fn encode(&self, e: &mut Encoder) {
-        self.0.encode(e);
-        self.1.encode(e);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        (A::decode(d), B::decode(d))
-    }
-}
-
-impl<A: Persist, B: Persist, C: Persist> Persist for (A, B, C) {
-    fn encode(&self, e: &mut Encoder) {
-        self.0.encode(e);
-        self.1.encode(e);
-        self.2.encode(e);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        (A::decode(d), B::decode(d), C::decode(d))
-    }
-}
+persist_tuple!(A 0, B 1);
+persist_tuple!(A 0, B 1, C 2);
+persist_tuple!(A 0, B 1, C 2, D 3);
 
 /// Maps are encoded in ascending key order so two equal maps built in
 /// different insertion orders still produce identical bytes.
@@ -348,202 +473,23 @@ impl<K: Persist + Ord + std::hash::Hash + Eq, V: Persist> Persist for HashMap<K,
         }
     }
     fn decode(d: &mut Decoder) -> Self {
-        let n = d.usize();
-        let mut m = HashMap::with_capacity(n);
+        let n = d.seq_len();
+        let mut map = HashMap::with_capacity(n);
         for _ in 0..n {
-            let k = K::decode(d);
-            let v = V::decode(d);
-            m.insert(k, v);
+            let (k, v) = <(K, V)>::decode(d);
+            map.insert(k, v);
         }
-        m
+        map
     }
 }
 
-impl Persist for crate::time::SimTime {
+// codec by hand: RNG state — the generator's four state words, in order
+impl Persist for rand::rngs::StdRng {
     fn encode(&self, e: &mut Encoder) {
-        e.u64(self.as_nanos());
+        self.state().encode(e);
     }
     fn decode(d: &mut Decoder) -> Self {
-        crate::time::SimTime::from_nanos(d.u64())
-    }
-}
-
-impl Persist for crate::time::SimDuration {
-    fn encode(&self, e: &mut Encoder) {
-        e.u64(self.as_nanos());
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        crate::time::SimDuration::from_nanos(d.u64())
-    }
-}
-
-impl Persist for crate::ids::ResourceId {
-    fn encode(&self, e: &mut Encoder) {
-        e.u32(self.index() as u32);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        crate::ids::ResourceId::from_index(d.u32() as usize)
-    }
-}
-
-impl Persist for crate::ids::FlowId {
-    fn encode(&self, e: &mut Encoder) {
-        e.u32(self.slot);
-        e.u32(self.gen);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        let slot = d.u32();
-        let gen = d.u32();
-        crate::ids::FlowId { slot, gen }
-    }
-}
-
-impl Persist for crate::ids::TimerId {
-    fn encode(&self, e: &mut Encoder) {
-        e.u32(self.slot);
-        e.u32(self.gen);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        let slot = d.u32();
-        let gen = d.u32();
-        crate::ids::TimerId { slot, gen }
-    }
-}
-
-impl Persist for crate::ids::ActivityId {
-    fn encode(&self, e: &mut Encoder) {
-        e.u64(self.0);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        crate::ids::ActivityId(d.u64())
-    }
-}
-
-impl Persist for crate::ids::BatchId {
-    fn encode(&self, e: &mut Encoder) {
-        e.u64(self.0);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        crate::ids::BatchId(d.u64())
-    }
-}
-
-impl Persist for crate::ids::Tag {
-    fn encode(&self, e: &mut Encoder) {
-        e.u32(self.owner);
-        e.u32(self.a);
-        e.u64(self.b);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        let owner = d.u32();
-        let a = d.u32();
-        let b = d.u64();
-        crate::ids::Tag { owner, a, b }
-    }
-}
-
-impl Persist for crate::fluid::Demand {
-    fn encode(&self, e: &mut Encoder) {
-        self.resource.encode(e);
-        e.f64(self.weight);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        let resource = crate::ids::ResourceId::decode(d);
-        let weight = d.f64();
-        crate::fluid::Demand { resource, weight }
-    }
-}
-
-impl Persist for crate::fluid::ResourceKind {
-    fn encode(&self, e: &mut Encoder) {
-        use crate::fluid::ResourceKind::*;
-        e.u8(match self {
-            Cpu => 0,
-            Disk => 1,
-            Net => 2,
-            Other => 3,
-        });
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        use crate::fluid::ResourceKind::*;
-        match d.u8() {
-            0 => Cpu,
-            1 => Disk,
-            2 => Net,
-            _ => Other,
-        }
-    }
-}
-
-impl Persist for crate::faults::FaultKind {
-    fn encode(&self, e: &mut Encoder) {
-        use crate::faults::FaultKind::*;
-        match *self {
-            NodeCrash { vm } => {
-                e.u8(0);
-                e.u32(vm);
-            }
-            NodeRejoin { vm } => {
-                e.u8(1);
-                e.u32(vm);
-            }
-            LinkDegrade { host, factor, duration } => {
-                e.u8(2);
-                e.u32(host);
-                e.f64(factor);
-                duration.encode(e);
-            }
-            SlowDisk { factor, duration } => {
-                e.u8(3);
-                e.f64(factor);
-                duration.encode(e);
-            }
-            StragglerVm { vm, factor, duration } => {
-                e.u8(4);
-                e.u32(vm);
-                e.f64(factor);
-                duration.encode(e);
-            }
-            MigrationAbort => e.u8(5),
-        }
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        use crate::faults::FaultKind::*;
-        use crate::time::SimDuration;
-        match d.u8() {
-            0 => NodeCrash { vm: d.u32() },
-            1 => NodeRejoin { vm: d.u32() },
-            2 => {
-                let host = d.u32();
-                let factor = d.f64();
-                let duration = SimDuration::decode(d);
-                LinkDegrade { host, factor, duration }
-            }
-            3 => {
-                let factor = d.f64();
-                let duration = SimDuration::decode(d);
-                SlowDisk { factor, duration }
-            }
-            4 => {
-                let vm = d.u32();
-                let factor = d.f64();
-                let duration = SimDuration::decode(d);
-                StragglerVm { vm, factor, duration }
-            }
-            _ => MigrationAbort,
-        }
-    }
-}
-
-impl Persist for crate::faults::FaultEvent {
-    fn encode(&self, e: &mut Encoder) {
-        self.at.encode(e);
-        self.kind.encode(e);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        let at = crate::time::SimTime::decode(d);
-        let kind = crate::faults::FaultKind::decode(d);
-        crate::faults::FaultEvent { at, kind }
+        rand::rngs::StdRng::from_state(Persist::decode(d))
     }
 }
 
@@ -552,6 +498,26 @@ mod tests {
     use super::*;
     use crate::ids::Tag;
     use crate::time::{SimDuration, SimTime};
+
+    fn bytes_of<T: Persist>(v: &T) -> Vec<u8> {
+        let mut e = Encoder::new();
+        v.encode(&mut e);
+        e.finish()
+    }
+
+    fn round_trip<T: Persist + PartialEq + std::fmt::Debug>(v: T) {
+        let bytes = bytes_of(&v);
+        let mut d = Decoder::new(&bytes);
+        assert_eq!(T::decode(&mut d), v);
+        assert!(d.is_exhausted());
+    }
+
+    /// Decodes a `T` from `body` written after a valid header.
+    fn decode_body<T: Persist>(body: &[u8]) -> T {
+        let mut bytes = Encoder::new().finish();
+        bytes.extend_from_slice(body);
+        T::decode(&mut Decoder::new(&bytes))
+    }
 
     #[test]
     fn header_round_trips() {
@@ -617,6 +583,23 @@ mod tests {
     }
 
     #[test]
+    fn arrays_and_signed_integers_match_their_hand_written_bytes() {
+        let arr = [Some(3u32), None];
+        let mut e = Encoder::new();
+        e.u8(1);
+        e.u32(3);
+        e.u8(0);
+        assert_eq!(bytes_of(&arr), e.finish(), "an array has no length prefix");
+        let mut e = Encoder::new();
+        e.u64(-7i64 as u64);
+        assert_eq!(bytes_of(&-7i64), e.finish(), "i64 is its u64 bits");
+        round_trip(arr);
+        round_trip([(1u8, 0.5f64); 4]);
+        round_trip(i64::MIN);
+        round_trip(Cow::<'static, str>::Borrowed("pm0.nic"));
+    }
+
+    #[test]
     fn hashmap_encoding_is_insertion_order_independent() {
         let mut a: HashMap<u32, u64> = HashMap::new();
         let mut b: HashMap<u32, u64> = HashMap::new();
@@ -626,13 +609,8 @@ mod tests {
         for i in (0..100u32).rev() {
             b.insert(i, u64::from(i) * 3);
         }
-        let enc = |m: &HashMap<u32, u64>| {
-            let mut e = Encoder::new();
-            m.encode(&mut e);
-            e.finish()
-        };
-        assert_eq!(enc(&a), enc(&b), "sorted-key encoding is canonical");
-        let bytes = enc(&a);
+        assert_eq!(bytes_of(&a), bytes_of(&b), "sorted-key encoding is canonical");
+        let bytes = bytes_of(&a);
         let mut d = Decoder::new(&bytes);
         assert_eq!(HashMap::<u32, u64>::decode(&mut d), a);
     }
@@ -666,10 +644,141 @@ mod tests {
             .enumerate()
             .map(|(i, &kind)| FaultEvent { at: SimTime::from_secs(i as u64), kind })
             .collect();
+        round_trip(events);
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Named {
+        id: u32,
+        at: SimTime,
+        tags: Vec<Tag>,
+        shape: Shape,
+    }
+    crate::persist_struct!(Named { id, at, tags, shape });
+
+    #[derive(Debug, PartialEq)]
+    struct Pair(u64, Option<u8>);
+    crate::persist_struct!(Pair(0, 1));
+
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Empty,
+        Line(u32, f64),
+        Rect { w: u32, h: u32 },
+    }
+    crate::persist_enum!(Shape { 0 => Empty, 1 => Line(len, weight), 7 => Rect { w, h } });
+
+    #[derive(Debug, Default, PartialEq)]
+    struct Subsystem {
+        launched: u32,
+        clock: SimTime,
+        seen: Vec<u64>,
+    }
+    crate::persist_state!(Subsystem { clock, seen });
+
+    #[test]
+    fn macros_round_trip_and_write_the_hand_written_field_sequence() {
+        let v = Named {
+            id: 9,
+            at: SimTime::from_nanos(5),
+            tags: vec![Tag::new(1, 2, 3)],
+            shape: Shape::Rect { w: 4, h: 6 },
+        };
         let mut e = Encoder::new();
-        events.encode(&mut e);
+        e.u32(9);
+        e.u64(5);
+        e.usize(1);
+        e.u32(1);
+        e.u32(2);
+        e.u64(3);
+        e.u8(7);
+        e.u32(4);
+        e.u32(6);
+        assert_eq!(bytes_of(&v), e.finish());
+        round_trip(v);
+
+        let mut e = Encoder::new();
+        e.u64(u64::MAX);
+        e.u8(1);
+        e.u8(4);
+        assert_eq!(bytes_of(&Pair(u64::MAX, Some(4))), e.finish());
+        round_trip(Pair(u64::MAX, Some(4)));
+
+        let mut e = Encoder::new();
+        e.u8(0);
+        e.u8(1);
+        e.u32(2);
+        e.f64(0.5);
+        assert_eq!(bytes_of(&(Shape::Empty, Shape::Line(2, 0.5))), e.finish());
+        for s in [Shape::Empty, Shape::Line(2, -0.5), Shape::Rect { w: 1, h: 0 }] {
+            round_trip(s);
+        }
+
+        let live = Subsystem { launched: 1, clock: SimTime::from_secs(3), seen: vec![4, 2] };
+        let mut e = Encoder::new();
+        live.encode_state(&mut e);
         let bytes = e.finish();
+        let mut hand = Encoder::new();
+        hand.u64(3_000_000_000);
+        hand.usize(2);
+        hand.u64(4);
+        hand.u64(2);
+        assert_eq!(bytes, hand.finish(), "launch-derived `launched` is not written");
+        let mut relaunched = Subsystem { launched: 8, ..Subsystem::default() };
         let mut d = Decoder::new(&bytes);
-        assert_eq!(Vec::<FaultEvent>::decode(&mut d), events);
+        relaunched.restore_state(&mut d);
+        assert!(d.is_exhausted());
+        assert_eq!(relaunched, Subsystem { launched: 8, ..live });
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot corrupt: unknown Shape tag 2 at byte 30")]
+    fn a_struct_rejects_a_bad_tag_in_its_fields() {
+        // id, at and an empty tag list (20 bytes), then the shape's tag.
+        let mut body = vec![0; 20];
+        body.push(2);
+        decode_body::<Named>(&body);
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot corrupt: unknown Shape tag 3 at byte 10")]
+    fn a_tuple_variant_rejects_a_bad_tag() {
+        decode_body::<Shape>(&[3, 0, 0, 0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot corrupt: unknown Shape tag 6 at byte 10")]
+    fn a_struct_variant_rejects_a_bad_tag() {
+        decode_body::<Shape>(&[6, 1, 0, 0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot corrupt: unknown Option tag 2 at byte 10")]
+    fn option_rejects_a_presence_byte_other_than_0_or_1() {
+        decode_body::<Option<u8>>(&[2, 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot corrupt: unknown ResourceKind tag 4 at byte 10")]
+    fn resource_kind_rejects_an_unknown_tag() {
+        decode_body::<crate::fluid::ResourceKind>(&[4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot corrupt: unknown FaultKind tag 6 at byte 10")]
+    fn fault_kind_rejects_an_unknown_tag() {
+        decode_body::<crate::faults::FaultKind>(&[6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot truncated at byte 14, need 8")]
+    fn a_truncated_read_names_the_offset() {
+        decode_body::<(u32, u64)>(&[1, 0, 0, 0, 9, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot truncated at byte 18, need 18446744073709551615")]
+    fn a_corrupt_length_fails_as_a_truncated_read() {
+        decode_body::<Vec<u64>>(&u64::MAX.to_le_bytes());
     }
 }

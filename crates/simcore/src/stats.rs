@@ -139,6 +139,8 @@ pub struct SizeHist {
     pub(crate) max: u64,
 }
 
+crate::persist_struct!(SizeHist { counts, overflow, n, max });
+
 impl SizeHist {
     /// Sizes below this are counted exactly; at or above, only the count
     /// and the running maximum are kept.

@@ -25,6 +25,9 @@ pub struct SimTime(u64);
 )]
 pub struct SimDuration(u64);
 
+crate::persist_struct!(SimTime(0));
+crate::persist_struct!(SimDuration(0));
+
 impl SimTime {
     /// The simulation epoch (t = 0).
     pub const ZERO: SimTime = SimTime(0);

@@ -20,7 +20,6 @@
 //! * [`Tracer::to_csv`] — flat CSV for ad-hoc analysis.
 
 use crate::emit::{self, csv_row};
-use crate::persist::{Decoder, Encoder, Persist};
 use crate::time::{SimDuration, SimTime};
 use std::borrow::Cow;
 use std::fmt::{Display, Write as _};
@@ -33,14 +32,7 @@ pub const MAX_SPAN_ARGS: usize = 4;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Name(u32);
 
-impl Persist for Name {
-    fn encode(&self, e: &mut Encoder) {
-        e.u32(self.0);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        Name(d.u32())
-    }
-}
+crate::persist_struct!(Name(0));
 
 /// A completed span: a named interval on a `track` (by convention the VM
 /// id the work ran on), with up to [`MAX_SPAN_ARGS`] numeric arguments.
@@ -59,6 +51,8 @@ pub struct Span {
     args: [(Name, f64); MAX_SPAN_ARGS],
     n_args: u8,
 }
+
+crate::persist_struct!(Span { cat, name, track, start, end, n_args, args });
 
 impl Span {
     /// The span's duration.
@@ -83,6 +77,8 @@ pub struct CounterSample {
     pub value: f64,
 }
 
+crate::persist_struct!(CounterSample { name, t, value });
+
 /// Aggregate statistics of one span category.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CategoryStats {
@@ -105,6 +101,13 @@ pub struct Tracer {
     spans: Vec<Span>,
     counters: Vec<CounterSample>,
 }
+
+// The full tracer state — name table, spans, counters — so a restored run
+// keeps the prefix of events recorded before the checkpoint and its exports
+// stay byte-identical to an uninterrupted run. Interned names decode as
+// owned strings; later `intern` calls match them by string equality, so
+// handles keep their indices.
+crate::persist_struct!(Tracer { enabled, names, spans, counters });
 
 impl Tracer {
     /// A disabled tracer (recording calls are no-ops until
@@ -299,71 +302,6 @@ impl Tracer {
         out
     }
 
-    /// Appends the full tracer state — name table, spans, counters — so a
-    /// restored run keeps the prefix of events recorded before the
-    /// checkpoint and its exports stay byte-identical to an uninterrupted
-    /// run. Interned names decode as owned strings; later `intern` calls
-    /// match them by string equality, so handles keep their indices.
-    pub(crate) fn encode_state(&self, e: &mut Encoder) {
-        e.bool(self.enabled);
-        e.usize(self.names.len());
-        for n in &self.names {
-            e.str(n);
-        }
-        e.usize(self.spans.len());
-        for s in &self.spans {
-            s.cat.encode(e);
-            s.name.encode(e);
-            e.u32(s.track);
-            s.start.encode(e);
-            s.end.encode(e);
-            e.u8(s.n_args);
-            for &(k, v) in &s.args {
-                k.encode(e);
-                e.f64(v);
-            }
-        }
-        e.usize(self.counters.len());
-        for c in &self.counters {
-            c.name.encode(e);
-            c.t.encode(e);
-            e.f64(c.value);
-        }
-    }
-
-    /// Rebuilds a tracer from bytes written by [`Tracer::encode_state`].
-    pub(crate) fn decode_state(d: &mut Decoder) -> Tracer {
-        let enabled = d.bool();
-        let n_names = d.usize();
-        let names: Vec<Cow<'static, str>> = (0..n_names).map(|_| Cow::Owned(d.str())).collect();
-        let n_spans = d.usize();
-        let mut spans = Vec::with_capacity(n_spans);
-        for _ in 0..n_spans {
-            let cat = Name::decode(d);
-            let name = Name::decode(d);
-            let track = d.u32();
-            let start = SimTime::decode(d);
-            let end = SimTime::decode(d);
-            let n_args = d.u8();
-            let mut args = [(Name(0), 0.0); MAX_SPAN_ARGS];
-            for slot in &mut args {
-                let k = Name::decode(d);
-                let v = d.f64();
-                *slot = (k, v);
-            }
-            spans.push(Span { cat, name, track, start, end, args, n_args });
-        }
-        let n_counters = d.usize();
-        let mut counters = Vec::with_capacity(n_counters);
-        for _ in 0..n_counters {
-            let name = Name::decode(d);
-            let t = SimTime::decode(d);
-            let value = d.f64();
-            counters.push(CounterSample { name, t, value });
-        }
-        Tracer { enabled, names, spans, counters }
-    }
-
     /// Flat CSV: one row per span and per counter sample.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("kind,cat,name,track,start_ns,end_ns,dur_ns,value,args\n");
@@ -392,6 +330,7 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::{Decoder, Encoder, Persist};
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -477,9 +416,9 @@ mod tests {
         });
         tr.counter(n, t(1), f64::NAN);
         let mut e = Encoder::new();
-        tr.encode_state(&mut e);
+        tr.encode(&mut e);
         let bytes = e.finish();
-        let restored = Tracer::decode_state(&mut Decoder::new(&bytes));
+        let restored = Tracer::decode(&mut Decoder::new(&bytes));
         assert_eq!(restored.name(n), hostile);
 
         let esc = r#"a\"b\\c\n\t\u0001"#;

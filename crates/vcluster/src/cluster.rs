@@ -36,23 +36,8 @@ pub struct HostId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct VmId(pub u32);
 
-impl simcore::persist::Persist for HostId {
-    fn encode(&self, e: &mut simcore::persist::Encoder) {
-        e.u32(self.0);
-    }
-    fn decode(d: &mut simcore::persist::Decoder) -> Self {
-        HostId(d.u32())
-    }
-}
-
-impl simcore::persist::Persist for VmId {
-    fn encode(&self, e: &mut simcore::persist::Encoder) {
-        e.u32(self.0);
-    }
-    fn decode(d: &mut simcore::persist::Decoder) -> Self {
-        VmId(d.u32())
-    }
-}
+simcore::persist_struct!(HostId(0));
+simcore::persist_struct!(VmId(0));
 
 impl std::fmt::Display for HostId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -100,6 +85,9 @@ pub struct VirtualCluster {
     vio: Vec<ResourceId>,
     vm_host: Vec<u32>,
 }
+
+// The VM→host map is the only dynamic state; everything else is launch-derived.
+simcore::persist_state!(VirtualCluster { vm_host });
 
 impl VirtualCluster {
     /// Registers all resources for `spec` on `engine` and returns the
@@ -418,25 +406,6 @@ impl VirtualCluster {
             d.push(Demand::weighted(self.host_cpu[dst.0 as usize], tax));
         }
         d
-    }
-
-    /// Encodes the dynamic state (the VM→host map — everything else is
-    /// launch-derived) for a platform snapshot.
-    pub fn encode_state(&self, e: &mut simcore::persist::Encoder) {
-        use simcore::persist::Persist;
-        self.vm_host.encode(e);
-    }
-
-    /// Restores the VM→host map from a snapshot taken on an identically
-    /// configured cluster.
-    ///
-    /// # Panics
-    /// If the snapshot's VM count differs from this cluster's.
-    pub fn restore_state(&mut self, d: &mut simcore::persist::Decoder) {
-        use simcore::persist::Persist;
-        let vm_host = Vec::<u32>::decode(d);
-        assert_eq!(vm_host.len(), self.vm_host.len(), "snapshot VM count mismatch");
-        self.vm_host = vm_host;
     }
 
     /// True when the cluster spans more than one physical machine.

@@ -77,6 +77,9 @@ pub struct EnergyMeter {
     start: (SimTime, Vec<f64>),
 }
 
+// The window start is the meter's only dynamic state (the model is configuration).
+simcore::persist_state!(EnergyMeter { start });
+
 impl EnergyMeter {
     /// Starts metering at the current instant.
     pub fn start(engine: &Engine, cluster: &VirtualCluster, model: PowerModel) -> Self {
@@ -84,21 +87,6 @@ impl EnergyMeter {
             .map(|h| engine.fluid().cumulative(cluster.host_cpu_resource(HostId(h))))
             .collect();
         EnergyMeter { model, start: (engine.now(), marks) }
-    }
-
-    /// Encodes the meter's window start (the model is configuration).
-    pub fn encode_state(&self, e: &mut simcore::persist::Encoder) {
-        use simcore::persist::Persist;
-        self.start.0.encode(e);
-        self.start.1.encode(e);
-    }
-
-    /// Restores the window start from a snapshot.
-    pub fn restore_state(&mut self, d: &mut simcore::persist::Decoder) {
-        use simcore::persist::Persist;
-        let at = simcore::time::SimTime::decode(d);
-        let marks = Vec::<f64>::decode(d);
-        self.start = (at, marks);
     }
 
     /// Energy consumed since the meter started.

@@ -29,7 +29,6 @@ use crate::cluster::{HostId, VirtualCluster, VmId};
 use crate::spec::MIB;
 use serde::{Deserialize, Serialize};
 use simcore::owners;
-use simcore::persist::{Decoder, Encoder, Persist};
 use simcore::prelude::*;
 use std::collections::{HashMap, VecDeque};
 
@@ -125,6 +124,9 @@ pub struct UtilizationDirtyModel {
     marks: std::collections::HashMap<u32, (SimTime, f64, f64)>,
 }
 
+// Per-VM jitter factors and window marks; the rate coefficients are configuration.
+simcore::persist_state!(UtilizationDirtyModel { jitter, marks });
+
 impl UtilizationDirtyModel {
     /// Paper-calibrated defaults. The activity term *saturates*: a guest
     /// hosting task JVMs dirties its whole heap and page cache through GC
@@ -151,19 +153,6 @@ impl UtilizationDirtyModel {
             jitter,
             marks: std::collections::HashMap::new(),
         }
-    }
-
-    /// Encodes the model's dynamic state: per-VM jitter factors and the
-    /// window marks (rate coefficients are configuration).
-    pub fn encode_state(&self, e: &mut Encoder) {
-        self.jitter.encode(e);
-        self.marks.encode(e);
-    }
-
-    /// Restores the jitter and window marks from a snapshot.
-    pub fn restore_state(&mut self, d: &mut Decoder) {
-        self.jitter = Persist::decode(d);
-        self.marks = Persist::decode(d);
     }
 
     /// `(average VCPU utilization, average I/O bytes/s)` of `vm` since the
@@ -274,100 +263,38 @@ struct VmJob {
     flow: Option<ActivityId>,
 }
 
-impl Persist for StopReason {
-    fn encode(&self, e: &mut Encoder) {
-        e.u8(match self {
-            StopReason::Converged => 0,
-            StopReason::MaxRounds => 1,
-            StopReason::TrafficBudget => 2,
-        });
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        match d.u8() {
-            0 => StopReason::Converged,
-            1 => StopReason::MaxRounds,
-            2 => StopReason::TrafficBudget,
-            other => panic!("snapshot: unknown stop reason {other}"),
-        }
-    }
-}
-
-impl Persist for VmMigrationReport {
-    fn encode(&self, e: &mut Encoder) {
-        e.u32(self.vm);
-        e.u32(self.src);
-        e.u32(self.dst);
-        e.u64(self.mem);
-        e.u32(self.rounds);
-        e.f64(self.transferred);
-        self.migration_time.encode(e);
-        self.downtime.encode(e);
-        self.stop_reason.encode(e);
-        e.u32(self.aborts);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        VmMigrationReport {
-            vm: d.u32(),
-            src: d.u32(),
-            dst: d.u32(),
-            mem: d.u64(),
-            rounds: d.u32(),
-            transferred: d.f64(),
-            migration_time: Persist::decode(d),
-            downtime: Persist::decode(d),
-            stop_reason: Persist::decode(d),
-            aborts: d.u32(),
-        }
-    }
-}
-
-impl Persist for ClusterMigrationReport {
-    fn encode(&self, e: &mut Encoder) {
-        self.per_vm.encode(e);
-        self.total_time.encode(e);
-        self.total_downtime.encode(e);
-        self.max_downtime.encode(e);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        ClusterMigrationReport {
-            per_vm: Persist::decode(d),
-            total_time: Persist::decode(d),
-            total_downtime: Persist::decode(d),
-            max_downtime: Persist::decode(d),
-        }
-    }
-}
-
-impl Persist for VmJob {
-    fn encode(&self, e: &mut Encoder) {
-        self.vm.encode(e);
-        self.src.encode(e);
-        self.dst.encode(e);
-        e.u64(self.mem);
-        self.started.encode(e);
-        e.u32(self.round);
-        self.round_started.encode(e);
-        e.f64(self.transferred);
-        self.stop_started.encode(e);
-        self.stop_reason.encode(e);
-        self.flow.encode(e);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        VmJob {
-            vm: Persist::decode(d),
-            src: Persist::decode(d),
-            dst: Persist::decode(d),
-            mem: d.u64(),
-            started: Persist::decode(d),
-            round: d.u32(),
-            round_started: Persist::decode(d),
-            transferred: d.f64(),
-            stop_started: Persist::decode(d),
-            stop_reason: Persist::decode(d),
-            flow: Persist::decode(d),
-        }
-    }
-}
+simcore::persist_enum!(StopReason { 0 => Converged, 1 => MaxRounds, 2 => TrafficBudget });
+simcore::persist_struct!(VmMigrationReport {
+    vm,
+    src,
+    dst,
+    mem,
+    rounds,
+    transferred,
+    migration_time,
+    downtime,
+    stop_reason,
+    aborts,
+});
+simcore::persist_struct!(ClusterMigrationReport {
+    per_vm,
+    total_time,
+    total_downtime,
+    max_downtime
+});
+simcore::persist_struct!(VmJob {
+    vm,
+    src,
+    dst,
+    mem,
+    started,
+    round,
+    round_started,
+    transferred,
+    stop_started,
+    stop_reason,
+    flow,
+});
 
 /// Orchestrates pre-copy migrations; owns no engine — the platform passes
 /// `&mut Engine` into each call and routes `owners::MIGRATION` wakeups here.
@@ -385,6 +312,18 @@ pub struct MigrationManager {
     /// Per-VM abort count within the current session (drives the backoff).
     aborts: HashMap<u32, u32>,
 }
+
+// Everything but the launch-time config; maps are written in key order.
+simcore::persist_state!(MigrationManager {
+    jobs,
+    queue,
+    active,
+    session_started,
+    finished,
+    expected,
+    retrying,
+    aborts,
+});
 
 impl MigrationManager {
     /// New manager with `cfg`.
@@ -500,32 +439,6 @@ impl MigrationManager {
         let b = u64::from(job.round) | if stop_copy { STOP_COPY_BIT } else { 0 };
         let tag = Tag::new(owners::MIGRATION, vm.0, b);
         job.flow = Some(engine.start_flow(demands, bytes.max(1.0), tag));
-    }
-
-    /// Encodes all dynamic session state (config is launch-derived and
-    /// not included; maps sorted by key).
-    pub fn encode_state(&self, e: &mut Encoder) {
-        self.jobs.encode(e);
-        let queue: Vec<(VmId, HostId)> = self.queue.iter().copied().collect();
-        queue.encode(e);
-        e.u32(self.active);
-        self.session_started.encode(e);
-        self.finished.encode(e);
-        e.usize(self.expected);
-        self.retrying.encode(e);
-        self.aborts.encode(e);
-    }
-
-    /// Overwrites the session state from a snapshot.
-    pub fn restore_state(&mut self, d: &mut Decoder) {
-        self.jobs = HashMap::<u32, VmJob>::decode(d);
-        self.queue = Vec::<(VmId, HostId)>::decode(d).into();
-        self.active = d.u32();
-        self.session_started = Persist::decode(d);
-        self.finished = Persist::decode(d);
-        self.expected = d.usize();
-        self.retrying = Persist::decode(d);
-        self.aborts = Persist::decode(d);
     }
 
     /// Aborts every in-flight transfer (an injected fault: source toolstack

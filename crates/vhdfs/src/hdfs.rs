@@ -70,6 +70,30 @@ struct PendingOp {
     vm: VmId,
 }
 
+/// Trace span names of the operation kinds, by snapshot tag.
+const OP_KINDS: [&str; 3] = ["write", "read", "replicate"];
+
+// codec by hand: `kind` is a `&'static str`, written as its index in `OP_KINDS`
+impl Persist for PendingOp {
+    fn encode(&self, e: &mut Encoder) {
+        self.client_tag.encode(e);
+        self.bytes.encode(e);
+        self.submitted.encode(e);
+        e.u8(OP_KINDS.iter().position(|&k| k == self.kind).expect("a known op kind") as u8);
+        self.vm.encode(e);
+    }
+    fn decode(d: &mut Decoder) -> Self {
+        let client_tag = Tag::decode(d);
+        let bytes = d.u64();
+        let submitted = SimTime::decode(d);
+        let kind = match d.u8() {
+            tag @ 0..=2 => OP_KINDS[usize::from(tag)],
+            other => d.unknown_tag("HDFS op kind", other),
+        };
+        PendingOp { client_tag, bytes, submitted, kind, vm: VmId::decode(d) }
+    }
+}
+
 /// The simulated distributed file system.
 #[derive(Debug)]
 pub struct Hdfs {
@@ -81,6 +105,11 @@ pub struct Hdfs {
     next_op: u32,
     rng: StdRng,
 }
+
+// The live datanode set, namenode tables, in-flight operations and the
+// placement RNG cursor; the config and the namenode identity are
+// launch-derived (restore targets a replica formatted the same way).
+simcore::persist_state!(Hdfs { datanodes, ns, ops, next_op, rng });
 
 impl Hdfs {
     /// Formats a file system on `cluster`: VM 0 is the namenode, every
@@ -498,64 +527,6 @@ impl Hdfs {
     pub fn inflight(&self) -> usize {
         self.ops.len()
     }
-
-    // ----- persistence (DESIGN.md §16) ------------------------------------
-
-    /// Appends the dynamic HDFS state — live datanode set, namenode
-    /// tables, in-flight operations, and the placement RNG cursor — to
-    /// `e`. Config and the namenode identity are launch-derived and not
-    /// encoded.
-    pub fn encode_state(&self, e: &mut simcore::persist::Encoder) {
-        use simcore::persist::Persist;
-        self.datanodes.encode(e);
-        self.ns.encode(e);
-        let mut ops: Vec<(&u32, &PendingOp)> = self.ops.iter().collect();
-        ops.sort_by_key(|(k, _)| **k);
-        e.usize(ops.len());
-        for (k, op) in ops {
-            e.u32(*k);
-            op.client_tag.encode(e);
-            e.u64(op.bytes);
-            op.submitted.encode(e);
-            e.u8(match op.kind {
-                "write" => 0,
-                "read" => 1,
-                _ => 2,
-            });
-            op.vm.encode(e);
-        }
-        e.u32(self.next_op);
-        for w in self.rng.state() {
-            e.u64(w);
-        }
-    }
-
-    /// Overwrites the dynamic state from bytes written by
-    /// [`Hdfs::encode_state`]. The receiver must have been formatted with
-    /// the same cluster + config (restore targets a fresh launch replica).
-    pub fn restore_state(&mut self, d: &mut simcore::persist::Decoder) {
-        use simcore::persist::Persist;
-        self.datanodes = Vec::<VmId>::decode(d);
-        self.ns = Namespace::decode(d);
-        let n = d.usize();
-        self.ops = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let k = d.u32();
-            let client_tag = Tag::decode(d);
-            let bytes = d.u64();
-            let submitted = SimTime::decode(d);
-            let kind = match d.u8() {
-                0 => "write",
-                1 => "read",
-                _ => "replicate",
-            };
-            let vm = VmId::decode(d);
-            self.ops.insert(k, PendingOp { client_tag, bytes, submitted, kind, vm });
-        }
-        self.next_op = d.u32();
-        let s = [d.u64(), d.u64(), d.u64(), d.u64()];
-        self.rng = StdRng::from_state(s);
-    }
 }
 
 #[cfg(test)]
@@ -564,6 +535,24 @@ mod tests {
     use vcluster::prelude::*;
 
     const MB: u64 = 1024 * 1024;
+
+    #[test]
+    #[should_panic(expected = "snapshot corrupt: unknown HDFS op kind tag 3 at byte 42")]
+    fn op_kind_rejects_an_unknown_tag() {
+        let op = PendingOp {
+            client_tag: Tag::owner(1),
+            bytes: 1,
+            submitted: SimTime::ZERO,
+            kind: "replicate",
+            vm: VmId(2),
+        };
+        let mut e = Encoder::new();
+        op.encode(&mut e);
+        let mut bytes = e.finish();
+        assert_eq!(PendingOp::decode(&mut Decoder::new(&bytes)).kind, "replicate");
+        bytes[42] = 3; // after header, tag, bytes and submitted: the kind byte
+        PendingOp::decode(&mut Decoder::new(&bytes));
+    }
 
     fn setup(placement: Placement) -> (Engine, VirtualCluster, Hdfs) {
         let mut e = Engine::new();

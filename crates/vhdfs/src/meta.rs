@@ -1,7 +1,6 @@
 //! Namespace and block metadata (the namenode's tables).
 
 use serde::{Deserialize, Serialize};
-use simcore::persist::{Decoder, Encoder, Persist};
 use std::collections::HashMap;
 use vcluster::cluster::VmId;
 
@@ -12,57 +11,6 @@ pub struct BlockId(pub u64);
 impl std::fmt::Display for BlockId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "blk_{}", self.0)
-    }
-}
-
-impl Persist for BlockId {
-    fn encode(&self, e: &mut Encoder) {
-        e.u64(self.0);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        BlockId(d.u64())
-    }
-}
-
-impl Persist for FileMeta {
-    fn encode(&self, e: &mut Encoder) {
-        e.u64(self.len);
-        self.blocks.encode(e);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        let len = d.u64();
-        let blocks = Vec::<BlockId>::decode(d);
-        FileMeta { len, blocks }
-    }
-}
-
-impl Persist for BlockMeta {
-    fn encode(&self, e: &mut Encoder) {
-        e.u64(self.len);
-        self.replicas.encode(e);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        let len = d.u64();
-        let replicas = Vec::<VmId>::decode(d);
-        BlockMeta { len, replicas }
-    }
-}
-
-impl Persist for Namespace {
-    fn encode(&self, e: &mut Encoder) {
-        self.files.encode(e);
-        self.blocks.encode(e);
-        self.used.encode(e);
-        e.u64(self.next_block);
-        self.checksums.encode(e);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        let files = HashMap::<String, FileMeta>::decode(d);
-        let blocks = HashMap::<BlockId, BlockMeta>::decode(d);
-        let used = HashMap::<VmId, u64>::decode(d);
-        let next_block = d.u64();
-        let checksums = HashMap::<BlockId, u64>::decode(d);
-        Namespace { files, blocks, used, next_block, checksums }
     }
 }
 
@@ -95,6 +43,11 @@ pub struct Namespace {
     /// §17). Blocks without a recorded checksum simply have no entry.
     checksums: HashMap<BlockId, u64>,
 }
+
+simcore::persist_struct!(BlockId(0));
+simcore::persist_struct!(FileMeta { len, blocks });
+simcore::persist_struct!(BlockMeta { len, replicas });
+simcore::persist_struct!(Namespace { files, blocks, used, next_block, checksums });
 
 impl Namespace {
     /// Empty namespace.

@@ -32,6 +32,8 @@ pub struct Sample {
     pub util: Vec<f64>,
 }
 
+simcore::persist_struct!(Sample { t, util });
+
 /// The attached monitor.
 #[derive(Debug)]
 pub struct Monitor {
@@ -43,6 +45,10 @@ pub struct Monitor {
     /// re-emits samples into the trace without allocating).
     counter_names: Vec<Name>,
 }
+
+// Samples and the pending timer id (the timer itself travels with the engine
+// snapshot). Columns, counter names and the interval are launch-derived.
+simcore::persist_state!(Monitor { samples, timer });
 
 impl Monitor {
     /// Attaches to `engine`, sampling every `interval`. Columns cover
@@ -99,30 +105,6 @@ impl Monitor {
         if let Some(t) = self.timer.take() {
             engine.cancel_timer(t);
         }
-    }
-
-    /// Encodes the dynamic monitor state: samples and the pending timer
-    /// id. Columns, counter names, and the interval are launch-derived —
-    /// a relaunch from the same config re-creates them identically.
-    pub fn encode_state(&self, e: &mut simcore::persist::Encoder) {
-        use simcore::persist::Persist;
-        self.samples.len().encode(e);
-        for s in &self.samples {
-            s.t.encode(e);
-            s.util.encode(e);
-        }
-        self.timer.encode(e);
-    }
-
-    /// Restores the dynamic monitor state. The pending timer must already
-    /// live in the restored engine's heap (it travels with the engine
-    /// snapshot); this only re-links its id.
-    pub fn restore_state(&mut self, d: &mut simcore::persist::Decoder) {
-        use simcore::persist::Persist;
-        let n = usize::decode(d);
-        self.samples =
-            (0..n).map(|_| Sample { t: SimTime::decode(d), util: Vec::decode(d) }).collect();
-        self.timer = Option::decode(d);
     }
 
     /// Utilization time series of one column.

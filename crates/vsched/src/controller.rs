@@ -24,7 +24,7 @@
 use crate::model::{MakespanKind, MakespanModel};
 use crate::placement::{assign_adaptive, PlacementKind, WorkloadHint};
 use crate::queue::{
-    slo_report_json, AdmissionQueue, JobSlo, QueueConfig, QueuedJob, SloConfig, SloReport,
+    rejoin, slo_report_json, AdmissionQueue, JobSlo, QueueConfig, QueuedJob, SloConfig, SloReport,
     SloTracker,
 };
 use crate::rebalance::{RebalanceConfig, RebalanceMode, Rebalancer};
@@ -115,38 +115,20 @@ pub struct ControllerCounters {
     pub slo_violations: u64,
 }
 
-impl Persist for ControllerCounters {
-    fn encode(&self, e: &mut Encoder) {
-        self.jobs_offered.encode(e);
-        self.jobs_admitted.encode(e);
-        self.jobs_rejected.encode(e);
-        self.jobs_started.encode(e);
-        self.jobs_finished.encode(e);
-        self.queue_depth_hwm.encode(e);
-        self.migrations_planned.encode(e);
-        self.migrations_completed.encode(e);
-        self.migrations_aborted.encode(e);
-        self.rebalance_ticks.encode(e);
-        self.consolidations.encode(e);
-        self.slo_violations.encode(e);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        ControllerCounters {
-            jobs_offered: u64::decode(d),
-            jobs_admitted: u64::decode(d),
-            jobs_rejected: u64::decode(d),
-            jobs_started: u64::decode(d),
-            jobs_finished: u64::decode(d),
-            queue_depth_hwm: u64::decode(d),
-            migrations_planned: u64::decode(d),
-            migrations_completed: u64::decode(d),
-            migrations_aborted: u64::decode(d),
-            rebalance_ticks: u64::decode(d),
-            consolidations: u64::decode(d),
-            slo_violations: u64::decode(d),
-        }
-    }
-}
+simcore::persist_struct!(ControllerCounters {
+    jobs_offered,
+    jobs_admitted,
+    jobs_rejected,
+    jobs_started,
+    jobs_finished,
+    queue_depth_hwm,
+    migrations_planned,
+    migrations_completed,
+    migrations_aborted,
+    rebalance_ticks,
+    consolidations,
+    slo_violations,
+});
 
 #[derive(Debug)]
 struct FutureArrival {
@@ -196,26 +178,7 @@ pub struct WhatIfOutcome {
     pub model: String,
 }
 
-impl Persist for WhatIfOutcome {
-    fn encode(&self, e: &mut Encoder) {
-        self.at.encode(e);
-        self.moves.encode(e);
-        self.estimated_s.encode(e);
-        self.measured_s.encode(e);
-        self.chosen.encode(e);
-        self.model.encode(e);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        WhatIfOutcome {
-            at: SimTime::decode(d),
-            moves: Vec::decode(d),
-            estimated_s: f64::decode(d),
-            measured_s: f64::decode(d),
-            chosen: bool::decode(d),
-            model: String::decode(d),
-        }
-    }
-}
+simcore::persist_struct!(WhatIfOutcome { at, moves, estimated_s, measured_s, chosen, model });
 
 /// The closed-loop control plane (see module docs for the wiring).
 #[derive(Debug)]
@@ -638,26 +601,19 @@ impl Controller {
         self.counters.encode(e);
         self.queue.encode_state(e);
         self.slo.encode_state(e);
-        match &self.rebalancer {
-            Some(rb) => {
-                true.encode(e);
-                rb.encode_state(e);
-            }
-            None => false.encode(e),
+        self.rebalancer.is_some().encode(e);
+        if let Some(rb) = &self.rebalancer {
+            rb.encode_state(e);
         }
-        let mut future: Vec<(u32, u32, f64)> =
-            self.future.iter().map(|(&id, f)| (id, f.tenant, f.expected_s)).collect();
-        future.sort_by_key(|&(id, _, _)| id);
+        let future: HashMap<u32, (u32, f64)> =
+            self.future.iter().map(|(&id, f)| (id, (f.tenant, f.expected_s))).collect();
         future.encode(e);
         self.active.encode(e);
         self.next_ctrl_id.encode(e);
         self.tick_armed.encode(e);
-        match &self.energy {
-            Some(m) => {
-                true.encode(e);
-                m.encode_state(e);
-            }
-            None => false.encode(e),
+        self.energy.is_some().encode(e);
+        if let Some(m) = &self.energy {
+            m.encode_state(e);
         }
         self.whatif_outcomes.encode(e);
     }
@@ -666,8 +622,9 @@ impl Controller {
     /// controller; `residue` supplies the deferred jobs by controller id.
     /// Arrival and tick timers come back through the engine snapshot, so
     /// nothing is re-armed here.
+    // codec by hand: residue rejoin for future arrivals, and the optional sub-states restore in place
     pub fn restore_state(&mut self, d: &mut Decoder, residue: &HashMap<u32, PendingJob>) {
-        self.counters = ControllerCounters::decode(d);
+        self.counters = Persist::decode(d);
         self.queue.restore_state(d, residue);
         self.slo.restore_state(d);
         if bool::decode(d) {
@@ -676,27 +633,23 @@ impl Controller {
                 .expect("snapshot has a rebalancer but the relaunched controller does not")
                 .restore_state(d);
         }
-        let future = Vec::<(u32, u32, f64)>::decode(d);
+        let future = HashMap::<u32, (u32, f64)>::decode(d);
         self.future = future
             .into_iter()
-            .map(|(id, tenant, expected_s)| {
-                let job = residue
-                    .get(&id)
-                    .unwrap_or_else(|| panic!("snapshot residue missing scheduled job {id}"))
-                    .clone();
-                (id, FutureArrival { tenant, expected_s, job })
+            .map(|(id, (tenant, expected_s))| {
+                (id, FutureArrival { tenant, expected_s, job: rejoin(residue, id) })
             })
             .collect();
-        self.active = HashMap::decode(d);
-        self.next_ctrl_id = u32::decode(d);
-        self.tick_armed = bool::decode(d);
+        self.active = Persist::decode(d);
+        self.next_ctrl_id = Persist::decode(d);
+        self.tick_armed = Persist::decode(d);
         if bool::decode(d) {
             self.energy
                 .as_mut()
                 .expect("snapshot has an energy meter but the controller is not attached")
                 .restore_state(d);
         }
-        self.whatif_outcomes = Vec::decode(d);
+        self.whatif_outcomes = Persist::decode(d);
         self.pending_whatif = None;
     }
 }

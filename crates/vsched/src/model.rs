@@ -24,7 +24,6 @@
 //! (`f64::to_bits`-equal).
 
 use crate::placement::{estimate_makespan, WorkloadHint};
-use simcore::persist::{Decoder, Encoder, Persist};
 use vcluster::spec::ClusterSpec;
 
 /// Names of the decision-time feature vector [`decision_features`]
@@ -170,6 +169,9 @@ pub struct RegressionTree {
     nodes: Vec<Node>,
     n_features: u32,
 }
+
+simcore::persist_struct!(Node { feature, threshold, left, right, value });
+simcore::persist_struct!(RegressionTree { n_features, nodes });
 
 impl RegressionTree {
     /// Fits a tree to `rows` (one feature vector per sample) and
@@ -332,35 +334,6 @@ fn best_split(
     best.map(|(_, f, t)| (f, t))
 }
 
-impl Persist for RegressionTree {
-    fn encode(&self, e: &mut Encoder) {
-        e.u32(self.n_features);
-        e.usize(self.nodes.len());
-        for n in &self.nodes {
-            e.u32(n.feature);
-            e.f64(n.threshold);
-            e.u32(n.left);
-            e.u32(n.right);
-            e.f64(n.value);
-        }
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        let n_features = d.u32();
-        let n = d.usize();
-        let nodes = (0..n)
-            .map(|_| {
-                let feature = d.u32();
-                let threshold = d.f64();
-                let left = d.u32();
-                let right = d.u32();
-                let value = d.f64();
-                Node { feature, threshold, left, right, value }
-            })
-            .collect();
-        RegressionTree { nodes, n_features }
-    }
-}
-
 /// Prices a candidate VM layout in seconds. The control plane is generic
 /// over this: swap the estimator, keep the decision logic.
 pub trait MakespanModel {
@@ -458,6 +431,7 @@ impl MakespanModel for MakespanKind {
 mod tests {
     use super::*;
     use crate::placement::{PackPlacement, PlacementPolicy, SpreadPlacement};
+    use simcore::persist::{Decoder, Encoder, Persist};
 
     fn grid() -> (Vec<Vec<f64>>, Vec<f64>) {
         // y = step on x0, refined by x1 — a shape a depth-2 tree nails.

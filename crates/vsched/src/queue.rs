@@ -175,37 +175,38 @@ impl AdmissionQueue {
     /// Encodes queue state. The `PendingJob`s travel separately via
     /// [`AdmissionQueue::job_residue`].
     pub fn encode_state(&self, e: &mut Encoder) {
-        self.pending.len().encode(e);
-        for q in &self.pending {
-            q.ctrl_id.encode(e);
-            q.tenant.encode(e);
-            q.arrival.encode(e);
-            q.expected_s.encode(e);
-        }
+        let pending: Vec<_> =
+            self.pending.iter().map(|q| (q.ctrl_id, q.tenant, q.arrival, q.expected_s)).collect();
+        pending.encode(e);
         self.started_by_tenant.encode(e);
         self.depth_hwm.encode(e);
     }
 
     /// Restores queue state, rejoining each entry with its deferred job
     /// from `residue`.
+    // codec by hand: residue rejoin — each queued job's closure comes from the residue
     pub fn restore_state(&mut self, d: &mut Decoder, residue: &HashMap<u32, PendingJob>) {
-        let n = usize::decode(d);
-        self.pending = (0..n)
-            .map(|_| {
-                let ctrl_id = u32::decode(d);
-                let tenant = u32::decode(d);
-                let arrival = SimTime::decode(d);
-                let expected_s = f64::decode(d);
-                let job = residue
-                    .get(&ctrl_id)
-                    .unwrap_or_else(|| panic!("snapshot residue missing queued job {ctrl_id}"))
-                    .clone();
+        self.pending = Vec::<(u32, u32, SimTime, f64)>::decode(d)
+            .into_iter()
+            .map(|(ctrl_id, tenant, arrival, expected_s)| {
+                let job = rejoin(residue, ctrl_id);
                 QueuedJob { ctrl_id, tenant, arrival, expected_s, job }
             })
             .collect();
-        self.started_by_tenant = HashMap::decode(d);
-        self.depth_hwm = usize::decode(d);
+        self.started_by_tenant = Persist::decode(d);
+        self.depth_hwm = Persist::decode(d);
     }
+}
+
+/// The deferred job of controller job `ctrl_id` out of a snapshot residue.
+///
+/// # Panics
+/// If the residue does not carry it.
+pub(crate) fn rejoin(residue: &HashMap<u32, PendingJob>, ctrl_id: u32) -> PendingJob {
+    residue
+        .get(&ctrl_id)
+        .unwrap_or_else(|| panic!("snapshot residue missing deferred job {ctrl_id}"))
+        .clone()
 }
 
 /// SLO thresholds a run is judged against.
@@ -243,28 +244,15 @@ pub struct JobSlo {
     pub expected_s: f64,
 }
 
-impl Persist for JobSlo {
-    fn encode(&self, e: &mut Encoder) {
-        self.ctrl_id.encode(e);
-        self.tenant.encode(e);
-        self.arrival.encode(e);
-        self.admitted.encode(e);
-        self.started.encode(e);
-        self.finished.encode(e);
-        self.expected_s.encode(e);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        JobSlo {
-            ctrl_id: u32::decode(d),
-            tenant: u32::decode(d),
-            arrival: SimTime::decode(d),
-            admitted: bool::decode(d),
-            started: Option::<SimTime>::decode(d),
-            finished: Option::<SimTime>::decode(d),
-            expected_s: f64::decode(d),
-        }
-    }
-}
+simcore::persist_struct!(JobSlo {
+    ctrl_id,
+    tenant,
+    arrival,
+    admitted,
+    started,
+    finished,
+    expected_s
+});
 
 impl JobSlo {
     /// Admission-to-start wait, if the job has started.
@@ -351,6 +339,7 @@ impl SloTracker {
     }
 
     /// Restores the lifecycle records, rebuilding the id index.
+    // codec by hand: `by_id` is rebuilt from the records, not written
     pub fn restore_state(&mut self, d: &mut Decoder) {
         self.jobs = Vec::decode(d);
         self.by_id = self.jobs.iter().enumerate().map(|(i, j)| (j.ctrl_id, i)).collect();

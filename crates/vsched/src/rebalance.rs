@@ -105,6 +105,10 @@ pub struct Rebalancer {
     last_plan: Option<SimTime>,
 }
 
+simcore::persist_struct!(Mark { at, cpu_cum, nic_cum });
+// The load-watcher state; a restored controller is rebuilt from the same config.
+simcore::persist_state!(Rebalancer { marks, hot_streak, last_plan });
+
 impl Rebalancer {
     /// New rebalancer for a cluster with `hosts` hosts.
     pub fn new(cfg: RebalanceConfig, hosts: u32) -> Self {
@@ -225,33 +229,6 @@ impl Rebalancer {
                 (!moves.is_empty()).then_some(RebalancePlan { moves, consolidation: false })
             })
             .collect()
-    }
-
-    /// Encodes the load-watcher state (the config is not encoded; a
-    /// restored controller is rebuilt from the same config).
-    pub fn encode_state(&self, e: &mut Encoder) {
-        self.marks.len().encode(e);
-        for m in &self.marks {
-            m.at.encode(e);
-            m.cpu_cum.encode(e);
-            m.nic_cum.encode(e);
-        }
-        self.hot_streak.encode(e);
-        self.last_plan.encode(e);
-    }
-
-    /// Restores the load-watcher state.
-    pub fn restore_state(&mut self, d: &mut Decoder) {
-        let n = usize::decode(d);
-        self.marks = (0..n)
-            .map(|_| Mark {
-                at: SimTime::decode(d),
-                cpu_cum: f64::decode(d),
-                nic_cum: f64::decode(d),
-            })
-            .collect();
-        self.hot_streak = Vec::decode(d);
-        self.last_plan = Option::decode(d);
     }
 
     /// Up to `max_moves` VMs off `src` onto `dst`, lowest VM ids first,

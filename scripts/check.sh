@@ -142,6 +142,23 @@ if grep -rnE '\\"[A-Za-z_]+\\": ?' crates/*/src \
     exit 1
 fi
 
+echo "==> codec lint"
+# Snapshot codecs are field lists (simcore::persist_struct!/persist_enum!/
+# persist_state!, DESIGN.md §16): outside simcore/src/persist.rs, a
+# hand-written `impl Persist for`, `decode_state` or `restore_state` needs a
+# `// codec by hand: <reason>` line directly above it.
+bad=""
+while IFS=: read -r file line _; do
+    prev=$(sed -n "$((line - 1))p" "$file")
+    [[ "$prev" =~ ^[[:space:]]*//\ codec\ by\ hand:\ [^[:space:]] ]] || bad+="$file:$line"$'\n'
+done < <(grep -rnE '^\s*(impl\b.*\bPersist for\b|(pub(\(crate\))? )?fn (decode_state|restore_state)\b)' \
+    crates/*/src | grep -v '^crates/simcore/src/persist\.rs:')
+if [ -n "$bad" ]; then
+    echo "codec lint FAILED: hand-written codec without a '// codec by hand:' line above it:" >&2
+    printf '%s' "$bad" >&2
+    exit 1
+fi
+
 echo "==> run_experiments.sh lists every bench binary"
 for f in crates/bench/src/bin/*.rs; do
     b=$(basename "$f" .rs)

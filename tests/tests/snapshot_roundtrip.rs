@@ -6,10 +6,12 @@
 
 mod common;
 
-use common::{fig2_hdfs, fig2_job, launch_fig2, sorted_outputs, MB};
+use common::{fig2_cluster, fig2_hdfs, fig2_job, launch_fig2, sorted_outputs, MB};
 use vhadoop::persist::Snapshot;
 use vhadoop::prelude::*;
 use vhadoop::simcore::persist::{validate_header, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+use workloads::loadgen::load_job;
+use workloads::tpcxhs::{hsgen_job, hssort_job, register_hsgen, HsPlan};
 
 const INPUT_BYTES: u64 = 4 * MB;
 
@@ -259,3 +261,201 @@ fn golden_snapshot_hash_pins_the_format() {
 /// Pinned against SNAPSHOT_VERSION = 5 (the fluid net's bench-only
 /// global-solve switch and the engine's kernel counter names are gone).
 const GOLDEN_HASH: u64 = 0x3605_0ea3_74ec_ed52;
+
+/// Folds the FNV-1a of the snapshot taken at every `k`-th wakeup of one
+/// scenario into a single pin, so the formats `GOLDEN_HASH` never sees
+/// (controller, monitor, faults, migration, map-only jobs) are pinned too.
+struct Pinned {
+    k: usize,
+    steps: usize,
+    hash: u64,
+}
+
+impl Pinned {
+    fn new(k: usize) -> Self {
+        Pinned { k, steps: 0, hash: 0xcbf29ce484222325 }
+    }
+
+    /// Steps `p` once; returns the wakeup's events and whether this wakeup
+    /// was snapshotted.
+    fn step(&mut self, p: &mut VHadoop) -> Option<(Vec<PlatformEvent>, bool)> {
+        let (_, events) = p.step()?;
+        self.steps += 1;
+        let snapped = self.steps.is_multiple_of(self.k);
+        if snapped {
+            self.hash = (self.hash ^ fnv1a(&p.snapshot().bytes)).wrapping_mul(0x100000001b3);
+        }
+        Some((events, snapped))
+    }
+}
+
+/// A controller stream under adaptive placement (pack-friendly hint, so
+/// one host runs hot), a what-if rebalancer and the energy meter, one job
+/// at a time: runs past a what-if commit while jobs are still queued and
+/// arrivals still scheduled.
+fn pin_controller_stream() -> u64 {
+    let hint = WorkloadHint { tasks: 3, cpu_secs_per_task: 8.0, shuffle_bytes_per_task: 48 * MB };
+    let mut cfg = ControllerConfig::enabled_with(PlacementKind::Adaptive(hint));
+    cfg.queue = QueueConfig { max_active: 1, ..QueueConfig::default() };
+    cfg.rebalance = Some(RebalanceConfig {
+        interval: SimDuration::from_secs(1),
+        hot_cpu: 0.5,
+        hot_nic: 0.9,
+        cold_cpu: 0.2,
+        hysteresis_ticks: 2,
+        max_moves: 2,
+        cooldown: SimDuration::from_secs(5),
+        consolidate: false,
+        mode: RebalanceMode::WhatIf,
+        hint: WorkloadHint::default(),
+    });
+    let mut p = VHadoop::launch(
+        PlatformConfig::builder()
+            .cluster(
+                ClusterSpec::builder().hosts(3).vms(12).placement(Placement::SingleDomain).build(),
+            )
+            .hdfs(HdfsConfig { block_size: MB, replication: 2 })
+            .no_monitor()
+            .tracing(true)
+            .seed(31)
+            .controller(cfg)
+            .build(),
+    );
+    let arrivals = [0u64, 1, 2, 30, 40];
+    for (run, &at) in (0u32..).zip(&arrivals) {
+        p.schedule_job(SimTime::from_secs(at), run % 2, 20.0, load_job(run, 10, 5.0, 64 << 10));
+    }
+    let mut pin = Pinned::new(3);
+    let (mut finished, mut covered) = (0, false);
+    while finished < arrivals.len() {
+        let (events, snapped) = pin.step(&mut p).expect("the stream drains only when done");
+        finished +=
+            events.iter().filter(|e| matches!(e, PlatformEvent::Job(JobEvent::JobDone(_)))).count();
+        let c = p.controller().expect("controller is enabled");
+        let queued = c.job_slos().iter().any(|s| s.admitted && s.started.is_none());
+        let scheduled = c.counters().jobs_offered < arrivals.len() as u64;
+        let committed = c.whatif_outcomes().iter().any(|o| o.chosen);
+        covered |= snapped && committed && queued && scheduled;
+    }
+    assert!(covered, "no snapshot after a what-if commit with jobs queued and arrivals pending");
+    assert!(p.controller().unwrap().energy_report(&p.rt.engine, &p.rt.cluster).is_some());
+    pin.hash
+}
+
+/// Fig. 2 wordcount on a monitored platform whose fault plan degrades a
+/// link while a whole-cluster migration is under way.
+fn pin_monitored_faulted_migration() -> u64 {
+    const INPUT: u64 = 4 * MB;
+    let seed = 21;
+    let plan = FaultPlan::new()
+        .at(
+            SimTime::from_secs(1),
+            FaultKind::LinkDegrade { host: 0, factor: 0.25, duration: SimDuration::from_secs(3) },
+        )
+        .at(
+            SimTime::from_secs(2),
+            FaultKind::StragglerVm { vm: 3, factor: 0.5, duration: SimDuration::from_secs(2) },
+        );
+    let mut p = VHadoop::launch(
+        PlatformConfig::builder()
+            .cluster(fig2_cluster())
+            .hdfs(fig2_hdfs(INPUT))
+            .monitor_interval(SimDuration::from_millis(200))
+            .tracing(true)
+            .faults(plan)
+            .seed(seed)
+            .build(),
+    );
+    let (spec, app, input) = fig2_job(&mut p, INPUT, seed);
+    let id = p.rt.submit(spec, app, input);
+    p.migration(HostId(1)).after(SimDuration::from_millis(500)).start();
+    let mut pin = Pinned::new(8);
+    let (mut job_done, mut vms_done) = (false, 0);
+    let (mut degraded, mut migrating) = (false, false);
+    while !(job_done && vms_done >= 2) {
+        let (events, snapped) = pin.step(&mut p).expect("job and migration are still running");
+        for ev in &events {
+            match ev {
+                PlatformEvent::Job(JobEvent::JobDone(r)) if r.id == id => job_done = true,
+                PlatformEvent::Migration(MigrationEvent::VmDone(_)) => vms_done += 1,
+                _ => {}
+            }
+        }
+        let now = p.now();
+        let link_live = p.fault_log().iter().any(|f| {
+            matches!(f.kind, FaultKind::LinkDegrade { duration, .. }
+                if f.at <= now && now < f.at + duration)
+        });
+        let sampled = !p.monitor().expect("monitored").samples().is_empty();
+        degraded |= snapped && link_live && sampled;
+        migrating |= snapped && p.migration_busy() && vms_done > 0;
+    }
+    assert!(degraded, "no snapshot while the link degrade was live");
+    assert!(migrating, "no snapshot mid-migration after a finished VM");
+    pin.hash
+}
+
+/// HSGen (map-only) through its map phase, then HSSort through the window
+/// between its map phase and its first reduce.
+fn pin_hsgen_hssort_window() -> u64 {
+    let plan = HsPlan::new(200_000, 2, RootSeed(55)).with_block_size(50_000);
+    let mut p = VHadoop::launch(
+        PlatformConfig::builder()
+            .cluster(
+                ClusterSpec::builder().hosts(2).vms(8).placement(Placement::SingleDomain).build(),
+            )
+            .hdfs(plan.hdfs_config(2))
+            .no_monitor()
+            .tracing(true)
+            .seed(plan.seed.0)
+            .build(),
+    );
+    let mut pin = Pinned::new(1);
+    let (spec, app, input) = hsgen_job(&plan);
+    let gen = p.rt.submit(spec, app, input);
+    let (mut maps_done, mut map_only_held) = (false, false);
+    'gen: loop {
+        let (events, snapped) = pin.step(&mut p).expect("HSGen is still running");
+        for ev in &events {
+            match ev {
+                PlatformEvent::Job(JobEvent::MapDone(j, _)) if *j == gen => maps_done = true,
+                PlatformEvent::Job(JobEvent::JobDone(r)) if r.id == gen => break 'gen,
+                _ => {}
+            }
+        }
+        map_only_held |= snapped && maps_done;
+    }
+    register_hsgen(&mut p.rt, &plan);
+    let (spec, app, input) = hssort_job(&plan);
+    let sort = p.rt.submit(spec, app, input);
+    let (mut shuffling, mut in_window) = (false, false);
+    'sort: loop {
+        let (events, snapped) = pin.step(&mut p).expect("HSSort is still running");
+        for ev in &events {
+            match ev {
+                PlatformEvent::Job(JobEvent::MapPhaseDone(j)) if *j == sort => shuffling = true,
+                PlatformEvent::Job(JobEvent::ReduceDone(j, _)) if *j == sort => break 'sort,
+                _ => {}
+            }
+        }
+        in_window |= snapped && shuffling;
+    }
+    assert!(map_only_held, "no snapshot held map-only output");
+    assert!(in_window, "no snapshot between MapPhaseDone and the first ReduceDone");
+    pin.hash
+}
+
+#[test]
+fn golden_snapshot_hashes_pin_every_subsystem() {
+    let got =
+        [pin_controller_stream(), pin_monitored_faulted_migration(), pin_hsgen_hssort_window()];
+    assert_eq!(
+        got, SUBSYSTEM_PINS,
+        "snapshot encoding changed (got {got:#018x?}); bump SNAPSHOT_VERSION and re-pin"
+    );
+}
+
+/// Pinned against SNAPSHOT_VERSION = 5: controller stream, monitored and
+/// faulted migration, HSGen/HSSort window.
+const SUBSYSTEM_PINS: [u64; 3] =
+    [0xe33c_bd42_16ab_575e, 0xe581_ee59_ba4f_b8f9, 0xac73_b47c_3a73_85f4];
