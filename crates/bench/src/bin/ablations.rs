@@ -125,11 +125,8 @@ fn main() {
     for (x, concurrency) in
         [(0.0, 1u32), (1.0, 16)].into_iter().filter(|_| wanted("migration-order"))
     {
-        let bench = VirtLm {
-            n_vms: 16,
-            mem_mib: vec![1024],
-            migration: MigrationConfig { concurrency, ..Default::default() },
-        };
+        let bench =
+            VirtLm { n_vms: 16, migration: MigrationConfig { concurrency, ..Default::default() } };
         let row = bench.run_one(&WorkloadProfile::kernel_build(), 1024);
         println!(
             "migration concurrency={concurrency}: total {:.1}s, max downtime {:.0}ms",
@@ -344,7 +341,8 @@ fn run_whatif_stream(
     }
     let done = p.drive_until_idle();
     assert_eq!(done.len(), n as usize, "every arrival must complete under {mode:?}");
-    (p.now().as_secs_f64(), p.observe().whatif)
+    let makespan = done.last().expect("jobs completed").finished;
+    (makespan.as_secs_f64(), p.observe().whatif)
 }
 
 /// The `whatif` ablation: the same hot-host stream rebalanced by the

@@ -224,11 +224,6 @@ impl VHadoop {
         }
     }
 
-    /// [`VHadoop::observe`] with metrics restricted to one job.
-    pub fn observe_job(&self, job: &JobResult) -> Observation {
-        Observation { metrics: self.job_metrics(job), ..self.observe() }
-    }
-
     fn distill(&self, filter: impl FnMut(&Span) -> bool) -> MetricsSnapshot {
         let tracer = self.rt.engine.tracer();
         let categories = tracer.category_stats(filter);

@@ -22,8 +22,9 @@
 //! The rebalancer's what-if mode (see
 //! [`RebalanceMode::WhatIf`](vsched::rebalance::RebalanceMode)) is built
 //! on fork: each candidate migration is applied to a fork, driven to
-//! completion, and measured, grading `estimate_makespan` against ground
-//! truth while the parent stays unperturbed.
+//! completion, and measured to the fork's last job completion, grading
+//! `estimate_makespan` against ground truth while the parent stays
+//! unperturbed.
 
 use crate::platform::{PlatformConfig, VHadoop};
 use mapreduce::persist::JobResidue;
@@ -158,9 +159,10 @@ impl VHadoop {
 
     /// Evaluates a deferred what-if request: forks the platform per
     /// candidate move set, applies the candidate in the fork, drives the
-    /// fork until it drains, and commits the best-measured candidate in
-    /// the parent (via the controller, which also records the
-    /// estimator-vs-measured outcomes).
+    /// fork until it drains, measures from now to the fork's last job
+    /// completion, and commits the best-measured candidate in the parent
+    /// (via the controller, which also records the estimator-vs-measured
+    /// outcomes).
     pub(crate) fn evaluate_whatif(&mut self, req: WhatIfRequest) {
         let now = self.now();
         let snap = self.snapshot();
@@ -171,8 +173,11 @@ impl VHadoop {
                 c.set_suppress_rebalance(true);
             }
             fork.migration.start_moves(&mut fork.rt.engine, &fork.rt.cluster, &cand.moves);
-            fork.drive_until_idle();
-            let measured_s = fork.now().saturating_since(now).as_secs_f64();
+            // The drain instant would also count trailing rebalance and
+            // monitor ticks; a fork in which no job finishes falls back to it.
+            let done = fork.drive_until_idle();
+            let end = done.last().map_or(fork.now(), |res| res.finished);
+            let measured_s = end.saturating_since(now).as_secs_f64();
             outcomes.push(WhatIfOutcome {
                 at: now,
                 moves: cand.moves.clone(),

@@ -200,16 +200,6 @@ impl PlatformConfigBuilder {
         self
     }
 
-    /// Selects the makespan model pricing control-plane decisions
-    /// (adaptive placement, what-if candidate scoring): the hand-priced
-    /// baseline or a learned regression tree. Writes into the controller
-    /// configuration — call after [`PlatformConfigBuilder::controller`]
-    /// if both are used.
-    pub fn cost_model(mut self, model: vsched::model::MakespanKind) -> Self {
-        self.cfg.controller.model = model;
-        self
-    }
-
     /// Finalizes the configuration.
     pub fn build(self) -> PlatformConfig {
         self.cfg
@@ -316,20 +306,12 @@ impl VHadoop {
         let rt = &mut self.rt;
         let start = rt.engine.now();
         rt.hdfs.write_file(&mut rt.engine, &rt.cluster, path, bytes, writer, UPLOAD_MARK);
-        loop {
-            let (t, w) = self
-                .rt
-                .engine
-                .next_wakeup()
-                .expect("upload must complete before the simulation drains");
-            for ev in self.route(&w) {
-                if let PlatformEvent::Hdfs(c) = &ev {
-                    if c.client_tag == UPLOAD_MARK {
-                        return t.saturating_since(start);
-                    }
-                }
-            }
-        }
+        self.step_until("upload", |_, t, events| {
+            let uploaded = events
+                .iter()
+                .any(|ev| matches!(ev, PlatformEvent::Hdfs(c) if c.client_tag == UPLOAD_MARK));
+            uploaded.then(|| t.saturating_since(start))
+        })
     }
 
     /// Runs one job to completion (flow steps 5–8).
@@ -340,17 +322,7 @@ impl VHadoop {
         input: Box<dyn InputFormat>,
     ) -> JobResult {
         let id = self.rt.submit(spec, app, input);
-        loop {
-            let (_, w) =
-                self.rt.engine.next_wakeup().expect("job must finish before the simulation drains");
-            for ev in self.route(&w) {
-                if let PlatformEvent::Job(JobEvent::JobDone(res)) = ev {
-                    if res.id == id {
-                        return *res;
-                    }
-                }
-            }
-        }
+        self.step_until("job", |_, _, events| finished_jobs(events).find(|res| res.id == id))
     }
 
     /// Opens a [`crate::session::MigrationSession`] targeting `dst` — the
@@ -385,11 +357,39 @@ impl VHadoop {
     }
 
     /// Advances the simulation by one wakeup, routing it; `None` when the
-    /// event queue has drained.
+    /// event queue has drained. Every platform loop goes through here.
+    ///
+    /// The monitor samples only while something else is pending: when its
+    /// tick is the last thing left it parks instead of re-arming, so a
+    /// monitored platform drains like an unmonitored one. A parked monitor
+    /// re-arms here as soon as work is back in flight (a submitted job, a
+    /// started migration), taking its next sample one interval later.
     pub fn step(&mut self) -> Option<(SimTime, Vec<PlatformEvent>)> {
+        if let Some(m) = self.monitor.as_mut() {
+            m.resume(&mut self.rt.engine);
+        }
         let (t, w) = self.rt.engine.next_wakeup()?;
         let events = self.route(&w);
         Some((t, events))
+    }
+
+    /// Steps until `done` returns a value for a routed wakeup.
+    ///
+    /// # Panics
+    /// If the event queue drains first; `what` names the awaited outcome.
+    pub(crate) fn step_until<T>(
+        &mut self,
+        what: &str,
+        mut done: impl FnMut(&mut Self, SimTime, Vec<PlatformEvent>) -> Option<T>,
+    ) -> T {
+        loop {
+            let Some((t, events)) = self.step() else {
+                panic!("{what} must finish before the simulation drains");
+            };
+            if let Some(v) = done(self, t, events) {
+                return v;
+            }
+        }
     }
 
     /// The closed-loop controller, when the config enabled one.
@@ -413,34 +413,18 @@ impl VHadoop {
         ctrl.schedule(&mut self.rt.engine, at, tenant, expected_s, job)
     }
 
-    /// Offers a job to the controller's admission queue right now; returns
-    /// whether it was admitted.
-    ///
-    /// # Panics
-    /// If the platform was launched without an enabled controller.
-    pub fn enqueue_job(
-        &mut self,
-        tenant: u32,
-        expected_s: f64,
-        job: mapreduce::runtime::PendingJob,
-    ) -> bool {
-        let mut ctrl = self.ctrl.take().expect("controller not enabled in PlatformConfig");
-        let admitted = ctrl.offer(&mut self.rt, &mut self.migration, tenant, expected_s, job);
-        self.ctrl = Some(ctrl);
-        admitted
-    }
-
-    /// Drives the simulation until the controller has no queued, running,
-    /// or future jobs (and the event queue supports no further progress);
-    /// returns completed jobs in completion order.
+    /// Steps until the event queue drains — no activity running, no timer
+    /// armed, no wakeup undelivered — and returns the jobs that finished
+    /// on the way, in completion order. Drained means every job, fault,
+    /// migration and controller arrival has played out; a monitor does not
+    /// hold the queue open (see [`VHadoop::step`]). The drain instant can
+    /// lie after the last [`JobResult::finished`] (a trailing rebalance
+    /// tick, a fault's restore, the monitor's parking tick), so a makespan
+    /// is read from the results, not from [`VHadoop::now`].
     pub fn drive_until_idle(&mut self) -> Vec<JobResult> {
         let mut done = Vec::new();
         while let Some((_, events)) = self.step() {
-            for ev in events {
-                if let PlatformEvent::Job(JobEvent::JobDone(res)) = ev {
-                    done.push(*res);
-                }
-            }
+            done.extend(finished_jobs(events));
         }
         done
     }
@@ -480,7 +464,7 @@ impl VHadoop {
     }
 
     /// Routes one wakeup to its subsystem.
-    pub(crate) fn route(&mut self, w: &Wakeup) -> Vec<PlatformEvent> {
+    fn route(&mut self, w: &Wakeup) -> Vec<PlatformEvent> {
         if let Some(m) = self.monitor.as_mut() {
             if m.on_wakeup(&mut self.rt.engine, w) {
                 return Vec::new();
@@ -563,6 +547,14 @@ pub enum PlatformEvent {
     Fault(InjectedFault),
 }
 
+/// The results of the jobs that finished among `events`.
+pub(crate) fn finished_jobs(events: Vec<PlatformEvent>) -> impl Iterator<Item = JobResult> {
+    events.into_iter().filter_map(|ev| match ev {
+        PlatformEvent::Job(JobEvent::JobDone(res)) => Some(*res),
+        _ => None,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -572,7 +564,6 @@ mod tests {
         let p = VHadoop::launch(
             PlatformConfig::builder()
                 .cluster(ClusterSpec::builder().hosts(1).vms(2).build())
-                .no_monitor()
                 .scheduler(SchedulerPolicy::Fair)
                 .build(),
         );
@@ -595,13 +586,5 @@ mod tests {
         assert_eq!(c.seed, 7);
         assert!(c.tracing());
         assert_eq!(c.monitor_interval, Some(SimDuration::from_millis(250)));
-    }
-
-    #[test]
-    fn cost_model_builder_writes_the_controller_config() {
-        use vsched::model::MakespanKind;
-        let c = PlatformConfig::builder().cost_model(MakespanKind::HandPriced).build();
-        assert_eq!(c.controller().model, MakespanKind::HandPriced);
-        assert_eq!(c.controller().model.name(), "hand-priced");
     }
 }

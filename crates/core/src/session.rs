@@ -15,11 +15,14 @@
 //!
 //! Terminal methods consume the session; [`MigrationSession::after`] defers
 //! the start by a simulated delay (armed as a deterministic engine timer).
+//! Each terminal method drives the platform through [`VHadoop::step`], the
+//! same loop a caller drives by hand, so a monitor keeps sampling for
+//! exactly as long as the migration and its jobs are in flight.
 
-use crate::platform::{PlatformEvent, VHadoop, MIGRATION_START_MARK};
+use crate::platform::{finished_jobs, VHadoop, MIGRATION_START_MARK};
 use mapreduce::app::MapReduceApp;
 use mapreduce::input::InputFormat;
-use mapreduce::job::{JobEvent, JobResult, JobSpec};
+use mapreduce::job::{JobResult, JobSpec};
 use mapreduce::runtime::MrRuntime;
 use simcore::owners;
 use simcore::prelude::*;
@@ -66,19 +69,8 @@ impl<'a> MigrationSession<'a> {
 
     /// Migrates the idle cluster and drives the simulation to completion.
     pub fn idle(self) -> ClusterMigrationReport {
-        let platform = self.platform;
-        platform.begin_migration(self.dst);
-        loop {
-            let (_, w) = platform
-                .rt
-                .engine
-                .next_wakeup()
-                .expect("migration must finish before the simulation drains");
-            platform.route(&w);
-            if let Some(rep) = platform.migration_report.take() {
-                return rep;
-            }
-        }
+        self.platform.begin_migration(self.dst);
+        self.platform.step_until("migration", |p, _, _| p.migration_report.take())
     }
 
     /// Submits `spec` and migrates the cluster while the job runs — the
@@ -100,25 +92,14 @@ impl<'a> MigrationSession<'a> {
             .set_timer_in(self.delay, Tag::new(owners::USER, 0, MIGRATION_START_MARK));
         platform.pending_migration_dst = Some(self.dst);
         platform.migration_report = None;
-        let mut job_result = None;
-        loop {
-            let Some((_, w)) = platform.rt.engine.next_wakeup() else {
-                panic!("simulation drained before job + migration completed");
-            };
-            for ev in platform.route(&w) {
-                if let PlatformEvent::Job(JobEvent::JobDone(res)) = ev {
-                    if res.id == id {
-                        job_result = Some(*res);
-                    }
-                }
+        let mut job = None;
+        platform.step_until("job + migration", |p, _, events| {
+            if job.is_none() {
+                job = finished_jobs(events).find(|res| res.id == id);
             }
-            if platform.migration_report.is_some() && job_result.is_some() {
-                return (
-                    platform.migration_report.take().expect("just checked"),
-                    job_result.take().expect("just checked"),
-                );
-            }
-        }
+            job.as_ref()?;
+            Some((p.migration_report.take()?, job.take()?))
+        })
     }
 
     /// Migrates the cluster while `submit_next` keeps it busy: the
@@ -143,22 +124,14 @@ impl<'a> MigrationSession<'a> {
             "the load generator must submit at least one job"
         );
         MigrationSession { platform: &mut *platform, dst: self.dst, delay: self.delay }.start();
-        loop {
-            let Some((_, events)) = platform.step() else {
-                panic!("simulation drained before cluster migration completed");
-            };
-            for ev in events {
-                if let PlatformEvent::Job(JobEvent::JobDone(res)) = ev {
-                    results.push(*res);
-                }
+        let report = platform.step_until("cluster migration", |p, _, events| {
+            results.extend(finished_jobs(events));
+            let migrating = p.migration_busy() || p.pending_migration_dst.is_some();
+            while more && migrating && p.rt.mr.active_jobs() < PIPELINE {
+                more = submit_next(&mut p.rt);
             }
-            let migrating = platform.migration_busy() || platform.pending_migration_dst.is_some();
-            while more && migrating && platform.rt.mr.active_jobs() < PIPELINE {
-                more = submit_next(&mut platform.rt);
-            }
-            if let Some(rep) = platform.migration_report.take() {
-                return (rep, results);
-            }
-        }
+            p.migration_report.take()
+        });
+        (report, results)
     }
 }

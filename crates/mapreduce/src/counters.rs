@@ -41,16 +41,6 @@ pub struct Counters {
 }
 
 impl Counters {
-    /// Combiner selectivity: combined/raw map output records (1.0 when no
-    /// combining happened or nothing was emitted).
-    pub fn combine_ratio(&self) -> f64 {
-        if self.map_output_records == 0 {
-            1.0
-        } else {
-            self.combine_output_records as f64 / self.map_output_records as f64
-        }
-    }
-
     /// Fraction of maps that read a local replica.
     pub fn data_locality(&self) -> f64 {
         if self.launched_maps == 0 {
@@ -68,20 +58,12 @@ mod tests {
     #[test]
     fn ratios_handle_zero() {
         let c = Counters::default();
-        assert_eq!(c.combine_ratio(), 1.0);
         assert_eq!(c.data_locality(), 0.0);
     }
 
     #[test]
     fn ratios_compute() {
-        let c = Counters {
-            map_output_records: 100,
-            combine_output_records: 25,
-            launched_maps: 10,
-            data_local_maps: 8,
-            ..Default::default()
-        };
-        assert_eq!(c.combine_ratio(), 0.25);
+        let c = Counters { launched_maps: 10, data_local_maps: 8, ..Default::default() };
         assert_eq!(c.data_locality(), 0.8);
     }
 }

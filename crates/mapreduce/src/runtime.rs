@@ -41,16 +41,6 @@ impl NodeRoles {
     pub fn separated(datanodes: Vec<VmId>, trackers: Vec<VmId>) -> Self {
         NodeRoles { datanodes: Some(datanodes), trackers: Some(trackers) }
     }
-
-    /// True when some TaskTracker is not also a datanode (every map read
-    /// and output write crosses the network).
-    pub fn is_disaggregated(&self) -> bool {
-        match (&self.datanodes, &self.trackers) {
-            (_, None) => false,
-            (None, Some(_)) => true, // trackers restricted, datanodes everywhere
-            (Some(d), Some(t)) => t.iter().any(|vm| !d.contains(vm)),
-        }
-    }
 }
 
 /// Everything needed to run MapReduce jobs on a simulated virtual cluster.
@@ -113,15 +103,11 @@ impl MrRuntime {
     pub fn upload(&mut self, path: &str, bytes: u64, writer: VmId) -> SimDuration {
         let start = self.engine.now();
         self.hdfs.write_file(&mut self.engine, &self.cluster, path, bytes, writer, UPLOAD_MARK);
-        loop {
-            let (t, w) = self
-                .engine
-                .next_wakeup()
-                .expect("upload must complete before the simulation drains");
-            if self.route_full(&w).hdfs_completion.is_some_and(|c| c.client_tag == UPLOAD_MARK) {
-                return t.saturating_since(start);
-            }
-        }
+        self.drive(|_, t, routed| {
+            let uploaded = routed.hdfs_completion.is_some_and(|c| c.client_tag == UPLOAD_MARK);
+            uploaded.then(|| t.saturating_since(start))
+        })
+        .expect("upload must complete before the simulation drains")
     }
 
     /// Submits a job without driving it (for concurrent-job scenarios).
@@ -142,36 +128,33 @@ impl MrRuntime {
         input: Box<dyn InputFormat>,
     ) -> JobResult {
         let id = self.submit(spec, app, input);
-        self.drive_until_done(id).expect("job must finish before the simulation drains")
-    }
-
-    /// Drives the event loop until `job` finishes (or events drain).
-    pub fn drive_until_done(&mut self, job: JobId) -> Option<JobResult> {
-        while let Some((_, w)) = self.engine.next_wakeup() {
-            for ev in self.route(&w) {
-                if let JobEvent::JobDone(res) = ev {
-                    if res.id == job {
-                        return Some(*res);
-                    }
-                }
-            }
-        }
-        None
+        self.drive(|_, _, routed| finished_jobs(routed.job_events).find(|res| res.id == id))
+            .expect("job must finish before the simulation drains")
     }
 
     /// Drives until every submitted job finishes; returns results in
     /// completion order.
     pub fn drive_all(&mut self) -> Vec<JobResult> {
         let mut done = Vec::new();
-        while self.mr.active_jobs() > 0 {
-            let Some((_, w)) = self.engine.next_wakeup() else { break };
-            for ev in self.route(&w) {
-                if let JobEvent::JobDone(res) = ev {
-                    done.push(*res);
-                }
-            }
+        if self.mr.active_jobs() > 0 {
+            self.drive(|rt, _, routed| {
+                done.extend(finished_jobs(routed.job_events));
+                (rt.mr.active_jobs() == 0).then_some(())
+            });
         }
         done
+    }
+
+    /// The runtime's one event loop: routes wakeups until `done` returns a
+    /// value, or returns `None` once the event queue drains.
+    fn drive<T>(&mut self, mut done: impl FnMut(&Self, SimTime, Routed) -> Option<T>) -> Option<T> {
+        while let Some((t, w)) = self.engine.next_wakeup() {
+            let routed = self.route_full(&w);
+            if let Some(v) = done(self, t, routed) {
+                return Some(v);
+            }
+        }
+        None
     }
 
     /// Routes one wakeup to the owning subsystem; returns job events.
@@ -244,6 +227,14 @@ impl std::fmt::Debug for PendingJob {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PendingJob").field("name", &self.name).finish_non_exhaustive()
     }
+}
+
+/// The results of the jobs that finished among `events`.
+fn finished_jobs(events: Vec<JobEvent>) -> impl Iterator<Item = JobResult> {
+    events.into_iter().filter_map(|ev| match ev {
+        JobEvent::JobDone(res) => Some(*res),
+        _ => None,
+    })
 }
 
 /// Output of [`MrRuntime::route_full`].

@@ -88,17 +88,6 @@ pub fn vector_to_set(v: &[f64], bin_width: f64) -> BTreeSet<u64> {
         .collect()
 }
 
-/// Jaccard similarity of two sets.
-pub fn jaccard(a: &BTreeSet<u64>, b: &BTreeSet<u64>) -> f64 {
-    let inter = a.intersection(b).count() as f64;
-    let union = a.union(b).count() as f64;
-    if union == 0.0 {
-        1.0
-    } else {
-        inter / union
-    }
-}
-
 /// In-memory reference: banded LSH grouping. Returns clusters as sorted
 /// id lists (size ≥ `min_cluster_size`), deduplicated.
 pub fn reference(points: &[Vec<f64>], params: MinHashParams, seed: RootSeed) -> Vec<Vec<usize>> {
@@ -197,6 +186,12 @@ pub fn run_mr(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Jaccard similarity of two non-empty sets, the reference the
+    /// collision rate is checked against.
+    fn jaccard(a: &BTreeSet<u64>, b: &BTreeSet<u64>) -> f64 {
+        a.intersection(b).count() as f64 / a.union(b).count() as f64
+    }
 
     #[test]
     fn signature_collision_rate_approximates_jaccard() {

@@ -341,9 +341,12 @@ impl Engine {
         self.fluid.set_capacity(r, capacity);
     }
 
-    /// Count of in-flight activities.
-    pub fn active_activities(&self) -> usize {
-        self.activities.len()
+    /// True while anything is still to happen: a live activity, an armed
+    /// timer, or a wakeup not yet delivered. A timer being handled right
+    /// now is no longer armed, so a periodic observer asks this to learn
+    /// whether anything besides itself is pending.
+    pub fn in_flight(&self) -> bool {
+        !self.activities.is_empty() || self.timer_live > 0 || !self.out.is_empty()
     }
 
     /// Total wakeups delivered so far.
@@ -971,6 +974,32 @@ mod tests {
         assert_eq!(at, SimTime::from_secs(1));
         assert_eq!(w, Wakeup::Timer { id: t1, tag: Tag::new(T, 1, 0) });
         assert!(e.next_wakeup().is_none());
+    }
+
+    #[test]
+    fn in_flight_sees_activities_timers_and_undelivered_wakeups() {
+        let (mut e, r) = engine1();
+        assert!(!e.in_flight(), "a fresh engine has nothing pending");
+        // A cancelled timer leaves a tombstone in the heap, not pending work.
+        let t = e.set_timer_in(SimDuration::from_secs(1), Tag::new(T, 1, 0));
+        assert!(e.in_flight());
+        e.cancel_timer(t);
+        assert!(!e.in_flight());
+        e.start_flow(vec![Demand::unit(r)], 100.0, Tag::new(T, 2, 0));
+        assert!(e.in_flight(), "the flow is running");
+        e.start_flow(vec![Demand::unit(r)], 100.0, Tag::new(T, 3, 0));
+        e.next_wakeup().expect("both flows complete at one instant");
+        assert!(e.in_flight(), "the second completion is not delivered yet");
+        e.next_wakeup().expect("second completion");
+        assert!(!e.in_flight());
+        // Two same-instant timers: while the first is handled, the second
+        // is still armed.
+        e.set_timer_in(SimDuration::from_secs(1), Tag::new(T, 4, 0));
+        e.set_timer_in(SimDuration::from_secs(1), Tag::new(T, 5, 0));
+        e.next_wakeup().expect("first timer");
+        assert!(e.in_flight());
+        e.next_wakeup().expect("second timer");
+        assert!(!e.in_flight());
     }
 
     #[test]

@@ -334,11 +334,6 @@ impl FluidNet {
         &self.res_name[r.index()]
     }
 
-    /// The resource's kind, as registered.
-    pub fn resource_kind(&self, r: ResourceId) -> ResourceKind {
-        self.res_kind[r.index()]
-    }
-
     /// Configured capacity of `r`.
     pub fn capacity(&self, r: ResourceId) -> f64 {
         self.res_capacity[r.index()]
@@ -373,11 +368,6 @@ impl FluidNet {
         }
     }
 
-    /// Number of flows currently in the system.
-    pub fn active_flows(&self) -> usize {
-        self.active
-    }
-
     /// Cumulative kernel counters (see [`FluidStats`]).
     pub fn stats(&self) -> FluidStats {
         FluidStats {
@@ -387,12 +377,6 @@ impl FluidNet {
             comp_size_max: self.comp_hist.max(),
             ..self.stats
         }
-    }
-
-    /// Lifetime histogram of component flow counts (one sample per
-    /// component re-solved, zero-flow capacity-only components excluded).
-    pub fn component_hist(&self) -> &SizeHist {
-        &self.comp_hist
     }
 
     /// Starts a flow of `work` units over `demands`. The allocation is
@@ -1145,7 +1129,7 @@ mod tests {
         let finished = net.take_finished();
         assert_eq!(finished.len(), 1);
         assert_eq!(finished[0].id, f);
-        assert_eq!(net.active_flows(), 0);
+        assert_eq!(net.active, 0);
     }
 
     #[test]
@@ -1263,7 +1247,7 @@ mod tests {
             net.reallocate();
         }
         let len = net.stats().completion_heap_len;
-        assert!(len <= HEAP_COMPACT_MIN.max(HEAP_SLACK * net.active_flows()) + 2, "heap {len}");
+        assert!(len <= HEAP_COMPACT_MIN.max(HEAP_SLACK * net.active) + 2, "heap {len}");
     }
 
     #[test]
@@ -1343,7 +1327,7 @@ mod tests {
         net.add_flow(vec![Demand::unit(r2)], 1e6);
         net.reallocate();
         let s = net.stats();
-        assert_eq!(net.component_hist().count(), 2, "two components solved");
+        assert_eq!(net.comp_hist.count(), 2, "two components solved");
         assert_eq!(s.comp_size_max, 3);
         // Nearest-rank p50 of the two samples {1, 3} resolves to the upper.
         assert_eq!(s.comp_size_p50, 3);
@@ -1352,7 +1336,7 @@ mod tests {
         net.add_flow(vec![Demand::unit(r2)], 1e6);
         net.reallocate();
         let s = net.stats();
-        assert_eq!(net.component_hist().count(), 3);
+        assert_eq!(net.comp_hist.count(), 3);
         assert_eq!(s.comp_size_max, 3);
         assert_eq!(s.comp_size_p50, 2, "samples {{1, 2, 3}} -> median 2");
     }

@@ -13,16 +13,14 @@
 //! clock, two runs with identical config + seed produce **byte-identical**
 //! exports; trace files are usable as golden regression artifacts.
 //!
-//! Exporters:
-//! * [`Tracer::to_chrome_json`] — Chrome `trace_event` JSON (load in
-//!   `chrome://tracing` or <https://ui.perfetto.dev>): spans as `"X"`
-//!   complete events (µs timestamps), counters as `"C"` events;
-//! * [`Tracer::to_csv`] — flat CSV for ad-hoc analysis.
+//! The exporter is [`Tracer::to_chrome_json`]: Chrome `trace_event` JSON
+//! (load in `chrome://tracing` or <https://ui.perfetto.dev>), spans as
+//! `"X"` complete events (µs timestamps), counters as `"C"` events.
 
-use crate::emit::{self, csv_row};
+use crate::emit;
 use crate::time::{SimDuration, SimTime};
 use std::borrow::Cow;
-use std::fmt::{Display, Write as _};
+use std::fmt::Write as _;
 
 /// Maximum number of numeric args attached to one span.
 pub const MAX_SPAN_ARGS: usize = 4;
@@ -301,30 +299,6 @@ impl Tracer {
         out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
         out
     }
-
-    /// Flat CSV: one row per span and per counter sample.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("kind,cat,name,track,start_ns,end_ns,dur_ns,value,args\n");
-        let mut args = String::new();
-        for s in &self.spans {
-            args.clear();
-            for (i, &(k, v)) in s.args().iter().enumerate() {
-                let sep = if i > 0 { ";" } else { "" };
-                let _ = write!(args, "{sep}{}={v}", self.name(k));
-            }
-            let (start, end, dur) = (s.start.as_nanos(), s.end.as_nanos(), s.duration().as_nanos());
-            let (cat, name) = (self.name(s.cat), self.name(s.name));
-            let row: [&dyn Display; 9] =
-                [&"span", &cat, &name, &s.track, &start, &end, &dur, &"", &args];
-            csv_row(&mut out, row);
-        }
-        for c in &self.counters {
-            let (name, t) = (self.name(c.name), c.t.as_nanos());
-            let row: [&dyn Display; 9] = [&"counter", &"", &name, &"", &t, &"", &"", &c.value, &""];
-            csv_row(&mut out, row);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -431,24 +405,5 @@ mod tests {
              ],\"displayTimeUnit\":\"ms\"}}\n"
         );
         assert_eq!(restored.to_chrome_json(), want);
-
-        // The CSV quotes the same names (they hold a quote and a newline).
-        let q = "\"a\"\"b\\c\n\t\u{1}\"";
-        let want_csv = format!(
-            "kind,cat,name,track,start_ns,end_ns,dur_ns,value,args\n\
-             span,{q},{q},2,0,1000000000,1000000000,,\"a\"\"b\\c\n\t\u{1}=inf\"\n\
-             counter,,{q},,1000000000,,,NaN,\n"
-        );
-        assert_eq!(restored.to_csv(), want_csv);
-    }
-
-    #[test]
-    fn csv_export_has_rows() {
-        let mut tr = Tracer::new();
-        tr.set_enabled(true);
-        tr.span("hdfs", "write", 4, t(0), t(3), &[("bytes", 1024.0)]);
-        let csv = tr.to_csv();
-        assert!(csv.starts_with("kind,cat,name,track,start_ns"));
-        assert!(csv.contains("span,hdfs,write,4,0,3000000000,3000000000,,bytes=1024"));
     }
 }

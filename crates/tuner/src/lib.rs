@@ -308,9 +308,7 @@ mod tests {
         let mut m = Monitor::attach(&mut e, SimDuration::from_millis(500));
         load(&mut e, &c);
         while let Some((_, w)) = e.next_wakeup() {
-            if !m.on_wakeup(&mut e, &w) && e.active_activities() == 0 {
-                m.stop(&mut e);
-            }
+            m.on_wakeup(&mut e, &w);
         }
         MonitorReport::from_monitor(&m)
     }

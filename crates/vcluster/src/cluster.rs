@@ -222,21 +222,6 @@ impl VirtualCluster {
         self.nfs_disk
     }
 
-    /// NFS server NIC resource (for monitors).
-    pub fn nfs_nic_resource(&self) -> ResourceId {
-        self.nfs_nic
-    }
-
-    /// Inter-host switch resource (for monitors). With a multi-rack
-    /// topology this is rack 0's ToR; prefer [`tor_resource`] /
-    /// [`core_resource`] for per-tier access.
-    ///
-    /// [`tor_resource`]: VirtualCluster::tor_resource
-    /// [`core_resource`]: VirtualCluster::core_resource
-    pub fn switch_resource(&self) -> ResourceId {
-        self.topology.tor_resource(RackId(0))
-    }
-
     /// The network-tier geometry this cluster runs on.
     pub fn topology(&self) -> &Topology {
         &self.topology
@@ -407,12 +392,6 @@ impl VirtualCluster {
         }
         d
     }
-
-    /// True when the cluster spans more than one physical machine.
-    pub fn is_cross_domain(&self) -> bool {
-        let first = self.vm_host.first().copied();
-        self.vm_host.iter().any(|&h| Some(h) != first)
-    }
 }
 
 #[cfg(test)]
@@ -434,13 +413,12 @@ mod tests {
         // + 4 per-VM I/O accounting resources.
         assert_eq!(e.fluid().resource_count(), 2 * 3 + 3 + 4 + 4);
         assert_eq!(c.vm_count(), 4);
-        assert!(!c.is_cross_domain());
+        assert!(c.vms().all(|v| c.host_of(v) == HostId(0)));
     }
 
     #[test]
     fn cross_domain_detected() {
         let (_, c) = build(Placement::CrossDomain);
-        assert!(c.is_cross_domain());
         assert_eq!(c.host_of(VmId(0)), HostId(0));
         assert_eq!(c.host_of(VmId(1)), HostId(1));
     }
@@ -624,7 +602,6 @@ mod tests {
         );
         assert_eq!(c.rack_count(), 1);
         assert!(c.core_resource().is_none());
-        assert_eq!(c.switch_resource(), c.tor_resource(crate::topology::RackId(0)));
         assert_eq!(c.tier(VmId(0), VmId(0)), LocalityTier::Node);
         assert_eq!(c.tier(VmId(0), VmId(1)), LocalityTier::Rack);
     }

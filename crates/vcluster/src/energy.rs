@@ -30,13 +30,6 @@ impl Default for PowerModel {
     }
 }
 
-impl PowerModel {
-    /// Instantaneous power at utilization `u` ∈ [0, 1].
-    pub fn power_at(&self, u: f64) -> f64 {
-        self.idle_w + (self.peak_w - self.idle_w) * u.clamp(0.0, 1.0)
-    }
-}
-
 /// Per-host energy breakdown of a run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EnergyReport {
@@ -175,14 +168,5 @@ mod tests {
         let host1_idle = rep.per_host[1].1;
         assert!((savings - host1_idle).abs() < 1e-6);
         assert!(savings > 0.0);
-    }
-
-    #[test]
-    fn power_model_is_linear() {
-        let m = PowerModel::default();
-        assert_eq!(m.power_at(0.0), 120.0);
-        assert_eq!(m.power_at(1.0), 280.0);
-        assert_eq!(m.power_at(0.5), 200.0);
-        assert_eq!(m.power_at(2.0), 280.0, "clamped");
     }
 }

@@ -218,11 +218,6 @@ impl ClusterSpec {
         ClusterSpec { placement: Placement::SingleDomain, ..Default::default() }
     }
 
-    /// The paper's 16-node cluster split equally over two physical machines.
-    pub fn paper_cross_domain() -> Self {
-        ClusterSpec { placement: Placement::CrossDomain, ..Default::default() }
-    }
-
     /// Host index of `vm`.
     pub fn host_of(&self, vm: u32) -> u32 {
         self.placement.host_of(vm, self.vms, self.hosts)
@@ -231,12 +226,6 @@ impl ClusterSpec {
     /// Rack index of physical host `host`.
     pub fn rack_of_host(&self, host: u32) -> u32 {
         self.topology.rack_of_host(host, self.hosts)
-    }
-
-    /// Rack index of the host currently assigned to `vm` by the placement
-    /// policy (initial placement — migrations are tracked by the cluster).
-    pub fn rack_of_vm(&self, vm: u32) -> u32 {
-        self.rack_of_host(self.host_of(vm))
     }
 
     /// Hardware class of physical host `host` (baseline when no classes
@@ -421,7 +410,7 @@ mod tests {
 
     #[test]
     fn cross_domain_splits_evenly() {
-        let s = ClusterSpec::paper_cross_domain();
+        let s = ClusterSpec { placement: Placement::CrossDomain, ..Default::default() };
         let on0 = (0..16).filter(|&v| s.host_of(v) == 0).count();
         let on1 = (0..16).filter(|&v| s.host_of(v) == 1).count();
         assert_eq!((on0, on1), (8, 8));

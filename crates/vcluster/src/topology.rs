@@ -273,19 +273,9 @@ impl Topology {
         self.racks
     }
 
-    /// True when the fabric has more than one rack (a real core exists).
-    pub fn is_multi_rack(&self) -> bool {
-        self.racks > 1
-    }
-
     /// Rack of `host`.
     pub fn rack_of_host(&self, host: u32) -> RackId {
         RackId(self.host_rack[host as usize])
-    }
-
-    /// Hosts in `rack`, ascending.
-    pub fn hosts_in_rack(&self, rack: RackId) -> impl Iterator<Item = u32> + '_ {
-        self.host_rack.iter().enumerate().filter(move |(_, &r)| r == rack.0).map(|(h, _)| h as u32)
     }
 
     /// ToR switch resource of `rack` (the legacy `switch` for one rack).
@@ -357,15 +347,6 @@ impl Topology {
         }
     }
 
-    /// One-way latency between `host` and the NFS server at the core.
-    pub fn latency_to_core(&self, host: u32) -> SimDuration {
-        let _ = host;
-        match self.core {
-            None => self.rack_latency,
-            Some(_) => self.rack_latency + self.core_latency,
-        }
-    }
-
     /// Per-rack ToR traffic stats over `elapsed_s` seconds (mean
     /// utilization needs a window; pass the run's makespan).
     pub fn rack_switch_stats(&self, engine: &Engine, elapsed_s: f64) -> Vec<RackSwitchStat> {
@@ -399,7 +380,6 @@ mod tests {
     fn single_rack_is_the_legacy_switch() {
         let (e, t) = fabric(1, 2);
         assert_eq!(t.rack_count(), 1);
-        assert!(!t.is_multi_rack());
         assert!(t.core_resource().is_none());
         assert_eq!(e.fluid().resource_count(), 1);
         assert_eq!(e.fluid().resource_name(t.tor_resource(RackId(0))), "switch");
@@ -420,7 +400,7 @@ mod tests {
         // Contiguous: hosts 0,1 in rack 0; hosts 2,3 in rack 1.
         assert_eq!(t.rack_of_host(1), RackId(0));
         assert_eq!(t.rack_of_host(2), RackId(1));
-        assert_eq!(t.hosts_in_rack(RackId(1)).collect::<Vec<_>>(), vec![2, 3]);
+        assert_eq!(t.rack_of_host(3), RackId(1));
     }
 
     #[test]
@@ -436,7 +416,6 @@ mod tests {
         assert_eq!(t.switch_path_to_core(3).len(), 2, "NFS across the core");
         assert_eq!(t.latency_hosts(0, 1), SimDuration::from_micros(200));
         assert_eq!(t.latency_hosts(0, 2), SimDuration::from_micros(500));
-        assert!(t.latency_to_core(0) > t.latency_hosts(0, 1));
     }
 
     #[test]

@@ -40,19 +40,9 @@ impl WorkloadProfile {
         WorkloadProfile { name: "kernel-build".into(), dirty_rate: 25e6 }
     }
 
-    /// Static web server: low writes, mostly reads.
-    pub fn web_server() -> Self {
-        WorkloadProfile { name: "web-server".into(), dirty_rate: 8e6 }
-    }
-
     /// Memory-stress writer: near-wire-speed dirtying.
     pub fn mem_stress() -> Self {
         WorkloadProfile { name: "mem-stress".into(), dirty_rate: 110e6 }
-    }
-
-    /// The standard Virt-LM scenario set.
-    pub fn standard_set() -> Vec<WorkloadProfile> {
-        vec![Self::idle(), Self::web_server(), Self::kernel_build(), Self::mem_stress()]
     }
 }
 
@@ -81,16 +71,14 @@ pub struct VirtLmRow {
 pub struct VirtLm {
     /// Number of VMs in the migrated cluster.
     pub n_vms: u32,
-    /// Guest memory sizes to sweep, MiB.
-    pub mem_mib: Vec<u64>,
     /// Pre-copy tunables.
     pub migration: MigrationConfig,
 }
 
 impl Default for VirtLm {
     fn default() -> Self {
-        // Paper setup: 16-node cluster, 512 MB and 1024 MB guests.
-        VirtLm { n_vms: 16, mem_mib: vec![512, 1024], migration: MigrationConfig::default() }
+        // Paper setup: 16-node cluster.
+        VirtLm { n_vms: 16, migration: MigrationConfig::default() }
     }
 }
 
@@ -110,17 +98,6 @@ impl VirtLm {
             max_downtime_ms: report.max_downtime.as_millis_f64(),
             mean_vm_time_s,
         }
-    }
-
-    /// Runs the full scenario × memory sweep.
-    pub fn run_all(&self, profiles: &[WorkloadProfile]) -> Vec<VirtLmRow> {
-        let mut rows = Vec::new();
-        for profile in profiles {
-            for &mem in &self.mem_mib {
-                rows.push(self.run_one(profile, mem));
-            }
-        }
-        rows
     }
 
     /// Full per-VM report for one configuration (Fig. 5-style data).
@@ -150,28 +127,12 @@ impl VirtLm {
     }
 }
 
-/// Formats rows as an aligned text table (Table II analogue).
-pub fn format_table(rows: &[VirtLmRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<16} {:>8} {:>6} {:>14} {:>18} {:>16}\n",
-        "workload", "mem(MB)", "VMs", "total time(s)", "total downtime(ms)", "max downtime(ms)"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<16} {:>8} {:>6} {:>14.1} {:>18.1} {:>16.1}\n",
-            r.workload, r.mem_mib, r.vms, r.total_time_s, r.total_downtime_ms, r.max_downtime_ms
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn small_bench() -> VirtLm {
-        VirtLm { n_vms: 4, mem_mib: vec![512, 1024], migration: MigrationConfig::default() }
+        VirtLm { n_vms: 4, migration: MigrationConfig::default() }
     }
 
     #[test]
@@ -208,15 +169,5 @@ mod tests {
             busy.total_downtime_ms,
             idle.total_downtime_ms
         );
-    }
-
-    #[test]
-    fn standard_set_runs() {
-        let b = VirtLm { n_vms: 2, mem_mib: vec![512], migration: MigrationConfig::default() };
-        let rows = b.run_all(&WorkloadProfile::standard_set());
-        assert_eq!(rows.len(), 4);
-        let table = format_table(&rows);
-        assert!(table.contains("mem-stress"));
-        assert!(table.lines().count() >= 5);
     }
 }

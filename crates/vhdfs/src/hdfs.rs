@@ -522,11 +522,6 @@ impl Hdfs {
     pub fn lost_blocks(&self) -> usize {
         self.ns.blocks().iter().filter(|(_, bm)| bm.replicas.is_empty()).count()
     }
-
-    /// Number of in-flight operations.
-    pub fn inflight(&self) -> usize {
-        self.ops.len()
-    }
 }
 
 #[cfg(test)]
@@ -682,7 +677,7 @@ mod tests {
         while let Some((_, w)) = e.next_wakeup() {
             h.on_wakeup(&mut e, &w);
         }
-        assert_eq!(h.inflight(), 0);
+        assert!(h.ops.is_empty());
         assert_eq!(h.lost_blocks(), 0);
         for (_, bm) in h.namespace().blocks() {
             assert!(!bm.replicas.contains(&victim), "dead node holds nothing");

@@ -24,11 +24,6 @@ pub fn distance(cluster: &VirtualCluster, a: VmId, b: VmId) -> u32 {
     cluster.distance(a, b)
 }
 
-/// Locality tier of `replica` as seen from `reader`.
-pub fn tier_of(cluster: &VirtualCluster, reader: VmId, replica: VmId) -> LocalityTier {
-    cluster.tier(reader, replica)
-}
-
 /// The failure-domain index of `vm`: its rack on a multi-rack fabric,
 /// its host on the flat single-rack one.
 fn domain_of(cluster: &VirtualCluster, vm: VmId) -> u32 {
@@ -271,6 +266,6 @@ mod tests {
         assert_eq!(distance(&c, VmId(1), VmId(5)), 2);
         assert_eq!(distance(&c, VmId(1), VmId(4)), 4);
         assert_eq!(distance(&c, VmId(1), VmId(2)), 6);
-        assert_eq!(tier_of(&c, VmId(1), VmId(4)), LocalityTier::Rack);
+        assert_eq!(c.tier(VmId(1), VmId(4)), LocalityTier::Rack);
     }
 }

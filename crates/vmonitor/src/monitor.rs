@@ -81,8 +81,10 @@ impl Monitor {
         &self.samples
     }
 
-    /// Handles a wakeup; returns `true` if it was this monitor's timer
-    /// (a sample was taken and the timer re-armed).
+    /// Handles a wakeup; returns `true` if it was this monitor's timer.
+    /// While anything else is in flight the monitor samples and re-arms;
+    /// when its timer is the last thing pending it takes no sample and
+    /// parks, so a run with a monitor drains like one without.
     pub fn on_wakeup(&mut self, engine: &mut Engine, wakeup: &Wakeup) -> bool {
         let Wakeup::Timer { id, tag } = wakeup else {
             return false;
@@ -90,20 +92,26 @@ impl Monitor {
         if tag.owner != owners::MONITOR || Some(*id) != self.timer {
             return false;
         }
+        self.timer = None;
+        if !engine.in_flight() {
+            return true;
+        }
         let util: Vec<f64> =
             self.columns.iter().map(|c| engine.fluid().utilization(c.resource)).collect();
         for (&name, &u) in self.counter_names.iter().zip(util.iter()) {
             engine.trace_counter(name, u);
         }
         self.samples.push(Sample { t: engine.now(), util });
-        self.timer = Some(engine.set_timer_in(self.interval, Tag::owner(owners::MONITOR)));
+        self.resume(engine);
         true
     }
 
-    /// Stops sampling (cancels the pending timer).
-    pub fn stop(&mut self, engine: &mut Engine) {
-        if let Some(t) = self.timer.take() {
-            engine.cancel_timer(t);
+    /// Re-arms a parked monitor once the engine has work in flight again:
+    /// the next sample lands one interval from now. A no-op while the
+    /// monitor is armed or the engine is idle.
+    pub fn resume(&mut self, engine: &mut Engine) {
+        if self.timer.is_none() && engine.in_flight() {
+            self.timer = Some(engine.set_timer_in(self.interval, Tag::owner(owners::MONITOR)));
         }
     }
 
@@ -149,15 +157,17 @@ mod tests {
     #[test]
     fn samples_on_interval() {
         let (mut e, c, mut m) = setup();
-        // A 10-second compute flow keeps the simulation alive.
+        // A 10-second compute flow keeps the simulation alive; once it
+        // finishes the monitor's next tick parks and the queue drains.
         e.start_chain(c.compute(VmId(0), 2.4e9 * 10.0), Tag::owner(simcore::owners::USER));
-        while let Some((t, w)) = e.next_wakeup() {
+        while let Some((_, w)) = e.next_wakeup() {
             m.on_wakeup(&mut e, &w);
-            if t > SimTime::from_secs(5) {
-                m.stop(&mut e);
-            }
         }
-        assert!(m.samples().len() >= 5, "got {} samples", m.samples().len());
+        assert!(m.samples().len() >= 9, "got {} samples", m.samples().len());
+        assert!(
+            m.samples().iter().all(|s| s.t <= SimTime::from_secs(10)),
+            "no sample after the work"
+        );
         // Time strictly increases.
         for pair in m.samples().windows(2) {
             assert!(pair[1].t > pair[0].t);
@@ -165,14 +175,32 @@ mod tests {
     }
 
     #[test]
+    fn parked_monitor_resumes_one_interval_after_work_returns() {
+        let (mut e, c, mut m) = setup();
+        e.start_chain(c.compute(VmId(0), 2.4e9 * 2.5), Tag::owner(simcore::owners::USER));
+        while let Some((_, w)) = e.next_wakeup() {
+            m.on_wakeup(&mut e, &w);
+        }
+        let parked_at = e.now();
+        assert_eq!(parked_at, SimTime::from_secs(3), "the tick after the work parks");
+        assert_eq!(m.samples().len(), 2);
+        m.resume(&mut e);
+        assert!(e.next_wakeup().is_none(), "nothing to observe, nothing re-armed");
+        e.start_chain(c.compute(VmId(0), 2.4e9 * 2.5), Tag::owner(simcore::owners::USER));
+        m.resume(&mut e);
+        while let Some((_, w)) = e.next_wakeup() {
+            m.on_wakeup(&mut e, &w);
+        }
+        let resumed: Vec<SimTime> = m.samples()[2..].iter().map(|s| s.t).collect();
+        assert_eq!(resumed, [SimTime::from_secs(4), SimTime::from_secs(5)]);
+    }
+
+    #[test]
     fn busy_vcpu_shows_utilization() {
         let (mut e, c, mut m) = setup();
         e.start_chain(c.compute(VmId(1), 2.4e9 * 10.0), Tag::owner(simcore::owners::USER));
-        while let Some((t, w)) = e.next_wakeup() {
+        while let Some((_, w)) = e.next_wakeup() {
             m.on_wakeup(&mut e, &w);
-            if t > SimTime::from_secs(4) {
-                m.stop(&mut e);
-            }
         }
         let vcpu_col = m.column_index("vm1.vcpu").expect("column exists");
         let idle_col = m.column_index("vm2.vcpu").expect("column exists");
@@ -189,9 +217,7 @@ mod tests {
         let (mut e, c, mut m) = setup();
         e.start_chain(c.compute(VmId(0), 2.4e9 * 3.0), Tag::owner(simcore::owners::USER));
         while let Some((_, w)) = e.next_wakeup() {
-            if !m.on_wakeup(&mut e, &w) && e.active_activities() == 0 {
-                m.stop(&mut e);
-            }
+            m.on_wakeup(&mut e, &w);
         }
         let csv = m.to_csv();
         let mut lines = csv.lines();

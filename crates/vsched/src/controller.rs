@@ -170,7 +170,9 @@ pub struct WhatIfOutcome {
     pub moves: Vec<(VmId, HostId)>,
     /// Model price of the post-move layout, seconds.
     pub estimated_s: f64,
-    /// Fork-measured span until the fork drained, seconds.
+    /// Fork-measured span from `at` to the fork's last job completion,
+    /// seconds (the instant its last job finished, not when its event
+    /// queue drained: trailing rebalance or monitor ticks do not count).
     pub measured_s: f64,
     /// Whether this candidate was committed in the parent.
     pub chosen: bool,
@@ -278,21 +280,7 @@ impl Controller {
         id
     }
 
-    /// Admits `job` right now (or rejects it at a full queue); pumps
-    /// starts. Returns whether the job was admitted.
-    pub fn offer(
-        &mut self,
-        rt: &mut MrRuntime,
-        migration: &mut MigrationManager,
-        tenant: u32,
-        expected_s: f64,
-        job: PendingJob,
-    ) -> bool {
-        let id = self.next_ctrl_id;
-        self.next_ctrl_id += 1;
-        self.admit(rt, migration, id, tenant, expected_s, job)
-    }
-
+    /// Admits `job` (or rejects it at a full queue) and pumps starts.
     fn admit(
         &mut self,
         rt: &mut MrRuntime,
@@ -301,7 +289,7 @@ impl Controller {
         tenant: u32,
         expected_s: f64,
         job: PendingJob,
-    ) -> bool {
+    ) {
         let now = rt.engine.now();
         self.counters.jobs_offered += 1;
         let admitted =
@@ -330,7 +318,6 @@ impl Controller {
         self.pump(rt);
         self.sample_counters(rt);
         self.ensure_tick(&mut rt.engine, migration);
-        admitted
     }
 
     /// Handles an `owners::CTRL` wakeup (arrival or rebalance tick).

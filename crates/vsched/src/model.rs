@@ -257,11 +257,6 @@ impl RegressionTree {
         self.nodes.len()
     }
 
-    /// Number of leaf nodes.
-    pub fn leaf_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.feature == LEAF).count()
-    }
-
     /// Maximum root-to-leaf depth (0 for a single leaf).
     pub fn depth(&self) -> usize {
         fn walk(nodes: &[Node], i: u32) -> usize {
@@ -446,6 +441,10 @@ mod tests {
         (rows, labels)
     }
 
+    fn leaves(t: &RegressionTree) -> usize {
+        t.nodes.iter().filter(|n| n.feature == LEAF).count()
+    }
+
     #[test]
     fn tree_fits_a_step_function() {
         let (rows, labels) = grid();
@@ -455,7 +454,7 @@ mod tests {
                 / rows.len() as f64;
         assert!(mae < 0.75, "tree should fit the grid closely, mae={mae}");
         assert!(t.depth() <= 8);
-        assert!(t.leaf_count() >= 2);
+        assert!(leaves(&t) >= 2);
     }
 
     #[test]
@@ -471,9 +470,9 @@ mod tests {
         let (rows, labels) = grid();
         let stump = RegressionTree::fit(&rows, &labels, &TreeConfig { max_depth: 1, min_leaf: 1 });
         assert!(stump.depth() <= 1);
-        assert!(stump.leaf_count() <= 2);
+        assert!(leaves(&stump) <= 2);
         let wide = RegressionTree::fit(&rows, &labels, &TreeConfig { max_depth: 8, min_leaf: 16 });
-        assert!(wide.leaf_count() <= 2, "min_leaf=16 on 32 samples allows one split");
+        assert!(leaves(&wide) <= 2, "min_leaf=16 on 32 samples allows one split");
     }
 
     #[test]

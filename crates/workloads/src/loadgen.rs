@@ -190,7 +190,8 @@ impl ArrivalProcess {
     /// Overrides the per-job size jitter half-width. `0.0` makes every
     /// job exactly the mix's base size (useful for characterization
     /// sweeps that want the workload axis pure); values are clamped to
-    /// `[0, 0.95]` so sizes stay positive.
+    /// `[0, 0.95]` so sizes stay positive. Facade API: the `job_stream`
+    /// example sets it.
     pub fn with_jitter(mut self, jitter: f64) -> Self {
         self.jitter = jitter.clamp(0.0, 0.95);
         self
@@ -246,8 +247,8 @@ mod tests {
             ClusterSpec::builder().hosts(2).vms(5).placement(Placement::SingleDomain).build();
         let mut rt =
             MrRuntime::new(spec, HdfsConfig { block_size: 1 << 20, replication: 2 }, RootSeed(1));
-        let id = submit_load_job(&mut rt, 0, 4, 2.0, 4 << 20);
-        let res = rt.drive_until_done(id).expect("completes");
+        submit_load_job(&mut rt, 0, 4, 2.0, 4 << 20);
+        let res = rt.drive_all().pop().expect("completes");
         assert!(res.elapsed_secs() > 2.0, "CPU load took time: {:.1}s", res.elapsed_secs());
         assert!(res.counters.shuffle_bytes > 12 << 20, "I/O volume shipped");
         assert!(rt.now() > SimTime::ZERO);
@@ -264,7 +265,7 @@ mod tests {
         assert!(rt.hdfs.stat("/load/in-0007").is_none(), "no input registered before submit");
         let id = job.submit(&mut rt);
         assert!(rt.hdfs.stat("/load/in-0007").is_some(), "submit registers the input");
-        assert!(rt.drive_until_done(id).is_some());
+        assert_eq!(rt.drive_all()[0].id, id);
     }
 
     #[test]

@@ -36,7 +36,6 @@ fn main() {
                 ClusterSpec::builder().hosts(2).vms(16).placement(Placement::SingleDomain).build(),
             )
             .hdfs(HdfsConfig { block_size: 1 << 20, replication: 2 })
-            .no_monitor()
             .tracing(true)
             .seed(4242)
             .controller(ctrl)
@@ -48,6 +47,7 @@ fn main() {
     // tenants, exponential interarrival gaps, ±20 % size jitter.
     let arrivals =
         ArrivalProcess::new(JobMix::Wordcount, 6, SimDuration::from_secs(4), 2, RootSeed(4242))
+            .with_jitter(0.2)
             .schedule();
     for (i, a) in arrivals.iter().enumerate() {
         let run = i as u32;
@@ -63,13 +63,11 @@ fn main() {
     }
 
     // 4. Closed loop: arrivals -> admission queue -> JobTracker -> SLO
-    // tracker, with rebalance ticks interleaved. Runs to quiescence.
+    // tracker, with rebalance ticks interleaved and the monitor sampling
+    // throughout. Runs to quiescence; the makespan is the last completion.
     let done = platform.drive_until_idle();
-    println!(
-        "\nstream drained at t={:.1}s: {} jobs finished",
-        platform.now().as_secs_f64(),
-        done.len()
-    );
+    let makespan = done.last().map_or(0.0, |r| r.finished.as_secs_f64());
+    println!("\nstream finished at t={makespan:.1}s: {} jobs", done.len());
 
     // 5. The controller's verdict.
     let ctrl = platform.controller().expect("controller enabled");

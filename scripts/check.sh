@@ -142,20 +142,38 @@ if grep -rnE '\\"[A-Za-z_]+\\": ?' crates/*/src \
     exit 1
 fi
 
+# Reads `file:line:...` grep hits on stdin and prints those whose line above
+# is not a `// $1: <reason>` comment.
+unreasoned() {
+    local file line prev
+    while IFS=: read -r file line _; do
+        prev=$(sed -n "$((line - 1))p" "$file")
+        [[ "$prev" =~ ^[[:space:]]*//\ "$1":\ [^[:space:]] ]] || echo "$file:$line"
+    done
+}
+
 echo "==> codec lint"
 # Snapshot codecs are field lists (simcore::persist_struct!/persist_enum!/
 # persist_state!, DESIGN.md §16): outside simcore/src/persist.rs, a
 # hand-written `impl Persist for`, `decode_state` or `restore_state` needs a
 # `// codec by hand: <reason>` line directly above it.
-bad=""
-while IFS=: read -r file line _; do
-    prev=$(sed -n "$((line - 1))p" "$file")
-    [[ "$prev" =~ ^[[:space:]]*//\ codec\ by\ hand:\ [^[:space:]] ]] || bad+="$file:$line"$'\n'
-done < <(grep -rnE '^\s*(impl\b.*\bPersist for\b|(pub(\(crate\))? )?fn (decode_state|restore_state)\b)' \
-    crates/*/src | grep -v '^crates/simcore/src/persist\.rs:')
+bad=$( { grep -rnE '^\s*(impl\b.*\bPersist for\b|(pub(\(crate\))? )?fn (decode_state|restore_state)\b)' \
+    crates/*/src | grep -v '^crates/simcore/src/persist\.rs:' || true; } | unreasoned "codec by hand")
 if [ -n "$bad" ]; then
     echo "codec lint FAILED: hand-written codec without a '// codec by hand:' line above it:" >&2
-    printf '%s' "$bad" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+
+echo "==> monitor lint"
+# A monitor parks when its tick is the last thing pending, so every run
+# drains in the default (monitored) configuration. In tests/ and examples/
+# a `.no_monitor()` needs a `// no monitor: <reason>` line directly above
+# it (the bench binaries and vchar's sweep time the host and keep theirs).
+bad=$( { grep -rn --include='*.rs' '\.no_monitor()' tests examples || true; } | unreasoned "no monitor")
+if [ -n "$bad" ]; then
+    echo "monitor lint FAILED: .no_monitor() without a '// no monitor:' line above it:" >&2
+    echo "$bad" >&2
     exit 1
 fi
 

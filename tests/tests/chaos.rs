@@ -107,7 +107,6 @@ fn crashed_node_can_rejoin_and_serve_again() {
         PlatformConfig::builder()
             .cluster(ClusterSpec::builder().hosts(2).vms(6).build())
             .hdfs(HdfsConfig { block_size: MB, replication: 3 })
-            .no_monitor()
             .tracing(true)
             .faults(plan)
             .seed(11)
@@ -143,7 +142,6 @@ fn job_resumes_when_every_tracker_was_lost_and_rejoins() {
         PlatformConfig::builder()
             .cluster(ClusterSpec::builder().hosts(2).vms(3).build())
             .hdfs(HdfsConfig { block_size: MB, replication: 2 })
-            .no_monitor()
             .faults(plan)
             .seed(11)
             .build(),
@@ -163,7 +161,6 @@ fn migration_abort_without_migration_is_a_recorded_noop() {
     let mut p = VHadoop::launch(
         PlatformConfig::builder()
             .cluster(ClusterSpec::builder().hosts(2).vms(4).build())
-            .no_monitor()
             .faults(FaultPlan::new().at(SimTime::from_secs(1), FaultKind::MigrationAbort))
             .build(),
     );
@@ -179,7 +176,6 @@ fn plans_can_be_installed_mid_run() {
     let mut p = VHadoop::launch(
         PlatformConfig::builder()
             .cluster(ClusterSpec::builder().hosts(2).vms(6).build())
-            .no_monitor()
             .seed(5)
             .build(),
     );

@@ -28,19 +28,20 @@ pub fn fig2_hdfs(input_bytes: u64) -> HdfsConfig {
     HdfsConfig { block_size: (input_bytes / 15).max(MB), replication: 3 }
 }
 
-/// Launches a traced, monitor-less platform on the Fig. 2 config with
-/// `plan` installed at boot.
+/// The traced Fig. 2 platform configuration (default monitor) with `plan`
+/// installed at boot.
+pub fn fig2_config(input_bytes: u64, seed: u64, plan: FaultPlan) -> PlatformConfigBuilder {
+    PlatformConfig::builder()
+        .cluster(fig2_cluster())
+        .hdfs(fig2_hdfs(input_bytes))
+        .tracing(true)
+        .faults(plan)
+        .seed(seed)
+}
+
+/// Launches [`fig2_config`].
 pub fn launch_fig2(input_bytes: u64, seed: u64, plan: FaultPlan) -> VHadoop {
-    VHadoop::launch(
-        PlatformConfig::builder()
-            .cluster(fig2_cluster())
-            .hdfs(fig2_hdfs(input_bytes))
-            .no_monitor()
-            .tracing(true)
-            .faults(plan)
-            .seed(seed)
-            .build(),
-    )
+    VHadoop::launch(fig2_config(input_bytes, seed, plan).build())
 }
 
 /// Registers the wordcount input on `p` and returns the job spec plus its

@@ -16,7 +16,6 @@ fn traced_wordcount(ctrl: Option<ControllerConfig>) -> String {
     let mut b = PlatformConfig::builder()
         .cluster(ClusterSpec::builder().hosts(2).vms(8).placement(Placement::SingleDomain).build())
         .hdfs(HdfsConfig { block_size: MB, replication: 2 })
-        .no_monitor()
         .tracing(true)
         .seed(909);
     if let Some(cfg) = ctrl {
@@ -56,7 +55,6 @@ fn job_stream_completes_with_sane_slo_accounting() {
                 ClusterSpec::builder().hosts(2).vms(16).placement(Placement::SingleDomain).build(),
             )
             .hdfs(HdfsConfig { block_size: MB, replication: 2 })
-            .no_monitor()
             .tracing(true)
             .seed(4242)
             .controller(ControllerConfig::enabled_with(PlacementKind::Spread))
@@ -113,7 +111,6 @@ fn run_ordered(policy: QueuePolicy, jobs: &[(u32, f64)]) -> Vec<JobSlo> {
                 ClusterSpec::builder().hosts(2).vms(8).placement(Placement::SingleDomain).build(),
             )
             .hdfs(HdfsConfig { block_size: MB, replication: 2 })
-            .no_monitor()
             .seed(11)
             .controller(cfg)
             .build(),
@@ -186,7 +183,6 @@ fn rebalancer_migrates_vms_off_the_hot_host() {
                 ClusterSpec::builder().hosts(2).vms(16).placement(Placement::SingleDomain).build(),
             )
             .hdfs(HdfsConfig { block_size: MB, replication: 2 })
-            .no_monitor()
             .tracing(true)
             .seed(31)
             .controller(cfg)
@@ -239,7 +235,6 @@ fn whatif_rebalancing_forks_measures_and_commits_best() {
                 ClusterSpec::builder().hosts(3).vms(12).placement(Placement::SingleDomain).build(),
             )
             .hdfs(HdfsConfig { block_size: MB, replication: 2 })
-            .no_monitor()
             .tracing(true)
             .seed(31)
             .controller(cfg)

@@ -85,7 +85,6 @@ fn random_fault_plans_preserve_results_and_data() {
                         .build(),
                 )
                 .hdfs(HdfsConfig { block_size: mb, replication: 3 })
-                .no_monitor()
                 .faults(plan)
                 .seed(seed)
                 .build(),
@@ -161,7 +160,6 @@ fn random_fault_plans_never_validate_a_wrong_hssort() {
                         .build(),
                 )
                 .hdfs(plan.hdfs_config(3))
-                .no_monitor()
                 .faults(fault_plan)
                 .seed(seed)
                 .build(),
@@ -316,7 +314,6 @@ fn controller_never_starves_jobs_under_random_faults() {
                         .build(),
                 )
                 .hdfs(HdfsConfig { block_size: mb, replication: 3 })
-                .no_monitor()
                 .faults(plan)
                 .seed(seed)
                 .controller(cfg)

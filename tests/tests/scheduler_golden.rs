@@ -91,6 +91,7 @@ fn concurrent_jobs(policy: SchedulerPolicy) -> Vec<JobGolden> {
         PlatformConfig::builder()
             .cluster(ClusterSpec::builder().hosts(4).vms(24).racks(2).build())
             .hdfs(HdfsConfig { block_size: MB / 2, replication: 3 })
+            // no monitor: step_until acts at the first wakeup past an instant; ticks move it
             .no_monitor()
             .scheduler(policy)
             .faults(straggler)

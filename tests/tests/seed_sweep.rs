@@ -20,7 +20,6 @@ fn sweep_trace(seed: u64, plan: FaultPlan) -> (Vec<(String, i64)>, String) {
         PlatformConfig::builder()
             .cluster(fig2_cluster())
             .hdfs(HdfsConfig { block_size: SWEEP_BYTES / 15, replication: 3 })
-            .no_monitor()
             .tracing(true)
             .faults(plan)
             .seed(seed)

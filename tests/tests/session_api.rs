@@ -13,7 +13,6 @@ fn platform(seed: u64) -> VHadoop {
             .cluster(
                 ClusterSpec::builder().hosts(2).vms(4).placement(Placement::SingleDomain).build(),
             )
-            .no_monitor()
             .seed(seed)
             .build(),
     )

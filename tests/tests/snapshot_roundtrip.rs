@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::{fig2_cluster, fig2_hdfs, fig2_job, launch_fig2, sorted_outputs, MB};
+use common::{fig2_cluster, fig2_config, fig2_hdfs, fig2_job, launch_fig2, sorted_outputs, MB};
 use vhadoop::persist::Snapshot;
 use vhadoop::prelude::*;
 use vhadoop::simcore::persist::{validate_header, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
@@ -33,13 +33,24 @@ fn faulted_plan() -> FaultPlan {
         .at(SimTime::from_secs(2), FaultKind::NodeCrash { vm: 7 })
 }
 
-/// Launches the Fig. 2 platform and submits the wordcount job without
-/// driving it — the caller steps the simulation explicitly.
+/// Launches the (monitored) Fig. 2 platform and submits the wordcount job
+/// without driving it — the caller steps the simulation explicitly.
 fn launch_and_submit(seed: u64, plan: FaultPlan) -> (VHadoop, JobId) {
-    let mut p = launch_fig2(INPUT_BYTES, seed, plan);
+    submit_fig2(launch_fig2(INPUT_BYTES, seed, plan), seed)
+}
+
+fn submit_fig2(mut p: VHadoop, seed: u64) -> (VHadoop, JobId) {
     let (spec, app, input) = fig2_job(&mut p, INPUT_BYTES, seed);
     let id = p.rt.submit(spec, app, input);
     (p, id)
+}
+
+/// The config for a pinned scenario: `GOLDEN_HASH` and `SUBSYSTEM_PINS`
+/// (a) and (c) were pinned without a monitor, whose samples and timer are
+/// part of the snapshot bytes.
+fn unmonitored(b: PlatformConfigBuilder) -> PlatformConfig {
+    // no monitor: pinned snapshot bytes
+    b.no_monitor().build()
 }
 
 /// Steps `p` until the event queue drains; returns sorted outputs of the
@@ -245,7 +256,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 #[test]
 fn golden_snapshot_hash_pins_the_format() {
-    let (mut p, _) = launch_and_submit(1, FaultPlan::new());
+    let cfg = unmonitored(fig2_config(INPUT_BYTES, 1, FaultPlan::new()));
+    let (mut p, _) = submit_fig2(VHadoop::launch(cfg), 1);
     for _ in 0..100 {
         p.step();
     }
@@ -309,18 +321,16 @@ fn pin_controller_stream() -> u64 {
         mode: RebalanceMode::WhatIf,
         hint: WorkloadHint::default(),
     });
-    let mut p = VHadoop::launch(
+    let mut p = VHadoop::launch(unmonitored(
         PlatformConfig::builder()
             .cluster(
                 ClusterSpec::builder().hosts(3).vms(12).placement(Placement::SingleDomain).build(),
             )
             .hdfs(HdfsConfig { block_size: MB, replication: 2 })
-            .no_monitor()
             .tracing(true)
             .seed(31)
-            .controller(cfg)
-            .build(),
-    );
+            .controller(cfg),
+    ));
     let arrivals = [0u64, 1, 2, 30, 40];
     for (run, &at) in (0u32..).zip(&arrivals) {
         p.schedule_job(SimTime::from_secs(at), run % 2, 20.0, load_job(run, 10, 5.0, 64 << 10));
@@ -399,17 +409,15 @@ fn pin_monitored_faulted_migration() -> u64 {
 /// between its map phase and its first reduce.
 fn pin_hsgen_hssort_window() -> u64 {
     let plan = HsPlan::new(200_000, 2, RootSeed(55)).with_block_size(50_000);
-    let mut p = VHadoop::launch(
+    let mut p = VHadoop::launch(unmonitored(
         PlatformConfig::builder()
             .cluster(
                 ClusterSpec::builder().hosts(2).vms(8).placement(Placement::SingleDomain).build(),
             )
             .hdfs(plan.hdfs_config(2))
-            .no_monitor()
             .tracing(true)
-            .seed(plan.seed.0)
-            .build(),
-    );
+            .seed(plan.seed.0),
+    ));
     let mut pin = Pinned::new(1);
     let (spec, app, input) = hsgen_job(&plan);
     let gen = p.rt.submit(spec, app, input);
@@ -456,6 +464,9 @@ fn golden_snapshot_hashes_pin_every_subsystem() {
 }
 
 /// Pinned against SNAPSHOT_VERSION = 5: controller stream, monitored and
-/// faulted migration, HSGen/HSSort window.
+/// faulted migration, HSGen/HSSort window. The format is unchanged since
+/// (a) was first pinned; (a) moved from `0xe33c_bd42_16ab_575e` when a
+/// what-if outcome's `measured_s` became the span to the fork's last job
+/// completion rather than to its drain instant.
 const SUBSYSTEM_PINS: [u64; 3] =
-    [0xe33c_bd42_16ab_575e, 0xe581_ee59_ba4f_b8f9, 0xac73_b47c_3a73_85f4];
+    [0x23a4_314c_ae78_12b3, 0xe581_ee59_ba4f_b8f9, 0xac73_b47c_3a73_85f4];

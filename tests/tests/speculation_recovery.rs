@@ -48,7 +48,6 @@ fn launch(plan: FaultPlan) -> VHadoop {
                 ClusterSpec::builder().hosts(2).vms(9).placement(Placement::SingleDomain).build(),
             )
             .hdfs(HdfsConfig { block_size: 1 << 20, replication: 2 })
-            .no_monitor()
             .tracing(true)
             .seed(77)
             .faults(plan)

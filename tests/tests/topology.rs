@@ -82,7 +82,6 @@ fn rack_switch_stats_see_pipeline_traffic() {
                     .build(),
             )
             .hdfs(HdfsConfig { block_size: MB, replication: 3 })
-            .no_monitor()
             .build(),
     );
     p.upload_input("/topo/in", 8 * MB, VmId(1));

@@ -104,7 +104,6 @@ fn replica_loss_is_diagnosed_as_lost_blocks() {
         PlatformConfig::builder()
             .cluster(small_cluster())
             .hdfs(plan.hdfs_config(1)) // replication 1: any loss is fatal
-            .no_monitor()
             .seed(9)
             .build(),
     );
@@ -187,7 +186,6 @@ fn snapshot_mid_hssort_finishes_byte_identically() {
             PlatformConfig::builder()
                 .cluster(small_cluster())
                 .hdfs(plan.hdfs_config(REPLICATION))
-                .no_monitor()
                 .tracing(true)
                 .seed(plan.seed.0)
                 .build(),

@@ -81,7 +81,6 @@ fn whatif_outcomes(model: MakespanKind) -> Vec<vsched::controller::WhatIfOutcome
                 ClusterSpec::builder().hosts(3).vms(12).placement(Placement::Custom(map)).build(),
             )
             .hdfs(HdfsConfig { block_size: 1 << 20, replication: 2 })
-            .no_monitor()
             .seed(4242)
             .controller(cfg)
             .build(),
