@@ -189,6 +189,8 @@ pub struct KernelStats {
     pub reallocations: u64,
     /// Flows re-solved, summed over all reallocations.
     pub flows_touched: u64,
+    /// Flow settles (see [`FluidStats::flows_settled`]).
+    pub flows_settled: u64,
     /// Resources visited, summed over all reallocations.
     pub resources_touched: u64,
     /// Mutations absorbed by coalesced reallocation passes (batched event
@@ -365,6 +367,7 @@ impl Engine {
         let FluidStats {
             reallocations,
             flows_touched,
+            flows_settled,
             resources_touched,
             batch_applied,
             comp_size_p50,
@@ -375,6 +378,7 @@ impl Engine {
         KernelStats {
             reallocations,
             flows_touched,
+            flows_settled,
             resources_touched,
             batch_applied,
             comp_size_p50,

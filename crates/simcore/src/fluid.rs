@@ -28,10 +28,25 @@
 //! full-flow scan, so scheduling the next wake costs `O(log flows)` instead
 //! of `O(flows)`.
 //!
+//! ## Lazy clock (DESIGN.md §13)
+//!
+//! Time passing costs nothing: [`FluidNet::advance_to`] only moves the
+//! clock. Every flow stores its remaining work as of its *anchor* instant
+//! and every resource its cumulative work as of its own anchor; a rate (or
+//! `used`) is constant between anchors, so the value "now" is the stored
+//! one less (plus) rate × elapsed time, computed on read. A flow settles —
+//! folds the elapsed drain into its stored value and moves its anchor —
+//! only when the solver gives it a different rate, when it finishes, or
+//! when it is removed; a resource only when its `used` changes. A cluster
+//! step therefore costs what it touches, not what is live. Rates and `used`
+//! are the solver's alone and stay bit-identical to a global pass; remaining
+//! work and cumulative service round differently from an eagerly stepped
+//! clock, and completion instants may move by a nanosecond.
+//!
 //! ## Arena/SoA storage and batched re-solve (DESIGN.md §18)
 //!
 //! Flow state lives in structure-of-arrays arenas: parallel `Vec`s for
-//! generation, stamp, rate, remaining, total, plus a flat demand arena
+//! generation, stamp, rate, remaining, anchor, total, plus a flat demand arena
 //! (`dem_res`/`dem_w` with per-flow `(start, len)` ranges) so the solver's
 //! inner loops are linear scans over dense scalar arrays rather than
 //! pointer chases through per-flow heap allocations. Reallocation runs in
@@ -113,7 +128,7 @@ pub struct FinishedFlow {
 /// Machine-speed independent: `batching_counts_on_iterative_waves`
 /// (`tests/tests/fluid_equivalence.rs`) pins them exactly on a 1024-VM
 /// scenario and platbench reports them per workload, so a regression in
-/// incremental or batching behavior fails tier-1 on any host.
+/// incremental, batching or lazy-clock behavior fails tier-1 on any host.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FluidStats {
     /// Number of [`FluidNet::reallocate`] passes that found dirty state.
@@ -122,6 +137,10 @@ pub struct FluidStats {
     /// closure size, summed). `flows_touched / reallocations` is the mean
     /// component size — the number the incremental solver drives down.
     pub flows_touched: u64,
+    /// Flow settles: a flow's drain folded into its stored remaining work
+    /// because its rate changed, it finished or it was removed. Idle
+    /// flows never count, so this grows with what changes, not with time.
+    pub flows_settled: u64,
     /// Total resources visited across all reallocations.
     pub resources_touched: u64,
     /// Total mutations (flow add/remove/finish, capacity change) absorbed
@@ -187,9 +206,13 @@ pub struct FluidNet {
     /// Capacity currently consumed by the allocation (refreshed on each
     /// reallocation); kept for cheap utilization queries.
     res_used: Vec<f64>,
-    /// Total work served since t = 0 (integrated `used · dt`); lets
-    /// clients compute exact time-averaged utilization over any window.
+    /// Total work served from t = 0 to `res_anchor` (integrated
+    /// `used · dt`); lets clients compute exact time-averaged utilization
+    /// over any window.
     res_cumulative: Vec<f64>,
+    /// Instant `res_cumulative` was last settled; `res_used` has not
+    /// changed since.
+    res_anchor: Vec<SimTime>,
     /// Live flow slots crossing each resource (one entry per demand row,
     /// so duplicate demands stay balanced with [`FluidNet::detach`]).
     res_flows: Vec<Vec<u32>>,
@@ -202,7 +225,11 @@ pub struct FluidNet {
     f_stamp: Vec<u32>,
     f_live: Vec<bool>,
     f_total: Vec<f64>,
+    /// Remaining work as of `f_anchor`.
     f_remaining: Vec<f64>,
+    /// Instant `f_remaining` was last settled; `f_rate` has not changed
+    /// since.
+    f_anchor: Vec<SimTime>,
     f_rate: Vec<f64>,
     /// Range of this flow's rows in the flat demand arena.
     f_dem_start: Vec<u32>,
@@ -226,8 +253,10 @@ pub struct FluidNet {
     res_mark: Vec<bool>,
     /// Per-slot visited mark for the closure walk (all-false between calls).
     flow_mark: Vec<bool>,
-    /// Live flows with `remaining <= DONE_EPS` — the set that makes
-    /// `earliest_completion` return "now" immediately.
+    /// Live flows whose settled remaining work is `<= DONE_EPS` — the set
+    /// that makes `earliest_completion` return "now" immediately and
+    /// `take_finished` scan every slot (a zero-work flow on a stalled
+    /// resource has no completion-index entry).
     near_done: usize,
     /// Lazy min-heap of projected completions: `(finish_ns, slot, stamp)`.
     /// Entries whose stamp no longer matches the slot are stale.
@@ -267,12 +296,14 @@ impl FluidNet {
             res_capacity: Vec::new(),
             res_used: Vec::new(),
             res_cumulative: Vec::new(),
+            res_anchor: Vec::new(),
             res_flows: Vec::new(),
             f_gen: Vec::new(),
             f_stamp: Vec::new(),
             f_live: Vec::new(),
             f_total: Vec::new(),
             f_remaining: Vec::new(),
+            f_anchor: Vec::new(),
             f_rate: Vec::new(),
             f_dem_start: Vec::new(),
             f_dem_len: Vec::new(),
@@ -318,6 +349,7 @@ impl FluidNet {
         self.res_capacity.push(capacity);
         self.res_used.push(0.0);
         self.res_cumulative.push(0.0);
+        self.res_anchor.push(self.last_update);
         self.res_flows.push(Vec::new());
         self.res_mark.push(false);
         self.res_local.push(0);
@@ -353,9 +385,11 @@ impl FluidNet {
         self.res_used[r.index()]
     }
 
-    /// Total work served on `r` since t = 0 (as of the last `advance_to`).
+    /// Total work served on `r` from t = 0 to [`FluidNet::now`]: the
+    /// settled total plus `used` × the time since it was settled.
     pub fn cumulative(&self, r: ResourceId) -> f64 {
-        self.res_cumulative[r.index()]
+        let r = r.index();
+        self.res_cumulative[r] + self.res_used[r] * self.secs_since(self.res_anchor[r])
     }
 
     /// `used / capacity`, clamped to [0, 1]; 0 for infinite capacity.
@@ -405,6 +439,7 @@ impl FluidNet {
                 self.f_live[si] = true;
                 self.f_total[si] = work;
                 self.f_remaining[si] = work;
+                self.f_anchor[si] = self.last_update;
                 self.f_rate[si] = 0.0;
                 self.f_dem_start[si] = dem_start;
                 self.f_dem_len[si] = dem_len;
@@ -416,6 +451,7 @@ impl FluidNet {
                 self.f_live.push(true);
                 self.f_total.push(work);
                 self.f_remaining.push(work);
+                self.f_anchor.push(self.last_update);
                 self.f_rate.push(0.0);
                 self.f_dem_start.push(dem_start);
                 self.f_dem_len.push(dem_len);
@@ -434,30 +470,42 @@ impl FluidNet {
         self.active += 1;
         self.allocation_dirty = true;
         self.pending_mutations += 1;
-        FlowId { slot, gen: self.f_gen[slot as usize] }
+        self.handle(slot as usize)
+    }
+
+    /// The current handle of slot `si`.
+    fn handle(&self, si: usize) -> FlowId {
+        FlowId { slot: si as u32, gen: self.f_gen[si] }
     }
 
     /// Cancels `id`, returning its remaining work, or `None` if the handle
     /// is stale (already finished/cancelled).
     pub fn remove_flow(&mut self, id: FlowId) -> Option<f64> {
-        let si = id.slot as usize;
-        if si >= self.f_gen.len() || self.f_gen[si] != id.gen || !self.f_live[si] {
+        if !self.is_live(id) {
             return None;
         }
-        let remaining = self.f_remaining[si];
-        self.f_gen[si] = self.f_gen[si].wrapping_add(1);
-        self.f_stamp[si] = self.f_stamp[si].wrapping_add(1);
-        if remaining <= DONE_EPS {
+        self.retire(id.slot);
+        Some(self.f_remaining[id.slot as usize])
+    }
+
+    /// Takes live slot `slot` out of the network: settles its remaining
+    /// work, stales its handle and completion-index entries, detaches it
+    /// from its resources and frees the slot.
+    fn retire(&mut self, slot: u32) {
+        let si = slot as usize;
+        self.settle_flow(si);
+        if self.f_remaining[si] <= DONE_EPS {
             self.near_done -= 1;
         }
-        self.detach(id.slot);
+        self.f_gen[si] = self.f_gen[si].wrapping_add(1);
+        self.f_stamp[si] = self.f_stamp[si].wrapping_add(1);
+        self.detach(slot);
         self.f_live[si] = false;
         self.dem_garbage += self.f_dem_len[si] as usize;
-        self.free.push(id.slot);
+        self.free.push(slot);
         self.active -= 1;
         self.allocation_dirty = true;
         self.pending_mutations += 1;
-        Some(remaining)
     }
 
     /// Flow-arena slot count (live + free): the arena footprint, which only
@@ -481,9 +529,38 @@ impl FluidNet {
         }
     }
 
-    /// Remaining work of `id` as of the last `advance_to` (stale → `None`).
+    /// Remaining work of `id` at [`FluidNet::now`] (stale → `None`).
     pub fn flow_remaining(&self, id: FlowId) -> Option<f64> {
-        self.is_live(id).then(|| self.f_remaining[id.slot as usize])
+        self.is_live(id).then(|| self.remaining_now(id.slot as usize))
+    }
+
+    /// Seconds from `anchor` to the fluid clock.
+    fn secs_since(&self, anchor: SimTime) -> f64 {
+        (self.last_update - anchor).as_secs_f64()
+    }
+
+    /// Remaining work of live slot `si` at the fluid clock: the settled
+    /// value less what the unchanged rate has drained since the anchor.
+    fn remaining_now(&self, si: usize) -> f64 {
+        let drained = self.f_rate[si] * self.secs_since(self.f_anchor[si]);
+        (self.f_remaining[si] - drained).max(0.0)
+    }
+
+    /// True when live slot `si` counts as finished at the fluid clock.
+    fn is_drained(&self, si: usize) -> bool {
+        self.remaining_now(si) <= DONE_EPS.max(self.f_total[si] * 1e-12)
+    }
+
+    /// Folds the drain since the anchor into `f_remaining` and moves the
+    /// anchor to the fluid clock; must run before the rate changes.
+    fn settle_flow(&mut self, si: usize) {
+        let after = self.remaining_now(si);
+        if self.f_remaining[si] > DONE_EPS && after <= DONE_EPS {
+            self.near_done += 1;
+        }
+        self.f_remaining[si] = after;
+        self.f_anchor[si] = self.last_update;
+        self.stats.flows_settled += 1;
     }
 
     /// Unregisters a departing flow from the per-resource index and marks
@@ -508,7 +585,8 @@ impl FluidNet {
         }
     }
 
-    /// Integrates flow progress from the last update instant to `now`.
+    /// Moves the fluid clock to `now`. O(1): flows and resources catch up
+    /// when they are read or settled, not here.
     ///
     /// # Panics
     /// If `now` is before the last update (time cannot run backwards).
@@ -519,32 +597,12 @@ impl FluidNet {
             now,
             self.last_update
         );
-        if now == self.last_update {
-            return;
-        }
+        // A removed flow's share stays in its resources' `used` until the
+        // next reallocation, so time must not pass over a dirty allocation.
         debug_assert!(
-            !self.allocation_dirty || self.active == 0,
+            now == self.last_update || !self.allocation_dirty,
             "advancing fluid time with a dirty allocation"
         );
-        let dt = (now - self.last_update).as_secs_f64();
-        let mut crossed = 0usize;
-        for si in 0..self.f_live.len() {
-            if self.f_live[si] && self.f_rate[si] > 0.0 {
-                let rate = self.f_rate[si];
-                let before = self.f_remaining[si];
-                let after = (before - rate * dt).max(0.0);
-                self.f_remaining[si] = after;
-                if before > DONE_EPS && after <= DONE_EPS {
-                    crossed += 1;
-                }
-                let d0 = self.f_dem_start[si] as usize;
-                let d1 = d0 + self.f_dem_len[si] as usize;
-                for k in d0..d1 {
-                    self.res_cumulative[self.dem_res[k] as usize] += rate * self.dem_w[k] * dt;
-                }
-            }
-        }
-        self.near_done += crossed;
         self.last_update = now;
     }
 
@@ -765,8 +823,11 @@ impl FluidNet {
         }
     }
 
-    /// Phase 3: commit solved rates and resource usage, re-stamp every
-    /// touched flow, and index projected completions, in component order.
+    /// Phase 3: commit solved rates and resource usage in component order.
+    /// Only a flow whose rate changed (bit for bit) is settled, re-stamped
+    /// and re-indexed; one re-solved to the same rate keeps its anchor and
+    /// its completion-index entry, which still projects the right instant.
+    /// Likewise a resource settles only when its `used` changes.
     fn apply_components(&mut self) {
         for ci in 0..self.comps.len() {
             let c = self.comps[ci];
@@ -778,17 +839,27 @@ impl FluidNet {
             for i in 0..c.flow_len {
                 let s = self.comp_flows[c.flow_start + i];
                 let si = s as usize;
-                self.f_rate[si] = self.comp_rates[c.flow_start + i];
+                let rate = self.comp_rates[c.flow_start + i];
+                if rate.to_bits() == self.f_rate[si].to_bits() {
+                    continue;
+                }
+                self.settle_flow(si);
+                self.f_rate[si] = rate;
                 self.f_stamp[si] = self.f_stamp[si].wrapping_add(1);
-                if self.f_rate[si] > 0.0 {
-                    let d = SimDuration::from_secs_f64(self.f_remaining[si] / self.f_rate[si]);
+                if rate > 0.0 {
+                    let d = SimDuration::from_secs_f64(self.f_remaining[si] / rate);
                     let key = self.last_update.as_nanos().saturating_add(d.as_nanos());
                     self.completions.push(Reverse((key, s, self.f_stamp[si])));
                 }
             }
             for j in 0..c.res_len {
                 let r = self.comp_res[c.res_start + j] as usize;
-                self.res_used[r] = self.comp_used[c.res_start + j];
+                let used = self.comp_used[c.res_start + j];
+                if used.to_bits() != self.res_used[r].to_bits() {
+                    self.res_cumulative[r] = self.cumulative(ResourceId(r as u32));
+                    self.res_anchor[r] = self.last_update;
+                    self.res_used[r] = used;
+                }
             }
         }
     }
@@ -839,8 +910,7 @@ impl FluidNet {
     ///
     /// Served from the completion index: stale heap entries are popped
     /// lazily, and the winning flow's instant is recomputed from its
-    /// remaining work *now* — the same arithmetic (and therefore the same
-    /// nanosecond) as the former full scan.
+    /// remaining work *now* — the expression of the former full scan.
     pub fn earliest_completion(&mut self) -> Option<SimTime> {
         debug_assert!(!self.allocation_dirty, "earliest_completion on dirty allocation");
         if self.near_done > 0 {
@@ -855,42 +925,60 @@ impl FluidNet {
         }
         let &Reverse((_, s, _)) = self.completions.peek()?;
         let si = s as usize;
-        let secs = self.f_remaining[si] / self.f_rate[si];
+        let secs = self.remaining_now(si) / self.f_rate[si];
         // Round up one nanosecond so the event lands at-or-after the true
         // completion instant.
         let d = SimDuration::from_secs_f64(secs).saturating_add(SimDuration::from_nanos(1));
         Some(self.last_update + d)
     }
 
-    /// Removes and returns every flow whose work has drained (as of the
-    /// last `advance_to`). The allocation becomes dirty if any finished.
+    /// Removes and returns, in ascending slot order, every flow whose work
+    /// has drained by [`FluidNet::now`]. The allocation becomes dirty if
+    /// any finished.
+    ///
+    /// Candidates come from the completion index — every entry projected
+    /// to finish by `now + 1 ns` — so the cost follows the finishers, not
+    /// the live flows. A candidate still holding more than its finishing
+    /// slack goes back into the index. While a near-done flow is live
+    /// (which may have no index entry: zero work on a stalled resource),
+    /// every slot is checked instead.
     pub fn take_finished(&mut self) -> Vec<FinishedFlow> {
         let mut done = Vec::new();
-        for i in 0..self.f_live.len() {
-            if !self.f_live[i] {
-                continue;
-            }
-            if self.f_remaining[i] <= DONE_EPS.max(self.f_total[i] * 1e-12) {
-                let id = FlowId { slot: i as u32, gen: self.f_gen[i] };
-                self.f_gen[i] = self.f_gen[i].wrapping_add(1);
-                self.f_stamp[i] = self.f_stamp[i].wrapping_add(1);
-                if self.f_remaining[i] <= DONE_EPS {
-                    self.near_done -= 1;
+        if self.near_done > 0 {
+            for si in 0..self.f_live.len() {
+                if self.f_live[si] && self.is_drained(si) {
+                    done.push(FinishedFlow { id: self.handle(si) });
                 }
-                self.detach(i as u32);
-                self.f_live[i] = false;
-                self.dem_garbage += self.f_dem_len[i] as usize;
-                self.free.push(i as u32);
-                self.active -= 1;
-                self.allocation_dirty = true;
-                self.pending_mutations += 1;
-                done.push(FinishedFlow { id });
             }
+        } else {
+            let horizon = self.last_update.as_nanos().saturating_add(1);
+            let mut early = Vec::new();
+            while let Some(&Reverse(entry)) = self.completions.peek() {
+                let (key, s, stamp) = entry;
+                if key > horizon {
+                    break;
+                }
+                self.completions.pop();
+                let si = s as usize;
+                if self.f_stamp[si] != stamp || !self.f_live[si] {
+                    continue;
+                }
+                if self.is_drained(si) {
+                    done.push(FinishedFlow { id: self.handle(si) });
+                } else {
+                    early.push(Reverse(entry));
+                }
+            }
+            self.completions.extend(early);
+            done.sort_unstable_by_key(|f| f.id.slot);
+        }
+        for f in &done {
+            self.retire(f.id.slot);
         }
         done
     }
 
-    /// Instant of the last `advance_to`.
+    /// The fluid clock: the instant of the last `advance_to`.
     pub fn now(&self) -> SimTime {
         self.last_update
     }
@@ -950,6 +1038,7 @@ impl FluidNet {
             e.f64(self.res_capacity[i]);
             e.f64(self.res_used[i]);
             e.f64(self.res_cumulative[i]);
+            self.res_anchor[i].encode(e);
         }
         e.usize(self.f_gen.len());
         for si in 0..self.f_gen.len() {
@@ -960,6 +1049,7 @@ impl FluidNet {
                 self.slot_demands(si).encode(e);
                 e.f64(self.f_total[si]);
                 e.f64(self.f_remaining[si]);
+                self.f_anchor[si].encode(e);
                 e.f64(self.f_rate[si]);
             } else {
                 e.u8(0);
@@ -978,6 +1068,7 @@ impl FluidNet {
         entries.encode(e);
         e.u64(self.stats.reallocations);
         e.u64(self.stats.flows_touched);
+        e.u64(self.stats.flows_settled);
         e.u64(self.stats.resources_touched);
         e.u64(self.stats.batch_applied);
         e.u64(self.pending_mutations);
@@ -996,6 +1087,7 @@ impl FluidNet {
             net.res_capacity.push(d.f64());
             net.res_used.push(d.f64());
             net.res_cumulative.push(d.f64());
+            net.res_anchor.push(SimTime::decode(d));
         }
         let nslots = d.usize();
         for _ in 0..nslots {
@@ -1013,12 +1105,14 @@ impl FluidNet {
                 }
                 net.f_total.push(d.f64());
                 net.f_remaining.push(d.f64());
+                net.f_anchor.push(SimTime::decode(d));
                 net.f_rate.push(d.f64());
             } else {
                 net.f_dem_start.push(0);
                 net.f_dem_len.push(0);
                 net.f_total.push(0.0);
                 net.f_remaining.push(0.0);
+                net.f_anchor.push(SimTime::ZERO);
                 net.f_rate.push(0.0);
             }
         }
@@ -1033,6 +1127,7 @@ impl FluidNet {
         net.completions = completion_entries.into_iter().map(Reverse).collect();
         net.stats.reallocations = d.u64();
         net.stats.flows_touched = d.u64();
+        net.stats.flows_settled = d.u64();
         net.stats.resources_touched = d.u64();
         net.stats.batch_applied = d.u64();
         net.pending_mutations = d.u64();
@@ -1232,6 +1327,45 @@ mod tests {
         assert_eq!(net.flow_rate(c), 50.0);
         assert_eq!(net.flow_rate(b), 60.0, "independent component undisturbed");
         assert_eq!(net.stats().flows_touched - touched0, 2, "only l1's component re-solved");
+    }
+
+    #[test]
+    fn idle_and_same_rate_flows_are_never_settled() {
+        // 1 000 long-running flows, each alone on its own link, never join a
+        // re-solve; `steady` does, with every churning flow, but its
+        // bottleneck is elsewhere, so its rate never changes.
+        let mut net = FluidNet::new();
+        let idle: Vec<FlowId> = (0..1000)
+            .map(|i| {
+                let r = net.add_resource(format!("idle{i}"), ResourceKind::Net, 100.0);
+                net.add_flow(vec![Demand::unit(r)], 1e12)
+            })
+            .collect();
+        let link = net.add_resource("link", ResourceKind::Net, 1000.0);
+        let slow = net.add_resource("slow", ResourceKind::Net, 10.0);
+        let steady = net.add_flow(vec![Demand::unit(link), Demand::unit(slow)], 1e12);
+        net.reallocate();
+        let settled = net.stats().flows_settled;
+        for _ in 0..1000 {
+            net.add_flow(vec![Demand::unit(link)], 990.0);
+            net.reallocate();
+            let t = net.earliest_completion().expect("the churning flow drains");
+            net.advance_to(t);
+            assert_eq!(net.take_finished().len(), 1);
+            net.reallocate();
+        }
+        // Two settles per churning flow: its rate leaving 0, its finish.
+        assert_eq!(net.stats().flows_settled - settled, 2000);
+        assert_eq!(net.flow_rate(steady), 10.0);
+        // Reads catch up without settling.
+        let now = net.now().as_secs_f64();
+        assert!(now > 1000.0);
+        assert!((net.flow_remaining(steady).unwrap() - (1e12 - 10.0 * now)).abs() < 1e-3);
+        for &f in &idle {
+            assert!((net.flow_remaining(f).unwrap() - (1e12 - 100.0 * now)).abs() < 1e-3);
+        }
+        assert!((net.cumulative(slow) - 10.0 * now).abs() < 1e-6);
+        assert_eq!(net.stats().flows_settled - settled, 2000);
     }
 
     #[test]

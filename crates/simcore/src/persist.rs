@@ -58,8 +58,10 @@ pub const SNAPSHOT_MAGIC: [u8; 6] = *b"VHSNAP";
 /// fluid kernel — batch/histogram counters, generation-stamped timer arena,
 /// five interned kernel counter names. v4: `WhatIfOutcome` records which
 /// makespan model produced each estimate. v5: the fluid net's global-solve
-/// bench switch and the engine's kernel counter names are gone.)
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// bench switch and the engine's kernel counter names are gone. v6: the
+/// lazy fluid clock — per-flow and per-resource settle instants and the
+/// `flows_settled` counter.)
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Checks the header of a snapshot byte string without constructing a
 /// decoder; returns the embedded format version.

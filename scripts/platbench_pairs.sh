@@ -14,9 +14,12 @@
 # exits non-zero. Runs already in <out-dir> are kept, so an interrupted
 # session resumes and the tables can be re-printed. A fifth argument narrows
 # the run to some workloads ("three more pairs at an unseen seed for the
-# claimed one"); tables and exit code cover that subset.
+# claimed one"); tables and exit code cover that subset. A sixth names the
+# workloads whose simulation the change declares it moves (a kernel rounding
+# change): for those the script prints |Δ sim_makespan_s| in nanoseconds and
+# both digests instead of failing; a move on any other workload still fails.
 #
-#   scripts/platbench_pairs.sh <parent-checkout> <out-dir> [pairs=10] [seed=2012] ["workload ..."]
+#   scripts/platbench_pairs.sh <parent-checkout> <out-dir> [pairs=10] [seed=2012] ["workload ..."] ["moved ..."]
 set -euo pipefail
 parent=$(cd "$1" && pwd)
 mkdir -p "$2"
@@ -27,7 +30,8 @@ change=$(cd "$(dirname "$0")/.." && pwd)
 all=$(python3 -c 'import json, sys; print(*(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
     "$change/BENCHMARK.json")
 workloads=${5:-$all}
-for w in $workloads; do
+moved=${6:-}
+for w in $workloads $moved; do
     case " $all " in *" $w "*) ;; *) echo "unknown workload '$w' (BENCHMARK.json has: $all)" >&2; exit 2 ;; esac
 done
 
@@ -57,9 +61,9 @@ for w in $workloads; do
     done
 done
 
-python3 - "$out" "$pairs" "$change/BENCHMARK.json" $workloads <<'PY'
+python3 - "$out" "$pairs" "$change/BENCHMARK.json" "$moved" $workloads <<'PY'
 import glob, json, re, sys
-out, pairs, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[4:]
+out, pairs, moved, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[4].split(), sys.argv[5:]
 end_to_end = json.load(open(sys.argv[3]))["end_to_end"]
 
 def metrics(path):
@@ -69,6 +73,13 @@ def metrics(path):
 def digests(w, side):
     return {re.search(r'digest (0x[0-9a-f]+)', open(path).read()).group(1)
             for path in glob.glob(f"{out}/{w}.*.{side}.txt")}
+
+def makespans(w, side):
+    # Full precision, from the result line of the timed runs (the table rows
+    # carry six decimals).
+    return {json.loads(line)["metrics"]["sim_makespan_s"]["value"]
+            for i in range(1, pairs + 1)
+            for line in open(f"{out}/{w}.{i}.{side}.txt") if line.startswith("{")}
 
 def quartiles(xs):
     xs = sorted(xs)
@@ -87,17 +98,22 @@ def verdict(won, untied, p25, p50, p75, c50, bound, sign):
 
 print("| workload | metric | parent median (quartiles) | change median (quartiles) | change/parent | pairs won | verdict |")
 print("|---|---|---|---|---|---|---|")
-worse = []
+worse, declared = [], []
 for w in workloads:
     runs = {s: [metrics(f"{out}/{w}.{i}.{s}.txt") for i in range(1, pairs + 1)] for s in ("parent", "change")}
     before, after = digests(w, "parent"), digests(w, "change")
-    if before != after:
-        worse.append(f"{w} digest {before} -> {after}")
+    spans = {s: makespans(w, s) for s in ("parent", "change")}
+    if any(len(v) != 1 for v in spans.values()):
+        worse.append(f"{w} sim_makespan_s differs between runs of one side: {spans}")
+    elif w in moved:
+        (p,), (c,) = spans["parent"], spans["change"]
+        declared.append(f"`{w}` (declared moved): |Δ `sim_makespan_s`| {abs(c - p) * 1e9:.0f} ns "
+                        f"({p!r} → {c!r} s); digest {' '.join(before)} → {' '.join(after)}")
+    elif before != after or spans["parent"] != spans["change"]:
+        worse.append(f"{w} sim_makespan_s {spans['parent']} -> {spans['change']}, digest {before} -> {after}")
     for spec in end_to_end:
         m, sign = spec["name"], 1 if spec["better"] == "lower" else -1
         p, c = ([r[m] for r in runs[s]] for s in ("parent", "change"))
-        if m == "sim_makespan_s" and p != c:
-            worse.append(f"{w} {m} differs between the sides")
         (p25, p50, p75), (c25, c50, c75) = quartiles(p), quartiles(c)
         if all(max(xs) - min(xs) <= 1e-4 * abs(x50) for xs, x50 in ((p, p50), (c, c50))):
             # Exact repeat: the difference is a fact, not a sample.
@@ -121,13 +137,16 @@ print("| workload | count (`--trace 1`, exact repeat) | parent | change | parent
 print("|---|---|---|---|---|")
 for w in workloads:
     p, c = (metrics(f"{out}/{w}.trace.{s}.txt") for s in ("parent", "change"))
-    moved = [m for m in p if re.match(r'(simcore|mapreduce|vhdfs|vsched)\.', m)
-             and not re.search(r'_s$|frac$', m) and p[m] != c[m]]
-    for m in ("alloc.calls_per_pass", "alloc.bytes_per_pass", *moved):
+    moved_counts = [m for m in p if re.match(r'(simcore|mapreduce|vhdfs|vsched)\.', m)
+                    and not re.search(r'_s$|frac$', m) and p[m] != c[m]]
+    for m in ("alloc.calls_per_pass", "alloc.bytes_per_pass", *moved_counts):
         ratio = f"{p[m] / c[m]:.2f}" if c[m] else "-"
         print(f"| `{w}` | `{m}` | {p[m]:.0f} | {c[m]:.0f} | {ratio} |")
-    if not moved:
+    if not moved_counts:
         print(f"| `{w}` | every `simcore.*`, `mapreduce.*`, `vhdfs.*`, `vsched.*` count | | | unchanged |")
+if declared:
+    print()
+    print(*declared, sep="\n")
 if worse:
     sys.exit("worse than the parent beyond the BENCHMARK.json bound, or a simulation that moved: "
              + ", ".join(worse))

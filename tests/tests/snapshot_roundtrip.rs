@@ -270,9 +270,9 @@ fn golden_snapshot_hash_pins_the_format() {
     );
 }
 
-/// Pinned against SNAPSHOT_VERSION = 5 (the fluid net's bench-only
-/// global-solve switch and the engine's kernel counter names are gone).
-const GOLDEN_HASH: u64 = 0x3605_0ea3_74ec_ed52;
+/// Pinned against SNAPSHOT_VERSION = 6 (was `0x3605_0ea3_74ec_ed52` at v5):
+/// the lazy fluid clock writes every flow's and resource's settle instant.
+const GOLDEN_HASH: u64 = 0xd817_3e17_596d_fa1b;
 
 /// Folds the FNV-1a of the snapshot taken at every `k`-th wakeup of one
 /// scenario into a single pin, so the formats `GOLDEN_HASH` never sees
@@ -463,10 +463,12 @@ fn golden_snapshot_hashes_pin_every_subsystem() {
     );
 }
 
-/// Pinned against SNAPSHOT_VERSION = 5: controller stream, monitored and
-/// faulted migration, HSGen/HSSort window. The format is unchanged since
-/// (a) was first pinned; (a) moved from `0xe33c_bd42_16ab_575e` when a
-/// what-if outcome's `measured_s` became the span to the fork's last job
-/// completion rather than to its drain instant.
+/// Pinned against SNAPSHOT_VERSION = 6: controller stream, monitored and
+/// faulted migration, HSGen/HSSort window. All three moved at v6 because
+/// the fluid net now writes its settle instants and `flows_settled`; at v5
+/// they were `0x23a4_314c_ae78_12b3` (itself moved from
+/// `0xe33c_bd42_16ab_575e` when a what-if outcome's `measured_s` became the
+/// span to the fork's last job completion), `0xe581_ee59_ba4f_b8f9` and
+/// `0xac73_b47c_3a73_85f4`.
 const SUBSYSTEM_PINS: [u64; 3] =
-    [0x23a4_314c_ae78_12b3, 0xe581_ee59_ba4f_b8f9, 0xac73_b47c_3a73_85f4];
+    [0x066a_0482_3647_93fa, 0x7355_e4d1_e82e_d3d9, 0x3c56_ba01_30d0_5f36];
