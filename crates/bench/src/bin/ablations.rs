@@ -33,7 +33,6 @@
 use mapreduce::config::JobConfig;
 use mapreduce::scheduler::SchedulerPolicy;
 use simcore::rng::RootSeed;
-use vcluster::migration::MigrationConfig;
 use vcluster::spec::{ClusterSpec, Placement, XenParams};
 use vcluster::virtlm::{VirtLm, WorkloadProfile};
 use vhadoop_bench::{cli_case, cli_scale, ResultSink};
@@ -125,8 +124,7 @@ fn main() {
     for (x, concurrency) in
         [(0.0, 1u32), (1.0, 16)].into_iter().filter(|_| wanted("migration-order"))
     {
-        let bench =
-            VirtLm { n_vms: 16, migration: MigrationConfig { concurrency, ..Default::default() } };
+        let bench = VirtLm { n_vms: 16, concurrency };
         let row = bench.run_one(&WorkloadProfile::kernel_build(), 1024);
         println!(
             "migration concurrency={concurrency}: total {:.1}s, max downtime {:.0}ms",

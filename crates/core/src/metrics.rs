@@ -68,17 +68,17 @@ pub struct ControllerStats {
     pub whatif_estimator_err_mean: f64,
     /// Worst relative estimator error across all what-if evaluations.
     pub whatif_estimator_err_max: f64,
-    /// Estimator error broken out per [`MakespanModel`] implementation
-    /// (each outcome records which model priced it), sorted by model
-    /// name. One entry per model that produced at least one evaluation.
+    /// Estimator error broken out per [`MakespanKind`] (each outcome
+    /// records which model priced it), sorted by model name. One entry per
+    /// model that produced at least one evaluation.
     ///
-    /// [`MakespanModel`]: vsched::model::MakespanModel
+    /// [`MakespanKind`]: vsched::model::MakespanKind
     pub whatif_by_model: Vec<ModelErrStats>,
 }
 
-/// What-if estimator error attributed to one [`MakespanModel`] impl.
+/// What-if estimator error attributed to one [`MakespanKind`].
 ///
-/// [`MakespanModel`]: vsched::model::MakespanModel
+/// [`MakespanKind`]: vsched::model::MakespanKind
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelErrStats {
     /// The model's stable name (`hand-priced`, `learned`).

@@ -22,14 +22,13 @@ use mapreduce::app::MapReduceApp;
 use mapreduce::config::JobConfig;
 use mapreduce::input::InputFormat;
 use mapreduce::job::{JobEvent, JobResult, JobSpec};
-use mapreduce::runtime::{MrRuntime, NodeRoles, UPLOAD_MARK};
+use mapreduce::runtime::{MrRuntime, UPLOAD_MARK};
 use mapreduce::scheduler::SchedulerPolicy;
 use simcore::owners;
 use simcore::prelude::*;
 use vcluster::cluster::{HostId, VmId};
 use vcluster::migration::{
-    ClusterMigrationReport, MigrationConfig, MigrationEvent, MigrationManager,
-    UtilizationDirtyModel,
+    ClusterMigrationReport, MigrationEvent, MigrationManager, UtilizationDirtyModel,
 };
 use vcluster::spec::ClusterSpec;
 use vhdfs::hdfs::HdfsConfig;
@@ -51,13 +50,6 @@ pub struct PlatformConfig {
     pub cluster: ClusterSpec,
     /// HDFS parameters.
     pub hdfs: HdfsConfig,
-    /// Daemon placement: which VMs run datanodes and which run
-    /// TaskTrackers. Colocated by default (the paper's layout);
-    /// disaggregated data/compute layouts name disjoint sets
-    /// (DESIGN.md §17).
-    pub roles: NodeRoles,
-    /// Live-migration parameters.
-    pub migration: MigrationConfig,
     /// nmon sampling interval; `None` disables monitoring.
     pub monitor_interval: Option<SimDuration>,
     /// Engine-wide task-scheduler policy the JobTracker starts with.
@@ -77,9 +69,9 @@ pub struct PlatformConfig {
     /// Set via [`PlatformConfigBuilder::tracing`].
     tracing: bool,
     /// Closed-loop control plane (admission, placement, rebalancing).
-    /// Disabled by default — a disabled controller changes nothing about
-    /// the run. Set via [`PlatformConfigBuilder::controller`].
-    controller: ControllerConfig,
+    /// `None` by default: the platform runs without one. Set via
+    /// [`PlatformConfigBuilder::controller`].
+    controller: Option<ControllerConfig>,
 }
 
 impl Default for PlatformConfig {
@@ -87,14 +79,12 @@ impl Default for PlatformConfig {
         PlatformConfig {
             cluster: ClusterSpec::paper_normal(),
             hdfs: HdfsConfig::default(),
-            roles: NodeRoles::colocated(),
-            migration: MigrationConfig::default(),
             monitor_interval: Some(SimDuration::from_secs(1)),
             scheduler: SchedulerPolicy::default(),
             faults: FaultPlan::new(),
             seed: 42,
             tracing: false,
-            controller: ControllerConfig::default(),
+            controller: None,
         }
     }
 }
@@ -120,9 +110,10 @@ impl PlatformConfig {
         self.tracing
     }
 
-    /// The control-plane configuration.
-    pub fn controller(&self) -> &ControllerConfig {
-        &self.controller
+    /// The control-plane configuration, if the platform runs a
+    /// controller.
+    pub fn controller(&self) -> Option<&ControllerConfig> {
+        self.controller.as_ref()
     }
 }
 
@@ -143,18 +134,6 @@ impl PlatformConfigBuilder {
     /// Sets HDFS parameters.
     pub fn hdfs(mut self, hdfs: HdfsConfig) -> Self {
         self.cfg.hdfs = hdfs;
-        self
-    }
-
-    /// Sets daemon placement (datanode / TaskTracker VM sets).
-    pub fn roles(mut self, roles: NodeRoles) -> Self {
-        self.cfg.roles = roles;
-        self
-    }
-
-    /// Sets live-migration parameters.
-    pub fn migration(mut self, migration: MigrationConfig) -> Self {
-        self.cfg.migration = migration;
         self
     }
 
@@ -194,9 +173,9 @@ impl PlatformConfigBuilder {
         self
     }
 
-    /// Installs a closed-loop controller configuration.
+    /// Installs a closed-loop controller.
     pub fn controller(mut self, cfg: ControllerConfig) -> Self {
-        self.cfg.controller = cfg;
+        self.cfg.controller = Some(cfg);
         self
     }
 
@@ -234,7 +213,7 @@ pub struct VHadoop {
     pub(crate) pending_migration_dst: Option<HostId>,
     /// Installed fault plan, live throttles and injection log.
     pub(crate) faults: FaultDriver,
-    /// Closed-loop controller; `Some` only when the config enables it.
+    /// Closed-loop controller; `Some` only when the config names one.
     pub(crate) ctrl: Option<Box<Controller>>,
     /// The configuration this platform was launched from, kept so a
     /// [`crate::persist::Snapshot`] is self-contained: restore relaunches
@@ -252,15 +231,14 @@ impl VHadoop {
         let seed = RootSeed(config.seed);
         let mut cluster = config.cluster;
         let vms = cluster.vms;
-        // An enabled controller may re-place VMs before the cluster boots;
-        // disabled (or with the `Spec` policy) it leaves the spec alone.
-        let mut ctrl =
-            config.controller.enabled.then(|| Box::new(Controller::new(config.controller)));
+        // A controller may re-place VMs before the cluster boots; without
+        // one (or with the `Spec` policy) the spec's layout stands.
+        let mut ctrl = config.controller.map(|cfg| Box::new(Controller::new(cfg)));
         if let Some(c) = &ctrl {
             let map = c.placement_map(&cluster);
             apply_placement(&mut cluster, map);
         }
-        let mut rt = MrRuntime::with_roles(cluster, config.hdfs, config.roles, seed);
+        let mut rt = MrRuntime::new(cluster, config.hdfs, seed);
         rt.mr.set_policy(config.scheduler);
         // Enable tracing before the monitor attaches, so the monitor's
         // column names are interned into a live tracer.
@@ -274,7 +252,8 @@ impl VHadoop {
         VHadoop {
             rt,
             monitor,
-            migration: MigrationManager::new(config.migration),
+            // One VM at a time, as Xen-era toolstacks migrate.
+            migration: MigrationManager::new(1),
             dirty: UtilizationDirtyModel::new(vms, seed.derive("dirty")),
             migration_report: None,
             pending_migration_dst: None,
@@ -392,7 +371,7 @@ impl VHadoop {
         }
     }
 
-    /// The closed-loop controller, when the config enabled one.
+    /// The closed-loop controller, when the config names one.
     pub fn controller(&self) -> Option<&Controller> {
         self.ctrl.as_deref()
     }
@@ -401,7 +380,7 @@ impl VHadoop {
     /// stream input); returns the controller job id.
     ///
     /// # Panics
-    /// If the platform was launched without an enabled controller.
+    /// If the platform was launched without a controller.
     pub fn schedule_job(
         &mut self,
         at: SimTime,
@@ -409,7 +388,7 @@ impl VHadoop {
         expected_s: f64,
         job: mapreduce::runtime::PendingJob,
     ) -> u32 {
-        let ctrl = self.ctrl.as_mut().expect("controller not enabled in PlatformConfig");
+        let ctrl = self.ctrl.as_mut().expect("no controller in PlatformConfig");
         ctrl.schedule(&mut self.rt.engine, at, tenant, expected_s, job)
     }
 

@@ -36,6 +36,7 @@ impl Default for CostProfile {
 }
 
 /// Decides which reduce partition a key belongs to.
+// trait: apps pick one via `MapReduceApp::partitioner` (terasort, TPCx-HS: `RangePartitioner`)
 pub trait Partitioner: Send + Sync {
     /// Partition index in `0..n` for `key`.
     fn partition(&self, key: &K, n: u32) -> u32;
@@ -81,6 +82,7 @@ impl Partitioner for RangePartitioner {
 /// A MapReduce application. Implementations run for real inside the
 /// simulation: `map` over every input record, `reduce` over every grouped
 /// key, with output sizes measured from the records actually emitted.
+// trait: the user code — `workloads` and `mlkit` apps, test apps, platbench's probes
 pub trait MapReduceApp {
     /// Human-readable job name.
     fn name(&self) -> &str;

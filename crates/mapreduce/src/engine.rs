@@ -28,8 +28,7 @@ use crate::counters::Counters;
 use crate::input::InputFormat;
 use crate::job::{JobEvent, JobId, JobResult, JobSpec};
 use crate::scheduler::{
-    make_scheduler, Assignment, JobView, SchedulerPolicy, SchedulerView, TaskKind, TaskScheduler,
-    TrackerInfo,
+    Assignment, JobView, SchedulerPolicy, SchedulerView, TaskKind, TrackerInfo,
 };
 use crate::speculation::SPECULATION_HEARTBEAT;
 use crate::state::{
@@ -55,7 +54,7 @@ pub struct MrEngine {
     /// present-with-0 entry and an absent one encode differently.
     pub(crate) used_map_slots: HashMap<u32, u32>,
     pub(crate) used_reduce_slots: HashMap<u32, u32>,
-    pub(crate) scheduler: Box<dyn TaskScheduler>,
+    pub(crate) policy: SchedulerPolicy,
 }
 
 impl std::fmt::Debug for MrEngine {
@@ -63,7 +62,7 @@ impl std::fmt::Debug for MrEngine {
         f.debug_struct("MrEngine")
             .field("trackers", &self.trackers.len())
             .field("jobs", &self.jobs.len())
-            .field("policy", &self.scheduler.policy())
+            .field("policy", &self.policy)
             .finish()
     }
 }
@@ -95,21 +94,19 @@ impl MrEngine {
             next_job: 0,
             used_map_slots: HashMap::new(),
             used_reduce_slots: HashMap::new(),
-            scheduler: make_scheduler(policy),
+            policy,
         }
     }
 
     /// The active scheduling policy.
     pub fn policy(&self) -> SchedulerPolicy {
-        self.scheduler.policy()
+        self.policy
     }
 
     /// Switches the scheduling policy. Takes effect from the next
     /// scheduling round; already-placed tasks are unaffected.
     pub fn set_policy(&mut self, policy: SchedulerPolicy) {
-        if policy != self.scheduler.policy() {
-            self.scheduler = make_scheduler(policy);
-        }
+        self.policy = policy;
     }
 
     /// TaskTracker VMs.
@@ -266,14 +263,14 @@ impl MrEngine {
 
     // ----- scheduling -----------------------------------------------------
 
-    /// Builds the immutable [`SchedulerView`] snapshot and hands it (with
-    /// the active scheduler) to `f`. All placement flows through here.
+    /// Builds the immutable [`SchedulerView`] snapshot and hands it to `f`.
+    /// All placement flows through here.
     /// The topology tables and the per-job `map_locations` index are built
     /// per call; queues, configs, replica lists and slot tables are lent.
     pub(crate) fn with_view<R>(
-        &mut self,
+        &self,
         cluster: &VirtualCluster,
-        f: impl FnOnce(&mut dyn TaskScheduler, &SchedulerView) -> R,
+        f: impl FnOnce(&SchedulerView) -> R,
     ) -> R {
         let trackers: Vec<TrackerInfo> = self
             .trackers
@@ -306,7 +303,7 @@ impl MrEngine {
             used_reduce_slots: &self.used_reduce_slots,
             jobs,
         };
-        f(&mut *self.scheduler, &view)
+        f(&view)
     }
 
     /// One scheduling round, run after every event that can change what
@@ -324,7 +321,7 @@ impl MrEngine {
                 || (j.map_phase_done.is_some() && !j.pending_reduces.is_empty())
         });
         if placeable {
-            let assignments = self.with_view(cluster, |sched, view| sched.assign(view));
+            let assignments = self.with_view(cluster, |view| self.policy.assign(view));
             let mut live = vec![false; cluster.spec().vms as usize];
             for vm in &self.trackers {
                 live[vm.0 as usize] = true;

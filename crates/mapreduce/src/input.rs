@@ -10,6 +10,7 @@ use crate::types::{records_size, Record};
 use std::sync::Arc;
 
 /// Supplies the records of each input split.
+// trait: platbench's `ProbedInput` and the speculation tests' `ReadSplitOnly`
 pub trait InputFormat: Send {
     /// Number of splits. Must equal the block count of the HDFS input file
     /// when the job has one.

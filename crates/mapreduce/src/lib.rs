@@ -68,7 +68,7 @@ pub mod prelude {
     pub use crate::input::{GeneratorInput, InputFormat, VecInput};
     pub use crate::job::{JobEvent, JobId, JobResult, JobSpec};
     pub use crate::runtime::{MrRuntime, NodeRoles, PendingJob};
-    pub use crate::scheduler::{Assignment, SchedulerPolicy, TaskKind, TaskScheduler};
+    pub use crate::scheduler::{Assignment, SchedulerPolicy, TaskKind};
     pub use crate::types::{records_size, Record, K, V};
     pub use vcluster::cluster::VmId;
 }

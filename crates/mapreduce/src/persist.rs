@@ -227,7 +227,7 @@ impl MrEngine {
         self.next_job.encode(e);
         self.used_map_slots.encode(e);
         self.used_reduce_slots.encode(e);
-        self.scheduler.policy().encode(e);
+        self.policy.encode(e);
         e.usize(self.jobs.len());
         for (id, job) in &self.jobs {
             id.encode(e);
@@ -240,13 +240,13 @@ impl MrEngine {
     ///
     /// # Panics
     /// If a decoded job has no matching residue entry.
-    // codec by hand: residue rejoin, and the policy is installed through `set_policy`
+    // codec by hand: residue rejoin — each decoded job's user code comes from the residue
     pub fn restore_state(&mut self, d: &mut Decoder, residue: &[JobResidue]) {
         self.trackers = Persist::decode(d);
         self.next_job = Persist::decode(d);
         self.used_map_slots = Persist::decode(d);
         self.used_reduce_slots = Persist::decode(d);
-        self.set_policy(Persist::decode(d));
+        self.policy = Persist::decode(d);
         self.jobs = (0..d.usize())
             .map(|_| {
                 let id = u32::decode(d);

@@ -1,14 +1,16 @@
-//! The pluggable task-scheduler layer: every task-placement decision the
-//! JobTracker makes goes through the [`TaskScheduler`] trait.
+//! The task-scheduler layer: every task-placement decision the JobTracker
+//! makes is [`SchedulerPolicy::assign`] or
+//! [`SchedulerPolicy::place_speculative`].
 //!
 //! Paper mechanism modelled: the Hadoop Module's task-assignment loop —
 //! the JobTracker answering TaskTracker heartbeats with task assignments.
-//! The paper runs stock Hadoop 0.20 FIFO scheduling; [`Fifo`] reproduces
-//! that byte-for-byte (verified by a golden determinism test). [`Fair`]
-//! models the fair-scheduler contrib (round-robin slot sharing across
-//! concurrent jobs), and [`JobDriven`] follows Lee & Lin's job-driven
-//! scheduling: locality-first map matching plus partition-size-aware (LPT)
-//! reduce placement.
+//! The paper runs stock Hadoop 0.20 FIFO scheduling;
+//! [`SchedulerPolicy::Fifo`] reproduces that byte-for-byte (verified by a
+//! golden determinism test). [`SchedulerPolicy::Fair`] models the
+//! fair-scheduler contrib (round-robin slot sharing across concurrent
+//! jobs), and [`SchedulerPolicy::JobDriven`] follows Lee & Lin's
+//! job-driven scheduling: locality-first map matching plus
+//! partition-size-aware (LPT) reduce placement.
 //!
 //! Policies are pure functions of an immutable [`SchedulerView`] snapshot:
 //! they never touch engine state, never consult wall-clock time or
@@ -55,6 +57,31 @@ impl SchedulerPolicy {
     /// All policies, in ablation-sweep order.
     pub fn all() -> [SchedulerPolicy; 3] {
         [SchedulerPolicy::Fifo, SchedulerPolicy::Fair, SchedulerPolicy::JobDriven]
+    }
+
+    /// Decides every placement possible against `view`'s free slots. The
+    /// engine applies the assignments in the returned order (the k-th one
+    /// launches after k heartbeat staggers) and re-validates each against
+    /// live state, so a stale assignment is dropped, never misapplied.
+    ///
+    /// Returns nothing when nothing is pending — no job has a pending map
+    /// and no `reduces_open` job has a pending reduce — and the engine
+    /// does not call it then.
+    pub fn assign(self, view: &SchedulerView) -> Vec<Assignment> {
+        match self {
+            SchedulerPolicy::Fifo => fifo(view),
+            SchedulerPolicy::Fair => fair(view),
+            SchedulerPolicy::JobDriven => job_driven(view),
+        }
+    }
+
+    /// Places a speculative (backup) map attempt for `job`, avoiding
+    /// `avoid` (the tracker running the straggling primary): the emptiest
+    /// other tracker, ties to the lowest id — stock Hadoop, under every
+    /// policy.
+    pub fn place_speculative(self, view: &SchedulerView, job: u32, avoid: VmId) -> Option<VmId> {
+        let cfg = view.jobs.iter().find(|j| j.id == job)?.config;
+        emptiest(view, &Slots::snapshot(view), cfg, Some(avoid))
     }
 }
 
@@ -153,41 +180,6 @@ pub struct Assignment {
     pub kind: TaskKind,
     /// Where it runs.
     pub vm: VmId,
-}
-
-/// A placement policy. Implementations must be deterministic: the same
-/// view must always yield the same assignments in the same order.
-pub trait TaskScheduler: std::fmt::Debug + Send {
-    /// The policy this scheduler implements.
-    fn policy(&self) -> SchedulerPolicy;
-
-    /// Decides every placement possible against `view`'s free slots. The
-    /// engine applies the assignments in the returned order (the k-th one
-    /// launches after k heartbeat staggers) and re-validates each against
-    /// live state, so a stale assignment is dropped, never misapplied.
-    ///
-    /// Returns nothing when nothing is pending — no job has a pending map
-    /// and no `reduces_open` job has a pending reduce — and the engine
-    /// does not call it then: a policy must not count on being asked
-    /// every round.
-    fn assign(&mut self, view: &SchedulerView) -> Vec<Assignment>;
-
-    /// Places a speculative (backup) map attempt for `job`, avoiding
-    /// `avoid` (the tracker running the straggling primary). Default:
-    /// the emptiest other tracker, ties to the lowest id — stock Hadoop.
-    fn place_speculative(&mut self, view: &SchedulerView, job: u32, avoid: VmId) -> Option<VmId> {
-        let cfg = view.jobs.iter().find(|j| j.id == job)?.config;
-        emptiest(view, &Slots::snapshot(view), cfg, Some(avoid))
-    }
-}
-
-/// Builds the scheduler implementing `policy`.
-pub fn make_scheduler(policy: SchedulerPolicy) -> Box<dyn TaskScheduler> {
-    match policy {
-        SchedulerPolicy::Fifo => Box::new(Fifo),
-        SchedulerPolicy::Fair => Box::new(Fair),
-        SchedulerPolicy::JobDriven => Box::new(JobDriven),
-    }
 }
 
 /// Scratch slot ledger: policies charge tentative assignments against a
@@ -326,138 +318,110 @@ fn pick_reduce_vm(view: &SchedulerView, slots: &Slots, cfg: &JobConfig) -> Optio
         .max_by_key(|&v| (slots.free_reduce(v, cfg), Reverse(slots.total_used(v)), Reverse(v.0)))
 }
 
-/// Hadoop 0.20 stock scheduling (the paper's configuration).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Fifo;
-
-impl TaskScheduler for Fifo {
-    fn policy(&self) -> SchedulerPolicy {
-        SchedulerPolicy::Fifo
-    }
-
-    fn assign(&mut self, view: &SchedulerView) -> Vec<Assignment> {
-        let mut slots = Slots::snapshot(view);
-        let mut out = Vec::new();
-        for job in &view.jobs {
-            let cfg = job.config;
-            for &m in job.pending_maps {
-                let Some(vm) = pick_map_vm(view, &slots, cfg, job.map_locations[m]) else { break };
-                slots.take_map(vm);
-                out.push(Assignment { job: job.id, kind: TaskKind::Map(m), vm });
-            }
-            if job.reduces_open {
-                for &r in job.pending_reduces {
-                    let Some(vm) = pick_reduce_vm(view, &slots, cfg) else { break };
-                    slots.take_reduce(vm);
-                    out.push(Assignment { job: job.id, kind: TaskKind::Reduce(r), vm });
-                }
+/// Hadoop 0.20 stock scheduling (the paper's configuration): jobs in
+/// submission order, each filling every free slot it can.
+fn fifo(view: &SchedulerView) -> Vec<Assignment> {
+    let mut slots = Slots::snapshot(view);
+    let mut out = Vec::new();
+    for job in &view.jobs {
+        let cfg = job.config;
+        for &m in job.pending_maps {
+            let Some(vm) = pick_map_vm(view, &slots, cfg, job.map_locations[m]) else { break };
+            slots.take_map(vm);
+            out.push(Assignment { job: job.id, kind: TaskKind::Map(m), vm });
+        }
+        if job.reduces_open {
+            for &r in job.pending_reduces {
+                let Some(vm) = pick_reduce_vm(view, &slots, cfg) else { break };
+                slots.take_reduce(vm);
+                out.push(Assignment { job: job.id, kind: TaskKind::Reduce(r), vm });
             }
         }
-        out
     }
+    out
 }
 
 /// Round-robin slot sharing across active jobs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Fair;
-
-impl TaskScheduler for Fair {
-    fn policy(&self) -> SchedulerPolicy {
-        SchedulerPolicy::Fair
-    }
-
-    fn assign(&mut self, view: &SchedulerView) -> Vec<Assignment> {
-        let mut slots = Slots::snapshot(view);
-        let mut out = Vec::new();
-        // Cursors into each job's pending queues: one task per job per
-        // round, so slots split evenly among jobs that still want them.
-        let mut map_cursor = vec![0usize; view.jobs.len()];
-        let mut red_cursor = vec![0usize; view.jobs.len()];
-        loop {
-            let mut progress = false;
-            for (ji, job) in view.jobs.iter().enumerate() {
-                let cfg = job.config;
-                if let Some(&m) = job.pending_maps.get(map_cursor[ji]) {
-                    if let Some(vm) = pick_map_vm(view, &slots, cfg, job.map_locations[m]) {
-                        slots.take_map(vm);
-                        out.push(Assignment { job: job.id, kind: TaskKind::Map(m), vm });
-                        map_cursor[ji] += 1;
+fn fair(view: &SchedulerView) -> Vec<Assignment> {
+    let mut slots = Slots::snapshot(view);
+    let mut out = Vec::new();
+    // Cursors into each job's pending queues: one task per job per
+    // round, so slots split evenly among jobs that still want them.
+    let mut map_cursor = vec![0usize; view.jobs.len()];
+    let mut red_cursor = vec![0usize; view.jobs.len()];
+    loop {
+        let mut progress = false;
+        for (ji, job) in view.jobs.iter().enumerate() {
+            let cfg = job.config;
+            if let Some(&m) = job.pending_maps.get(map_cursor[ji]) {
+                if let Some(vm) = pick_map_vm(view, &slots, cfg, job.map_locations[m]) {
+                    slots.take_map(vm);
+                    out.push(Assignment { job: job.id, kind: TaskKind::Map(m), vm });
+                    map_cursor[ji] += 1;
+                    progress = true;
+                }
+            }
+            if job.reduces_open {
+                if let Some(&r) = job.pending_reduces.get(red_cursor[ji]) {
+                    if let Some(vm) = pick_reduce_vm(view, &slots, cfg) {
+                        slots.take_reduce(vm);
+                        out.push(Assignment { job: job.id, kind: TaskKind::Reduce(r), vm });
+                        red_cursor[ji] += 1;
                         progress = true;
                     }
                 }
-                if job.reduces_open {
-                    if let Some(&r) = job.pending_reduces.get(red_cursor[ji]) {
-                        if let Some(vm) = pick_reduce_vm(view, &slots, cfg) {
-                            slots.take_reduce(vm);
-                            out.push(Assignment { job: job.id, kind: TaskKind::Reduce(r), vm });
-                            red_cursor[ji] += 1;
-                            progress = true;
-                        }
-                    }
-                }
-            }
-            if !progress {
-                break;
             }
         }
-        out
+        if !progress {
+            break;
+        }
     }
+    out
 }
 
 /// Lee & Lin's job-driven scheduling: per job, place every data-local map
 /// pairing first, then host-local, then rack-local (when the fabric has
 /// racks), then the remainder; reduces go largest-partition-first (LPT)
 /// onto the least-loaded trackers.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JobDriven;
-
-impl TaskScheduler for JobDriven {
-    fn policy(&self) -> SchedulerPolicy {
-        SchedulerPolicy::JobDriven
-    }
-
-    fn assign(&mut self, view: &SchedulerView) -> Vec<Assignment> {
-        let mut slots = Slots::snapshot(view);
-        let mut out = Vec::new();
-        for job in &view.jobs {
-            let cfg = job.config;
-            // Maps: one pass per locality tier over the whole queue.
-            // Unlike FIFO, a map deep in the queue may jump ahead if its
-            // replica tracker has a free slot — that is the locality-first
-            // matching.
-            let mut remaining: Vec<usize> = job.pending_maps.iter().copied().collect();
-            for tier in LOCALITY_TIERS {
-                remaining.retain(|&m| {
-                    let Some(vm) = tier(view, &slots, cfg, job.map_locations[m]) else {
-                        return true;
-                    };
-                    slots.take_map(vm);
-                    out.push(Assignment { job: job.id, kind: TaskKind::Map(m), vm });
-                    false
-                });
-            }
-            // Whatever is left goes to the emptiest trackers.
-            for m in remaining {
-                let Some(vm) = emptiest(view, &slots, cfg, None) else { break };
+fn job_driven(view: &SchedulerView) -> Vec<Assignment> {
+    let mut slots = Slots::snapshot(view);
+    let mut out = Vec::new();
+    for job in &view.jobs {
+        let cfg = job.config;
+        // Maps: one pass per locality tier over the whole queue. Unlike
+        // FIFO, a map deep in the queue may jump ahead if its replica
+        // tracker has a free slot — that is the locality-first matching.
+        let mut remaining: Vec<usize> = job.pending_maps.iter().copied().collect();
+        for tier in LOCALITY_TIERS {
+            remaining.retain(|&m| {
+                let Some(vm) = tier(view, &slots, cfg, job.map_locations[m]) else {
+                    return true;
+                };
                 slots.take_map(vm);
                 out.push(Assignment { job: job.id, kind: TaskKind::Map(m), vm });
-            }
-            // Reduces: largest partition first, least-loaded tracker first
-            // — classic LPT makespan balancing over reduce inputs.
-            if job.reduces_open {
-                let mut by_size: Vec<usize> = job.pending_reduces.iter().copied().collect();
-                by_size.sort_by_key(|&r| {
-                    (Reverse(job.partition_bytes.get(r).copied().unwrap_or(0)), r)
-                });
-                for r in by_size {
-                    let Some(vm) = pick_reduce_vm(view, &slots, cfg) else { break };
-                    slots.take_reduce(vm);
-                    out.push(Assignment { job: job.id, kind: TaskKind::Reduce(r), vm });
-                }
+                false
+            });
+        }
+        // Whatever is left goes to the emptiest trackers.
+        for m in remaining {
+            let Some(vm) = emptiest(view, &slots, cfg, None) else { break };
+            slots.take_map(vm);
+            out.push(Assignment { job: job.id, kind: TaskKind::Map(m), vm });
+        }
+        // Reduces: largest partition first, least-loaded tracker first —
+        // classic LPT makespan balancing over reduce inputs.
+        if job.reduces_open {
+            let mut by_size: Vec<usize> = job.pending_reduces.iter().copied().collect();
+            by_size
+                .sort_by_key(|&r| (Reverse(job.partition_bytes.get(r).copied().unwrap_or(0)), r));
+            for r in by_size {
+                let Some(vm) = pick_reduce_vm(view, &slots, cfg) else { break };
+                slots.take_reduce(vm);
+                out.push(Assignment { job: job.id, kind: TaskKind::Reduce(r), vm });
             }
         }
-        out
     }
+    out
 }
 
 #[cfg(test)]
@@ -567,7 +531,7 @@ mod tests {
         let cfg = JobConfig::default().with_locality(false);
         fx.job(cfg.clone(), 4, vec![vec![]; 4], false, vec![]);
         fx.job(cfg, 4, vec![vec![]; 4], false, vec![]);
-        let a = Fifo.assign(&fx.view());
+        let a = SchedulerPolicy::Fifo.assign(&fx.view());
         assert_eq!(a.len(), 4, "all four slots filled");
         assert_eq!(count_for_job(&a, 0), 4, "FIFO gives job 0 everything");
         assert_eq!(count_for_job(&a, 1), 0);
@@ -579,7 +543,7 @@ mod tests {
         let cfg = JobConfig::default().with_locality(false);
         fx.job(cfg.clone(), 6, vec![vec![]; 6], false, vec![]);
         fx.job(cfg, 6, vec![vec![]; 6], false, vec![]);
-        let a = Fair.assign(&fx.view());
+        let a = SchedulerPolicy::Fair.assign(&fx.view());
         assert_eq!(a.len(), 6, "all six slots filled");
         let (j0, j1) = (count_for_job(&a, 0), count_for_job(&a, 1));
         assert_eq!(j0 + j1, 6);
@@ -596,7 +560,7 @@ mod tests {
         fx.job(cfg.clone(), 10, vec![vec![]; 10], false, vec![]);
         fx.job(cfg.clone(), 10, vec![vec![]; 10], false, vec![]);
         fx.job(cfg.clone(), 10, vec![vec![]; 10], false, vec![]);
-        let a = Fair.assign(&fx.view());
+        let a = SchedulerPolicy::Fair.assign(&fx.view());
         let mut per_vm: HashMap<u32, u32> = HashMap::new();
         for x in &a {
             *per_vm.entry(x.vm.0).or_insert(0) += 1;
@@ -621,12 +585,12 @@ mod tests {
         fx.used_map.insert(1, 2); // tracker 1 full
         let cfg = JobConfig::default();
         fx.job(cfg, 2, vec![vec![VmId(1)], vec![VmId(2)]], false, vec![]);
-        let a = JobDriven.assign(&fx.view());
+        let a = SchedulerPolicy::JobDriven.assign(&fx.view());
         let first = a.first().expect("an assignment");
         assert_eq!(first.kind, TaskKind::Map(1), "local map jumps the queue");
         assert_eq!(first.vm, VmId(2));
         // FIFO on the same view places the queue head remotely.
-        let f = Fifo.assign(&fx.view());
+        let f = SchedulerPolicy::Fifo.assign(&fx.view());
         assert_eq!(f.first().expect("an assignment").kind, TaskKind::Map(0));
     }
 
@@ -635,7 +599,7 @@ mod tests {
         let mut fx = ViewFixture::new(2);
         let cfg = JobConfig::default().with_reduces(3);
         fx.job(cfg, 0, vec![], true, vec![10, 5000, 70]);
-        let a = JobDriven.assign(&fx.view());
+        let a = SchedulerPolicy::JobDriven.assign(&fx.view());
         let order: Vec<usize> = a
             .iter()
             .filter_map(|x| match x.kind {
@@ -656,10 +620,10 @@ mod tests {
         fx.used_map.insert(1, 2); // tracker 1 busy with maps; reduce slots equal
         let cfg = JobConfig::default().with_reduces(1);
         fx.job(cfg, 0, vec![], true, vec![100]);
-        for a in Fifo.assign(&fx.view()) {
+        for a in SchedulerPolicy::Fifo.assign(&fx.view()) {
             assert_eq!(a.vm, VmId(2), "reduce avoids the map-loaded tracker");
         }
-        assert_eq!(Fifo.assign(&fx.view()).len(), 1);
+        assert_eq!(SchedulerPolicy::Fifo.assign(&fx.view()).len(), 1);
     }
 
     /// The rack-local tier sits between host-local and anywhere: when the
@@ -687,7 +651,10 @@ mod tests {
         for t in &mut racked.trackers {
             t.rack = racked.vm_racks[t.vm.0 as usize];
         }
-        for a in [Fifo.assign(&racked.view()), JobDriven.assign(&racked.view())] {
+        for a in [
+            SchedulerPolicy::Fifo.assign(&racked.view()),
+            SchedulerPolicy::JobDriven.assign(&racked.view()),
+        ] {
             assert_eq!(
                 a.first().expect("placed").vm,
                 VmId(2),
@@ -697,7 +664,7 @@ mod tests {
         // Flat fabric, identical slots: the emptiest tracker (vm4) wins —
         // the rack pass must not fire with one rack.
         let flat = setup();
-        let a = Fifo.assign(&flat.view());
+        let a = SchedulerPolicy::Fifo.assign(&flat.view());
         assert_eq!(a.first().expect("placed").vm, VmId(4), "flat fallback is the emptiest");
     }
 
@@ -706,7 +673,9 @@ mod tests {
         let mut fx = ViewFixture::new(3);
         let cfg = JobConfig::default();
         fx.job(cfg, 1, vec![vec![]], false, vec![]);
-        let vm = Fifo.place_speculative(&fx.view(), 0, VmId(1)).expect("free slot exists");
+        let vm = SchedulerPolicy::Fifo
+            .place_speculative(&fx.view(), 0, VmId(1))
+            .expect("free slot exists");
         assert_ne!(vm, VmId(1), "backup attempt runs elsewhere");
     }
 
@@ -783,8 +752,7 @@ mod tests {
             (SchedulerPolicy::JobDriven, 0xbebe_1cd6_5812_ecc2, 0xcf0a_7394_cc94_d2a5),
         ];
         for (policy, assign_hash, speculative_hash) in golden {
-            let mut sched = make_scheduler(policy);
-            let a = sched.assign(&view);
+            let a = policy.assign(&view);
             assert!(a.len() > 150, "{policy}: the view has work and room, got {}", a.len());
             let got_assign = fnv1a(a.iter().flat_map(|x| {
                 let (kind, index) = match x.kind {
@@ -797,7 +765,7 @@ mod tests {
             // runners-up too instead of asking for the same winner 8 times.
             let mut avoid = VmId(1);
             let got_speculative = fnv1a((0..8).map(|i| {
-                let vm = sched.place_speculative(&view, i % 3, avoid);
+                let vm = policy.place_speculative(&view, i % 3, avoid);
                 avoid = vm.unwrap_or(avoid);
                 vm.map_or(u64::MAX, |vm| u64::from(vm.0))
             }));
@@ -857,7 +825,7 @@ mod tests {
             for policy in SchedulerPolicy::all() {
                 let view = fx.view();
                 let (mut used_map, mut used_reduce) = (fx.used_map.clone(), fx.used_reduce.clone());
-                for a in make_scheduler(policy).assign(&view) {
+                for a in policy.assign(&view) {
                     assert!(
                         fx.trackers.iter().any(|t| t.vm == a.vm),
                         "{policy}: {a:?} on a dead VM"
@@ -886,7 +854,7 @@ mod tests {
                 }
             }
             for policy in SchedulerPolicy::all() {
-                assert_eq!(make_scheduler(policy).assign(&fx.view()), vec![], "{policy}");
+                assert_eq!(policy.assign(&fx.view()), vec![], "{policy}");
             }
         });
     }

@@ -7,7 +7,7 @@
 //! backup data"). Detection runs on a heartbeat, as the real JobTracker
 //! re-evaluates stragglers on TaskTracker heartbeats; *where* the backup
 //! attempt lands is delegated to the scheduling layer
-//! ([`crate::scheduler::TaskScheduler::place_speculative`]).
+//! ([`crate::scheduler::SchedulerPolicy::place_speculative`]).
 
 use crate::job::JobId;
 use crate::state::{tag_full, TaskPhase, PH_MAP_STARTUP};
@@ -53,7 +53,7 @@ impl MrEngine {
             // Where the backup runs is a placement decision: ask the
             // scheduling layer for a different tracker with a free slot.
             let Some(vm) =
-                self.with_view(cluster, |sched, view| sched.place_speculative(view, jid, vm0))
+                self.with_view(cluster, |view| self.policy.place_speculative(view, jid, vm0))
             else {
                 continue;
             };

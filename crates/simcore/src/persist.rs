@@ -267,6 +267,7 @@ impl<'a> Decoder<'a> {
 /// order must be written in a canonical order (see the module docs).
 /// Prefer [`persist_struct!`](crate::persist_struct) and
 /// [`persist_enum!`](crate::persist_enum) to a hand-written impl.
+// trait: every crate's snapshot codecs, mostly through `persist_struct!`/`persist_enum!`
 pub trait Persist: Sized {
     /// Appends this value's state to `e`.
     fn encode(&self, e: &mut Encoder);

@@ -254,11 +254,12 @@ fn run_group(spec: &SweepSpec, g: &GroupPoint) -> Vec<Row> {
     let (maps, cpu_secs, io_bytes) = g.mix.base();
     let hint =
         WorkloadHint { tasks: maps, cpu_secs_per_task: cpu_secs, shuffle_bytes_per_task: io_bytes };
+    let ctrl = ControllerConfig::enabled_with(g.placement.clone());
     // The decision-time features describe the layout the platform will
-    // actually boot with (the policy's map over the spec).
-    let map = g
+    // actually boot with (the controller's map over the spec).
+    let map = ctrl
         .placement
-        .assign(&cluster)
+        .assign(&cluster, &ctrl.model)
         .unwrap_or_else(|| (0..cluster.vms).map(|v| cluster.host_of(v)).collect());
     let features = decision_features(&cluster, &map, &hint, &[]);
 
@@ -267,11 +268,7 @@ fn run_group(spec: &SweepSpec, g: &GroupPoint) -> Vec<Row> {
             .cluster(cluster)
             .hdfs(HdfsConfig { block_size: 1 << 20, replication: 2 })
             .scheduler(g.scheduler)
-            .controller(ControllerConfig {
-                enabled: true,
-                placement: g.placement.clone(),
-                ..Default::default()
-            })
+            .controller(ctrl)
             .no_monitor()
             .seed(g.seed)
             .build(),

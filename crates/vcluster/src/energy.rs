@@ -14,21 +14,10 @@ use crate::cluster::{HostId, VirtualCluster};
 use serde::{Deserialize, Serialize};
 use simcore::prelude::*;
 
-/// Linear server power model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PowerModel {
-    /// Power draw at zero utilization, watts.
-    pub idle_w: f64,
-    /// Power draw at full utilization, watts.
-    pub peak_w: f64,
-}
-
-impl Default for PowerModel {
-    fn default() -> Self {
-        // Dell T710 class: ~120 W idle, ~280 W under full load.
-        PowerModel { idle_w: 120.0, peak_w: 280.0 }
-    }
-}
+/// Host power draw at zero utilization, watts (a Dell T710 class server).
+pub const IDLE_W: f64 = 120.0;
+/// Host power draw at full utilization, watts.
+pub const PEAK_W: f64 = 280.0;
 
 /// Per-host energy breakdown of a run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -65,21 +54,19 @@ impl EnergyReport {
 /// Energy meter over a simulation window.
 #[derive(Debug, Clone)]
 pub struct EnergyMeter {
-    model: PowerModel,
     /// `(instant, cumulative cpu work per host)` at meter start.
     start: (SimTime, Vec<f64>),
 }
 
-// The window start is the meter's only dynamic state (the model is configuration).
 simcore::persist_state!(EnergyMeter { start });
 
 impl EnergyMeter {
     /// Starts metering at the current instant.
-    pub fn start(engine: &Engine, cluster: &VirtualCluster, model: PowerModel) -> Self {
+    pub fn start(engine: &Engine, cluster: &VirtualCluster) -> Self {
         let marks = (0..cluster.host_count())
             .map(|h| engine.fluid().cumulative(cluster.host_cpu_resource(HostId(h))))
             .collect();
-        EnergyMeter { model, start: (engine.now(), marks) }
+        EnergyMeter { start: (engine.now(), marks) }
     }
 
     /// Energy consumed since the meter started.
@@ -91,8 +78,8 @@ impl EnergyMeter {
                 let cap = engine.fluid().capacity(r);
                 let work = engine.fluid().cumulative(r) - self.start.1[h as usize];
                 let util_seconds = if cap > 0.0 { (work / cap).max(0.0) } else { 0.0 };
-                let idle_j = self.model.idle_w * span_s;
-                let dynamic_j = (self.model.peak_w - self.model.idle_w) * util_seconds;
+                let idle_j = IDLE_W * span_s;
+                let dynamic_j = (PEAK_W - IDLE_W) * util_seconds;
                 (h, idle_j, dynamic_j)
             })
             .collect();
@@ -122,7 +109,7 @@ mod tests {
     #[test]
     fn idle_run_costs_idle_power_only() {
         let (mut e, c) = setup();
-        let meter = EnergyMeter::start(&e, &c, PowerModel::default());
+        let meter = EnergyMeter::start(&e, &c);
         e.set_timer_in(SimDuration::from_secs(100), Tag::owner(owners::USER));
         e.run_to_quiescence();
         let rep = meter.report(&e, &c);
@@ -135,7 +122,7 @@ mod tests {
     #[test]
     fn busy_host_draws_more() {
         let (mut e, c) = setup();
-        let meter = EnergyMeter::start(&e, &c, PowerModel::default());
+        let meter = EnergyMeter::start(&e, &c);
         // Saturate host 0 for ~50 s (4 VMs × 8 vcpus ≥ 8 cores).
         for vm in 0..4 {
             for i in 0..4 {
@@ -159,7 +146,7 @@ mod tests {
     #[test]
     fn consolidation_savings_counts_idle_hosts() {
         let (mut e, c) = setup();
-        let meter = EnergyMeter::start(&e, &c, PowerModel::default());
+        let meter = EnergyMeter::start(&e, &c);
         e.start_flow(c.cpu_demands(VmId(0)), 2.4e9 * 30.0, Tag::owner(owners::USER));
         e.run_to_quiescence();
         let rep = meter.report(&e, &c);

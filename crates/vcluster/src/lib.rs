@@ -30,10 +30,10 @@ pub mod virtlm;
 /// Convenience imports.
 pub mod prelude {
     pub use crate::cluster::{HostId, VirtualCluster, VmId};
-    pub use crate::energy::{EnergyMeter, EnergyReport, PowerModel};
+    pub use crate::energy::{EnergyMeter, EnergyReport};
     pub use crate::migration::{
-        ClusterMigrationReport, ConstantDirtyModel, DirtyRateModel, MigrationConfig,
-        MigrationEvent, MigrationManager, StopReason, UtilizationDirtyModel, VmMigrationReport,
+        ClusterMigrationReport, ConstantDirtyModel, DirtyRateModel, MigrationEvent,
+        MigrationManager, StopReason, UtilizationDirtyModel, VmMigrationReport,
     };
     pub use crate::spec::{ClusterSpec, HostSpec, NfsSpec, Placement, VmSpec, XenParams, GIB, MIB};
     pub use crate::topology::{LocalityTier, RackId, RackPlacement, Topology, TopologySpec};

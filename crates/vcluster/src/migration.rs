@@ -9,10 +9,10 @@
 //!   [`DirtyRateModel`] at each round boundary (so a guest that goes busy
 //!   or idle mid-migration changes convergence behaviour);
 //! * pre-copy ends — and the **stop-and-copy** phase (guest paused =
-//!   downtime) begins — when the next round would be smaller than the stop
-//!   threshold, when the round budget is exhausted, or when cumulative
-//!   traffic exceeds `max_total_factor × mem` (Xen's giving-up heuristic);
-//! * downtime = stop-and-copy transfer + a fixed resume latency
+//!   downtime) begins — when the next round would be smaller than
+//!   [`STOP_THRESHOLD`], after [`MAX_ROUNDS`] rounds, or when cumulative
+//!   traffic exceeds [`MAX_TOTAL_FACTOR`] × mem (Xen's giving-up heuristic);
+//! * downtime = stop-and-copy transfer + a fixed [`RESUME_LATENCY`]
 //!   (device re-attach, ARP advertisement).
 //!
 //! Every transfer is a fluid flow over [`VirtualCluster::host_transfer_demands`],
@@ -38,47 +38,27 @@ const STOP_COPY_BIT: u64 = 1 << 63;
 /// Marks a retry timer armed after an aborted transfer (fault injection).
 const RETRY_BIT: u64 = 1 << 62;
 
-/// Tunables of the pre-copy algorithm.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MigrationConfig {
-    /// Final-round size below which the guest is paused and the residue
-    /// copied (bytes).
-    pub stop_threshold: u64,
-    /// Maximum number of pre-copy rounds before giving up.
-    pub max_rounds: u32,
-    /// Give up pre-copying once cumulative traffic exceeds this multiple
-    /// of guest memory.
-    pub max_total_factor: f64,
-    /// Fixed tail of the downtime (device re-attach, ARP), independent of
-    /// the stop-and-copy transfer.
-    pub resume_latency: SimDuration,
-    /// How many VMs migrate concurrently during a cluster migration
-    /// (Xen-era toolstacks migrate sequentially; 1 is the default).
-    pub concurrency: u32,
-    /// First retry delay after an aborted transfer; doubles per abort of
-    /// the same VM (capped at [`MigrationConfig::retry_backoff_cap`]).
-    pub retry_backoff_base: SimDuration,
-    /// Upper bound on the abort-retry delay.
-    pub retry_backoff_cap: SimDuration,
-}
-
-impl Default for MigrationConfig {
-    fn default() -> Self {
-        MigrationConfig {
-            stop_threshold: MIB,
-            max_rounds: 30,
-            max_total_factor: 3.0,
-            resume_latency: SimDuration::from_millis(30),
-            concurrency: 1,
-            retry_backoff_base: SimDuration::from_millis(500),
-            retry_backoff_cap: SimDuration::from_secs(8),
-        }
-    }
-}
+/// Final-round size below which the guest is paused and the residue
+/// copied, bytes.
+pub const STOP_THRESHOLD: u64 = MIB;
+/// Pre-copy rounds before giving up.
+pub const MAX_ROUNDS: u32 = 30;
+/// Give up pre-copying once cumulative traffic exceeds this multiple of
+/// guest memory.
+pub const MAX_TOTAL_FACTOR: f64 = 3.0;
+/// Fixed tail of the downtime (device re-attach, ARP), independent of the
+/// stop-and-copy transfer.
+pub const RESUME_LATENCY: SimDuration = SimDuration::from_millis(30);
+/// First retry delay after an aborted transfer; doubles per abort of the
+/// same VM, up to [`RETRY_BACKOFF_CAP`].
+pub const RETRY_BACKOFF_BASE: SimDuration = SimDuration::from_millis(500);
+/// Upper bound on the abort-retry delay.
+pub const RETRY_BACKOFF_CAP: SimDuration = SimDuration::from_secs(8);
 
 /// Supplies the memory dirty rate (bytes/s) of a VM. Called once per
 /// pre-copy round boundary, so implementations may keep per-VM state to
 /// compute averages over the elapsed round.
+// trait: faked by `ConstantDirtyModel` (unit and integration tests, `VirtLm`)
 pub trait DirtyRateModel {
     /// Dirty rate of `vm` over the window since the model was last asked
     /// about it (or instantaneous, for stateless models).
@@ -98,10 +78,20 @@ impl DirtyRateModel for ConstantDirtyModel {
     }
 }
 
+/// Idle floor of [`UtilizationDirtyModel`]'s dirty rate, bytes/s.
+const DIRTY_BASE: f64 = 0.5e6;
+/// Saturation level of its activity-driven term, bytes/s.
+const DIRTY_PEAK: f64 = 70e6;
+/// Utilization at which the activity term reaches ~63 % of the peak.
+const DIRTY_KNEE: f64 = 0.15;
+/// Fraction of the VM's I/O byte rate that dirties fresh pages (page-cache
+/// fills, shuffle buffers).
+const DIRTY_IO_FRACTION: f64 = 0.5;
+
 /// Dirty rate driven by the VM's VCPU utilization **averaged over the
 /// elapsed pre-copy round** (exact, via the fluid model's cumulative-work
-/// counters), with a fixed per-VM jitter factor:
-/// `(base + peak × avg_util) × jitter(vm)`.
+/// counters) and its I/O byte rate, with a fixed per-VM jitter factor:
+/// `(base + peak × (1 − e^(−util/knee)) + io_fraction × io_rate) × jitter(vm)`.
 ///
 /// A wordcount-busy guest dirties its page cache and JVM heap fast; an
 /// idle guest only touches kernel housekeeping pages. The jitter models
@@ -109,50 +99,29 @@ impl DirtyRateModel for ConstantDirtyModel {
 /// per-node downtime spread in the paper's Fig. 5b).
 #[derive(Debug, Clone)]
 pub struct UtilizationDirtyModel {
-    /// Idle floor, bytes/s.
-    pub base: f64,
-    /// Saturation level of the activity-driven term, bytes/s.
-    pub peak: f64,
-    /// Utilization at which the activity term reaches ~63 % of `peak`.
-    pub knee: f64,
-    /// Fraction of the VM's I/O byte rate that dirties fresh pages
-    /// (page-cache fills, shuffle buffers).
-    pub io_fraction: f64,
     jitter: Vec<f64>,
     /// Per-VM `(instant, cumulative vcpu work, cumulative I/O bytes)`
     /// marks from the last query.
     marks: std::collections::HashMap<u32, (SimTime, f64, f64)>,
 }
 
-// Per-VM jitter factors and window marks; the rate coefficients are configuration.
 simcore::persist_state!(UtilizationDirtyModel { jitter, marks });
 
 impl UtilizationDirtyModel {
-    /// Paper-calibrated defaults. The activity term *saturates*: a guest
-    /// hosting task JVMs dirties its whole heap and page cache through GC
-    /// and buffer churn even at moderate CPU load, so dirtying ramps to
-    /// ~`peak` (70 MB/s) once average utilization clears the knee (15 %).
-    /// With ±40 % per-VM jitter the busiest guests brush against the
+    /// The per-VM jitter is drawn from `seed`; the rates are
+    /// paper-calibrated. The activity term *saturates*: a guest hosting
+    /// task JVMs dirties its whole heap and page cache through GC and
+    /// buffer churn even at moderate CPU load, so dirtying ramps to ~70 MB/s
+    /// once average utilization clears the knee (15 %). With ±40 % per-VM
+    /// jitter the busiest guests brush against the
     /// contended wire bandwidth — which is what makes *some* nodes fail to
     /// converge (big, variable downtime) while others migrate cleanly,
     /// the paper's Fig. 5b picture. I/O adds 50 % of its byte rate.
     pub fn new(vms: u32, seed: RootSeed) -> Self {
-        Self::with_rates(vms, seed, 0.5e6, 70e6)
-    }
-
-    /// Custom floor/peak rates.
-    pub fn with_rates(vms: u32, seed: RootSeed, base: f64, peak: f64) -> Self {
         use rand::Rng;
         let mut rng = seed.stream("dirty-jitter");
         let jitter = (0..vms).map(|_| rng.gen_range(0.6..1.4)).collect();
-        UtilizationDirtyModel {
-            base,
-            peak,
-            knee: 0.15,
-            io_fraction: 0.5,
-            jitter,
-            marks: std::collections::HashMap::new(),
-        }
+        UtilizationDirtyModel { jitter, marks: std::collections::HashMap::new() }
     }
 
     /// `(average VCPU utilization, average I/O bytes/s)` of `vm` since the
@@ -182,9 +151,9 @@ impl UtilizationDirtyModel {
 impl DirtyRateModel for UtilizationDirtyModel {
     fn dirty_rate(&mut self, engine: &Engine, cluster: &VirtualCluster, vm: VmId) -> f64 {
         let (util, io_rate) = self.window_averages(engine, cluster, vm);
-        let activity = self.peak * (1.0 - (-util / self.knee).exp());
+        let activity = DIRTY_PEAK * (1.0 - (-util / DIRTY_KNEE).exp());
         let j = self.jitter.get(vm.0 as usize).copied().unwrap_or(1.0);
-        (self.base + activity + self.io_fraction * io_rate) * j
+        (DIRTY_BASE + activity + DIRTY_IO_FRACTION * io_rate) * j
     }
 }
 
@@ -300,7 +269,9 @@ simcore::persist_struct!(VmJob {
 /// `&mut Engine` into each call and routes `owners::MIGRATION` wakeups here.
 #[derive(Debug)]
 pub struct MigrationManager {
-    cfg: MigrationConfig,
+    /// How many VMs migrate at once (Xen-era toolstacks migrate
+    /// sequentially: 1).
+    concurrency: u32,
     jobs: HashMap<u32, VmJob>,
     queue: VecDeque<(VmId, HostId)>,
     active: u32,
@@ -313,7 +284,7 @@ pub struct MigrationManager {
     aborts: HashMap<u32, u32>,
 }
 
-// Everything but the launch-time config; maps are written in key order.
+// Everything but the launch-time concurrency; maps are written in key order.
 simcore::persist_state!(MigrationManager {
     jobs,
     queue,
@@ -326,10 +297,10 @@ simcore::persist_state!(MigrationManager {
 });
 
 impl MigrationManager {
-    /// New manager with `cfg`.
-    pub fn new(cfg: MigrationConfig) -> Self {
+    /// New manager migrating up to `concurrency` VMs at once.
+    pub fn new(concurrency: u32) -> Self {
         MigrationManager {
-            cfg,
+            concurrency,
             jobs: HashMap::new(),
             queue: VecDeque::new(),
             active: 0,
@@ -339,11 +310,6 @@ impl MigrationManager {
             retrying: HashMap::new(),
             aborts: HashMap::new(),
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &MigrationConfig {
-        &self.cfg
     }
 
     /// True while any migration is queued, in flight, or backing off after
@@ -392,7 +358,7 @@ impl MigrationManager {
             assert_ne!(cluster.host_of(vm), dst, "{vm} already on {dst}");
             self.queue.push_back((vm, dst));
         }
-        let slots = self.cfg.concurrency.max(1);
+        let slots = self.concurrency.max(1);
         for _ in 0..slots {
             self.launch_next(engine, cluster);
         }
@@ -444,7 +410,7 @@ impl MigrationManager {
     /// Aborts every in-flight transfer (an injected fault: source toolstack
     /// dies mid-pre-copy, TCP stream resets, ...). Each aborted VM loses
     /// its progress, waits out a capped exponential backoff
-    /// (`retry_backoff_base × 2^(aborts−1)`, at most `retry_backoff_cap`)
+    /// ([`RETRY_BACKOFF_BASE`] × 2^(aborts−1), at most [`RETRY_BACKOFF_CAP`])
     /// and then restarts from round 0. Queued, not-yet-started VMs are
     /// untouched. Returns the aborted VM ids; a no-op (empty) when nothing
     /// is in flight.
@@ -460,8 +426,7 @@ impl MigrationManager {
             let n = self.aborts.entry(vm).or_insert(0);
             *n += 1;
             let exp = (*n - 1).min(16);
-            let delay =
-                (self.cfg.retry_backoff_base * (1u64 << exp)).min(self.cfg.retry_backoff_cap);
+            let delay = (RETRY_BACKOFF_BASE * (1u64 << exp)).min(RETRY_BACKOFF_CAP);
             engine.trace_span(
                 "fault",
                 "migration_abort",
@@ -501,7 +466,7 @@ impl MigrationManager {
                 debug_assert_eq!(tag.owner, owners::MIGRATION);
                 if let Some(dst) = self.retrying.remove(&tag.a) {
                     self.queue.push_back((VmId(tag.a), dst));
-                    let slots = self.cfg.concurrency.max(1);
+                    let slots = self.concurrency.max(1);
                     while self.active < slots && !self.queue.is_empty() {
                         self.launch_next(engine, cluster);
                     }
@@ -540,11 +505,11 @@ impl MigrationManager {
             // guest memory.
             let next = (rate * elapsed).min(job.mem as f64);
             job.round += 1;
-            let decision = if next <= self.cfg.stop_threshold as f64 {
+            let decision = if next <= STOP_THRESHOLD as f64 {
                 Some(StopReason::Converged)
-            } else if job.round >= self.cfg.max_rounds {
+            } else if job.round >= MAX_ROUNDS {
                 Some(StopReason::MaxRounds)
-            } else if job.transferred + next > self.cfg.max_total_factor * job.mem as f64 {
+            } else if job.transferred + next > MAX_TOTAL_FACTOR * job.mem as f64 {
                 Some(StopReason::TrafficBudget)
             } else {
                 None
@@ -574,7 +539,7 @@ impl MigrationManager {
         self.active -= 1;
         cluster.set_host(job.vm, job.dst);
         let stop_started = job.stop_started.expect("stop phase was entered");
-        let downtime = now.saturating_since(stop_started) + self.cfg.resume_latency;
+        let downtime = now.saturating_since(stop_started) + RESUME_LATENCY;
         engine.trace_span("migration", "stop_and_copy", vm.0, stop_started, &[]);
         engine.trace_span(
             "migration",
@@ -594,7 +559,7 @@ impl MigrationManager {
             mem: job.mem,
             rounds: job.round,
             transferred: job.transferred,
-            migration_time: (now + self.cfg.resume_latency).saturating_since(job.started),
+            migration_time: (now + RESUME_LATENCY).saturating_since(job.started),
             downtime,
             stop_reason: job.stop_reason,
             aborts: self.aborts.get(&vm.0).copied().unwrap_or(0),
@@ -605,7 +570,7 @@ impl MigrationManager {
         self.launch_next(engine, cluster);
         if self.active == 0 && self.queue.is_empty() && self.finished.len() == self.expected {
             let started = self.session_started.take().expect("session was started");
-            let total_time = (now + self.cfg.resume_latency).saturating_since(started);
+            let total_time = (now + RESUME_LATENCY).saturating_since(started);
             let total_downtime =
                 self.finished.iter().fold(SimDuration::ZERO, |acc, r| acc + r.downtime);
             let max_downtime =
@@ -668,7 +633,7 @@ mod tests {
     #[test]
     fn idle_vm_converges_in_two_rounds() {
         let (mut e, mut c) = setup(1);
-        let mut mgr = MigrationManager::new(MigrationConfig::default());
+        let mut mgr = MigrationManager::new(1);
         let mut dirty = ConstantDirtyModel(0.5e6);
         let rep = run_migration(&mut e, &mut c, &mut mgr, &mut dirty, &[VmId(0)]);
         let vm = &rep.per_vm[0];
@@ -685,7 +650,7 @@ mod tests {
     #[test]
     fn busy_vm_migrates_longer_with_bigger_downtime() {
         let (mut e, mut c) = setup(2);
-        let mut mgr = MigrationManager::new(MigrationConfig::default());
+        let mut mgr = MigrationManager::new(1);
         let mut idle = ConstantDirtyModel(0.5e6);
         let idle_rep = run_migration(&mut e, &mut c, &mut mgr, &mut idle, &[VmId(0)]);
 
@@ -719,7 +684,7 @@ mod tests {
                 .placement(Placement::SingleDomain)
                 .build();
             let mut c = VirtualCluster::new(&mut e, spec);
-            let mut mgr = MigrationManager::new(MigrationConfig::default());
+            let mut mgr = MigrationManager::new(1);
             let mut dirty = ConstantDirtyModel(0.5e6);
             run_migration(&mut e, &mut c, &mut mgr, &mut dirty, &[VmId(0)]).per_vm[0]
                 .migration_time
@@ -736,7 +701,7 @@ mod tests {
     #[test]
     fn cluster_migration_is_sequential_by_default() {
         let (mut e, mut c) = setup(4);
-        let mut mgr = MigrationManager::new(MigrationConfig::default());
+        let mut mgr = MigrationManager::new(1);
         let mut dirty = ConstantDirtyModel(0.5e6);
         let vms: Vec<VmId> = (0..4).map(VmId).collect();
         let rep = run_migration(&mut e, &mut c, &mut mgr, &mut dirty, &vms);
@@ -756,8 +721,7 @@ mod tests {
     #[test]
     fn concurrent_migration_shares_the_wire() {
         let (mut e, mut c) = setup(4);
-        let cfg = MigrationConfig { concurrency: 4, ..Default::default() };
-        let mut mgr = MigrationManager::new(cfg);
+        let mut mgr = MigrationManager::new(4);
         let mut dirty = ConstantDirtyModel(0.5e6);
         let vms: Vec<VmId> = (0..4).map(VmId).collect();
         let rep = run_migration(&mut e, &mut c, &mut mgr, &mut dirty, &vms);
@@ -770,7 +734,7 @@ mod tests {
     #[test]
     fn reports_account_transferred_bytes() {
         let (mut e, mut c) = setup(1);
-        let mut mgr = MigrationManager::new(MigrationConfig::default());
+        let mut mgr = MigrationManager::new(1);
         let mut dirty = ConstantDirtyModel(0.5e6);
         let rep = run_migration(&mut e, &mut c, &mut mgr, &mut dirty, &[VmId(0)]);
         let vm = &rep.per_vm[0];
@@ -781,7 +745,7 @@ mod tests {
     #[test]
     fn aborted_migration_retries_and_completes() {
         let (mut e, mut c) = setup(1);
-        let mut mgr = MigrationManager::new(MigrationConfig::default());
+        let mut mgr = MigrationManager::new(1);
         let mut dirty = ConstantDirtyModel(0.5e6);
         mgr.start_cluster_migration(&mut e, &c, &[VmId(0)], HostId(1));
         assert_eq!(mgr.abort_active(&mut e), vec![0], "round-0 transfer was in flight");
@@ -799,7 +763,7 @@ mod tests {
     #[test]
     fn repeated_aborts_back_off_exponentially() {
         let (mut e, mut c) = setup(1);
-        let mut mgr = MigrationManager::new(MigrationConfig::default());
+        let mut mgr = MigrationManager::new(1);
         let mut dirty = ConstantDirtyModel(0.5e6);
         mgr.start_cluster_migration(&mut e, &c, &[VmId(0)], HostId(1));
         let mut restarted_at = Vec::new();
@@ -827,7 +791,7 @@ mod tests {
         let spec =
             ClusterSpec::builder().hosts(2).vms(2).placement(Placement::Custom(vec![0, 1])).build();
         let mut c = VirtualCluster::new(&mut e, spec);
-        let mut mgr = MigrationManager::new(MigrationConfig::default());
+        let mut mgr = MigrationManager::new(1);
         let mut dirty = ConstantDirtyModel(0.5e6);
         mgr.start_moves(&mut e, &c, &[(VmId(0), HostId(1)), (VmId(1), HostId(0))]);
         let rep = drive(&mut e, &mut c, &mut mgr, &mut dirty);
@@ -841,7 +805,7 @@ mod tests {
     #[should_panic(expected = "already on")]
     fn rejects_migrating_to_current_host() {
         let (mut e, c) = setup(1);
-        let mut mgr = MigrationManager::new(MigrationConfig::default());
+        let mut mgr = MigrationManager::new(1);
         mgr.start_cluster_migration(&mut e, &c, &[VmId(0)], HostId(0));
     }
 }

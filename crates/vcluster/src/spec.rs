@@ -96,8 +96,6 @@ pub struct XenParams {
     pub dom0_cycles_per_net_byte: f64,
     /// Dom0 CPU cycles consumed per byte of guest disk (NFS) I/O.
     pub dom0_cycles_per_disk_byte: f64,
-    /// Page size used by the migration dirty-page model, bytes.
-    pub page_size: u64,
 }
 
 impl Default for XenParams {
@@ -106,7 +104,6 @@ impl Default for XenParams {
             cpu_overhead: 1.08,
             dom0_cycles_per_net_byte: 3.0,
             dom0_cycles_per_disk_byte: 1.5,
-            page_size: 4096,
         }
     }
 }
@@ -307,12 +304,6 @@ impl ClusterSpecBuilder {
         self
     }
 
-    /// Hardware of each host.
-    pub fn host(mut self, h: HostSpec) -> Self {
-        self.spec.host = h;
-        self
-    }
-
     /// Number of VMs.
     pub fn vms(mut self, n: u32) -> Self {
         self.spec.vms = n;
@@ -337,21 +328,9 @@ impl ClusterSpecBuilder {
         self
     }
 
-    /// NFS server spec.
-    pub fn nfs(mut self, n: NfsSpec) -> Self {
-        self.spec.nfs = n;
-        self
-    }
-
     /// Xen parameters.
     pub fn xen(mut self, x: XenParams) -> Self {
         self.spec.xen = x;
-        self
-    }
-
-    /// Switch backplane bandwidth.
-    pub fn switch_bw(mut self, bw: f64) -> Self {
-        self.spec.switch_bw = bw;
         self
     }
 

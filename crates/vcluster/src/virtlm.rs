@@ -13,7 +13,7 @@
 
 use crate::cluster::{HostId, VirtualCluster, VmId};
 use crate::migration::{
-    ClusterMigrationReport, ConstantDirtyModel, MigrationConfig, MigrationEvent, MigrationManager,
+    ClusterMigrationReport, ConstantDirtyModel, MigrationEvent, MigrationManager,
 };
 use crate::spec::{ClusterSpec, Placement};
 use serde::{Deserialize, Serialize};
@@ -71,14 +71,14 @@ pub struct VirtLmRow {
 pub struct VirtLm {
     /// Number of VMs in the migrated cluster.
     pub n_vms: u32,
-    /// Pre-copy tunables.
-    pub migration: MigrationConfig,
+    /// How many VMs migrate at once.
+    pub concurrency: u32,
 }
 
 impl Default for VirtLm {
     fn default() -> Self {
         // Paper setup: 16-node cluster.
-        VirtLm { n_vms: 16, migration: MigrationConfig::default() }
+        VirtLm { n_vms: 16, concurrency: 1 }
     }
 }
 
@@ -110,7 +110,7 @@ impl VirtLm {
             .placement(Placement::SingleDomain)
             .build();
         let mut cluster = VirtualCluster::new(&mut engine, spec);
-        let mut mgr = MigrationManager::new(self.migration.clone());
+        let mut mgr = MigrationManager::new(self.concurrency);
         let mut dirty = ConstantDirtyModel(dirty_rate);
         let vms: Vec<VmId> = (0..self.n_vms).map(VmId).collect();
         mgr.start_cluster_migration(&mut engine, &cluster, &vms, HostId(1));
@@ -132,7 +132,7 @@ mod tests {
     use super::*;
 
     fn small_bench() -> VirtLm {
-        VirtLm { n_vms: 4, migration: MigrationConfig::default() }
+        VirtLm { n_vms: 4, concurrency: 1 }
     }
 
     #[test]

@@ -18,14 +18,13 @@
 //!
 //! Determinism: the controller reacts only to simulated wakeups and draws
 //! no randomness of its own, so a controlled run stays a pure function of
-//! (config, seed). Disabled (the default), it arms nothing and touches
-//! nothing — traces are byte-identical to a controller-free platform.
+//! (config, seed). A platform launched without a [`ControllerConfig`] has
+//! no controller at all.
 
-use crate::model::{MakespanKind, MakespanModel};
-use crate::placement::{assign_adaptive, PlacementKind, WorkloadHint};
+use crate::model::MakespanKind;
+use crate::placement::{PlacementKind, WorkloadHint};
 use crate::queue::{
-    rejoin, slo_report_json, AdmissionQueue, JobSlo, QueueConfig, QueuedJob, SloConfig, SloReport,
-    SloTracker,
+    rejoin, slo_report_json, AdmissionQueue, JobSlo, QueueConfig, QueuedJob, SloReport, SloTracker,
 };
 use crate::rebalance::{RebalanceConfig, RebalanceMode, Rebalancer};
 use mapreduce::job::JobEvent;
@@ -34,7 +33,7 @@ use simcore::owners;
 use simcore::prelude::*;
 use std::collections::HashMap;
 use vcluster::cluster::{HostId, VirtualCluster, VmId};
-use vcluster::energy::{EnergyMeter, EnergyReport, PowerModel};
+use vcluster::energy::{EnergyMeter, EnergyReport};
 use vcluster::migration::{MigrationEvent, MigrationManager};
 
 /// `Tag.b` payload of a rebalance tick timer.
@@ -43,46 +42,24 @@ pub const TICK: u64 = 1;
 pub const ARRIVAL: u64 = 2;
 
 /// Full control-plane configuration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ControllerConfig {
-    /// Master switch; `false` (the default) keeps the platform
-    /// byte-identical to a controller-free build.
-    pub enabled: bool,
     /// Admission-queue bounds and start order.
     pub queue: QueueConfig,
     /// VM placement applied when the platform boots.
     pub placement: PlacementKind,
     /// Periodic migration-driven rebalancing; `None` disables ticks.
     pub rebalance: Option<RebalanceConfig>,
-    /// SLO thresholds for the report.
-    pub slo: SloConfig,
-    /// Power model behind the consolidation-energy report.
-    pub power: PowerModel,
     /// Makespan model pricing adaptive placement and what-if rebalance
     /// candidates: the hand-priced baseline (the default) or a learned
     /// regression tree.
     pub model: MakespanKind,
 }
 
-impl Default for ControllerConfig {
-    fn default() -> Self {
-        ControllerConfig {
-            enabled: false,
-            queue: QueueConfig::default(),
-            placement: PlacementKind::Spec,
-            rebalance: None,
-            slo: SloConfig::default(),
-            power: PowerModel::default(),
-            model: MakespanKind::default(),
-        }
-    }
-}
-
 impl ControllerConfig {
-    /// An enabled controller with the given placement and otherwise
-    /// default knobs.
+    /// A controller with the given placement and otherwise default knobs.
     pub fn enabled_with(placement: PlacementKind) -> Self {
-        ControllerConfig { enabled: true, placement, ..Default::default() }
+        ControllerConfig { placement, ..Default::default() }
     }
 }
 
@@ -143,7 +120,7 @@ struct FutureArrival {
 pub struct WhatIfCandidate {
     /// The move set under evaluation.
     pub moves: Vec<(VmId, HostId)>,
-    /// The configured [`MakespanModel`]'s price of the post-move layout,
+    /// The configured [`MakespanKind`]'s price of the post-move layout,
     /// seconds.
     pub estimated_s: f64,
 }
@@ -156,7 +133,7 @@ pub struct WhatIfCandidate {
 pub struct WhatIfRequest {
     /// Candidate plans, model-priced, coldest destination first.
     pub candidates: Vec<WhatIfCandidate>,
-    /// Name of the [`MakespanModel`] that priced the candidates (copied
+    /// Name of the [`MakespanKind`] that priced the candidates (copied
     /// into every outcome, so estimator error stays attributable).
     pub model: String,
 }
@@ -176,7 +153,7 @@ pub struct WhatIfOutcome {
     pub measured_s: f64,
     /// Whether this candidate was committed in the parent.
     pub chosen: bool,
-    /// Name of the [`MakespanModel`] that produced `estimated_s`.
+    /// Name of the [`MakespanKind`] that produced `estimated_s`.
     pub model: String,
 }
 
@@ -216,7 +193,7 @@ impl Controller {
         let rebalancer = None; // sized at attach time (needs the host count)
         Controller {
             queue: AdmissionQueue::new(cfg.queue.clone()),
-            slo: SloTracker::new(cfg.slo.clone()),
+            slo: SloTracker::default(),
             rebalancer,
             counters: ControllerCounters::default(),
             future: HashMap::new(),
@@ -239,14 +216,10 @@ impl Controller {
     }
 
     /// The VM→host override this controller's placement policy produces
-    /// for `spec` (applied by the platform before the cluster boots).
-    /// Adaptive placement prices its candidates with the configured
-    /// makespan model; the other policies are model-free.
+    /// for `spec` (applied by the platform before the cluster boots),
+    /// priced with the configured makespan model.
     pub fn placement_map(&self, spec: &vcluster::spec::ClusterSpec) -> Option<Vec<u32>> {
-        match &self.cfg.placement {
-            PlacementKind::Adaptive(hint) => assign_adaptive(spec, hint, &[], &self.cfg.model),
-            kind => kind.assign(spec),
-        }
+        self.cfg.placement.assign(spec, &self.cfg.model)
     }
 
     /// Binds the controller to a booted platform: sizes the rebalancer,
@@ -255,7 +228,7 @@ impl Controller {
         if let Some(rb) = &self.cfg.rebalance {
             self.rebalancer = Some(Rebalancer::new(rb.clone(), cluster.host_count()));
         }
-        self.energy = Some(EnergyMeter::start(engine, cluster, self.cfg.power));
+        self.energy = Some(EnergyMeter::start(engine, cluster));
         self.queue_depth_name = Some(engine.tracer_mut().intern("ctrl.queue_depth"));
         self.active_jobs_name = Some(engine.tracer_mut().intern("ctrl.active_jobs"));
     }
@@ -648,7 +621,7 @@ fn estimate_plan(
     moves: &[(VmId, HostId)],
     hint: &WorkloadHint,
     host_load: &[f64],
-    model: &dyn MakespanModel,
+    model: &MakespanKind,
 ) -> f64 {
     let mut map: Vec<u32> = cluster.vms().map(|v| cluster.host_of(v).0).collect();
     for &(vm, dst) in moves {
@@ -661,7 +634,6 @@ fn estimate_plan(
 mod tests {
     use super::*;
     use crate::queue::QueuePolicy;
-    use vcluster::migration::MigrationConfig;
     use vcluster::spec::{ClusterSpec, Placement};
     use vhdfs::hdfs::HdfsConfig;
     use workloads_stub::load_job;
@@ -730,9 +702,8 @@ mod tests {
     #[test]
     fn controller_runs_a_scheduled_stream_to_completion() {
         let mut rt = rt();
-        let mut mig = MigrationManager::new(MigrationConfig::default());
+        let mut mig = MigrationManager::new(1);
         let mut ctrl = Controller::new(ControllerConfig {
-            enabled: true,
             queue: QueueConfig { max_active: 1, ..Default::default() },
             ..Default::default()
         });
@@ -757,9 +728,8 @@ mod tests {
     #[test]
     fn full_queue_rejects_and_reports() {
         let mut rt = rt();
-        let mut mig = MigrationManager::new(MigrationConfig::default());
+        let mut mig = MigrationManager::new(1);
         let mut ctrl = Controller::new(ControllerConfig {
-            enabled: true,
             queue: QueueConfig { capacity: 1, max_active: 1, ..Default::default() },
             ..Default::default()
         });
@@ -780,9 +750,8 @@ mod tests {
     #[test]
     fn shortest_first_reorders_queued_jobs() {
         let mut rt = rt();
-        let mut mig = MigrationManager::new(MigrationConfig::default());
+        let mut mig = MigrationManager::new(1);
         let mut ctrl = Controller::new(ControllerConfig {
-            enabled: true,
             queue: QueueConfig {
                 policy: QueuePolicy::ShortestFirst,
                 max_active: 1,
@@ -823,11 +792,11 @@ mod tests {
     }
 
     #[test]
-    fn disabled_controller_arms_nothing() {
+    fn no_rebalance_config_arms_no_tick() {
         let mut rt = rt();
         let mut ctrl = Controller::new(ControllerConfig::default());
         ctrl.attach(&mut rt.engine, &rt.cluster);
-        let mut mig = MigrationManager::new(MigrationConfig::default());
+        let mut mig = MigrationManager::new(1);
         ctrl.ensure_tick(&mut rt.engine, &mig);
         assert!(rt.engine.next_wakeup().is_none(), "no timers without rebalance config");
         drive(&mut ctrl, &mut rt, &mut mig);

@@ -7,14 +7,14 @@
 //!   with a pluggable start order (FIFO, shortest-expected-first,
 //!   per-tenant fair share) and per-job SLO tracking (queue wait,
 //!   makespan, slowdown);
-//! * [`placement`] — a [`placement::PlacementPolicy`] rewrites the VM→host
+//! * [`placement`] — a [`placement::PlacementKind`] rewrites the VM→host
 //!   map before the cluster boots: pack (the paper's "normal" layout),
-//!   spread (cross-domain), or an adaptive pick priced by a first-order
+//!   spread (cross-domain), or an adaptive pick priced by the configured
 //!   makespan model;
 //! * [`model`] — every decision that prices a candidate VM layout goes
-//!   through a [`model::MakespanModel`]: the analytic
-//!   [`model::HandPriced`] baseline or a [`model::Learned`] regression
-//!   tree fitted on `vchar` characterization sweeps;
+//!   through a [`model::MakespanKind`]: the analytic hand-priced baseline
+//!   or a learned regression tree fitted on `vchar` characterization
+//!   sweeps;
 //! * [`rebalance`] — a periodic controller samples per-host CPU/NIC load
 //!   from the fluid kernel's cumulative counters and plans bounded live
 //!   migrations (hysteresis + cooldown + move budget) through the
@@ -24,8 +24,8 @@
 //! [`controller::Controller`] glues the layers together and is driven by
 //! the `vhadoop` platform's event loop. Everything reacts to simulated
 //! wakeups only and draws no randomness, so controlled runs remain pure
-//! functions of (config, seed); with the controller disabled (the
-//! default) the platform is byte-identical to a controller-free build.
+//! functions of (config, seed); a platform configured without a
+//! controller (the default) has none.
 
 #![warn(missing_docs)]
 
@@ -42,16 +42,11 @@ pub mod prelude {
         WhatIfRequest,
     };
     pub use crate::model::{
-        decision_features, HandPriced, Learned, MakespanKind, MakespanModel, RegressionTree,
-        TreeConfig, FEATURE_NAMES,
+        decision_features, MakespanKind, RegressionTree, TreeConfig, FEATURE_NAMES,
     };
-    pub use crate::placement::{
-        apply_placement, assign_adaptive, estimate_makespan, AdaptivePlacement, PackPlacement,
-        PlacementKind, PlacementPolicy, SpecPlacement, SpreadPlacement, WorkloadHint,
-    };
+    pub use crate::placement::{apply_placement, estimate_makespan, PlacementKind, WorkloadHint};
     pub use crate::queue::{
-        AdmissionQueue, JobSlo, QueueConfig, QueuePolicy, QueuedJob, SloConfig, SloReport,
-        SloTracker,
+        AdmissionQueue, JobSlo, QueueConfig, QueuePolicy, QueuedJob, SloReport, SloTracker,
     };
     pub use crate::rebalance::{
         HostLoad, RebalanceConfig, RebalanceMode, RebalancePlan, Rebalancer,

@@ -2,15 +2,16 @@
 //! regression tree (DESIGN.md §19).
 //!
 //! Every control-plane decision that prices a candidate VM layout —
-//! adaptive placement, what-if rebalance candidate scoring, tuner knob
-//! search — goes through a [`MakespanModel`]. Two implementations exist:
+//! adaptive placement, what-if rebalance candidate scoring — goes through
+//! [`MakespanKind::estimate`]. There are two models:
 //!
-//! * [`HandPriced`] — the first-order analytic
+//! * [`MakespanKind::HandPriced`] — the first-order analytic
 //!   [`estimate_makespan`](crate::placement::estimate_makespan) the
 //!   control plane shipped with (kept as the baseline);
-//! * [`Learned`] — an in-repo CART-style [`RegressionTree`] fitted on a
-//!   characterization dataset (the `vchar` crate's sweep output), fed the
-//!   same decision-time inputs through [`decision_features`].
+//! * [`MakespanKind::Learned`] — an in-repo CART-style [`RegressionTree`]
+//!   fitted on a characterization dataset (the `vchar` crate's sweep
+//!   output), fed the same decision-time inputs through
+//!   [`decision_features`].
 //!
 //! The tree is deliberately minimal: axis-aligned splits chosen by
 //! exhaustive SSE-minimizing search, constant leaf predictions, no
@@ -23,7 +24,7 @@
 //! [`Encoder`]/[`Decoder`] and round-trip to identical predictions
 //! (`f64::to_bits`-equal).
 
-use crate::placement::{estimate_makespan, WorkloadHint};
+use crate::placement::{estimate_makespan, Layout, WorkloadHint};
 use vcluster::spec::ClusterSpec;
 
 /// Names of the decision-time feature vector [`decision_features`]
@@ -54,53 +55,15 @@ pub const FEATURE_NAMES: [&str; 17] = [
 /// The decision-time feature vector for pricing `map` on `spec` under
 /// `hint` and `host_load` — exactly the inputs
 /// [`estimate_makespan`](crate::placement::estimate_makespan) consumes,
-/// so a [`Learned`] model is a drop-in replacement anywhere the
-/// hand-priced one fits. Column order matches [`FEATURE_NAMES`].
+/// so a [`MakespanKind::Learned`] model is a drop-in replacement anywhere
+/// the hand-priced one fits. Column order matches [`FEATURE_NAMES`].
 pub fn decision_features(
     spec: &ClusterSpec,
     map: &[u32],
     hint: &WorkloadHint,
     host_load: &[f64],
 ) -> Vec<f64> {
-    assert_eq!(map.len(), spec.vms as usize);
-    let hosts = spec.hosts as usize;
-    let mut workers = vec![0u32; hosts];
-    for (vm, &h) in map.iter().enumerate() {
-        if vm != 0 {
-            // VM 0 hosts the namenode/jobtracker and takes no tasks.
-            workers[h as usize] += 1;
-        }
-    }
-    let total_workers: u32 = workers.iter().sum();
-    let busy_hosts = workers.iter().filter(|&&w| w > 0).count();
-    let max_workers = workers.iter().copied().max().unwrap_or(0);
-    let p_same: f64 = if total_workers == 0 {
-        1.0
-    } else {
-        workers
-            .iter()
-            .map(|&w| {
-                let f = f64::from(w) / f64::from(total_workers);
-                f * f
-            })
-            .sum()
-    };
-    let mut rack_workers = vec![0u32; spec.topology.racks as usize];
-    for (h, &w) in workers.iter().enumerate() {
-        rack_workers[spec.rack_of_host(h as u32) as usize] += w;
-    }
-    let p_same_rack: f64 = if total_workers == 0 {
-        1.0
-    } else {
-        rack_workers
-            .iter()
-            .map(|&w| {
-                let f = f64::from(w) / f64::from(total_workers);
-                f * f
-            })
-            .sum()
-    };
-    let core_bw = if spec.topology.core_bw > 0.0 { spec.topology.core_bw } else { spec.switch_bw };
+    let layout = Layout::of(spec, map);
     let n_load = host_load.len().max(1) as f64;
     let load_mean = host_load.iter().sum::<f64>() / n_load;
     let load_max = host_load.iter().copied().fold(0.0, f64::max);
@@ -109,17 +72,17 @@ pub fn decision_features(
         f64::from(hint.tasks),
         hint.cpu_secs_per_task,
         hint.shuffle_bytes_per_task as f64 / (1 << 20) as f64,
-        f64::from(total_workers),
-        busy_hosts as f64,
-        f64::from(max_workers),
-        p_same,
-        p_same_rack,
+        f64::from(layout.total_workers),
+        layout.busy_hosts as f64,
+        f64::from(layout.workers.iter().copied().max().unwrap_or(0)),
+        layout.p_same,
+        layout.p_same_rack,
         f64::from(spec.hosts),
         f64::from(spec.topology.racks),
         f64::from(spec.host.cores),
         spec.host.bridge_bw / 1e9,
         spec.host.nic_bw / 1e9,
-        core_bw / 1e9,
+        layout.core_bw / 1e9,
         load_mean,
         load_max,
     ]
@@ -329,86 +292,29 @@ fn best_split(
     best.map(|(_, f, t)| (f, t))
 }
 
-/// Prices a candidate VM layout in seconds. The control plane is generic
-/// over this: swap the estimator, keep the decision logic.
-pub trait MakespanModel {
-    /// Stable display name (CSV column, what-if attribution).
-    fn name(&self) -> &'static str;
-    /// Estimated makespan of one task wave of `hint` under `map`.
-    fn estimate(
-        &self,
-        spec: &ClusterSpec,
-        map: &[u32],
-        hint: &WorkloadHint,
-        host_load: &[f64],
-    ) -> f64;
-}
-
-/// The analytic baseline:
-/// [`estimate_makespan`](crate::placement::estimate_makespan) unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HandPriced;
-
-impl MakespanModel for HandPriced {
-    fn name(&self) -> &'static str {
-        "hand-priced"
-    }
-    fn estimate(
-        &self,
-        spec: &ClusterSpec,
-        map: &[u32],
-        hint: &WorkloadHint,
-        host_load: &[f64],
-    ) -> f64 {
-        estimate_makespan(spec, map, hint, host_load)
-    }
-}
-
-/// A fitted [`RegressionTree`] applied to [`decision_features`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Learned(pub RegressionTree);
-
-impl MakespanModel for Learned {
-    fn name(&self) -> &'static str {
-        "learned"
-    }
-    fn estimate(
-        &self,
-        spec: &ClusterSpec,
-        map: &[u32],
-        hint: &WorkloadHint,
-        host_load: &[f64],
-    ) -> f64 {
-        self.0.predict(&decision_features(spec, map, hint, host_load))
-    }
-}
-
-/// Selects a makespan model by value (config-friendly, like
-/// [`PlacementKind`](crate::placement::PlacementKind)).
+/// Prices a candidate VM layout in seconds: swap the estimator, keep the
+/// decision logic.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum MakespanKind {
-    /// The analytic baseline ([`HandPriced`]).
+    /// The analytic baseline:
+    /// [`estimate_makespan`](crate::placement::estimate_makespan).
     #[default]
     HandPriced,
-    /// A fitted tree ([`Learned`]).
+    /// A fitted [`RegressionTree`] applied to [`decision_features`].
     Learned(RegressionTree),
 }
 
 impl MakespanKind {
-    /// Stable display name.
+    /// Stable display name (CSV column, what-if attribution).
     pub fn name(&self) -> &'static str {
         match self {
-            MakespanKind::HandPriced => HandPriced.name(),
-            MakespanKind::Learned(t) => Learned(t.clone()).name(),
+            MakespanKind::HandPriced => "hand-priced",
+            MakespanKind::Learned(_) => "learned",
         }
     }
-}
 
-impl MakespanModel for MakespanKind {
-    fn name(&self) -> &'static str {
-        MakespanKind::name(self)
-    }
-    fn estimate(
+    /// Estimated makespan of one task wave of `hint` under `map`.
+    pub fn estimate(
         &self,
         spec: &ClusterSpec,
         map: &[u32],
@@ -416,7 +322,7 @@ impl MakespanModel for MakespanKind {
         host_load: &[f64],
     ) -> f64 {
         match self {
-            MakespanKind::HandPriced => HandPriced.estimate(spec, map, hint, host_load),
+            MakespanKind::HandPriced => estimate_makespan(spec, map, hint, host_load),
             MakespanKind::Learned(t) => t.predict(&decision_features(spec, map, hint, host_load)),
         }
     }
@@ -425,7 +331,7 @@ impl MakespanModel for MakespanKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::{PackPlacement, PlacementPolicy, SpreadPlacement};
+    use crate::placement::PlacementKind;
     use simcore::persist::{Decoder, Encoder, Persist};
 
     fn grid() -> (Vec<Vec<f64>>, Vec<f64>) {
@@ -439,6 +345,10 @@ mod tests {
             labels.push(if x0 < 4.0 { 10.0 + x1 } else { 50.0 + 2.0 * x1 });
         }
         (rows, labels)
+    }
+
+    fn layout(kind: PlacementKind, spec: &ClusterSpec) -> Vec<u32> {
+        kind.assign(spec, &MakespanKind::HandPriced).unwrap()
     }
 
     fn leaves(t: &RegressionTree) -> usize {
@@ -494,7 +404,7 @@ mod tests {
     #[test]
     fn decision_features_match_the_dictionary() {
         let spec = ClusterSpec::default();
-        let map = PackPlacement.assign(&spec).unwrap();
+        let map = layout(PlacementKind::Pack, &spec);
         let hint = WorkloadHint::default();
         let f = decision_features(&spec, &map, &hint, &[]);
         assert_eq!(f.len(), FEATURE_NAMES.len());
@@ -503,18 +413,6 @@ mod tests {
         // Packed onto one host: everything is same-host, one busy host.
         assert_eq!(f[5], 1.0);
         assert_eq!(f[7], 1.0);
-    }
-
-    #[test]
-    fn hand_priced_model_matches_the_free_function() {
-        let spec = ClusterSpec::default();
-        let map = SpreadPlacement.assign(&spec).unwrap();
-        let hint = WorkloadHint::default();
-        assert_eq!(
-            HandPriced.estimate(&spec, &map, &hint, &[]),
-            estimate_makespan(&spec, &map, &hint, &[])
-        );
-        assert_eq!(MakespanKind::default().name(), "hand-priced");
     }
 
     #[test]
@@ -527,19 +425,17 @@ mod tests {
         let mut labels = Vec::new();
         for tasks in 1..=12u32 {
             let h = WorkloadHint { tasks, ..hint };
-            for map in
-                [PackPlacement.assign(&spec).unwrap(), SpreadPlacement.assign(&spec).unwrap()]
-            {
+            for map in [layout(PlacementKind::Pack, &spec), layout(PlacementKind::Spread, &spec)] {
                 let f = decision_features(&spec, &map, &h, &[]);
                 labels.push(2.0 * f[0]);
                 rows.push(f);
             }
         }
         let t = RegressionTree::fit(&rows, &labels, &TreeConfig { max_depth: 6, min_leaf: 1 });
-        let learned = Learned(t);
-        let map = PackPlacement.assign(&spec).unwrap();
+        let learned = MakespanKind::Learned(t);
+        let map = layout(PlacementKind::Pack, &spec);
         let h = WorkloadHint { tasks: 6, ..hint };
-        let hand = HandPriced.estimate(&spec, &map, &h, &[]);
+        let hand = MakespanKind::HandPriced.estimate(&spec, &map, &h, &[]);
         let est = learned.estimate(&spec, &map, &h, &[]);
         assert!(
             (est - 2.0 * hand).abs() < 0.5 * hand,

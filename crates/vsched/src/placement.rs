@@ -2,22 +2,24 @@
 //!
 //! The seed platform pins the VM→host map at cluster construction via
 //! [`Placement::host_of`]. This module turns that decision into a policy:
-//! a [`PlacementPolicy`] may rewrite the map before the cluster is built
+//! a [`PlacementKind`] may rewrite the map before the cluster is built
 //! (pack onto few hosts, spread across all, or pick adaptively from a
-//! workload hint), or decline ([`SpecPlacement`]) and leave the spec's own
-//! layout untouched — the byte-identical default.
+//! workload hint), or decline ([`PlacementKind::Spec`]) and leave the
+//! spec's own layout untouched — the byte-identical default.
 //!
 //! The adaptive policy reuses the paper's normal-vs-cross-domain framing:
 //! packing keeps shuffle traffic on the fast in-host software bridge but
 //! stacks every VCPU (and dom0's per-byte I/O tax) onto one host's cores;
 //! spreading pays the slower physical NIC but doubles the core budget.
-//! [`estimate_makespan`] prices both effects and the policy picks the
-//! cheaper layout.
+//! The configured [`MakespanKind`] prices both layouts — by default
+//! [`estimate_makespan`], which models exactly those two effects — and
+//! the policy picks the cheaper one.
 
+use crate::model::MakespanKind;
 use vcluster::spec::{ClusterSpec, Placement};
 
 /// Rough description of the workload a placement must serve, used by
-/// [`AdaptivePlacement`] to price candidate layouts.
+/// [`PlacementKind::Adaptive`] to price candidate layouts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadHint {
     /// Concurrent tasks in one wave (map slots demanded).
@@ -36,129 +38,26 @@ impl Default for WorkloadHint {
     }
 }
 
-/// Maps a cluster spec to an explicit VM→host assignment, or declines and
-/// keeps the spec's own placement.
-pub trait PlacementPolicy {
-    /// Stable display name (CSV column, trace args).
-    fn name(&self) -> &'static str;
-
-    /// Returns `Some(map)` with one host index per VM to override the
-    /// spec's placement, or `None` to keep the spec untouched.
-    fn assign(&self, spec: &ClusterSpec) -> Option<Vec<u32>>;
-}
-
-/// Keeps the spec's own placement — the policy under which the platform is
-/// byte-identical to a controller-free run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpecPlacement;
-
-impl PlacementPolicy for SpecPlacement {
-    fn name(&self) -> &'static str {
-        "spec"
-    }
-    fn assign(&self, _spec: &ClusterSpec) -> Option<Vec<u32>> {
-        None
-    }
-}
-
-/// Consolidates: fills hosts in index order, moving on only when a host's
-/// DRAM is exhausted (the paper's "normal" single-domain layout when the
-/// VMs fit one host).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PackPlacement;
-
-impl PlacementPolicy for PackPlacement {
-    fn name(&self) -> &'static str {
-        "pack"
-    }
-    fn assign(&self, spec: &ClusterSpec) -> Option<Vec<u32>> {
-        let per_host = (spec.host.dram / spec.vm.mem.max(1)).max(1) as u32;
-        Some((0..spec.vms).map(|v| (v / per_host).min(spec.hosts - 1)).collect())
-    }
-}
-
-/// Balances: VM *i* lands on host *i* mod hosts (the paper's cross-domain
-/// layout generalized to any host count).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpreadPlacement;
-
-impl PlacementPolicy for SpreadPlacement {
-    fn name(&self) -> &'static str {
-        "spread"
-    }
-    fn assign(&self, spec: &ClusterSpec) -> Option<Vec<u32>> {
-        Some((0..spec.vms).map(|v| v % spec.hosts).collect())
-    }
-}
-
-/// Picks pack or spread, whichever [`estimate_makespan`] prices cheaper
-/// for the hinted workload on the given spec. `host_load` (one entry per
-/// host, 0.0 = idle, 1.0 = saturated) discounts cores already busy with
-/// background work; pass an empty slice when the cluster is idle.
-#[derive(Debug, Clone)]
-pub struct AdaptivePlacement {
-    /// The workload being priced.
-    pub hint: WorkloadHint,
-    /// Per-host background CPU load in `[0, 1]`; empty = all idle.
-    pub host_load: Vec<f64>,
-}
-
-impl PlacementPolicy for AdaptivePlacement {
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-    fn assign(&self, spec: &ClusterSpec) -> Option<Vec<u32>> {
-        assign_adaptive(spec, &self.hint, &self.host_load, &crate::model::HandPriced)
-    }
-}
-
-/// Model-aware adaptive assignment: prices the pack and spread layouts
-/// with `model` and returns the cheaper one. [`AdaptivePlacement`] is
-/// this with the [`HandPriced`](crate::model::HandPriced) baseline; the
-/// controller substitutes its configured
-/// [`MakespanKind`](crate::model::MakespanKind) so a learned tree steers
-/// boot-time placement too.
-pub fn assign_adaptive(
-    spec: &ClusterSpec,
-    hint: &WorkloadHint,
-    host_load: &[f64],
-    model: &dyn crate::model::MakespanModel,
-) -> Option<Vec<u32>> {
-    let pack = PackPlacement.assign(spec)?;
-    let spread = SpreadPlacement.assign(spec)?;
-    let t_pack = model.estimate(spec, &pack, hint, host_load);
-    let t_spread = model.estimate(spec, &spread, hint, host_load);
-    Some(if t_pack <= t_spread { pack } else { spread })
-}
-
-/// Selects a placement policy by value (config-friendly; trait objects
-/// don't fit `PartialEq` configs).
+/// Which VM→host layout the platform boots with.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum PlacementKind {
-    /// Keep the spec's own placement ([`SpecPlacement`]).
+    /// Keep the spec's own placement — the policy under which the
+    /// platform is byte-identical to a controller-free run.
     #[default]
     Spec,
-    /// Consolidate onto few hosts ([`PackPlacement`]).
+    /// Consolidate: fill hosts in index order, moving on only when a
+    /// host's DRAM is exhausted (the paper's "normal" single-domain layout
+    /// when the VMs fit one host).
     Pack,
-    /// Balance across all hosts ([`SpreadPlacement`]).
+    /// Balance: VM *i* lands on host *i* mod hosts (the paper's
+    /// cross-domain layout generalized to any host count).
     Spread,
-    /// Model-driven pick between pack and spread ([`AdaptivePlacement`]).
+    /// Pack or spread, whichever the makespan model prices cheaper for
+    /// this workload on an idle cluster.
     Adaptive(WorkloadHint),
 }
 
 impl PlacementKind {
-    /// Instantiates the policy this kind names.
-    pub fn policy(&self) -> Box<dyn PlacementPolicy> {
-        match self {
-            PlacementKind::Spec => Box::new(SpecPlacement),
-            PlacementKind::Pack => Box::new(PackPlacement),
-            PlacementKind::Spread => Box::new(SpreadPlacement),
-            PlacementKind::Adaptive(hint) => {
-                Box::new(AdaptivePlacement { hint: *hint, host_load: Vec::new() })
-            }
-        }
-    }
-
     /// Stable display name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -169,10 +68,31 @@ impl PlacementKind {
         }
     }
 
-    /// The VM→host override for `spec`, if this kind produces one.
-    pub fn assign(&self, spec: &ClusterSpec) -> Option<Vec<u32>> {
-        self.policy().assign(spec)
+    /// The VM→host override for `spec` (one host index per VM), or `None`
+    /// to keep the spec's own placement. Only
+    /// [`PlacementKind::Adaptive`] consults `model`.
+    pub fn assign(&self, spec: &ClusterSpec, model: &MakespanKind) -> Option<Vec<u32>> {
+        match self {
+            PlacementKind::Spec => None,
+            PlacementKind::Pack => Some(pack(spec)),
+            PlacementKind::Spread => Some(spread(spec)),
+            PlacementKind::Adaptive(hint) => {
+                let (packed, spread_out) = (pack(spec), spread(spec));
+                let t_pack = model.estimate(spec, &packed, hint, &[]);
+                let t_spread = model.estimate(spec, &spread_out, hint, &[]);
+                Some(if t_pack <= t_spread { packed } else { spread_out })
+            }
+        }
     }
+}
+
+fn pack(spec: &ClusterSpec) -> Vec<u32> {
+    let per_host = (spec.host.dram / spec.vm.mem.max(1)).max(1) as u32;
+    (0..spec.vms).map(|v| (v / per_host).min(spec.hosts - 1)).collect()
+}
+
+fn spread(spec: &ClusterSpec) -> Vec<u32> {
+    (0..spec.vms).map(|v| v % spec.hosts).collect()
 }
 
 /// Applies a placement override to a spec in place (no-op on `None`).
@@ -204,41 +124,23 @@ pub fn estimate_makespan(
     hint: &WorkloadHint,
     host_load: &[f64],
 ) -> f64 {
-    assert_eq!(map.len(), spec.vms as usize);
-    let hosts = spec.hosts as usize;
-    let mut workers = vec![0u32; hosts];
-    for (vm, &h) in map.iter().enumerate() {
-        if vm != 0 {
-            // VM 0 hosts the namenode/jobtracker and takes no tasks.
-            workers[h as usize] += 1;
-        }
-    }
-    let total_workers: u32 = workers.iter().sum();
-    if total_workers == 0 {
+    let layout = Layout::of(spec, map);
+    if layout.total_workers == 0 {
         return f64::INFINITY;
     }
+    let total_workers = f64::from(layout.total_workers);
     let tasks = f64::from(hint.tasks);
     let bytes_per_task = hint.shuffle_bytes_per_task as f64;
     let total_bytes = tasks * bytes_per_task;
 
-    // Same-host shuffle fraction: sender and receiver drawn independently
-    // from the worker population.
-    let p_same: f64 = workers
-        .iter()
-        .map(|&w| {
-            let f = f64::from(w) / f64::from(total_workers);
-            f * f
-        })
-        .sum();
-
     // Per-host CPU time for the wave, including dom0's I/O tax on the
     // bytes its local workers move.
     let mut t_cpu: f64 = 0.0;
-    for (h, &w) in workers.iter().enumerate() {
+    for (h, &w) in layout.workers.iter().enumerate() {
         if w == 0 {
             continue;
         }
-        let share = f64::from(w) / f64::from(total_workers);
+        let share = f64::from(w) / total_workers;
         let host_tasks = tasks * share;
         let guest_cycles = host_tasks * hint.cpu_secs_per_task * spec.host.core_hz;
         // dom0 charges for both directions of the host's shuffle bytes.
@@ -254,29 +156,75 @@ pub fn estimate_makespan(
 
     // Wire time: same-host bytes ride the bridge, cross-host bytes the NIC
     // (each host's NIC carries its egress share).
-    let bridge = total_bytes * p_same / spec.host.bridge_bw.max(1.0);
-    let busy_hosts = workers.iter().filter(|&&w| w > 0).count().max(1) as f64;
-    let nic = total_bytes * (1.0 - p_same) / (spec.host.nic_bw.max(1.0) * busy_hosts);
-
+    let bridge = total_bytes * layout.p_same / spec.host.bridge_bw.max(1.0);
+    let busy_hosts = layout.busy_hosts.max(1) as f64;
+    let nic = total_bytes * (1.0 - layout.p_same) / (spec.host.nic_bw.max(1.0) * busy_hosts);
     // Cross-rack bytes all funnel through the one core switch. With one
     // rack p_same_rack = 1 and the term vanishes, leaving the legacy
     // two-term estimate bit-for-bit.
-    let mut rack_workers = vec![0u32; spec.topology.racks as usize];
-    for (h, &w) in workers.iter().enumerate() {
-        rack_workers[spec.rack_of_host(h as u32) as usize] += w;
-    }
-    let p_same_rack: f64 = rack_workers
-        .iter()
-        .map(|&w| {
-            let f = f64::from(w) / f64::from(total_workers);
-            f * f
-        })
-        .sum();
-    let core_bw = if spec.topology.core_bw > 0.0 { spec.topology.core_bw } else { spec.switch_bw };
-    let core = total_bytes * (1.0 - p_same_rack) / core_bw.max(1.0);
+    let core = total_bytes * (1.0 - layout.p_same_rack) / layout.core_bw.max(1.0);
     let t_wire = bridge + nic + core;
 
     t_cpu + t_wire
+}
+
+/// How a VM→host map spreads the workers over hosts and racks — what the
+/// hand-priced estimate and the learned model's features both read off a
+/// candidate layout. VM 0 hosts the namenode/jobtracker and takes no
+/// tasks, so it is not a worker.
+pub(crate) struct Layout {
+    /// Workers per host.
+    pub(crate) workers: Vec<u32>,
+    /// Workers in all.
+    pub(crate) total_workers: u32,
+    /// Hosts with at least one worker.
+    pub(crate) busy_hosts: usize,
+    /// Chance that a sender and a receiver drawn independently from the
+    /// workers share a host, Σ(wₕ/W)² (1 with no workers).
+    pub(crate) p_same: f64,
+    /// The same over racks, Σ(wᵣ/W)².
+    pub(crate) p_same_rack: f64,
+    /// Core-switch bandwidth: the topology's, else the flat switch's.
+    pub(crate) core_bw: f64,
+}
+
+impl Layout {
+    pub(crate) fn of(spec: &ClusterSpec, map: &[u32]) -> Self {
+        assert_eq!(map.len(), spec.vms as usize);
+        let mut workers = vec![0u32; spec.hosts as usize];
+        for &h in map.iter().skip(1) {
+            workers[h as usize] += 1;
+        }
+        let total_workers: u32 = workers.iter().sum();
+        let mut rack_workers = vec![0u32; spec.topology.racks as usize];
+        for (h, &w) in workers.iter().enumerate() {
+            rack_workers[spec.rack_of_host(h as u32) as usize] += w;
+        }
+        let p_same = |counts: &[u32]| -> f64 {
+            if total_workers == 0 {
+                return 1.0;
+            }
+            counts
+                .iter()
+                .map(|&w| {
+                    let f = f64::from(w) / f64::from(total_workers);
+                    f * f
+                })
+                .sum()
+        };
+        Layout {
+            busy_hosts: workers.iter().filter(|&&w| w > 0).count(),
+            p_same: p_same(&workers),
+            p_same_rack: p_same(&rack_workers),
+            core_bw: if spec.topology.core_bw > 0.0 {
+                spec.topology.core_bw
+            } else {
+                spec.switch_bw
+            },
+            workers,
+            total_workers,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -287,27 +235,28 @@ mod tests {
         ClusterSpec::default() // 2 hosts × 8 cores, 16 VMs × 1 GiB
     }
 
+    const HAND: MakespanKind = MakespanKind::HandPriced;
+
     #[test]
     fn spec_policy_declines() {
-        assert_eq!(SpecPlacement.assign(&spec()), None);
-        assert_eq!(PlacementKind::Spec.assign(&spec()), None);
+        assert_eq!(PlacementKind::Spec.assign(&spec(), &HAND), None);
     }
 
     #[test]
     fn pack_fills_first_host_first() {
-        let map = PackPlacement.assign(&spec()).unwrap();
+        let map = pack(&spec());
         assert_eq!(map.len(), 16);
         assert!(map.iter().all(|&h| h == 0), "16 × 1 GiB VMs fit host 0's 32 GiB: {map:?}");
         let mut small = spec();
         small.host.dram = 8 * vcluster::spec::GIB;
-        let map = PackPlacement.assign(&small).unwrap();
+        let map = pack(&small);
         assert_eq!(&map[..8], &[0; 8], "first 8 on host 0");
         assert_eq!(&map[8..], &[1; 8], "overflow spills to host 1");
     }
 
     #[test]
     fn spread_round_robins() {
-        let map = SpreadPlacement.assign(&spec()).unwrap();
+        let map = spread(&spec());
         assert_eq!(map[0], 0);
         assert_eq!(map[1], 1);
         assert_eq!(map[2], 0);
@@ -319,7 +268,7 @@ mod tests {
         let mut s = spec();
         apply_placement(&mut s, None);
         assert_eq!(s.placement, Placement::SingleDomain, "None keeps the spec layout");
-        let map = SpreadPlacement.assign(&s);
+        let map = PlacementKind::Spread.assign(&s, &HAND);
         apply_placement(&mut s, map);
         assert!(matches!(s.placement, Placement::Custom(_)));
         assert_eq!(s.host_of(1), 1);
@@ -329,8 +278,8 @@ mod tests {
     #[test]
     fn estimator_prefers_pack_for_cpu_bound_and_spread_for_shuffle_heavy() {
         let s = spec();
-        let pack = PackPlacement.assign(&s).unwrap();
-        let spread = SpreadPlacement.assign(&s).unwrap();
+        let pack = pack(&s);
+        let spread = spread(&s);
         // Few heavy tasks, modest shuffle: fits one host's cores, bridge wins.
         let cpu =
             WorkloadHint { tasks: 3, cpu_secs_per_task: 8.0, shuffle_bytes_per_task: 48 << 20 };
@@ -353,12 +302,12 @@ mod tests {
         let s = spec();
         let cpu =
             WorkloadHint { tasks: 3, cpu_secs_per_task: 8.0, shuffle_bytes_per_task: 48 << 20 };
-        let a = AdaptivePlacement { hint: cpu, host_load: Vec::new() };
-        assert_eq!(a.assign(&s), PackPlacement.assign(&s), "adaptive packs the cpu-bound mix");
+        let a = PlacementKind::Adaptive(cpu);
+        assert_eq!(a.assign(&s, &HAND), Some(pack(&s)), "adaptive packs the cpu-bound mix");
         let shf =
             WorkloadHint { tasks: 15, cpu_secs_per_task: 2.5, shuffle_bytes_per_task: 4 << 20 };
-        let a = AdaptivePlacement { hint: shf, host_load: Vec::new() };
-        assert_eq!(a.assign(&s), SpreadPlacement.assign(&s), "adaptive spreads the shuffle mix");
+        let a = PlacementKind::Adaptive(shf);
+        assert_eq!(a.assign(&s, &HAND), Some(spread(&s)), "adaptive spreads the shuffle mix");
     }
 
     #[test]
@@ -368,7 +317,7 @@ mod tests {
         let mut racked = ClusterSpec::builder().hosts(4).vms(16).racks(2).build();
         racked.topology.core_bw = 50e6; // much slower than the NICs
         let flat = ClusterSpec::builder().hosts(4).vms(16).build();
-        let map = SpreadPlacement.assign(&racked).unwrap();
+        let map = spread(&racked);
         let hint =
             WorkloadHint { tasks: 15, cpu_secs_per_task: 1.0, shuffle_bytes_per_task: 32 << 20 };
         let t_racked = estimate_makespan(&racked, &map, &hint, &[]);
@@ -389,7 +338,7 @@ mod tests {
         let s = spec();
         let cpu =
             WorkloadHint { tasks: 3, cpu_secs_per_task: 8.0, shuffle_bytes_per_task: 48 << 20 };
-        let pack = PackPlacement.assign(&s).unwrap();
+        let pack = pack(&s);
         let idle = estimate_makespan(&s, &pack, &cpu, &[]);
         let busy = estimate_makespan(&s, &pack, &cpu, &[0.9, 0.0]);
         assert!(busy > idle, "load on the packed host must raise its estimate");

@@ -209,21 +209,11 @@ pub(crate) fn rejoin(residue: &HashMap<u32, PendingJob>, ctrl_id: u32) -> Pendin
         .clone()
 }
 
-/// SLO thresholds a run is judged against.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SloConfig {
-    /// Queue waits beyond this count as violations.
-    pub max_queue_wait: SimDuration,
-    /// Slowdowns (makespan ÷ expected solo time) beyond this count as
-    /// violations.
-    pub max_slowdown: f64,
-}
-
-impl Default for SloConfig {
-    fn default() -> Self {
-        SloConfig { max_queue_wait: SimDuration::from_secs(60), max_slowdown: 8.0 }
-    }
-}
+/// Queue waits beyond this count as SLO violations.
+pub const MAX_QUEUE_WAIT: SimDuration = SimDuration::from_secs(60);
+/// Slowdowns (makespan ÷ expected solo time) beyond this count as SLO
+/// violations.
+pub const MAX_SLOWDOWN: f64 = 8.0;
 
 /// Lifecycle timestamps of one job, as the controller saw them.
 #[derive(Debug, Clone, PartialEq)]
@@ -272,20 +262,14 @@ impl JobSlo {
 }
 
 /// Records per-job lifecycle events and distills them into an
-/// [`SloReport`].
+/// [`SloReport`], judged against [`MAX_QUEUE_WAIT`] and [`MAX_SLOWDOWN`].
 #[derive(Debug, Default)]
 pub struct SloTracker {
-    cfg: SloConfig,
     jobs: Vec<JobSlo>,
     by_id: HashMap<u32, usize>,
 }
 
 impl SloTracker {
-    /// Empty tracker judging against `cfg`.
-    pub fn new(cfg: SloConfig) -> Self {
-        SloTracker { cfg, ..Default::default() }
-    }
-
     /// Records an arrival (admitted or rejected).
     pub fn record_arrival(
         &mut self,
@@ -319,10 +303,10 @@ impl SloTracker {
         let i = self.by_id[&ctrl_id];
         self.jobs[i].finished = Some(at);
         let mut v = 0;
-        if self.jobs[i].queue_wait().is_some_and(|w| w > self.cfg.max_queue_wait) {
+        if self.jobs[i].queue_wait().is_some_and(|w| w > MAX_QUEUE_WAIT) {
             v += 1;
         }
-        if self.jobs[i].slowdown().is_some_and(|s| s > self.cfg.max_slowdown) {
+        if self.jobs[i].slowdown().is_some_and(|s| s > MAX_SLOWDOWN) {
             v += 1;
         }
         v
@@ -359,11 +343,11 @@ impl SloTracker {
             }
             if let Some(s) = j.slowdown() {
                 slowdown.push(s);
-                if s > self.cfg.max_slowdown {
+                if s > MAX_SLOWDOWN {
                     violations += 1;
                 }
             }
-            if j.queue_wait().is_some_and(|w| w > self.cfg.max_queue_wait) {
+            if j.queue_wait().is_some_and(|w| w > MAX_QUEUE_WAIT) {
                 violations += 1;
             }
         }
@@ -548,28 +532,26 @@ mod tests {
 
     #[test]
     fn slo_tracker_computes_waits_and_violations() {
-        let mut t = SloTracker::new(SloConfig {
-            max_queue_wait: SimDuration::from_secs(5),
-            max_slowdown: 2.0,
-        });
+        // The thresholds: 60 s of queue wait, a slowdown of 8.
+        let mut t = SloTracker::default();
         t.record_arrival(0, 0, SimTime::from_secs(0), 10.0, true);
-        t.record_start(0, SimTime::from_secs(1));
-        assert_eq!(t.record_finish(0, SimTime::from_secs(11)), 0, "within both SLOs");
+        t.record_start(0, SimTime::from_secs(59));
+        assert_eq!(t.record_finish(0, SimTime::from_secs(80)), 0, "within both SLOs");
         t.record_arrival(1, 1, SimTime::from_secs(0), 2.0, true);
-        t.record_start(1, SimTime::from_secs(8)); // waits 8 s > 5 s
-        assert_eq!(t.record_finish(1, SimTime::from_secs(12)), 2, "wait + slowdown violated");
+        t.record_start(1, SimTime::from_secs(61)); // waits 61 s > 60 s
+        assert_eq!(t.record_finish(1, SimTime::from_secs(64)), 2, "wait + slowdown violated");
         let rep = t.report();
         assert_eq!(rep.jobs, 2);
         assert_eq!(rep.finished, 2);
         assert_eq!(rep.starved, 0);
         assert_eq!(rep.violations, 2);
-        assert!(rep.queue_wait_max_s > 7.9);
-        assert!(rep.slowdown_max > 5.9, "job 1: 12 s makespan over 2 s expected");
+        assert!(rep.queue_wait_max_s > 60.9);
+        assert!(rep.slowdown_max > 31.9, "job 1: 64 s makespan over 2 s expected");
     }
 
     #[test]
     fn starved_counts_admitted_but_never_started() {
-        let mut t = SloTracker::new(SloConfig::default());
+        let mut t = SloTracker::default();
         t.record_arrival(0, 0, SimTime::from_secs(0), 1.0, true);
         t.record_arrival(1, 0, SimTime::from_secs(0), 1.0, false);
         let rep = t.report();

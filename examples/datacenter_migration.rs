@@ -38,7 +38,7 @@ fn main() {
 
     // --- idle migration --------------------------------------------------
     let mut idle = VHadoop::launch(PlatformConfig::builder().cluster(cluster.clone()).build());
-    let meter = EnergyMeter::start(&idle.rt.engine, &idle.rt.cluster, PowerModel::default());
+    let meter = EnergyMeter::start(&idle.rt.engine, &idle.rt.cluster);
     let idle_rep = idle.migration(HostId(1)).idle();
     report("idle cluster", &idle_rep);
     // The energy-saving argument: after consolidating onto host 1, host 0

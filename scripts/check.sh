@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo-wide checks: formatting, lints, tests, artifact regeneration, and
-# the determinism / emitter lints. Orchestration only: every shape and
+# the determinism / emitter / codec / monitor / trait lints. Orchestration only: every shape and
 # schema assertion lives in a Rust test, bench binary or example, which
 # exits non-zero when it fails. Run from anywhere: scripts/check.sh
 set -euo pipefail
@@ -173,6 +173,18 @@ echo "==> monitor lint"
 bad=$( { grep -rn --include='*.rs' '\.no_monitor()' tests examples || true; } | unreasoned "no monitor")
 if [ -n "$bad" ]; then
     echo "monitor lint FAILED: .no_monitor() without a '// no monitor:' line above it:" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+
+echo "==> trait lint"
+# A closed choice is an enum that matches in place, not a trait with one
+# unit struct per variant (DESIGN.md §5). A `pub trait` in crates/*/src
+# needs a `// trait: <who implements it outside this crate, or which test
+# fakes it>` line directly above it.
+bad=$( { grep -rnE '^\s*pub trait ' crates/*/src || true; } | unreasoned "trait")
+if [ -n "$bad" ]; then
+    echo "trait lint FAILED: pub trait without a '// trait:' line above it:" >&2
     echo "$bad" >&2
     exit 1
 fi

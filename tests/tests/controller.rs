@@ -1,49 +1,12 @@
-//! The `vsched` control plane through the full platform: no-op invariance
-//! (a disabled controller leaves traces byte-identical), closed-loop job
-//! streams with SLO accounting, queue-policy ordering, and load-triggered
-//! rebalancing that really moves VMs.
+//! The `vsched` control plane through the full platform: closed-loop job
+//! streams with SLO accounting, queue-policy ordering, load-triggered
+//! rebalancing that really moves VMs, and a learned cost model steering
+//! the boot layout.
 
 use vhadoop::prelude::*;
 use workloads::loadgen::{load_job, ArrivalProcess, JobMix};
-use workloads::textgen::TextCorpus;
-use workloads::wordcount::WordCountApp;
 
 const MB: u64 = 1 << 20;
-
-/// A traced Fig. 2-style wordcount; `ctrl` chooses how the controller is
-/// configured (None = builder untouched).
-fn traced_wordcount(ctrl: Option<ControllerConfig>) -> String {
-    let mut b = PlatformConfig::builder()
-        .cluster(ClusterSpec::builder().hosts(2).vms(8).placement(Placement::SingleDomain).build())
-        .hdfs(HdfsConfig { block_size: MB, replication: 2 })
-        .tracing(true)
-        .seed(909);
-    if let Some(cfg) = ctrl {
-        b = b.controller(cfg);
-    }
-    let mut p = VHadoop::launch(b.build());
-    let bytes = 4 * MB;
-    p.register_input("/inv/in", bytes, VmId(1));
-    let corpus = TextCorpus::english_like(RootSeed(909));
-    let input = GeneratorInput::new(4, MB, move |idx| corpus.split_records(idx, MB));
-    let spec =
-        JobSpec::new("wc", "/inv/in", "/inv/out").with_config(JobConfig::default().with_reduces(2));
-    let res = p.run_job(spec, Box::new(WordCountApp), Box::new(input));
-    assert!(res.elapsed_secs() > 0.0);
-    while p.step().is_some() {}
-    p.rt.engine.tracer().to_chrome_json()
-}
-
-/// The control plane is strictly opt-in: a default (disabled) controller
-/// config must leave the whole run — every span, timestamp, and counter —
-/// byte-identical to a platform that never heard of `vsched`.
-#[test]
-fn disabled_controller_is_a_byte_identical_noop() {
-    let bare = traced_wordcount(None);
-    let disabled = traced_wordcount(Some(ControllerConfig::default()));
-    assert!(!bare.is_empty());
-    assert_eq!(bare, disabled, "disabled controller perturbed the trace");
-}
 
 /// A closed-loop arrival stream: every admitted job starts and finishes,
 /// nothing starves, and the SLO report / JSON export agree with the run.
@@ -272,4 +235,39 @@ fn whatif_rebalancing_forks_measures_and_commits_best() {
     assert_eq!(stats.whatif_evals, outcomes.len() as u64);
     assert!(stats.whatif_estimator_err_max >= stats.whatif_estimator_err_mean);
     assert!(stats.whatif_estimator_err_mean >= 0.0);
+}
+
+/// Adaptive placement is priced by the configured model, at boot and when
+/// asked directly: on a cpu-bound hint the hand model packs, and a learned
+/// tree that calls the packed layout slower makes both paths spread.
+#[test]
+fn the_configured_model_prices_adaptive_placement() {
+    let spec = ClusterSpec::default();
+    let cpu_bound =
+        WorkloadHint { tasks: 3, cpu_secs_per_task: 8.0, shuffle_bytes_per_task: 48 << 20 };
+    let adaptive = PlacementKind::Adaptive(cpu_bound);
+    let hand = MakespanKind::HandPriced;
+    let pack = PlacementKind::Pack.assign(&spec, &hand).unwrap();
+    let spread = PlacementKind::Spread.assign(&spec, &hand).unwrap();
+    assert_eq!(adaptive.assign(&spec, &hand).as_ref(), Some(&pack), "the hand model packs");
+
+    // A stump over the two layouts: packed 100 s, spread 1 s.
+    let rows: Vec<Vec<f64>> =
+        [&pack, &spread].map(|map| decision_features(&spec, map, &cpu_bound, &[])).into();
+    let tree = RegressionTree::fit(&rows, &[100.0, 1.0], &TreeConfig { max_depth: 1, min_leaf: 1 });
+    let learned = MakespanKind::Learned(tree);
+    assert_eq!(adaptive.assign(&spec, &learned).as_ref(), Some(&spread));
+
+    let p = VHadoop::launch(
+        PlatformConfig::builder()
+            .cluster(spec)
+            .controller(ControllerConfig {
+                placement: adaptive,
+                model: learned,
+                ..ControllerConfig::default()
+            })
+            .build(),
+    );
+    let booted: Vec<u32> = p.rt.cluster.vms().map(|v| p.rt.cluster.host_of(v).0).collect();
+    assert_eq!(booted, spread, "the platform boots the layout the learned model picks");
 }

@@ -10,9 +10,7 @@ fn consolidation_frees_a_host() {
     // VMs start spread over both hosts; migrate host 0's VMs to host 1
     // through the migration manager, then check the energy verdict.
     use simcore::owners;
-    use vcluster::migration::{
-        ConstantDirtyModel, MigrationConfig, MigrationEvent, MigrationManager,
-    };
+    use vcluster::migration::{ConstantDirtyModel, MigrationEvent, MigrationManager};
 
     let mut e = Engine::new();
     let spec = ClusterSpec::builder()
@@ -22,11 +20,11 @@ fn consolidation_frees_a_host() {
         .placement(Placement::Custom(vec![0, 0, 0, 1, 1, 1]))
         .build();
     let mut cluster = VirtualCluster::new(&mut e, spec);
-    let meter = EnergyMeter::start(&e, &cluster, PowerModel::default());
+    let meter = EnergyMeter::start(&e, &cluster);
     let movers: Vec<VmId> = cluster.vms().filter(|&v| cluster.host_of(v) == HostId(0)).collect();
     assert_eq!(movers.len(), 3);
 
-    let mut mgr = MigrationManager::new(MigrationConfig::default());
+    let mut mgr = MigrationManager::new(1);
     let mut dirty = ConstantDirtyModel(0.5e6);
     mgr.start_cluster_migration(&mut e, &cluster, &movers, HostId(1));
     let mut done = false;
@@ -56,7 +54,7 @@ fn migration_energy_is_accounted() {
         .placement(Placement::SingleDomain)
         .build();
     let mut p = VHadoop::launch(PlatformConfig::builder().cluster(cluster).build());
-    let meter = EnergyMeter::start(&p.rt.engine, &p.rt.cluster, PowerModel::default());
+    let meter = EnergyMeter::start(&p.rt.engine, &p.rt.cluster);
     let rep = p.migration(HostId(1)).idle();
     let energy = meter.report(&p.rt.engine, &p.rt.cluster);
 

@@ -4,7 +4,7 @@
 //! reduces, no combiner) at one representative size per placement.
 //!
 //! The nanosecond values below were captured from the monolithic
-//! `MrEngine` (before the `TaskScheduler` extraction) at the same seed; a
+//! `MrEngine` (before the scheduling layer was split out) at the same seed; a
 //! same-seed run must match them bit-for-bit. If a deliberate
 //! scheduling-semantics change ever invalidates them, re-capture with
 //! `cargo test -p vhadoop-integration golden -- --nocapture` and record
