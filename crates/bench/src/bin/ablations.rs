@@ -585,7 +585,7 @@ fn run_faulted_wordcount(faulted: bool, mb: u64) -> (f64, String) {
     use simcore::prelude::*;
     use vhadoop::prelude::*;
     use workloads::textgen::TextCorpus;
-    use workloads::wordcount::WordCountApp;
+    use workloads::wordcount::{text_input, WordCountApp};
 
     let bytes = (mb << 20).max(4 << 20);
     let plan = if faulted {
@@ -617,14 +617,8 @@ fn run_faulted_wordcount(faulted: bool, mb: u64) -> (f64, String) {
             .build(),
     );
     p.register_input("/faults/in", bytes, VmId(1));
-    let blocks = p.rt.hdfs.stat("/faults/in").expect("registered").blocks.len();
-    let block_size = p.rt.hdfs.config().block_size;
     let corpus = TextCorpus::english_like(RootSeed(2012).derive("corpus"));
-    let last = blocks - 1;
-    let input = GeneratorInput::new(blocks, block_size, move |idx| {
-        let b = if idx == last { bytes - last as u64 * block_size } else { block_size };
-        corpus.split_records(idx, b)
-    });
+    let input = text_input(&p.rt.hdfs, "/faults/in", corpus);
     let spec = JobSpec::new("wordcount", "/faults/in", "/faults/out")
         .with_config(JobConfig::default().with_combiner(false).with_reduces(4));
     let result = p.run_job(spec, Box::new(WordCountApp), Box::new(input));

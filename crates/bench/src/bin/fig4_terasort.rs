@@ -1,15 +1,17 @@
 //! Figure 4a — TeraSort: data generation time and sort time vs. data
 //! size, normal vs. cross-domain (paper: both climb steeply past the
-//! machine's comfortable working size).
+//! machine's comfortable working size). TeraGen, TeraSort and TeraValidate
+//! run as the TPCx-HS stages HSGen, HSSort and HSValidate.
 //!
 //! ```sh
 //! cargo run --release -p vhadoop-bench --bin fig4_terasort [--scale 8|--full]
 //! ```
 
+use mapreduce::runtime::MrRuntime;
 use simcore::rng::RootSeed;
 use vcluster::spec::{ClusterSpec, Placement};
 use vhadoop_bench::{cli_scale, non_decreasing, ResultSink};
-use workloads::terasort::run_terasort;
+use workloads::tpcxhs::{run_tpcxhs, HsPlan};
 
 fn main() {
     let scale = cli_scale();
@@ -24,14 +26,16 @@ fn main() {
     {
         for &mb in &sizes_mb {
             let spec = ClusterSpec::builder().hosts(2).vms(16).placement(placement.clone()).build();
-            let rep = run_terasort(spec, mb << 20, 4, RootSeed(44));
-            assert!(rep.valid, "TeraValidate must pass");
+            let plan = HsPlan::terasort(mb << 20, 4, RootSeed(44));
+            let mut rt = MrRuntime::new(spec, plan.hdfs_config(3), plan.seed);
+            let rep = run_tpcxhs(&mut rt, &plan);
+            assert!(rep.validate.passed, "TeraValidate must pass: {:?}", rep.validate.violations);
             println!(
                 "  {series:<13} {mb:>5} MB -> gen {:>7.1}s, sort {:>7.1}s",
-                rep.gen_time_s, rep.sort_time_s
+                rep.gen_s, rep.sort_s
             );
-            sink.push(&format!("{series}/gen"), mb as f64, rep.gen_time_s);
-            sink.push(&format!("{series}/sort"), mb as f64, rep.sort_time_s);
+            sink.push(&format!("{series}/gen"), mb as f64, rep.gen_s);
+            sink.push(&format!("{series}/sort"), mb as f64, rep.sort_s);
         }
     }
     sink.finish();

@@ -6,6 +6,7 @@
 //! ```
 
 use mapreduce::config::JobConfig;
+use mapreduce::runtime::MrRuntime;
 use simcore::rng::RootSeed;
 use vcluster::spec::{ClusterSpec, Placement};
 use workloads::prelude::*;
@@ -27,9 +28,10 @@ fn main() {
         run_wordcount(cluster(), 4 << 20, JobConfig::default(), seed).elapsed_s,
         run_mrbench(cluster(), 2, 1, seed).elapsed_s,
         {
-            let r = run_terasort(cluster(), 2 << 20, 2, seed);
-            assert!(r.valid, "TeraValidate must pass");
-            r.gen_time_s + r.sort_time_s
+            let plan = HsPlan::terasort(2 << 20, 2, seed);
+            let r = run_tpcxhs(&mut MrRuntime::new(cluster(), plan.hdfs_config(3), seed), &plan);
+            assert!(r.validate.passed, "TeraValidate must pass: {:?}", r.validate.violations);
+            r.gen_s + r.sort_s
         },
         {
             let r = run_dfsio(cluster(), 2, 8 << 20, seed);

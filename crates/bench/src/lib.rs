@@ -7,13 +7,12 @@
 
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize};
 use simcore::emit::{csv_row, Json};
 use std::fmt::{Display, Write as _};
 use std::path::PathBuf;
 
 /// One measured point of an experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Record {
     /// Series name (e.g. `normal`, `cross-domain`, `canopy`).
     pub series: String,
@@ -24,7 +23,7 @@ pub struct Record {
 }
 
 /// Collected results of one experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ResultSink {
     /// Experiment id (`fig2`, `table2`, ...).
     pub experiment: String,

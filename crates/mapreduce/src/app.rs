@@ -2,12 +2,11 @@
 //! and partitioners.
 
 use crate::types::{Record, K, V};
-use serde::{Deserialize, Serialize};
 
 /// CPU cost model of an application, in guest cycles. The engine measures
 /// real byte/record counts from the executed data and multiplies by these
 /// coefficients to size the compute flows.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostProfile {
     /// Map-side cycles per input byte.
     pub map_cpu_per_byte: f64,
@@ -36,7 +35,7 @@ impl Default for CostProfile {
 }
 
 /// Decides which reduce partition a key belongs to.
-// trait: apps pick one via `MapReduceApp::partitioner` (terasort, TPCx-HS: `RangePartitioner`)
+// trait: apps pick one via `MapReduceApp::partitioner` (HSSort, which TeraSort runs: `RangePartitioner`)
 pub trait Partitioner: Send + Sync {
     /// Partition index in `0..n` for `key`.
     fn partition(&self, key: &K, n: u32) -> u32;

@@ -2,11 +2,10 @@
 //! Tuner turn.
 
 use crate::scheduler::SchedulerPolicy;
-use serde::{Deserialize, Serialize};
 use simcore::time::SimDuration;
 
 /// Per-job configuration (Hadoop 0.20 parameter names in the doc comments).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobConfig {
     /// Number of reduce tasks (`mapred.reduce.tasks`). Zero makes a
     /// map-only job whose maps write output directly (TeraGen, DFSIO).

@@ -1,9 +1,7 @@
 //! Job counters, mirroring Hadoop's built-in counter groups.
 
-use serde::{Deserialize, Serialize};
-
 /// Aggregate counters of one job run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Records read by all maps.
     pub map_input_records: u64,

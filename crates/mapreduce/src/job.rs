@@ -3,11 +3,10 @@
 use crate::config::JobConfig;
 use crate::counters::Counters;
 use crate::types::Record;
-use serde::{Deserialize, Serialize};
 use simcore::time::{SimDuration, SimTime};
 
 /// Identifier of a submitted job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u32);
 
 impl std::fmt::Display for JobId {
@@ -17,7 +16,7 @@ impl std::fmt::Display for JobId {
 }
 
 /// What a job reads and writes plus its configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Job name (reports, traces).
     pub name: String,

@@ -19,7 +19,6 @@
 //! contract, not a cosmetic detail).
 
 use crate::config::JobConfig;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{HashMap, VecDeque};
 use vcluster::cluster::{HostId, VmId};
@@ -28,7 +27,7 @@ use vcluster::topology::RackId;
 /// Which placement policy drives the JobTracker. Selected engine-wide via
 /// `PlatformConfig::scheduler` or per submission via
 /// [`JobConfig::with_scheduler`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SchedulerPolicy {
     /// Hadoop 0.20 stock behavior: jobs in submission order, each job
     /// greedily fills free slots (locality-preferring for maps).

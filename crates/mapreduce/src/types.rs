@@ -7,12 +7,11 @@
 //! [`V::size_bytes`] estimate serialized size, which drives the fluid flow
 //! sizes (spill, shuffle, output) of the simulation.
 
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 /// A record key. Orderable, hashable, cheap to clone for small payloads.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum K {
     /// Integer key (cluster ids, offsets).
     Int(i64),
@@ -86,7 +85,7 @@ impl From<i64> for K {
 }
 
 /// A record value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum V {
     /// Absent value (counting-style jobs use the key only).
     Null,

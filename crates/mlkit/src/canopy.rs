@@ -11,10 +11,9 @@
 use crate::mlrt::{Clustering, MlRunStats, MlRuntime};
 use crate::vector::{weighted_mean, Distance};
 use mapreduce::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Canopy parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CanopyParams {
     /// Loose threshold (membership radius); must exceed `t2`.
     pub t1: f64,

@@ -15,11 +15,10 @@ use crate::mlrt::{Clustering, MlRunStats, MlRuntime};
 use crate::vector::Distance;
 use mapreduce::prelude::*;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use simcore::rng::RootSeed;
 
 /// Dirichlet clustering parameters (Mahout defaults: k0 = 10, α = 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DirichletParams {
     /// Components in the finite DP approximation.
     pub k0: usize,
@@ -39,7 +38,7 @@ impl Default for DirichletParams {
 }
 
 /// One normal model component.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Component {
     /// Mean vector.
     pub mean: Vec<f64>,
@@ -52,7 +51,7 @@ pub struct Component {
 }
 
 /// The mixture model carried between iterations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DirichletModel {
     /// Model components.
     pub components: Vec<Component>,

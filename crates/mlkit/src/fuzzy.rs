@@ -7,14 +7,13 @@
 //! weighted centroids.
 
 use crate::kmeans::init_centers;
-use crate::mlrt::{sum_weighted_tuples, Clustering, MlRunStats, MlRuntime};
+use crate::mlrt::{iterate_centers, sum_weighted_tuples, Clustering, MlRunStats, MlRuntime};
 use crate::vector::{scale, Distance};
 use mapreduce::prelude::*;
-use serde::{Deserialize, Serialize};
 use simcore::rng::RootSeed;
 
 /// Fuzzy k-means parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FuzzyKMeansParams {
     /// Number of clusters.
     pub k: usize,
@@ -173,33 +172,11 @@ pub fn run_mr(
     params: FuzzyKMeansParams,
     seed: RootSeed,
 ) -> (Clustering, MlRunStats) {
-    let mut centers = init_centers(ml.points(), params.k, seed);
-    let mut per_pass = Vec::new();
-    let mut iters = 0;
-    for _ in 0..params.max_iters {
-        iters += 1;
-        let app = FuzzyPass { centers: centers.clone(), m: params.m, distance: params.distance };
-        let result = ml.run_pass("fuzzy", Box::new(app), JobConfig::default().with_reduces(1));
-        per_pass.push(result.elapsed_secs());
-        let mut moved: f64 = 0.0;
-        let mut next = centers.clone();
-        for (k, v) in &result.outputs {
-            let c = k.as_int() as usize;
-            let nc = v.as_vector().to_vec();
-            moved = moved.max(Distance::Euclidean.between(&nc, &centers[c]));
-            next[c] = nc;
-        }
-        centers = next;
-        if moved < params.convergence {
-            break;
-        }
-    }
-    let assignments = ml.assign(&centers, params.distance);
-    let elapsed_s = per_pass.iter().sum();
-    (
-        Clustering { centers, assignments },
-        MlRunStats { iterations: iters, elapsed_s, per_pass_s: per_pass },
-    )
+    let centers = init_centers(ml.points(), params.k, seed);
+    let (m, distance) = (params.m, params.distance);
+    iterate_centers(ml, "fuzzy", centers, params.max_iters, params.convergence, distance, |c| {
+        Box::new(FuzzyPass { centers: c.to_vec(), m, distance })
+    })
 }
 
 #[cfg(test)]

@@ -13,10 +13,9 @@ use crate::canopy::{build_canopies, CanopyParams};
 use crate::mlrt::{sum_weighted_tuples, Clustering, MlRunStats, MlRuntime};
 use crate::vector::{scale, weighted_mean, Distance};
 use mapreduce::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Mean-shift parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeanShiftParams {
     /// Window radius (points within `t1` of a canopy pull it).
     pub t1: f64,

@@ -11,7 +11,6 @@
 use crate::mlrt::{MlRunStats, MlRuntime};
 use mapreduce::prelude::*;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use simcore::rng::RootSeed;
 use std::collections::BTreeSet;
 
@@ -19,7 +18,7 @@ use std::collections::BTreeSet;
 const P: u64 = (1 << 61) - 1;
 
 /// MinHash parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MinHashParams {
     /// Total hash functions.
     pub num_hashes: usize,

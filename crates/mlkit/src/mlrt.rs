@@ -151,6 +151,46 @@ impl MlRuntime {
     }
 }
 
+/// The centers loop k-means and fuzzy k-means share: one `pass` job per
+/// iteration (built from the current centers, each reduce output keyed by
+/// center index), until no center moves by `convergence` or `max_iters`
+/// passes ran; then a final nearest-center assignment pass.
+pub(crate) fn iterate_centers(
+    ml: &mut MlRuntime,
+    name: &str,
+    mut centers: Vec<Vec<f64>>,
+    max_iters: u32,
+    convergence: f64,
+    distance: Distance,
+    pass: impl Fn(&[Vec<f64>]) -> Box<dyn MapReduceApp>,
+) -> (Clustering, MlRunStats) {
+    let mut per_pass = Vec::new();
+    let mut iters = 0;
+    for _ in 0..max_iters {
+        iters += 1;
+        let result = ml.run_pass(name, pass(&centers), JobConfig::default().with_reduces(1));
+        per_pass.push(result.elapsed_secs());
+        let mut next = centers.clone();
+        let mut moved: f64 = 0.0;
+        for (k, v) in &result.outputs {
+            let c = k.as_int() as usize;
+            let nc = v.as_vector().to_vec();
+            moved = moved.max(Distance::Euclidean.between(&nc, &centers[c]));
+            next[c] = nc;
+        }
+        centers = next;
+        if moved < convergence {
+            break;
+        }
+    }
+    let assignments = ml.assign(&centers, distance);
+    let elapsed_s = per_pass.iter().sum();
+    (
+        Clustering { centers, assignments },
+        MlRunStats { iterations: iters, elapsed_s, per_pass_s: per_pass },
+    )
+}
+
 /// Generic cluster-assignment job: `point → (point_id, nearest center)`.
 #[derive(Debug, Clone)]
 pub struct AssignApp {

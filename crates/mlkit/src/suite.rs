@@ -3,12 +3,11 @@
 
 use crate::mlrt::{Clustering, MlRunStats, MlRuntime};
 use crate::{canopy, dirichlet, fuzzy, kmeans, meanshift, minhash};
-use serde::{Deserialize, Serialize};
 use simcore::rng::RootSeed;
 use vcluster::spec::{ClusterSpec, Placement};
 
 /// The six Mahout clustering algorithms the paper runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Canopy clustering.
     Canopy,
@@ -53,7 +52,7 @@ impl Algorithm {
 }
 
 /// Which of the paper's data sets a run uses (selects tuned parameters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DatasetKind {
     /// 600 × 60 Synthetic Control Chart series (Fig. 6).
     ControlChart,

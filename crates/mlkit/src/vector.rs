@@ -1,7 +1,5 @@
 //! Dense vector operations and distance measures.
 
-use serde::{Deserialize, Serialize};
-
 /// Element-wise sum `a += b`.
 ///
 /// # Panics
@@ -52,7 +50,7 @@ pub fn weighted_mean<'a>(items: impl IntoIterator<Item = (&'a [f64], f64)>) -> V
 }
 
 /// Distance measures (Mahout's `DistanceMeasure` hierarchy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Distance {
     /// L2.
     Euclidean,

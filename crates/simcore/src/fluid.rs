@@ -60,7 +60,6 @@ use crate::ids::{FlowId, ResourceId};
 use crate::persist::{Decoder, Encoder, Persist};
 use crate::stats::SizeHist;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -80,7 +79,7 @@ const HEAP_SLACK: usize = 4;
 const DEM_COMPACT_MIN: usize = 4096;
 
 /// What a resource meters; used by monitors to group utilization report rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceKind {
     /// Compute capacity, cycles per second.
     Cpu,
@@ -94,7 +93,7 @@ pub enum ResourceKind {
 
 /// One demand entry of a flow: `weight` units of `resource` capacity are
 /// consumed per unit of flow rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Demand {
     /// The resource consumed.
     pub resource: ResourceId,
@@ -129,7 +128,7 @@ pub struct FinishedFlow {
 /// (`tests/tests/fluid_equivalence.rs`) pins them exactly on a 1024-VM
 /// scenario and platbench reports them per workload, so a regression in
 /// incremental, batching or lazy-clock behavior fails tier-1 on any host.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FluidStats {
     /// Number of [`FluidNet::reallocate`] passes that found dirty state.
     pub reallocations: u64,

@@ -1,10 +1,9 @@
 //! Identifier newtypes shared by the simulation kernel and its clients.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Index of a fluid resource inside a [`crate::fluid::FluidNet`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ResourceId(pub(crate) u32);
 
 impl ResourceId {
@@ -28,7 +27,7 @@ impl fmt::Display for ResourceId {
 
 /// Generational handle to an active flow. Stale handles (flow already
 /// finished or cancelled) are detected and rejected by the kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId {
     pub(crate) slot: u32,
     pub(crate) gen: u32,
@@ -44,7 +43,7 @@ impl fmt::Display for FlowId {
 /// pairs an arena slot with the slot's generation at allocation time, so a
 /// handle kept past its timer's firing or cancellation can never reach a
 /// recycled slot (ABA protection).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimerId {
     pub(crate) slot: u32,
     pub(crate) gen: u32,
@@ -57,7 +56,7 @@ impl fmt::Display for TimerId {
 }
 
 /// Handle to a running activity (a chain of steps).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ActivityId(pub(crate) u64);
 
 impl fmt::Display for ActivityId {
@@ -67,7 +66,7 @@ impl fmt::Display for ActivityId {
 }
 
 /// Handle to a batch (AND-join of activities).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BatchId(pub(crate) u64);
 
 impl fmt::Display for BatchId {
@@ -81,7 +80,7 @@ impl fmt::Display for BatchId {
 /// The kernel never interprets tags; client subsystems use `owner` to route
 /// a [`crate::engine::Wakeup`] to the right component and `a`/`b` as opaque
 /// payload (task ids, VM ids, round numbers, ...).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Tag {
     /// Subsystem that owns the completion.
     pub owner: u32,

@@ -1,9 +1,7 @@
 //! Small statistics helpers shared by the monitor and the bench harness.
 
-use serde::{Deserialize, Serialize};
-
 /// Streaming mean/variance accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -68,7 +66,7 @@ impl OnlineStats {
 }
 
 /// Summary of a finished sample set, including percentiles.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Summary {
     /// Number of samples.
     pub n: usize,
@@ -126,7 +124,7 @@ impl Summary {
 ///
 /// Deterministic: state is a pure function of the pushed samples, so the
 /// histogram participates in snapshot round-trips.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SizeHist {
     /// `counts[s]` = number of samples of size `s` (lazily grown, capped
     /// at `EXACT` entries).

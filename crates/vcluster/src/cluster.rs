@@ -25,15 +25,14 @@
 
 use crate::spec::ClusterSpec;
 use crate::topology::{LocalityTier, RackId, RackSwitchStat, Topology};
-use serde::{Deserialize, Serialize};
 use simcore::prelude::*;
 
 /// Index of a physical machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HostId(pub u32);
 
 /// Index of a guest VM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VmId(pub u32);
 
 simcore::persist_struct!(HostId(0));

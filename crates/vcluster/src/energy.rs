@@ -11,7 +11,6 @@
 //! where `∫ u dt = cumulative_cpu_work / capacity`.
 
 use crate::cluster::{HostId, VirtualCluster};
-use serde::{Deserialize, Serialize};
 use simcore::prelude::*;
 
 /// Host power draw at zero utilization, watts (a Dell T710 class server).
@@ -20,7 +19,7 @@ pub const IDLE_W: f64 = 120.0;
 pub const PEAK_W: f64 = 280.0;
 
 /// Per-host energy breakdown of a run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyReport {
     /// `(host, idle joules, dynamic joules)` per host.
     pub per_host: Vec<(u32, f64, f64)>,

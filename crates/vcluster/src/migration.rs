@@ -27,7 +27,6 @@
 
 use crate::cluster::{HostId, VirtualCluster, VmId};
 use crate::spec::MIB;
-use serde::{Deserialize, Serialize};
 use simcore::owners;
 use simcore::prelude::*;
 use std::collections::{HashMap, VecDeque};
@@ -158,7 +157,7 @@ impl DirtyRateModel for UtilizationDirtyModel {
 }
 
 /// Why pre-copy ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
     /// Next round fell below the stop threshold (clean convergence).
     Converged,
@@ -169,7 +168,7 @@ pub enum StopReason {
 }
 
 /// Outcome of one VM's migration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmMigrationReport {
     /// Which VM.
     pub vm: u32,
@@ -195,7 +194,7 @@ pub struct VmMigrationReport {
 }
 
 /// Outcome of a whole-cluster migration (Virt-LM style aggregate).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterMigrationReport {
     /// Per-VM outcomes in completion order.
     pub per_vm: Vec<VmMigrationReport>,

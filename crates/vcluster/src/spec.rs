@@ -6,7 +6,6 @@
 //! 1 VCPU and 1024 MB of memory.
 
 use crate::topology::TopologySpec;
-use serde::{Deserialize, Serialize};
 
 /// Bytes in one mebibyte.
 pub const MIB: u64 = 1024 * 1024;
@@ -16,7 +15,7 @@ pub const GIB: u64 = 1024 * MIB;
 pub const GBIT_PER_SEC: f64 = 125_000_000.0;
 
 /// A physical machine's hardware.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HostSpec {
     /// Number of physical cores.
     pub cores: u32,
@@ -51,7 +50,7 @@ impl HostSpec {
 }
 
 /// A guest VM's virtual hardware.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmSpec {
     /// Number of virtual CPUs.
     pub vcpus: u32,
@@ -68,7 +67,7 @@ impl Default for VmSpec {
 
 /// The shared NFS server storing every VM image (and thus every guest's
 /// virtual disk).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NfsSpec {
     /// Server disk bandwidth in bytes/second.
     pub disk_bw: f64,
@@ -86,7 +85,7 @@ impl Default for NfsSpec {
 }
 
 /// Xen-layer modelling knobs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct XenParams {
     /// Multiplier on guest CPU work relative to bare metal (paravirt
     /// overhead); 1.0 = no overhead.
@@ -112,7 +111,7 @@ impl Default for XenParams {
 /// [`HostSpec`] baseline. Heterogeneous clusters (the Frankfurt
 /// virtualized-Hadoop evaluation's mixed-generation hosts) assign one
 /// class per host; an empty class list means every host is the baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostClass {
     /// Multiplier on the host's aggregate CPU capacity (1.0 = baseline).
     pub cpu_mult: f64,
@@ -128,7 +127,7 @@ impl Default for HostClass {
 }
 
 /// Where the VMs of a cluster land on the physical machines.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Placement {
     /// Every VM on host 0 — the paper's "normal" configuration.
     SingleDomain,
@@ -157,7 +156,7 @@ impl Placement {
 }
 
 /// Complete description of a hadoop virtual cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Physical machines (identical hardware).
     pub hosts: u32,

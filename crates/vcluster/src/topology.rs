@@ -18,11 +18,10 @@
 //! single-rack spec are byte-identical to pre-topology runs (pinned by the
 //! scheduler goldens and `tests/tests/topology.rs`).
 
-use serde::{Deserialize, Serialize};
 use simcore::prelude::*;
 
 /// Index of a rack (one ToR switch per rack).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RackId(pub u32);
 
 impl std::fmt::Display for RackId {
@@ -34,7 +33,7 @@ impl std::fmt::Display for RackId {
 /// How close two endpoints are in the topology tree, best tier first.
 /// Ordered: `Node < Host < Rack < OffRack` (derive(PartialOrd) on the
 /// declaration order), so `min` over a replica set picks the best tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LocalityTier {
     /// Same VM — a pure memory copy.
     Node,
@@ -70,7 +69,7 @@ impl LocalityTier {
 }
 
 /// Where the hosts of a cluster land on the racks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RackPlacement {
     /// Hosts fill racks in contiguous blocks of `ceil(hosts / racks)` —
     /// host 0..k-1 in rack 0, the next k in rack 1, and so on.
@@ -106,7 +105,7 @@ impl RackPlacement {
 ///
 /// Bandwidths of `0.0` inherit `ClusterSpec::switch_bw`, so a spec that
 /// only sets `racks` gets uniform switching capacity at every tier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopologySpec {
     /// Number of racks (≥ 1). One rack *is* the legacy flat geometry: the
     /// single ToR is the old inter-host `switch` and no core exists.

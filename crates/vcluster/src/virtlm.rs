@@ -16,12 +16,11 @@ use crate::migration::{
     ClusterMigrationReport, ConstantDirtyModel, MigrationEvent, MigrationManager,
 };
 use crate::spec::{ClusterSpec, Placement};
-use serde::{Deserialize, Serialize};
 use simcore::owners;
 use simcore::prelude::*;
 
 /// A named workload profile with a characteristic memory dirty rate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// Scenario name (appears in reports).
     pub name: String,
@@ -47,7 +46,7 @@ impl WorkloadProfile {
 }
 
 /// One scenario × memory-size measurement row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VirtLmRow {
     /// Profile name.
     pub workload: String,

@@ -17,7 +17,6 @@
 use crate::meta::{BlockId, BlockMeta, FileMeta, Namespace};
 use crate::placement::{choose_replicas, closest_replica};
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use simcore::owners;
 use simcore::prelude::*;
 use std::collections::HashMap;
@@ -27,7 +26,7 @@ use vcluster::cluster::{VirtualCluster, VmId};
 pub const RPC_DELAY: SimDuration = SimDuration::from_micros(500);
 
 /// `dfs.*` configuration (the paper's Hadoop Module tunables).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HdfsConfig {
     /// `dfs.block.size` in bytes.
     pub block_size: u64,
@@ -43,7 +42,7 @@ impl Default for HdfsConfig {
 }
 
 /// Handle to an in-flight HDFS operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HdfsOpId(pub u32);
 
 /// Completion of an HDFS operation, carrying the caller's tag.

@@ -1,11 +1,10 @@
 //! Namespace and block metadata (the namenode's tables).
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use vcluster::cluster::VmId;
 
 /// Identifier of one HDFS block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(pub u64);
 
 impl std::fmt::Display for BlockId {
@@ -15,7 +14,7 @@ impl std::fmt::Display for BlockId {
 }
 
 /// Per-file metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FileMeta {
     /// Logical length in bytes.
     pub len: u64,
@@ -24,7 +23,7 @@ pub struct FileMeta {
 }
 
 /// Per-block metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockMeta {
     /// Block length in bytes (≤ the configured block size).
     pub len: u64,

@@ -2,12 +2,11 @@
 //! terminal charts from collected samples.
 
 use crate::monitor::Monitor;
-use serde::{Deserialize, Serialize};
 use simcore::fluid::ResourceKind;
 use simcore::stats::Summary;
 
 /// Per-resource utilization summary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ResourceSummary {
     /// Resource name.
     pub name: String,
@@ -20,7 +19,7 @@ pub struct ResourceSummary {
 }
 
 /// The analyser's full report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MonitorReport {
     /// One summary per resource.
     pub resources: Vec<ResourceSummary>,

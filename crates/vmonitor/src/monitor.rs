@@ -6,14 +6,13 @@
 //! on a fixed interval — the same columns the paper's nmon deployment
 //! collects on every master and worker VM in parallel.
 
-use serde::{Deserialize, Serialize};
 use simcore::emit::csv_row;
 use simcore::fluid::ResourceKind;
 use simcore::owners;
 use simcore::prelude::*;
 
 /// One resource column of the sample table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Column {
     /// Resource name (e.g. `pm0.nic`, `vm3.vcpu`, `nfs.disk`).
     pub name: String,
@@ -24,7 +23,7 @@ pub struct Column {
 }
 
 /// One sampling instant: utilization (0..1) per column.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
     /// When the sample was taken.
     pub t: SimTime,

@@ -187,7 +187,8 @@ impl Rebalancer {
             if let Some(dst) = dst {
                 // Only shed load toward real headroom.
                 if loads[src].cpu - loads[dst].cpu > 0.2 {
-                    let moves = self.pick_moves(cluster, HostId(src as u32), HostId(dst as u32));
+                    let from = HostId(src as u32);
+                    let moves = self.moves_onto(cluster, HostId(dst as u32), |h| h == from);
                     if !moves.is_empty() {
                         self.last_plan = Some(now);
                         self.hot_streak[src] = 0;
@@ -225,36 +226,10 @@ impl Rebalancer {
         (0..loads.len())
             .filter(|&h| HostId(h as u32) != src && loads[h].cpu < loads[src.0 as usize].cpu)
             .filter_map(|h| {
-                let moves = self.pick_moves(cluster, src, HostId(h as u32));
+                let moves = self.moves_onto(cluster, HostId(h as u32), |from| from == src);
                 (!moves.is_empty()).then_some(RebalancePlan { moves, consolidation: false })
             })
             .collect()
-    }
-
-    /// Up to `max_moves` VMs off `src` onto `dst`, lowest VM ids first,
-    /// never the namenode (VM 0), respecting `dst`'s DRAM.
-    fn pick_moves(
-        &self,
-        cluster: &VirtualCluster,
-        src: HostId,
-        dst: HostId,
-    ) -> Vec<(VmId, HostId)> {
-        let mut free = dst_free_dram(cluster, dst);
-        let mut moves = Vec::new();
-        for vm in cluster.vms() {
-            if moves.len() >= self.cfg.max_moves {
-                break;
-            }
-            if vm == VmId(0) || cluster.host_of(vm) != src {
-                continue;
-            }
-            let mem = cluster.vm_mem(vm);
-            if mem <= free {
-                free -= mem;
-                moves.push((vm, dst));
-            }
-        }
-        moves
     }
 
     /// Packs VMs from the least-occupied hosts into the most-occupied one.
@@ -265,30 +240,37 @@ impl Rebalancer {
             .max_by_key(|&h| (occupancy(h), std::cmp::Reverse(h)))
             .map(HostId)
             .expect("at least one host");
-        let mut free = dst_free_dram(cluster, target);
+        self.moves_onto(cluster, target, |from| from != target)
+    }
+
+    /// Up to `max_moves` VMs whose host passes `from` onto `dst`, lowest VM
+    /// ids first, never the namenode (VM 0), each fitting the DRAM `dst`
+    /// has left.
+    fn moves_onto(
+        &self,
+        cluster: &VirtualCluster,
+        dst: HostId,
+        from: impl Fn(HostId) -> bool,
+    ) -> Vec<(VmId, HostId)> {
+        let used: u64 =
+            cluster.vms().filter(|&v| cluster.host_of(v) == dst).map(|v| cluster.vm_mem(v)).sum();
+        let mut free = cluster.spec().host.dram.saturating_sub(used);
         let mut moves = Vec::new();
         for vm in cluster.vms() {
             if moves.len() >= self.cfg.max_moves {
                 break;
             }
-            if vm == VmId(0) || cluster.host_of(vm) == target {
+            if vm == VmId(0) || !from(cluster.host_of(vm)) {
                 continue;
             }
             let mem = cluster.vm_mem(vm);
             if mem <= free {
                 free -= mem;
-                moves.push((vm, target));
+                moves.push((vm, dst));
             }
         }
         moves
     }
-}
-
-/// DRAM still unclaimed on `host` given current VM residency.
-fn dst_free_dram(cluster: &VirtualCluster, host: HostId) -> u64 {
-    let used: u64 =
-        cluster.vms().filter(|&v| cluster.host_of(v) == host).map(|v| cluster.vm_mem(v)).sum();
-    cluster.spec().host.dram.saturating_sub(used)
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! |-------------|--------------------|--------|
 //! | Wordcount   | MapReduce          | [`wordcount`] |
 //! | MRBench     | MapReduce          | [`mrbench`] |
-//! | TeraSort    | MapReduce & HDFS   | [`terasort`] |
+//! | TeraSort    | MapReduce & HDFS   | [`tpcxhs`] ([`HsPlan::terasort`](tpcxhs::HsPlan::terasort)) |
 //! | TestDFSIO   | HDFS               | [`dfsio`] |
 //! | TPCx-HS     | MapReduce & HDFS   | [`tpcxhs`] |
 //!
@@ -18,7 +18,6 @@
 pub mod dfsio;
 pub mod loadgen;
 pub mod mrbench;
-pub mod terasort;
 pub mod textgen;
 pub mod tpcxhs;
 pub mod wordcount;
@@ -30,7 +29,6 @@ pub mod prelude {
         load_job, submit_load_job, ArrivalProcess, JobArrival, JobMix, SyntheticLoadApp,
     };
     pub use crate::mrbench::{run_mrbench, MrBenchApp, MrBenchReport};
-    pub use crate::terasort::{run_terasort, validate, TeraSortReport};
     pub use crate::textgen::TextCorpus;
     pub use crate::tpcxhs::{
         hsgen_job, hssort_job, hsvalidate_job, hsvalidate_verdict, integrity_prescan,

@@ -51,6 +51,12 @@ pub const HS_OUT: &str = "/hs/out";
 /// test-scale factors.
 pub const DEFAULT_BLOCK: u64 = 1_000_000;
 
+/// HDFS block size for TeraSort runs (paper Table I, Fig. 4a): the largest
+/// multiple of [`RECORD_BYTES`] not above Hadoop 0.20's 64 MiB default,
+/// so blocks stay record-aligned and each Fig. 4a size keeps its block
+/// count.
+pub const TERASORT_BLOCK: u64 = 67_108_800;
+
 /// Deterministic post-generation corruption, for conformance testing the
 /// HSValidate oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,6 +110,14 @@ impl HsPlan {
             writer: VmId(1),
             corrupt: None,
         }
+    }
+
+    /// The paper's TeraSort over `total_bytes` rounded down to whole
+    /// records, in [`TERASORT_BLOCK`] blocks: TeraGen, TeraSort and
+    /// TeraValidate are HSGen, HSSort and HSValidate.
+    pub fn terasort(total_bytes: u64, reduces: u32, seed: RootSeed) -> Self {
+        HsPlan::new(total_bytes / RECORD_BYTES * RECORD_BYTES, reduces, seed)
+            .with_block_size(TERASORT_BLOCK)
     }
 
     /// Overrides the HDFS block size (must stay a multiple of 100 so
@@ -799,6 +813,52 @@ mod tests {
         assert!(rep.sort_s > rep.gen_s, "sorting costs more than generating");
         assert!(rep.validate.blocks_checked >= plan.reduces as usize);
         assert_eq!(rt.hdfs.checksummed_blocks(), plan.splits() + rep.validate.blocks_checked);
+    }
+
+    /// HSValidate's verdict over a clean run's validate result after
+    /// `tamper` rewrites its per-block summaries.
+    fn tampered_verdict(tamper: impl FnOnce(&mut Vec<BlockSummary>)) -> HsValidateReport {
+        let plan = small_plan(11);
+        let mut rt = runtime(&plan);
+        let (spec, app, input) = hsgen_job(&plan);
+        rt.run_job(spec, app, input);
+        register_hsgen(&mut rt, &plan);
+        let (spec, app, input) = hssort_job(&plan);
+        let sort = rt.run_job(spec, app, input);
+        record_sort_checksums(&mut rt, &sort);
+        let (spec, app, input) = hsvalidate_job(&rt, &plan, &sort);
+        let mut vres = rt.run_job(spec, app, input);
+        assert!(hsvalidate_verdict(&rt, &plan, &vres).passed, "the untampered run is clean");
+        let mut summaries: Vec<BlockSummary> =
+            vres.outputs.iter().map(|(_, v)| BlockSummary::decode(v)).collect();
+        assert!(summaries.len() >= 3, "the fixture spans several output blocks");
+        tamper(&mut summaries);
+        vres.outputs =
+            summaries.iter().enumerate().map(|(i, s)| (K::Int(i as i64), s.encode())).collect();
+        hsvalidate_verdict(&rt, &plan, &vres)
+    }
+
+    #[test]
+    fn hsvalidate_rejects_an_unsorted_block() {
+        let rep = tampered_verdict(|s| s[1].sorted = false);
+        assert_eq!(rep.violations, vec![HsViolation::OutOfOrder { block: 1 }]);
+    }
+
+    #[test]
+    fn hsvalidate_rejects_a_descending_block_boundary() {
+        let rep = tampered_verdict(|s| s[1].max = vec![0xff; KEY_BYTES]);
+        assert_eq!(rep.violations, vec![HsViolation::OutOfOrder { block: 2 }]);
+    }
+
+    #[test]
+    fn hsvalidate_rejects_a_dropped_block() {
+        let plan = small_plan(11);
+        let mut dropped = 0;
+        let rep = tampered_verdict(|s| dropped = s.pop().expect("a last block").records);
+        let (expected, found) = (plan.total_records(), plan.total_records() - dropped);
+        assert_eq!(rep.violations[0], HsViolation::RecordCountMismatch { expected, found });
+        let rest = &rep.violations[1..];
+        assert!(matches!(rest, [HsViolation::ChecksumMismatch { .. }]), "got {rest:?}");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::textgen::TextCorpus;
 use mapreduce::prelude::*;
 use simcore::rng::RootSeed;
 use vcluster::spec::ClusterSpec;
-use vhdfs::hdfs::HdfsConfig;
+use vhdfs::hdfs::{Hdfs, HdfsConfig};
 
 /// The Wordcount application: mapper splits lines into words emitting
 /// `(word, 1)`, the combiner/reducer sum per word.
@@ -102,16 +102,8 @@ fn run_wordcount_inner(
     let mut rt = MrRuntime::new(cluster_spec, hdfs_cfg, seed);
     rt.engine.tracer_mut().set_enabled(traced);
     rt.register_input("/wordcount/in", input_bytes, VmId(1));
-    let blocks = rt.hdfs.stat("/wordcount/in").expect("registered").blocks.len();
-
     let corpus = TextCorpus::english_like(seed.derive("corpus"));
-    let block_size = hdfs_cfg.block_size;
-    let last = blocks - 1;
-    let input = GeneratorInput::new(blocks, block_size, move |idx| {
-        let bytes = if idx == last { input_bytes - (last as u64) * block_size } else { block_size };
-        corpus.split_records(idx, bytes)
-    });
-
+    let input = text_input(&rt.hdfs, "/wordcount/in", corpus);
     let spec = JobSpec::new("wordcount", "/wordcount/in", "/wordcount/out").with_config(config);
     let result = rt.run_job(spec, Box::new(WordCountApp), Box::new(input));
     let trace = traced.then(|| rt.engine.tracer().to_chrome_json());
@@ -132,17 +124,29 @@ pub fn submit_wordcount(
 ) -> JobId {
     let path = format!("/wc-load/in-{run:04}");
     rt.register_input(&path, input_bytes, VmId(1 + (run % 4)));
-    let blocks = rt.hdfs.stat(&path).expect("registered").blocks.len();
-    let block_size = rt.hdfs.config().block_size;
     let corpus = TextCorpus::english_like(seed.derive("load").derive_index(u64::from(run)));
-    let last = blocks - 1;
-    let input = GeneratorInput::new(blocks, block_size, move |idx| {
-        let bytes = if idx == last { input_bytes - (last as u64) * block_size } else { block_size };
-        corpus.split_records(idx, bytes)
-    });
+    let input = text_input(&rt.hdfs, &path, corpus);
     let spec = JobSpec::new(format!("wordcount-{run}"), path, format!("/wc-load/out-{run:04}"))
         .with_config(config);
     rt.submit(spec, Box::new(WordCountApp), Box::new(input))
+}
+
+/// Wordcount input over the HDFS file at `path`, registered or uploaded:
+/// one split per block, each `corpus` text of its block's length (the
+/// last block may be short).
+pub fn text_input(
+    hdfs: &Hdfs,
+    path: &str,
+    corpus: TextCorpus,
+) -> GeneratorInput<impl Fn(usize) -> Vec<Record> + Send> {
+    let file = hdfs.stat(path).unwrap_or_else(|| panic!("{path} is not in HDFS"));
+    let (len, blocks) = (file.len, file.blocks.len());
+    let block_size = hdfs.config().block_size;
+    let last = blocks - 1;
+    GeneratorInput::new(blocks, block_size, move |idx| {
+        let bytes = if idx == last { len - (last as u64) * block_size } else { block_size };
+        corpus.split_records(idx, bytes)
+    })
 }
 
 #[cfg(test)]

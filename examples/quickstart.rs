@@ -7,6 +7,7 @@
 
 use vhadoop::prelude::*;
 use workloads::textgen::TextCorpus;
+use workloads::wordcount::text_input;
 
 fn main() {
     // 1.–3. Launch the platform: 2 physical machines, 16 VMs (1 namenode +
@@ -24,14 +25,7 @@ fn main() {
 
     // 5.–8. Run Wordcount. The map/reduce code executes for real; elapsed
     // time comes from the contention model.
-    let corpus = TextCorpus::english_like(RootSeed(7));
-    let blocks = platform.rt.hdfs.stat("/books").expect("uploaded").blocks.len();
-    let block_size = platform.rt.hdfs.config().block_size;
-    let last = blocks - 1;
-    let input = GeneratorInput::new(blocks, block_size, move |idx| {
-        let bytes = if idx == last { input_bytes - last as u64 * block_size } else { block_size };
-        corpus.split_records(idx, bytes)
-    });
+    let input = text_input(&platform.rt.hdfs, "/books", TextCorpus::english_like(RootSeed(7)));
     let config = JobConfig::default().with_reduces(4);
     let spec = JobSpec::new("wordcount", "/books", "/counts").with_config(config);
     let result =

@@ -8,6 +8,7 @@
 
 use vhadoop::prelude::*;
 use workloads::textgen::TextCorpus;
+use workloads::wordcount::text_input;
 
 fn run_once(config: JobConfig, label: &str) -> (JobResult, JobConfig, VHadoop) {
     let mut platform = VHadoop::launch(
@@ -19,14 +20,8 @@ fn run_once(config: JobConfig, label: &str) -> (JobResult, JobConfig, VHadoop) {
     );
     let input_bytes: u64 = 48 << 20;
     platform.register_input("/corpus", input_bytes, VmId(1));
-    let blocks = platform.rt.hdfs.stat("/corpus").expect("registered").blocks.len();
-    let block_size = platform.rt.hdfs.config().block_size;
     let corpus = TextCorpus::english_like(RootSeed(11));
-    let last = blocks - 1;
-    let input = GeneratorInput::new(blocks, block_size, move |idx| {
-        let bytes = if idx == last { input_bytes - last as u64 * block_size } else { block_size };
-        corpus.split_records(idx, bytes)
-    });
+    let input = text_input(&platform.rt.hdfs, "/corpus", corpus);
     let spec = JobSpec::new("wordcount", "/corpus", "/out").with_config(config.clone());
     let result =
         platform.run_job(spec, Box::new(workloads::wordcount::WordCountApp), Box::new(input));

@@ -189,6 +189,15 @@ if [ -n "$bad" ]; then
     exit 1
 fi
 
+echo "==> serde lint"
+# The serde and serde_derive shims expand to nothing. They stay only as
+# the manifest edges platbench/Cargo.lock records, so a `Serialize` or
+# `Deserialize` derive, bound or import is code that does nothing.
+if grep -rnE --include='*.rs' '\b(Serialize|Deserialize)\b|\bserde::' crates tests examples; then
+    echo "serde lint FAILED: Serialize/Deserialize used outside shims/" >&2
+    exit 1
+fi
+
 echo "==> run_experiments.sh lists every bench binary"
 for f in crates/bench/src/bin/*.rs; do
     b=$(basename "$f" .rs)

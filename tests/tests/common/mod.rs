@@ -8,7 +8,7 @@
 
 use vhadoop::prelude::*;
 use workloads::textgen::TextCorpus;
-use workloads::wordcount::WordCountApp;
+use workloads::wordcount::{text_input, WordCountApp};
 
 pub const MB: u64 = 1 << 20;
 
@@ -52,14 +52,8 @@ pub fn fig2_job(
     seed: u64,
 ) -> (JobSpec, Box<dyn MapReduceApp>, Box<dyn InputFormat>) {
     p.register_input("/wordcount/in", input_bytes, VmId(1));
-    let blocks = p.rt.hdfs.stat("/wordcount/in").expect("registered").blocks.len();
-    let block_size = p.rt.hdfs.config().block_size;
     let corpus = TextCorpus::english_like(RootSeed(seed).derive("corpus"));
-    let last = blocks - 1;
-    let input = GeneratorInput::new(blocks, block_size, move |idx| {
-        let bytes = if idx == last { input_bytes - (last as u64) * block_size } else { block_size };
-        corpus.split_records(idx, bytes)
-    });
+    let input = text_input(&p.rt.hdfs, "/wordcount/in", corpus);
     let spec =
         JobSpec::new("wordcount", "/wordcount/in", "/wordcount/out").with_config(fig2_job_config());
     (spec, Box::new(WordCountApp), Box::new(input))

@@ -3,28 +3,33 @@
 //! `proptest` shim — the offline build has no crates.io proptest).
 
 use mapreduce::config::JobConfig;
+use mapreduce::runtime::MrRuntime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simcore::rng::RootSeed;
 use vcluster::spec::{ClusterSpec, Placement};
-use workloads::terasort::run_terasort;
+use workloads::tpcxhs::{run_tpcxhs, HsPlan};
 use workloads::wordcount::run_wordcount;
 
 /// TeraSort output is globally sorted and complete for arbitrary data
-/// sizes, reduce counts, and placements.
+/// sizes, reduce counts, placements, and block sizes (all multiples of the
+/// 100-byte record, so the last split is usually short).
 #[test]
 fn terasort_always_sorts() {
     let mut rng = StdRng::seed_from_u64(0x7E2A);
     for _case in 0..8 {
-        let kb = rng.gen_range(64u64..2048);
+        let sf_bytes = rng.gen_range(640u64..20_000) * 100;
+        let block_size = rng.gen_range(1_000u64..8_000) * 100;
         let reduces = rng.gen_range(1u32..6);
         let placement =
             if rng.gen_bool(0.5) { Placement::CrossDomain } else { Placement::SingleDomain };
         let seed = rng.gen_range(0u64..1000);
         let cluster = ClusterSpec::builder().hosts(2).vms(5).placement(placement).build();
-        let rep = run_terasort(cluster, kb * 1024, reduces, RootSeed(seed));
-        assert!(rep.valid, "unsorted or lossy output for {kb} KB / {reduces} reduces");
-        assert!(rep.records > 0);
+        let plan = HsPlan::new(sf_bytes, reduces, RootSeed(seed)).with_block_size(block_size);
+        let rep = run_tpcxhs(&mut MrRuntime::new(cluster, plan.hdfs_config(3), plan.seed), &plan);
+        let case = format!("{sf_bytes} B in {block_size} B blocks, {reduces} reduces");
+        assert!(rep.validate.passed, "{case}: {:?}", rep.validate.violations);
+        assert_eq!(rep.records, plan.total_records(), "{case}");
     }
 }
 

@@ -9,7 +9,7 @@ use vcluster::prelude::{ClusterSpec, Placement};
 use vhadoop::platform::{PlatformConfig, PlatformEvent, VHadoop};
 use vhdfs::hdfs::HdfsConfig;
 use workloads::textgen::TextCorpus;
-use workloads::wordcount::WordCountApp;
+use workloads::wordcount::{text_input, WordCountApp};
 
 const MB: u64 = 1 << 20;
 
@@ -25,27 +25,12 @@ fn platform(vms: u32) -> VHadoop {
     )
 }
 
-fn wordcount_input(
-    p: &VHadoop,
-    path: &str,
-    bytes: u64,
-) -> GeneratorInput<impl Fn(usize) -> Vec<Record> + Send> {
-    let blocks = p.rt.hdfs.stat(path).expect("registered").blocks.len();
-    let block_size = p.rt.hdfs.config().block_size;
-    let corpus = TextCorpus::english_like(RootSeed(91));
-    let last = blocks - 1;
-    GeneratorInput::new(blocks, block_size, move |idx| {
-        let b = if idx == last { bytes - last as u64 * block_size } else { block_size };
-        corpus.split_records(idx, b)
-    })
-}
-
 /// Runs wordcount; `fail_at` kills a worker once that many maps finished.
 fn run_with_failure(fail_after_maps: Option<usize>) -> JobResult {
     let mut p = platform(8);
     let bytes = 8 * MB - 1;
     p.register_input("/wc", bytes, VmId(1));
-    let input = wordcount_input(&p, "/wc", bytes);
+    let input = text_input(&p.rt.hdfs, "/wc", TextCorpus::english_like(RootSeed(91)));
     let spec = JobSpec::new("wc", "/wc", "/wc-out");
     let id = p.rt.submit(spec, Box::new(WordCountApp), Box::new(input));
 
@@ -115,7 +100,7 @@ fn crash_during_reduce_phase_recovers() {
     let mut p = platform(8);
     let bytes = 4 * MB - 1;
     p.register_input("/wc2", bytes, VmId(1));
-    let input = wordcount_input(&p, "/wc2", bytes);
+    let input = text_input(&p.rt.hdfs, "/wc2", TextCorpus::english_like(RootSeed(91)));
     let spec =
         JobSpec::new("wc2", "/wc2", "/wc2-out").with_config(JobConfig::default().with_reduces(3));
     let id = p.rt.submit(spec, Box::new(WordCountApp), Box::new(input));
@@ -149,7 +134,7 @@ fn failed_worker_gets_no_new_tasks() {
     p.fail_node(victim);
     let bytes = 4 * MB - 1;
     p.register_input("/wc3", bytes, VmId(1));
-    let input = wordcount_input(&p, "/wc3", bytes);
+    let input = text_input(&p.rt.hdfs, "/wc3", TextCorpus::english_like(RootSeed(91)));
     let spec = JobSpec::new("wc3", "/wc3", "/wc3-out");
     let result = p.run_job(spec, Box::new(WordCountApp), Box::new(input));
     assert!(result.counters.launched_maps > 0);

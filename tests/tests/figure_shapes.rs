@@ -3,6 +3,7 @@
 //! verify at full scale, small enough for the test suite.
 
 use mapreduce::config::JobConfig;
+use mapreduce::runtime::MrRuntime;
 use simcore::rng::RootSeed;
 use vcluster::spec::{ClusterSpec, Placement};
 use workloads::prelude::*;
@@ -58,11 +59,17 @@ fn fig3b_mrbench_grows_with_reduces() {
 
 #[test]
 fn fig4a_terasort_grows_and_validates() {
-    let small = run_terasort(cluster(Placement::SingleDomain), MB, 2, RootSeed(3));
-    let large = run_terasort(cluster(Placement::SingleDomain), 4 * MB, 2, RootSeed(3));
-    assert!(small.valid && large.valid, "TeraValidate passes");
-    assert!(large.sort_time_s > small.sort_time_s, "sort time grows with data");
-    assert!(large.gen_time_s > 0.0 && large.sort_time_s > large.gen_time_s);
+    let terasort = |bytes: u64| {
+        let plan = HsPlan::terasort(bytes, 2, RootSeed(3));
+        let spec = cluster(Placement::SingleDomain);
+        (run_tpcxhs(&mut MrRuntime::new(spec, plan.hdfs_config(3), plan.seed), &plan), plan)
+    };
+    let (small, _) = terasort(MB);
+    let (large, plan) = terasort(4 * MB);
+    assert!(small.validate.passed && large.validate.passed, "TeraValidate passes");
+    assert_eq!(large.records, plan.total_records());
+    assert!(large.sort_s > small.sort_s, "sort time grows with data");
+    assert!(large.gen_s > 0.0 && large.sort_s > large.gen_s);
 }
 
 #[test]

@@ -3,7 +3,7 @@
 
 use vhadoop::prelude::*;
 use workloads::textgen::TextCorpus;
-use workloads::wordcount::WordCountApp;
+use workloads::wordcount::{text_input, WordCountApp};
 
 const MB: u64 = 1 << 20;
 
@@ -20,14 +20,7 @@ fn platform(vms: u32) -> VHadoop {
 
 fn run_wordcount_job(p: &mut VHadoop, bytes: u64, cfg: JobConfig) -> JobResult {
     p.register_input("/in", bytes, VmId(1));
-    let blocks = p.rt.hdfs.stat("/in").expect("registered").blocks.len();
-    let block_size = p.rt.hdfs.config().block_size;
-    let corpus = TextCorpus::english_like(RootSeed(71));
-    let last = blocks - 1;
-    let input = GeneratorInput::new(blocks, block_size, move |idx| {
-        let b = if idx == last { bytes - last as u64 * block_size } else { block_size };
-        corpus.split_records(idx, b)
-    });
+    let input = text_input(&p.rt.hdfs, "/in", TextCorpus::english_like(RootSeed(71)));
     let spec = JobSpec::new("wc", "/in", "/out").with_config(cfg);
     p.run_job(spec, Box::new(WordCountApp), Box::new(input))
 }
@@ -104,15 +97,7 @@ fn monitor_csv_covers_the_run() {
 fn migration_during_job_completes_both() {
     let mut p = platform(4);
     p.register_input("/mig", 8 * MB, VmId(1));
-    let blocks = p.rt.hdfs.stat("/mig").expect("registered").blocks.len();
-    let block_size = p.rt.hdfs.config().block_size;
-    let corpus = TextCorpus::english_like(RootSeed(72));
-    let bytes = 8 * MB;
-    let last = blocks - 1;
-    let input = GeneratorInput::new(blocks, block_size, move |idx| {
-        let b = if idx == last { bytes - last as u64 * block_size } else { block_size };
-        corpus.split_records(idx, b)
-    });
+    let input = text_input(&p.rt.hdfs, "/mig", TextCorpus::english_like(RootSeed(72)));
     let spec = JobSpec::new("wc", "/mig", "/mig-out");
     let (rep, job) = p.migration(HostId(1)).after(SimDuration::from_secs(2)).during_job(
         spec,

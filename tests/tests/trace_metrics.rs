@@ -4,7 +4,7 @@
 
 use vhadoop::prelude::*;
 use workloads::textgen::TextCorpus;
-use workloads::wordcount::{run_wordcount_traced, WordCountApp};
+use workloads::wordcount::{run_wordcount_traced, text_input, WordCountApp};
 
 const MB: u64 = 1 << 20;
 
@@ -69,14 +69,7 @@ fn monitor_samples_agree_with_spans() {
     );
     let bytes = 8 * MB;
     p.register_input("/agree", bytes, VmId(1));
-    let blocks = p.rt.hdfs.stat("/agree").expect("registered").blocks.len();
-    let block_size = p.rt.hdfs.config().block_size;
-    let corpus = TextCorpus::english_like(RootSeed(14));
-    let last = blocks - 1;
-    let input = GeneratorInput::new(blocks, block_size, move |idx| {
-        let b = if idx == last { bytes - last as u64 * block_size } else { block_size };
-        corpus.split_records(idx, b)
-    });
+    let input = text_input(&p.rt.hdfs, "/agree", TextCorpus::english_like(RootSeed(14)));
     let spec = JobSpec::new("wc", "/agree", "/agree-out");
     let result = p.run_job(spec, Box::new(WordCountApp), Box::new(input));
     assert!(result.counters.reduce_output_records > 0);
@@ -122,14 +115,7 @@ fn job_metrics_filter_to_one_job() {
     );
     let bytes = 2 * MB;
     p.register_input("/jm", bytes, VmId(1));
-    let blocks = p.rt.hdfs.stat("/jm").expect("registered").blocks.len();
-    let block_size = p.rt.hdfs.config().block_size;
-    let corpus = TextCorpus::english_like(RootSeed(15));
-    let last = blocks - 1;
-    let input = GeneratorInput::new(blocks, block_size, move |idx| {
-        let b = if idx == last { bytes - last as u64 * block_size } else { block_size };
-        corpus.split_records(idx, b)
-    });
+    let input = text_input(&p.rt.hdfs, "/jm", TextCorpus::english_like(RootSeed(15)));
     let spec = JobSpec::new("wc", "/jm", "/jm-out");
     let result = p.run_job(spec, Box::new(WordCountApp), Box::new(input));
 
