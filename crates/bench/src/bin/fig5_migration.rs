@@ -1,10 +1,12 @@
 //! Figure 5 — per-VM migration time (a) and downtime (b) of a 16-node
 //! hadoop virtual cluster, idle vs. running Wordcount, with 512 MB and
-//! 1024 MB guests.
+//! 1024 MB guests — and Table II, the whole-cluster totals of the same
+//! four migrations (`results/table2_migration.{csv,json}`).
 //!
 //! Paper observations reproduced: migration time scales with memory;
 //! downtime does not; a busy cluster migrates somewhat slower but suffers
-//! order-of-magnitude larger and per-VM-variable downtime.
+//! order-of-magnitude larger and per-VM-variable downtime. Table II ratios:
+//! wordcount migration time ≈ 3× idle; wordcount downtime ≈ 13× idle.
 //!
 //! ```sh
 //! cargo run --release -p vhadoop-bench --bin fig5_migration [--scale 8|--full]
@@ -87,6 +89,25 @@ fn main() {
     fig5a.finish();
     fig5b.finish();
 
+    // --- Table II: whole-cluster totals, in the paper's row order ---------
+    let mut table2 = ResultSink::new("table2_migration", "row (see series)", "value");
+    println!(
+        "\n{:<22} {:>22} {:>22}",
+        "configuration", "overall migration (s)", "overall downtime (ms)"
+    );
+    let row_order = ["idle.1024MB", "idle.512MB", "wordcount.1024MB", "wordcount.512MB"];
+    let totals = |name: &str| -> (f64, f64) {
+        let (_, rep) = reports.iter().find(|(n, _)| *n == name).expect("configuration ran");
+        (rep.total_time.as_secs_f64(), rep.total_downtime.as_millis_f64())
+    };
+    for (i, name) in row_order.into_iter().enumerate() {
+        let (t, d) = totals(name);
+        println!("{name:<22} {t:>22.1} {d:>22.1}");
+        table2.push(&format!("{name}/time_s"), i as f64, t);
+        table2.push(&format!("{name}/downtime_ms"), i as f64, d);
+    }
+    table2.finish();
+
     // --- shape checks -----------------------------------------------------
     let mean = |name: &str, sink: &ResultSink| -> f64 {
         let pts = sink.series_points(name);
@@ -116,4 +137,15 @@ fn main() {
     let max = busy_downs.iter().cloned().fold(0.0f64, f64::max);
     println!("busy per-VM downtime spread: {min:.0}..{max:.0} ms");
     assert!(max > 2.0 * min.max(1.0), "wordcount downtime varies widely per node");
+
+    // (iv) Table II ratios.
+    let (ti, di) = totals("idle.1024MB");
+    let (tw, dw) = totals("wordcount.1024MB");
+    println!(
+        "\nwordcount/idle ratios: migration time {:.1}x (paper ~3x), downtime {:.1}x (paper ~13x)",
+        tw / ti,
+        dw / di
+    );
+    assert!(tw / ti > 1.5, "busy migration substantially slower");
+    assert!(dw / di > 4.0, "busy downtime an order of magnitude worse");
 }

@@ -420,7 +420,8 @@ impl VHadoop {
         assert_ne!(vm, self.rt.hdfs.namenode(), "cannot fail the master VM");
         let (rereplicated_blocks, lost_blocks) =
             self.rt.hdfs.fail_datanode(&mut self.rt.engine, &self.rt.cluster, vm);
-        let remapped_tasks = self.rt.mr.fail_tracker(&mut self.rt.engine, &self.rt.cluster, vm);
+        let remapped_tasks =
+            self.rt.mr.lose_tracker(&mut self.rt.engine, &self.rt.cluster, vm, SimDuration::ZERO);
         FailureImpact { remapped_tasks, rereplicated_blocks, lost_blocks }
     }
 

@@ -72,21 +72,18 @@ impl MrEngine {
     /// VM 0 with the namenode, as in the paper's master VM), scheduling
     /// with the default [`SchedulerPolicy::Fifo`].
     pub fn new(hdfs: &Hdfs) -> Self {
-        Self::with_policy(hdfs, SchedulerPolicy::default())
-    }
-
-    /// Like [`MrEngine::new`] with an explicit scheduling policy.
-    pub fn with_policy(hdfs: &Hdfs, policy: SchedulerPolicy) -> Self {
-        Self::with_trackers(hdfs.datanodes().to_vec(), policy)
+        Self::with_trackers(hdfs.datanodes().to_vec())
     }
 
     /// A JobTracker over an explicit TaskTracker set — disaggregated
     /// layouts run TaskTrackers on VMs that are *not* datanodes
     /// (DESIGN.md §17); the colocated default keeps trackers == datanodes.
+    /// Schedules with the default [`SchedulerPolicy::Fifo`] until
+    /// [`MrEngine::set_policy`].
     ///
     /// # Panics
     /// If `trackers` is empty.
-    pub fn with_trackers(trackers: Vec<VmId>, policy: SchedulerPolicy) -> Self {
+    pub fn with_trackers(trackers: Vec<VmId>) -> Self {
         assert!(!trackers.is_empty(), "cluster too small: no TaskTrackers");
         MrEngine {
             trackers,
@@ -94,7 +91,7 @@ impl MrEngine {
             next_job: 0,
             used_map_slots: HashMap::new(),
             used_reduce_slots: HashMap::new(),
-            policy,
+            policy: SchedulerPolicy::default(),
         }
     }
 

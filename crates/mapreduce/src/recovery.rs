@@ -34,83 +34,21 @@ fn retry_backoff(prior_retries: u32) -> SimDuration {
 impl MrEngine {
     /// Handles the loss of a TaskTracker VM (crash, or a migration blackout
     /// long enough that the JobTracker declares it dead): running attempts
-    /// on it are re-queued, and — while the map phase is still open —
-    /// completed map output stored on it is re-executed elsewhere, exactly
-    /// Hadoop's recovery story.
+    /// on it die right now (their in-flight events are orphaned by the
+    /// epoch bump, their slots on surviving trackers are released), and —
+    /// while the map phase is still open — completed map output stored on
+    /// it is re-executed elsewhere, exactly Hadoop's recovery story.
+    ///
+    /// `detect_after` is the JobTracker's detection latency (the heartbeat
+    /// timeout): each affected task returns to the pending queue only after
+    /// it plus a capped exponential backoff that grows with the task's
+    /// prior losses. A non-zero wait arrives as an ordinary engine timer
+    /// (`PH_REQUEUE_*`), so runs with injected crashes stay deterministic;
+    /// a zero wait re-queues the task in place, before this call's
+    /// scheduling round.
     ///
     /// Simplification: once a job's reduce phase has begun, its shuffle is
     /// treated as already fetched, so map output loss no longer matters.
-    ///
-    /// Returns the number of task attempts re-queued onto other trackers.
-    ///
-    /// # Panics
-    /// If `vm` is not a live tracker.
-    pub fn fail_tracker(
-        &mut self,
-        engine: &mut Engine,
-        cluster: &VirtualCluster,
-        vm: VmId,
-    ) -> usize {
-        let pos = self
-            .trackers
-            .iter()
-            .position(|&t| t == vm)
-            .unwrap_or_else(|| panic!("{vm} is not a live TaskTracker"));
-        self.trackers.remove(pos);
-        self.used_map_slots.remove(&vm.0);
-        self.used_reduce_slots.remove(&vm.0);
-
-        let mut remapped = 0usize;
-        for job in self.jobs.values_mut() {
-            for m in 0..job.maps.len() {
-                let involved = job.map_attempt_vm[m].iter().flatten().any(|&a| a == vm);
-                if !involved {
-                    continue;
-                }
-                match job.maps[m] {
-                    TaskPhase::Running(_) => {
-                        // Kill every attempt of the task (a surviving
-                        // speculative twin is re-run too — its events are
-                        // orphaned by the epoch bump). Release any slot an
-                        // attempt holds on a *surviving* tracker.
-                        Self::release_surviving_slots(job, m, vm, &mut self.used_map_slots);
-                        Self::requeue_map(job, m);
-                        remapped += 1;
-                    }
-                    TaskPhase::Done
-                        if job.map_vm[m] == Some(vm) && job.map_phase_done.is_none() =>
-                    {
-                        // Completed output lost before any reduce could
-                        // fetch it: run the map again (a straggling loser
-                        // attempt may still hold a slot somewhere).
-                        Self::release_surviving_slots(job, m, vm, &mut self.used_map_slots);
-                        job.completed_maps -= 1;
-                        Self::requeue_map(job, m);
-                        remapped += 1;
-                    }
-                    _ => {}
-                }
-            }
-            for r in 0..job.reduces.len() {
-                if job.reduces[r] == TaskPhase::Running(vm) {
-                    Self::invalidate_reduce(job, r);
-                    job.pending_reduces.push_back(r);
-                    remapped += 1;
-                }
-            }
-        }
-        self.schedule(engine, cluster);
-        remapped
-    }
-
-    /// Like [`MrEngine::fail_tracker`], but models the JobTracker's
-    /// *detection latency*: the attempts on `vm` die right now (their
-    /// in-flight events are orphaned by the epoch bump, their surviving
-    /// slots are released), yet each affected task only returns to the
-    /// pending queue after `detect_after` — the heartbeat timeout — plus a
-    /// capped exponential backoff that grows with the task's prior losses.
-    /// The deferred re-queue arrives as an ordinary engine timer
-    /// (`PH_REQUEUE_*`), so runs with injected crashes stay deterministic.
     ///
     /// Returns the number of task attempts scheduled for re-execution.
     ///
@@ -140,10 +78,16 @@ impl MrEngine {
                     continue;
                 }
                 match job.maps[m] {
+                    // Kill every attempt of the task (a surviving
+                    // speculative twin is re-run too — its events are
+                    // orphaned by the epoch bump).
                     TaskPhase::Running(_) => {
                         Self::release_surviving_slots(job, m, vm, &mut self.used_map_slots);
                         Self::invalidate_map(job, m);
                     }
+                    // Completed output lost before any reduce could fetch
+                    // it: run the map again (a straggling loser attempt may
+                    // still hold a slot somewhere).
                     TaskPhase::Done
                         if job.map_vm[m] == Some(vm) && job.map_phase_done.is_none() =>
                     {
@@ -153,25 +97,30 @@ impl MrEngine {
                     }
                     _ => continue,
                 }
-                let prior = job.map_retries[m];
+                let wait = detect_after + retry_backoff(job.map_retries[m]);
                 job.map_retries[m] += 1;
-                engine.set_timer_in(
-                    detect_after + retry_backoff(prior),
-                    tag_full(JobId(jid), PH_REQUEUE_MAP, 0, job.map_epoch[m], m),
-                );
+                if wait.is_zero() {
+                    job.pending_maps.push_back(m);
+                } else {
+                    let tag = tag_full(JobId(jid), PH_REQUEUE_MAP, 0, job.map_epoch[m], m);
+                    engine.set_timer_in(wait, tag);
+                }
                 requeued += 1;
             }
             for r in 0..job.reduces.len() {
-                if job.reduces[r] == TaskPhase::Running(vm) {
-                    Self::invalidate_reduce(job, r);
-                    let prior = job.reduce_retries[r];
-                    job.reduce_retries[r] += 1;
-                    engine.set_timer_in(
-                        detect_after + retry_backoff(prior),
-                        tag_full(JobId(jid), PH_REQUEUE_REDUCE, 0, job.reduce_epoch[r], r),
-                    );
-                    requeued += 1;
+                if job.reduces[r] != TaskPhase::Running(vm) {
+                    continue;
                 }
+                Self::invalidate_reduce(job, r);
+                let wait = detect_after + retry_backoff(job.reduce_retries[r]);
+                job.reduce_retries[r] += 1;
+                if wait.is_zero() {
+                    job.pending_reduces.push_back(r);
+                } else {
+                    let tag = tag_full(JobId(jid), PH_REQUEUE_REDUCE, 0, job.reduce_epoch[r], r);
+                    engine.set_timer_in(wait, tag);
+                }
+                requeued += 1;
             }
         }
         let now = engine.now();
@@ -231,13 +180,6 @@ impl MrEngine {
                 }
             }
         }
-    }
-
-    /// Resets map `m` to pending under a fresh epoch and re-queues it
-    /// immediately.
-    fn requeue_map(job: &mut JobState, m: usize) {
-        Self::invalidate_map(job, m);
-        job.pending_maps.push_back(m);
     }
 
     /// Resets map `m` to pending under a fresh epoch — orphaning every

@@ -7,7 +7,6 @@ use crate::app::MapReduceApp;
 use crate::engine::MrEngine;
 use crate::input::InputFormat;
 use crate::job::{JobEvent, JobId, JobResult, JobSpec};
-use crate::scheduler::SchedulerPolicy;
 use simcore::owners;
 use simcore::prelude::*;
 use vcluster::cluster::{VirtualCluster, VmId};
@@ -77,7 +76,7 @@ impl MrRuntime {
             None => Hdfs::format(&cluster, hdfs_cfg, seed),
         };
         let mr = match &roles.trackers {
-            Some(tts) => MrEngine::with_trackers(tts.clone(), SchedulerPolicy::default()),
+            Some(tts) => MrEngine::with_trackers(tts.clone()),
             None => MrEngine::new(&hdfs),
         };
         MrRuntime { engine, cluster, hdfs, mr }

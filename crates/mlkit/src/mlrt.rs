@@ -69,20 +69,10 @@ impl MlRuntime {
     /// HDFS block per datanode — but never below [`MIN_SPLIT_BYTES`] per
     /// split, so small data sets keep few maps.
     pub fn new(cluster_spec: ClusterSpec, points: Vec<Vec<f64>>, seed: RootSeed) -> Self {
-        Self::with_min_split(cluster_spec, points, seed, MIN_SPLIT_BYTES)
-    }
-
-    /// [`MlRuntime::new`] with an explicit minimum split size.
-    pub fn with_min_split(
-        cluster_spec: ClusterSpec,
-        points: Vec<Vec<f64>>,
-        seed: RootSeed,
-        min_split: u64,
-    ) -> Self {
         assert!(!points.is_empty(), "empty dataset");
         let datanodes = (cluster_spec.vms - 1).max(1) as usize;
-        let size_cap = (point_bytes(points[0].len()) * points.len() as u64)
-            .div_ceil(min_split.max(1)) as usize;
+        let size_cap =
+            (point_bytes(points[0].len()) * points.len() as u64).div_ceil(MIN_SPLIT_BYTES) as usize;
         let splits = datanodes.min(points.len()).min(size_cap.max(1));
         let dims = points[0].len();
         let total_bytes = point_bytes(dims) * points.len() as u64;

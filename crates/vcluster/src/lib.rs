@@ -15,8 +15,7 @@
 //! * [`migration`] — iterative pre-copy live migration with dirty-rate
 //!   feedback, per-VM and whole-cluster reports;
 //! * [`energy`] — linear host power model and exact energy accounting
-//!   (the consolidation argument for migration);
-//! * [`virtlm`] — the Virt-LM-style standalone migration benchmark.
+//!   (the consolidation argument for migration).
 
 #![warn(missing_docs)]
 
@@ -25,7 +24,6 @@ pub mod energy;
 pub mod migration;
 pub mod spec;
 pub mod topology;
-pub mod virtlm;
 
 /// Convenience imports.
 pub mod prelude {
@@ -37,5 +35,4 @@ pub mod prelude {
     };
     pub use crate::spec::{ClusterSpec, HostSpec, NfsSpec, Placement, VmSpec, XenParams, GIB, MIB};
     pub use crate::topology::{LocalityTier, RackId, RackPlacement, Topology, TopologySpec};
-    pub use crate::virtlm::{VirtLm, VirtLmRow, WorkloadProfile};
 }

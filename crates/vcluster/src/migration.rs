@@ -57,7 +57,7 @@ pub const RETRY_BACKOFF_CAP: SimDuration = SimDuration::from_secs(8);
 /// Supplies the memory dirty rate (bytes/s) of a VM. Called once per
 /// pre-copy round boundary, so implementations may keep per-VM state to
 /// compute averages over the elapsed round.
-// trait: faked by `ConstantDirtyModel` (unit and integration tests, `VirtLm`)
+// trait: faked by `ConstantDirtyModel` (unit and integration tests, the `migration-order` ablation)
 pub trait DirtyRateModel {
     /// Dirty rate of `vm` over the window since the model was last asked
     /// about it (or instantaneous, for stateless models).

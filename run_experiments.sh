@@ -8,7 +8,7 @@ set -uo pipefail
 cd "$(dirname "$0")"
 mkdir -p results/logs
 BINS=(table1_benchmarks fig2_wordcount fig3_mrbench fig4_terasort fig4_dfsio \
-      fig5_migration table2_migration fig6_control_chart fig7_display_clustering \
+      fig5_migration fig6_control_chart fig7_display_clustering \
       scalability \
       fig8_screenshots ablations tpcxhs)
 status=0

@@ -97,6 +97,9 @@ for ext in csv json; do
 done
 bench ablations --case costmodel
 
+echo "==> ablations: --case runs leave the full-run results/ablations.* alone"
+git diff --exit-code results/ablations.csv results/ablations.json
+
 echo "==> results: regenerated artifacts exist and every JSON parses"
 for f in quickstart.trace.json faults.trace.json job_stream.slo.json topology.csv \
     whatif.csv tpcxhs.csv tpcxhs.json characterization.csv costmodel.json \

@@ -2,8 +2,9 @@
 //! copy (the double-scheduling audit of the recovery/speculation pair).
 //!
 //! Audit conclusion encoded here: when a tracker dies while a map has a
-//! live speculative twin, `fail_tracker`/`lose_tracker` conservatively
-//! invalidate BOTH attempts under a fresh epoch — the surviving twin's
+//! live speculative twin, `lose_tracker` (with or without detection
+//! latency; `VHadoop::fail_node` is the zero-latency call) conservatively
+//! invalidates BOTH attempts under a fresh epoch — the surviving twin's
 //! completion event is orphaned and swallowed by the epoch check, its
 //! slot is released, and the task re-runs once. Wasteful by design, never
 //! a double-schedule: output is counted exactly once and no slot leaks.
@@ -177,6 +178,34 @@ fn deferred_tracker_timeout_during_speculation_recovers_once() {
     assert!(intervened, "speculation never started — straggler not detected");
     assert_eq!(sorted(&res), clean, "output must be counted exactly once");
     assert!(res.counters.relaunched_tasks >= 1);
+    assert!(p.rt.mr.busy_trackers().is_empty(), "a slot leaked after recovery");
+}
+
+#[test]
+fn zero_latency_tracker_loss_places_the_lost_map_within_the_call() {
+    let mut p = launch(FaultPlan::new());
+    p.register_input("/one", (1 << 20) - 1, VmId(1));
+    let input = GeneratorInput::new(1, 1 << 20, heavy_split);
+    let config = JobConfig { speculative: false, ..Default::default() };
+    let spec = JobSpec::new("one", "/one", "/out-one").with_config(config);
+    let id = p.rt.submit(spec, Box::new(HeavyApp), Box::new(input));
+    let victim = loop {
+        if let [vm] = p.rt.mr.busy_trackers()[..] {
+            break vm;
+        }
+        p.step().expect("the map must start before the simulation drains");
+    };
+
+    // No detection latency and no prior loss: the map is re-queued in
+    // place, so this call's own scheduling round places it elsewhere.
+    let rt = &mut p.rt;
+    assert_eq!(rt.mr.lose_tracker(&mut rt.engine, &rt.cluster, victim, SimDuration::ZERO), 1);
+    let busy = p.rt.mr.busy_trackers();
+    assert_eq!(busy.len(), 1, "the lost map must be running again when the call returns");
+    assert_ne!(busy[0], victim, "the lost map must move to a surviving tracker");
+
+    let (res, _) = run_with_intervention(&mut p, id, |_, _, _| false);
+    assert_eq!(res.counters.relaunched_tasks, 1);
     assert!(p.rt.mr.busy_trackers().is_empty(), "a slot leaked after recovery");
 }
 
