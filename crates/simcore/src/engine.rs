@@ -578,15 +578,24 @@ impl Engine {
 
     /// Advances the simulation to the next client-visible completion and
     /// returns it, or `None` when nothing remains scheduled.
+    ///
+    /// The fluid net is re-solved before every heap pop but one kind: a
+    /// chain delay ending at the current instant whose chain still has a
+    /// step to run. Popping it only adds a flow or arms another delay, so
+    /// the solve waits for the next pop, and chains whose delays end
+    /// together cost one solve. Every wakeup and every fluid wake still
+    /// sees the allocation of the full flow set.
     pub fn next_wakeup(&mut self) -> Option<(SimTime, Wakeup)> {
         loop {
             if let Some((t, w)) = self.out.pop_front() {
                 self.wakeups_delivered += 1;
                 return Some((t, w));
             }
-            // Client calls may have dirtied the allocation since the last
-            // pass; refresh before consulting the heap.
-            self.refresh_fluid();
+            // Client calls and earlier pops may have dirtied the
+            // allocation; refresh before the pop unless it is excused.
+            if !self.next_pop_continues_a_chain() {
+                self.refresh_fluid();
+            }
 
             let Reverse(entry) = self.heap.pop()?;
             debug_assert!(entry.time >= self.now, "event heap went backwards");
@@ -740,8 +749,26 @@ impl Engine {
         }
     }
 
+    /// True when the heap's next entry is a live chain delay ending now
+    /// whose chain has another step: popping it changes no rate a client
+    /// or a fluid wake can read, so the solve before it can wait.
+    fn next_pop_continues_a_chain(&self) -> bool {
+        let Some(&Reverse(Entry { time, ev: Ev::Timer { id }, .. })) = self.heap.peek() else {
+            return false;
+        };
+        match self.timer_slots.get(id.slot as usize) {
+            Some(&TimerSlot { gen, kind: Some(TimerKind::ChainDelay { activity }) })
+                if time == self.now && gen == id.gen =>
+            {
+                self.activities.get(&activity).is_some_and(|a| !a.remaining.is_empty())
+            }
+            _ => false,
+        }
+    }
+
     /// If the allocation is dirty, recompute it and schedule the next
-    /// completion estimate under a fresh epoch.
+    /// completion estimate under a fresh epoch. Called before every heap
+    /// pop that [`Engine::next_pop_continues_a_chain`] does not excuse.
     fn refresh_fluid(&mut self) {
         if !self.fluid.is_dirty() {
             return;
@@ -1217,5 +1244,48 @@ mod tests {
         }
         assert_eq!(e.run_to_quiescence(), 5);
         assert_eq!(e.wakeups_delivered(), 5);
+    }
+
+    /// Starts 64 `delay(1 s).flow(r, 100)` chains in one batch, as a
+    /// reduce starts its shuffle fetches.
+    fn fetch_wave(e: &mut Engine, r: ResourceId) {
+        let chain = ChainSpec::new().delay(SimDuration::from_secs(1)).on(r, 100.0);
+        e.start_batch(
+            (0..64).map(|i| (chain.clone(), Tag::new(T, i, 0))).collect(),
+            Tag::new(T, 99, 0),
+        );
+    }
+
+    #[test]
+    fn delays_ending_together_cost_one_solve() {
+        let (mut e, r) = engine1();
+        fetch_wave(&mut e, r);
+        let (t, _) = e.next_wakeup().expect("a fetch completes");
+        // 64 flows at 100/64 each finish 64 s after their delay.
+        assert_eq!(t.as_secs_f64().round(), 65.0);
+        let s = e.kernel_stats();
+        assert_eq!((s.reallocations, s.flows_touched), (1, 64), "one solve of all 64 at 1 s");
+    }
+
+    #[test]
+    fn wakeups_after_a_delay_wave_see_it_solved() {
+        let (mut e, r) = engine1();
+        fetch_wave(&mut e, r);
+        // Both end at 1 s, after the wave's delays: a delay that completes
+        // its chain, and a user timer.
+        let last =
+            e.start_chain(ChainSpec::new().delay(SimDuration::from_secs(1)), Tag::new(T, 100, 0));
+        e.set_timer_in(SimDuration::from_secs(1), Tag::new(T, 101, 0));
+        let at_1s = SimTime::ZERO + SimDuration::from_secs(1);
+        let (t, w) = e.next_wakeup().expect("the delay-only chain");
+        assert_eq!(
+            (t, w),
+            (at_1s, Wakeup::Activity { id: last, tag: Tag::new(T, 100, 0), batch: None })
+        );
+        assert_eq!(e.fluid().used(r), 100.0, "the chain's wakeup sees all 64 flows");
+        let (t, w) = e.next_wakeup().expect("the user timer");
+        assert_eq!((t, w.tag()), (at_1s, Tag::new(T, 101, 0)));
+        assert_eq!(e.fluid().used(r), 100.0, "the timer's wakeup sees all 64 flows");
+        assert_eq!(e.kernel_stats().reallocations, 1);
     }
 }

@@ -96,6 +96,9 @@ for ext in csv json; do
     rm -f results/.characterization.t1.$ext
 done
 bench ablations --case costmodel
+# The dataset carries the kernel's solve counts (`obs_reallocations`,
+# `obs_flows_touched`): a kernel change that moves them re-commits it.
+git diff --exit-code results/characterization.csv results/characterization.json
 
 echo "==> ablations: --case runs leave the full-run results/ablations.* alone"
 git diff --exit-code results/ablations.csv results/ablations.json
