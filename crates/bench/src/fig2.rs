@@ -1,19 +1,14 @@
 //! Figure 2 — Wordcount runtime vs. input size, normal vs. cross-domain
 //! 16-node hadoop virtual cluster.
-//!
-//! ```sh
-//! cargo run --release -p vhadoop-bench --bin fig2_wordcount [--scale 8|--full]
-//! ```
 
+use crate::{cluster_2x16, non_decreasing, write_artifact, ResultSink, LAYOUTS};
 use mapreduce::config::JobConfig;
 use simcore::rng::RootSeed;
-use vcluster::spec::{ClusterSpec, Placement};
-use vhadoop_bench::{cli_scale, non_decreasing, write_artifact, ResultSink};
+use vcluster::spec::Placement;
 use vhdfs::hdfs::HdfsConfig;
 use workloads::wordcount::{run_wordcount_traced, run_wordcount_with};
 
-fn main() {
-    let scale = cli_scale();
+pub fn run(scale: f64) {
     // Paper x-axis: TOEFL text, tens to hundreds of MB.
     let sizes_mb: Vec<u64> = [16u64, 32, 64, 128, 256, 512]
         .iter()
@@ -21,20 +16,17 @@ fn main() {
         .collect();
     println!("fig2: wordcount, 16 VMs, input sizes {sizes_mb:?} MB (scale {scale})");
 
+    // The paper's wordcount: mappers emit raw (word, 1) pairs and reducers
+    // sum — no combiner, so the full intermediate data shuffles between
+    // VMs (the traffic cross-domain placement puts onto the physical
+    // wire). Blocks sized so the maps spread over all 15 workers.
+    let cfg = JobConfig::default().with_combiner(false).with_reduces(4);
+    let hdfs = |mb: u64| HdfsConfig { block_size: ((mb << 20) / 15).max(1 << 20), replication: 3 };
     let mut sink = ResultSink::new("fig2_wordcount", "input MB", "running time s");
-    for (series, placement) in
-        [("normal", Placement::SingleDomain), ("cross-domain", Placement::CrossDomain)]
-    {
+    for (series, placement) in LAYOUTS {
         for &mb in &sizes_mb {
-            let spec = ClusterSpec::builder().hosts(2).vms(16).placement(placement.clone()).build();
-            // The paper's wordcount: mappers emit raw (word, 1) pairs and
-            // reducers sum — no combiner, so the full intermediate data
-            // shuffles between VMs (the traffic cross-domain placement
-            // puts onto the physical wire). Blocks sized so the maps
-            // spread over all 15 workers.
-            let cfg = JobConfig::default().with_combiner(false).with_reduces(4);
-            let hdfs = HdfsConfig { block_size: ((mb << 20) / 15).max(1 << 20), replication: 3 };
-            let rep = run_wordcount_with(spec, mb << 20, cfg, hdfs, RootSeed(2012));
+            let spec = cluster_2x16(placement.clone()).build();
+            let rep = run_wordcount_with(spec, mb << 20, cfg.clone(), hdfs(mb), RootSeed(2012));
             println!("  {series:<13} {mb:>5} MB -> {:>8.1}s", rep.elapsed_s);
             sink.push(series, mb as f64, rep.elapsed_s);
         }
@@ -44,10 +36,8 @@ fn main() {
     // Re-run the smallest normal point with the structured tracer on and
     // archive the Chrome trace (open in chrome://tracing / Perfetto).
     let mb = sizes_mb[0];
-    let spec = ClusterSpec::builder().hosts(2).vms(16).placement(Placement::SingleDomain).build();
-    let cfg = JobConfig::default().with_combiner(false).with_reduces(4);
-    let hdfs = HdfsConfig { block_size: ((mb << 20) / 15).max(1 << 20), replication: 3 };
-    let (_, trace) = run_wordcount_traced(spec, mb << 20, cfg, hdfs, RootSeed(2012));
+    let spec = cluster_2x16(Placement::SingleDomain).build();
+    let (_, trace) = run_wordcount_traced(spec, mb << 20, cfg, hdfs(mb), RootSeed(2012));
     for cat in ["map", "shuffle", "reduce", "hdfs"] {
         assert!(
             trace.contains(&format!(r#""cat":"{cat}""#)),

@@ -1,27 +1,18 @@
 //! Figure 4b — TestDFSIO read/write throughput, normal vs. cross-domain
 //! (paper: read beats write; cross-domain degrades both).
-//!
-//! ```sh
-//! cargo run --release -p vhadoop-bench --bin fig4_dfsio [--scale 8|--full]
-//! ```
 
+use crate::{cluster_2x16, ResultSink, LAYOUTS};
 use simcore::rng::RootSeed;
-use vcluster::spec::{ClusterSpec, Placement};
-use vhadoop_bench::{cli_scale, ResultSink};
 use workloads::dfsio::run_dfsio;
 
-fn main() {
-    let scale = cli_scale();
+pub fn run(scale: f64) {
     let file_mb = ((256.0 / scale).max(4.0)) as u64;
     let files = 8u32;
     println!("fig4b: DFSIO, 16 VMs, {files} files x {file_mb} MB (scale {scale})");
 
     let mut sink = ResultSink::new("fig4b_dfsio", "op (0=write 1=read)", "throughput MB/s");
-    for (series, placement) in
-        [("normal", Placement::SingleDomain), ("cross-domain", Placement::CrossDomain)]
-    {
-        let spec = ClusterSpec::builder().hosts(2).vms(16).placement(placement).build();
-        let rep = run_dfsio(spec, files, file_mb << 20, RootSeed(55));
+    for (series, placement) in LAYOUTS {
+        let rep = run_dfsio(cluster_2x16(placement).build(), files, file_mb << 20, RootSeed(55));
         println!(
             "  {series:<13} write {:>7.1} MB/s ({:>6.1}s), read {:>7.1} MB/s ({:>6.1}s)",
             rep.write_mb_s, rep.write_time_s, rep.read_mb_s, rep.read_time_s

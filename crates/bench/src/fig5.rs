@@ -7,29 +7,17 @@
 //! downtime does not; a busy cluster migrates somewhat slower but suffers
 //! order-of-magnitude larger and per-VM-variable downtime. Table II ratios:
 //! wordcount migration time ≈ 3× idle; wordcount downtime ≈ 13× idle.
-//!
-//! ```sh
-//! cargo run --release -p vhadoop-bench --bin fig5_migration [--scale 8|--full]
-//! ```
 
-use mapreduce::config::JobConfig;
-use simcore::rng::RootSeed;
+use crate::{cluster_2x16, ResultSink};
 use vcluster::cluster::HostId;
 use vcluster::migration::ClusterMigrationReport;
-use vcluster::spec::{ClusterSpec, Placement};
+use vcluster::spec::Placement;
 use vhadoop::platform::{PlatformConfig, VHadoop};
-use vhadoop_bench::{cli_scale, ResultSink};
 use workloads::loadgen::submit_load_job;
-use workloads::wordcount::submit_wordcount;
 
 /// One configuration row of the experiment.
-pub fn migrate(mem_mib: u64, busy: bool, load_mb: u64) -> ClusterMigrationReport {
-    let cluster = ClusterSpec::builder()
-        .hosts(2)
-        .vms(16)
-        .vm_mem_mib(mem_mib)
-        .placement(Placement::SingleDomain)
-        .build();
+fn migrate(mem_mib: u64, busy: bool) -> ClusterMigrationReport {
+    let cluster = cluster_2x16(Placement::SingleDomain).vm_mem_mib(mem_mib).build();
     // Small HDFS blocks give the load jobs enough concurrent map tasks to
     // keep every task slot busy during the migration window.
     let mut platform = VHadoop::launch(
@@ -40,21 +28,13 @@ pub fn migrate(mem_mib: u64, busy: bool, load_mb: u64) -> ClusterMigrationReport
     );
     if busy {
         let mut run = 0u32;
-        let real = std::env::args().any(|a| a == "--real-wordcount");
         let (rep, _) = platform.migration(HostId(1)).under_load(|rt| {
-            if real {
-                // Paper-faithful: actual wordcount jobs over generated text
-                // (slow in wall-clock terms — the simulator tokenizes every
-                // byte for real).
-                submit_wordcount(rt, run, load_mb << 20, JobConfig::default(), RootSeed(66));
-            } else {
-                // Default: synthetic jobs with a wordcount cost profile
-                // (~3 s of guest CPU and 8 MB of spill/shuffle per map),
-                // identical contention and dirtying without the wall-clock
-                // cost of tokenizing gigabytes of text.
-                let maps = rt.cluster.vm_count() - 1;
-                submit_load_job(rt, run, maps, 2.0, 6 << 20);
-            }
+            // Synthetic jobs with a wordcount cost profile (~3 s of guest
+            // CPU and 8 MB of spill/shuffle per map): wordcount's
+            // contention and dirtying without the wall-clock cost of
+            // tokenizing gigabytes of text.
+            let maps = rt.cluster.vm_count() - 1;
+            submit_load_job(rt, run, maps, 2.0, 6 << 20);
             run += 1;
             true
         });
@@ -64,9 +44,7 @@ pub fn migrate(mem_mib: u64, busy: bool, load_mb: u64) -> ClusterMigrationReport
     }
 }
 
-fn main() {
-    let scale = cli_scale();
-    let load_mb = ((768.0 / scale).max(48.0)) as u64;
+pub fn run(_scale: f64) {
     let configs = [
         ("idle.512MB", 512u64, false),
         ("idle.1024MB", 1024, false),
@@ -79,7 +57,7 @@ fn main() {
     let mut reports = Vec::new();
     for (name, mem, busy) in configs {
         println!("migrating 16-VM cluster: {name} ...");
-        let rep = migrate(mem, busy, load_mb);
+        let rep = migrate(mem, busy);
         for vm in &rep.per_vm {
             fig5a.push(name, f64::from(vm.vm), vm.migration_time.as_secs_f64());
             fig5b.push(name, f64::from(vm.vm), vm.downtime.as_millis_f64());

@@ -1,20 +1,16 @@
 //! Figure 6 — parallel clustering (Canopy, Dirichlet, MeanShift) on the
 //! Synthetic Control Chart set at hadoop virtual cluster scales 2→16
 //! (paper: runtime *increases* with cluster size because the data set is
-//! fixed and small, so added nodes only add communication).
-//!
-//! ```sh
-//! cargo run --release -p vhadoop-bench --bin fig6_control_chart [--scale 8|--full]
-//! ```
+//! fixed and small, so added nodes only add communication). The data set
+//! is small, so it runs at paper size at every scale.
 
+use crate::ResultSink;
 use mlkit::datasets::control_chart;
 use mlkit::suite::{run_algorithm, Algorithm, DatasetKind};
 use simcore::rng::RootSeed;
-use vhadoop_bench::{cli_scale, ResultSink};
 
-fn main() {
-    let _ = cli_scale(); // in-memory data set is small; always run full size
-                         // Paper data set: 600 series × 60 points.
+pub fn run(_scale: f64) {
+    // Paper data set: 600 series × 60 points.
     let data = control_chart(RootSeed(2012), 100, 60);
     println!("fig6: clustering {} control-chart series at cluster scales 2..16", data.len());
 

@@ -2,17 +2,13 @@
 //! on 1 000 DisplayClustering samples at cluster scales 2→16 (paper: the
 //! workload is light, so runtime stays relatively smooth/flat as the
 //! cluster grows).
-//!
-//! ```sh
-//! cargo run --release -p vhadoop-bench --bin fig7_display_clustering
-//! ```
 
+use crate::ResultSink;
 use mlkit::datasets::gaussian_mixture_1000;
 use mlkit::suite::{run_algorithm, Algorithm, DatasetKind};
 use simcore::rng::RootSeed;
-use vhadoop_bench::ResultSink;
 
-fn main() {
+pub fn run(_scale: f64) {
     let data = gaussian_mixture_1000(RootSeed(2012));
     println!("fig7: clustering {} 2-D samples at cluster scales 2..16", data.len());
 

@@ -2,11 +2,8 @@
 //! for every algorithm: SVG files with the per-iteration cluster overlay
 //! (last iteration bold red, earlier ones colored, oldest grey) plus an
 //! ASCII rendition on stdout.
-//!
-//! ```sh
-//! cargo run --release -p vhadoop-bench --bin fig8_screenshots
-//! ```
 
+use crate::write_artifact;
 use mlkit::datasets::gaussian_mixture_1000;
 use mlkit::display::{render_ascii, render_svg, IterationTrail};
 use mlkit::mlrt::Clustering;
@@ -20,11 +17,10 @@ fn assign(points: &[Vec<f64>], centers: &[Vec<f64>]) -> Vec<usize> {
     points.iter().map(|p| nearest(p, centers, Distance::Euclidean).0).collect()
 }
 
-fn main() {
+pub fn run(_scale: f64) {
     let seed = RootSeed(2012);
     let data = gaussian_mixture_1000(seed);
     let pts = &data.points;
-    std::fs::create_dir_all("results/fig8").expect("create results dir");
     let mut written = Vec::new();
 
     // (a) raw sample data.
@@ -105,7 +101,5 @@ fn main() {
 
 fn save(name: &str, pts: &[Vec<f64>], model: &Clustering, trail: &IterationTrail) -> String {
     let svg = render_svg(name, pts, model, trail, 640, 480);
-    let path = format!("results/fig8/{name}.svg");
-    std::fs::write(&path, svg).expect("write SVG");
-    path
+    write_artifact(&format!("fig8/{name}.svg"), &svg).expect("write SVG").display().to_string()
 }

@@ -1,15 +1,148 @@
-//! Shared plumbing for the vHadoop bench harness: experiment records,
-//! table rendering, and result files consumed by `EXPERIMENTS.md`.
+//! The vHadoop reproduction harness: one registry entry per paper table,
+//! figure or ablation, and the plumbing they share.
 //!
-//! Every figure/table binary produces a [`ResultSink`] of `(series, x, y)`
-//! records, prints the same rows the paper plots, and writes
-//! `results/<experiment>.json` + `.csv` for archival.
+//! [`EXPERIMENTS`] is the only place a result file is named. Each entry
+//! prints the rows the paper plots, asserts the paper's qualitative
+//! shapes (panicking when one fails), and writes the files its
+//! `outputs` declare under `results/`, mostly through a [`ResultSink`] of
+//! `(series, x, y)` records. The `repro` binary runs the registry:
+//!
+//! ```sh
+//! cargo run --release -p vhadoop-bench --bin repro -- [--full] [--only NAME[,NAME...]]
+//! ```
 
 #![warn(missing_docs)]
 
 use simcore::emit::{csv_row, Json};
 use std::fmt::{Display, Write as _};
 use std::path::PathBuf;
+use vcluster::spec::{ClusterSpecBuilder, Placement};
+
+mod ablations;
+mod fig2;
+mod fig3;
+mod fig4a;
+mod fig4b;
+mod fig5;
+mod fig6;
+mod fig7;
+mod fig8;
+mod scalability;
+mod table1;
+mod tpcxhs;
+mod whatif;
+
+/// One reproducible result: a named recipe and the files it writes.
+pub struct Experiment {
+    /// Name `repro --only` selects it by.
+    pub name: &'static str,
+    /// Files the run writes, relative to `results/`.
+    pub outputs: &'static [&'static str],
+    /// Runs the experiment with data sizes divided by `scale` (1 is the
+    /// paper's size); panics when a paper shape does not hold.
+    pub run: fn(scale: f64),
+}
+
+/// The default divisor on the paper's data sizes: runs laptop-fast while
+/// preserving the shapes. `repro --full` runs at scale 1.
+pub const DEFAULT_SCALE: f64 = 8.0;
+
+/// Every experiment, in the order `repro` runs them.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment { name: "table1", outputs: &[], run: table1::run },
+    Experiment {
+        name: "fig2",
+        outputs: &["fig2_wordcount.csv", "fig2_wordcount.json", "fig2_wordcount.trace.json"],
+        run: fig2::run,
+    },
+    Experiment {
+        name: "fig3",
+        outputs: &[
+            "fig3a_mrbench_maps.csv",
+            "fig3a_mrbench_maps.json",
+            "fig3b_mrbench_reduces.csv",
+            "fig3b_mrbench_reduces.json",
+        ],
+        run: fig3::run,
+    },
+    Experiment {
+        name: "fig4a",
+        outputs: &["fig4a_terasort.csv", "fig4a_terasort.json"],
+        run: fig4a::run,
+    },
+    Experiment {
+        name: "fig4b",
+        outputs: &["fig4b_dfsio.csv", "fig4b_dfsio.json"],
+        run: fig4b::run,
+    },
+    Experiment {
+        name: "fig5",
+        outputs: &[
+            "fig5a_migration_time.csv",
+            "fig5a_migration_time.json",
+            "fig5b_downtime.csv",
+            "fig5b_downtime.json",
+            "table2_migration.csv",
+            "table2_migration.json",
+        ],
+        run: fig5::run,
+    },
+    Experiment {
+        name: "fig6",
+        outputs: &["fig6_control_chart.csv", "fig6_control_chart.json"],
+        run: fig6::run,
+    },
+    Experiment {
+        name: "fig7",
+        outputs: &["fig7_display_clustering.csv", "fig7_display_clustering.json"],
+        run: fig7::run,
+    },
+    Experiment {
+        name: "fig8",
+        outputs: &[
+            "fig8/sample-data.svg",
+            "fig8/canopy.svg",
+            "fig8/dirichlet.svg",
+            "fig8/fuzzy-kmeans.svg",
+            "fig8/kmeans.svg",
+            "fig8/meanshift.svg",
+            "fig8/minhash.svg",
+        ],
+        run: fig8::run,
+    },
+    Experiment {
+        name: "scalability",
+        outputs: &["scalability.csv", "scalability.json"],
+        run: scalability::run,
+    },
+    Experiment { name: "tpcxhs", outputs: &["tpcxhs.csv", "tpcxhs.json"], run: tpcxhs::run },
+    Experiment {
+        name: "ablations",
+        outputs: &["ablations.csv", "ablations.json", "faults.trace.json"],
+        run: ablations::run,
+    },
+    Experiment {
+        name: "topology",
+        outputs: &["topology.csv", "topology.json"],
+        run: ablations::topology,
+    },
+    Experiment { name: "whatif", outputs: &["whatif.csv", "whatif.json"], run: whatif::run },
+    Experiment {
+        name: "costmodel",
+        outputs: &["costmodel_ablation.csv", "costmodel_ablation.json"],
+        run: whatif::costmodel,
+    },
+];
+
+/// The paper's two layouts of a 2-host virtual cluster, by series name:
+/// every VM on host 0 (*normal*) or the VMs split over both hosts.
+pub(crate) const LAYOUTS: [(&str, Placement); 2] =
+    [("normal", Placement::SingleDomain), ("cross-domain", Placement::CrossDomain)];
+
+/// The paper's testbed: 16 VMs (1 master + 15 workers) on 2 hosts.
+pub(crate) fn cluster_2x16(placement: Placement) -> ClusterSpecBuilder {
+    vcluster::spec::ClusterSpec::builder().hosts(2).vms(16).placement(placement)
+}
 
 /// One measured point of an experiment.
 #[derive(Debug, Clone)]
@@ -70,6 +203,16 @@ impl ResultSink {
         pts
     }
 
+    /// The y of `series` at `x`; panics when that point was not measured.
+    pub(crate) fn at(&self, series: &str, x: f64) -> f64 {
+        self.point(series, x)
+            .unwrap_or_else(|| panic!("{}: no {series} point at {x}", self.experiment))
+    }
+
+    fn point(&self, series: &str, x: f64) -> Option<f64> {
+        self.records.iter().find(|r| r.series == series && (r.x - x).abs() < 1e-9).map(|r| r.y)
+    }
+
     /// Renders the experiment as an aligned text table: one row per x,
     /// one column per series.
     pub fn to_table(&self) -> String {
@@ -86,12 +229,7 @@ impl ResultSink {
         for x in xs {
             let _ = write!(out, "{x:<16.1}");
             for s in &series {
-                let y = self
-                    .records
-                    .iter()
-                    .find(|r| r.series == *s && (r.x - x).abs() < 1e-9)
-                    .map(|r| r.y);
-                match y {
+                match self.point(s, x) {
                     Some(y) => {
                         let _ = write!(out, " {y:>18.2}");
                     }
@@ -150,54 +288,22 @@ impl ResultSink {
     }
 }
 
-/// Writes an auxiliary artifact (e.g. a Chrome trace) under `results/`,
-/// creating the directory if needed; returns the written path.
+/// Writes a result file (e.g. a Chrome trace) under `results/`, creating
+/// the directory if needed; returns the written path. Panics unless an
+/// [`EXPERIMENTS`] entry declares `name` among its outputs.
 pub fn write_artifact(name: &str, contents: &str) -> std::io::Result<PathBuf> {
-    let dir = PathBuf::from("results");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(name);
+    assert!(
+        EXPERIMENTS.iter().any(|e| e.outputs.contains(&name)),
+        "results/{name} is not an output of any registry entry"
+    );
+    let path = PathBuf::from("results").join(name);
+    std::fs::create_dir_all(path.parent().expect("under results/"))?;
     std::fs::write(&path, contents)?;
     Ok(path)
 }
 
-/// Parses `--scale <f>` from the process args (default 8.0): a divisor on
-/// the paper's absolute data sizes so the harness runs laptop-fast while
-/// preserving shapes. `--full` forces scale 1 (paper-size data).
-pub fn cli_scale() -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--full") {
-        return 1.0;
-    }
-    args.iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|&s| s > 0.0)
-        .unwrap_or(8.0)
-}
-
-/// Parses `--case <name>` from the process args: restricts a multi-case
-/// binary (e.g. `ablations`) to the one named study. `None` runs them all.
-pub fn cli_case() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == "--case").and_then(|i| args.get(i + 1)).cloned()
-}
-
-/// Parses `--racks <n>` from the process args (default 1, the paper's
-/// flat testbed): sweeps that support it spread the hosts over `n` racks
-/// behind a core trunk and report per-rack ToR utilization.
-pub fn cli_racks() -> u32 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--racks")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u32>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
 /// Checks a series is non-decreasing in x up to `slack` relative dips
-/// (shape assertions in the fig binaries' self-tests).
+/// (the experiments' shape assertions).
 pub fn non_decreasing(points: &[(f64, f64)], slack: f64) -> bool {
     points.windows(2).all(|w| w[1].1 >= w[0].1 * (1.0 - slack))
 }
@@ -217,6 +323,24 @@ mod tests {
         let table = s.to_table();
         assert!(table.contains("normal"));
         assert!(table.lines().count() >= 3);
+    }
+
+    #[test]
+    fn registry_names_and_outputs_are_unique_and_committed() {
+        let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        let mut names = std::collections::HashSet::new();
+        let mut outputs = std::collections::HashSet::new();
+        for e in EXPERIMENTS {
+            assert!(names.insert(e.name), "two entries are named {}", e.name);
+            for &o in e.outputs {
+                assert!(outputs.insert(o), "two entries declare results/{o}");
+                assert!(
+                    results.join(o).is_file(),
+                    "{} declares results/{o}, which is absent",
+                    e.name
+                );
+            }
+        }
     }
 
     #[test]

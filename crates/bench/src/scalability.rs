@@ -8,45 +8,33 @@
 //! * **strong scaling** — fixed 64 MB of data: more workers help until
 //!   framework overheads and the shared NFS substrate dominate.
 //!
-//! Next to the simulated times, each run reports harness wall-clock and
-//! the engine's kernel counters (reallocations / flows touched per
-//! reallocation), so future solver-scale PRs show up in the trajectory.
-//!
-//! ```sh
-//! cargo run --release -p vhadoop-bench --bin scalability [--scale 8|--full] [--racks N]
-//! ```
+//! Next to the simulated times, each run prints the engine's kernel
+//! counters (reallocations, flows touched per reallocation, wakeups), and
+//! a 3-rack run reports the per-rack ToR utilization.
 
+use crate::ResultSink;
 use mapreduce::config::JobConfig;
 use simcore::rng::RootSeed;
-use std::time::Instant;
 use vcluster::spec::{ClusterSpec, Placement};
 use vhadoop::prelude::{
     ControllerConfig, GeneratorInput, JobSpec, PlacementKind, PlatformConfig, SimDuration, VHadoop,
     VmId,
 };
-use vhadoop_bench::{cli_racks, cli_scale, ResultSink};
 use vhdfs::hdfs::HdfsConfig;
 use workloads::loadgen::{ArrivalProcess, JobMix};
 use workloads::textgen::TextCorpus;
 use workloads::wordcount::{run_wordcount_with, WordCountApp, WordcountReport};
 
-fn timed(f: impl FnOnce() -> WordcountReport) -> (WordcountReport, f64) {
-    let t0 = Instant::now();
-    let rep = f();
-    (rep, t0.elapsed().as_secs_f64())
-}
+/// Racks of the racked run: two hosts each behind a shared core trunk.
+const RACKS: u32 = 3;
 
-fn kernel_line(rep: &WordcountReport, wall_s: f64) -> String {
+fn kernel_line(rep: &WordcountReport) -> String {
     let k = rep.kernel;
     let per = k.flows_touched as f64 / k.reallocations.max(1) as f64;
-    format!(
-        "wall {wall_s:>6.3}s  reallocs {:>6}  flows/realloc {per:>5.1}  wakeups {:>6}",
-        k.reallocations, k.wakeups
-    )
+    format!("reallocs {:>6}  flows/realloc {per:>5.1}  wakeups {:>6}", k.reallocations, k.wakeups)
 }
 
-fn main() {
-    let scale = cli_scale();
+pub fn run(scale: f64) {
     let per_worker_mb = ((64.0 / scale).max(2.0)) as u64;
     let fixed_mb = ((512.0 / scale).max(16.0)) as u64;
     let sizes = [2u32, 4, 8, 12, 16];
@@ -59,27 +47,24 @@ fn main() {
         // Weak scaling: one block per worker, data ∝ workers.
         let bytes = (workers * per_worker_mb) << 20;
         let hdfs = HdfsConfig { block_size: (bytes / workers).max(1 << 20), replication: 2 };
-        let (weak, wall) = timed(|| {
-            run_wordcount_with(spec.clone(), bytes, JobConfig::default(), hdfs, RootSeed(7))
-        });
+        let weak = run_wordcount_with(spec.clone(), bytes, JobConfig::default(), hdfs, RootSeed(7));
         println!(
             "weak   {vms:>2} VMs, {:>4} MB -> {:>6.1}s   [{}]",
             bytes >> 20,
             weak.elapsed_s,
-            kernel_line(&weak, wall)
+            kernel_line(&weak)
         );
         sink.push("weak-scaling", f64::from(vms), weak.elapsed_s);
 
         // Strong scaling: fixed data, blocks sized for ~15 maps.
         let bytes = fixed_mb << 20;
         let hdfs = HdfsConfig { block_size: (bytes / 15).max(1 << 20), replication: 2 };
-        let (strong, wall) =
-            timed(|| run_wordcount_with(spec, bytes, JobConfig::default(), hdfs, RootSeed(7)));
+        let strong = run_wordcount_with(spec, bytes, JobConfig::default(), hdfs, RootSeed(7));
         println!(
             "strong {vms:>2} VMs, {:>4} MB -> {:>6.1}s   [{}]",
             bytes >> 20,
             strong.elapsed_s,
-            kernel_line(&strong, wall)
+            kernel_line(&strong)
         );
         sink.push("strong-scaling", f64::from(vms), strong.elapsed_s);
     }
@@ -89,7 +74,6 @@ fn main() {
     // decisions — admissions, queue depth, waits — join the kernel
     // counters in the trajectory.
     for &vms in &[8u32, 16] {
-        let t0 = Instant::now();
         let mut p = VHadoop::launch(
             PlatformConfig::builder()
                 .cluster(
@@ -115,11 +99,10 @@ fn main() {
         assert_eq!(done.len(), 4, "stream jobs all finish");
         let ctrl = p.metrics().ctrl.expect("controller stats in the snapshot");
         println!(
-            "stream {vms:>2} VMs, {:>4} jobs -> {:>6.1}s   [wall {:>6.3}s  adm {} fin {} \
+            "stream {vms:>2} VMs, {:>4} jobs -> {:>6.1}s   [adm {} fin {} \
              q_hwm {}  wait p95 {:>4.1}s]",
             4,
             p.now().as_secs_f64(),
-            t0.elapsed().as_secs_f64(),
             ctrl.jobs_admitted,
             ctrl.jobs_finished,
             ctrl.queue_depth_hwm,
@@ -128,60 +111,47 @@ fn main() {
         sink.push("ctrl-stream", f64::from(vms), p.now().as_secs_f64());
     }
 
-    // Rack sweep (opt-in via --racks N): the fixed-data wordcount over a
-    // racked fabric — two hosts per rack behind a shared core trunk —
-    // reporting the per-rack ToR traffic and mean utilization the fluid
-    // kernel accounted, so rack-level hotspots land in the trajectory next
-    // to the kernel counters.
-    let racks = cli_racks();
-    if racks >= 2 {
-        let mb = fixed_mb;
-        let blocks = mb.max(1) as usize; // 1 MB blocks: `mb` of them
-        let t0 = Instant::now();
-        let mut p = VHadoop::launch(
-            PlatformConfig::builder()
-                .cluster(
-                    ClusterSpec::builder()
-                        .hosts(2 * racks)
-                        .vms(16.max(2 * racks))
-                        .placement(Placement::CrossDomain)
-                        .racks(racks)
-                        .build(),
-                )
-                .hdfs(HdfsConfig { block_size: 1 << 20, replication: 3 })
-                .no_monitor()
-                .seed(7)
-                .build(),
-        );
-        p.register_input("/racked/in", mb << 20, VmId(1));
-        let corpus = TextCorpus::english_like(RootSeed(7).derive("corpus"));
-        let input =
-            GeneratorInput::new(blocks, 1 << 20, move |idx| corpus.split_records(idx, 1 << 20));
-        let spec = JobSpec::new("wc", "/racked/in", "/racked/out")
-            .with_config(JobConfig::default().with_reduces(4));
-        let _ = p.run_job(spec, Box::new(WordCountApp), Box::new(input));
-        while p.step().is_some() {}
+    // Rack sweep: the fixed-data wordcount over a racked fabric, reporting
+    // the per-rack ToR traffic and mean utilization the fluid kernel
+    // accounted, so rack-level hotspots land next to the kernel counters.
+    let blocks = fixed_mb as usize; // 1 MB blocks: `fixed_mb` of them
+    let mut p = VHadoop::launch(
+        PlatformConfig::builder()
+            .cluster(
+                ClusterSpec::builder()
+                    .hosts(2 * RACKS)
+                    .vms(16)
+                    .placement(Placement::CrossDomain)
+                    .racks(RACKS)
+                    .build(),
+            )
+            .hdfs(HdfsConfig { block_size: 1 << 20, replication: 3 })
+            .no_monitor()
+            .seed(7)
+            .build(),
+    );
+    p.register_input("/racked/in", fixed_mb << 20, VmId(1));
+    let corpus = TextCorpus::english_like(RootSeed(7).derive("corpus"));
+    let input = GeneratorInput::new(blocks, 1 << 20, move |idx| corpus.split_records(idx, 1 << 20));
+    let spec = JobSpec::new("wc", "/racked/in", "/racked/out")
+        .with_config(JobConfig::default().with_reduces(4));
+    let _ = p.run_job(spec, Box::new(WordCountApp), Box::new(input));
+    while p.step().is_some() {}
 
-        let elapsed = p.now().as_secs_f64();
+    let elapsed = p.now().as_secs_f64();
+    println!("racked {RACKS:>2} racks, {fixed_mb:>4} MB -> {elapsed:>6.1}s");
+    let stats = p.rt.cluster.rack_switch_stats(&p.rt.engine, elapsed);
+    assert_eq!(stats.len() as u32, RACKS, "one ToR stat per rack");
+    for s in &stats {
         println!(
-            "racked {racks:>2} racks, {:>4} MB -> {:>6.1}s   [wall {:>6.3}s]",
-            mb,
-            elapsed,
-            t0.elapsed().as_secs_f64()
+            "       {}: {:>7.1} MB through ToR, mean util {:>5.1}%",
+            s.rack,
+            s.bytes / (1 << 20) as f64,
+            s.mean_util * 100.0
         );
-        let stats = p.rt.cluster.rack_switch_stats(&p.rt.engine, elapsed);
-        assert_eq!(stats.len() as u32, racks, "one ToR stat per rack");
-        for s in &stats {
-            println!(
-                "       {}: {:>7.1} MB through ToR, mean util {:>5.1}%",
-                s.rack,
-                s.bytes / (1 << 20) as f64,
-                s.mean_util * 100.0
-            );
-            sink.push("racked-tor-util", f64::from(s.rack.0), s.mean_util);
-        }
-        sink.push("racked", f64::from(racks), elapsed);
+        sink.push("racked-tor-util", f64::from(s.rack.0), s.mean_util);
     }
+    sink.push("racked", f64::from(RACKS), elapsed);
     sink.finish();
 
     // Shapes: weak scaling stays within a modest envelope of the smallest

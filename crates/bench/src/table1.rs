@@ -1,9 +1,5 @@
 //! Table I — the MapReduce-based parallel benchmark catalogue, with a
 //! smoke run of each on a small virtual cluster to prove the row is live.
-//!
-//! ```sh
-//! cargo run --release -p vhadoop-bench --bin table1_benchmarks
-//! ```
 
 use mapreduce::config::JobConfig;
 use mapreduce::runtime::MrRuntime;
@@ -15,7 +11,7 @@ fn cluster() -> ClusterSpec {
     ClusterSpec::builder().hosts(2).vms(8).placement(Placement::SingleDomain).build()
 }
 
-fn main() {
+pub fn run(_scale: f64) {
     println!("{:<12} {:<18} {:<52} {:>10}", "Name", "Category", "Description", "smoke(s)");
     let rows: [(&str, &str, &str); 4] = [
         ("Wordcount", "MapReduce", "Reads text files and counts how often words occur"),

@@ -9,26 +9,23 @@
 //! * `hetero` — colocated on heterogeneous hosts (hosts 2-3 at half
 //!   CPU and quarter disk speed via [`HostClass`] multipliers).
 //!
-//! ```sh
-//! cargo run --release -p vhadoop-bench --bin tpcxhs [--quick]
-//! ```
-//!
-//! Writes `results/tpcxhs.{json,csv}`: per SF × configuration the
+//! Writes `results/tpcxhs.{json,csv}`: per SF (2, 4 and 8 MB) × configuration the
 //! HSph@SF figure of merit plus `<config>/total_s` and the per-phase
 //! `<config>/gen_s|sort_s|validate_s` series. Every run must pass
 //! HSValidate and account for `sf_bytes / 100` records (asserted).
 
+use crate::{non_decreasing, ResultSink};
 use mapreduce::prelude::MrRuntime;
 use mapreduce::runtime::NodeRoles;
 use simcore::rng::RootSeed;
 use vcluster::cluster::VmId;
 use vcluster::spec::{ClusterSpec, HostClass, Placement};
-use vhadoop_bench::{non_decreasing, ResultSink};
 use workloads::tpcxhs::{run_tpcxhs, HsPlan, HsReport};
 
 const REPLICATION: u32 = 2;
 const BLOCK: u64 = 250_000;
 const REDUCES: u32 = 4;
+const SFS: [u64; 3] = [2_000_000, 4_000_000, 8_000_000];
 
 struct Config {
     name: &'static str,
@@ -71,7 +68,7 @@ fn configs() -> Vec<Config> {
     ]
 }
 
-fn run(cfg: &Config, sf_bytes: u64, seed: u64) -> HsReport {
+fn run_one(cfg: &Config, sf_bytes: u64, seed: u64) -> HsReport {
     let plan = HsPlan::new(sf_bytes, REDUCES, RootSeed(seed)).with_block_size(BLOCK);
     let mut rt = MrRuntime::with_roles(
         cfg.spec.clone(),
@@ -82,16 +79,13 @@ fn run(cfg: &Config, sf_bytes: u64, seed: u64) -> HsReport {
     run_tpcxhs(&mut rt, &plan)
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let sfs: Vec<u64> =
-        if quick { vec![1_000_000, 2_000_000] } else { vec![2_000_000, 4_000_000, 8_000_000] };
-    println!("tpcxhs: SFs {sfs:?} bytes, {REDUCES} reduces, block {BLOCK} (quick={quick})");
+pub fn run(_scale: f64) {
+    println!("tpcxhs: SFs {SFS:?} bytes, {REDUCES} reduces, block {BLOCK}");
 
     let mut sink = ResultSink::new("tpcxhs", "scale factor MB", "HSph@SF (GB/h)");
     for cfg in configs() {
-        for &sf in &sfs {
-            let rep = run(&cfg, sf, 4242);
+        for sf in SFS {
+            let rep = run_one(&cfg, sf, 4242);
             assert!(
                 rep.validate.passed,
                 "{}@{sf}: clean run must validate, got {:?}",
@@ -135,37 +129,27 @@ fn main() {
     // tier (4 trackers vs 8) shrinks the shuffle fan-out and wins — but
     // at larger SF colocation's doubled map slots dominate.
     // Heterogeneous hosts can only drag the figure of merit down.
-    let at = |series: &str, sf: u64| {
-        let sf_mb = sf as f64 / 1e6;
-        sink.series_points(series)
-            .iter()
-            .find(|(x, _)| (*x - sf_mb).abs() < 1e-9)
-            .expect("measured")
-            .1
-    };
+    let at = |series: &str, sf: u64| sink.at(series, sf as f64 / 1e6);
     for name in ["colocated", "disaggregated", "hetero"] {
         assert!(
             non_decreasing(&sink.series_points(name), 0.02),
             "{name}: HSph@SF must grow with the scale factor"
         );
     }
-    for &sf in &sfs {
+    for sf in SFS {
         assert!(
             at("hetero", sf) <= at("colocated", sf) * 1.001,
             "SF {sf}: hetero HSph must not beat homogeneous colocated"
         );
     }
-    let small = sfs[0];
+    let (small, big) = (SFS[0], SFS[SFS.len() - 1]);
     assert!(
         at("disaggregated", small) >= at("colocated", small) * 0.999,
         "SF {small}: separation's smaller shuffle fan-out must win at small scale"
     );
-    if !quick {
-        let big = *sfs.last().expect("sfs");
-        assert!(
-            at("colocated", big) >= at("disaggregated", big) * 0.999,
-            "SF {big}: colocation's extra map slots must win at large scale"
-        );
-    }
+    assert!(
+        at("colocated", big) >= at("disaggregated", big) * 0.999,
+        "SF {big}: colocation's extra map slots must win at large scale"
+    );
     println!("tpcxhs: all shape assertions hold");
 }

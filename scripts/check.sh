@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Repo-wide checks: formatting, lints, tests, artifact regeneration, and
 # the determinism / emitter / codec / monitor / trait lints. Orchestration only: every shape and
-# schema assertion lives in a Rust test, bench binary or example, which
-# exits non-zero when it fails. Run from anywhere: scripts/check.sh
+# schema assertion lives in a Rust test, registry experiment or example,
+# which exits non-zero when it fails. Run from anywhere: scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-bench() { cargo run --release -q -p vhadoop-bench --bin "$1" -- "${@:2}" > /dev/null; }
+repro() { cargo run --release -q -p vhadoop-bench --bin repro -- "$@" > /dev/null; }
 example() { cargo run --release -q -p vhadoop-examples --bin "$1" -- "${@:2}" > /dev/null; }
 itest() { cargo test -q -p vhadoop-integration "$@"; }
 
@@ -29,62 +29,39 @@ for bin in quickstart datacenter_migration tuning_session ml_pipeline job_stream
     example "$bin"
 done
 
-echo "==> faults: chaos & property suites, ablation case & fault-annotated trace"
-# Snapshot the tree state first: fault/chaos tests must only ever write
-# under results/. The ablation asserts the faulted trace carries fault spans.
+echo "==> faults: chaos & property suites"
+# Snapshot the tree state first: fault/chaos tests, and the experiments
+# the results stage runs, must only ever write under results/.
 before=$(git status --porcelain)
 itest --test chaos --test seed_sweep --test session_api \
     --test speculation_recovery --test cross_crate_props --test record_path
 cargo test -q -p proptest
-bench ablations --case faults
-after=$(git status --porcelain)
-stray=$(comm -13 <(sort <<< "$before") <(sort <<< "$after") | grep -v ' results/' || true)
-if [ -n "$stray" ]; then
-    echo "fault stage wrote outside results/:" >&2
-    echo "$stray" >&2
-    exit 1
-fi
 
-echo "==> ctrl: placement ablation"
-# Asserts the paper-shaped outcome itself: pack wins cpu-bound, spread
-# wins shuffle-heavy, adaptive matches the winner.
-bench ablations --case placement
-
-echo "==> topo: topology ablation, flat-spec identity & rack invariants"
-# The ablation asserts in-rack < cross-rack < congested-core; the
-# integration tests pin the degeneration contract (a single-rack
+echo "==> topo: flat-spec identity & rack invariants"
+# The integration tests pin the degeneration contract (a single-rack
 # TopologySpec traces byte-identical to the flat spec) and the
-# rack-spanning placement properties; the racked scalability sweep
-# exercises the per-rack ToR accounting end to end.
-bench ablations --case topology
+# rack-spanning placement properties.
 itest --test topology
 itest --test cross_crate_props rack > /dev/null
-bench scalability --scale 32 --racks 3
 
-echo "==> snap: snapshot/restore/fork round-trips & what-if ablation"
+echo "==> snap: snapshot/restore/fork round-trips"
 # The round-trip suite pins byte-identical replay after a mid-run
 # checkpoint (8 seeds x clean/faulted), fork divergence isolation, the
 # canonical-encoding fixed point, and the golden format hash tied to
-# SNAPSHOT_VERSION (release profile: ~50 full platform runs). The
-# ablation asserts exactly one committed candidate, that it is the
-# best-measured one, and what-if makespan <= 1.05x the estimator's.
+# SNAPSHOT_VERSION (release profile: ~50 full platform runs).
 itest --release --test snapshot_roundtrip
-bench ablations --case whatif
 
-echo "==> hs: TPCx-HS conformance suite & benchmark sweep"
+echo "==> hs: TPCx-HS conformance suite"
 # The suite pins trace determinism, corruption and replica-loss
 # diagnosis, the disaggregated-vs-colocated ordering and the mid-HSSort
-# snapshot round-trip; the quick sweep asserts every run validates,
-# records x 100 == SF bytes, and HSph@SF grows with SF in every shape.
+# snapshot round-trip.
 itest --test tpcxhs
-bench tpcxhs --quick
 
-echo "==> char: characterization sweep & learned cost model"
+echo "==> char: characterization sweep"
 # The dataset written by the quick grid must be byte-identical at 1 and 8
 # sweep threads; the example asserts rows == runs and that the fitted
-# tree beats the hand-priced estimator on held-out rows; the costmodel
-# ablation asserts the learned model cuts what-if estimator error on at
-# least one cluster shape. Schema: tests/tests/vchar.rs + vchar's units.
+# tree beats the hand-priced estimator on held-out rows. Schema:
+# tests/tests/vchar.rs + vchar's units.
 itest --test vchar
 example characterize --quick --threads 1
 cp results/characterization.csv results/.characterization.t1.csv
@@ -95,20 +72,32 @@ for ext in csv json; do
         || { echo "characterization.$ext depends on the sweep thread count" >&2; exit 1; }
     rm -f results/.characterization.t1.$ext
 done
-bench ablations --case costmodel
-# The dataset carries the kernel's solve counts (`obs_reallocations`,
-# `obs_flows_touched`): a kernel change that moves them re-commits it.
-git diff --exit-code results/characterization.csv results/characterization.json
 
-echo "==> ablations: --case runs leave the full-run results/ablations.* alone"
-git diff --exit-code results/ablations.csv results/ablations.json
-
-echo "==> results: regenerated artifacts exist and every JSON parses"
-for f in quickstart.trace.json faults.trace.json job_stream.slo.json topology.csv \
-    whatif.csv tpcxhs.csv tpcxhs.json characterization.csv costmodel.json \
-    costmodel_ablation.csv; do
-    test -s "results/$f" || { echo "missing or empty results/$f" >&2; exit 1; }
-done
+echo "==> results: registry experiments regenerate results/ byte for byte"
+# Each experiment asserts its paper shapes: the ablations (the faulted
+# trace carries fault spans; pack wins cpu-bound, spread wins
+# shuffle-heavy, adaptive matches the winner), in-rack < cross-rack <
+# congested-core, exactly one best-measured what-if commit, the learned
+# cost model beating the hand-priced one on a shape, the racked
+# scalability sweep's per-rack ToR accounting, and every TPCx-HS run
+# validating with HSph@SF growing with SF. Then nothing under results/
+# may differ from the committed tree: not these files, not the examples'
+# traces, and not the characterization dataset, which carries the
+# kernel's solve counts (a kernel change that moves them re-commits it).
+repro --only ablations,topology,whatif,costmodel,scalability,tpcxhs
+after=$(git status --porcelain)
+stray=$(comm -13 <(sort <<< "$before") <(sort <<< "$after") | grep -v ' results/' || true)
+if [ -n "$stray" ]; then
+    echo "tests or experiments wrote outside results/:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+stale=$(git status --porcelain -- results/)
+if [ -n "$stale" ]; then
+    echo "results/ differs from what the code writes:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
 python3 -c 'import json, sys; [json.load(open(p)) for p in sys.argv[1:]]' results/*.json
 
 echo "==> platbench: quick smoke of the platform benchmark"
@@ -120,11 +109,8 @@ cargo test -q --offline --manifest-path platbench/Cargo.toml
 
 echo "==> determinism lint"
 # A run must be a pure function of config + seed: no wall clock and no OS
-# entropy anywhere in the simulation crates. The one sanctioned exception
-# is the `scalability` bench binary, which measures host wall-clock
-# *around* deterministic runs.
-if grep -rnE 'Instant::now|SystemTime::now|thread_rng' crates/*/src \
-    | grep -vE '^crates/bench/src/bin/scalability\.rs:[0-9]+:.*Instant'; then
+# entropy anywhere in crates/.
+if grep -rnE 'Instant::now|SystemTime::now|thread_rng' crates/*/src; then
     echo "determinism lint FAILED: wall clock or OS entropy in crates/" >&2
     exit 1
 fi
@@ -175,7 +161,7 @@ echo "==> monitor lint"
 # A monitor parks when its tick is the last thing pending, so every run
 # drains in the default (monitored) configuration. In tests/ and examples/
 # a `.no_monitor()` needs a `// no monitor: <reason>` line directly above
-# it (the bench binaries and vchar's sweep time the host and keep theirs).
+# it (crates/ keeps its own: the bench experiments and vchar's sweep).
 bad=$( { grep -rn --include='*.rs' '\.no_monitor()' tests examples || true; } | unreasoned "no monitor")
 if [ -n "$bad" ]; then
     echo "monitor lint FAILED: .no_monitor() without a '// no monitor:' line above it:" >&2
@@ -203,12 +189,5 @@ if grep -rnE --include='*.rs' '\b(Serialize|Deserialize)\b|\bserde::' crates tes
     echo "serde lint FAILED: Serialize/Deserialize used outside shims/" >&2
     exit 1
 fi
-
-echo "==> run_experiments.sh lists every bench binary"
-for f in crates/bench/src/bin/*.rs; do
-    b=$(basename "$f" .rs)
-    sed -n '/^BINS=(/,/)/p' run_experiments.sh | grep -qw "$b" \
-        || { echo "run_experiments.sh BINS is missing $b" >&2; exit 1; }
-done
 
 echo "all checks passed"

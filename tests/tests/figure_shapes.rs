@@ -1,5 +1,5 @@
 //! Reduced-scale shape assertions for the paper's static-performance
-//! figures (Figs. 2–4): the same qualitative claims the bench binaries
+//! figures (Figs. 2–4): the same qualitative claims the registry experiments
 //! verify at full scale, small enough for the test suite.
 
 use mapreduce::config::JobConfig;
