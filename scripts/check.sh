@@ -73,18 +73,17 @@ for ext in csv json; do
     rm -f results/.characterization.t1.$ext
 done
 
-echo "==> results: registry experiments regenerate results/ byte for byte"
-# Each experiment asserts its paper shapes: the ablations (the faulted
-# trace carries fault spans; pack wins cpu-bound, spread wins
-# shuffle-heavy, adaptive matches the winner), in-rack < cross-rack <
-# congested-core, exactly one best-measured what-if commit, the learned
-# cost model beating the hand-priced one on a shape, the racked
-# scalability sweep's per-rack ToR accounting, and every TPCx-HS run
-# validating with HSph@SF growing with SF. Then nothing under results/
-# may differ from the committed tree: not these files, not the examples'
-# traces, and not the characterization dataset, which carries the
-# kernel's solve counts (a kernel change that moves them re-commits it).
-repro --only ablations,topology,whatif,costmodel,scalability,tpcxhs
+echo "==> results: every registry experiment regenerates results/ byte for byte"
+# Each of the 15 experiments asserts its paper shapes (the figures and
+# tables, the ablations, in-rack < cross-rack < congested-core, exactly one
+# best-measured what-if commit, the learned cost model beating the
+# hand-priced one on a shape, the racked scalability sweep's per-rack ToR
+# accounting, every TPCx-HS run validating with HSph@SF growing with SF).
+# Then nothing under results/ may differ from the committed tree: not these
+# files, not the examples' traces, and not the characterization dataset,
+# which carries the kernel's solve counts (a kernel change that moves them
+# re-commits it).
+repro
 after=$(git status --porcelain)
 stray=$(comm -13 <(sort <<< "$before") <(sort <<< "$after") | grep -v ' results/' || true)
 if [ -n "$stray" ]; then
