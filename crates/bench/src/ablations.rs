@@ -1,14 +1,13 @@
 //! Ablation studies of the design choices DESIGN.md calls out. The
-//! `ablations` entry runs eight of them and writes their rows to
+//! `ablations` entry runs seven of them and writes their rows to
 //! `results/ablations.{csv,json}`:
 //!
 //! * `locality`        — locality-aware map scheduling ON vs. OFF;
 //! * `combiner`        — wordcount with vs. without the combiner;
-//! * `dom0`            — dom0 I/O CPU-steal modelling ON vs. OFF;
 //! * `migration-order` — sequential vs. fully concurrent cluster migration;
 //! * `speculation`     — backup attempts for straggling maps ON vs. OFF
 //!   (with one tracker VM crushed by outside load);
-//! * `scheduler`       — FIFO vs. fair vs. job-driven task scheduling with
+//! * `scheduler`       — FIFO vs. job-driven task scheduling with
 //!   two wordcount jobs contending for the same slots;
 //! * `faults`          — the Fig. 2 wordcount clean vs. under an injected
 //!   `FaultPlan` (node crash + straggler + link degradation); the faulted
@@ -27,7 +26,7 @@ use crate::{cluster_2x16, write_artifact, ResultSink};
 use mapreduce::config::JobConfig;
 use mapreduce::scheduler::SchedulerPolicy;
 use simcore::rng::RootSeed;
-use vcluster::spec::{ClusterSpec, Placement, XenParams};
+use vcluster::spec::{ClusterSpec, Placement};
 use vhdfs::hdfs::HdfsConfig;
 use vsched::placement::{PlacementKind, WorkloadHint};
 use workloads::loadgen::JobMix;
@@ -40,10 +39,6 @@ fn input_mb(scale: f64) -> u64 {
     ((128.0 / scale).max(4.0)) as u64
 }
 
-fn cluster(placement: Placement, xen: XenParams) -> ClusterSpec {
-    cluster_2x16(placement).xen(xen).build()
-}
-
 pub fn run(scale: f64) {
     let mb = input_mb(scale);
     let mut sink = ResultSink::new("ablations", "variant (0=off/seq 1=on/conc)", "seconds");
@@ -53,13 +48,8 @@ pub fn run(scale: f64) {
     // should hurt there.
     for (x, on) in [(0.0, false), (1.0, true)] {
         let cfg = JobConfig::default().with_locality(on);
-        let t = run_wordcount(
-            cluster(Placement::CrossDomain, XenParams::default()),
-            mb << 20,
-            cfg,
-            SEED,
-        )
-        .elapsed_s;
+        let t = run_wordcount(cluster_2x16(Placement::CrossDomain).build(), mb << 20, cfg, SEED)
+            .elapsed_s;
         println!("locality={on}: {t:.1}s");
         sink.push("locality", x, t);
     }
@@ -67,38 +57,10 @@ pub fn run(scale: f64) {
     // --- combiner ---------------------------------------------------------
     for (x, on) in [(0.0, false), (1.0, true)] {
         let cfg = JobConfig::default().with_combiner(on);
-        let t = run_wordcount(
-            cluster(Placement::SingleDomain, XenParams::default()),
-            mb << 20,
-            cfg,
-            SEED,
-        )
-        .elapsed_s;
+        let t = run_wordcount(cluster_2x16(Placement::SingleDomain).build(), mb << 20, cfg, SEED)
+            .elapsed_s;
         println!("combiner={on}: {t:.1}s");
         sink.push("combiner", x, t);
-    }
-
-    // --- dom0 I/O CPU steal ------------------------------------------------
-    for (x, on) in [(0.0, false), (1.0, true)] {
-        let xen = if on {
-            XenParams::default()
-        } else {
-            XenParams {
-                dom0_cycles_per_net_byte: 0.0,
-                dom0_cycles_per_disk_byte: 0.0,
-                ..Default::default()
-            }
-        };
-        // dom0 steal matters most when I/O and CPU contend on one host.
-        let t = run_wordcount(
-            cluster(Placement::SingleDomain, xen),
-            mb << 20,
-            JobConfig::default(),
-            SEED,
-        )
-        .elapsed_s;
-        println!("dom0-steal={on}: {t:.1}s");
-        sink.push("dom0", x, t);
     }
 
     // --- migration order ----------------------------------------------------
@@ -162,7 +124,6 @@ pub fn run(scale: f64) {
         down[0].1
     );
     assert!(pts("combiner")[1].1 < pts("combiner")[0].1, "combiner speeds wordcount up");
-    assert!(pts("dom0")[1].1 >= pts("dom0")[0].1, "dom0 steal can only slow things down");
     assert!(
         pts("locality")[1].1 <= pts("locality")[0].1 * 1.05,
         "locality-aware scheduling does not hurt"
@@ -304,7 +265,7 @@ fn run_placement_stream(mix: JobMix, kind: PlacementKind) -> f64 {
 
     let mut p = VHadoop::launch(
         PlatformConfig::builder()
-            .cluster(cluster(Placement::SingleDomain, XenParams::default()))
+            .cluster(cluster_2x16(Placement::SingleDomain).build())
             .hdfs(HdfsConfig { block_size: 1 << 20, replication: 2 })
             .no_monitor()
             .seed(4242)
@@ -354,7 +315,7 @@ fn run_faulted_wordcount(faulted: bool, mb: u64) -> (f64, String) {
     };
     let mut p = VHadoop::launch(
         PlatformConfig::builder()
-            .cluster(cluster(Placement::SingleDomain, XenParams::default()))
+            .cluster(cluster_2x16(Placement::SingleDomain).build())
             .hdfs(HdfsConfig { block_size: (bytes / 15).max(1 << 20), replication: 3 })
             .no_monitor()
             .tracing(true)

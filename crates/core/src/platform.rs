@@ -544,10 +544,10 @@ mod tests {
         let p = VHadoop::launch(
             PlatformConfig::builder()
                 .cluster(ClusterSpec::builder().hosts(1).vms(2).build())
-                .scheduler(SchedulerPolicy::Fair)
+                .scheduler(SchedulerPolicy::JobDriven)
                 .build(),
         );
-        assert_eq!(p.rt.mr.policy(), SchedulerPolicy::Fair);
+        assert_eq!(p.rt.mr.policy(), SchedulerPolicy::JobDriven);
         assert_eq!(VHadoop::paper_default().rt.mr.policy(), SchedulerPolicy::Fifo);
     }
 

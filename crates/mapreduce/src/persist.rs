@@ -23,7 +23,8 @@ use simcore::persist::{Decoder, Encoder, Persist};
 use std::rc::Rc;
 
 simcore::persist_struct!(JobId(0));
-simcore::persist_enum!(SchedulerPolicy { 0 => Fifo, 1 => Fair, 2 => JobDriven });
+// Tag 1 belonged to a retired policy; the tags left keep the snapshot layout.
+simcore::persist_enum!(SchedulerPolicy { 0 => Fifo, 2 => JobDriven });
 simcore::persist_enum!(K { 0 => Int(i), 1 => Text(s), 2 => Bytes(b) });
 simcore::persist_enum!(V {
     0 => Null,

@@ -6,10 +6,8 @@
 //! the JobTracker answering TaskTracker heartbeats with task assignments.
 //! The paper runs stock Hadoop 0.20 FIFO scheduling;
 //! [`SchedulerPolicy::Fifo`] reproduces that byte-for-byte (verified by a
-//! golden determinism test). [`SchedulerPolicy::Fair`] models the
-//! fair-scheduler contrib (round-robin slot sharing across concurrent
-//! jobs), and [`SchedulerPolicy::JobDriven`] follows Lee & Lin's
-//! job-driven scheduling: locality-first map matching plus
+//! golden determinism test). [`SchedulerPolicy::JobDriven`] follows Lee
+//! & Lin's job-driven scheduling: locality-first map matching plus
 //! partition-size-aware (LPT) reduce placement.
 //!
 //! Policies are pure functions of an immutable [`SchedulerView`] snapshot:
@@ -33,10 +31,6 @@ pub enum SchedulerPolicy {
     /// greedily fills free slots (locality-preferring for maps).
     #[default]
     Fifo,
-    /// Round-robin slot sharing across active jobs: each scheduling round
-    /// hands every job at most one map and one reduce before any job gets
-    /// a second, so concurrent jobs split the cluster evenly.
-    Fair,
     /// Lee & Lin's job-driven scheduling: maps are matched to replicas
     /// first (data-local, then host-local, then anywhere); reduces are
     /// placed largest-partition-first on the least-loaded trackers.
@@ -48,14 +42,13 @@ impl SchedulerPolicy {
     pub fn name(self) -> &'static str {
         match self {
             SchedulerPolicy::Fifo => "fifo",
-            SchedulerPolicy::Fair => "fair",
             SchedulerPolicy::JobDriven => "job-driven",
         }
     }
 
     /// All policies, in ablation-sweep order.
-    pub fn all() -> [SchedulerPolicy; 3] {
-        [SchedulerPolicy::Fifo, SchedulerPolicy::Fair, SchedulerPolicy::JobDriven]
+    pub fn all() -> [SchedulerPolicy; 2] {
+        [SchedulerPolicy::Fifo, SchedulerPolicy::JobDriven]
     }
 
     /// Decides every placement possible against `view`'s free slots. The
@@ -69,7 +62,6 @@ impl SchedulerPolicy {
     pub fn assign(self, view: &SchedulerView) -> Vec<Assignment> {
         match self {
             SchedulerPolicy::Fifo => fifo(view),
-            SchedulerPolicy::Fair => fair(view),
             SchedulerPolicy::JobDriven => job_driven(view),
         }
     }
@@ -87,19 +79,6 @@ impl SchedulerPolicy {
 impl std::fmt::Display for SchedulerPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for SchedulerPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "fifo" => Ok(SchedulerPolicy::Fifo),
-            "fair" => Ok(SchedulerPolicy::Fair),
-            "job-driven" | "jobdriven" => Ok(SchedulerPolicy::JobDriven),
-            other => Err(format!("unknown scheduler policy '{other}' (fifo|fair|job-driven)")),
-        }
     }
 }
 
@@ -340,44 +319,6 @@ fn fifo(view: &SchedulerView) -> Vec<Assignment> {
     out
 }
 
-/// Round-robin slot sharing across active jobs.
-fn fair(view: &SchedulerView) -> Vec<Assignment> {
-    let mut slots = Slots::snapshot(view);
-    let mut out = Vec::new();
-    // Cursors into each job's pending queues: one task per job per
-    // round, so slots split evenly among jobs that still want them.
-    let mut map_cursor = vec![0usize; view.jobs.len()];
-    let mut red_cursor = vec![0usize; view.jobs.len()];
-    loop {
-        let mut progress = false;
-        for (ji, job) in view.jobs.iter().enumerate() {
-            let cfg = job.config;
-            if let Some(&m) = job.pending_maps.get(map_cursor[ji]) {
-                if let Some(vm) = pick_map_vm(view, &slots, cfg, job.map_locations[m]) {
-                    slots.take_map(vm);
-                    out.push(Assignment { job: job.id, kind: TaskKind::Map(m), vm });
-                    map_cursor[ji] += 1;
-                    progress = true;
-                }
-            }
-            if job.reduces_open {
-                if let Some(&r) = job.pending_reduces.get(red_cursor[ji]) {
-                    if let Some(vm) = pick_reduce_vm(view, &slots, cfg) {
-                        slots.take_reduce(vm);
-                        out.push(Assignment { job: job.id, kind: TaskKind::Reduce(r), vm });
-                        red_cursor[ji] += 1;
-                        progress = true;
-                    }
-                }
-            }
-        }
-        if !progress {
-            break;
-        }
-    }
-    out
-}
-
 /// Lee & Lin's job-driven scheduling: per job, place every data-local map
 /// pairing first, then host-local, then rack-local (when the fabric has
 /// racks), then the remainder; reduces go largest-partition-first (LPT)
@@ -534,44 +475,6 @@ mod tests {
         assert_eq!(a.len(), 4, "all four slots filled");
         assert_eq!(count_for_job(&a, 0), 4, "FIFO gives job 0 everything");
         assert_eq!(count_for_job(&a, 1), 0);
-    }
-
-    #[test]
-    fn fair_splits_slots_across_jobs() {
-        let mut fx = ViewFixture::new(3); // 6 map slots
-        let cfg = JobConfig::default().with_locality(false);
-        fx.job(cfg.clone(), 6, vec![vec![]; 6], false, vec![]);
-        fx.job(cfg, 6, vec![vec![]; 6], false, vec![]);
-        let a = SchedulerPolicy::Fair.assign(&fx.view());
-        assert_eq!(a.len(), 6, "all six slots filled");
-        let (j0, j1) = (count_for_job(&a, 0), count_for_job(&a, 1));
-        assert_eq!(j0 + j1, 6);
-        assert!(j0.abs_diff(j1) <= 1, "even split, got {j0} vs {j1}");
-        // Interleaved hand-out: the first two assignments serve different
-        // jobs (that ordering drives the heartbeat stagger).
-        assert_ne!(a[0].job, a[1].job, "round-robin interleaves jobs");
-    }
-
-    #[test]
-    fn fair_never_overcommits_slots() {
-        let mut fx = ViewFixture::new(2);
-        let cfg = JobConfig::default().with_locality(false);
-        fx.job(cfg.clone(), 10, vec![vec![]; 10], false, vec![]);
-        fx.job(cfg.clone(), 10, vec![vec![]; 10], false, vec![]);
-        fx.job(cfg.clone(), 10, vec![vec![]; 10], false, vec![]);
-        let a = SchedulerPolicy::Fair.assign(&fx.view());
-        let mut per_vm: HashMap<u32, u32> = HashMap::new();
-        for x in &a {
-            *per_vm.entry(x.vm.0).or_insert(0) += 1;
-        }
-        for (&vm, &n) in &per_vm {
-            assert!(
-                n <= cfg.map_slots_per_node,
-                "vm {vm} got {n} tasks for {} slots",
-                cfg.map_slots_per_node
-            );
-        }
-        assert_eq!(a.len(), 4, "exactly the free slot count");
     }
 
     #[test]
@@ -745,9 +648,8 @@ mod tests {
     fn assignments_at_1024_trackers_match_the_hashed_ledger() {
         let fx = scale_fixture();
         let view = fx.view();
-        let golden: [(SchedulerPolicy, u64, u64); 3] = [
+        let golden: [(SchedulerPolicy, u64, u64); 2] = [
             (SchedulerPolicy::Fifo, 0xcb7d_caa1_51d1_90ae, 0xcf0a_7394_cc94_d2a5),
-            (SchedulerPolicy::Fair, 0x7341_d850_3143_99fe, 0xcf0a_7394_cc94_d2a5),
             (SchedulerPolicy::JobDriven, 0xbebe_1cd6_5812_ecc2, 0xcf0a_7394_cc94_d2a5),
         ];
         for (policy, assign_hash, speculative_hash) in golden {
@@ -856,13 +758,5 @@ mod tests {
                 assert_eq!(policy.assign(&fx.view()), vec![], "{policy}");
             }
         });
-    }
-
-    #[test]
-    fn policy_names_round_trip() {
-        for p in SchedulerPolicy::all() {
-            assert_eq!(p.name().parse::<SchedulerPolicy>(), Ok(p));
-        }
-        assert!("nonsense".parse::<SchedulerPolicy>().is_err());
     }
 }

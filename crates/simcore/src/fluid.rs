@@ -11,8 +11,7 @@
 //!
 //! One mechanism expresses every contention effect the vHadoop paper
 //! measures: a vCPU cap is a flow demanding {vcpu, host-cpu}; a cross-host
-//! transfer demands {src NIC, switch, dst NIC}; dom0 I/O overhead is an
-//! extra CPU demand attached to an I/O flow.
+//! transfer demands {src NIC, switch, dst NIC}.
 //!
 //! ## Incremental re-solve (DESIGN.md §13)
 //!

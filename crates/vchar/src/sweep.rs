@@ -135,18 +135,14 @@ impl SweepSpec {
         }
     }
 
-    /// The full characterization grid (144 groups × 3 fault variants =
-    /// 432 runs) — the "hundreds of configurations" sweep behind
+    /// The full characterization grid (96 groups × 3 fault variants =
+    /// 288 runs) — the "hundreds of configurations" sweep behind
     /// EXPERIMENTS.md §costmodel.
     pub fn full() -> Self {
         SweepSpec {
             mixes: vec![JobMix::CpuBound, JobMix::ShuffleHeavy, JobMix::Wordcount],
             placements: vec![PlacementKind::Pack, PlacementKind::Spread],
-            schedulers: vec![
-                SchedulerPolicy::Fifo,
-                SchedulerPolicy::Fair,
-                SchedulerPolicy::JobDriven,
-            ],
+            schedulers: vec![SchedulerPolicy::Fifo, SchedulerPolicy::JobDriven],
             shapes: vec![
                 Shape { hosts: 2, vms: 8, racks: 1 },
                 Shape { hosts: 3, vms: 9, racks: 1 },
@@ -348,8 +344,8 @@ mod tests {
         assert_eq!(quick.groups().len(), 36);
         assert_eq!(quick.runs(), 72);
         let full = SweepSpec::full();
-        assert_eq!(full.groups().len(), 144);
-        assert_eq!(full.runs(), 432);
+        assert_eq!(full.groups().len(), 96);
+        assert_eq!(full.runs(), 288);
     }
 
     #[test]

@@ -15,15 +15,16 @@
 //!   → ToR across racks) → receiver NIC;
 //! * *all* guest disk I/O is NFS traffic (the paper stores VM images on a
 //!   shared NFS server, attached at the core), crossing host NIC → switch
-//!   path → NFS NIC → NFS disk;
-//! * every byte of guest I/O additionally bills dom0 CPU cycles on the
-//!   host, reproducing the "I/O processing steals CPU" virtualization tax.
+//!   path → NFS NIC → NFS disk.
+//!
+//! No I/O path names a host CPU: guest compute and guest I/O share no fluid
+//! resource, so they solve as separate components.
 //!
 //! With the default single-rack topology the switch path is always the one
 //! legacy `switch` resource and every demand vector below is byte-for-byte
 //! what the pre-topology model produced.
 
-use crate::spec::ClusterSpec;
+use crate::spec::{ClusterSpec, XEN_CPU_OVERHEAD};
 use crate::topology::{LocalityTier, RackId, RackSwitchStat, Topology};
 use simcore::prelude::*;
 
@@ -287,7 +288,7 @@ impl VirtualCluster {
     /// A compute step burning `cycles` guest cycles on `vm` (inflated by
     /// the Xen CPU-overhead factor).
     pub fn compute(&self, vm: VmId, cycles: f64) -> ChainSpec {
-        ChainSpec::new().flow(self.cpu_demands(vm), cycles * self.spec.xen.cpu_overhead)
+        ChainSpec::new().flow(self.cpu_demands(vm), cycles * XEN_CPU_OVERHEAD)
     }
 
     /// Demands for a `src` → `dst` network transfer (per byte), resolved
@@ -301,26 +302,14 @@ impl VirtualCluster {
         }
         let hs = self.vm_host[src.0 as usize];
         let hd = self.vm_host[dst.0 as usize];
-        let tax = self.spec.xen.dom0_cycles_per_net_byte;
-        let acct = [Demand::unit(self.vio[src.0 as usize]), Demand::unit(self.vio[dst.0 as usize])];
-        if hs == hd {
-            let mut d = vec![Demand::unit(self.host_bridge[hs as usize])];
-            if tax > 0.0 {
-                d.push(Demand::weighted(self.host_cpu[hs as usize], tax));
-            }
-            d.extend(acct);
-            d
+        let mut d = if hs == hd {
+            vec![Demand::unit(self.host_bridge[hs as usize])]
         } else {
-            let mut d = vec![Demand::unit(self.host_nic[hs as usize])];
-            d.extend(self.topology.switch_path(hs, hd).into_iter().map(Demand::unit));
-            d.push(Demand::unit(self.host_nic[hd as usize]));
-            if tax > 0.0 {
-                d.push(Demand::weighted(self.host_cpu[hs as usize], tax));
-                d.push(Demand::weighted(self.host_cpu[hd as usize], tax));
-            }
-            d.extend(acct);
-            d
-        }
+            self.host_transfer_demands(HostId(hs), HostId(hd))
+        };
+        d.push(Demand::unit(self.vio[src.0 as usize]));
+        d.push(Demand::unit(self.vio[dst.0 as usize]));
+        d
     }
 
     /// A network transfer of `bytes` from `src` to `dst`, including
@@ -354,10 +343,6 @@ impl VirtualCluster {
         if let Some(&lane) = self.disklane.get(h as usize) {
             d.push(Demand::unit(lane));
         }
-        let tax = self.spec.xen.dom0_cycles_per_disk_byte;
-        if tax > 0.0 {
-            d.push(Demand::weighted(self.host_cpu[h as usize], tax));
-        }
         d.push(Demand::unit(self.vio[vm.0 as usize]));
         d
     }
@@ -377,18 +362,12 @@ impl VirtualCluster {
     }
 
     /// Demands for a host-to-host bulk transfer (migration traffic)
-    /// along the topology path, including dom0 packet-processing tax on
-    /// both ends.
+    /// along the topology path: sender NIC → switch path → receiver NIC.
     pub fn host_transfer_demands(&self, src: HostId, dst: HostId) -> Vec<Demand> {
         assert_ne!(src, dst, "migration source and destination must differ");
-        let tax = self.spec.xen.dom0_cycles_per_net_byte;
         let mut d = vec![Demand::unit(self.host_nic[src.0 as usize])];
         d.extend(self.topology.switch_path(src.0, dst.0).into_iter().map(Demand::unit));
         d.push(Demand::unit(self.host_nic[dst.0 as usize]));
-        if tax > 0.0 {
-            d.push(Demand::weighted(self.host_cpu[src.0 as usize], tax));
-            d.push(Demand::weighted(self.host_cpu[dst.0 as usize], tax));
-        }
         d
     }
 }
@@ -426,16 +405,47 @@ mod tests {
     fn same_host_transfer_uses_bridge() {
         let (_, c) = build(Placement::SingleDomain);
         let d = c.transfer_demands(VmId(0), VmId(1));
-        // bridge + dom0 tax + 2 I/O accounting entries.
-        assert_eq!(d.len(), 4);
+        // bridge + 2 I/O accounting entries.
+        assert_eq!(d.len(), 3);
     }
 
     #[test]
     fn cross_host_transfer_uses_nics_and_switch() {
         let (_, c) = build(Placement::CrossDomain);
         let d = c.transfer_demands(VmId(0), VmId(1));
-        // 2 NICs + switch + 2 dom0 taxes + 2 I/O accounting entries.
-        assert_eq!(d.len(), 7);
+        // 2 NICs + switch + 2 I/O accounting entries.
+        assert_eq!(d.len(), 5);
+    }
+
+    #[test]
+    fn io_paths_leave_host_cpu_to_compute() {
+        // No guest-I/O or migration path names a host CPU ...
+        for placement in [Placement::SingleDomain, Placement::CrossDomain] {
+            let (_, c) = build(placement.clone());
+            let cpus = [c.host_cpu_resource(HostId(0)), c.host_cpu_resource(HostId(1))];
+            let paths = [
+                c.transfer_demands(VmId(0), VmId(1)),
+                c.disk_read_demands(VmId(2)),
+                c.disk_write_demands(VmId(3)),
+                c.host_transfer_demands(HostId(0), HostId(1)),
+            ];
+            for d in paths {
+                assert!(d.iter().all(|x| !cpus.contains(&x.resource)), "{placement:?}: {d:?}");
+            }
+        }
+        // ... so a compute flow and same-host I/O flows solve as separate
+        // fluid components.
+        let (mut e, c) = build(Placement::SingleDomain);
+        let io = |d: Vec<Demand>| ChainSpec::new().flow(d, 1e6);
+        e.start_chain(c.compute(VmId(0), 1e9), Tag::new(simcore::owners::USER, 0, 0));
+        e.start_chain(
+            io(c.transfer_demands(VmId(0), VmId(1))),
+            Tag::new(simcore::owners::USER, 1, 0),
+        );
+        e.start_chain(io(c.disk_read_demands(VmId(2))), Tag::new(simcore::owners::USER, 2, 0));
+        e.next_wakeup().expect("flows complete");
+        let s = e.fluid().stats();
+        assert_eq!((s.reallocations, s.flows_touched, s.comp_size_max), (1, 3, 1));
     }
 
     #[test]
@@ -466,8 +476,9 @@ mod tests {
         assert_eq!(c.host_of(VmId(3)), HostId(0));
         c.set_host(VmId(3), HostId(1));
         assert_eq!(c.host_of(VmId(3)), HostId(1));
-        // Transfers from vm0 (host0) to vm3 now cross the wire.
-        assert_eq!(c.transfer_demands(VmId(0), VmId(3)).len(), 7);
+        // Transfers from vm0 (host0) to vm3 now cross the wire: 2 NICs +
+        // switch + 2 I/O accounting entries.
+        assert_eq!(c.transfer_demands(VmId(0), VmId(3)).len(), 5);
     }
 
     #[test]
@@ -541,16 +552,16 @@ mod tests {
         let (_, c) = build_racked();
         // vm0 on host 0 (rack 0), vm1 on host 1 (rack 0): 1 switch hop.
         assert_eq!(c.tier(VmId(0), VmId(1)), LocalityTier::Rack);
-        assert_eq!(c.transfer_demands(VmId(0), VmId(1)).len(), 7);
+        assert_eq!(c.transfer_demands(VmId(0), VmId(1)).len(), 5);
         // vm0 → vm2 (host 2, rack 1): ToR + core + ToR.
         assert_eq!(c.tier(VmId(0), VmId(2)), LocalityTier::OffRack);
         assert_eq!(c.distance(VmId(0), VmId(2)), 6);
         let d = c.transfer_demands(VmId(0), VmId(2));
-        // 2 NICs + 3 switches + 2 taxes + 2 accounting entries.
-        assert_eq!(d.len(), 9);
+        // 2 NICs + 3 switches + 2 accounting entries.
+        assert_eq!(d.len(), 7);
         // Migration traffic takes the same path (minus vio accounting).
-        assert_eq!(c.host_transfer_demands(HostId(0), HostId(2)).len(), 7);
-        assert_eq!(c.host_transfer_demands(HostId(0), HostId(1)).len(), 5);
+        assert_eq!(c.host_transfer_demands(HostId(0), HostId(2)).len(), 5);
+        assert_eq!(c.host_transfer_demands(HostId(0), HostId(1)).len(), 3);
     }
 
     #[test]
@@ -569,9 +580,9 @@ mod tests {
     #[test]
     fn nfs_path_crosses_core_from_any_rack() {
         let (_, c) = build_racked();
-        // NIC + ToR + core + nfs nic + nfs disk + tax + vio = 7.
-        assert_eq!(c.disk_read_demands(VmId(0)).len(), 7);
-        assert_eq!(c.disk_read_demands(VmId(2)).len(), 7);
+        // NIC + ToR + core + nfs nic + nfs disk + vio = 6.
+        assert_eq!(c.disk_read_demands(VmId(0)).len(), 6);
+        assert_eq!(c.disk_read_demands(VmId(2)).len(), 6);
     }
 
     #[test]
@@ -626,12 +637,12 @@ mod tests {
         let (e, c) = build_hetero();
         // Legacy 9 + 2 disklanes + 4 vcpu + 4 vio.
         assert_eq!(e.fluid().resource_count(), 9 + 2 + 8);
-        // NIC + switch + nfs nic + nfs disk + disklane + dom0 tax + vio.
-        assert_eq!(c.disk_read_demands(VmId(0)).len(), 7);
-        assert_eq!(c.disk_read_demands(VmId(1)).len(), 7);
+        // NIC + switch + nfs nic + nfs disk + disklane + vio.
+        assert_eq!(c.disk_read_demands(VmId(0)).len(), 6);
+        assert_eq!(c.disk_read_demands(VmId(1)).len(), 6);
         // Homogeneous clusters stay on the legacy lane-free path.
         let (_, legacy) = build(Placement::CrossDomain);
-        assert_eq!(legacy.disk_read_demands(VmId(0)).len(), 6);
+        assert_eq!(legacy.disk_read_demands(VmId(0)).len(), 5);
     }
 
     #[test]

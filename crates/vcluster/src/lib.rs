@@ -4,7 +4,7 @@
 //!
 //! * [`spec`] — physical hosts (Dell T710 defaults), guest VMs, placement
 //!   policies (the paper's *normal* single-domain vs. *cross-domain*
-//!   configurations), NFS image server, and Xen parameters;
+//!   configurations), NFS image server, and the Xen CPU-overhead factor;
 //! * [`topology`] — the explicit network tree (VM → host bridge →
 //!   rack/ToR switch → core) with per-tier bandwidth and latency; one
 //!   rack degenerates to the paper's flat two-host geometry;
@@ -33,6 +33,6 @@ pub mod prelude {
         ClusterMigrationReport, ConstantDirtyModel, DirtyRateModel, MigrationEvent,
         MigrationManager, StopReason, UtilizationDirtyModel, VmMigrationReport,
     };
-    pub use crate::spec::{ClusterSpec, HostSpec, NfsSpec, Placement, VmSpec, XenParams, GIB, MIB};
+    pub use crate::spec::{ClusterSpec, HostSpec, NfsSpec, Placement, VmSpec, GIB, MIB};
     pub use crate::topology::{LocalityTier, RackId, RackPlacement, Topology, TopologySpec};
 }

@@ -1,4 +1,4 @@
-//! Cluster specifications: physical hosts, VMs, placement, Xen parameters.
+//! Cluster specifications: physical hosts, VMs, placement, NFS server.
 //!
 //! Defaults mirror the paper's testbed: Dell T710 servers with two
 //! quad-core Xeon E5620 processors at 2.40 GHz and 32 GB DRAM, 1 Gb/s
@@ -84,28 +84,9 @@ impl Default for NfsSpec {
     }
 }
 
-/// Xen-layer modelling knobs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct XenParams {
-    /// Multiplier on guest CPU work relative to bare metal (paravirt
-    /// overhead); 1.0 = no overhead.
-    pub cpu_overhead: f64,
-    /// Dom0 CPU cycles consumed per byte of guest network I/O (the
-    /// Cherkasova/Gardner effect: packet processing in dom0 steals CPU).
-    pub dom0_cycles_per_net_byte: f64,
-    /// Dom0 CPU cycles consumed per byte of guest disk (NFS) I/O.
-    pub dom0_cycles_per_disk_byte: f64,
-}
-
-impl Default for XenParams {
-    fn default() -> Self {
-        XenParams {
-            cpu_overhead: 1.08,
-            dom0_cycles_per_net_byte: 3.0,
-            dom0_cycles_per_disk_byte: 1.5,
-        }
-    }
-}
+/// Multiplier on guest CPU work relative to bare metal (Xen paravirt
+/// overhead).
+pub const XEN_CPU_OVERHEAD: f64 = 1.08;
 
 /// Per-host hardware class: multipliers applied on top of the shared
 /// [`HostSpec`] baseline. Heterogeneous clusters (the Frankfurt
@@ -170,8 +151,6 @@ pub struct ClusterSpec {
     pub placement: Placement,
     /// Shared NFS image server.
     pub nfs: NfsSpec,
-    /// Xen model parameters.
-    pub xen: XenParams,
     /// Inter-host switch backplane bandwidth in bytes/second. With the
     /// default single-rack topology this *is* the one switch; with more
     /// racks it is the inherited default for ToR/core tiers whose
@@ -194,7 +173,6 @@ impl Default for ClusterSpec {
             vm: VmSpec::default(),
             placement: Placement::SingleDomain,
             nfs: NfsSpec::default(),
-            xen: XenParams::default(),
             switch_bw: 8.0 * GBIT_PER_SEC,
             topology: TopologySpec::default(),
             host_classes: Vec::new(),
@@ -324,12 +302,6 @@ impl ClusterSpecBuilder {
     /// Placement policy.
     pub fn placement(mut self, p: Placement) -> Self {
         self.spec.placement = p;
-        self
-    }
-
-    /// Xen parameters.
-    pub fn xen(mut self, x: XenParams) -> Self {
-        self.spec.xen = x;
         self
     }
 

@@ -9,14 +9,14 @@
 //!
 //! The adaptive policy reuses the paper's normal-vs-cross-domain framing:
 //! packing keeps shuffle traffic on the fast in-host software bridge but
-//! stacks every VCPU (and dom0's per-byte I/O tax) onto one host's cores;
+//! stacks every VCPU onto one host's cores;
 //! spreading pays the slower physical NIC but doubles the core budget.
 //! The configured [`MakespanKind`] prices both layouts — by default
 //! [`estimate_makespan`], which models exactly those two effects — and
 //! the policy picks the cheaper one.
 
 use crate::model::MakespanKind;
-use vcluster::spec::{ClusterSpec, Placement};
+use vcluster::spec::{ClusterSpec, Placement, XEN_CPU_OVERHEAD};
 
 /// Rough description of the workload a placement must serve, used by
 /// [`PlacementKind::Adaptive`] to price candidate layouts.
@@ -107,9 +107,8 @@ pub fn apply_placement(spec: &mut ClusterSpec, map: Option<Vec<u32>>) {
 ///
 /// CPU side: VM 0 is the namenode (runs no tasks), so tasks land on the
 /// remaining workers proportionally to each host's worker count. A host's
-/// wave time is its guest work plus dom0's per-byte I/O tax, divided by
-/// its effective cores (discounted by `host_load` and Xen's hypervisor
-/// overhead). Wire side: shuffle bytes split into same-host traffic at
+/// wave time is its guest work divided by its effective cores (discounted
+/// by `host_load` and Xen's hypervisor overhead). Wire side: shuffle bytes split into same-host traffic at
 /// bridge speed and cross-host traffic at NIC speed, with the same-host
 /// fraction Σ(wᕼ/W)² from random sender/receiver pairing; on a multi-rack
 /// topology the cross-rack fraction 1 − Σ(wᵣ/W)² additionally squeezes
@@ -133,8 +132,7 @@ pub fn estimate_makespan(
     let bytes_per_task = hint.shuffle_bytes_per_task as f64;
     let total_bytes = tasks * bytes_per_task;
 
-    // Per-host CPU time for the wave, including dom0's I/O tax on the
-    // bytes its local workers move.
+    // Per-host CPU time for the wave.
     let mut t_cpu: f64 = 0.0;
     for (h, &w) in layout.workers.iter().enumerate() {
         if w == 0 {
@@ -143,15 +141,11 @@ pub fn estimate_makespan(
         let share = f64::from(w) / total_workers;
         let host_tasks = tasks * share;
         let guest_cycles = host_tasks * hint.cpu_secs_per_task * spec.host.core_hz;
-        // dom0 charges for both directions of the host's shuffle bytes.
-        let host_bytes = total_bytes * share * 2.0;
-        let dom0_cycles = host_bytes * spec.xen.dom0_cycles_per_net_byte;
         let load = host_load.get(h).copied().unwrap_or(0.0).clamp(0.0, 1.0);
-        let eff_cores =
-            (f64::from(spec.host.cores) * (1.0 - load)).max(1.0) / spec.xen.cpu_overhead;
+        let eff_cores = (f64::from(spec.host.cores) * (1.0 - load)).max(1.0) / XEN_CPU_OVERHEAD;
         // The wave can't use more cores than it has runnable tasks.
         let usable = eff_cores.min(host_tasks.max(1.0));
-        t_cpu = t_cpu.max((guest_cycles + dom0_cycles) / (spec.host.core_hz * usable));
+        t_cpu = t_cpu.max(guest_cycles / (spec.host.core_hz * usable));
     }
 
     // Wire time: same-host bytes ride the bridge, cross-host bytes the NIC
@@ -287,8 +281,8 @@ mod tests {
             estimate_makespan(&s, &pack, &cpu, &[]) < estimate_makespan(&s, &spread, &cpu, &[]),
             "cpu-bound should pack"
         );
-        // Full wave of cheap tasks with big shuffles: oversubscription +
-        // dom0 tax sink the packed host.
+        // Full wave of cheap tasks with big shuffles: oversubscription
+        // sinks the packed host.
         let shf =
             WorkloadHint { tasks: 15, cpu_secs_per_task: 2.5, shuffle_bytes_per_task: 4 << 20 };
         assert!(

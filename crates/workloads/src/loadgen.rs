@@ -86,9 +86,8 @@ pub fn submit_load_job(
 ///   packing keeps the shuffle on the fast software bridge at no CPU cost;
 /// * [`JobMix::ShuffleHeavy`] — a full wave of moderately-priced maps:
 ///   packed onto one host the concurrent waves oversubscribe the host's
-///   cores several times over (and dom0's I/O tax lands on the same
-///   saturated CPU), so spreading wins despite pushing its modest shuffle
-///   across the slower physical NIC;
+///   cores several times over, so spreading wins despite pushing its
+///   modest shuffle across the slower physical NIC;
 /// * [`JobMix::Wordcount`] — Fig. 2 wordcount-like intensity: a wave that
 ///   just fills the cores plus a block-sized shuffle, so — like the
 ///   paper's normal-vs-cross-domain table — keeping it on one host wins.

@@ -10,10 +10,10 @@
 //! `cargo test -p vhadoop-integration golden -- --nocapture` and record
 //! the change in CHANGES.md.
 //!
-//! The concurrent case holds what one job cannot: `Fair`'s interleaving,
-//! `JobDriven`'s matching and LPT order, and the straggler pass, under
-//! slot contention on a racked cluster. Its values were captured on the
-//! commit before scheduling rounds were gated on pending work (PR 22).
+//! The concurrent case holds what one job cannot: `Fifo`'s job-by-job
+//! drain, `JobDriven`'s matching and LPT order, and the straggler pass,
+//! under slot contention on a racked cluster. Its values were last
+//! re-captured when guest I/O stopped billing host CPU.
 
 mod common;
 
@@ -78,7 +78,7 @@ type JobGolden = (u64, u64, u64, u64, u64, u64);
 /// 3 × 24 maps contend for 46 map slots while VM 5 crawls, and VM 9 dies
 /// at 9 s with finished map output of two of the jobs on it — the one kind
 /// of round where several jobs have pending maps *and* several slots are
-/// free, so `Fair` interleaves where `Fifo` drains job by job. Queue
+/// free, so `JobDriven` matches replicas where `Fifo` drains job by job. Queue
 /// order, locality tiers, backup placement and recovery order all show in
 /// the timings.
 fn concurrent_jobs(policy: SchedulerPolicy) -> Vec<JobGolden> {
@@ -143,22 +143,17 @@ fn concurrent_jobs_hold_their_timings_under_every_policy() {
         println!("{policy}: {got:?}");
         let golden: [JobGolden; 3] = match policy {
             SchedulerPolicy::Fifo => [
-                (15_679_827_345, 12_080_419_103, 39, 24, 2, 13),
+                (15_670_032_665, 12_071_738_762, 39, 24, 2, 13),
                 (44_953_105_691, 39_672_058_565, 24, 14, 10, 0),
-                (15_811_306_502, 10_500_376_080, 27, 4, 23, 0),
-            ],
-            SchedulerPolicy::Fair => [
-                (15_679_941_242, 12_098_528_717, 39, 24, 2, 13),
-                (44_953_105_691, 39_672_058_565, 24, 14, 10, 0),
-                (15_811_420_399, 10_500_376_080, 27, 4, 23, 0),
+                (15_801_511_822, 10_491_007_379, 27, 4, 23, 0),
             ],
             SchedulerPolicy::JobDriven => [
-                (15_300_994_118, 11_981_258_086, 39, 24, 2, 13),
+                (15_289_727_101, 11_970_356_437, 39, 24, 2, 13),
                 // Was …402 / …276 under the eager fluid clock: the lazy
                 // clock's rounding ends this job's map phase, and so the
                 // job, one nanosecond later (DESIGN.md §13).
                 (45_390_505_403, 40_109_458_277, 24, 16, 8, 0),
-                (15_827_873_949, 10_517_442_699, 27, 16, 11, 0),
+                (15_819_558_893, 10_509_493_011, 27, 16, 11, 0),
             ],
         };
         assert_eq!(got, golden, "{policy}: concurrent-job scheduling diverged");

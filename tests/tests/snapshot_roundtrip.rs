@@ -273,12 +273,14 @@ fn golden_snapshot_hash_pins_the_format() {
     );
 }
 
-/// Pinned against SNAPSHOT_VERSION = 6. Was `0xd817_3e17_596d_fa1b` before
+/// Pinned against SNAPSHOT_VERSION = 6. Was `0xf7de_a44e_22b2_e43b` while
+/// guest I/O also billed host CPU: same bytes layout, shorter flow demand
+/// vectors and different rates. Before that `0xd817_3e17_596d_fa1b`, until
 /// chain delays ending together shared one fluid solve: same bytes layout,
 /// fewer solves (stamps, epochs, `seq`, solve counters). At v5 it was
 /// `0x3605_0ea3_74ec_ed52`; v6 writes every flow's and resource's settle
 /// instant.
-const GOLDEN_HASH: u64 = 0xf7de_a44e_22b2_e43b;
+const GOLDEN_HASH: u64 = 0xe77f_e230_4680_37b4;
 
 /// Folds the FNV-1a of the snapshot taken at every `k`-th wakeup of one
 /// scenario into a single pin, so the formats `GOLDEN_HASH` never sees
@@ -470,7 +472,10 @@ fn golden_snapshot_hashes_pin_every_subsystem() {
 }
 
 /// Pinned against SNAPSHOT_VERSION = 6: controller stream, monitored and
-/// faulted migration, HSGen/HSSort window. All three moved, with the same
+/// faulted migration, HSGen/HSSort window. All three moved when guest I/O
+/// stopped billing host CPU (shorter demand vectors, same layout); before
+/// that they were `0xbc39_af94_910c_e01c`, `0x62a6_9887_d8b2_c357` and
+/// `0x18ee_7fcd_852a_97eb`. All three moved, with the same
 /// wakeup sequence, when chain delays ending together began to share one
 /// fluid solve (the kernel bookkeeping `GOLDEN_HASH` names); before that
 /// they were `0x066a_0482_3647_93fa`, `0x7355_e4d1_e82e_d3d9` and
@@ -480,4 +485,4 @@ fn golden_snapshot_hashes_pin_every_subsystem() {
 /// what-if outcome's `measured_s` became the span to the fork's last job
 /// completion), `0xe581_ee59_ba4f_b8f9` and `0xac73_b47c_3a73_85f4`.
 const SUBSYSTEM_PINS: [u64; 3] =
-    [0xbc39_af94_910c_e01c, 0x62a6_9887_d8b2_c357, 0x18ee_7fcd_852a_97eb];
+    [0xec78_18e0_6bef_7dad, 0x7720_d9a4_4f35_aee6, 0x4557_5f3f_cb29_d275];
