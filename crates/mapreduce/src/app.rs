@@ -113,8 +113,9 @@ pub trait MapReduceApp {
 
 /// Groups records by key, sorted by key (the sort/merge the reduce side
 /// sees). Values keep their arrival order within a key. The reference
-/// [`crate::run::for_each_group`] and [`crate::run::combine_run`] are
-/// tested against.
+/// sealed runs ([`crate::run::Run`]), their merge
+/// ([`crate::run::for_each_group`]) and the combiner over one
+/// ([`crate::run::combine_run`]) are tested against.
 pub fn group_by_key(mut records: Vec<Record>) -> Vec<(K, Vec<V>)> {
     records.sort_by(|a, b| a.0.cmp(&b.0));
     let mut out: Vec<(K, Vec<V>)> = Vec::new();

@@ -10,7 +10,8 @@
 //! * [`app::MapReduceApp`] — the user-code trait (+ [`app::CostProfile`]);
 //! * [`input::InputFormat`] — how splits materialize into records;
 //! * [`config::JobConfig`] / [`job::JobSpec`] — job knobs;
-//! * [`run::Run`] — how map output is held until it is reduced;
+//! * [`run::Run`] — how map output is held, sorted by key, until it is
+//!   reduced;
 //! * [`engine::MrEngine`] — the JobTracker;
 //! * [`runtime::MrRuntime`] — engine + cluster + HDFS + event loop in one.
 //!

@@ -1,15 +1,18 @@
 //! Map-side task execution: split read, real map-function invocation,
-//! partition/combine/spill, and the map-only direct-to-HDFS output path.
+//! partition/sort/combine/spill, and the map-only direct-to-HDFS output
+//! path.
 //!
 //! Paper mechanism modelled: steps 5–6 of the paper's execution flow —
 //! "the master will assign the map tasks ... the worker who is assigned a
 //! map task reads the contents of the corresponding input split" and runs
-//! the user's map function; intermediate results are partitioned (and
-//! optionally combined) before spilling to the VM's (NFS-backed) disk,
-//! which is where the paper's NFS-bottleneck conclusion bites.
+//! the user's map function; intermediate results are partitioned, sorted
+//! by key (each partition sealed into a [`Run`] of key groups, as Hadoop
+//! 0.20 sorts a spill) and optionally combined before spilling to the VM's
+//! (NFS-backed) disk, which is where the paper's NFS-bottleneck conclusion
+//! bites.
 
 use crate::job::{JobEvent, JobId};
-use crate::run::{combine_run, Run};
+use crate::run::{combine_run, Run, RunBuilder};
 use crate::state::{tag_full, Partition, TaskPhase, PH_MAP_COMPUTE, PH_MAP_READ, PH_MAP_WRITE};
 use crate::types::{records_size, Record, K, V};
 use simcore::prelude::*;
@@ -91,7 +94,7 @@ impl MrEngine {
         // run of their partition (the emitted `K` dies here), a map-only
         // job's into the task's output.
         let n_red = job.num_reduces();
-        let mut runs: Vec<Run> = (0..n_red).map(|_| Run::default()).collect();
+        let mut runs: Vec<RunBuilder> = (0..n_red).map(|_| RunBuilder::default()).collect();
         let mut output: Vec<Record> = Vec::new();
         let mut out_records = 0u64;
         let (mut in_records, mut in_bytes) = (0, job.splits[m].bytes);
@@ -124,7 +127,7 @@ impl MrEngine {
         let cycles =
             cost.map_cpu_per_byte * in_bytes as f64 + cost.map_cpu_per_record * in_records as f64;
 
-        let out_bytes;
+        let mut out_bytes = 0;
         let spill_bytes;
         if job.map_only() {
             // Map-only: emitted records ARE the output; the compute-done
@@ -134,15 +137,15 @@ impl MrEngine {
             spill_bytes = 0;
             job.task_outputs[m] = Some(output);
         } else {
-            // Optionally combine, then spill to local (NFS) disk.
-            out_bytes = runs.iter().map(Run::bytes).sum();
+            // Sort each partition by key, optionally combine, then spill to
+            // local (NFS) disk.
             let use_combiner = job.spec.config.use_combiner;
             let stored: Vec<Option<Run>> = runs
                 .into_iter()
                 .map(|run| {
-                    let mut run = if use_combiner { combine_run(app, run) } else { run };
-                    run.seal();
-                    Some(run)
+                    let run = run.seal();
+                    out_bytes += run.bytes();
+                    Some(if use_combiner { combine_run(app, run) } else { run })
                 })
                 .collect();
             let spilled = || stored.iter().flatten();

@@ -1,23 +1,34 @@
 //! Map output as runs (DESIGN.md §20): what one map emitted for one
-//! reduce, with the keys packed back to back in their [`Persist`] encoding
-//! and the values in a column, and the one routine that streams the key
-//! groups of several runs — the reduce-side merge and the combiner.
+//! reduce, grouped once at that map — each distinct key packed once, in key
+//! order and in its [`Persist`] encoding, its values in a column in arrival
+//! order — with the k-way merge that streams the key groups of several runs
+//! at the reduce, and the combiner that walks the groups of one.
 //!
 //! A `(K, V)` pair of boxed enums is 64 bytes plus the key's heap object;
-//! a wordcount map output holds millions of `(word, 1)`. In a run the key
-//! is its 9 header bytes plus payload, a scalar value 8 bytes or none, and
-//! the emitted `K` dies in the emit callback. Heap-backed values
-//! (`Text`/`Bytes`/`Vector`/`Tuple`) stay the owned `V` they were emitted
-//! as: moved in, lent to `reduce`, never copied or serialised.
+//! a wordcount map output holds millions of `(word, 1)`. While the map
+//! runs, a key is its 9 header bytes plus payload, a scalar value 8 bytes
+//! or none, and the emitted `K` dies in the emit callback; once the run is
+//! sealed, a key is stored once however many records carry it. Heap-backed
+//! values (`Text`/`Bytes`/`Vector`/`Tuple`) stay the owned `V` they were
+//! emitted as: moved in, lent to `reduce`, never copied or serialised.
 
 use crate::app::MapReduceApp;
 use crate::types::{Record, K, V};
 use simcore::persist::{Decoder, Encoder, Persist};
+use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::ops::Range;
 
 /// Packed-key header: the variant tag, then eight little-endian bytes —
 /// the value of a [`K::Int`], the payload length of the other two.
 const KEY_HEADER: usize = 9;
+/// In a sealed run, the byte before a key that has more than one value,
+/// followed by the number of values as a little-endian `u32`; a key with
+/// one value has none (no key's tag byte is this one).
+const MANY: u8 = 0xFF;
+/// [`MANY`] and the count.
+const COUNT: usize = 5;
 
 /// Appends `key` to `buf` exactly as `Persist for K` encodes it.
 fn pack_key(key: &K, buf: &mut Vec<u8>) {
@@ -203,6 +214,27 @@ impl Column {
         }
     }
 
+    /// Moves the `i`-th value to position `to[i]`, `to` a permutation of
+    /// the positions, in place; `to` is left the identity.
+    fn permute(&mut self, to: &mut [u32]) {
+        fn apply<T>(xs: &mut [T], to: &mut [u32]) {
+            for i in 0..xs.len() {
+                // Each swap puts one value where it belongs.
+                while to[i] as usize != i {
+                    let j = to[i] as usize;
+                    xs.swap(i, j);
+                    to.swap(i, j);
+                }
+            }
+        }
+        match self {
+            Column::Same(..) => {}
+            Column::Int(xs) => apply(xs, to),
+            Column::Float(xs) => apply(xs, to),
+            Column::Mixed(vs) => apply(vs, to),
+        }
+    }
+
     fn shrink_to_fit(&mut self) {
         match self {
             Column::Same(..) => {}
@@ -213,10 +245,10 @@ impl Column {
     }
 }
 
-/// One map-output partition: the records one map emitted for one reduce
-/// (after the combiner, if any), in emission order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Run {
+/// The records one map emits for one reduce, in emission order, until
+/// [`RunBuilder::seal`] groups them into a [`Run`].
+#[derive(Debug)]
+pub(crate) struct RunBuilder {
     /// Every key in its `Persist` encoding, back to back.
     keys: Vec<u8>,
     values: Column,
@@ -224,28 +256,201 @@ pub struct Run {
     bytes: u64,
 }
 
-impl Default for Run {
+impl Default for RunBuilder {
     fn default() -> Self {
-        Run { keys: Vec::new(), values: Column::Same(Scalar::Null, 0), bytes: 0 }
+        RunBuilder { keys: Vec::new(), values: Column::Same(Scalar::Null, 0), bytes: 0 }
     }
 }
 
-impl Run {
+impl RunBuilder {
     /// Appends a record. The key is packed — the caller's `K` can die —
     /// and the value moved in.
-    pub fn push(&mut self, key: &K, value: V) {
+    pub(crate) fn push(&mut self, key: &K, value: V) {
         pack_key(key, &mut self.keys);
         self.bytes += key.size_bytes() + value.size_bytes();
         self.values.push(value);
     }
 
-    /// [`Run::push`] of a key that is already packed.
+    /// [`RunBuilder::push`] of a key that is already packed.
     fn push_packed(&mut self, packed: &[u8], value: V) {
         self.keys.extend_from_slice(packed);
         self.bytes += packed_key_size(packed[0], packed.len()) + value.size_bytes();
         self.values.push(value);
     }
 
+    /// Groups the records into a [`Run`], with the scratch buffers this
+    /// thread keeps for every seal.
+    pub(crate) fn seal(self) -> Run {
+        GROUPING.with(|scratch| self.seal_with(&mut scratch.borrow_mut(), MAX_SLOTS, PROBE_BOUND))
+    }
+
+    /// [`RunBuilder::seal`] with a table of `max_slots` slots (a power of
+    /// two) at most, filled to half, and lookups that visit `probes` slots
+    /// at most. Records are hashed into their keys' heads and only the
+    /// heads are sorted (DESIGN.md §20): one walk over the packed keys
+    /// gives each record a head id through a small bounded table, the
+    /// heads' [`SortKey`]s are sorted, the values are moved into key order,
+    /// and one packed key per key is written with its count. The table is
+    /// an accelerator only: a key it has no room for, or cannot reach
+    /// within the probe bound, starts a new head at every record, and the
+    /// heads of one key — adjacent once sorted, in arrival order — are
+    /// joined.
+    fn seal_with(self, scratch: &mut Grouping, max_slots: usize, probes: usize) -> Run {
+        let RunBuilder { keys, mut values, bytes } = self;
+        let total = values.len();
+        assert!(u32::try_from(total).is_ok_and(|n| n < u32::MAX), "2^32 records in one run");
+        let Grouping { table, order, heads, ids } = scratch;
+        let packed = |first: u32| {
+            let rest = &keys[first as usize..];
+            &rest[..split_key(rest).2]
+        };
+
+        // A head id per record.
+        table.clear();
+        table.resize((2 * total).next_power_of_two().min(max_slots), EMPTY);
+        let (mask, mut room) = (table.len() - 1, table.len() / 2);
+        order.clear();
+        heads.clear();
+        ids.clear();
+        for (at, key) in packed_keys(&keys) {
+            let hash = hash_packed(key);
+            let fingerprint = (hash >> 32) as u32;
+            let mut found = None;
+            let mut free = None;
+            for step in 0..probes {
+                let slot = (hash as usize).wrapping_add(step) & mask;
+                let Slot { fingerprint: f, head } = table[slot];
+                if head == EMPTY.head {
+                    free = Some(slot).filter(|_| room > 0);
+                    break;
+                }
+                let first = heads[head as usize].first as usize;
+                if f == fingerprint && keys.get(first..first + key.len()) == Some(key) {
+                    found = Some(head);
+                    break;
+                }
+            }
+            let id = found.unwrap_or_else(|| {
+                let id = order.len() as u32;
+                if let Some(slot) = free {
+                    table[slot] = Slot { fingerprint, head: id };
+                    room -= 1;
+                }
+                let (tag, payload, _) = split_key(key);
+                order.push(SortKey::of_parts(tag, payload, id as usize));
+                let first = u32::try_from(at).expect("more than 4 GiB of keys in one run");
+                heads.push(Head { first, count: 0, next: 0 });
+                id
+            });
+            heads[id as usize].count += 1;
+            ids.push(id);
+        }
+
+        // The heads in key order; those of one key by id, which is arrival
+        // order.
+        let payload = |first: u32| split_key(packed(first)).1;
+        order.sort_unstable();
+        for tie in order.chunk_by_mut(|a, b| a.prefix_cmp(b).is_eq()) {
+            if tie.len() > 1 && !tie[0].is_exact() {
+                // Already in arrival order, which a stable sort keeps.
+                tie.sort_by_key(|e| payload(heads[e.index()].first));
+            }
+        }
+
+        // Each head's values, in arrival order, follow those of the heads
+        // before it in key order: every record's head id becomes its
+        // value's position.
+        let mut start = 0;
+        for e in order.iter() {
+            let head = &mut heads[e.index()];
+            head.next = start;
+            start += head.count;
+        }
+        for id in ids.iter_mut() {
+            let head = &mut heads[*id as usize];
+            *id = head.next;
+            head.next += 1;
+        }
+        values.permute(ids);
+        values.shrink_to_fit();
+
+        // One packed key per key, behind its count if it has more than
+        // one value: the heads of one key lie side by side, with their
+        // values.
+        let first = |e: &SortKey| heads[e.index()].first;
+        let same = |a: &SortKey, b: &SortKey| {
+            a.prefix_cmp(b).is_eq() && (a.is_exact() || packed(first(a)) == packed(first(b)))
+        };
+        let count = |tie: &[SortKey]| tie.iter().map(|e| heads[e.index()].count).sum::<u32>();
+        let len = order
+            .chunk_by(same)
+            .map(|tie| packed(first(&tie[0])).len() + if count(tie) > 1 { COUNT } else { 0 })
+            .sum();
+        let mut grouped = Vec::with_capacity(len);
+        for tie in order.chunk_by(same) {
+            let n = count(tie);
+            if n > 1 {
+                grouped.push(MANY);
+                grouped.extend_from_slice(&n.to_le_bytes());
+            }
+            grouped.extend_from_slice(packed(first(&tie[0])));
+        }
+        Run { keys: grouped, values, bytes }
+    }
+}
+
+/// The packed keys of a builder's `keys` in order, each with its offset.
+fn packed_keys(keys: &[u8]) -> impl Iterator<Item = (usize, &[u8])> {
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let rest = keys.get(at..).filter(|rest| !rest.is_empty())?;
+        let (.., len) = split_key(rest);
+        at += len;
+        Some((at - len, &rest[..len]))
+    })
+}
+
+/// One map-output partition: the records one map emitted for one reduce
+/// (after the combiner, if any) as key groups in key order, each group's
+/// values in emission order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Run {
+    /// Per group, its key in its `Persist` encoding, behind [`MANY`] and
+    /// the number of its values if that is more than one.
+    keys: Vec<u8>,
+    /// The values, group after group.
+    values: Column,
+    /// [`crate::types::records_size`] of the records.
+    bytes: u64,
+}
+
+/// A place in a run: the offset of a group in `keys`, and the column
+/// position of the group's first value.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+struct Cursor {
+    at: usize,
+    value: usize,
+}
+
+impl Cursor {
+    /// The group at the cursor — its packed key and its values' positions
+    /// — and the cursor past it.
+    fn group(self, keys: &[u8]) -> Option<(&[u8], Range<usize>, Cursor)> {
+        let rest = keys.get(self.at..).filter(|rest| !rest.is_empty())?;
+        let (count, key) = if rest[0] == MANY {
+            let count = u32::from_le_bytes(rest[1..COUNT].try_into().expect("four bytes"));
+            (count as usize, &rest[COUNT..])
+        } else {
+            (1, rest)
+        };
+        let (.., len) = split_key(key);
+        let values = self.value..self.value + count;
+        let next = Cursor { at: keys.len() - key.len() + len, value: values.end };
+        Some((&key[..len], values, next))
+    }
+}
+
+impl Run {
     /// Number of records.
     pub fn len(&self) -> usize {
         self.values.len()
@@ -261,64 +466,82 @@ impl Run {
         self.bytes
     }
 
-    /// Returns the unused tail of buffers that grew by doubling; runs live
-    /// until their job finishes.
-    pub(crate) fn seal(&mut self) {
-        self.keys.shrink_to_fit();
-        self.values.shrink_to_fit();
-    }
-
-    /// The packed keys in order, each with its offset into `keys`.
-    fn packed_keys(&self) -> impl Iterator<Item = (usize, &[u8])> {
-        let mut at = 0;
+    /// The key groups in key order: each one's packed key and its values'
+    /// positions.
+    fn groups(&self) -> impl Iterator<Item = (&[u8], Range<usize>)> {
+        let mut at = Cursor::default();
         std::iter::from_fn(move || {
-            let rest = self.keys.get(at..).filter(|rest| !rest.is_empty())?;
-            let (.., len) = split_key(rest);
-            at += len;
-            Some((at - len, &rest[..len]))
+            let (packed, values, next) = at.group(&self.keys)?;
+            at = next;
+            Some((packed, values))
         })
     }
 
-    /// The records, decoded (a copy; for tests and diagnostics).
+    /// Number of key groups.
+    pub(crate) fn group_count(&self) -> usize {
+        self.groups().count()
+    }
+
+    /// Moves the records of the groups from `from` up to `to` onto the end
+    /// of `out`.
+    fn move_groups(&mut self, mut from: Cursor, to: Cursor, out: &mut RunBuilder) {
+        while from.at < to.at {
+            let (packed, values, next) = from.group(&self.keys).expect("`to` lies past `from`");
+            for i in values {
+                out.push_packed(packed, self.values.lend(i));
+            }
+            from = next;
+        }
+    }
+
+    /// The records in key order, decoded (a copy; for tests and
+    /// diagnostics).
     pub fn to_records(&self) -> Vec<Record> {
-        self.packed_keys()
-            .enumerate()
-            .map(|(i, (_, packed))| {
-                let mut key = K::Int(0);
-                unpack_key_into(packed, &mut key);
-                (key, self.values.with(i, V::clone))
-            })
-            .collect()
+        let mut records = Vec::with_capacity(self.len());
+        for (packed, values) in self.groups() {
+            let mut key = K::Int(0);
+            unpack_key_into(packed, &mut key);
+            records.extend(values.map(|i| (key.clone(), self.values.with(i, V::clone))));
+        }
+        records
     }
 }
 
 impl FromIterator<Record> for Run {
     fn from_iter<I: IntoIterator<Item = Record>>(records: I) -> Self {
-        let mut run = Run::default();
+        let mut run = RunBuilder::default();
         for (k, v) in records {
             run.push(&k, v);
         }
-        run
+        run.seal()
     }
 }
 
 /// Encoded as the `Vec<Record>` it stands for — count, then key and value
-/// per record — so a snapshot does not depend on the representation.
+/// per record, in key order — so a snapshot does not depend on the
+/// representation. Decoding seals what it reads, so the same records in
+/// any order, emission order included, restore to the same run.
 // codec by hand: packed keys are copied as their `K` bytes, not decoded and re-encoded
 impl Persist for Run {
     fn encode(&self, e: &mut Encoder) {
         e.usize(self.len());
-        for (i, (_, packed)) in self.packed_keys().enumerate() {
-            e.raw(packed);
-            self.values.with(i, |v| v.encode(e));
+        for (packed, values) in self.groups() {
+            for i in values {
+                e.raw(packed);
+                self.values.with(i, |v| v.encode(e));
+            }
         }
     }
     fn decode(d: &mut Decoder) -> Self {
-        let mut run = Run::default();
+        let mut run = RunBuilder::default();
         for _ in 0..d.usize() {
             let tag = d.u8();
+            if tag > 2 {
+                d.unknown_tag("K", tag);
+            }
             let word = d.u64();
             let payload = if tag == 0 { &[][..] } else { d.raw(word as usize) };
+            assert!(tag != 1 || std::str::from_utf8(payload).is_ok(), "snapshot strings are UTF-8");
             run.keys.push(tag);
             run.keys.extend_from_slice(&word.to_le_bytes());
             run.keys.extend_from_slice(payload);
@@ -326,15 +549,14 @@ impl Persist for Run {
             run.bytes += packed_key_size(tag, KEY_HEADER + payload.len()) + value.size_bytes();
             run.values.push(value);
         }
-        run.seal();
-        run
+        run.seal()
     }
 }
 
-/// One entry of the sort index the shuffle merge and the combiner order
-/// key groups by: a fixed-width, order-preserving prefix of a key plus an
-/// index that breaks ties — groups are numbered as their first records
-/// arrive. The prefix is the variant tag, then for
+/// The order sealing sorts a run's keys in and the merge takes runs'
+/// groups in: a fixed-width, order-preserving prefix of a key plus an
+/// index that breaks ties — at a seal the key's head id, handed out as
+/// first records arrive. The prefix is the variant tag, then for
 /// [`K::Int`] the sign-flipped value, for [`K::Text`]/[`K::Bytes`] the
 /// first 15 key bytes big-endian and zero-padded followed by one length
 /// byte clamped at 16. Prefix order never contradicts [`K`]'s `Ord`
@@ -395,38 +617,20 @@ impl SortKey {
     }
 }
 
-/// Where a record sits: its run, and an offset there — of its packed key
-/// (a group's first record) or of its value (a slot).
-#[derive(Debug, Clone, Copy)]
-struct Locator {
-    run: u32,
-    at: u32,
-}
-
-/// What a group knows besides its [`SortKey`].
-#[derive(Debug, Clone, Copy)]
-struct Head {
-    /// The packed key of the group's first record.
-    first: Locator,
-    /// While grouping, the number of records; then one past the group's
-    /// last slot.
-    end: u32,
-}
-
 /// Largest grouping table: 2¹⁵ eight-byte slots stay cache-resident.
 const MAX_SLOTS: usize = 1 << 15;
 /// Slots a lookup may visit before it gives up on the table.
 const PROBE_BOUND: usize = 8;
 
-/// One slot of the grouping table: a group id under the upper half of its
+/// One slot of the grouping table: a head id under the upper half of its
 /// key's hash, so that a different key is told apart without reading it.
 #[derive(Clone, Copy)]
 struct Slot {
     fingerprint: u32,
-    group: u32,
+    head: u32,
 }
 
-const EMPTY: Slot = Slot { fingerprint: 0, group: u32::MAX };
+const EMPTY: Slot = Slot { fingerprint: 0, head: u32::MAX };
 
 /// Hash of a packed key: its bytes eight at a time, the length word
 /// included, through a multiply-fold.
@@ -452,258 +656,140 @@ fn hash_packed(packed: &[u8]) -> u64 {
     h
 }
 
-/// The key groups of several runs in key order, each group's values in
-/// arrival order: what [`crate::app::group_by_key`] yields for the
-/// concatenation. Records are hashed into their groups and only the
-/// distinct keys are sorted (DESIGN.md §20): one walk over the packed keys
-/// gives each record a group id through a small bounded table, the groups'
-/// [`SortKey`]s are sorted, and a second walk scatters every record's place
-/// into its group's slice of `slots`. The table is an accelerator only: a
-/// key it has no room for, or cannot reach within the probe bound, starts
-/// a new group at every record, and groups of one key — adjacent once
-/// sorted, in arrival order — are joined. The runs are passed to every
-/// call, not held, so the caller can fill another run between groups.
-pub(crate) struct Groups {
-    /// The groups' keys in key order; `idx` is the group's id.
+/// A key as a seal found it: the offset of its first record's packed key,
+/// its number of records, and, while the values move into key order, the
+/// position its next value goes to.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    first: u32,
+    count: u32,
+    next: u32,
+}
+
+/// The scratch of a seal, grown to the largest run sealed so far and
+/// cleared, not freed, between seals.
+#[derive(Default)]
+struct Grouping {
+    table: Vec<Slot>,
+    /// The heads' keys; `idx` is the head's id.
     order: Vec<SortKey>,
-    /// By group id.
+    /// By head id.
     heads: Vec<Head>,
-    /// Run and position there of every record's value, group after group
-    /// in key order, in arrival order within a group.
-    slots: Vec<Locator>,
-    /// Position in `order` of the next group.
-    next: usize,
-    /// The lent group's key, decoded into one reused `K`.
-    key: K,
-    /// The lent group's values.
-    values: Vec<V>,
+    /// Every record's head id, in arrival order; then its value's position.
+    ids: Vec<u32>,
 }
 
-impl Groups {
-    pub(crate) fn over(runs: &[&mut Run]) -> Self {
-        Self::with_table(runs, MAX_SLOTS, PROBE_BOUND)
+thread_local! {
+    static GROUPING: RefCell<Grouping> = RefCell::new(Grouping::default());
+}
+
+/// The group a run is at in the merge, ordered by key, then by run; the
+/// run is unique in the heap, so the fields after it never decide.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct RunHead<'a> {
+    /// The key's prefix (`idx` 0), and the key bytes the prefix leaves
+    /// undecided.
+    key: SortKey,
+    tail: &'a [u8],
+    run: usize,
+    /// The run's keys, the group's packed key, and the cursors at the
+    /// group and past it.
+    keys: &'a [u8],
+    packed: &'a [u8],
+    at: Cursor,
+    next: Cursor,
+}
+
+impl<'a> RunHead<'a> {
+    /// The group at `at` of run `run`, whose keys are `keys`, as the heap
+    /// holds it.
+    fn at(keys: &'a [u8], run: usize, at: Cursor) -> Option<Reverse<Self>> {
+        let (packed, _, next) = at.group(keys)?;
+        let (tag, payload, _) = split_key(packed);
+        let key = SortKey::of_parts(tag, payload, 0);
+        let tail = if key.is_exact() { &[][..] } else { &payload[15..] };
+        Some(Reverse(RunHead { key, tail, run, keys, packed, at, next }))
     }
+}
 
-    /// [`Groups::over`] with a table of `max_slots` slots (a power of two)
-    /// at most, filled to half, and lookups that visit `probes` slots at
-    /// most.
-    fn with_table(runs: &[&mut Run], max_slots: usize, probes: usize) -> Self {
-        let total: usize = runs.iter().map(|run| run.len()).sum();
-        assert!(u32::try_from(total).is_ok_and(|n| n < u32::MAX), "2^32 records in one merge");
-        let packed_at = |first: Locator, len: usize| {
-            runs[first.run as usize].keys.get(first.at as usize..first.at as usize + len)
-        };
-
-        // First walk: a group id per record.
-        let mut table = vec![EMPTY; (2 * total).next_power_of_two().min(max_slots)];
-        let (mask, mut room) = (table.len() - 1, table.len() / 2);
-        let mut order: Vec<SortKey> = Vec::new();
-        let mut heads: Vec<Head> = Vec::new();
-        let mut ids: Vec<u32> = Vec::with_capacity(total);
-        for (r, run) in runs.iter().enumerate() {
-            let r = u32::try_from(r).expect("more than 2^32 runs in one merge");
-            for (at, packed) in run.packed_keys() {
-                let hash = hash_packed(packed);
-                let fingerprint = (hash >> 32) as u32;
-                let mut found = None;
-                let mut free = None;
-                for step in 0..probes {
-                    let slot = (hash as usize).wrapping_add(step) & mask;
-                    let Slot { fingerprint: f, group } = table[slot];
-                    if group == EMPTY.group {
-                        free = Some(slot).filter(|_| room > 0);
-                        break;
-                    }
-                    if f == fingerprint
-                        && packed_at(heads[group as usize].first, packed.len()) == Some(packed)
-                    {
-                        found = Some(group);
-                        break;
-                    }
-                }
-                let group = found.unwrap_or_else(|| {
-                    let group = order.len() as u32;
-                    if let Some(slot) = free {
-                        table[slot] = Slot { fingerprint, group };
-                        room -= 1;
-                    }
-                    let (tag, payload, _) = split_key(packed);
-                    order.push(SortKey::of_parts(tag, payload, group as usize));
-                    let at = u32::try_from(at).expect("more than 4 GiB of keys in one run");
-                    heads.push(Head { first: Locator { run: r, at }, end: 0 });
-                    group
-                });
-                heads[group as usize].end += 1;
-                ids.push(group);
-            }
+/// Streams the key groups of `runs` to `f` in key order, each group's
+/// values in run order and, within a run, in emission order: what
+/// [`crate::app::group_by_key`] yields for the concatenation. This is the
+/// reduce-side merge: one cursor per run and a heap on the runs' next
+/// keys. No record is moved or copied — per group the key is decoded into
+/// one reused `K` and the values are lent through one reused buffer — and
+/// the runs are as they were when it returns, so they can be merged again.
+pub fn for_each_group(runs: &mut [&mut Run], mut f: impl FnMut(&K, &[V])) {
+    let mut columns = Vec::with_capacity(runs.len());
+    let mut heap = BinaryHeap::with_capacity(runs.len());
+    for (r, run) in runs.iter_mut().enumerate() {
+        let Run { keys, values, .. } = &mut **run;
+        heap.extend(RunHead::at(keys, r, Cursor::default()));
+        columns.push(values);
+    }
+    let (mut key, mut values) = (K::Int(0), Vec::new());
+    // The runs and positions of the current key's values.
+    let mut lent: Vec<(usize, Range<usize>)> = Vec::new();
+    while let Some(Reverse(first)) = heap.pop() {
+        unpack_key_into(first.packed, &mut key);
+        let (prefix, tail) = (first.key, first.tail);
+        let mut head = Some(first);
+        while let Some(RunHead { run, keys, at, next, .. }) = head {
+            lent.push((run, at.value..next.value));
+            heap.extend(RunHead::at(keys, run, next));
+            let same = heap.peek().is_some_and(|Reverse(h)| h.key == prefix && h.tail == tail);
+            head = if same { heap.pop().map(|Reverse(h)| h) } else { None };
         }
-        drop(table);
-
-        // The distinct keys in key order; equal ones by id, which is
-        // arrival order.
-        let payload =
-            |first: Locator| split_key(&runs[first.run as usize].keys[first.at as usize..]).1;
-        order.sort_unstable();
-        for tie in order.chunk_by_mut(|a, b| a.prefix_cmp(b).is_eq()) {
-            if tie.len() > 1 && !tie[0].is_exact() {
-                // Already in arrival order, which a stable sort keeps.
-                tie.sort_by_key(|e| payload(heads[e.index()].first));
-            }
+        // The buffer grows to the largest group exactly, not by doubling.
+        values.reserve_exact(lent.iter().map(|(_, at)| at.len()).sum());
+        for (run, at) in &lent {
+            values.extend(at.clone().map(|i| columns[*run].lend(i)));
         }
-
-        // Second walk: counts become each group's first slot, then every
-        // record's place goes to its group's next one.
-        let mut start = 0;
-        for e in &order {
-            start += std::mem::replace(&mut heads[e.index()].end, start);
-        }
-        let mut slots = vec![Locator { run: 0, at: 0 }; total];
-        let mut ids = ids.into_iter();
-        for (r, run) in runs.iter().enumerate() {
-            for (at, group) in (0..run.len() as u32).zip(&mut ids) {
-                let next = &mut heads[group as usize].end;
-                slots[*next as usize] = Locator { run: r as u32, at };
-                *next += 1;
-            }
-        }
-
-        // Groups of one key lie side by side: the first takes the others'
-        // slots.
-        order.dedup_by(|later, kept| {
-            let Head { first, end } = heads[later.index()];
-            let head = &mut heads[kept.index()];
-            let same = kept.prefix_cmp(later).is_eq()
-                && (kept.is_exact() || payload(head.first) == payload(first));
-            if same {
-                head.end = end;
-            }
-            same
-        });
-        Groups { order, heads, slots, next: 0, key: K::Int(0), values: Vec::new() }
-    }
-
-    /// A table so small that most keys find no room in it.
-    #[cfg(test)]
-    fn tiny(runs: &[&mut Run]) -> Self {
-        Self::with_table(runs, 8, 2)
-    }
-
-    /// Number of key groups.
-    pub(crate) fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// The packed key of the group at `position` of `order`.
-    fn packed<'a>(&self, runs: &'a [&mut Run], position: usize) -> &'a [u8] {
-        let first = self.heads[self.order[position].index()].first;
-        let rest = &runs[first.run as usize].keys[first.at as usize..];
-        &rest[..split_key(rest).2]
-    }
-
-    /// The slots of the group at `position` of `order`: from where the
-    /// group before it ends.
-    fn slots_of(&self, position: usize) -> Range<usize> {
-        let end = |position: usize| self.heads[self.order[position].index()].end as usize;
-        position.checked_sub(1).map_or(0, end)..end(position)
-    }
-
-    /// Lends the next group: its key in `self.key`, its values — scalars
-    /// by value, owned ones moved out of their run — in `self.values`.
-    /// Returns the group's position in `order`.
-    fn lend(&mut self, runs: &mut [&mut Run]) -> Option<usize> {
-        let position = self.next;
-        if position == self.order.len() {
-            return None;
-        }
-        self.next += 1;
-        unpack_key_into(self.packed(runs, position), &mut self.key);
-        debug_assert!(self.values.is_empty(), "the last group's values were not settled");
-        let slots = &self.slots[self.slots_of(position)];
-        self.values.reserve(slots.len());
-        for slot in slots {
-            self.values.push(runs[slot.run as usize].values.lend(slot.at as usize));
-        }
-        Some(position)
-    }
-
-    /// Puts the lent values of the group at `position` back where they
-    /// came from.
-    fn give_back(&mut self, runs: &mut [&mut Run], position: usize) {
-        let slots = &self.slots[self.slots_of(position)];
-        for (slot, v) in slots.iter().zip(self.values.drain(..)) {
-            runs[slot.run as usize].values.give_back(slot.at as usize, v);
-        }
-    }
-
-    /// Moves the records of the groups at `positions` of `order` out of
-    /// their runs onto the end of `out`.
-    fn move_to(&self, runs: &mut [&mut Run], positions: Range<usize>, out: &mut Run) {
-        for position in positions {
-            for slot in &self.slots[self.slots_of(position)] {
-                let value = runs[slot.run as usize].values.lend(slot.at as usize);
-                out.push_packed(self.packed(runs, position), value);
-            }
-        }
-    }
-
-    /// Streams the groups to `f` in key order. Values are lent through one
-    /// reused buffer and are back in place when `f` returns.
-    pub(crate) fn for_each(mut self, runs: &mut [&mut Run], mut f: impl FnMut(&K, &[V])) {
-        while let Some(position) = self.lend(runs) {
-            f(&self.key, &self.values);
-            self.give_back(runs, position);
+        f(&key, &values);
+        let places = lent.drain(..).flat_map(|(run, at)| at.map(move |i| (run, i)));
+        for ((run, i), v) in places.zip(values.drain(..)) {
+            columns[run].give_back(i, v);
         }
     }
 }
 
-/// Streams the key groups of `runs` to `f` in key order without moving or
-/// copying a record; the runs are as they were when it returns, so they
-/// can be merged again. This is the reduce-side merge.
-pub fn for_each_group(runs: &mut [&mut Run], f: impl FnMut(&K, &[V])) {
-    Groups::over(runs).for_each(runs, f);
-}
-
-/// Runs `app`'s combiner over one map-output run, group by group in key
-/// order; used by the map-side spill path. A group the app declines passes
-/// through verbatim (anything it emitted before declining is dropped). If
-/// the app declines every group — it has no combiner — the run comes back
-/// untouched, in emission order.
-pub fn combine_run(app: &dyn MapReduceApp, run: Run) -> Run {
-    combine_grouped(app, run, Groups::over)
-}
-
-/// [`combine_run`] over the groups `group` finds.
-fn combine_grouped(app: &dyn MapReduceApp, mut run: Run, group: fn(&[&mut Run]) -> Groups) -> Run {
-    let mut out = Run::default();
+/// Runs `app`'s combiner over one run, group by group in key order; used
+/// by the map-side spill path. A group the app declines passes through
+/// verbatim (anything it emitted before declining is dropped), and what it
+/// emits is sealed into the run that comes back. If the app declines every
+/// group — it has no combiner — the run itself comes back.
+pub fn combine_run(app: &dyn MapReduceApp, mut run: Run) -> Run {
+    let mut out = RunBuilder::default();
     let mut emitted: Vec<Record> = Vec::new();
-    let mut any = false;
-    let runs = &mut [&mut run];
-    let mut groups = group(runs);
-    while let Some(position) = groups.lend(runs) {
-        if app.combine(&groups.key, &groups.values, &mut |k, v| emitted.push((k, v))) {
-            groups.values.clear();
-            if !any {
-                // Every earlier group was declined and is still in `run`;
-                // it goes in front of this first output.
-                any = true;
-                groups.move_to(runs, 0..position, &mut out);
-            }
+    let (mut key, mut values) = (K::Int(0), Vec::new());
+    let mut combined = false;
+    // Declined groups stay in `run` until a combined one follows them;
+    // they start at `kept`.
+    let (mut at, mut kept) = (Cursor::default(), Cursor::default());
+    while let Some((packed, positions, next)) = at.group(&run.keys) {
+        unpack_key_into(packed, &mut key);
+        values.extend(positions.clone().map(|i| run.values.lend(i)));
+        if app.combine(&key, &values, &mut |k, v| emitted.push((k, v))) {
+            combined = true;
+            values.clear();
+            run.move_groups(kept, at, &mut out);
             for (k, v) in emitted.drain(..) {
                 out.push(&k, v);
             }
+            kept = next;
         } else {
             emitted.clear();
-            groups.give_back(runs, position);
-            if any {
-                groups.move_to(runs, position..position + 1, &mut out);
+            for (i, v) in positions.zip(values.drain(..)) {
+                run.values.give_back(i, v);
             }
         }
+        at = next;
     }
-    if any {
-        out
-    } else {
-        run
+    if !combined {
+        return run;
     }
+    run.move_groups(kept, at, &mut out);
+    out.seal()
 }
 
 #[cfg(test)]
@@ -724,16 +810,25 @@ mod tests {
         ]
     }
 
+    /// `records` as a sealed run holds them: grouped by key, in key order.
+    fn grouped(records: &[Record]) -> Vec<Record> {
+        let groups = group_by_key(records.to_vec()).into_iter();
+        groups.flat_map(|(k, vs)| vs.into_iter().map(move |v| (k.clone(), v))).collect()
+    }
+
+    fn encoded(x: &impl Persist) -> Vec<u8> {
+        let mut e = Encoder::new();
+        x.encode(&mut e);
+        e.finish()
+    }
+
     #[test]
     fn packed_keys_are_the_persist_encoding() {
         for key in keys() {
-            let mut e = Encoder::new();
-            let header = e.finish().len();
-            e = Encoder::new();
-            key.encode(&mut e);
+            let header = Encoder::new().finish().len();
             let mut packed = Vec::new();
             pack_key(&key, &mut packed);
-            assert_eq!(packed, e.finish()[header..], "{key:?}");
+            assert_eq!(packed, encoded(&key)[header..], "{key:?}");
             let (tag, _, len) = split_key(&packed);
             assert_eq!(len, packed.len());
             assert_eq!(packed_key_size(tag, len), key.size_bytes(), "{key:?}");
@@ -757,36 +852,31 @@ mod tests {
         for vs in values {
             let records: Vec<Record> = keys().into_iter().cycle().zip(vs).collect();
             let run: Run = records.iter().cloned().collect();
+            let sorted = grouped(&records);
             assert_eq!(run.len(), records.len());
             assert_eq!(run.bytes(), crate::types::records_size(&records));
-            assert_eq!(run.to_records(), records);
-            let (mut a, mut b) = (Encoder::new(), Encoder::new());
-            run.encode(&mut a);
-            records.encode(&mut b);
-            let bytes = a.finish();
-            assert_eq!(bytes, b.finish());
+            assert_eq!(run.to_records(), sorted);
+            let bytes = encoded(&run);
+            assert_eq!(bytes, encoded(&sorted));
             let back = Run::decode(&mut Decoder::new(&bytes));
-            assert_eq!(back.to_records(), records);
-            assert_eq!(back.bytes(), run.bytes());
+            assert_eq!(back, run);
+            // The same records in emission order, as runs were written
+            // before sealing grouped them, restore to the same run.
+            assert_eq!(Run::decode(&mut Decoder::new(&encoded(&records))), run);
         }
     }
 
-    /// `run` holds `records`: decoded, sized and encoded as they are, and
-    /// again after a snapshot round trip. Compared as bytes, which tell
-    /// `-0.0` from `0.0` and one `NaN` from another.
+    /// `run` holds `records`: decoded, sized and encoded as their key
+    /// groups, and again after a snapshot round trip. Compared as bytes,
+    /// which tell `-0.0` from `0.0` and one `NaN` from another.
     fn assert_holds(run: &Run, records: &[Record]) {
-        let bytes = |x: &dyn Fn(&mut Encoder)| {
-            let mut e = Encoder::new();
-            x(&mut e);
-            e.finish()
-        };
-        let expect = bytes(&|e| records.to_vec().encode(e));
-        assert_eq!(bytes(&|e| run.encode(e)), expect);
-        assert_eq!(bytes(&|e| run.to_records().encode(e)), expect);
+        let expect = encoded(&grouped(records));
+        assert_eq!(encoded(run), expect);
+        assert_eq!(encoded(&run.to_records()), expect);
         assert_eq!(run.len(), records.len());
         assert_eq!(run.bytes(), crate::types::records_size(records));
         let back = Run::decode(&mut Decoder::new(&expect));
-        assert_eq!(bytes(&|e| back.encode(e)), expect);
+        assert_eq!(encoded(&back), expect);
         assert_eq!(back.bytes(), run.bytes());
     }
 
@@ -805,7 +895,7 @@ mod tests {
         let others = [V::Null, V::Int(7), V::Float(0.5), V::from("text"), V::Vector(vec![1.0])];
         for (scalar, sibling) in &kinds {
             for n in [0usize, 1, 5] {
-                let mut records: Vec<Record> =
+                let records: Vec<Record> =
                     (0..n).map(|i| (K::Int(i as i64), scalar.clone())).collect();
                 let run: Run = records.iter().cloned().collect();
                 assert!(same(&run.values, n), "{n} x {scalar:?}: {:?}", run.values);
@@ -813,58 +903,111 @@ mod tests {
 
                 // A different value of the same kind: the typed column.
                 if let Some(sibling) = sibling {
-                    let mut typed = run.clone();
-                    typed.push(&K::from("next"), sibling.clone());
-                    let mut expect = records.clone();
-                    expect.push((K::from("next"), sibling.clone()));
-                    match (&typed.values, n) {
+                    let mut typed = records.clone();
+                    typed.push((K::from("next"), sibling.clone()));
+                    let run: Run = typed.iter().cloned().collect();
+                    match (&run.values, n) {
                         (column, 0) => assert!(same(column, 1)),
                         (Column::Int(_), _) => assert!(matches!(scalar, V::Int(_))),
                         (Column::Float(_), _) => assert!(matches!(scalar, V::Float(_))),
                         (column, _) => panic!("{n} x {scalar:?} then {sibling:?}: {column:?}"),
                     }
-                    assert_holds(&typed, &expect);
+                    assert_holds(&run, &typed);
                 }
                 // Another kind, or a heap-backed value: owned values.
                 for other in &others {
                     if std::mem::discriminant(other) == std::mem::discriminant(scalar) {
                         continue;
                     }
-                    let mut mixed = run.clone();
-                    mixed.push(&K::from("next"), other.clone());
-                    records.push((K::from("next"), other.clone()));
-                    match (&mixed.values, n) {
+                    let mut mixed = records.clone();
+                    mixed.push((K::from("next"), other.clone()));
+                    let run: Run = mixed.iter().cloned().collect();
+                    match (&run.values, n) {
                         (Column::Mixed(_), _) => {}
                         (column, 0) if Scalar::of(other).is_some() => assert!(same(column, 1)),
                         (column, _) => panic!("{n} x {scalar:?} then {other:?}: {column:?}"),
                     }
-                    assert_holds(&mixed, &records);
-                    records.pop();
+                    assert_holds(&run, &mixed);
                 }
             }
         }
-        // What wordcount emits: the packed keys and nothing per value.
-        let ones: Run = (0..100_000).map(|i| (K::Int(i % 50), V::Int(1))).collect();
-        assert_eq!(ones.values, Column::Same(Scalar::Int(1), 100_000));
+    }
+
+    /// The memory contract of a sealed run: `N` records of `(word, 1)` over
+    /// `D` distinct words are the `D` packed keys, each behind its
+    /// five-byte count, and a column of one value and a count — nothing
+    /// per record. Records whose keys are all distinct are their packed
+    /// keys alone, as before sealing.
+    #[test]
+    fn a_sealed_wordcount_run_holds_one_key_per_word() {
+        let packed_len = |k: &K| {
+            let mut packed = Vec::new();
+            pack_key(k, &mut packed);
+            packed.len()
+        };
+        let words: Vec<K> = (0..50).map(|i| K::from(format!("word{i}").as_str())).collect();
+        let records: Vec<Record> =
+            (0..100_000).map(|i| (words[(i * 7) % words.len()].clone(), V::Int(1))).collect();
+        let run: Run = records.iter().cloned().collect();
+        let expect: usize = words.iter().map(|k| COUNT + packed_len(k)).sum();
+        assert_eq!(run.keys.len(), expect);
+        assert_eq!(run.keys.capacity(), expect, "the keys buffer is sealed exactly");
+        assert_eq!(run.values, Column::Same(Scalar::Int(1), 100_000));
+        assert_eq!(run.group_count(), words.len());
+        assert_eq!(run.to_records(), grouped(&records));
+
+        let distinct: Vec<Record> = words.iter().map(|k| (k.clone(), V::Int(1))).collect();
+        let run: Run = distinct.iter().cloned().collect();
+        assert_eq!(run.keys.len(), words.iter().map(packed_len).sum::<usize>());
+        assert_eq!(run.to_records(), grouped(&distinct));
     }
 
     #[test]
     fn a_scalar_column_meeting_another_kind_keeps_values_and_order() {
-        let mut run = Run::default();
-        run.push(&K::Int(1), V::Int(10));
-        run.push(&K::Int(2), V::Int(20));
-        assert!(matches!(run.values, Column::Int(_)));
-        run.push(&K::Int(3), V::Float(0.5));
-        run.push(&K::Int(4), V::Null);
+        let mut builder = RunBuilder::default();
+        builder.push(&K::Int(1), V::Int(10));
+        builder.push(&K::Int(2), V::Int(20));
+        assert!(matches!(builder.values, Column::Int(_)));
+        builder.push(&K::Int(3), V::Float(0.5));
+        builder.push(&K::Int(4), V::Null);
+        assert!(matches!(builder.values, Column::Mixed(_)));
         let expect = vec![V::Int(10), V::Int(20), V::Float(0.5), V::Null].into_iter().enumerate();
         let expect: Vec<Record> = expect.map(|(i, v)| (K::Int(i as i64 + 1), v)).collect();
-        assert_eq!(run.to_records(), expect);
-        let nulls: Run = (0..3).map(|i| (K::Int(i), V::Null)).collect();
-        assert!(matches!(nulls.values, Column::Same(Scalar::Null, 3)));
+        assert_eq!(builder.seal().to_records(), expect);
+        let nulls: Vec<Record> = (0..3).map(|i| (K::Int(i), V::Null)).collect();
+        let run: Run = nulls.iter().cloned().collect();
+        assert!(matches!(run.values, Column::Same(Scalar::Null, 3)));
         let mut mixed = nulls.clone();
-        mixed.push(&K::Int(3), V::Int(1));
-        assert_eq!(mixed.to_records()[..3], nulls.to_records()[..]);
-        assert_eq!(mixed.to_records()[3], (K::Int(3), V::Int(1)));
+        mixed.push((K::Int(-1), V::Int(1)));
+        let run: Run = mixed.iter().cloned().collect();
+        assert_eq!(run.to_records()[0], (K::Int(-1), V::Int(1)));
+        assert_eq!(run.to_records()[1..], nulls[..]);
+    }
+
+    /// An encoded run of `records` with the tag byte of its first key
+    /// replaced by `tag`.
+    fn with_first_tag(records: &[Record], tag: u8) -> Vec<u8> {
+        let run: Run = records.iter().cloned().collect();
+        let mut bytes = encoded(&run);
+        // The header, then the record count: the first key starts here.
+        let at = Encoder::new().finish().len() + 8;
+        bytes[at] = tag;
+        bytes
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown K tag 7")]
+    fn a_run_whose_key_tag_is_corrupt_is_rejected_at_decode() {
+        let bytes = with_first_tag(&[(K::from("a"), V::Int(1)), (K::from("b"), V::Int(2))], 7);
+        Run::decode(&mut Decoder::new(&bytes));
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot strings are UTF-8")]
+    fn a_text_key_that_is_not_utf8_is_rejected_at_decode() {
+        // A `Bytes` key whose tag is flipped to `Text`.
+        let bytes = with_first_tag(&[(K::Bytes(vec![0xFF, 0xFE]), V::Null)], 1);
+        Run::decode(&mut Decoder::new(&bytes));
     }
 
     /// Up to `max` bytes of a small alphabet with 0 in it.
@@ -937,29 +1080,36 @@ mod tests {
         }
     }
 
-    /// The combiner over `group_by_key`.
+    /// The combiner over `group_by_key`: each group combined or put back
+    /// verbatim, in key order.
     fn reference_combiner(app: &dyn MapReduceApp, records: Vec<Record>) -> Vec<Record> {
         let mut out: Vec<Record> = Vec::new();
-        let mut any = false;
-        for (k, vals) in group_by_key(records.clone()) {
-            if app.combine(&k, &vals, &mut |ek, ev| out.push((ek, ev))) {
-                any = true;
-            } else {
+        for (k, vals) in group_by_key(records) {
+            if !app.combine(&k, &vals, &mut |ek, ev| out.push((ek, ev))) {
                 out.extend(vals.into_iter().map(|v| (k.clone(), v)));
             }
         }
-        if any {
-            out
-        } else {
-            records
+        out
+    }
+
+    /// Seals `records` with a table of `slots` slots and lookups of
+    /// `probes` slots at most; the run, and how many heads were joined.
+    fn sealed_with(records: &[Record], slots: usize, probes: usize) -> (Run, usize) {
+        let mut builder = RunBuilder::default();
+        for (k, v) in records {
+            builder.push(k, v.clone());
         }
+        let mut scratch = Grouping::default();
+        let run = builder.seal_with(&mut scratch, slots, probes);
+        let joined = scratch.heads.len() - run.group_count();
+        (run, joined)
     }
 
     /// Bounded probing is the contract: with a table that has room for four
     /// keys and lookups that give up after two slots, most keys start a
-    /// group at every record, and the groups still come out as
-    /// `group_by_key` of the concatenation has them — as they do with the
-    /// table of `Groups::over`.
+    /// head at every record, and the sealed runs still come out as they do
+    /// with the full table — so the merge of them is `group_by_key` of the
+    /// concatenation, and the combiner over one is the grouping one.
     #[test]
     fn groups_equal_group_by_key_whatever_the_table_holds() {
         let apps = [
@@ -967,42 +1117,43 @@ mod tests {
             CountApp { accepts: |_| false },
             CountApp { accepts: |k| k.stable_hash() % 2 == 0 },
         ];
-        let tables: [fn(&[&mut Run]) -> Groups; 2] = [Groups::tiny, Groups::over];
         let mut joined = 0;
         check("grouping-tables", Config::with_cases(300), |g| {
             let value = *g.choose(&VALUES);
             let parts = random_runs(g, value);
             let expected = group_by_key(parts.concat());
-            let mut runs: Vec<Run> = parts.iter().map(|p| p.iter().cloned().collect()).collect();
+            let mut runs: Vec<Run> = Vec::new();
+            for part in &parts {
+                let (tiny, j) = sealed_with(part, 8, 2);
+                joined += j;
+                let run: Run = part.iter().cloned().collect();
+                assert_eq!(tiny, run);
+                assert_eq!(run.to_records(), grouped(part));
+                runs.push(run);
+            }
             let before = runs.clone();
-            for table in tables {
-                // Twice: lent values are back in place after a merge.
-                for _ in 0..2 {
-                    let mut lent: Vec<&mut Run> = runs.iter_mut().collect();
-                    let groups = table(&lent);
-                    assert_eq!(groups.len(), expected.len());
-                    joined += groups.heads.len() - groups.len();
-                    let mut streamed = Vec::new();
-                    groups.for_each(&mut lent, |k, vals| streamed.push((k.clone(), vals.to_vec())));
-                    assert_eq!(streamed, expected);
-                    assert_eq!(runs, before);
-                }
-                let records = parts.concat();
-                let run: Run = records.iter().cloned().collect();
-                for app in &apps {
-                    let combined = combine_grouped(app, run.clone(), table);
-                    let expect = reference_combiner(app, records.clone());
-                    assert_eq!(combined.to_records(), expect);
-                    assert_eq!(combined.bytes(), crate::types::records_size(&expect));
-                }
+            // Twice: lent values are back in place after a merge.
+            for _ in 0..2 {
+                let mut lent: Vec<&mut Run> = runs.iter_mut().collect();
+                let mut streamed = Vec::new();
+                for_each_group(&mut lent, |k, vals| streamed.push((k.clone(), vals.to_vec())));
+                assert_eq!(streamed, expected);
+                assert_eq!(runs, before);
+            }
+            let records = parts.concat();
+            for app in &apps {
+                let combined = combine_run(app, records.iter().cloned().collect());
+                let expect = reference_combiner(app, records.clone());
+                assert_eq!(combined.to_records(), expect);
+                assert_eq!(combined.bytes(), crate::types::records_size(&expect));
             }
         });
-        assert!(joined > 0, "no case joined the groups of a key the table had no room for");
+        assert!(joined > 0, "no case joined the heads of a key the table had no room for");
     }
 
     /// Keys that all hash to one slot of the largest table: eight find
     /// room within the probe bound, the others cost a bounded lookup and a
-    /// group per record, and the merge is still right.
+    /// head per record, and the seal is still right.
     #[test]
     fn keys_crafted_into_one_slot_are_merged_in_bounded_work() {
         let slot_of = |i: i64| {
@@ -1014,13 +1165,9 @@ mod tests {
         let records: Vec<Record> = (0..100)
             .flat_map(|round| hostile.iter().map(move |&i| (K::Int(i), V::Int(round))))
             .collect();
-        let mut run: Run = records.iter().cloned().collect();
-        let lent = &mut [&mut run];
-        let groups = Groups::over(lent);
-        assert_eq!(groups.len(), hostile.len());
-        assert_eq!(groups.heads.len(), PROBE_BOUND + (hostile.len() - PROBE_BOUND) * 100);
-        let mut streamed = Vec::new();
-        groups.for_each(lent, |k, vals| streamed.push((k.clone(), vals.to_vec())));
-        assert_eq!(streamed, group_by_key(records));
+        let (run, joined) = sealed_with(&records, MAX_SLOTS, PROBE_BOUND);
+        assert_eq!(run.group_count(), hostile.len());
+        assert_eq!(joined + hostile.len(), PROBE_BOUND + (hostile.len() - PROBE_BOUND) * 100);
+        assert_eq!(run.to_records(), grouped(&records));
     }
 }

@@ -1,16 +1,18 @@
 //! Shuffle/sort bookkeeping and the reduce-side pipeline: per-map fetch
-//! flows, merge + group + real reduce execution, and the replicated HDFS
-//! output write.
+//! flows, the merge of the fetched sorted runs + real reduce execution,
+//! and the replicated HDFS output write.
 //!
 //! Paper mechanism modelled: step 7 of the paper's execution flow — "the
 //! worker who is assigned a reduce task ... reads the buffered data from
 //! the local disks of the map workers, sorts it by the intermediate keys"
-//! and reduces each group. Shuffle traffic crossing VM (and Xen domain)
-//! boundaries is what separates the paper's normal vs. cross-domain
-//! wordcount curves (Fig. 2).
+//! and reduces each group. As in Hadoop, each map's output for this reduce
+//! is already sorted by key (a sealed [`Run`]), so the sort is a k-way
+//! merge of those segments ([`for_each_group`]). Shuffle traffic crossing
+//! VM (and Xen domain) boundaries is what separates the paper's normal vs.
+//! cross-domain wordcount curves (Fig. 2).
 
 use crate::job::{JobEvent, JobId};
-use crate::run::{Groups, Run};
+use crate::run::{for_each_group, Run};
 use crate::state::{
     tag, tag_full, Partition, PH_IGNORE, PH_REDUCE_COMPUTE, PH_REDUCE_WRITE, PH_SHUFFLE,
 };
@@ -71,7 +73,7 @@ impl MrEngine {
                 &[("job", f64::from(jid.0)), ("task", r as f64)],
             );
         }
-        // Merge all fetched runs, group, and really reduce. The runs are
+        // Merge all fetched runs by key and really reduce. The runs are
         // lent to the merge, not taken: they stay until the job finishes so
         // a failed reduce can re-run from them, as Hadoop re-fetches map
         // output that is still alive.
@@ -83,13 +85,17 @@ impl MrEngine {
 
         // Outputs live until the job finishes: one record per group is
         // what reduces emit, reserved once instead of grown by doubling.
-        let groups = Groups::over(&fetched);
-        let mut out: Vec<Record> = Vec::with_capacity(groups.len());
-        job.counters.reduce_input_groups += groups.len() as u64;
+        // The runs' group counts bound the groups from above, exactly when
+        // no key is in two runs.
+        let bound = fetched.iter().map(|run| run.group_count()).sum();
+        let mut out: Vec<Record> = Vec::with_capacity(bound);
+        let mut groups = 0;
         let app = job.app.as_ref();
-        groups.for_each(&mut fetched, |k, vals| {
+        for_each_group(&mut fetched, |k, vals| {
+            groups += 1;
             app.reduce(k, vals, &mut |ek, ev| out.push((ek, ev)));
         });
+        job.counters.reduce_input_groups += groups;
         job.counters.reduce_input_records += in_records;
 
         let cost = app.cost();

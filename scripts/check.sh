@@ -12,9 +12,12 @@ itest() { cargo test -q -p vhadoop-integration "$@"; }
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
+# platbench is a workspace of its own, which `--all` and `--workspace` skip.
+cargo fmt --manifest-path platbench/Cargo.toml -- --check
 
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --offline --manifest-path platbench/Cargo.toml --all-targets -- -D warnings
 
 echo "==> cargo test"
 cargo test --workspace -q

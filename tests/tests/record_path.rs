@@ -1,10 +1,10 @@
 //! Properties of the copy-free record path (DESIGN.md §20): the sort
-//! index's key prefix against `K`'s own order, the streaming merge over
-//! map-output runs and the combiner over one against `group_by_key`, and a
-//! snapshot taken while the runs are all there is of a job's data. (The
-//! same grouping properties under a table too small for its keys, which
-//! needs a constructor tests outside the crate cannot reach, are unit tests
-//! of `mapreduce::run`.)
+//! key's prefix against `K`'s own order, the merge of sealed map-output
+//! runs and the combiner over one against `group_by_key`, snapshots of the
+//! same records in either order restoring to one run, and a snapshot taken
+//! while the runs are all there is of a job's data. (Sealing under a table
+//! too small for its keys, which needs a constructor tests outside the
+//! crate cannot reach, is a unit test of `mapreduce::run`.)
 
 mod common;
 
@@ -12,6 +12,7 @@ use common::{fig2_job, launch_fig2, MB};
 use mapreduce::prelude::*;
 use mapreduce::run::{combine_run, for_each_group, Run, SortKey};
 use proptest::{check, Config, Gen};
+use simcore::persist::{Decoder, Encoder, Persist};
 use std::cmp::Ordering;
 use vhadoop::prelude::{FaultPlan, PlatformEvent, RootSeed, VHadoop};
 use workloads::tpcxhs::{hsgen_job, HsPlan};
@@ -134,8 +135,15 @@ fn any_value(g: &mut Gen, n: i64) -> V {
     }
 }
 
+/// Each partition sealed into a run, as a map spills it.
 fn to_runs(parts: &[Vec<Record>]) -> Vec<Run> {
     parts.iter().map(|part| part.iter().cloned().collect()).collect()
+}
+
+/// `records` as a sealed run holds them: grouped by key, in key order.
+fn grouped(records: Vec<Record>) -> Vec<Record> {
+    let groups = group_by_key(records).into_iter();
+    groups.flat_map(|(k, vs)| vs.into_iter().map(move |v| (k.clone(), v))).collect()
 }
 
 fn streamed(runs: &mut [Run]) -> Vec<(K, Vec<V>)> {
@@ -160,13 +168,75 @@ fn streamed_groups_equal_group_by_key_of_the_concatenation() {
         let value = *g.choose(&values);
         let parts = random_partitions(g, value);
         let expected = group_by_key(parts.concat());
+        // The runs are sealed before the merge, as maps spill them.
         let mut runs = to_runs(&parts);
+        for (run, part) in runs.iter().zip(&parts) {
+            assert_eq!(run.to_records(), grouped(part.clone()));
+        }
         let before = runs.clone();
 
         assert_eq!(streamed(&mut runs), expected);
         assert_eq!(runs, before, "the merge must leave the lent runs as they were");
         // A reduce lost to a tracker failure re-runs from the same runs.
         assert_eq!(streamed(&mut runs), expected);
+        assert_eq!(runs, before);
+    });
+}
+
+/// Keys of 16 bytes or more that share their first 15 have equal sort
+/// prefixes, so the merge must compare the rest of the bytes: the one path
+/// of the merge that neither the HS keys (10 bytes) nor the corpus words
+/// (under 16) reach.
+#[test]
+fn long_keys_sharing_their_prefix_merge_across_runs() {
+    check("long-keys", Config::with_cases(200), |g| {
+        let stem = random_bytes(g, 15);
+        let mut pool: Vec<K> = Vec::new();
+        for _ in 0..g.usize_in(2, 8) {
+            let extra = g.usize_in(1, 5);
+            let bytes = [stem.clone(), random_bytes(g, extra)].concat();
+            pool.push(if g.bool(0.5) { K::Bytes(bytes) } else { text_key(bytes) });
+        }
+        let mut next = 0i64;
+        let mut parts: Vec<Vec<Record>> = Vec::new();
+        for _ in 0..g.usize_in(3, 6) {
+            // An empty run before every full one.
+            parts.push(Vec::new());
+            let len = g.usize_in(1, 30);
+            parts.push(
+                (0..len)
+                    .map(|_| {
+                        next += 1;
+                        (g.choose(&pool).clone(), V::Int(next))
+                    })
+                    .collect(),
+            );
+        }
+        let expected = group_by_key(parts.concat());
+        let mut runs = to_runs(&parts);
+        assert_eq!(streamed(&mut runs), expected);
+        assert_eq!(streamed(&mut runs), expected, "the reduce-loss re-run");
+    });
+}
+
+/// Snapshots hold a run as the records it stands for, in key order; one
+/// that holds them in emission order, as a run that was never sorted
+/// writes them, must decode to the same sealed run. That is why sorting
+/// runs kept the snapshot version.
+#[test]
+fn a_run_decodes_alike_from_emission_order_and_key_order() {
+    let encode = |records: &Vec<Record>| {
+        let mut e = Encoder::new();
+        records.encode(&mut e);
+        e.finish()
+    };
+    check("run-decode-order", Config::with_cases(200), |g| {
+        let value = *g.choose(&[|_: &mut Gen, n| V::Int(n), |_: &mut Gen, _| V::Int(1), any_value]);
+        let records = random_partitions(g, value).concat();
+        let emitted = Run::decode(&mut Decoder::new(&encode(&records)));
+        let sorted = Run::decode(&mut Decoder::new(&encode(&grouped(records.clone()))));
+        assert_eq!(emitted, sorted);
+        assert_eq!(emitted, records.into_iter().collect::<Run>());
     });
 }
 
@@ -181,7 +251,7 @@ fn a_column_that_meets_another_kind_keeps_every_value_in_order() {
             records.push((random_key(g), any_value(g, i as i64)));
         }
         let run: Run = records.iter().cloned().collect();
-        assert_eq!(run.to_records(), records);
+        assert_eq!(run.to_records(), grouped(records.clone()));
         assert_eq!(run.bytes(), records_size(&records));
         assert_eq!(streamed(&mut [run]), group_by_key(records));
     });
@@ -226,24 +296,16 @@ impl MapReduceApp for NoCombinerApp {
     }
 }
 
-/// The combiner as it was before it worked in place: group, combine or
-/// put back verbatim, and fall back to the untouched partition if no
-/// group was combined.
+/// The combiner over `group_by_key`: each group combined or put back
+/// verbatim, in key order.
 fn reference_combiner(app: &dyn MapReduceApp, records: Vec<Record>) -> Vec<Record> {
     let mut out: Vec<Record> = Vec::new();
-    let mut any = false;
-    for (k, vals) in group_by_key(records.clone()) {
-        if app.combine(&k, &vals, &mut |ek, ev| out.push((ek, ev))) {
-            any = true;
-        } else {
+    for (k, vals) in group_by_key(records) {
+        if !app.combine(&k, &vals, &mut |ek, ev| out.push((ek, ev))) {
             out.extend(vals.into_iter().map(|v| (k.clone(), v)));
         }
     }
-    if any {
-        out
-    } else {
-        records
-    }
+    out
 }
 
 #[test]
@@ -266,7 +328,7 @@ fn in_place_combiner_equals_the_grouping_one() {
             assert_eq!(combined.to_records(), expected, "{name}");
             assert_eq!(combined.bytes(), records_size(&expected), "{name}");
             if matches!(*name, "never" | "no combiner") {
-                assert_eq!(combined, run, "{name}: emission order must survive");
+                assert_eq!(combined, run, "{name}: the sealed run must come back");
             }
         }
     });
