@@ -201,18 +201,16 @@ fn shf_slack(y: f64) -> f64 {
 /// link. *Cross-core* congests the same trunk a further 4x.
 pub fn topology(scale: f64) {
     use vcluster::spec::GBIT_PER_SEC;
-    use vcluster::topology::TopologySpec;
 
     let mb = input_mb(scale);
     let run = |second_host: u32, core_bw: f64| {
         let map: Vec<u32> = (0..16).map(|v| if v % 2 == 0 { 0 } else { second_host }).collect();
-        let mut topo = TopologySpec::racks(2);
-        topo.core_bw = core_bw;
         let spec = ClusterSpec::builder()
             .hosts(4)
             .vms(16)
             .placement(Placement::Custom(map))
-            .topology(topo)
+            .racks(2)
+            .core_bw(core_bw)
             .build();
         let cfg = JobConfig::default().with_combiner(false).with_reduces(4);
         run_wordcount(spec, mb << 20, cfg, SEED).elapsed_s

@@ -52,10 +52,8 @@ pub struct PlatformConfig {
     pub hdfs: HdfsConfig,
     /// nmon sampling interval; `None` disables monitoring.
     pub monitor_interval: Option<SimDuration>,
-    /// Engine-wide task-scheduler policy the JobTracker starts with.
-    /// Individual submissions may override it via
-    /// [`JobConfig::with_scheduler`]. Set via
-    /// [`PlatformConfigBuilder::scheduler`]; read via
+    /// The JobTracker's task-scheduler policy; every job runs under it.
+    /// Set via [`PlatformConfigBuilder::scheduler`]; read via
     /// [`PlatformConfig::scheduler`].
     scheduler: SchedulerPolicy,
     /// Faults to inject (see [`crate::faults`]); empty by default. More
@@ -435,10 +433,11 @@ impl VHadoop {
         self.monitor.as_ref()
     }
 
-    /// MapReduce Tuner advice for a finished job (flow step 9).
+    /// MapReduce Tuner advice for a finished job (flow step 9), judged
+    /// against the JobTracker's current scheduler policy.
     pub fn advise(&self, job: &JobResult, config: &JobConfig) -> tuner::Advice {
         match self.monitor_report() {
-            Some(report) => tuner::analyze(&report, Some(job), Some(config)),
+            Some(report) => tuner::analyze(&report, Some(job), Some(config), self.rt.mr.policy()),
             None => tuner::Advice::default(),
         }
     }
@@ -549,6 +548,41 @@ mod tests {
         );
         assert_eq!(p.rt.mr.policy(), SchedulerPolicy::JobDriven);
         assert_eq!(VHadoop::paper_default().rt.mr.policy(), SchedulerPolicy::Fifo);
+    }
+
+    /// A job with skewed reduce input is told to switch to `JobDriven` only
+    /// when the JobTracker does not already run it.
+    #[test]
+    fn advice_reads_the_jobtrackers_policy() {
+        let skewed = JobResult {
+            id: mapreduce::job::JobId(0),
+            name: "skewed".into(),
+            submitted: SimTime::ZERO,
+            finished: SimTime::from_secs(10),
+            elapsed: SimDuration::from_secs(10),
+            map_phase: SimDuration::from_secs(6),
+            reduce_phase: SimDuration::from_secs(4),
+            counters: Default::default(),
+            outputs: Vec::new(),
+            partition_sizes: vec![100, 100, 100, 900],
+        };
+        let switch = tuner::Action::SetSchedulerPolicy(SchedulerPolicy::JobDriven);
+        for (policy, advised) in
+            [(SchedulerPolicy::Fifo, true), (SchedulerPolicy::JobDriven, false)]
+        {
+            let p = VHadoop::launch(
+                PlatformConfig::builder()
+                    .cluster(ClusterSpec::builder().hosts(1).vms(2).build())
+                    .scheduler(policy)
+                    .build(),
+            );
+            let advice = p.advise(&skewed, &JobConfig::default());
+            assert!(
+                advice.findings.iter().any(|f| matches!(f, tuner::Finding::ReduceSkew { .. })),
+                "{policy}: {advice:?}"
+            );
+            assert_eq!(advice.actions.contains(&switch), advised, "{policy}: {advice:?}");
+        }
     }
 
     #[test]

@@ -1,57 +1,47 @@
 //! Job configuration — the knobs the paper's Hadoop Module and MapReduce
-//! Tuner turn.
+//! Tuner turn — and the TaskTracker constants every job shares.
 
-use crate::scheduler::SchedulerPolicy;
 use simcore::time::SimDuration;
 
+/// Concurrent map tasks per TaskTracker
+/// (`mapred.tasktracker.map.tasks.maximum`, a tracker setting in Hadoop 0.20).
+pub const MAP_SLOTS_PER_TRACKER: u32 = 2;
+
+/// Concurrent reduce tasks per TaskTracker
+/// (`mapred.tasktracker.reduce.tasks.maximum`).
+pub const REDUCE_SLOTS_PER_TRACKER: u32 = 2;
+
+/// Per-task launch overhead: heartbeat wait + JVM spawn + setup. The
+/// dominant term for small jobs (MRBench) on 2012 Hadoop.
+pub const TASK_STARTUP: SimDuration = SimDuration::from_millis(1_500);
+
+/// Launch serialization: the JobTracker hands out one task per
+/// TaskTracker heartbeat, so the k-th task assigned in the same wave
+/// starts ≈ `k × ASSIGNMENT_STAGGER` later. This is what makes tiny jobs
+/// slow down as map/reduce counts grow (the paper's Fig. 3).
+pub const ASSIGNMENT_STAGGER: SimDuration = SimDuration::from_millis(400);
+
 /// Per-job configuration (Hadoop 0.20 parameter names in the doc comments).
+/// Job output is replicated `dfs.replication` times (`HdfsConfig::replication`),
+/// and the task-scheduler policy is the JobTracker's, not the job's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobConfig {
     /// Number of reduce tasks (`mapred.reduce.tasks`). Zero makes a
     /// map-only job whose maps write output directly (TeraGen, DFSIO).
     pub num_reduces: u32,
-    /// Concurrent map tasks per node (`mapred.tasktracker.map.tasks.maximum`).
-    pub map_slots_per_node: u32,
-    /// Concurrent reduce tasks per node (`mapred.tasktracker.reduce.tasks.maximum`).
-    pub reduce_slots_per_node: u32,
     /// Run the application's combiner on map output before spilling.
     pub use_combiner: bool,
     /// Prefer scheduling a map where one of its split's replicas lives.
     pub locality_aware: bool,
-    /// Per-task launch overhead: heartbeat wait + JVM spawn + setup. The
-    /// dominant term for small jobs (MRBench) on 2012 Hadoop.
-    pub task_startup: SimDuration,
-    /// Launch serialization: the JobTracker hands out one task per
-    /// TaskTracker heartbeat, so the k-th task assigned in the same wave
-    /// starts ≈ `k × assignment_stagger` later. This is what makes tiny
-    /// jobs slow down as map/reduce counts grow (the paper's Fig. 3).
-    pub assignment_stagger: SimDuration,
-    /// Output replication (`dfs.replication` for job output files).
-    pub output_replication: u32,
     /// Launch backup attempts for straggling maps
     /// (`mapred.map.tasks.speculative.execution`). The first attempt to
     /// finish wins; the loser's work is discarded.
     pub speculative: bool,
-    /// Task-scheduler policy this submission asks for. `None` inherits the
-    /// engine-wide policy (from `PlatformConfig::scheduler`, default FIFO);
-    /// `Some(p)` switches the engine to `p` at submit time.
-    pub scheduler: Option<SchedulerPolicy>,
 }
 
 impl Default for JobConfig {
     fn default() -> Self {
-        JobConfig {
-            num_reduces: 1,
-            map_slots_per_node: 2,
-            reduce_slots_per_node: 2,
-            use_combiner: true,
-            locality_aware: true,
-            task_startup: SimDuration::from_millis(1_500),
-            assignment_stagger: SimDuration::from_millis(400),
-            output_replication: 3,
-            speculative: false,
-            scheduler: None,
-        }
+        JobConfig { num_reduces: 1, use_combiner: true, locality_aware: true, speculative: false }
     }
 }
 
@@ -84,12 +74,6 @@ impl JobConfig {
         self.speculative = on;
         self
     }
-
-    /// Selects the task-scheduler policy, builder style.
-    pub fn with_scheduler(mut self, policy: SchedulerPolicy) -> Self {
-        self.scheduler = Some(policy);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -98,11 +82,13 @@ mod tests {
 
     #[test]
     fn defaults_are_hadoop_020_flavoured() {
+        assert_eq!(MAP_SLOTS_PER_TRACKER, 2);
+        assert_eq!(REDUCE_SLOTS_PER_TRACKER, 2);
         let c = JobConfig::default();
-        assert_eq!(c.map_slots_per_node, 2);
-        assert_eq!(c.reduce_slots_per_node, 2);
-        assert_eq!(c.output_replication, 3);
+        assert_eq!(c.num_reduces, 1);
+        assert!(c.use_combiner);
         assert!(c.locality_aware);
+        assert!(!c.speculative);
     }
 
     #[test]

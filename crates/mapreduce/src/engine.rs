@@ -1,8 +1,8 @@
 //! The JobTracker: event routing, the job lifecycle state machine, and
 //! slot accounting. Placement decisions live in [`crate::scheduler`]; map
-//! execution in [`crate::maptask`]; the shuffle/sort/reduce pipeline in
-//! [`crate::shuffle`]; straggler backup attempts in [`crate::speculation`];
-//! tracker-failure recovery in [`crate::recovery`].
+//! execution in the private `maptask` module; the shuffle/sort/reduce
+//! pipeline in `shuffle`; straggler backup attempts in `speculation`;
+//! tracker-failure recovery in `recovery`.
 //!
 //! Paper mechanism modelled: the Hadoop Module's master VM — JobTracker
 //! plus namenode on VM 0 — driving TaskTrackers on every worker VM.
@@ -15,15 +15,18 @@
 //! time comes from the fluid contention model.
 //!
 //! Faithfulness notes (vs. Hadoop 0.20):
-//! * task launch cost (heartbeat wait + JVM spawn) is one configurable
-//!   constant — the dominant small-job term the paper's MRBench probes;
+//! * task launch cost (heartbeat wait + JVM spawn) is one constant,
+//!   [`crate::config::TASK_STARTUP`] — the dominant small-job term the
+//!   paper's MRBench probes;
 //! * reduces are scheduled after the map phase completes (no shuffle
 //!   overlap); this shifts absolute times but preserves every comparative
 //!   shape the paper reports;
 //! * map output spills once (`io.sort.mb` never overflows mid-task).
 
 use crate::app::MapReduceApp;
-use crate::config::JobConfig;
+use crate::config::{
+    ASSIGNMENT_STAGGER, MAP_SLOTS_PER_TRACKER, REDUCE_SLOTS_PER_TRACKER, TASK_STARTUP,
+};
 use crate::counters::Counters;
 use crate::input::InputFormat;
 use crate::job::{JobEvent, JobId, JobResult, JobSpec};
@@ -156,10 +159,6 @@ impl MrEngine {
     /// Submits a job. For HDFS-fed jobs, the input file must already exist
     /// and its block count must equal `input.split_count()`.
     ///
-    /// If the job's [`JobConfig::scheduler`] names a policy, the engine
-    /// switches to it before scheduling (the last submission wins when
-    /// jobs run concurrently).
-    ///
     /// Completion arrives as a [`JobEvent::JobDone`] from a later
     /// [`MrEngine::on_wakeup`] / [`MrEngine::on_hdfs_done`] call.
     pub fn submit(
@@ -175,9 +174,6 @@ impl MrEngine {
         // the public signature stays `Box` so callers build jobs as before.
         let app: std::rc::Rc<dyn MapReduceApp> = Rc::from(app);
         let input: std::rc::Rc<dyn InputFormat> = Rc::from(input);
-        if let Some(policy) = spec.config.scheduler {
-            self.set_policy(policy);
-        }
         let splits: Vec<SplitInfo> = match &spec.input_path {
             Some(path) => {
                 // An exact path is a single file; otherwise treat it as a
@@ -354,7 +350,7 @@ impl MrEngine {
         match a.kind {
             TaskKind::Map(m) => {
                 let Some(pos) = job.pending_maps.iter().position(|&x| x == m) else { return };
-                if held(&self.used_map_slots) >= job.config().map_slots_per_node {
+                if held(&self.used_map_slots) >= MAP_SLOTS_PER_TRACKER {
                     return;
                 }
                 *self.used_map_slots.entry(a.vm.0).or_insert(0) += 1;
@@ -379,7 +375,7 @@ impl MrEngine {
                 }
                 let ep = job.map_epoch[m];
                 engine.start_chain(
-                    Self::startup_chain(cluster, a.vm, job.config(), *wave),
+                    Self::startup_chain(cluster, a.vm, *wave),
                     tag_full(JobId(a.job), PH_MAP_STARTUP, 0, ep, m),
                 );
                 *wave += 1;
@@ -389,7 +385,7 @@ impl MrEngine {
                     return;
                 }
                 let Some(pos) = job.pending_reduces.iter().position(|&x| x == r) else { return };
-                if held(&self.used_reduce_slots) >= job.config().reduce_slots_per_node {
+                if held(&self.used_reduce_slots) >= REDUCE_SLOTS_PER_TRACKER {
                     return;
                 }
                 *self.used_reduce_slots.entry(a.vm.0).or_insert(0) += 1;
@@ -399,7 +395,7 @@ impl MrEngine {
                 job.counters.launched_reduces += 1;
                 let ep = job.reduce_epoch[r];
                 engine.start_chain(
-                    Self::startup_chain(cluster, a.vm, job.config(), *wave),
+                    Self::startup_chain(cluster, a.vm, *wave),
                     tag_full(JobId(a.job), PH_REDUCE_STARTUP, 0, ep, r),
                 );
                 *wave += 1;
@@ -408,19 +404,14 @@ impl MrEngine {
     }
 
     /// Task launch: the heartbeat/stagger wait is pure latency, but the
-    /// JVM spawn half of `task_startup` burns real guest CPU — 30 task
+    /// JVM spawn half of [`TASK_STARTUP`] burns real guest CPU — 30 task
     /// JVMs starting across a consolidated host contend, which is part of
     /// the virtualization overhead the paper measures.
-    pub(crate) fn startup_chain(
-        cluster: &VirtualCluster,
-        vm: VmId,
-        cfg: &JobConfig,
-        wave: u64,
-    ) -> ChainSpec {
-        let half = cfg.task_startup / 2;
+    pub(crate) fn startup_chain(cluster: &VirtualCluster, vm: VmId, wave: u64) -> ChainSpec {
+        let half = TASK_STARTUP / 2;
         let spawn_cycles = half.as_secs_f64() * cluster.spec().host.core_hz;
         ChainSpec::new()
-            .delay(half + cfg.assignment_stagger * wave)
+            .delay(half + ASSIGNMENT_STAGGER * wave)
             .then(cluster.compute(vm, spawn_cycles))
     }
 

@@ -53,18 +53,7 @@ simcore::persist_struct!(Counters {
     speculative_maps,
     relaunched_tasks,
 });
-simcore::persist_struct!(JobConfig {
-    num_reduces,
-    map_slots_per_node,
-    reduce_slots_per_node,
-    use_combiner,
-    locality_aware,
-    task_startup,
-    assignment_stagger,
-    output_replication,
-    speculative,
-    scheduler,
-});
+simcore::persist_struct!(JobConfig { num_reduces, use_combiner, locality_aware, speculative });
 simcore::persist_struct!(JobSpec { name, input_path, output_path, config });
 simcore::persist_struct!(SplitInfo { block, bytes, locations });
 simcore::persist_enum!(TaskPhase { 0 => Pending, 1 => Running(vm), 2 => Done });
@@ -82,7 +71,7 @@ impl Persist for Partition {
 
 /// The shareable user-code parts of one in-flight job. These ride inside
 /// the platform `Snapshot` as live `Rc`s (never as bytes) and are rejoined
-/// with the decoded [`JobState`] at restore.
+/// with the decoded job state at restore.
 #[derive(Clone)]
 pub struct JobResidue {
     /// Job id this residue belongs to.
@@ -291,9 +280,11 @@ mod tests {
     #[test]
     fn specs_round_trip() {
         round_trip(JobSpec::new("wc", "/in", "/out"));
-        round_trip(JobSpec::generated("gen", "/g").with_config(
-            JobConfig::map_only().with_scheduler(SchedulerPolicy::JobDriven).with_speculative(true),
-        ));
+        round_trip(
+            JobSpec::generated("gen", "/g")
+                .with_config(JobConfig::map_only().with_locality(false).with_speculative(true)),
+        );
+        round_trip(SchedulerPolicy::JobDriven);
         round_trip(Counters { shuffle_bytes: 42, launched_maps: 3, ..Default::default() });
         round_trip(TaskPhase::Running(VmId(4)));
         round_trip(vec![TaskPhase::Pending, TaskPhase::Done]);

@@ -16,15 +16,15 @@
 //! order (the order fixes heartbeat-stagger waves, so it is part of the
 //! contract, not a cosmetic detail).
 
-use crate::config::JobConfig;
+use crate::config::{JobConfig, MAP_SLOTS_PER_TRACKER, REDUCE_SLOTS_PER_TRACKER};
 use std::cmp::Reverse;
 use std::collections::{HashMap, VecDeque};
 use vcluster::cluster::{HostId, VmId};
 use vcluster::topology::RackId;
 
-/// Which placement policy drives the JobTracker. Selected engine-wide via
-/// `PlatformConfig::scheduler` or per submission via
-/// [`JobConfig::with_scheduler`].
+/// Which placement policy drives the JobTracker. One policy serves every
+/// job: set at launch via `PlatformConfig::scheduler`, or later via
+/// `MrEngine::set_policy`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SchedulerPolicy {
     /// Hadoop 0.20 stock behavior: jobs in submission order, each job
@@ -66,13 +66,11 @@ impl SchedulerPolicy {
         }
     }
 
-    /// Places a speculative (backup) map attempt for `job`, avoiding
-    /// `avoid` (the tracker running the straggling primary): the emptiest
-    /// other tracker, ties to the lowest id — stock Hadoop, under every
-    /// policy.
-    pub fn place_speculative(self, view: &SchedulerView, job: u32, avoid: VmId) -> Option<VmId> {
-        let cfg = view.jobs.iter().find(|j| j.id == job)?.config;
-        emptiest(view, &Slots::snapshot(view), cfg, Some(avoid))
+    /// Places a speculative (backup) map attempt, avoiding `avoid` (the
+    /// tracker running the straggling primary): the emptiest other
+    /// tracker, ties to the lowest id — stock Hadoop, under every policy.
+    pub fn place_speculative(self, view: &SchedulerView, avoid: VmId) -> Option<VmId> {
+        emptiest(view, &Slots::snapshot(view), Some(avoid))
     }
 }
 
@@ -99,7 +97,7 @@ pub struct TrackerInfo {
 pub struct JobView<'a> {
     /// Job id.
     pub id: u32,
-    /// The job's configuration (slot capacities, locality flag, ...).
+    /// The job's configuration (locality flag, reduce count, ...).
     pub config: &'a JobConfig,
     /// Map task indices awaiting assignment, FIFO order.
     pub pending_maps: &'a VecDeque<usize>,
@@ -192,12 +190,12 @@ impl Slots {
         }
     }
 
-    fn free_map(&self, vm: VmId, cfg: &JobConfig) -> u32 {
-        cfg.map_slots_per_node.saturating_sub(self.used_map[vm.0 as usize])
+    fn free_map(&self, vm: VmId) -> u32 {
+        MAP_SLOTS_PER_TRACKER.saturating_sub(self.used_map[vm.0 as usize])
     }
 
-    fn free_reduce(&self, vm: VmId, cfg: &JobConfig) -> u32 {
-        cfg.reduce_slots_per_node.saturating_sub(self.used_reduce[vm.0 as usize])
+    fn free_reduce(&self, vm: VmId) -> u32 {
+        REDUCE_SLOTS_PER_TRACKER.saturating_sub(self.used_reduce[vm.0 as usize])
     }
 
     /// Map + reduce slots held on `vm` — total tracker load.
@@ -216,54 +214,48 @@ impl Slots {
 
 /// One tier of map placement: the tracker a map whose split has replicas
 /// on `locations` gets from this tier alone, if any.
-type Tier = fn(&SchedulerView, &Slots, &JobConfig, &[VmId]) -> Option<VmId>;
+type Tier = fn(&SchedulerView, &Slots, &[VmId]) -> Option<VmId>;
 
 /// The locality tiers, nearest first: data-local, host-local, rack-local.
 const LOCALITY_TIERS: [Tier; 3] = [data_local, host_local, rack_local];
 
 /// A replica VM with a free slot, in replica order (it must still be a
 /// live tracker — datanodes can fail).
-fn data_local(_: &SchedulerView, slots: &Slots, cfg: &JobConfig, at: &[VmId]) -> Option<VmId> {
-    at.iter().copied().find(|&v| slots.live[v.0 as usize] && slots.free_map(v, cfg) > 0)
+fn data_local(_: &SchedulerView, slots: &Slots, at: &[VmId]) -> Option<VmId> {
+    at.iter().copied().find(|&v| slots.live[v.0 as usize] && slots.free_map(v) > 0)
 }
 
 /// The first tracker (view order) with a free slot that `near` accepts.
 fn first_free(
     view: &SchedulerView,
     slots: &Slots,
-    cfg: &JobConfig,
     near: impl Fn(&TrackerInfo) -> bool,
 ) -> Option<VmId> {
-    view.trackers.iter().find(|t| slots.free_map(t.vm, cfg) > 0 && near(t)).map(|t| t.vm)
+    view.trackers.iter().find(|t| slots.free_map(t.vm) > 0 && near(t)).map(|t| t.vm)
 }
 
-fn host_local(view: &SchedulerView, slots: &Slots, cfg: &JobConfig, at: &[VmId]) -> Option<VmId> {
-    first_free(view, slots, cfg, |t| at.iter().any(|&l| view.vm_hosts[l.0 as usize] == t.host))
+fn host_local(view: &SchedulerView, slots: &Slots, at: &[VmId]) -> Option<VmId> {
+    first_free(view, slots, |t| at.iter().any(|&l| view.vm_hosts[l.0 as usize] == t.host))
 }
 
 /// Only meaningful (and only run) when the fabric has more than one rack:
 /// on one rack this tier is every tracker and would shadow the
 /// emptiest-tracker balancing that follows it.
-fn rack_local(view: &SchedulerView, slots: &Slots, cfg: &JobConfig, at: &[VmId]) -> Option<VmId> {
+fn rack_local(view: &SchedulerView, slots: &Slots, at: &[VmId]) -> Option<VmId> {
     if view.racks <= 1 {
         return None;
     }
-    first_free(view, slots, cfg, |t| at.iter().any(|&l| view.vm_racks[l.0 as usize] == t.rack))
+    first_free(view, slots, |t| at.iter().any(|&l| view.vm_racks[l.0 as usize] == t.rack))
 }
 
 /// The tracker with the most free map slots other than `avoid`, ties to
 /// the lowest id.
-fn emptiest(
-    view: &SchedulerView,
-    slots: &Slots,
-    cfg: &JobConfig,
-    avoid: Option<VmId>,
-) -> Option<VmId> {
+fn emptiest(view: &SchedulerView, slots: &Slots, avoid: Option<VmId>) -> Option<VmId> {
     view.trackers
         .iter()
         .map(|t| t.vm)
-        .filter(|&v| Some(v) != avoid && slots.free_map(v, cfg) > 0)
-        .max_by_key(|&v| (slots.free_map(v, cfg), Reverse(v.0)))
+        .filter(|&v| Some(v) != avoid && slots.free_map(v) > 0)
+        .max_by_key(|&v| (slots.free_map(v), Reverse(v.0)))
 }
 
 /// Stock Hadoop map placement: the nearest locality tier that has room
@@ -275,11 +267,11 @@ fn pick_map_vm(
     locations: &[VmId],
 ) -> Option<VmId> {
     let near = if cfg.locality_aware {
-        LOCALITY_TIERS.iter().find_map(|tier| tier(view, slots, cfg, locations))
+        LOCALITY_TIERS.iter().find_map(|tier| tier(view, slots, locations))
     } else {
         None
     };
-    near.or_else(|| emptiest(view, slots, cfg, None))
+    near.or_else(|| emptiest(view, slots, None))
 }
 
 /// Reduce placement: the tracker with the most free reduce slots, ties
@@ -288,12 +280,12 @@ fn pick_map_vm(
 /// engine's bug of ignoring map load: under 2-job contention a tracker
 /// still churning through job A's maps no longer ties with an idle one
 /// for job B's reduces.
-fn pick_reduce_vm(view: &SchedulerView, slots: &Slots, cfg: &JobConfig) -> Option<VmId> {
+fn pick_reduce_vm(view: &SchedulerView, slots: &Slots) -> Option<VmId> {
     view.trackers
         .iter()
         .map(|t| t.vm)
-        .filter(|&v| slots.free_reduce(v, cfg) > 0)
-        .max_by_key(|&v| (slots.free_reduce(v, cfg), Reverse(slots.total_used(v)), Reverse(v.0)))
+        .filter(|&v| slots.free_reduce(v) > 0)
+        .max_by_key(|&v| (slots.free_reduce(v), Reverse(slots.total_used(v)), Reverse(v.0)))
 }
 
 /// Hadoop 0.20 stock scheduling (the paper's configuration): jobs in
@@ -302,15 +294,16 @@ fn fifo(view: &SchedulerView) -> Vec<Assignment> {
     let mut slots = Slots::snapshot(view);
     let mut out = Vec::new();
     for job in &view.jobs {
-        let cfg = job.config;
         for &m in job.pending_maps {
-            let Some(vm) = pick_map_vm(view, &slots, cfg, job.map_locations[m]) else { break };
+            let Some(vm) = pick_map_vm(view, &slots, job.config, job.map_locations[m]) else {
+                break;
+            };
             slots.take_map(vm);
             out.push(Assignment { job: job.id, kind: TaskKind::Map(m), vm });
         }
         if job.reduces_open {
             for &r in job.pending_reduces {
-                let Some(vm) = pick_reduce_vm(view, &slots, cfg) else { break };
+                let Some(vm) = pick_reduce_vm(view, &slots) else { break };
                 slots.take_reduce(vm);
                 out.push(Assignment { job: job.id, kind: TaskKind::Reduce(r), vm });
             }
@@ -327,14 +320,13 @@ fn job_driven(view: &SchedulerView) -> Vec<Assignment> {
     let mut slots = Slots::snapshot(view);
     let mut out = Vec::new();
     for job in &view.jobs {
-        let cfg = job.config;
         // Maps: one pass per locality tier over the whole queue. Unlike
         // FIFO, a map deep in the queue may jump ahead if its replica
         // tracker has a free slot — that is the locality-first matching.
         let mut remaining: Vec<usize> = job.pending_maps.iter().copied().collect();
         for tier in LOCALITY_TIERS {
             remaining.retain(|&m| {
-                let Some(vm) = tier(view, &slots, cfg, job.map_locations[m]) else {
+                let Some(vm) = tier(view, &slots, job.map_locations[m]) else {
                     return true;
                 };
                 slots.take_map(vm);
@@ -344,7 +336,7 @@ fn job_driven(view: &SchedulerView) -> Vec<Assignment> {
         }
         // Whatever is left goes to the emptiest trackers.
         for m in remaining {
-            let Some(vm) = emptiest(view, &slots, cfg, None) else { break };
+            let Some(vm) = emptiest(view, &slots, None) else { break };
             slots.take_map(vm);
             out.push(Assignment { job: job.id, kind: TaskKind::Map(m), vm });
         }
@@ -355,7 +347,7 @@ fn job_driven(view: &SchedulerView) -> Vec<Assignment> {
             by_size
                 .sort_by_key(|&r| (Reverse(job.partition_bytes.get(r).copied().unwrap_or(0)), r));
             for r in by_size {
-                let Some(vm) = pick_reduce_vm(view, &slots, cfg) else { break };
+                let Some(vm) = pick_reduce_vm(view, &slots) else { break };
                 slots.take_reduce(vm);
                 out.push(Assignment { job: job.id, kind: TaskKind::Reduce(r), vm });
             }
@@ -575,9 +567,8 @@ mod tests {
         let mut fx = ViewFixture::new(3);
         let cfg = JobConfig::default();
         fx.job(cfg, 1, vec![vec![]], false, vec![]);
-        let vm = SchedulerPolicy::Fifo
-            .place_speculative(&fx.view(), 0, VmId(1))
-            .expect("free slot exists");
+        let vm =
+            SchedulerPolicy::Fifo.place_speculative(&fx.view(), VmId(1)).expect("free slot exists");
         assert_ne!(vm, VmId(1), "backup attempt runs elsewhere");
     }
 
@@ -623,7 +614,7 @@ mod tests {
         let configs = [
             JobConfig::default(),
             JobConfig::default().with_reduces(24),
-            JobConfig { map_slots_per_node: 3, ..JobConfig::default() },
+            JobConfig::default().with_locality(false),
         ];
         for (j, cfg) in configs.into_iter().enumerate() {
             let locations = (0..64)
@@ -640,17 +631,17 @@ mod tests {
         fx
     }
 
-    /// The dense slot ledger must decide exactly what the hashed one did:
-    /// the hashes below were captured on the commit before the rewrite
-    /// (PR 21's tree) and cover the full `(job, kind, vm)` sequence of
-    /// `assign` plus eight `place_speculative` answers, per policy.
+    /// The dense slot ledger's decisions are pinned: the hashes cover the
+    /// full `(job, kind, vm)` sequence of `assign` plus eight
+    /// `place_speculative` answers, per policy, at the fixed per-tracker
+    /// slot counts.
     #[test]
     fn assignments_at_1024_trackers_match_the_hashed_ledger() {
         let fx = scale_fixture();
         let view = fx.view();
         let golden: [(SchedulerPolicy, u64, u64); 2] = [
-            (SchedulerPolicy::Fifo, 0xcb7d_caa1_51d1_90ae, 0xcf0a_7394_cc94_d2a5),
-            (SchedulerPolicy::JobDriven, 0xbebe_1cd6_5812_ecc2, 0xcf0a_7394_cc94_d2a5),
+            (SchedulerPolicy::Fifo, 0x8f9d_1c29_6d50_75bb, 0xcf0a_7394_cc94_d2a5),
+            (SchedulerPolicy::JobDriven, 0x1c25_7ef3_9091_ae20, 0xcf0a_7394_cc94_d2a5),
         ];
         for (policy, assign_hash, speculative_hash) in golden {
             let a = policy.assign(&view);
@@ -665,8 +656,8 @@ mod tests {
             // Each backup avoids the previous answer, so the pairs walk the
             // runners-up too instead of asking for the same winner 8 times.
             let mut avoid = VmId(1);
-            let got_speculative = fnv1a((0..8).map(|i| {
-                let vm = policy.place_speculative(&view, i % 3, avoid);
+            let got_speculative = fnv1a((0..8).map(|_| {
+                let vm = policy.place_speculative(&view, avoid);
                 avoid = vm.unwrap_or(avoid);
                 vm.map_or(u64::MAX, |vm| u64::from(vm.0))
             }));
@@ -701,11 +692,7 @@ mod tests {
             }
         }
         for _ in 0..g.usize_in(0, 4) {
-            let cfg = JobConfig {
-                map_slots_per_node: g.u32_in(1, 3),
-                reduce_slots_per_node: g.u32_in(1, 3),
-                ..JobConfig::default().with_reduces(g.u32_in(0, 5)).with_locality(g.bool(0.8))
-            };
+            let cfg = JobConfig::default().with_reduces(g.u32_in(0, 5)).with_locality(g.bool(0.8));
             let maps = g.usize_in(0, 8);
             let locations = (0..maps)
                 .map(|_| (0..g.usize_in(0, 3)).map(|_| VmId(g.u32_in(0, vms))).collect())
@@ -731,15 +718,14 @@ mod tests {
                         fx.trackers.iter().any(|t| t.vm == a.vm),
                         "{policy}: {a:?} on a dead VM"
                     );
-                    let cfg = &fx.configs[a.job as usize];
                     let (held, cap) = match a.kind {
-                        TaskKind::Map(_) => (used_map.entry(a.vm.0), cfg.map_slots_per_node),
+                        TaskKind::Map(_) => (used_map.entry(a.vm.0), MAP_SLOTS_PER_TRACKER),
                         TaskKind::Reduce(_) => {
                             assert!(
                                 fx.reduces_open[a.job as usize],
                                 "{policy}: {a:?} before map end"
                             );
-                            (used_reduce.entry(a.vm.0), cfg.reduce_slots_per_node)
+                            (used_reduce.entry(a.vm.0), REDUCE_SLOTS_PER_TRACKER)
                         }
                     };
                     let held = held.or_insert(0);

@@ -52,8 +52,7 @@ impl MrEngine {
         for (m, vm0) in candidates {
             // Where the backup runs is a placement decision: ask the
             // scheduling layer for a different tracker with a free slot.
-            let Some(vm) =
-                self.with_view(cluster, |view| self.policy.place_speculative(view, jid, vm0))
+            let Some(vm) = self.with_view(cluster, |view| self.policy.place_speculative(view, vm0))
             else {
                 continue;
             };
@@ -66,7 +65,7 @@ impl MrEngine {
             job.counters.speculative_maps += 1;
             let ep = job.map_epoch[m];
             engine.start_chain(
-                Self::startup_chain(cluster, vm, job.config(), 0),
+                Self::startup_chain(cluster, vm, 0),
                 tag_full(JobId(jid), PH_MAP_STARTUP, 1, ep, m),
             );
         }

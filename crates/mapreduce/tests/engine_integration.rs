@@ -109,20 +109,23 @@ fn locality_aware_scheduling_reads_locally() {
     );
 }
 
+/// The map-only identity job.
+struct Identity;
+
+impl MapReduceApp for Identity {
+    fn name(&self) -> &str {
+        "identity"
+    }
+    fn map(&self, k: &K, v: &V, out: &mut dyn FnMut(K, V)) {
+        out(k.clone(), v.clone());
+    }
+    fn reduce(&self, _k: &K, _vs: &[V], _out: &mut dyn FnMut(K, V)) {
+        unreachable!("map-only job never reduces");
+    }
+}
+
 #[test]
 fn map_only_job_writes_output_directly() {
-    struct Identity;
-    impl MapReduceApp for Identity {
-        fn name(&self) -> &str {
-            "identity"
-        }
-        fn map(&self, k: &K, v: &V, out: &mut dyn FnMut(K, V)) {
-            out(k.clone(), v.clone());
-        }
-        fn reduce(&self, _k: &K, _vs: &[V], _out: &mut dyn FnMut(K, V)) {
-            unreachable!("map-only job never reduces");
-        }
-    }
     let mut rt = runtime(Placement::SingleDomain, 8);
     let input = GeneratorInput::new(4, MB, |idx| {
         (0..100).map(|i| (K::Int((idx * 100 + i) as i64), V::Float(i as f64))).collect()
@@ -133,6 +136,36 @@ fn map_only_job_writes_output_directly() {
     assert_eq!(result.counters.launched_reduces, 0);
     assert!(rt.hdfs.stat("/gen-out/part-m-00000").is_some(), "output file exists");
     assert!(result.reduce_phase.is_zero());
+}
+
+/// Every block under `dir` has exactly `replication` distinct replicas.
+fn assert_replicated(rt: &MrRuntime, dir: &str, replication: usize) {
+    let blocks = rt.hdfs.dir_block_locations(dir).expect("job output in HDFS");
+    assert!(!blocks.is_empty(), "{dir} holds no block");
+    for (block, _, replicas) in blocks {
+        let distinct: std::collections::BTreeSet<_> = replicas.iter().collect();
+        assert_eq!(replicas.len(), replication, "{dir} block {block:?}: {replicas:?}");
+        assert_eq!(distinct.len(), replication, "{dir} block {block:?}: {replicas:?}");
+    }
+}
+
+/// Job output follows `dfs.replication` (`HdfsConfig::replication`, 2
+/// here, against the default of 3), for reduce output and for a map-only
+/// job's output alike.
+#[test]
+fn job_output_follows_dfs_replication() {
+    let mut rt = runtime(Placement::CrossDomain, 8);
+    assert_eq!(rt.hdfs.config().replication, 2);
+    register_and_run(&mut rt, 3, JobConfig::default().with_reduces(2));
+    assert_replicated(&rt, "/out/", 2);
+
+    let mut rt = runtime(Placement::CrossDomain, 8);
+    let input = GeneratorInput::new(3, MB, |idx| {
+        (0..100).map(|i| (K::Int((idx * 100 + i) as i64), V::Int(i as i64))).collect()
+    });
+    let spec = JobSpec::generated("gen", "/gen-out").with_config(JobConfig::map_only());
+    rt.run_job(spec, Box::new(Identity), Box::new(input));
+    assert_replicated(&rt, "/gen-out/", 2);
 }
 
 #[test]

@@ -45,7 +45,6 @@ fn run(speculative: bool) -> JobResult {
         locality_aware: false, // force round-robin so vm1 gets a map
         use_combiner: false,
         num_reduces: 1,
-        ..Default::default()
     };
     let job = JobSpec::new("sq", "/in", format!("/out-{speculative}")).with_config(config);
     rt.run_job(job, Box::new(SlowSquare), Box::new(input))

@@ -60,8 +60,10 @@ pub const SNAPSHOT_MAGIC: [u8; 6] = *b"VHSNAP";
 /// makespan model produced each estimate. v5: the fluid net's global-solve
 /// bench switch and the engine's kernel counter names are gone. v6: the
 /// lazy fluid clock — per-flow and per-resource settle instants and the
-/// `flows_settled` counter.)
-pub const SNAPSHOT_VERSION: u32 = 6;
+/// `flows_settled` counter. v7: a job's config keeps only the four values
+/// a job chooses; slots, launch timings, output replication and the
+/// scheduler policy are no longer per job.)
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Checks the header of a snapshot byte string without constructing a
 /// decoder; returns the embedded format version.

@@ -9,7 +9,9 @@
 //! [`analyze`] matches monitor reports and job counters against a rule
 //! base and produces [`Finding`]s (what is wrong) and [`Action`]s (what to
 //! change); [`apply_to_job_config`] / [`apply_to_hdfs_config`] carry the
-//! re-configuration actions out.
+//! re-configuration actions out. The platform-wide actions — migrating
+//! VMs, switching the JobTracker's scheduler policy — are advice for the
+//! operator.
 
 #![warn(missing_docs)]
 
@@ -89,7 +91,8 @@ pub enum Action {
         /// Host index to relieve.
         u32,
     ),
-    /// Switch the JobTracker's task-scheduler policy.
+    /// Switch the JobTracker's task-scheduler policy (platform-wide:
+    /// `PlatformConfig::scheduler` or `MrEngine::set_policy`).
     SetSchedulerPolicy(
         /// Policy to switch to.
         SchedulerPolicy,
@@ -138,11 +141,14 @@ const LOCALITY_FLOOR: f64 = 0.5;
 /// considered skewed enough to warrant size-aware placement.
 const SKEW_RATIO: f64 = 2.0;
 
-/// Diagnoses a finished job run from the monitor report and job counters.
+/// Diagnoses a finished job run from the monitor report, the job's
+/// counters and configuration, and the `policy` the JobTracker ran it
+/// under.
 pub fn analyze(
     report: &MonitorReport,
     job: Option<&JobResult>,
     config: Option<&JobConfig>,
+    policy: SchedulerPolicy,
 ) -> Advice {
     let mut advice = Advice::default();
 
@@ -202,9 +208,7 @@ pub fn analyze(
             advice.findings.push(Finding::PoorLocality { locality: c.data_locality() });
             if config.is_some_and(|cfg| !cfg.locality_aware) {
                 advice.actions.push(Action::EnableLocalityScheduling);
-            } else if config
-                .is_some_and(|cfg| cfg.scheduler.unwrap_or_default() != SchedulerPolicy::JobDriven)
-            {
+            } else if policy != SchedulerPolicy::JobDriven {
                 // Locality-aware FIFO still missed: the job-driven policy
                 // makes dedicated data-local and host-local passes over the
                 // whole pending queue instead of FIFO's front-of-queue pick.
@@ -221,10 +225,7 @@ pub fn analyze(
             if mean > 0.0 && max / mean > SKEW_RATIO {
                 advice.findings.push(Finding::ReduceSkew { ratio: max / mean });
                 let switch = Action::SetSchedulerPolicy(SchedulerPolicy::JobDriven);
-                if config.is_some_and(|cfg| {
-                    cfg.scheduler.unwrap_or_default() != SchedulerPolicy::JobDriven
-                }) && !advice.actions.contains(&switch)
-                {
+                if policy != SchedulerPolicy::JobDriven && !advice.actions.contains(&switch) {
                     advice.actions.push(switch);
                 }
             }
@@ -262,10 +263,6 @@ pub fn apply_to_job_config(advice: &Advice, config: &mut JobConfig) -> Vec<Strin
             Action::SetReduces(n) if config.num_reduces != *n => {
                 changed.push(format!("num_reduces: {} -> {n}", config.num_reduces));
                 config.num_reduces = *n;
-            }
-            Action::SetSchedulerPolicy(p) if config.scheduler != Some(*p) => {
-                changed.push(format!("scheduler: {} -> {p}", config.scheduler.unwrap_or_default()));
-                config.scheduler = Some(*p);
             }
             _ => {}
         }
@@ -317,7 +314,7 @@ mod tests {
         let report = report_for(|e, c| {
             e.start_chain(c.disk_read(VmId(1), 90e6 * 10.0), Tag::owner(simcore::owners::USER));
         });
-        let advice = analyze(&report, None, None);
+        let advice = analyze(&report, None, None, SchedulerPolicy::Fifo);
         assert!(matches!(advice.findings[0], Finding::NfsDiskSaturated { .. }));
         assert!(advice.actions.contains(&Action::SetBlockSize(128 * 1024 * 1024)));
         let mut cfg = HdfsConfig::default();
@@ -339,7 +336,7 @@ mod tests {
                 }
             }
         });
-        let advice = analyze(&report, None, None);
+        let advice = analyze(&report, None, None, SchedulerPolicy::Fifo);
         assert!(
             advice.findings.iter().any(|f| matches!(f, Finding::HostImbalance { .. })),
             "imbalance detected: {advice:?}"
@@ -352,7 +349,7 @@ mod tests {
         let report = report_for(|e, c| {
             e.start_chain(c.compute(VmId(0), 2.4e9 * 0.5), Tag::owner(simcore::owners::USER));
         });
-        let advice = analyze(&report, None, None);
+        let advice = analyze(&report, None, None, SchedulerPolicy::Fifo);
         assert!(advice.is_clean(), "got {advice:?}");
         assert!(advice.to_text().contains("no tuning needed"));
     }
@@ -386,7 +383,7 @@ mod tests {
             e.start_chain(c.compute(VmId(0), 2.4e9), Tag::owner(simcore::owners::USER));
         });
         let mut cfg = JobConfig::default().with_combiner(false);
-        let advice = analyze(&report, Some(&job), Some(&cfg));
+        let advice = analyze(&report, Some(&job), Some(&cfg), SchedulerPolicy::Fifo);
         assert!(advice.findings.iter().any(|f| matches!(f, Finding::ShuffleHeavy { .. })));
         let changed = apply_to_job_config(&advice, &mut cfg);
         assert!(cfg.use_combiner);
@@ -420,19 +417,24 @@ mod tests {
 
     use mapreduce::job::JobResult;
 
+    /// The switch is advised against the JobTracker's policy: under FIFO a
+    /// skewed job gets the finding and the switch, under `JobDriven` the
+    /// finding only. The switch is platform-wide, so the job's config
+    /// takes nothing from it.
     #[test]
     fn reduce_skew_advises_job_driven_scheduler() {
         let mut job = plain_job();
         job.partition_sizes = vec![100, 100, 100, 900]; // max = 3× mean
         let mut cfg = JobConfig::default();
-        let advice = analyze(&quiet_report(), Some(&job), Some(&cfg));
-        assert!(advice.findings.iter().any(|f| matches!(f, Finding::ReduceSkew { .. })));
-        let changed = apply_to_job_config(&advice, &mut cfg);
-        assert_eq!(cfg.scheduler, Some(SchedulerPolicy::JobDriven));
-        assert_eq!(changed, vec!["scheduler: fifo -> job-driven"]);
-        // Re-analyzing with the switch applied must not re-advise it.
-        let advice2 = analyze(&quiet_report(), Some(&job), Some(&cfg));
-        assert!(!advice2.actions.iter().any(|a| matches!(a, Action::SetSchedulerPolicy(_))));
+        let switch = Action::SetSchedulerPolicy(SchedulerPolicy::JobDriven);
+        let fifo = analyze(&quiet_report(), Some(&job), Some(&cfg), SchedulerPolicy::Fifo);
+        assert!(fifo.findings.iter().any(|f| matches!(f, Finding::ReduceSkew { .. })));
+        assert!(fifo.actions.contains(&switch));
+        assert_eq!(apply_to_job_config(&fifo, &mut cfg), Vec::<String>::new());
+        assert_eq!(cfg, JobConfig::default());
+        let driven = analyze(&quiet_report(), Some(&job), Some(&cfg), SchedulerPolicy::JobDriven);
+        assert!(driven.findings.iter().any(|f| matches!(f, Finding::ReduceSkew { .. })));
+        assert!(!driven.actions.iter().any(|a| matches!(a, Action::SetSchedulerPolicy(_))));
     }
 
     #[test]
@@ -440,12 +442,17 @@ mod tests {
         let mut job = plain_job();
         job.counters.data_local_maps = 1; // 25% locality, under the floor
         let cfg = JobConfig::default(); // locality_aware is on by default
-        let advice = analyze(&quiet_report(), Some(&job), Some(&cfg));
+        let advice = analyze(&quiet_report(), Some(&job), Some(&cfg), SchedulerPolicy::Fifo);
         assert!(advice.findings.iter().any(|f| matches!(f, Finding::PoorLocality { .. })));
         assert!(advice.actions.contains(&Action::SetSchedulerPolicy(SchedulerPolicy::JobDriven)));
+        // Already job-driven: the finding stands, nothing to switch to.
+        let driven = analyze(&quiet_report(), Some(&job), Some(&cfg), SchedulerPolicy::JobDriven);
+        assert!(driven.findings.iter().any(|f| matches!(f, Finding::PoorLocality { .. })));
+        assert!(driven.actions.is_empty(), "{driven:?}");
         // With locality scheduling off, the cheaper fix is advised instead.
         let cfg_off = JobConfig::default().with_locality(false);
-        let advice_off = analyze(&quiet_report(), Some(&job), Some(&cfg_off));
+        let advice_off =
+            analyze(&quiet_report(), Some(&job), Some(&cfg_off), SchedulerPolicy::Fifo);
         assert!(advice_off.actions.contains(&Action::EnableLocalityScheduling));
         assert!(!advice_off.actions.iter().any(|a| matches!(a, Action::SetSchedulerPolicy(_))));
     }

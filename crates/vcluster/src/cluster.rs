@@ -2,8 +2,8 @@
 //!
 //! [`VirtualCluster::new`] registers one resource per physical contention
 //! point — host CPUs, host NICs, host software bridges, the switching
-//! fabric described by the spec's [`TopologySpec`](crate::topology), the
-//! NFS server's NIC and disk — plus a VCPU-cap resource per VM (the Xen
+//! fabric of the spec's racks ([`crate::topology`]), the NFS server's NIC
+//! and disk — plus a VCPU-cap resource per VM (the Xen
 //! credit scheduler's `cap`). All higher layers (HDFS, MapReduce,
 //! migration) build their activities out of the demand paths provided here,
 //! so every contention effect flows through one shared model:
@@ -20,9 +20,8 @@
 //! No I/O path names a host CPU: guest compute and guest I/O share no fluid
 //! resource, so they solve as separate components.
 //!
-//! With the default single-rack topology the switch path is always the one
-//! legacy `switch` resource and every demand vector below is byte-for-byte
-//! what the pre-topology model produced.
+//! On one rack (the default) the switch path is always the one `switch`
+//! resource.
 
 use crate::spec::{ClusterSpec, XEN_CPU_OVERHEAD};
 use crate::topology::{LocalityTier, RackId, RackSwitchStat, Topology};
@@ -51,14 +50,14 @@ impl std::fmt::Display for VmId {
     }
 }
 
-/// One-way latency of the intra-host bridge (the [`TopologySpec`]
-/// default; kept for reference and golden-compat assertions).
-///
-/// [`TopologySpec`]: crate::topology::TopologySpec
+/// One-way latency of the intra-host software bridge.
 pub const BRIDGE_LATENCY: SimDuration = SimDuration::from_micros(50);
-/// One-way latency of the in-rack wire (NIC + ToR switch) — the
-/// [`TopologySpec`](crate::topology::TopologySpec) default.
+/// One-way latency between two hosts in one rack (NIC + ToR switch).
 pub const WIRE_LATENCY: SimDuration = SimDuration::from_micros(200);
+/// One-way latency a path adds when it crosses the core switch between
+/// racks (a 2012-era multi-tier datacenter hop), on top of
+/// [`WIRE_LATENCY`].
+pub const CORE_LATENCY: SimDuration = SimDuration::from_micros(300);
 
 /// The instantiated cluster: resource handles plus the (mutable) VM→host map.
 #[derive(Debug)]
@@ -119,7 +118,7 @@ impl VirtualCluster {
                 spec.host.bridge_bw,
             ));
         }
-        let topology = Topology::build(engine, &spec.topology, spec.hosts, spec.switch_bw);
+        let topology = Topology::build(engine, &spec);
         let nfs_nic = engine.add_resource("nfs.nic", ResourceKind::Net, spec.nfs.nic_bw);
         let nfs_disk = engine.add_resource("nfs.disk", ResourceKind::Disk, spec.nfs.disk_bw);
         let mut disklane = Vec::new();

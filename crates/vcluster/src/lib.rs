@@ -4,10 +4,11 @@
 //!
 //! * [`spec`] — physical hosts (Dell T710 defaults), guest VMs, placement
 //!   policies (the paper's *normal* single-domain vs. *cross-domain*
-//!   configurations), NFS image server, and the Xen CPU-overhead factor;
+//!   configurations), racks, NFS image server, and the Xen CPU-overhead
+//!   factor;
 //! * [`topology`] — the explicit network tree (VM → host bridge →
-//!   rack/ToR switch → core) with per-tier bandwidth and latency; one
-//!   rack degenerates to the paper's flat two-host geometry;
+//!   rack/ToR switch → core); one rack is the paper's flat two-host
+//!   geometry;
 //! * [`cluster`] — materializes a [`spec::ClusterSpec`] onto the
 //!   [`simcore`] fluid network and provides the demand paths (compute,
 //!   VM↔VM transfer, NFS-backed disk I/O) that HDFS and MapReduce build
@@ -34,5 +35,5 @@ pub mod prelude {
         MigrationManager, StopReason, UtilizationDirtyModel, VmMigrationReport,
     };
     pub use crate::spec::{ClusterSpec, HostSpec, NfsSpec, Placement, VmSpec, GIB, MIB};
-    pub use crate::topology::{LocalityTier, RackId, RackPlacement, Topology, TopologySpec};
+    pub use crate::topology::{LocalityTier, RackId, Topology};
 }

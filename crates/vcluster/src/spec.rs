@@ -1,11 +1,12 @@
-//! Cluster specifications: physical hosts, VMs, placement, NFS server.
+//! Cluster specifications: physical hosts, VMs, placement, racks, NFS
+//! server.
 //!
 //! Defaults mirror the paper's testbed: Dell T710 servers with two
 //! quad-core Xeon E5620 processors at 2.40 GHz and 32 GB DRAM, 1 Gb/s
-//! Ethernet, Xen with VM images on a shared NFS server, and guests with
-//! 1 VCPU and 1024 MB of memory.
-
-use crate::topology::TopologySpec;
+//! Ethernet behind one switch, Xen with VM images on a shared NFS server,
+//! and guests with 1 VCPU and 1024 MB of memory. More racks generalize
+//! the one switch to a tree (see [`crate::topology`]); its latencies are
+//! the constants in [`crate::cluster`].
 
 /// Bytes in one mebibyte.
 pub const MIB: u64 = 1024 * 1024;
@@ -151,14 +152,17 @@ pub struct ClusterSpec {
     pub placement: Placement,
     /// Shared NFS image server.
     pub nfs: NfsSpec,
-    /// Inter-host switch backplane bandwidth in bytes/second. With the
-    /// default single-rack topology this *is* the one switch; with more
-    /// racks it is the inherited default for ToR/core tiers whose
-    /// bandwidths are left at `0.0`.
+    /// Inter-host switch backplane bandwidth in bytes/second: the one
+    /// switch of a single-rack cluster, each rack's ToR switch otherwise.
     pub switch_bw: f64,
-    /// Network-tier geometry: racks, host→rack map, per-tier bandwidths
-    /// and latencies. Defaults to one rack — the legacy flat wire.
-    pub topology: TopologySpec,
+    /// Number of racks (1 ..= `hosts`). Hosts fill racks in contiguous
+    /// blocks of `ceil(hosts / racks)`. One rack is the paper's flat
+    /// testbed: one switch and no core.
+    pub racks: u32,
+    /// Backplane bandwidth of the core switch joining the racks, in
+    /// bytes/second; the same as the default `switch_bw` unless set.
+    /// Unused on one rack.
+    pub core_bw: f64,
     /// Per-host hardware classes (one entry per host when non-empty;
     /// empty = homogeneous baseline, the legacy layout byte-for-byte).
     pub host_classes: Vec<HostClass>,
@@ -174,7 +178,8 @@ impl Default for ClusterSpec {
             placement: Placement::SingleDomain,
             nfs: NfsSpec::default(),
             switch_bw: 8.0 * GBIT_PER_SEC,
-            topology: TopologySpec::default(),
+            racks: 1,
+            core_bw: 8.0 * GBIT_PER_SEC,
             host_classes: Vec::new(),
         }
     }
@@ -197,9 +202,11 @@ impl ClusterSpec {
         self.placement.host_of(vm, self.vms, self.hosts)
     }
 
-    /// Rack index of physical host `host`.
+    /// Rack index of physical host `host`: contiguous blocks of
+    /// `ceil(hosts / racks)` hosts.
     pub fn rack_of_host(&self, host: u32) -> u32 {
-        self.topology.rack_of_host(host, self.hosts)
+        let per_rack = self.hosts.div_ceil(self.racks).max(1);
+        (host / per_rack).min(self.racks - 1)
     }
 
     /// Hardware class of physical host `host` (baseline when no classes
@@ -220,6 +227,30 @@ impl ClusterSpec {
         if self.vm.vcpus == 0 {
             return Err("VMs need at least one VCPU".into());
         }
+        if self.host.cores == 0 {
+            return Err("hosts need at least one core".into());
+        }
+        // NaN-safe positivity: NaN compares Greater to nothing.
+        let positive = |v: f64| v.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater);
+        for (name, v) in [
+            ("host.core_hz", self.host.core_hz),
+            ("host.nic_bw", self.host.nic_bw),
+            ("host.bridge_bw", self.host.bridge_bw),
+            ("nfs.disk_bw", self.nfs.disk_bw),
+            ("nfs.nic_bw", self.nfs.nic_bw),
+            ("switch_bw", self.switch_bw),
+            ("core_bw", self.core_bw),
+        ] {
+            if !positive(v) {
+                return Err(format!("{name} must be positive, got {v}"));
+            }
+        }
+        if !self.nfs.op_latency_ms.is_finite() || self.nfs.op_latency_ms < 0.0 {
+            return Err(format!(
+                "nfs.op_latency_ms must be finite and non-negative, got {}",
+                self.nfs.op_latency_ms
+            ));
+        }
         if let Placement::Custom(map) = &self.placement {
             if map.len() as u32 != self.vms {
                 return Err(format!(
@@ -232,7 +263,12 @@ impl ClusterSpec {
                 return Err(format!("custom placement references unknown host {h}"));
             }
         }
-        self.topology.validate(self.hosts)?;
+        if self.racks == 0 {
+            return Err("cluster needs at least one rack".into());
+        }
+        if self.racks > self.hosts {
+            return Err(format!("{} racks but only {} hosts", self.racks, self.hosts));
+        }
         if !self.host_classes.is_empty() {
             if self.host_classes.len() as u32 != self.hosts {
                 return Err(format!(
@@ -242,8 +278,6 @@ impl ClusterSpec {
                 ));
             }
             for (h, c) in self.host_classes.iter().enumerate() {
-                // NaN-safe positivity: NaN compares Greater to nothing.
-                let positive = |m: f64| m.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater);
                 if !positive(c.cpu_mult) || !positive(c.disk_mult) {
                     return Err(format!(
                         "host {h} class multipliers must be positive (cpu {}, disk {})",
@@ -305,16 +339,15 @@ impl ClusterSpecBuilder {
         self
     }
 
-    /// Number of racks (contiguous host blocks, inherited tier
-    /// bandwidths); shorthand for the common multi-rack shape.
+    /// Number of racks (contiguous host blocks).
     pub fn racks(mut self, n: u32) -> Self {
-        self.spec.topology.racks = n;
+        self.spec.racks = n;
         self
     }
 
-    /// Full network-tier geometry.
-    pub fn topology(mut self, t: TopologySpec) -> Self {
-        self.spec.topology = t;
+    /// Core switch bandwidth in bytes/second.
+    pub fn core_bw(mut self, bw: f64) -> Self {
+        self.spec.core_bw = bw;
         self
     }
 
@@ -418,6 +451,101 @@ mod tests {
     fn builder_rejects_mismatched_host_classes() {
         let _ =
             ClusterSpec::builder().hosts(2).vms(4).host_classes(vec![HostClass::default()]).build();
+    }
+
+    #[test]
+    fn hosts_fill_racks_in_contiguous_blocks() {
+        let racks_of = |hosts: u32, racks: u32| {
+            let s = ClusterSpec::builder().hosts(hosts).vms(hosts).racks(racks).build();
+            (0..hosts).map(|h| s.rack_of_host(h)).collect::<Vec<_>>()
+        };
+        assert_eq!(racks_of(6, 3), vec![0, 0, 1, 1, 2, 2]);
+        // Odd split: 5 hosts over 2 racks → 3 + 2.
+        assert_eq!(racks_of(5, 2), vec![0, 0, 0, 1, 1]);
+        assert_eq!(racks_of(2, 1), vec![0, 0]);
+    }
+
+    #[test]
+    fn validate_rejects_bad_rack_counts() {
+        let with_racks = |racks| ClusterSpec { hosts: 2, racks, ..Default::default() };
+        assert!(with_racks(0).validate().unwrap_err().contains("at least one rack"));
+        let more = ClusterSpec { hosts: 2, vms: 2, racks: 4, ..Default::default() };
+        assert!(more.validate().unwrap_err().contains("4 racks but only 2 hosts"));
+        assert!(with_racks(2).validate().is_ok());
+    }
+
+    /// `set(spec, v)` writes one bandwidth or clock field: zero, negative
+    /// and NaN must fail naming `field`, and +∞ (an uncontended resource)
+    /// must pass.
+    fn rejects_nonpositive(field: &str, set: fn(&mut ClusterSpec, f64)) {
+        for bad in [0.0, -1.0, f64::NAN] {
+            let mut s = ClusterSpec::default();
+            set(&mut s, bad);
+            let err = s.validate().expect_err(&format!("{field} = {bad} accepted"));
+            assert!(err.contains(field), "{field} = {bad}: error {err:?} does not name it");
+        }
+        let mut s = ClusterSpec::default();
+        set(&mut s, f64::INFINITY);
+        assert_eq!(s.validate(), Ok(()), "{field} = +inf");
+    }
+
+    #[test]
+    fn validate_rejects_zero_cores() {
+        let s =
+            ClusterSpec { host: HostSpec { cores: 0, ..Default::default() }, ..Default::default() };
+        assert!(s.validate().unwrap_err().contains("core"));
+    }
+
+    #[test]
+    fn validate_rejects_bad_core_hz() {
+        rejects_nonpositive("host.core_hz", |s, v| s.host.core_hz = v);
+    }
+
+    #[test]
+    fn validate_rejects_bad_host_nic_bw() {
+        rejects_nonpositive("host.nic_bw", |s, v| s.host.nic_bw = v);
+    }
+
+    #[test]
+    fn validate_rejects_bad_bridge_bw() {
+        rejects_nonpositive("host.bridge_bw", |s, v| s.host.bridge_bw = v);
+    }
+
+    #[test]
+    fn validate_rejects_bad_nfs_disk_bw() {
+        rejects_nonpositive("nfs.disk_bw", |s, v| s.nfs.disk_bw = v);
+    }
+
+    #[test]
+    fn validate_rejects_bad_nfs_nic_bw() {
+        rejects_nonpositive("nfs.nic_bw", |s, v| s.nfs.nic_bw = v);
+    }
+
+    #[test]
+    fn validate_rejects_bad_switch_bw() {
+        rejects_nonpositive("switch_bw", |s, v| s.switch_bw = v);
+    }
+
+    #[test]
+    fn validate_rejects_bad_core_bw() {
+        rejects_nonpositive("core_bw", |s, v| s.core_bw = v);
+    }
+
+    #[test]
+    fn validate_rejects_bad_nfs_op_latency() {
+        for bad in [-0.5, f64::NAN, f64::INFINITY] {
+            let s = ClusterSpec {
+                nfs: NfsSpec { op_latency_ms: bad, ..Default::default() },
+                ..Default::default()
+            };
+            let err = s.validate().expect_err(&format!("op_latency_ms = {bad} accepted"));
+            assert!(err.contains("nfs.op_latency_ms"), "{err}");
+        }
+        let zero = ClusterSpec {
+            nfs: NfsSpec { op_latency_ms: 0.0, ..Default::default() },
+            ..Default::default()
+        };
+        assert_eq!(zero.validate(), Ok(()));
     }
 
     #[test]

@@ -9,15 +9,16 @@
 //! one-way latency, so contention and distance both fall out of the tree
 //! instead of an if-same-host-else-wire branch.
 //!
-//! **Degeneration contract:** the default [`TopologySpec`] (one rack)
-//! reproduces the old flat geometry *exactly* — the single ToR switch is
-//! registered under the legacy name `switch` with `ClusterSpec::switch_bw`
-//! capacity, no core resource exists, and the per-tier latencies default to
-//! the legacy [`BRIDGE_LATENCY`](crate::cluster::BRIDGE_LATENCY) /
-//! [`WIRE_LATENCY`](crate::cluster::WIRE_LATENCY) constants. Runs on a
-//! single-rack spec are byte-identical to pre-topology runs (pinned by the
-//! scheduler goldens and `tests/tests/topology.rs`).
+//! The tree is two [`ClusterSpec`] values: `racks` (hosts fill them in
+//! contiguous blocks) and `core_bw`; every ToR switch has `switch_bw`.
+//! One rack is the paper's flat geometry: the one switch is registered
+//! under the name `switch` and no core resource exists. The one-way
+//! latencies are constants: [`BRIDGE_LATENCY`] within a host,
+//! [`WIRE_LATENCY`] between hosts in one rack, plus [`CORE_LATENCY`]
+//! across the core.
 
+use crate::cluster::{BRIDGE_LATENCY, CORE_LATENCY, WIRE_LATENCY};
+use crate::spec::ClusterSpec;
 use simcore::prelude::*;
 
 /// Index of a rack (one ToR switch per rack).
@@ -68,132 +69,6 @@ impl LocalityTier {
     }
 }
 
-/// Where the hosts of a cluster land on the racks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RackPlacement {
-    /// Hosts fill racks in contiguous blocks of `ceil(hosts / racks)` —
-    /// host 0..k-1 in rack 0, the next k in rack 1, and so on.
-    Contiguous,
-    /// Host *h* lands in rack *h* mod racks.
-    RoundRobin,
-    /// Explicit rack index per host.
-    Custom(Vec<u32>),
-}
-
-impl RackPlacement {
-    /// Rack index for host `host` out of `n_hosts` on `racks` racks.
-    pub fn rack_of(&self, host: u32, n_hosts: u32, racks: u32) -> u32 {
-        assert!(racks > 0, "need at least one rack");
-        match self {
-            RackPlacement::Contiguous => {
-                let per_rack = n_hosts.div_ceil(racks).max(1);
-                (host / per_rack).min(racks - 1)
-            }
-            RackPlacement::RoundRobin => host % racks,
-            RackPlacement::Custom(map) => {
-                assert_eq!(map.len() as u32, n_hosts, "custom rack map must cover all hosts");
-                let r = map[host as usize];
-                assert!(r < racks, "custom rack map references unknown rack {r}");
-                r
-            }
-        }
-    }
-}
-
-/// The network-tier parameters of a cluster: rack count, host→rack map,
-/// per-tier bandwidths and one-way latencies.
-///
-/// Bandwidths of `0.0` inherit `ClusterSpec::switch_bw`, so a spec that
-/// only sets `racks` gets uniform switching capacity at every tier.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TopologySpec {
-    /// Number of racks (≥ 1). One rack *is* the legacy flat geometry: the
-    /// single ToR is the old inter-host `switch` and no core exists.
-    pub racks: u32,
-    /// Host→rack mapping policy.
-    pub rack_placement: RackPlacement,
-    /// Per-rack ToR backplane bandwidth, bytes/second; `0.0` inherits
-    /// `ClusterSpec::switch_bw`. Ignored for a single rack (the legacy
-    /// `switch_bw` always applies there).
-    pub rack_bw: f64,
-    /// Core switch backplane bandwidth, bytes/second; `0.0` inherits
-    /// `ClusterSpec::switch_bw`. Unused for a single rack.
-    pub core_bw: f64,
-    /// One-way latency of the in-host software bridge, microseconds.
-    pub bridge_latency_us: f64,
-    /// One-way latency between hosts in one rack (NIC + ToR), microseconds.
-    pub rack_latency_us: f64,
-    /// *Additional* one-way latency when a path crosses the core switch,
-    /// microseconds (cross-rack latency = `rack_latency_us` + this).
-    pub core_latency_us: f64,
-}
-
-impl Default for TopologySpec {
-    fn default() -> Self {
-        TopologySpec {
-            racks: 1,
-            rack_placement: RackPlacement::Contiguous,
-            rack_bw: 0.0,
-            core_bw: 0.0,
-            // Legacy BRIDGE_LATENCY / WIRE_LATENCY, plus a 2012-era
-            // multi-tier datacenter hop for the core.
-            bridge_latency_us: 50.0,
-            rack_latency_us: 200.0,
-            core_latency_us: 300.0,
-        }
-    }
-}
-
-impl TopologySpec {
-    /// A flat single-rack topology (the paper's testbed) — the default.
-    pub fn flat() -> Self {
-        TopologySpec::default()
-    }
-
-    /// `racks` racks with contiguous host blocks and inherited bandwidths.
-    pub fn racks(racks: u32) -> Self {
-        TopologySpec { racks, ..Default::default() }
-    }
-
-    /// Rack index of `host` (out of `n_hosts`).
-    pub fn rack_of_host(&self, host: u32, n_hosts: u32) -> u32 {
-        self.rack_placement.rack_of(host, n_hosts, self.racks)
-    }
-
-    /// Validates internal consistency against a host count.
-    pub fn validate(&self, n_hosts: u32) -> Result<(), String> {
-        if self.racks == 0 {
-            return Err("topology needs at least one rack".into());
-        }
-        if self.racks > n_hosts {
-            return Err(format!("{} racks but only {n_hosts} hosts", self.racks));
-        }
-        if let RackPlacement::Custom(map) = &self.rack_placement {
-            if map.len() as u32 != n_hosts {
-                return Err(format!(
-                    "custom rack map covers {} hosts but cluster has {n_hosts}",
-                    map.len()
-                ));
-            }
-            if let Some(&r) = map.iter().find(|&&r| r >= self.racks) {
-                return Err(format!("custom rack map references unknown rack {r}"));
-            }
-        }
-        for (name, v) in [
-            ("rack_bw", self.rack_bw),
-            ("core_bw", self.core_bw),
-            ("bridge_latency_us", self.bridge_latency_us),
-            ("rack_latency_us", self.rack_latency_us),
-            ("core_latency_us", self.core_latency_us),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(format!("topology {name} must be finite and non-negative, got {v}"));
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Per-ToR traffic accounting over a run, for benches and monitors.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RackSwitchStat {
@@ -205,14 +80,10 @@ pub struct RackSwitchStat {
     pub mean_util: f64,
 }
 
-fn micros(us: f64) -> SimDuration {
-    SimDuration::from_nanos((us * 1_000.0).round() as u64)
-}
-
 /// The instantiated switching fabric: per-rack ToR resources, the core
-/// resource (absent for one rack), the host→rack map and per-tier
-/// latencies. Owned by `VirtualCluster`, which composes the endpoint
-/// resources (bridges, NICs) with the switch path this type resolves.
+/// resource (absent for one rack) and the host→rack map. Owned by
+/// `VirtualCluster`, which composes the endpoint resources (bridges,
+/// NICs) with the switch path this type resolves.
 #[derive(Debug)]
 pub struct Topology {
     racks: u32,
@@ -220,51 +91,25 @@ pub struct Topology {
     tor: Vec<ResourceId>,
     tor_bw: f64,
     core: Option<ResourceId>,
-    core_bw: f64,
-    bridge_latency: SimDuration,
-    rack_latency: SimDuration,
-    core_latency: SimDuration,
 }
 
 impl Topology {
-    /// Registers the switching resources for `spec` on `engine`.
-    ///
-    /// Single rack: one resource under the legacy name `switch` with
-    /// `switch_bw` capacity (and no core) — resource ids, names, and
-    /// capacities are exactly the pre-topology layout. Multiple racks:
-    /// `rack{r}.tor` per rack, then `core`.
-    ///
-    /// # Panics
-    /// If the topology spec fails [`TopologySpec::validate`].
-    pub fn build(engine: &mut Engine, spec: &TopologySpec, n_hosts: u32, switch_bw: f64) -> Self {
-        if let Err(e) = spec.validate(n_hosts) {
-            panic!("invalid TopologySpec: {e}");
-        }
-        let host_rack: Vec<u32> = (0..n_hosts).map(|h| spec.rack_of_host(h, n_hosts)).collect();
-        let inherit = |bw: f64| if bw > 0.0 { bw } else { switch_bw };
-        let (tor, tor_bw, core, core_bw) = if spec.racks == 1 {
-            let sw = engine.add_resource("switch", ResourceKind::Net, switch_bw);
-            (vec![sw], switch_bw, None, switch_bw)
+    /// Registers the switching resources of a validated `spec` on
+    /// `engine`: one rack registers one resource named `switch` and no
+    /// core; more racks register `rack{r}.tor` per rack, then `core`.
+    pub fn build(engine: &mut Engine, spec: &ClusterSpec) -> Self {
+        let host_rack: Vec<u32> = (0..spec.hosts).map(|h| spec.rack_of_host(h)).collect();
+        let (tor, core) = if spec.racks == 1 {
+            (vec![engine.add_resource("switch", ResourceKind::Net, spec.switch_bw)], None)
         } else {
-            let tor_bw = inherit(spec.rack_bw);
             let tor = (0..spec.racks)
-                .map(|r| engine.add_resource(format!("rack{r}.tor"), ResourceKind::Net, tor_bw))
+                .map(|r| {
+                    engine.add_resource(format!("rack{r}.tor"), ResourceKind::Net, spec.switch_bw)
+                })
                 .collect();
-            let core_bw = inherit(spec.core_bw);
-            let core = engine.add_resource("core", ResourceKind::Net, core_bw);
-            (tor, tor_bw, Some(core), core_bw)
+            (tor, Some(engine.add_resource("core", ResourceKind::Net, spec.core_bw)))
         };
-        Topology {
-            racks: spec.racks,
-            host_rack,
-            tor,
-            tor_bw,
-            core,
-            core_bw,
-            bridge_latency: micros(spec.bridge_latency_us),
-            rack_latency: micros(spec.rack_latency_us),
-            core_latency: micros(spec.core_latency_us),
-        }
+        Topology { racks: spec.racks, host_rack, tor, tor_bw: spec.switch_bw, core }
     }
 
     /// Number of racks.
@@ -277,24 +122,14 @@ impl Topology {
         RackId(self.host_rack[host as usize])
     }
 
-    /// ToR switch resource of `rack` (the legacy `switch` for one rack).
+    /// ToR switch resource of `rack` (the one `switch` for one rack).
     pub fn tor_resource(&self, rack: RackId) -> ResourceId {
         self.tor[rack.0 as usize]
-    }
-
-    /// ToR backplane bandwidth, bytes/second.
-    pub fn tor_bw(&self) -> f64 {
-        self.tor_bw
     }
 
     /// Core switch resource; `None` for a single rack.
     pub fn core_resource(&self) -> Option<ResourceId> {
         self.core
-    }
-
-    /// Core backplane bandwidth, bytes/second.
-    pub fn core_bw(&self) -> f64 {
-        self.core_bw
     }
 
     /// Locality tier of a host pair (never [`LocalityTier::Node`] — that
@@ -326,7 +161,7 @@ impl Topology {
     }
 
     /// The switching resources between `host` and the core-attached NFS
-    /// server: the ToR for one rack (the server hangs off the legacy
+    /// server: the ToR for one rack (the server hangs off the one
     /// switch), ToR + core across racks.
     pub fn switch_path_to_core(&self, host: u32) -> Vec<ResourceId> {
         let tor = self.tor[self.host_rack[host as usize] as usize];
@@ -340,9 +175,9 @@ impl Topology {
     /// ToR+core by tier).
     pub fn latency_hosts(&self, src: u32, dst: u32) -> SimDuration {
         match self.tier_hosts(src, dst) {
-            LocalityTier::Node | LocalityTier::Host => self.bridge_latency,
-            LocalityTier::Rack => self.rack_latency,
-            LocalityTier::OffRack => self.rack_latency + self.core_latency,
+            LocalityTier::Node | LocalityTier::Host => BRIDGE_LATENCY,
+            LocalityTier::Rack => WIRE_LATENCY,
+            LocalityTier::OffRack => WIRE_LATENCY + CORE_LATENCY,
         }
     }
 
@@ -371,7 +206,8 @@ mod tests {
 
     fn fabric(racks: u32, hosts: u32) -> (Engine, Topology) {
         let mut e = Engine::new();
-        let t = Topology::build(&mut e, &TopologySpec::racks(racks), hosts, 8e9 / 8.0);
+        let spec = ClusterSpec::builder().hosts(hosts).vms(hosts).racks(racks).build();
+        let t = Topology::build(&mut e, &spec);
         (e, t)
     }
 
@@ -426,41 +262,5 @@ mod tests {
         assert_eq!(LocalityTier::Host.distance(), 2);
         assert_eq!(LocalityTier::Rack.distance(), 4);
         assert_eq!(LocalityTier::OffRack.distance(), 6);
-    }
-
-    #[test]
-    fn rack_placement_policies() {
-        let c = RackPlacement::Contiguous;
-        assert_eq!((0..6).map(|h| c.rack_of(h, 6, 3)).collect::<Vec<_>>(), vec![0, 0, 1, 1, 2, 2]);
-        let rr = RackPlacement::RoundRobin;
-        assert_eq!((0..6).map(|h| rr.rack_of(h, 6, 3)).collect::<Vec<_>>(), vec![0, 1, 2, 0, 1, 2]);
-        let cu = RackPlacement::Custom(vec![1, 0]);
-        assert_eq!(cu.rack_of(0, 2, 2), 1);
-        // Odd split: 5 hosts over 2 racks → 3 + 2.
-        assert_eq!((0..5).map(|h| c.rack_of(h, 5, 2)).collect::<Vec<_>>(), vec![0, 0, 0, 1, 1]);
-    }
-
-    #[test]
-    fn validate_rejects_bad_specs() {
-        assert!(TopologySpec { racks: 0, ..Default::default() }.validate(2).is_err());
-        assert!(TopologySpec::racks(4).validate(2).is_err(), "more racks than hosts");
-        let bad = TopologySpec {
-            racks: 2,
-            rack_placement: RackPlacement::Custom(vec![0, 5]),
-            ..Default::default()
-        };
-        assert!(bad.validate(2).is_err());
-        let neg = TopologySpec { core_bw: -1.0, ..Default::default() };
-        assert!(neg.validate(2).is_err());
-        assert!(TopologySpec::racks(2).validate(4).is_ok());
-    }
-
-    #[test]
-    fn bandwidth_inheritance() {
-        let mut e = Engine::new();
-        let spec = TopologySpec { racks: 2, rack_bw: 5e8, core_bw: 0.0, ..Default::default() };
-        let t = Topology::build(&mut e, &spec, 2, 1e9);
-        assert_eq!(t.tor_bw(), 5e8, "explicit rack bw respected");
-        assert_eq!(t.core_bw(), 1e9, "zero core bw inherits switch_bw");
     }
 }

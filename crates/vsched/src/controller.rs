@@ -1,7 +1,7 @@
 //! The closed-loop controller: admission + start pump + rebalance ticks.
 //!
 //! One [`Controller`] owns the admission queue, SLO tracker, and (when
-//! configured) a [`Rebalancer`](crate::rebalance::Rebalancer). The host
+//! configured) a [`crate::rebalance::Rebalancer`]. The host
 //! platform wires it into its event loop:
 //!
 //! 1. **arrivals** — [`Controller::schedule`] arms an `owners::CTRL` timer

@@ -6,8 +6,8 @@
 //! [`MakespanKind::estimate`]. There are two models:
 //!
 //! * [`MakespanKind::HandPriced`] — the first-order analytic
-//!   [`estimate_makespan`](crate::placement::estimate_makespan) the
-//!   control plane shipped with (kept as the baseline);
+//!   [`estimate_makespan`] the control plane shipped with (kept as the
+//!   baseline);
 //! * [`MakespanKind::Learned`] — an in-repo CART-style [`RegressionTree`]
 //!   fitted on a characterization dataset (the `vchar` crate's sweep
 //!   output), fed the same decision-time inputs through
@@ -21,7 +21,8 @@
 //! breaking value ties on sample index, and all float accumulation
 //! happens in one fixed order — so the same dataset always yields the
 //! same tree, bit for bit. Trees serialize through the snapshot
-//! [`Encoder`]/[`Decoder`] and round-trip to identical predictions
+//! [`Encoder`](simcore::persist::Encoder)/[`Decoder`](simcore::persist::Decoder)
+//! and round-trip to identical predictions
 //! (`f64::to_bits`-equal).
 
 use crate::placement::{estimate_makespan, Layout, WorkloadHint};
@@ -54,7 +55,7 @@ pub const FEATURE_NAMES: [&str; 17] = [
 
 /// The decision-time feature vector for pricing `map` on `spec` under
 /// `hint` and `host_load` — exactly the inputs
-/// [`estimate_makespan`](crate::placement::estimate_makespan) consumes,
+/// [`estimate_makespan`] consumes,
 /// so a [`MakespanKind::Learned`] model is a drop-in replacement anywhere
 /// the hand-priced one fits. Column order matches [`FEATURE_NAMES`].
 pub fn decision_features(
@@ -78,11 +79,11 @@ pub fn decision_features(
         layout.p_same,
         layout.p_same_rack,
         f64::from(spec.hosts),
-        f64::from(spec.topology.racks),
+        f64::from(spec.racks),
         f64::from(spec.host.cores),
         spec.host.bridge_bw / 1e9,
         spec.host.nic_bw / 1e9,
-        layout.core_bw / 1e9,
+        spec.core_bw / 1e9,
         load_mean,
         load_max,
     ]
@@ -126,7 +127,8 @@ struct Node {
 /// A CART-style regression tree over [`decision_features`] vectors.
 ///
 /// See the module docs for the determinism argument; the format is a flat
-/// preorder `Vec` of nodes serialized field-by-field via [`Persist`].
+/// preorder `Vec` of nodes serialized field-by-field via
+/// [`Persist`](simcore::persist::Persist).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegressionTree {
     nodes: Vec<Node>,
@@ -296,8 +298,7 @@ fn best_split(
 /// decision logic.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum MakespanKind {
-    /// The analytic baseline:
-    /// [`estimate_makespan`](crate::placement::estimate_makespan).
+    /// The analytic baseline: [`estimate_makespan`].
     #[default]
     HandPriced,
     /// A fitted [`RegressionTree`] applied to [`decision_features`].

@@ -156,7 +156,7 @@ pub fn estimate_makespan(
     // Cross-rack bytes all funnel through the one core switch. With one
     // rack p_same_rack = 1 and the term vanishes, leaving the legacy
     // two-term estimate bit-for-bit.
-    let core = total_bytes * (1.0 - layout.p_same_rack) / layout.core_bw.max(1.0);
+    let core = total_bytes * (1.0 - layout.p_same_rack) / spec.core_bw.max(1.0);
     let t_wire = bridge + nic + core;
 
     t_cpu + t_wire
@@ -178,8 +178,6 @@ pub(crate) struct Layout {
     pub(crate) p_same: f64,
     /// The same over racks, Σ(wᵣ/W)².
     pub(crate) p_same_rack: f64,
-    /// Core-switch bandwidth: the topology's, else the flat switch's.
-    pub(crate) core_bw: f64,
 }
 
 impl Layout {
@@ -190,7 +188,7 @@ impl Layout {
             workers[h as usize] += 1;
         }
         let total_workers: u32 = workers.iter().sum();
-        let mut rack_workers = vec![0u32; spec.topology.racks as usize];
+        let mut rack_workers = vec![0u32; spec.racks as usize];
         for (h, &w) in workers.iter().enumerate() {
             rack_workers[spec.rack_of_host(h as u32) as usize] += w;
         }
@@ -210,11 +208,6 @@ impl Layout {
             busy_hosts: workers.iter().filter(|&&w| w > 0).count(),
             p_same: p_same(&workers),
             p_same_rack: p_same(&rack_workers),
-            core_bw: if spec.topology.core_bw > 0.0 {
-                spec.topology.core_bw
-            } else {
-                spec.switch_bw
-            },
             workers,
             total_workers,
         }
@@ -308,8 +301,8 @@ mod tests {
     fn cross_rack_core_term_raises_spread_estimate() {
         // 4 hosts over 2 racks with a slow core: spreading across racks
         // pays the core; the same layout on one rack doesn't.
-        let mut racked = ClusterSpec::builder().hosts(4).vms(16).racks(2).build();
-        racked.topology.core_bw = 50e6; // much slower than the NICs
+        // A core much slower than the NICs.
+        let racked = ClusterSpec::builder().hosts(4).vms(16).racks(2).core_bw(50e6).build();
         let flat = ClusterSpec::builder().hosts(4).vms(16).build();
         let map = spread(&racked);
         let hint =
@@ -322,8 +315,7 @@ mod tests {
         );
         // And with one rack the topology term is exactly zero: the
         // estimate equals the legacy two-term price.
-        let mut one_rack = flat.clone();
-        one_rack.topology.core_bw = 50e6; // ignored: no core exists
+        let one_rack = ClusterSpec { core_bw: 50e6, ..flat.clone() }; // no core exists
         assert_eq!(estimate_makespan(&one_rack, &map, &hint, &[]), t_flat);
     }
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo-wide checks: formatting, lints, tests, artifact regeneration, and
+# Repo-wide checks: formatting, lints, rustdoc, tests, artifact regeneration, and
 # the determinism / emitter / codec / monitor / trait lints. Orchestration only: every shape and
 # schema assertion lives in a Rust test, registry experiment or example,
 # which exits non-zero when it fails. Run from anywhere: scripts/check.sh
@@ -18,6 +18,10 @@ cargo fmt --manifest-path platbench/Cargo.toml -- --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy --offline --manifest-path platbench/Cargo.toml --all-targets -- -D warnings
+
+echo "==> rustdoc (-D warnings)"
+# A doc link to a private item, or to a name that no longer exists, fails.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline -q
 
 echo "==> cargo test"
 cargo test --workspace -q
@@ -41,9 +45,9 @@ itest --test chaos --test seed_sweep --test session_api \
 cargo test -q -p proptest
 
 echo "==> topo: flat-spec identity & rack invariants"
-# The integration tests pin the degeneration contract (a single-rack
-# TopologySpec traces byte-identical to the flat spec) and the
-# rack-spanning placement properties.
+# The integration tests pin the degeneration contract (a single-rack spec
+# with a core bandwidth set traces byte-identical to the flat default) and
+# the rack-spanning placement properties.
 itest --test topology
 itest --test cross_crate_props rack > /dev/null
 

@@ -273,14 +273,17 @@ fn golden_snapshot_hash_pins_the_format() {
     );
 }
 
-/// Pinned against SNAPSHOT_VERSION = 6. Was `0xf7de_a44e_22b2_e43b` while
+/// Pinned against SNAPSHOT_VERSION = 7, whose job configs carry four
+/// values (the same simulation; only each `JobConfig` encoding is
+/// shorter). At v6 it was `0xe77f_e230_4680_37b4`; before that
+/// `0xf7de_a44e_22b2_e43b` while
 /// guest I/O also billed host CPU: same bytes layout, shorter flow demand
 /// vectors and different rates. Before that `0xd817_3e17_596d_fa1b`, until
 /// chain delays ending together shared one fluid solve: same bytes layout,
 /// fewer solves (stamps, epochs, `seq`, solve counters). At v5 it was
 /// `0x3605_0ea3_74ec_ed52`; v6 writes every flow's and resource's settle
 /// instant.
-const GOLDEN_HASH: u64 = 0xe77f_e230_4680_37b4;
+const GOLDEN_HASH: u64 = 0xac38_cf85_3f50_b177;
 
 /// Folds the FNV-1a of the snapshot taken at every `k`-th wakeup of one
 /// scenario into a single pin, so the formats `GOLDEN_HASH` never sees
@@ -471,8 +474,11 @@ fn golden_snapshot_hashes_pin_every_subsystem() {
     );
 }
 
-/// Pinned against SNAPSHOT_VERSION = 6: controller stream, monitored and
-/// faulted migration, HSGen/HSSort window. The last two moved when maps
+/// Pinned against SNAPSHOT_VERSION = 7: controller stream, monitored and
+/// faulted migration, HSGen/HSSort window. All three moved at v7, where
+/// each `JobConfig` encodes four values (same simulation, shorter
+/// encoding); at v6 they were `0xec78_18e0_6bef_7dad`,
+/// `0x9974_f006_c793_60c4` and `0x264c_e829_07f1_70b5`. The last two moved when maps
 /// began to sort their output runs by key, which changes the order of the
 /// records a live run writes but not the layout; before that they were
 /// `0x7720_d9a4_4f35_aee6` and `0x4557_5f3f_cb29_d275`. All three moved when guest I/O
@@ -488,4 +494,4 @@ fn golden_snapshot_hashes_pin_every_subsystem() {
 /// what-if outcome's `measured_s` became the span to the fork's last job
 /// completion), `0xe581_ee59_ba4f_b8f9` and `0xac73_b47c_3a73_85f4`.
 const SUBSYSTEM_PINS: [u64; 3] =
-    [0xec78_18e0_6bef_7dad, 0x9974_f006_c793_60c4, 0x264c_e829_07f1_70b5];
+    [0x783d_b335_c9a1_05f2, 0x4ee3_45a8_e739_60cf, 0x35b4_7388_8999_70f2];

@@ -1,10 +1,9 @@
 //! End-to-end contract of the hierarchical network topology: a
-//! single-rack `TopologySpec` — whatever its other knobs say — degenerates
-//! byte-for-byte to the legacy two-level fabric, multi-rack fabrics stay
+//! single-rack spec — whatever its core bandwidth says — degenerates
+//! byte-for-byte to the flat two-level fabric, multi-rack fabrics stay
 //! deterministic while genuinely changing the simulation, and the
 //! per-rack ToR accounting sees the traffic the fabric carries.
 
-use vcluster::topology::{RackPlacement, TopologySpec};
 use vhadoop::prelude::*;
 use workloads::wordcount::run_wordcount_traced;
 
@@ -23,23 +22,20 @@ fn traced(spec: ClusterSpec) -> (f64, String) {
 /// one rack the topology layer must register the same resources in the
 /// same order, consume the same RNG draws, and charge the same latencies
 /// as the pre-topology code — so an explicit single-rack spec (with its
-/// multi-rack-only knobs set to conspicuous values) traces byte-identical
-/// to the untouched default.
+/// multi-rack-only core bandwidth set to a conspicuous value) traces
+/// byte-identical to the untouched default.
 #[test]
 fn single_rack_topology_is_byte_identical_to_default() {
     let default_spec =
         ClusterSpec::builder().hosts(2).vms(16).placement(Placement::SingleDomain).build();
-    let mut explicit = default_spec.clone();
-    let mut topo = TopologySpec::racks(1);
-    topo.rack_placement = RackPlacement::RoundRobin; // irrelevant at one rack
-    topo.core_bw = 123.0; // ignored: one rack builds no core trunk
-    explicit.topology = topo;
+    // Ignored: one rack builds no core trunk.
+    let explicit = ClusterSpec { racks: 1, core_bw: 123.0, ..default_spec.clone() };
 
     let (t_default, a) = traced(default_spec);
     let (t_explicit, b) = traced(explicit);
     assert!(t_default > 1.0);
     assert_eq!(t_default, t_explicit);
-    assert_eq!(a, b, "a single-rack TopologySpec must not perturb the simulation");
+    assert_eq!(a, b, "a single-rack spec must not perturb the simulation");
 }
 
 /// Two racks keep the determinism contract (same spec + seed → identical
