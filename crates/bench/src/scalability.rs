@@ -97,16 +97,17 @@ pub fn run(scale: f64) {
         }
         let done = p.drive_until_idle();
         assert_eq!(done.len(), 4, "stream jobs all finish");
-        let ctrl = p.metrics().ctrl.expect("controller stats in the snapshot");
+        let ctrl = p.controller().expect("launched with a controller");
+        let (c, slo) = (ctrl.counters(), ctrl.slo_report());
         println!(
             "stream {vms:>2} VMs, {:>4} jobs -> {:>6.1}s   [adm {} fin {} \
              q_hwm {}  wait p95 {:>4.1}s]",
             4,
             p.now().as_secs_f64(),
-            ctrl.jobs_admitted,
-            ctrl.jobs_finished,
-            ctrl.queue_depth_hwm,
-            ctrl.queue_wait_p95_s
+            c.jobs_admitted,
+            c.jobs_finished,
+            c.queue_depth_hwm,
+            slo.queue_wait_p95_s
         );
         sink.push("ctrl-stream", f64::from(vms), p.now().as_secs_f64());
     }

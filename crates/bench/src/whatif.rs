@@ -35,13 +35,9 @@ fn run_whatif_stream(
         interval: SimDuration::from_secs(1),
         hot_cpu: 0.5,
         hot_nic: 0.9,
-        cold_cpu: 0.2,
         hysteresis_ticks: 2,
-        max_moves: 2,
         cooldown: SimDuration::from_secs(5),
-        consolidate: false,
         mode,
-        hint: WorkloadHint::default(),
     });
     // Hosts are deliberately asymmetric: all but three VMs crowd host 0
     // (hot), hosts 1 and 2 carry some load already, any further hosts are
@@ -92,6 +88,13 @@ fn run_whatif_stream(
     (makespan.as_secs_f64(), p.observe().whatif)
 }
 
+/// The estimator's relative error on one outcome,
+/// `|measured − estimated| / measured`; `None` when the fork measured no
+/// span.
+fn relative_err(o: &WhatIfOutcome) -> Option<f64> {
+    (o.measured_s > 0.0).then(|| (o.measured_s - o.estimated_s).abs() / o.measured_s)
+}
+
 /// The `whatif` entry: the same hot-host stream rebalanced by the
 /// estimator alone vs. by fork-and-measure what-if evaluation. Writes
 /// `results/whatif.{csv,json}` — one row per candidate (estimated vs.
@@ -124,11 +127,7 @@ pub fn run(_scale: f64) {
         wsink.push("estimated_s", i as f64, o.estimated_s);
         wsink.push("measured_s", i as f64, o.measured_s);
         wsink.push("chosen", i as f64, f64::from(o.chosen));
-        let err = if o.measured_s > 0.0 {
-            (o.measured_s - o.estimated_s).abs() / o.measured_s
-        } else {
-            0.0
-        };
+        let err = relative_err(o).unwrap_or(0.0);
         println!(
             "whatif candidate {i}: est {:.1}s measured {:.1}s err {:.0}% {}",
             o.estimated_s,
@@ -157,11 +156,7 @@ fn whatif_model_err(hosts: u32, vms: u32, model: MakespanKind) -> f64 {
         outcomes.iter().all(|o| o.model == expect),
         "every outcome must be attributed to the {expect} model"
     );
-    let errs: Vec<f64> = outcomes
-        .iter()
-        .filter(|o| o.measured_s > 0.0)
-        .map(|o| (o.measured_s - o.estimated_s).abs() / o.measured_s)
-        .collect();
+    let errs: Vec<f64> = outcomes.iter().filter_map(relative_err).collect();
     errs.iter().sum::<f64>() / errs.len() as f64
 }
 

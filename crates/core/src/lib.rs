@@ -55,9 +55,7 @@ pub use workloads;
 /// Convenience imports covering the whole platform surface.
 pub mod prelude {
     pub use crate::faults::{InjectedFault, MIN_THROTTLE_FACTOR, TRACKER_TIMEOUT};
-    pub use crate::metrics::{
-        ControllerStats, IntegrityStats, MetricsSnapshot, ModelErrStats, Observation,
-    };
+    pub use crate::metrics::{IntegrityStats, MetricsSnapshot, Observation};
     pub use crate::persist::Snapshot;
     pub use crate::platform::{
         FailureImpact, PlatformConfig, PlatformConfigBuilder, PlatformEvent, VHadoop,

@@ -222,6 +222,10 @@ pub struct VHadoop {
 impl VHadoop {
     /// Boots the cluster, formats HDFS, starts the JobTracker and (if
     /// configured) the monitor.
+    ///
+    /// # Panics
+    /// If the cluster spec fails [`ClusterSpec::validate`] or the
+    /// controller config fails [`ControllerConfig::validate`].
     pub fn launch(config: PlatformConfig) -> Self {
         // Keep the *original* config (pre-placement): restore relaunches
         // from it and the controller re-derives the same placement.
@@ -231,7 +235,12 @@ impl VHadoop {
         let vms = cluster.vms;
         // A controller may re-place VMs before the cluster boots; without
         // one (or with the `Spec` policy) the spec's layout stands.
-        let mut ctrl = config.controller.map(|cfg| Box::new(Controller::new(cfg)));
+        let mut ctrl = config.controller.map(|cfg| {
+            if let Err(e) = cfg.validate() {
+                panic!("invalid ControllerConfig: {e}");
+            }
+            Box::new(Controller::new(cfg))
+        });
         if let Some(c) = &ctrl {
             let map = c.placement_map(&cluster);
             apply_placement(&mut cluster, map);
@@ -548,6 +557,14 @@ mod tests {
         );
         assert_eq!(p.rt.mr.policy(), SchedulerPolicy::JobDriven);
         assert_eq!(VHadoop::paper_default().rt.mr.policy(), SchedulerPolicy::Fifo);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid ControllerConfig: queue.max_active")]
+    fn launch_rejects_a_controller_that_cannot_start_jobs() {
+        let mut ctrl = ControllerConfig::default();
+        ctrl.queue.max_active = 0;
+        VHadoop::launch(PlatformConfig::builder().controller(ctrl).build());
     }
 
     /// A job with skewed reduce input is told to switch to `JobDriven` only

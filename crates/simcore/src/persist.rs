@@ -62,8 +62,9 @@ pub const SNAPSHOT_MAGIC: [u8; 6] = *b"VHSNAP";
 /// lazy fluid clock — per-flow and per-resource settle instants and the
 /// `flows_settled` counter. v7: a job's config keeps only the four values
 /// a job chooses; slots, launch timings, output replication and the
-/// scheduler policy are no longer per job.)
-pub const SNAPSHOT_VERSION: u32 = 7;
+/// scheduler policy are no longer per job. v8: the controller counters
+/// lose the consolidation count.)
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// Checks the header of a snapshot byte string without constructing a
 /// decoder; returns the embedded format version.

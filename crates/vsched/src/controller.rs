@@ -61,9 +61,23 @@ impl ControllerConfig {
     pub fn enabled_with(placement: PlacementKind) -> Self {
         ControllerConfig { placement, ..Default::default() }
     }
+
+    /// Checks that the configuration can drain, naming the first field
+    /// that cannot: with `queue.max_active == 0` no admitted job ever
+    /// starts, and a zero `rebalance.interval` re-arms the tick at the
+    /// same instant for ever.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.queue.max_active == 0 {
+            return Err("queue.max_active must be at least 1".into());
+        }
+        if self.rebalance.as_ref().is_some_and(|rb| rb.interval == SimDuration::ZERO) {
+            return Err("rebalance.interval must be positive".into());
+        }
+        Ok(())
+    }
 }
 
-/// Monotonic controller counters (exported into `MetricsSnapshot`).
+/// Monotonic controller counters.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ControllerCounters {
     /// Jobs presented to admission.
@@ -86,8 +100,6 @@ pub struct ControllerCounters {
     pub migrations_aborted: u64,
     /// Rebalance ticks that sampled load.
     pub rebalance_ticks: u64,
-    /// Consolidation plans fired.
-    pub consolidations: u64,
     /// SLO violations accumulated so far.
     pub slo_violations: u64,
 }
@@ -103,7 +115,6 @@ simcore::persist_struct!(ControllerCounters {
     migrations_completed,
     migrations_aborted,
     rebalance_ticks,
-    consolidations,
     slo_violations,
 });
 
@@ -368,24 +379,17 @@ impl Controller {
             if !migration.busy() && !self.suppress_rebalance {
                 let plan = rb.plan(now, &rt.cluster, &loads);
                 if !plan.moves.is_empty() {
-                    if rb.config().mode == RebalanceMode::WhatIf && !plan.consolidation {
+                    if rb.config().mode == RebalanceMode::WhatIf {
                         // Defer: park every viable relief plan for the
                         // platform to fork-and-measure.
                         let src = rt.cluster.host_of(plan.moves[0].0);
-                        let hint = rb.config().hint;
                         let cpu: Vec<f64> = loads.iter().map(|l| l.cpu).collect();
                         let model = &self.cfg.model;
                         let candidates: Vec<WhatIfCandidate> = rb
                             .candidate_plans(&rt.cluster, src, &loads)
                             .into_iter()
                             .map(|p| WhatIfCandidate {
-                                estimated_s: estimate_plan(
-                                    &rt.cluster,
-                                    &p.moves,
-                                    &hint,
-                                    &cpu,
-                                    model,
-                                ),
+                                estimated_s: estimate_plan(&rt.cluster, &p.moves, &cpu, model),
                                 moves: p.moves,
                             })
                             .collect();
@@ -400,12 +404,9 @@ impl Controller {
                             Some(WhatIfRequest { candidates, model: model.name().to_string() });
                     } else {
                         self.counters.migrations_planned += plan.moves.len() as u64;
-                        if plan.consolidation {
-                            self.counters.consolidations += 1;
-                        }
                         rt.engine.trace_span(
                             "ctrl",
-                            if plan.consolidation { "consolidate" } else { "plan_migration" },
+                            "plan_migration",
                             0,
                             now,
                             &[("moves", plan.moves.len() as f64)],
@@ -614,12 +615,12 @@ impl Controller {
     }
 }
 
-/// Prices the post-`moves` VM layout with the configured makespan model,
-/// under the current per-host CPU background load.
+/// Prices the post-`moves` VM layout with the configured makespan model
+/// for the default [`WorkloadHint`], under the current per-host CPU
+/// background load.
 fn estimate_plan(
     cluster: &VirtualCluster,
     moves: &[(VmId, HostId)],
-    hint: &WorkloadHint,
     host_load: &[f64],
     model: &MakespanKind,
 ) -> f64 {
@@ -627,7 +628,7 @@ fn estimate_plan(
     for &(vm, dst) in moves {
         map[vm.0 as usize] = dst.0;
     }
-    model.estimate(cluster.spec(), &map, hint, host_load)
+    model.estimate(cluster.spec(), &map, &WorkloadHint::default(), host_load)
 }
 
 #[cfg(test)]
@@ -785,10 +786,31 @@ mod tests {
   "makespan_s": { "mean": 0, "max": 0 },
   "slowdown": { "mean": 0, "max": 0 },
   "violations": 0,
-  "counters": { "queue_depth_hwm": 0, "migrations_planned": 0, "migrations_completed": 0, "migrations_aborted": 0, "rebalance_ticks": 0, "consolidations": 0 }
+  "counters": { "queue_depth_hwm": 0, "migrations_planned": 0, "migrations_completed": 0, "migrations_aborted": 0, "rebalance_ticks": 0 }
 }
 "#;
         assert_eq!(ctrl.slo_report_json(), want);
+    }
+
+    #[test]
+    fn validate_rejects_zero_max_active() {
+        let cfg = ControllerConfig {
+            queue: QueueConfig { max_active: 0, ..Default::default() },
+            ..Default::default()
+        };
+        assert!(cfg.validate().unwrap_err().contains("queue.max_active"));
+        assert_eq!(ControllerConfig::default().validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_rebalance_interval() {
+        let cfg = ControllerConfig {
+            rebalance: Some(RebalanceConfig { interval: SimDuration::ZERO, ..Default::default() }),
+            ..Default::default()
+        };
+        assert!(cfg.validate().unwrap_err().contains("rebalance.interval"));
+        let ok = ControllerConfig { rebalance: Some(RebalanceConfig::default()), ..cfg };
+        assert_eq!(ok.validate(), Ok(()));
     }
 
     #[test]

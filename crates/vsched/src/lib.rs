@@ -1,7 +1,7 @@
 //! # vsched — closed-loop cluster control plane
 //!
 //! The seed platform runs one pre-placed job at a time; this crate closes
-//! the loop around it, in three layers:
+//! the loop around it, in four layers:
 //!
 //! * [`queue`] — open-loop job arrivals feed a **bounded admission queue**
 //!   with a pluggable start order (FIFO, shortest-expected-first,
@@ -17,9 +17,8 @@
 //!   sweeps;
 //! * [`rebalance`] — a periodic controller samples per-host CPU/NIC load
 //!   from the fluid kernel's cumulative counters and plans bounded live
-//!   migrations (hysteresis + cooldown + move budget) through the
-//!   existing migration session API, including idle-time consolidation
-//!   for the energy report.
+//!   migrations (hysteresis + cooldown + a two-VM move budget) through
+//!   the existing migration session API.
 //!
 //! [`controller::Controller`] glues the layers together and is driven by
 //! the `vhadoop` platform's event loop. Everything reacts to simulated

@@ -459,7 +459,6 @@ pub fn slo_report_json(
                 ("migrations_completed", counters.migrations_completed.into()),
                 ("migrations_aborted", counters.migrations_aborted.into()),
                 ("rebalance_ticks", counters.rebalance_ticks.into()),
-                ("consolidations", counters.consolidations.into()),
             ]),
         ),
     ])

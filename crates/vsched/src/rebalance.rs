@@ -5,14 +5,14 @@
 //! ticks — the same window-average trick `vmonitor` uses), and plans live
 //! migrations when a host stays hot for `hysteresis_ticks` consecutive
 //! windows while another host has headroom. Plans are bounded by
-//! `max_moves` per session and a post-plan `cooldown`, so one skewed
-//! window can't trigger a migration storm. When every host is cold it can
-//! optionally plan a consolidation (pack onto the fullest host) to expose
-//! energy savings.
+//! [`MAX_MOVES`] per session and a post-plan `cooldown`, so one skewed
+//! window can't trigger a migration storm.
 
-use crate::placement::WorkloadHint;
 use simcore::prelude::*;
 use vcluster::cluster::{HostId, VirtualCluster, VmId};
+
+/// Most VMs moved per planned session.
+pub const MAX_MOVES: usize = 2;
 
 /// How the controller chooses among candidate migration plans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -35,22 +35,12 @@ pub struct RebalanceConfig {
     pub hot_cpu: f64,
     /// NIC utilization above which a host counts as hot.
     pub hot_nic: f64,
-    /// CPU utilization below which a host counts as cold (consolidation
-    /// candidate).
-    pub cold_cpu: f64,
     /// Consecutive hot windows required before a plan fires.
     pub hysteresis_ticks: u32,
-    /// Most VMs moved per planned session.
-    pub max_moves: usize,
     /// Quiet period after a plan before the next one may fire.
     pub cooldown: SimDuration,
-    /// Plan pack-style consolidations when the whole cluster is cold.
-    pub consolidate: bool,
     /// How a fired plan is chosen: trust the heuristic, or fork-and-measure.
     pub mode: RebalanceMode,
-    /// Workload description the estimator prices candidate layouts with
-    /// (read only in [`RebalanceMode::WhatIf`]).
-    pub hint: WorkloadHint,
 }
 
 impl Default for RebalanceConfig {
@@ -59,13 +49,9 @@ impl Default for RebalanceConfig {
             interval: SimDuration::from_secs(2),
             hot_cpu: 0.85,
             hot_nic: 0.85,
-            cold_cpu: 0.25,
             hysteresis_ticks: 3,
-            max_moves: 2,
             cooldown: SimDuration::from_secs(10),
-            consolidate: false,
             mode: RebalanceMode::Estimate,
-            hint: WorkloadHint::default(),
         }
     }
 }
@@ -84,9 +70,6 @@ pub struct HostLoad {
 pub struct RebalancePlan {
     /// Per-VM moves to hand to [`vcluster::migration::MigrationManager::start_moves`].
     pub moves: Vec<(VmId, HostId)>,
-    /// True when the plan is a whole-cluster consolidation rather than a
-    /// hot-spot relief.
-    pub consolidation: bool,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -192,22 +175,9 @@ impl Rebalancer {
                     if !moves.is_empty() {
                         self.last_plan = Some(now);
                         self.hot_streak[src] = 0;
-                        return RebalancePlan { moves, consolidation: false };
+                        return RebalancePlan { moves };
                     }
                 }
-            }
-            return RebalancePlan::default();
-        }
-
-        // Everyone idle → optionally consolidate for energy.
-        if self.cfg.consolidate
-            && loads.iter().all(|l| l.cpu < self.cfg.cold_cpu)
-            && loads.len() > 1
-        {
-            let moves = self.consolidation_moves(cluster);
-            if !moves.is_empty() {
-                self.last_plan = Some(now);
-                return RebalancePlan { moves, consolidation: true };
             }
         }
         RebalancePlan::default()
@@ -227,23 +197,12 @@ impl Rebalancer {
             .filter(|&h| HostId(h as u32) != src && loads[h].cpu < loads[src.0 as usize].cpu)
             .filter_map(|h| {
                 let moves = self.moves_onto(cluster, HostId(h as u32), |from| from == src);
-                (!moves.is_empty()).then_some(RebalancePlan { moves, consolidation: false })
+                (!moves.is_empty()).then_some(RebalancePlan { moves })
             })
             .collect()
     }
 
-    /// Packs VMs from the least-occupied hosts into the most-occupied one.
-    fn consolidation_moves(&self, cluster: &VirtualCluster) -> Vec<(VmId, HostId)> {
-        let hosts = cluster.host_count();
-        let occupancy = |h: u32| cluster.vms().filter(|&v| cluster.host_of(v) == HostId(h)).count();
-        let target = (0..hosts)
-            .max_by_key(|&h| (occupancy(h), std::cmp::Reverse(h)))
-            .map(HostId)
-            .expect("at least one host");
-        self.moves_onto(cluster, target, |from| from != target)
-    }
-
-    /// Up to `max_moves` VMs whose host passes `from` onto `dst`, lowest VM
+    /// Up to [`MAX_MOVES`] VMs whose host passes `from` onto `dst`, lowest VM
     /// ids first, never the namenode (VM 0), each fitting the DRAM `dst`
     /// has left.
     fn moves_onto(
@@ -257,7 +216,7 @@ impl Rebalancer {
         let mut free = cluster.spec().host.dram.saturating_sub(used);
         let mut moves = Vec::new();
         for vm in cluster.vms() {
-            if moves.len() >= self.cfg.max_moves {
+            if moves.len() >= MAX_MOVES {
                 break;
             }
             if vm == VmId(0) || !from(cluster.host_of(vm)) {
@@ -301,8 +260,7 @@ mod tests {
         }
         let p = r.plan(SimTime::from_secs(3), &c, &loads);
         assert!(!p.moves.is_empty(), "third hot window fires");
-        assert!(!p.consolidation);
-        assert!(p.moves.len() <= 2, "bounded by max_moves");
+        assert!(p.moves.len() <= MAX_MOVES, "bounded by MAX_MOVES");
         assert!(p.moves.iter().all(|&(vm, dst)| vm != VmId(0) && dst == HostId(1)));
     }
 
@@ -352,29 +310,6 @@ mod tests {
         // Both hosts hot: migrating just trades one hot host for another.
         let loads = [hot(0.95), hot(0.90)];
         assert!(r.plan(SimTime::from_secs(1), &c, &loads).moves.is_empty());
-    }
-
-    #[test]
-    fn consolidation_packs_toward_the_fullest_host() {
-        let mut e = Engine::new();
-        let spec = ClusterSpec::builder()
-            .hosts(2)
-            .vms(8)
-            .placement(Placement::Custom(vec![0, 0, 0, 0, 0, 1, 1, 1]))
-            .build();
-        let c = VirtualCluster::new(&mut e, spec);
-        let mut r = Rebalancer::new(
-            RebalanceConfig { consolidate: true, max_moves: 8, ..Default::default() },
-            2,
-        );
-        let loads = [hot(0.01), hot(0.01)];
-        let p = r.plan(SimTime::from_secs(1), &c, &loads);
-        assert!(p.consolidation);
-        assert_eq!(
-            p.moves,
-            vec![(VmId(5), HostId(0)), (VmId(6), HostId(0)), (VmId(7), HostId(0))],
-            "host-1 residents pack into the fuller host 0"
-        );
     }
 
     #[test]

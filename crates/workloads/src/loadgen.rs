@@ -5,10 +5,10 @@
 //!
 //! On top of the single-job builder this module provides an **open-loop
 //! arrival process** ([`ArrivalProcess`]): a seeded stream of job arrivals
-//! with exponential interarrival gaps and per-job size jitter, the input
-//! the `vsched` control plane's admission queue consumes. All randomness
-//! flows through [`simcore::rng`] streams — two processes built from the
-//! same seed produce byte-identical schedules.
+//! with exponential interarrival gaps and a fixed ±20 % per-job size
+//! jitter, the input the `vsched` control plane's admission queue
+//! consumes. All randomness flows through [`simcore::rng`] streams — two
+//! processes built from the same seed produce byte-identical schedules.
 
 use mapreduce::prelude::*;
 use simcore::prelude::{RootSeed, SimDuration, SimTime};
@@ -168,13 +168,13 @@ pub struct ArrivalProcess {
     /// Number of tenants the arrivals are attributed to (≥ 1).
     pub tenants: u32,
     seed: RootSeed,
-    /// Per-job size jitter half-width: sizes scale by `1 ± jitter`.
-    jitter: f64,
 }
 
+/// Per-job size jitter half-width: sizes scale by `1 ± SIZE_JITTER`.
+const SIZE_JITTER: f64 = 0.2;
+
 impl ArrivalProcess {
-    /// New process; `seed` fixes the whole schedule. Uses the default
-    /// ±20 % size jitter.
+    /// New process; `seed` fixes the whole schedule.
     pub fn new(
         mix: JobMix,
         jobs: u32,
@@ -183,17 +183,7 @@ impl ArrivalProcess {
         seed: RootSeed,
     ) -> Self {
         assert!(tenants >= 1, "need at least one tenant");
-        ArrivalProcess { mix, jobs, mean_gap, tenants, seed, jitter: 0.2 }
-    }
-
-    /// Overrides the per-job size jitter half-width. `0.0` makes every
-    /// job exactly the mix's base size (useful for characterization
-    /// sweeps that want the workload axis pure); values are clamped to
-    /// `[0, 0.95]` so sizes stay positive. Facade API: the `job_stream`
-    /// example sets it.
-    pub fn with_jitter(mut self, jitter: f64) -> Self {
-        self.jitter = jitter.clamp(0.0, 0.95);
-        self
+        ArrivalProcess { mix, jobs, mean_gap, tenants, seed }
     }
 
     /// Materializes the arrival schedule, sorted by arrival time.
@@ -210,14 +200,7 @@ impl ArrivalProcess {
                 // construction so ln is finite.
                 let u: f64 = gaps.gen_range(0.0..1.0);
                 t += SimDuration::from_secs_f64(-(1.0 - u).ln() * mean_s);
-                // `1.0 ± 0.2` rounds to exactly `0.8..1.2`, so the
-                // default schedule is bit-identical to the historical
-                // hard-coded range. Zero jitter skips the draw.
-                let scale: f64 = if self.jitter > 0.0 {
-                    sizes.gen_range((1.0 - self.jitter)..(1.0 + self.jitter))
-                } else {
-                    1.0
-                };
+                let scale: f64 = sizes.gen_range((1.0 - SIZE_JITTER)..(1.0 + SIZE_JITTER));
                 let cpu = cpu_secs * scale;
                 let io = (io_bytes as f64 * scale) as u64;
                 JobArrival {
@@ -299,51 +282,5 @@ mod tests {
             sched.iter().map(|a| a.cpu_secs.to_bits()).collect();
         assert!(distinct.len() > 8, "per-job jitter produces distinct sizes");
         assert!(sched.iter().all(|a| (0.8 * base_cpu..=1.2 * base_cpu).contains(&a.cpu_secs)));
-    }
-
-    #[test]
-    fn default_jitter_reproduces_the_historical_schedule() {
-        // `with_jitter(0.2)` must be a no-op: `1.0 ± 0.2` rounds to the
-        // exact doubles `0.8` / `1.2` the range was hard-coded with, so
-        // old seeds keep producing bit-identical schedules.
-        let mk = || {
-            ArrivalProcess::new(JobMix::Wordcount, 12, SimDuration::from_secs(4), 2, RootSeed(9))
-        };
-        assert_eq!(mk().schedule(), mk().with_jitter(0.2).schedule());
-    }
-
-    #[test]
-    fn zero_jitter_pins_every_job_to_the_base_size() {
-        let (maps, base_cpu, base_io) = JobMix::ShuffleHeavy.base();
-        let sched = ArrivalProcess::new(
-            JobMix::ShuffleHeavy,
-            10,
-            SimDuration::from_secs(3),
-            2,
-            RootSeed(11),
-        )
-        .with_jitter(0.0)
-        .schedule();
-        assert!(sched
-            .iter()
-            .all(|a| { a.maps == maps && a.cpu_secs == base_cpu && a.io_bytes == base_io }));
-        // Arrival *times* still vary: the gap stream is independent.
-        let distinct: std::collections::BTreeSet<_> = sched.iter().map(|a| a.at).collect();
-        assert!(distinct.len() > 1);
-    }
-
-    #[test]
-    fn wider_jitter_widens_the_size_envelope() {
-        let (_, base_cpu, _) = JobMix::CpuBound.base();
-        let sched =
-            ArrivalProcess::new(JobMix::CpuBound, 32, SimDuration::from_secs(2), 2, RootSeed(3))
-                .with_jitter(0.5)
-                .schedule();
-        assert!(sched.iter().all(|a| (0.5 * base_cpu..=1.5 * base_cpu).contains(&a.cpu_secs)));
-        assert!(
-            sched.iter().any(|a| a.cpu_secs < 0.8 * base_cpu)
-                || sched.iter().any(|a| a.cpu_secs > 1.2 * base_cpu),
-            "a 0.5 half-width should escape the default ±20% envelope"
-        );
     }
 }

@@ -47,7 +47,6 @@ fn main() {
     // tenants, exponential interarrival gaps, ±20 % size jitter.
     let arrivals =
         ArrivalProcess::new(JobMix::Wordcount, 6, SimDuration::from_secs(4), 2, RootSeed(4242))
-            .with_jitter(0.2)
             .schedule();
     for (i, a) in arrivals.iter().enumerate() {
         let run = i as u32;

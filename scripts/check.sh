@@ -115,16 +115,17 @@ cargo test -q --offline --manifest-path platbench/Cargo.toml
 
 echo "==> determinism lint"
 # A run must be a pure function of config + seed: no wall clock and no OS
-# entropy anywhere in crates/.
-if grep -rnE 'Instant::now|SystemTime::now|thread_rng' crates/*/src; then
-    echo "determinism lint FAILED: wall clock or OS entropy in crates/" >&2
+# entropy anywhere in crates/, nor in examples/, whose result files
+# (quickstart.trace.json, job_stream.slo.json) the results stage pins.
+if grep -rnE 'Instant::now|SystemTime::now|thread_rng' crates/*/src examples; then
+    echo "determinism lint FAILED: wall clock or OS entropy in crates/ or examples/" >&2
     exit 1
 fi
 # Threads are sanctioned in exactly one place: the vchar sweep runner
 # (workers own disjoint contiguous slot ranges and results are assembled in
 # configuration order — the `char` stage above pins the byte-identity).
 # Anywhere else, threading is a determinism hazard.
-if grep -rnE 'std::thread|thread::(spawn|scope|Builder)' crates/*/src \
+if grep -rnE 'std::thread|thread::(spawn|scope|Builder)' crates/*/src examples \
     | grep -vE '^crates/vchar/src/sweep\.rs:'; then
     echo "determinism lint FAILED: threading outside the vchar sweep" >&2
     exit 1

@@ -2,6 +2,8 @@
 //! configurations of the whole stack (seeded loops plus the in-repo
 //! `proptest` shim — the offline build has no crates.io proptest).
 
+mod common;
+
 use mapreduce::config::JobConfig;
 use mapreduce::runtime::MrRuntime;
 use rand::rngs::StdRng;
@@ -337,10 +339,12 @@ fn controller_never_starves_jobs_under_random_faults() {
         let done = p.drive_until_idle();
         assert_eq!(done.len() as u32, jobs, "a job was lost under faults");
 
-        let rep = p.controller().unwrap().slo_report();
+        let ctrl = p.controller().unwrap();
+        let rep = ctrl.slo_report();
         assert_eq!(rep.admitted, u64::from(jobs));
         assert_eq!(rep.starved, 0, "an admitted job never started: {rep:?}");
         assert_eq!(rep.finished, u64::from(jobs));
+        common::assert_counters_match_slo(ctrl);
     });
 }
 

@@ -85,13 +85,9 @@ fn whatif_stream(monitored: bool) -> (Vec<JobResult>, Vec<WhatIfOutcome>) {
         interval: SimDuration::from_secs(1),
         hot_cpu: 0.5,
         hot_nic: 0.9,
-        cold_cpu: 0.2,
         hysteresis_ticks: 2,
-        max_moves: 2,
         cooldown: SimDuration::from_secs(5),
-        consolidate: false,
         mode: RebalanceMode::WhatIf,
-        hint: WorkloadHint::default(),
     });
     let cfg = PlatformConfig::builder()
         .cluster(ClusterSpec::builder().hosts(3).vms(12).placement(Placement::SingleDomain).build())

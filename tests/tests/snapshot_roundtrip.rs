@@ -273,9 +273,11 @@ fn golden_snapshot_hash_pins_the_format() {
     );
 }
 
-/// Pinned against SNAPSHOT_VERSION = 7, whose job configs carry four
-/// values (the same simulation; only each `JobConfig` encoding is
-/// shorter). At v6 it was `0xe77f_e230_4680_37b4`; before that
+/// Pinned against SNAPSHOT_VERSION = 8, which moved it through the
+/// header alone: this scenario runs no controller. At v7, whose job
+/// configs carry four values (the same simulation; only each `JobConfig`
+/// encoding is shorter), it was `0xac38_cf85_3f50_b177`. At v6 it was
+/// `0xe77f_e230_4680_37b4`; before that
 /// `0xf7de_a44e_22b2_e43b` while
 /// guest I/O also billed host CPU: same bytes layout, shorter flow demand
 /// vectors and different rates. Before that `0xd817_3e17_596d_fa1b`, until
@@ -283,7 +285,7 @@ fn golden_snapshot_hash_pins_the_format() {
 /// fewer solves (stamps, epochs, `seq`, solve counters). At v5 it was
 /// `0x3605_0ea3_74ec_ed52`; v6 writes every flow's and resource's settle
 /// instant.
-const GOLDEN_HASH: u64 = 0xac38_cf85_3f50_b177;
+const GOLDEN_HASH: u64 = 0x76db_635b_e390_5d26;
 
 /// Folds the FNV-1a of the snapshot taken at every `k`-th wakeup of one
 /// scenario into a single pin, so the formats `GOLDEN_HASH` never sees
@@ -324,13 +326,9 @@ fn pin_controller_stream() -> u64 {
         interval: SimDuration::from_secs(1),
         hot_cpu: 0.5,
         hot_nic: 0.9,
-        cold_cpu: 0.2,
         hysteresis_ticks: 2,
-        max_moves: 2,
         cooldown: SimDuration::from_secs(5),
-        consolidate: false,
         mode: RebalanceMode::WhatIf,
-        hint: WorkloadHint::default(),
     });
     let mut p = VHadoop::launch(unmonitored(
         PlatformConfig::builder()
@@ -474,8 +472,12 @@ fn golden_snapshot_hashes_pin_every_subsystem() {
     );
 }
 
-/// Pinned against SNAPSHOT_VERSION = 7: controller stream, monitored and
-/// faulted migration, HSGen/HSSort window. All three moved at v7, where
+/// Pinned against SNAPSHOT_VERSION = 8: controller stream, monitored and
+/// faulted migration, HSGen/HSSort window. All three moved at v8, whose
+/// controller counters encode eleven values instead of twelve (the
+/// consolidation count went; the other two scenarios moved through the
+/// header); at v7 they were `0x783d_b335_c9a1_05f2`, `0x4ee3_45a8_e739_60cf`
+/// and `0x35b4_7388_8999_70f2`. All three moved at v7, where
 /// each `JobConfig` encodes four values (same simulation, shorter
 /// encoding); at v6 they were `0xec78_18e0_6bef_7dad`,
 /// `0x9974_f006_c793_60c4` and `0x264c_e829_07f1_70b5`. The last two moved when maps
@@ -494,4 +496,4 @@ fn golden_snapshot_hashes_pin_every_subsystem() {
 /// what-if outcome's `measured_s` became the span to the fork's last job
 /// completion), `0xe581_ee59_ba4f_b8f9` and `0xac73_b47c_3a73_85f4`.
 const SUBSYSTEM_PINS: [u64; 3] =
-    [0x783d_b335_c9a1_05f2, 0x4ee3_45a8_e739_60cf, 0x35b4_7388_8999_70f2];
+    [0x8e16_8796_f86b_6a95, 0x6519_5707_ab10_3305, 0x5ea2_4226_3a3d_701c];
