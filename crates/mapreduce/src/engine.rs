@@ -1,8 +1,8 @@
 //! The JobTracker: event routing, the job lifecycle state machine, and
-//! slot accounting. Placement decisions live in [`crate::scheduler`]; map
-//! execution in the private `maptask` module; the shuffle/sort/reduce
-//! pipeline in `shuffle`; straggler backup attempts in `speculation`;
-//! tracker-failure recovery in `recovery`.
+//! slot accounting against the [`SlotLedger`]. Placement decisions live in
+//! [`crate::scheduler`]; map execution in the private `maptask` module;
+//! the shuffle/sort/reduce pipeline in `shuffle`; straggler backup
+//! attempts in `speculation`; tracker-failure recovery in `recovery`.
 //!
 //! Paper mechanism modelled: the Hadoop Module's master VM — JobTracker
 //! plus namenode on VM 0 — driving TaskTrackers on every worker VM.
@@ -24,46 +24,42 @@
 //! * map output spills once (`io.sort.mb` never overflows mid-task).
 
 use crate::app::MapReduceApp;
-use crate::config::{
-    ASSIGNMENT_STAGGER, MAP_SLOTS_PER_TRACKER, REDUCE_SLOTS_PER_TRACKER, TASK_STARTUP,
-};
+use crate::config::{ASSIGNMENT_STAGGER, TASK_STARTUP};
 use crate::counters::Counters;
 use crate::input::InputFormat;
 use crate::job::{JobEvent, JobId, JobResult, JobSpec};
 use crate::scheduler::{
-    Assignment, JobView, SchedulerPolicy, SchedulerView, TaskKind, TrackerInfo,
+    Assignment, JobView, SchedulerPolicy, SchedulerView, SlotLedger, TaskKind, TrackerInfo,
 };
 use crate::speculation::SPECULATION_HEARTBEAT;
 use crate::state::{
-    decode, tag, tag_full, JobState, Partition, SplitInfo, TaskPhase, PH_IGNORE, PH_MAP_COMPUTE,
-    PH_MAP_READ, PH_MAP_STARTUP, PH_MAP_WRITE, PH_REDUCE_COMPUTE, PH_REDUCE_STARTUP,
-    PH_REDUCE_WRITE, PH_REQUEUE_MAP, PH_REQUEUE_REDUCE, PH_SHUFFLE, PH_SPECULATE,
+    decode, tag, tag_full, JobState, MapTask, Partition, ReduceTask, SplitInfo, TaskPhase,
+    PH_IGNORE, PH_MAP_COMPUTE, PH_MAP_READ, PH_MAP_STARTUP, PH_MAP_WRITE, PH_REDUCE_COMPUTE,
+    PH_REDUCE_STARTUP, PH_REDUCE_WRITE, PH_REQUEUE_MAP, PH_REQUEUE_REDUCE, PH_SHUFFLE,
+    PH_SPECULATE,
 };
 use simcore::owners;
 use simcore::prelude::*;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use vcluster::cluster::{VirtualCluster, VmId};
 use vhdfs::hdfs::{Hdfs, HdfsCompletion};
 
 /// The MapReduce engine (JobTracker + all TaskTrackers).
 pub struct MrEngine {
-    pub(crate) trackers: Vec<VmId>,
+    /// The live TaskTrackers and the slots each holds.
+    pub(crate) slots: SlotLedger,
     /// Unfinished jobs; id order is submission order, which every walk
     /// over the table (views, recovery, snapshots) relies on.
     pub(crate) jobs: BTreeMap<u32, JobState>,
     pub(crate) next_job: u32,
-    /// Slots held per tracker VM id. These keep the persisted shape: a
-    /// present-with-0 entry and an absent one encode differently.
-    pub(crate) used_map_slots: HashMap<u32, u32>,
-    pub(crate) used_reduce_slots: HashMap<u32, u32>,
     pub(crate) policy: SchedulerPolicy,
 }
 
 impl std::fmt::Debug for MrEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MrEngine")
-            .field("trackers", &self.trackers.len())
+            .field("trackers", &self.slots.trackers().len())
             .field("jobs", &self.jobs.len())
             .field("policy", &self.policy)
             .finish()
@@ -89,11 +85,9 @@ impl MrEngine {
     pub fn with_trackers(trackers: Vec<VmId>) -> Self {
         assert!(!trackers.is_empty(), "cluster too small: no TaskTrackers");
         MrEngine {
-            trackers,
+            slots: SlotLedger::new(trackers),
             jobs: BTreeMap::new(),
             next_job: 0,
-            used_map_slots: HashMap::new(),
-            used_reduce_slots: HashMap::new(),
             policy: SchedulerPolicy::default(),
         }
     }
@@ -111,7 +105,7 @@ impl MrEngine {
 
     /// TaskTracker VMs.
     pub fn trackers(&self) -> &[VmId] {
-        &self.trackers
+        self.slots.trackers()
     }
 
     /// Number of unfinished jobs.
@@ -123,18 +117,7 @@ impl MrEngine {
     /// busiest first (ties to the lowest id). Useful for tests and
     /// failure-injection scenarios that need a victim that is mid-job.
     pub fn busy_trackers(&self) -> Vec<VmId> {
-        let mut busy: Vec<(u32, VmId)> = self
-            .trackers
-            .iter()
-            .map(|&vm| {
-                let held = self.used_map_slots.get(&vm.0).copied().unwrap_or(0)
-                    + self.used_reduce_slots.get(&vm.0).copied().unwrap_or(0);
-                (held, vm)
-            })
-            .filter(|&(held, _)| held > 0)
-            .collect();
-        busy.sort_by_key(|&(held, vm)| (std::cmp::Reverse(held), vm.0));
-        busy.into_iter().map(|(_, vm)| vm).collect()
+        self.slots.busy()
     }
 
     /// Live counters of an unfinished job (`None` once finished/unknown).
@@ -147,9 +130,11 @@ impl MrEngine {
     /// failure-injection scenarios that must hit a task mid-speculation.
     pub fn speculating(&self, id: JobId) -> Vec<(usize, VmId, VmId)> {
         let Some(job) = self.jobs.get(&id.0) else { return Vec::new() };
-        (0..job.maps.len())
-            .filter(|&m| job.attempt_active[m][0] && job.attempt_active[m][1])
-            .filter_map(|m| match job.map_attempt_vm[m] {
+        job.maps
+            .iter()
+            .enumerate()
+            .filter(|(_, task)| task.active == [true; 2])
+            .filter_map(|(m, task)| match task.attempt_vm {
                 [Some(primary), Some(backup)] => Some((m, primary, backup)),
                 _ => None,
             })
@@ -217,23 +202,11 @@ impl MrEngine {
             input,
             partitioner,
             splits,
-            maps: vec![TaskPhase::Pending; n_maps],
-            reduces: vec![TaskPhase::Pending; n_reduces],
-            map_vm: vec![None; n_maps],
-            map_attempt_vm: vec![[None, None]; n_maps],
-            map_started_at: vec![None; n_maps],
+            maps: vec![MapTask::default(); n_maps],
+            reduces: vec![ReduceTask::default(); n_reduces],
             map_durations: Vec::new(),
-            speculated: vec![false; n_maps],
-            write_claimed: vec![false; n_maps],
-            attempt_active: vec![[false, false]; n_maps],
-            map_epoch: vec![0; n_maps],
-            reduce_epoch: vec![0; n_reduces],
-            map_retries: vec![0; n_maps],
-            reduce_retries: vec![0; n_reduces],
             pending_maps: (0..n_maps).collect(),
             pending_reduces: (0..n_reduces).collect(),
-            reduce_started_at: vec![None; n_reduces],
-            shuffle_started_at: vec![None; n_reduces],
             map_outputs: (0..n_maps).map(|_| (0..n_reduces).map(|_| None).collect()).collect(),
             task_outputs: (0..n_outputs).map(|_| None).collect(),
             completed_maps: 0,
@@ -258,15 +231,17 @@ impl MrEngine {
 
     /// Builds the immutable [`SchedulerView`] snapshot and hands it to `f`.
     /// All placement flows through here.
-    /// The topology tables and the per-job `map_locations` index are built
-    /// per call; queues, configs, replica lists and slot tables are lent.
+    /// The tracker and topology tables and the per-job `map_locations`
+    /// index are built per call; queues, configs, replica lists and the
+    /// slot ledger are lent.
     pub(crate) fn with_view<R>(
         &self,
         cluster: &VirtualCluster,
         f: impl FnOnce(&SchedulerView) -> R,
     ) -> R {
         let trackers: Vec<TrackerInfo> = self
-            .trackers
+            .slots
+            .trackers()
             .iter()
             .map(|&vm| TrackerInfo { vm, host: cluster.host_of(vm), rack: cluster.rack_of(vm) })
             .collect();
@@ -292,8 +267,7 @@ impl MrEngine {
             vm_hosts: &vm_hosts,
             vm_racks: &vm_racks,
             racks: cluster.rack_count(),
-            used_map_slots: &self.used_map_slots,
-            used_reduce_slots: &self.used_reduce_slots,
+            slots: &self.slots,
             jobs,
         };
         f(&view)
@@ -315,13 +289,9 @@ impl MrEngine {
         });
         if placeable {
             let assignments = self.with_view(cluster, |view| self.policy.assign(view));
-            let mut live = vec![false; cluster.spec().vms as usize];
-            for vm in &self.trackers {
-                live[vm.0 as usize] = true;
-            }
             let mut wave: u64 = 0;
             for a in assignments {
-                self.apply_assignment(engine, cluster, &live, a, &mut wave);
+                self.apply_assignment(engine, cluster, a, &mut wave);
             }
         }
         let speculative: Vec<u32> =
@@ -338,27 +308,23 @@ impl MrEngine {
         &mut self,
         engine: &mut Engine,
         cluster: &VirtualCluster,
-        live: &[bool],
         a: Assignment,
         wave: &mut u64,
     ) {
         let Some(job) = self.jobs.get_mut(&a.job) else { return };
-        if live.get(a.vm.0 as usize) != Some(&true) {
-            return;
-        }
-        let held = |used: &HashMap<u32, u32>| used.get(&a.vm.0).copied().unwrap_or(0);
         match a.kind {
             TaskKind::Map(m) => {
                 let Some(pos) = job.pending_maps.iter().position(|&x| x == m) else { return };
-                if held(&self.used_map_slots) >= MAP_SLOTS_PER_TRACKER {
+                if self.slots.free_map(a.vm) == 0 {
                     return;
                 }
-                *self.used_map_slots.entry(a.vm.0).or_insert(0) += 1;
+                self.slots.take_map(a.vm);
                 job.pending_maps.remove(pos);
-                job.maps[m] = TaskPhase::Running(a.vm);
-                job.map_attempt_vm[m][0] = Some(a.vm);
-                job.attempt_active[m][0] = true;
-                job.map_started_at[m] = Some(engine.now());
+                let task = &mut job.maps[m];
+                task.phase = TaskPhase::Running(a.vm);
+                task.attempt_vm[0] = Some(a.vm);
+                task.active[0] = true;
+                task.started_at = Some(engine.now());
                 job.counters.launched_maps += 1;
                 let locations = &job.splits[m].locations;
                 if locations.contains(&a.vm) {
@@ -373,7 +339,7 @@ impl MrEngine {
                     // model could never hit).
                     job.counters.rack_local_maps += 1;
                 }
-                let ep = job.map_epoch[m];
+                let ep = job.maps[m].epoch;
                 engine.start_chain(
                     Self::startup_chain(cluster, a.vm, *wave),
                     tag_full(JobId(a.job), PH_MAP_STARTUP, 0, ep, m),
@@ -385,15 +351,16 @@ impl MrEngine {
                     return;
                 }
                 let Some(pos) = job.pending_reduces.iter().position(|&x| x == r) else { return };
-                if held(&self.used_reduce_slots) >= REDUCE_SLOTS_PER_TRACKER {
+                if self.slots.free_reduce(a.vm) == 0 {
                     return;
                 }
-                *self.used_reduce_slots.entry(a.vm.0).or_insert(0) += 1;
+                self.slots.take_reduce(a.vm);
                 job.pending_reduces.remove(pos);
-                job.reduces[r] = TaskPhase::Running(a.vm);
-                job.reduce_started_at[r] = Some(engine.now());
+                let task = &mut job.reduces[r];
+                task.phase = TaskPhase::Running(a.vm);
+                task.started_at = Some(engine.now());
                 job.counters.launched_reduces += 1;
-                let ep = job.reduce_epoch[r];
+                let ep = task.epoch;
                 engine.start_chain(
                     Self::startup_chain(cluster, a.vm, *wave),
                     tag_full(JobId(a.job), PH_REDUCE_STARTUP, 0, ep, r),
@@ -426,33 +393,19 @@ impl MrEngine {
         hdfs: &mut Hdfs,
         wakeup: &Wakeup,
     ) -> Vec<JobEvent> {
-        match wakeup {
-            Wakeup::Activity { tag: t, batch, .. } => {
-                if t.owner != owners::MAPREDUCE {
-                    return Vec::new();
-                }
-                let (_, phase, ..) = decode(*t);
-                // Shuffle batch members surface individually; the batch
-                // join is what we act on.
-                if phase == PH_IGNORE || batch.is_some() {
-                    return Vec::new();
-                }
-                self.dispatch(engine, cluster, hdfs, *t)
-            }
-            Wakeup::Batch { tag: t, .. } => {
-                if t.owner != owners::MAPREDUCE {
-                    return Vec::new();
-                }
-                self.dispatch(engine, cluster, hdfs, *t)
-            }
-            // Tracker-timeout re-queue timers (see `recovery`).
-            Wakeup::Timer { tag: t, .. } => {
-                if t.owner != owners::MAPREDUCE {
-                    return Vec::new();
-                }
-                self.dispatch(engine, cluster, hdfs, *t)
+        let t = wakeup.tag();
+        if t.owner != owners::MAPREDUCE {
+            return Vec::new();
+        }
+        // Shuffle batch members surface individually; the batch join is
+        // what we act on. (A timer is a tracker-timeout re-queue, see
+        // `recovery`.)
+        if let Wakeup::Activity { batch, .. } = wakeup {
+            if batch.is_some() || decode(t).1 == PH_IGNORE {
+                return Vec::new();
             }
         }
+        self.dispatch(engine, cluster, hdfs, t)
     }
 
     /// Routes an HDFS completion whose client tag belongs to this engine.
@@ -475,39 +428,23 @@ impl MrEngine {
         t: Tag,
     ) -> Vec<JobEvent> {
         let (jid, phase, attempt, epoch, task) = decode(t);
-        if !self.jobs.contains_key(&jid.0) {
+        let Some(job) = self.jobs.get(&jid.0) else {
             // A losing speculative attempt draining after its job finished.
             return Vec::new();
-        }
+        };
         // Events from attempts killed by a tracker failure carry a stale
         // epoch: swallow them (their state was already repaired).
-        {
-            let job = self.jobs.get(&jid.0).expect("checked above");
-            let is_map_phase = matches!(
-                phase,
-                PH_MAP_STARTUP | PH_MAP_READ | PH_MAP_COMPUTE | PH_MAP_WRITE | PH_REQUEUE_MAP
-            );
-            let is_reduce_phase = matches!(
-                phase,
-                PH_REDUCE_STARTUP
-                    | PH_SHUFFLE
-                    | PH_REDUCE_COMPUTE
-                    | PH_REDUCE_WRITE
-                    | PH_REQUEUE_REDUCE
-            );
-            let current = if is_map_phase {
-                Some(job.map_epoch[task])
-            } else if is_reduce_phase {
-                Some(job.reduce_epoch[task])
-            } else {
-                None
-            };
-            if let Some(current) = current {
-                if epoch != current {
-                    self.schedule(engine, cluster);
-                    return Vec::new();
-                }
+        let current = match phase {
+            PH_MAP_STARTUP | PH_MAP_READ | PH_MAP_COMPUTE | PH_MAP_WRITE | PH_REQUEUE_MAP => {
+                Some(job.maps[task].epoch)
             }
+            PH_REDUCE_STARTUP | PH_SHUFFLE | PH_REDUCE_COMPUTE | PH_REDUCE_WRITE
+            | PH_REQUEUE_REDUCE => Some(job.reduces[task].epoch),
+            _ => None,
+        };
+        if current.is_some_and(|current| current != epoch) {
+            self.schedule(engine, cluster);
+            return Vec::new();
         }
         let mut events = Vec::new();
         match phase {
@@ -542,18 +479,8 @@ impl MrEngine {
         // A losing speculative attempt still in flight would drain after
         // the job is gone and be swallowed without ever returning its
         // slot: release every still-active attempt now.
-        for m in 0..job.maps.len() {
-            for attempt in 0..2 {
-                if !job.attempt_active[m][attempt] {
-                    continue;
-                }
-                job.attempt_active[m][attempt] = false;
-                if let Some(vm) = job.map_attempt_vm[m][attempt] {
-                    if let Some(held) = self.used_map_slots.get_mut(&vm.0) {
-                        *held -= 1;
-                    }
-                }
-            }
+        for task in &mut job.maps {
+            task.release_all(&mut self.slots);
         }
         let finished = engine.now();
         let map_done = job.map_phase_done.unwrap_or(finished);
@@ -583,6 +510,33 @@ impl MrEngine {
             outputs,
             partition_sizes,
         }
+    }
+}
+
+#[cfg(test)]
+impl MrEngine {
+    /// Slots held = slots accounted: checks the ledger against the task
+    /// records. Every live tracker holds one map slot per active map
+    /// attempt on it and one reduce slot per reduce `Running` on it; a VM
+    /// that is not a live tracker holds nothing and runs no active attempt.
+    pub(crate) fn assert_slots_accounted(&self) {
+        let mut held: BTreeMap<u32, (u32, u32)> = BTreeMap::new();
+        for job in self.jobs.values() {
+            for task in &job.maps {
+                for (vm, active) in task.attempt_vm.iter().zip(task.active) {
+                    if active {
+                        let vm = vm.expect("an active attempt runs somewhere");
+                        held.entry(vm.0).or_default().0 += 1;
+                    }
+                }
+            }
+            for task in &job.reduces {
+                if let TaskPhase::Running(vm) = task.phase {
+                    held.entry(vm.0).or_default().1 += 1;
+                }
+            }
+        }
+        self.slots.assert_holds(&held);
     }
 }
 

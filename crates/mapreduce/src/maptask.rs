@@ -22,15 +22,12 @@ use vhdfs::hdfs::Hdfs;
 use crate::engine::MrEngine;
 
 impl MrEngine {
-    /// Releases the map slot held by `(task, attempt)` of `jid`.
+    /// Ends `(task, attempt)` of `jid`, releasing its map slot if it still
+    /// holds one: a losing attempt whose tracker was lost holds none, and
+    /// its events drain here on a tracker that may have rejoined since.
     pub(crate) fn release_map_slot(&mut self, jid: JobId, m: usize, attempt: usize) {
         let job = self.jobs.get_mut(&jid.0).expect("unknown job");
-        debug_assert!(job.attempt_active[m][attempt], "double slot release");
-        job.attempt_active[m][attempt] = false;
-        let vm = job.map_attempt_vm[m][attempt].expect("attempt ran somewhere");
-        if let Some(held) = self.used_map_slots.get_mut(&vm.0) {
-            *held -= 1;
-        }
+        job.maps[m].release(attempt, &mut self.slots);
     }
 
     pub(crate) fn map_started(
@@ -42,14 +39,10 @@ impl MrEngine {
         attempt: usize,
         m: usize,
     ) {
-        let (block, vm, done) = {
-            let job = self.jobs.get(&jid.0).expect("unknown job");
-            (
-                job.splits[m].block,
-                job.map_attempt_vm[m][attempt].expect("attempt ran somewhere"),
-                job.maps[m] == TaskPhase::Done,
-            )
-        };
+        let job = self.jobs.get(&jid.0).expect("unknown job");
+        let (block, task) = (job.splits[m].block, &job.maps[m]);
+        let vm = task.attempt_vm[attempt].expect("attempt ran somewhere");
+        let (done, ep) = (task.phase == TaskPhase::Done, task.epoch);
         if done {
             // The other attempt already won; abandon this one.
             self.release_map_slot(jid, m, attempt);
@@ -58,7 +51,6 @@ impl MrEngine {
         match block {
             Some(block) => {
                 // Simulated HDFS read; records materialize at completion.
-                let ep = self.jobs.get(&jid.0).expect("unknown job").map_epoch[m];
                 hdfs.read_block(
                     engine,
                     cluster,
@@ -83,12 +75,12 @@ impl MrEngine {
         attempt: usize,
         m: usize,
     ) {
-        if self.jobs.get(&jid.0).expect("unknown job").maps[m] == TaskPhase::Done {
+        if self.jobs.get(&jid.0).expect("unknown job").maps[m].phase == TaskPhase::Done {
             self.release_map_slot(jid, m, attempt);
             return;
         }
         let job = self.jobs.get_mut(&jid.0).expect("unknown job");
-        let vm = job.map_attempt_vm[m][attempt].expect("attempt ran somewhere");
+        let vm = job.maps[m].attempt_vm[attempt].expect("attempt ran somewhere");
         // Really run the user's map function, over the lent split. What it
         // emits goes where it will stay: a reduce job's records into the
         // run of their partition (the emitted `K` dies here), a map-only
@@ -163,7 +155,7 @@ impl MrEngine {
         if spill_bytes > 0 {
             chain = chain.then(cluster.disk_write(vm, spill_bytes as f64));
         }
-        let ep = self.jobs.get(&jid.0).expect("unknown job").map_epoch[m];
+        let ep = self.jobs.get(&jid.0).expect("unknown job").maps[m].epoch;
         engine.start_chain(chain, tag_full(jid, PH_MAP_COMPUTE, attempt, ep, m));
     }
 
@@ -185,13 +177,16 @@ impl MrEngine {
         }
         let outcome = {
             let job = self.jobs.get_mut(&jid.0).expect("unknown job");
-            let vm = job.map_attempt_vm[m][attempt].expect("attempt ran somewhere");
-            if job.maps[m] == TaskPhase::Done || (job.map_only() && job.write_claimed[m]) {
+            let map_only = job.map_only();
+            let task = &mut job.maps[m];
+            let vm = task.attempt_vm[attempt].expect("attempt ran somewhere");
+            // Some attempt already won: it is done, or (map-only) it
+            // claimed the HDFS write.
+            if task.winner.is_some() {
                 Outcome::Loser
-            } else if job.map_only() {
+            } else if map_only {
                 // First attempt to finish computing claims the HDFS write.
-                job.write_claimed[m] = true;
-                job.map_vm[m] = Some(vm);
+                task.winner = Some(vm);
                 let output = job.task_outputs[m].as_ref().expect("map output present");
                 Outcome::MapOnlyWrite {
                     vm,
@@ -199,17 +194,18 @@ impl MrEngine {
                     path: format!("{}/part-m-{m:05}", job.spec.output_path),
                 }
             } else {
-                job.maps[m] = TaskPhase::Done;
-                job.map_vm[m] = Some(vm);
+                task.phase = TaskPhase::Done;
+                task.winner = Some(vm);
+                let started = task.started_at;
                 job.completed_maps += 1;
-                if let Some(t0) = job.map_started_at[m] {
+                if let Some(t0) = started {
                     job.map_durations.push(engine.now().saturating_since(t0).as_secs_f64());
                 }
                 let done_all = job.completed_maps == job.maps.len();
                 if done_all {
                     job.map_phase_done = Some(engine.now());
                 }
-                Outcome::Winner { done_all, vm, started: job.map_started_at[m] }
+                Outcome::Winner { done_all, vm, started }
             }
         };
         match outcome {
@@ -224,7 +220,7 @@ impl MrEngine {
                 if hdfs.stat(&path).is_some() {
                     hdfs.delete(&path);
                 }
-                let ep = self.jobs.get(&jid.0).expect("unknown job").map_epoch[m];
+                let ep = self.jobs.get(&jid.0).expect("unknown job").maps[m].epoch;
                 hdfs.write_file(
                     engine,
                     cluster,
@@ -263,14 +259,13 @@ impl MrEngine {
     ) {
         let finished = {
             let job = self.jobs.get_mut(&jid.0).expect("unknown job");
-            debug_assert!(job.write_claimed[m], "write completion without claim");
-            job.maps[m] = TaskPhase::Done;
+            let task = &mut job.maps[m];
+            task.phase = TaskPhase::Done;
+            let vm = task.winner.expect("write completion without claim");
+            let started = task.started_at;
             job.completed_maps += 1;
-            let vm = job.map_vm[m].expect("winning attempt recorded");
-            if let Some(t0) = job.map_started_at[m] {
+            if let Some(t0) = started {
                 job.map_durations.push(engine.now().saturating_since(t0).as_secs_f64());
-            }
-            if let Some(t0) = job.map_started_at[m] {
                 engine.trace_span(
                     "map",
                     "map",

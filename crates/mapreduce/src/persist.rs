@@ -17,7 +17,7 @@ use crate::input::InputFormat;
 use crate::job::{JobId, JobSpec};
 use crate::run::Run;
 use crate::scheduler::SchedulerPolicy;
-use crate::state::{JobState, Partition, SplitInfo, TaskPhase};
+use crate::state::{JobState, MapTask, Partition, ReduceTask, SplitInfo, TaskPhase};
 use crate::types::{K, V};
 use simcore::persist::{Decoder, Encoder, Persist};
 use std::rc::Rc;
@@ -57,6 +57,8 @@ simcore::persist_struct!(JobConfig { num_reduces, use_combiner, locality_aware, 
 simcore::persist_struct!(JobSpec { name, input_path, output_path, config });
 simcore::persist_struct!(SplitInfo { block, bytes, locations });
 simcore::persist_enum!(TaskPhase { 0 => Pending, 1 => Running(vm), 2 => Done });
+simcore::persist_struct!(MapTask { phase, winner, attempt_vm, active, started_at, epoch, retries });
+simcore::persist_struct!(ReduceTask { phase, epoch, retries, started_at, shuffle_started_at });
 
 /// Encoded as the bare record vector, as [`crate::run::Run`] is.
 // codec by hand: the byte size is not written but recomputed by `Partition::seal`
@@ -96,19 +98,7 @@ impl JobState {
         self.splits.encode(e);
         self.maps.encode(e);
         self.reduces.encode(e);
-        self.map_vm.encode(e);
-        self.map_attempt_vm.encode(e);
-        self.map_started_at.encode(e);
         self.map_durations.encode(e);
-        self.speculated.encode(e);
-        self.write_claimed.encode(e);
-        self.attempt_active.encode(e);
-        self.map_epoch.encode(e);
-        self.reduce_epoch.encode(e);
-        self.map_retries.encode(e);
-        self.reduce_retries.encode(e);
-        self.reduce_started_at.encode(e);
-        self.shuffle_started_at.encode(e);
         self.pending_maps.encode(e);
         self.pending_reduces.encode(e);
         if self.map_only() {
@@ -150,19 +140,7 @@ impl JobState {
             splits: Persist::decode(d),
             maps: Persist::decode(d),
             reduces: Persist::decode(d),
-            map_vm: Persist::decode(d),
-            map_attempt_vm: Persist::decode(d),
-            map_started_at: Persist::decode(d),
             map_durations: Persist::decode(d),
-            speculated: Persist::decode(d),
-            write_claimed: Persist::decode(d),
-            attempt_active: Persist::decode(d),
-            map_epoch: Persist::decode(d),
-            reduce_epoch: Persist::decode(d),
-            map_retries: Persist::decode(d),
-            reduce_retries: Persist::decode(d),
-            reduce_started_at: Persist::decode(d),
-            shuffle_started_at: Persist::decode(d),
             pending_maps: Persist::decode(d),
             pending_reduces: Persist::decode(d),
             map_outputs: decode_outputs(d, map_only, &mut task_outputs),
@@ -210,13 +188,11 @@ impl MrEngine {
             .collect()
     }
 
-    /// Encodes all dynamic JobTracker state (jobs ascending id, slot
-    /// tables sorted by key).
+    /// Encodes all dynamic JobTracker state (the slot ledger, then jobs
+    /// ascending id).
     pub fn encode_state(&self, e: &mut Encoder) {
-        self.trackers.encode(e);
+        self.slots.encode(e);
         self.next_job.encode(e);
-        self.used_map_slots.encode(e);
-        self.used_reduce_slots.encode(e);
         self.policy.encode(e);
         e.usize(self.jobs.len());
         for (id, job) in &self.jobs {
@@ -232,10 +208,8 @@ impl MrEngine {
     /// If a decoded job has no matching residue entry.
     // codec by hand: residue rejoin — each decoded job's user code comes from the residue
     pub fn restore_state(&mut self, d: &mut Decoder, residue: &[JobResidue]) {
-        self.trackers = Persist::decode(d);
+        self.slots = Persist::decode(d);
         self.next_job = Persist::decode(d);
-        self.used_map_slots = Persist::decode(d);
-        self.used_reduce_slots = Persist::decode(d);
         self.policy = Persist::decode(d);
         self.jobs = (0..d.usize())
             .map(|_| {

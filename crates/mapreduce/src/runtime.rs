@@ -244,3 +244,27 @@ pub struct Routed {
     /// A completed HDFS operation owned by a non-MapReduce client.
     pub hdfs_completion: Option<vhdfs::hdfs::HdfsCompletion>,
 }
+
+#[cfg(test)]
+impl MrRuntime {
+    /// Routes the next wakeup, then checks the JobTracker's slot ledger
+    /// against its task records. `None` once the event queue drains.
+    pub(crate) fn step_audited(&mut self) -> Option<Vec<JobEvent>> {
+        let (_, w) = self.engine.next_wakeup()?;
+        let events = self.route(&w);
+        self.mr.assert_slots_accounted();
+        Some(events)
+    }
+
+    /// Steps, audited, until every submitted job finishes; returns their
+    /// results in completion order.
+    pub(crate) fn drive_all_audited(&mut self) -> Vec<JobResult> {
+        let mut done = Vec::new();
+        while self.mr.active_jobs() > 0 {
+            let events =
+                self.step_audited().expect("jobs must finish before the simulation drains");
+            done.extend(finished_jobs(events));
+        }
+        done
+    }
+}

@@ -15,10 +15,14 @@
 //! ambient randomness, and return [`Assignment`]s in a deterministic
 //! order (the order fixes heartbeat-stagger waves, so it is part of the
 //! contract, not a cosmetic detail).
+//!
+//! The view lends the [`SlotLedger`], the JobTracker's one record of which
+//! VMs are live TaskTrackers and how many slots each holds; a policy
+//! charges its round against a clone.
 
 use crate::config::{JobConfig, MAP_SLOTS_PER_TRACKER, REDUCE_SLOTS_PER_TRACKER};
 use std::cmp::Reverse;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use vcluster::cluster::{HostId, VmId};
 use vcluster::topology::RackId;
 
@@ -70,7 +74,7 @@ impl SchedulerPolicy {
     /// tracker running the straggling primary): the emptiest other
     /// tracker, ties to the lowest id — stock Hadoop, under every policy.
     pub fn place_speculative(self, view: &SchedulerView, avoid: VmId) -> Option<VmId> {
-        emptiest(view, &Slots::snapshot(view), Some(avoid))
+        emptiest(view, view.slots, Some(avoid))
     }
 }
 
@@ -130,10 +134,9 @@ pub struct SchedulerView<'a> {
     /// cluster "rack-local" would match every tracker and shadow the
     /// emptiest-tracker fallback.
     pub racks: u32,
-    /// Map slots currently held, by tracker VM id.
-    pub used_map_slots: &'a HashMap<u32, u32>,
-    /// Reduce slots currently held, by tracker VM id.
-    pub used_reduce_slots: &'a HashMap<u32, u32>,
+    /// The JobTracker's slot ledger: which VMs are live trackers and the
+    /// slots each holds.
+    pub slots: &'a SlotLedger,
     /// Unfinished jobs, ascending id.
     pub jobs: Vec<JobView<'a>>,
 }
@@ -158,90 +161,157 @@ pub struct Assignment {
     pub vm: VmId,
 }
 
-/// Scratch slot ledger: policies charge tentative assignments against a
-/// dense copy of the engine's slot tables — indexed by `VmId.0`, filled
-/// once per round — so one `assign` round never over-commits a tracker
-/// and "is this replica's VM a live tracker with room" is two array reads.
-#[derive(Debug, Clone)]
-struct Slots {
-    used_map: Vec<u32>,
-    used_reduce: Vec<u32>,
+/// The JobTracker's slot ledger: the live TaskTrackers in engine order
+/// (ascending VM id, then rejoined trackers in the order they came back)
+/// and, indexed by `VmId.0`, whether each VM is a live tracker and how many
+/// map and reduce slots it holds. A lost tracker holds nothing, so a VM
+/// that is not a live tracker has no free slot either.
+///
+/// The engine owns one and [`SchedulerView`] lends it; a policy clones it
+/// as scratch and charges its tentative assignments against the copy, so
+/// one `assign` round never over-commits a tracker, and "is this replica's
+/// VM a live tracker with room" is two array reads. Only these methods
+/// know the layout.
+#[derive(Debug, Clone, Default)]
+pub struct SlotLedger {
+    order: Vec<VmId>,
     live: Vec<bool>,
+    map: Vec<u32>,
+    reduce: Vec<u32>,
 }
 
-impl Slots {
-    fn snapshot(view: &SchedulerView) -> Self {
-        let vms = view.vm_hosts.len();
-        let dense = |held: &HashMap<u32, u32>| {
-            let mut table = vec![0; vms];
-            for (&vm, &n) in held {
-                table[vm as usize] = n;
-            }
-            table
-        };
-        let mut live = vec![false; vms];
-        for t in view.trackers {
-            live[t.vm.0 as usize] = true;
+simcore::persist_struct!(SlotLedger { order, live, map, reduce });
+
+impl SlotLedger {
+    /// A ledger over `trackers`, in that order, holding no slot.
+    pub(crate) fn new(trackers: Vec<VmId>) -> Self {
+        let mut ledger = SlotLedger::default();
+        for vm in trackers {
+            ledger.rejoin(vm);
         }
-        Slots {
-            used_map: dense(view.used_map_slots),
-            used_reduce: dense(view.used_reduce_slots),
-            live,
-        }
+        ledger
     }
 
-    fn free_map(&self, vm: VmId) -> u32 {
-        MAP_SLOTS_PER_TRACKER.saturating_sub(self.used_map[vm.0 as usize])
+    /// Live trackers, engine order.
+    pub(crate) fn trackers(&self) -> &[VmId] {
+        &self.order
     }
 
-    fn free_reduce(&self, vm: VmId) -> u32 {
-        REDUCE_SLOTS_PER_TRACKER.saturating_sub(self.used_reduce[vm.0 as usize])
+    fn is_live(&self, vm: VmId) -> bool {
+        self.live.get(vm.0 as usize) == Some(&true)
+    }
+
+    pub(crate) fn free_map(&self, vm: VmId) -> u32 {
+        if !self.is_live(vm) {
+            return 0;
+        }
+        MAP_SLOTS_PER_TRACKER.saturating_sub(self.map[vm.0 as usize])
+    }
+
+    pub(crate) fn free_reduce(&self, vm: VmId) -> u32 {
+        if !self.is_live(vm) {
+            return 0;
+        }
+        REDUCE_SLOTS_PER_TRACKER.saturating_sub(self.reduce[vm.0 as usize])
     }
 
     /// Map + reduce slots held on `vm` — total tracker load.
     fn total_used(&self, vm: VmId) -> u32 {
-        self.used_map[vm.0 as usize] + self.used_reduce[vm.0 as usize]
+        self.map[vm.0 as usize] + self.reduce[vm.0 as usize]
     }
 
-    fn take_map(&mut self, vm: VmId) {
-        self.used_map[vm.0 as usize] += 1;
+    pub(crate) fn take_map(&mut self, vm: VmId) {
+        debug_assert!(self.free_map(vm) > 0, "map slot taken on {vm} without room");
+        self.map[vm.0 as usize] += 1;
     }
 
-    fn take_reduce(&mut self, vm: VmId) {
-        self.used_reduce[vm.0 as usize] += 1;
+    pub(crate) fn take_reduce(&mut self, vm: VmId) {
+        debug_assert!(self.free_reduce(vm) > 0, "reduce slot taken on {vm} without room");
+        self.reduce[vm.0 as usize] += 1;
+    }
+
+    /// Returns a map slot of `vm`, which must be a live tracker holding one.
+    pub(crate) fn release_map(&mut self, vm: VmId) {
+        assert!(self.is_live(vm), "map slot released on {vm}, not a live tracker");
+        let held = &mut self.map[vm.0 as usize];
+        *held = held.checked_sub(1).expect("map slot released, none held");
+    }
+
+    /// Returns a reduce slot of `vm`, which must be a live tracker holding
+    /// one.
+    pub(crate) fn release_reduce(&mut self, vm: VmId) {
+        assert!(self.is_live(vm), "reduce slot released on {vm}, not a live tracker");
+        let held = &mut self.reduce[vm.0 as usize];
+        *held = held.checked_sub(1).expect("reduce slot released, none held");
+    }
+
+    /// Drops `vm` from the live trackers together with every slot it held.
+    /// Returns false (and changes nothing) if it was not a live tracker.
+    pub(crate) fn lose(&mut self, vm: VmId) -> bool {
+        let Some(pos) = self.order.iter().position(|&t| t == vm) else { return false };
+        self.order.remove(pos);
+        let i = vm.0 as usize;
+        (self.live[i], self.map[i], self.reduce[i]) = (false, 0, 0);
+        true
+    }
+
+    /// Appends `vm` to the live trackers, holding no slot. Returns false
+    /// (and changes nothing) if it already was one.
+    pub(crate) fn rejoin(&mut self, vm: VmId) -> bool {
+        if self.is_live(vm) {
+            return false;
+        }
+        let i = vm.0 as usize;
+        if i >= self.live.len() {
+            self.live.resize(i + 1, false);
+            self.map.resize(i + 1, 0);
+            self.reduce.resize(i + 1, 0);
+        }
+        self.live[i] = true;
+        self.order.push(vm);
+        true
+    }
+
+    /// Live trackers holding at least one slot, busiest first (ties to the
+    /// lowest id).
+    pub(crate) fn busy(&self) -> Vec<VmId> {
+        let mut busy: Vec<VmId> =
+            self.order.iter().copied().filter(|&vm| self.total_used(vm) > 0).collect();
+        busy.sort_by_key(|&vm| (Reverse(self.total_used(vm)), vm.0));
+        busy
     }
 }
 
 /// One tier of map placement: the tracker a map whose split has replicas
 /// on `locations` gets from this tier alone, if any.
-type Tier = fn(&SchedulerView, &Slots, &[VmId]) -> Option<VmId>;
+type Tier = fn(&SchedulerView, &SlotLedger, &[VmId]) -> Option<VmId>;
 
 /// The locality tiers, nearest first: data-local, host-local, rack-local.
 const LOCALITY_TIERS: [Tier; 3] = [data_local, host_local, rack_local];
 
-/// A replica VM with a free slot, in replica order (it must still be a
-/// live tracker — datanodes can fail).
-fn data_local(_: &SchedulerView, slots: &Slots, at: &[VmId]) -> Option<VmId> {
-    at.iter().copied().find(|&v| slots.live[v.0 as usize] && slots.free_map(v) > 0)
+/// A replica VM with a free slot, in replica order (only a live tracker
+/// has one — datanodes can fail).
+fn data_local(_: &SchedulerView, slots: &SlotLedger, at: &[VmId]) -> Option<VmId> {
+    at.iter().copied().find(|&v| slots.free_map(v) > 0)
 }
 
 /// The first tracker (view order) with a free slot that `near` accepts.
 fn first_free(
     view: &SchedulerView,
-    slots: &Slots,
+    slots: &SlotLedger,
     near: impl Fn(&TrackerInfo) -> bool,
 ) -> Option<VmId> {
     view.trackers.iter().find(|t| slots.free_map(t.vm) > 0 && near(t)).map(|t| t.vm)
 }
 
-fn host_local(view: &SchedulerView, slots: &Slots, at: &[VmId]) -> Option<VmId> {
+fn host_local(view: &SchedulerView, slots: &SlotLedger, at: &[VmId]) -> Option<VmId> {
     first_free(view, slots, |t| at.iter().any(|&l| view.vm_hosts[l.0 as usize] == t.host))
 }
 
 /// Only meaningful (and only run) when the fabric has more than one rack:
 /// on one rack this tier is every tracker and would shadow the
 /// emptiest-tracker balancing that follows it.
-fn rack_local(view: &SchedulerView, slots: &Slots, at: &[VmId]) -> Option<VmId> {
+fn rack_local(view: &SchedulerView, slots: &SlotLedger, at: &[VmId]) -> Option<VmId> {
     if view.racks <= 1 {
         return None;
     }
@@ -250,7 +320,7 @@ fn rack_local(view: &SchedulerView, slots: &Slots, at: &[VmId]) -> Option<VmId> 
 
 /// The tracker with the most free map slots other than `avoid`, ties to
 /// the lowest id.
-fn emptiest(view: &SchedulerView, slots: &Slots, avoid: Option<VmId>) -> Option<VmId> {
+fn emptiest(view: &SchedulerView, slots: &SlotLedger, avoid: Option<VmId>) -> Option<VmId> {
     view.trackers
         .iter()
         .map(|t| t.vm)
@@ -262,7 +332,7 @@ fn emptiest(view: &SchedulerView, slots: &Slots, avoid: Option<VmId>) -> Option<
 /// (when the job is locality-aware), otherwise the emptiest tracker.
 fn pick_map_vm(
     view: &SchedulerView,
-    slots: &Slots,
+    slots: &SlotLedger,
     cfg: &JobConfig,
     locations: &[VmId],
 ) -> Option<VmId> {
@@ -280,7 +350,7 @@ fn pick_map_vm(
 /// engine's bug of ignoring map load: under 2-job contention a tracker
 /// still churning through job A's maps no longer ties with an idle one
 /// for job B's reduces.
-fn pick_reduce_vm(view: &SchedulerView, slots: &Slots) -> Option<VmId> {
+fn pick_reduce_vm(view: &SchedulerView, slots: &SlotLedger) -> Option<VmId> {
     view.trackers
         .iter()
         .map(|t| t.vm)
@@ -291,7 +361,7 @@ fn pick_reduce_vm(view: &SchedulerView, slots: &Slots) -> Option<VmId> {
 /// Hadoop 0.20 stock scheduling (the paper's configuration): jobs in
 /// submission order, each filling every free slot it can.
 fn fifo(view: &SchedulerView) -> Vec<Assignment> {
-    let mut slots = Slots::snapshot(view);
+    let mut slots = view.slots.clone();
     let mut out = Vec::new();
     for job in &view.jobs {
         for &m in job.pending_maps {
@@ -317,7 +387,7 @@ fn fifo(view: &SchedulerView) -> Vec<Assignment> {
 /// racks), then the remainder; reduces go largest-partition-first (LPT)
 /// onto the least-loaded trackers.
 fn job_driven(view: &SchedulerView) -> Vec<Assignment> {
-    let mut slots = Slots::snapshot(view);
+    let mut slots = view.slots.clone();
     let mut out = Vec::new();
     for job in &view.jobs {
         // Maps: one pass per locality tier over the whole queue. Unlike
@@ -357,6 +427,31 @@ fn job_driven(view: &SchedulerView) -> Vec<Assignment> {
 }
 
 #[cfg(test)]
+impl SlotLedger {
+    /// Asserts that every VM holds exactly its `expected` (map, reduce)
+    /// slots — none where it has no entry — that every entry is a live
+    /// tracker, and that the tracker order and the live table agree.
+    pub(crate) fn assert_holds(&self, expected: &std::collections::BTreeMap<u32, (u32, u32)>) {
+        let live = self.live.iter().filter(|&&l| l).count();
+        assert!(
+            live == self.order.len() && self.order.iter().all(|&vm| self.is_live(vm)),
+            "tracker order {:?} disagrees with the live table",
+            self.order
+        );
+        for (&vm, held) in expected {
+            assert!(
+                self.is_live(VmId(vm)),
+                "{held:?} slots accounted on vm{vm}, not a live tracker"
+            );
+        }
+        for (vm, held) in self.map.iter().zip(&self.reduce).enumerate() {
+            let want = expected.get(&(vm as u32)).copied().unwrap_or_default();
+            assert_eq!((*held.0, *held.1), want, "vm{vm}: (map, reduce) slots held vs accounted");
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -371,8 +466,7 @@ mod tests {
         vm_hosts: Vec<HostId>,
         vm_racks: Vec<RackId>,
         racks: u32,
-        used_map: HashMap<u32, u32>,
-        used_reduce: HashMap<u32, u32>,
+        slots: SlotLedger,
         configs: Vec<JobConfig>,
         pending_maps: Vec<VecDeque<usize>>,
         pending_reduces: Vec<VecDeque<usize>>,
@@ -388,8 +482,7 @@ mod tests {
                 vm_hosts: (0..=n_trackers).map(|i| HostId(i % 2)).collect(),
                 vm_racks: vec![RackId(0); n_trackers as usize + 1],
                 racks: 1,
-                used_map: HashMap::new(),
-                used_reduce: HashMap::new(),
+                slots: SlotLedger::new((1..=n_trackers).map(VmId).collect()),
                 configs: Vec::new(),
                 pending_maps: Vec::new(),
                 pending_reduces: Vec::new(),
@@ -400,7 +493,7 @@ mod tests {
         }
 
         /// Makes `vms`, in that order, the live trackers (hosts and racks
-        /// from the VM tables).
+        /// from the VM tables), holding no slot.
         fn set_trackers(&mut self, vms: impl IntoIterator<Item = u32>) {
             self.trackers = vms
                 .into_iter()
@@ -410,6 +503,18 @@ mod tests {
                     rack: self.vm_racks[v as usize],
                 })
                 .collect();
+            self.slots = SlotLedger::new(self.trackers.iter().map(|t| t.vm).collect());
+        }
+
+        /// Has live tracker `vm` hold `maps` map and `reduces` reduce slots
+        /// more.
+        fn hold(&mut self, vm: u32, maps: u32, reduces: u32) {
+            for _ in 0..maps {
+                self.slots.take_map(VmId(vm));
+            }
+            for _ in 0..reduces {
+                self.slots.take_reduce(VmId(vm));
+            }
         }
 
         fn job(
@@ -436,8 +541,7 @@ mod tests {
                 vm_hosts: &self.vm_hosts,
                 vm_racks: &self.vm_racks,
                 racks: self.racks,
-                used_map_slots: &self.used_map,
-                used_reduce_slots: &self.used_reduce,
+                slots: &self.slots,
                 jobs: (0..self.configs.len())
                     .map(|j| JobView {
                         id: j as u32,
@@ -476,7 +580,7 @@ mod tests {
         // on the free one. FIFO would give the slot to map 0 (remote);
         // JobDriven matches map 1 to its replica first.
         let mut fx = ViewFixture::new(2);
-        fx.used_map.insert(1, 2); // tracker 1 full
+        fx.hold(1, 2, 0); // tracker 1 full
         let cfg = JobConfig::default();
         fx.job(cfg, 2, vec![vec![VmId(1)], vec![VmId(2)]], false, vec![]);
         let a = SchedulerPolicy::JobDriven.assign(&fx.view());
@@ -511,7 +615,7 @@ mod tests {
     #[test]
     fn reduce_placement_avoids_map_loaded_tracker() {
         let mut fx = ViewFixture::new(2);
-        fx.used_map.insert(1, 2); // tracker 1 busy with maps; reduce slots equal
+        fx.hold(1, 2, 0); // tracker 1 busy with maps; reduce slots equal
         let cfg = JobConfig::default().with_reduces(1);
         fx.job(cfg, 0, vec![], true, vec![100]);
         for a in SchedulerPolicy::Fifo.assign(&fx.view()) {
@@ -533,9 +637,9 @@ mod tests {
         // (1 free slot), vm4 is idle (2 free).
         let setup = || {
             let mut fx = ViewFixture::new(4);
-            fx.used_map.insert(1, 2);
-            fx.used_map.insert(3, 2);
-            fx.used_map.insert(2, 1);
+            fx.hold(1, 2, 0);
+            fx.hold(3, 2, 0);
+            fx.hold(2, 1, 0);
             fx.job(JobConfig::default(), 1, vec![vec![VmId(1)]], false, vec![]);
             fx
         };
@@ -584,9 +688,8 @@ mod tests {
     }
 
     /// A `stream_1024`-sized view: 1024 workers on 128 hosts in 8 racks,
-    /// ~70 % of the slots held by a seeded pattern (some entries present
-    /// with 0, as the engine leaves them), three dead VMs that replicas
-    /// still name, two rejoined trackers at the end of the list, and three
+    /// ~70 % of the slots held by a seeded pattern, three dead VMs that
+    /// replicas still name, two rejoined trackers at the end of the list, and three
     /// 64-map jobs with two replicas per split — one of them with its
     /// reduces open over skewed partitions.
     fn scale_fixture() -> ViewFixture {
@@ -603,13 +706,18 @@ mod tests {
         let (dead, rejoined) = ([100, 300, 900], [512, 7]);
         let alive = (1..=n).filter(|v| !dead.contains(v) && !rejoined.contains(v));
         fx.set_trackers(alive.chain(rejoined));
-        for t in &fx.trackers {
-            for used in [&mut fx.used_map, &mut fx.used_reduce] {
-                let held = u32::from(draw(10) < 7) + u32::from(draw(10) < 7);
-                if held > 0 || draw(3) == 0 {
-                    used.insert(t.vm.0, held);
+        for vm in fx.slots.trackers().to_vec() {
+            let mut held = [0; 2];
+            for h in &mut held {
+                *h = u32::from(draw(10) < 7) + u32::from(draw(10) < 7);
+                if *h == 0 {
+                    // This draw once chose between an absent and a
+                    // present-with-0 entry of a hashed ledger; it stays so
+                    // the rest of the sequence, and so the pins, stay.
+                    draw(3);
                 }
             }
+            fx.hold(vm.0, held[0], held[1]);
         }
         let configs = [
             JobConfig::default(),
@@ -631,7 +739,8 @@ mod tests {
         fx
     }
 
-    /// The dense slot ledger's decisions are pinned: the hashes cover the
+    /// The slot ledger's decisions are pinned (first against the hashed
+    /// ledger the engine kept until `SlotLedger` replaced it): the hashes cover the
     /// full `(job, kind, vm)` sequence of `assign` plus eight
     /// `place_speculative` answers, per policy, at the fixed per-tracker
     /// slot counts.
@@ -670,7 +779,7 @@ mod tests {
     }
 
     /// A generated view: 1–40 trackers out of a slightly larger VM set on
-    /// 1–3 racks, random held slots (dead VMs included), 0–4 jobs whose
+    /// 1–3 racks, random held slots on the live ones, 0–4 jobs whose
     /// replicas may name VMs that are not live trackers.
     fn random_fixture(g: &mut proptest::Gen) -> ViewFixture {
         let vms = g.u32_in(1, 40);
@@ -678,18 +787,15 @@ mod tests {
         fx.racks = g.u32_in(1, 3);
         fx.vm_hosts = (0..=vms).map(|v| HostId(v % 6)).collect();
         fx.vm_racks = fx.vm_hosts.iter().map(|h| RackId(h.0 % fx.racks)).collect();
-        let alive: Vec<u32> = (1..=vms).filter(|&v| v == 1 || g.bool(0.85)).collect();
-        fx.set_trackers(alive);
+        let mut alive: Vec<u32> = (1..=vms).filter(|&v| v == 1 || g.bool(0.85)).collect();
         if g.bool(0.3) {
-            fx.trackers.rotate_left(1); // a rejoined tracker sits at the end
+            alive.rotate_left(1); // a rejoined tracker sits at the end
         }
-        for v in 1..=vms {
-            if g.bool(0.6) {
-                fx.used_map.insert(v, g.u32_in(0, 3));
-            }
-            if g.bool(0.6) {
-                fx.used_reduce.insert(v, g.u32_in(0, 3));
-            }
+        fx.set_trackers(alive.iter().copied());
+        for v in alive {
+            let maps = if g.bool(0.6) { g.u32_in(0, MAP_SLOTS_PER_TRACKER) } else { 0 };
+            let reduces = if g.bool(0.6) { g.u32_in(0, REDUCE_SLOTS_PER_TRACKER) } else { 0 };
+            fx.hold(v, maps, reduces);
         }
         for _ in 0..g.usize_in(0, 4) {
             let cfg = JobConfig::default().with_reduces(g.u32_in(0, 5)).with_locality(g.bool(0.8));
@@ -712,25 +818,26 @@ mod tests {
             let mut fx = random_fixture(g);
             for policy in SchedulerPolicy::all() {
                 let view = fx.view();
-                let (mut used_map, mut used_reduce) = (fx.used_map.clone(), fx.used_reduce.clone());
+                let mut slots = fx.slots.clone();
                 for a in policy.assign(&view) {
                     assert!(
                         fx.trackers.iter().any(|t| t.vm == a.vm),
                         "{policy}: {a:?} on a dead VM"
                     );
-                    let (held, cap) = match a.kind {
-                        TaskKind::Map(_) => (used_map.entry(a.vm.0), MAP_SLOTS_PER_TRACKER),
+                    match a.kind {
+                        TaskKind::Map(_) => {
+                            assert!(slots.free_map(a.vm) > 0, "{policy}: {a:?} over-commits");
+                            slots.take_map(a.vm);
+                        }
                         TaskKind::Reduce(_) => {
                             assert!(
                                 fx.reduces_open[a.job as usize],
                                 "{policy}: {a:?} before map end"
                             );
-                            (used_reduce.entry(a.vm.0), REDUCE_SLOTS_PER_TRACKER)
+                            assert!(slots.free_reduce(a.vm) > 0, "{policy}: {a:?} over-commits");
+                            slots.take_reduce(a.vm);
                         }
-                    };
-                    let held = held.or_insert(0);
-                    assert!(*held < cap, "{policy}: {a:?} over-commits ({held} of {cap} held)");
-                    *held += 1;
+                    }
                 }
             }
             // Quiesce: no pending map anywhere, no pending reduce that is open.

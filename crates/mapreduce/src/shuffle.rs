@@ -14,7 +14,7 @@
 use crate::job::{JobEvent, JobId};
 use crate::run::{for_each_group, Run};
 use crate::state::{
-    tag, tag_full, Partition, PH_IGNORE, PH_REDUCE_COMPUTE, PH_REDUCE_WRITE, PH_SHUFFLE,
+    tag, tag_full, Partition, TaskPhase, PH_IGNORE, PH_REDUCE_COMPUTE, PH_REDUCE_WRITE, PH_SHUFFLE,
 };
 use crate::types::Record;
 use simcore::prelude::*;
@@ -43,15 +43,15 @@ impl MrEngine {
             }
             let bytes = run.bytes();
             shuffle_bytes += bytes;
-            let map_vm = job.map_vm[m].expect("map ran somewhere");
+            let map_vm = job.maps[m].winner.expect("map ran somewhere");
             let chain = cluster
                 .transfer(map_vm, vm, bytes as f64)
                 .then(cluster.disk_write(vm, bytes as f64));
             members.push((chain, tag(jid, PH_IGNORE, m)));
         }
         job.counters.shuffle_bytes += shuffle_bytes;
-        job.shuffle_started_at[r] = Some(engine.now());
-        let ep = job.reduce_epoch[r];
+        job.reduces[r].shuffle_started_at = Some(engine.now());
+        let ep = job.reduces[r].epoch;
         engine.start_batch(members, tag_full(jid, PH_SHUFFLE, 0, ep, r));
     }
 
@@ -64,7 +64,7 @@ impl MrEngine {
     ) {
         let job = self.jobs.get_mut(&jid.0).expect("unknown job");
         let vm = job.running_reduce_vm(r);
-        if let Some(t0) = job.shuffle_started_at[r] {
+        if let Some(t0) = job.reduces[r].shuffle_started_at {
             engine.trace_span(
                 "shuffle",
                 "shuffle",
@@ -105,7 +105,7 @@ impl MrEngine {
             + cost.reduce_cpu_per_record * in_records as f64
             + sort_cycles;
         job.task_outputs[r] = Some(Partition::seal(out));
-        let ep = job.reduce_epoch[r];
+        let ep = job.reduces[r].epoch;
         engine.start_chain(cluster.compute(vm, cycles), tag_full(jid, PH_REDUCE_COMPUTE, 0, ep, r));
     }
 
@@ -129,7 +129,7 @@ impl MrEngine {
         if hdfs.stat(&path).is_some() {
             hdfs.delete(&path);
         }
-        let ep = self.jobs.get(&jid.0).expect("unknown job").reduce_epoch[r];
+        let ep = self.jobs.get(&jid.0).expect("unknown job").reduces[r].epoch;
         hdfs.write_file(
             engine,
             cluster,
@@ -150,12 +150,12 @@ impl MrEngine {
         let (vm, finished) = {
             let job = self.jobs.get_mut(&jid.0).expect("unknown job");
             let vm = job.running_reduce_vm(r);
-            job.reduces[r] = crate::state::TaskPhase::Done;
+            job.reduces[r].phase = TaskPhase::Done;
             job.completed_reduces += 1;
             let output = job.task_outputs[r].as_ref().expect("reduce output present");
             job.counters.output_bytes += output.bytes;
             job.counters.reduce_output_records += output.records.len() as u64;
-            if let Some(t0) = job.reduce_started_at[r] {
+            if let Some(t0) = job.reduces[r].started_at {
                 engine.trace_span(
                     "reduce",
                     "reduce",
@@ -166,7 +166,7 @@ impl MrEngine {
             }
             (vm, job.completed_reduces == job.reduces.len())
         };
-        *self.used_reduce_slots.get_mut(&vm.0).expect("slot held") -= 1;
+        self.slots.release_reduce(vm);
         events.push(JobEvent::ReduceDone(jid, r));
         if finished {
             let result = self.finish_job(engine, jid);

@@ -39,14 +39,15 @@ impl MrEngine {
             }
             let mean = job.map_durations.iter().sum::<f64>() / job.map_durations.len() as f64;
             let now = engine.now();
-            (0..job.maps.len())
-                .filter(|&m| {
-                    matches!(job.maps[m], TaskPhase::Running(_))
-                        && !job.speculated[m]
-                        && job.map_started_at[m]
+            (job.maps.iter().enumerate())
+                .filter(|(_, task)| {
+                    matches!(task.phase, TaskPhase::Running(_))
+                        && task.attempt_vm[1].is_none() // no backup yet
+                        && task
+                            .started_at
                             .is_some_and(|t0| now.saturating_since(t0).as_secs_f64() > 1.5 * mean)
                 })
-                .filter_map(|m| job.map_attempt_vm[m][0].map(|vm0| (m, vm0)))
+                .filter_map(|(m, task)| task.attempt_vm[0].map(|vm0| (m, vm0)))
                 .collect()
         };
         for (m, vm0) in candidates {
@@ -56,18 +57,120 @@ impl MrEngine {
             else {
                 continue;
             };
-            *self.used_map_slots.entry(vm.0).or_insert(0) += 1;
+            self.slots.take_map(vm);
             let job = self.jobs.get_mut(&jid).expect("job present");
-            job.speculated[m] = true;
-            job.map_attempt_vm[m][1] = Some(vm);
-            job.attempt_active[m][1] = true;
+            let task = &mut job.maps[m];
+            task.attempt_vm[1] = Some(vm);
+            task.active[1] = true;
+            let ep = task.epoch;
             job.counters.launched_maps += 1;
             job.counters.speculative_maps += 1;
-            let ep = job.map_epoch[m];
             engine.start_chain(
                 Self::startup_chain(cluster, vm, 0),
                 tag_full(JobId(jid), PH_MAP_STARTUP, 1, ep, m),
             );
         }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    //! Speculative execution: a straggling map (its VM crushed by outside
+    //! load) gets a backup attempt, and the job finishes sooner. Every
+    //! wakeup is audited against the slot ledger.
+
+    use crate::prelude::*;
+    use simcore::prelude::*;
+    use vcluster::prelude::{ClusterSpec, Placement};
+    use vhdfs::hdfs::HdfsConfig;
+
+    const MB: u64 = 1024 * 1024;
+
+    struct SlowSquare;
+    impl MapReduceApp for SlowSquare {
+        fn name(&self) -> &str {
+            "slow-square"
+        }
+        fn map(&self, k: &K, v: &V, out: &mut dyn FnMut(K, V)) {
+            out(k.clone(), V::Float(v.as_float() * v.as_float()));
+        }
+        fn reduce(&self, k: &K, vs: &[V], out: &mut dyn FnMut(K, V)) {
+            out(k.clone(), vs[0].clone());
+        }
+        fn cost(&self) -> CostProfile {
+            // CPU-heavy maps so a loaded VM really straggles.
+            CostProfile { map_cpu_per_record: 1.2e8, ..Default::default() }
+        }
+    }
+
+    /// Five VMs on two hosts holding `/in` (4 blocks), with vm1's VCPU
+    /// crushed by competing flows for a long time when `crush` is set.
+    pub(crate) fn runtime(seed: u64, crush: bool) -> MrRuntime {
+        let spec =
+            ClusterSpec::builder().hosts(2).vms(5).placement(Placement::SingleDomain).build();
+        let mut rt =
+            MrRuntime::new(spec, HdfsConfig { block_size: MB, replication: 2 }, RootSeed(seed));
+        rt.register_input("/in", 4 * MB - 1, VmId(1));
+        let crushers = if crush { 8 } else { 0 };
+        for i in 0..crushers {
+            let demands = rt.cluster.cpu_demands(VmId(1));
+            rt.engine.start_flow(demands, 2.4e9 * 600.0, Tag::new(simcore::owners::USER, i, 0));
+        }
+        rt
+    }
+
+    /// Submits the squaring job over `/in` under `config`, writing `out`.
+    pub(crate) fn submit(rt: &mut MrRuntime, config: JobConfig, out: &str) -> JobId {
+        let input = GeneratorInput::new(4, MB, |idx| {
+            (0..40).map(|i| (K::Int((idx * 100 + i) as i64), V::Float(i as f64))).collect()
+        });
+        let job = JobSpec::new("sq", "/in", out).with_config(config);
+        rt.submit(job, Box::new(SlowSquare), Box::new(input))
+    }
+
+    /// The squaring job with maps spread round-robin (so vm1 gets one),
+    /// one reduce and no combiner.
+    pub(crate) fn spread(speculative: bool) -> JobConfig {
+        JobConfig { speculative, locality_aware: false, use_combiner: false, num_reduces: 1 }
+    }
+
+    /// Runs the job with a crushing background load on one tracker VM.
+    fn run(speculative: bool) -> JobResult {
+        let mut rt = runtime(31, true);
+        submit(&mut rt, spread(speculative), &format!("/out-{speculative}"));
+        rt.drive_all_audited().pop().expect("the job finished")
+    }
+
+    #[test]
+    fn speculation_rescues_stragglers() {
+        let without = run(false);
+        let with = run(true);
+        assert_eq!(without.counters.speculative_maps, 0);
+        assert!(
+            with.counters.speculative_maps >= 1,
+            "a backup attempt launched, got {:?}",
+            with.counters.speculative_maps
+        );
+        assert!(
+            with.elapsed_secs() < without.elapsed_secs() * 0.9,
+            "speculation helps: {:.1}s vs {:.1}s",
+            with.elapsed_secs(),
+            without.elapsed_secs()
+        );
+        // Output identical either way.
+        let mut a = with.outputs.clone();
+        let mut b = without.outputs.clone();
+        a.sort_by(|x, y| x.0.cmp(&y.0));
+        b.sort_by(|x, y| x.0.cmp(&y.0));
+        assert_eq!(a, b, "speculation must not change results");
+    }
+
+    #[test]
+    fn speculation_idle_cluster_launches_no_backups() {
+        // No stragglers -> no speculative attempts even when enabled.
+        let mut rt = runtime(32, false);
+        submit(&mut rt, JobConfig { speculative: true, ..Default::default() }, "/out");
+        let result = rt.drive_all_audited().pop().expect("the job finished");
+        assert_eq!(result.counters.speculative_maps, 0, "balanced cluster needs no speculation");
     }
 }

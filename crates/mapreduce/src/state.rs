@@ -1,6 +1,13 @@
 //! Per-job bookkeeping and event-tag encoding shared by the engine's
 //! lifecycle modules.
 //!
+//! Each task is one record — [`MapTask`], [`ReduceTask`]: its phase, its
+//! attempts and whether they hold a slot, its relaunch epoch, retry count
+//! and trace instants — so a relaunch is one reset. What keeps its own
+//! shape stays per job: the splits, the map outputs and task outputs
+//! (their snapshot layout, and `finish_job`'s release of them) and the
+//! completed-map durations.
+//!
 //! Paper mechanism modelled: the JobTracker's in-memory job/task tables —
 //! split metadata (from the HDFS namenode), per-task attempt state, the
 //! map-output index that feeds the shuffle, and the counters the paper's
@@ -12,6 +19,7 @@ use crate::counters::Counters;
 use crate::input::InputFormat;
 use crate::job::{JobId, JobSpec};
 use crate::run::Run;
+use crate::scheduler::SlotLedger;
 use crate::types::{records_size, Record};
 use simcore::owners;
 use simcore::prelude::*;
@@ -101,11 +109,94 @@ impl Partition {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) enum TaskPhase {
+    #[default]
     Pending,
     Running(VmId),
     Done,
+}
+
+/// Next relaunch epoch (7 bits, wrapping — the width the tag carries).
+fn next_epoch(epoch: u8) -> u8 {
+    (epoch + 1) & 0x7F
+}
+
+/// One map task's record: its phase, its attempts and the slots they hold.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MapTask {
+    /// `Running` from launch until the winning attempt is done; in a
+    /// map-only job that is when its HDFS write completes.
+    pub(crate) phase: TaskPhase,
+    /// VM of the attempt that won: it finished computing first (and, in a
+    /// map-only job, claimed the HDFS write). The shuffle source.
+    pub(crate) winner: Option<VmId>,
+    /// VM per attempt (index 0 = primary, 1 = speculative backup).
+    pub(crate) attempt_vm: [Option<VmId>; 2],
+    /// Whether each attempt still holds its slot. An attempt stops holding
+    /// one when it ends, and when its tracker is lost.
+    pub(crate) active: [bool; 2],
+    /// Launch instant of the primary attempt.
+    pub(crate) started_at: Option<SimTime>,
+    /// Relaunch epoch, bumped when a tracker failure kills the attempts.
+    pub(crate) epoch: u8,
+    /// How often the task was lost to a tracker failure (drives the
+    /// re-queue backoff).
+    pub(crate) retries: u32,
+}
+
+impl MapTask {
+    /// Ends `attempt`, returning its slot to `slots` if it still holds one
+    /// (a loser whose tracker was lost holds none).
+    pub(crate) fn release(&mut self, attempt: usize, slots: &mut SlotLedger) {
+        if std::mem::take(&mut self.active[attempt]) {
+            slots.release_map(self.attempt_vm[attempt].expect("an active attempt runs somewhere"));
+        }
+    }
+
+    /// Ends every attempt that still holds a slot.
+    pub(crate) fn release_all(&mut self, slots: &mut SlotLedger) {
+        for attempt in 0..2 {
+            self.release(attempt, slots);
+        }
+    }
+
+    /// Resets the task to pending under a fresh epoch — orphaning every
+    /// in-flight event of its attempts, which must hold no slot — and
+    /// counts the loss. Returns how often it was lost before.
+    pub(crate) fn relaunch(&mut self) -> u32 {
+        debug_assert_eq!(self.active, [false; 2], "relaunched with a slot held");
+        let retries = self.retries;
+        *self = MapTask { epoch: next_epoch(self.epoch), retries: retries + 1, ..Self::default() };
+        retries
+    }
+}
+
+/// One reduce task's record.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ReduceTask {
+    /// `Running` (and holding a reduce slot) from launch until its output
+    /// write completes.
+    pub(crate) phase: TaskPhase,
+    /// Relaunch epoch, bumped when a tracker failure kills the task.
+    pub(crate) epoch: u8,
+    /// How often the task was lost to a tracker failure.
+    pub(crate) retries: u32,
+    /// Launch instant (trace span start).
+    pub(crate) started_at: Option<SimTime>,
+    /// Instant the shuffle batch was issued (trace span start).
+    pub(crate) shuffle_started_at: Option<SimTime>,
+}
+
+impl ReduceTask {
+    /// Resets the task to pending under a fresh epoch and counts the loss.
+    /// Returns how often it was lost before.
+    pub(crate) fn relaunch(&mut self) -> u32 {
+        let retries = self.retries;
+        *self =
+            ReduceTask { epoch: next_epoch(self.epoch), retries: retries + 1, ..Self::default() };
+        retries
+    }
 }
 
 pub(crate) struct JobState {
@@ -118,36 +209,10 @@ pub(crate) struct JobState {
     pub(crate) input: Rc<dyn InputFormat>,
     pub(crate) partitioner: Rc<dyn Partitioner>,
     pub(crate) splits: Vec<SplitInfo>,
-    pub(crate) maps: Vec<TaskPhase>,
-    pub(crate) reduces: Vec<TaskPhase>,
-    /// VM the *winning* attempt of each map ran on (shuffle source).
-    pub(crate) map_vm: Vec<Option<VmId>>,
-    /// VM per map attempt (index 0 = primary, 1 = speculative).
-    pub(crate) map_attempt_vm: Vec<[Option<VmId>; 2]>,
-    /// Launch instant of each map's primary attempt.
-    pub(crate) map_started_at: Vec<Option<SimTime>>,
+    pub(crate) maps: Vec<MapTask>,
+    pub(crate) reduces: Vec<ReduceTask>,
     /// Durations of completed maps (drives the speculation threshold).
     pub(crate) map_durations: Vec<f64>,
-    /// Whether a speculative attempt was already launched per map.
-    pub(crate) speculated: Vec<bool>,
-    /// Map-only jobs: whether some attempt already claimed the HDFS write.
-    pub(crate) write_claimed: Vec<bool>,
-    /// Whether each map attempt currently holds a slot.
-    pub(crate) attempt_active: Vec<[bool; 2]>,
-    /// Relaunch epoch per map task (bumped when a tracker failure kills
-    /// its attempts).
-    pub(crate) map_epoch: Vec<u8>,
-    /// Relaunch epoch per reduce task.
-    pub(crate) reduce_epoch: Vec<u8>,
-    /// How often each map was lost to a tracker timeout (drives the
-    /// re-queue backoff).
-    pub(crate) map_retries: Vec<u32>,
-    /// How often each reduce was lost to a tracker timeout.
-    pub(crate) reduce_retries: Vec<u32>,
-    /// Launch instant of each reduce task (trace span start).
-    pub(crate) reduce_started_at: Vec<Option<SimTime>>,
-    /// Instant each reduce's shuffle batch was issued (trace span start).
-    pub(crate) shuffle_started_at: Vec<Option<SimTime>>,
     pub(crate) pending_maps: VecDeque<usize>,
     pub(crate) pending_reduces: VecDeque<usize>,
     /// Per map: per reduce partition, the (possibly combined) records.
@@ -178,7 +243,7 @@ impl JobState {
     }
 
     pub(crate) fn running_reduce_vm(&self, r: usize) -> VmId {
-        match self.reduces[r] {
+        match self.reduces[r].phase {
             TaskPhase::Running(vm) => vm,
             other => panic!("reduce {r} in unexpected state {other:?}"),
         }

@@ -63,8 +63,11 @@ pub const SNAPSHOT_MAGIC: [u8; 6] = *b"VHSNAP";
 /// `flows_settled` counter. v7: a job's config keeps only the four values
 /// a job chooses; slots, launch timings, output replication and the
 /// scheduler policy are no longer per job. v8: the controller counters
-/// lose the consolidation count.)
-pub const SNAPSHOT_VERSION: u32 = 8;
+/// lose the consolidation count. v9: the JobTracker writes one slot ledger
+/// (live trackers, dense live/map/reduce tables) and one record per map
+/// and reduce task, where it wrote the tracker list, two hashed slot tables
+/// and fourteen per-task columns.)
+pub const SNAPSHOT_VERSION: u32 = 9;
 
 /// Checks the header of a snapshot byte string without constructing a
 /// decoder; returns the embedded format version.

@@ -20,8 +20,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy --offline --manifest-path platbench/Cargo.toml --all-targets -- -D warnings
 
 echo "==> rustdoc (-D warnings)"
-# A doc link to a private item, or to a name that no longer exists, fails.
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline -q
+# A doc link to a private item, or to a name that no longer exists, fails;
+# private items are documented too, so their own docs' links are checked.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline -q --document-private-items
 
 echo "==> cargo test"
 cargo test --workspace -q

@@ -6,7 +6,10 @@
 
 mod common;
 
-use common::{fig2_cluster, fig2_config, fig2_hdfs, fig2_job, launch_fig2, sorted_outputs, MB};
+use common::{
+    fig2_cluster, fig2_config, fig2_hdfs, fig2_job, fig2_job_config, launch_fig2, sorted_outputs,
+    MB,
+};
 use vhadoop::persist::Snapshot;
 use vhadoop::prelude::*;
 use vhadoop::simcore::persist::{validate_header, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
@@ -108,6 +111,50 @@ fn faulted_checkpoint_restore_replays_byte_identically() {
     for seed in 3000..3008u64 {
         roundtrip_one(seed, faulted_plan());
     }
+}
+
+/// The Fig. 2 wordcount over 16 MB (maps long enough to straggle) with
+/// speculation on and VM 2 slowed to 5 % from 200 ms on, stepped until a
+/// map runs a primary and a backup attempt. Returns the platform, the job
+/// and the backup's VM.
+fn launch_mid_speculation(seed: u64) -> (VHadoop, JobId, VmId) {
+    const INPUT: u64 = 16 * MB;
+    let plan = FaultPlan::new().at(
+        SimTime::from_nanos(200_000_000),
+        FaultKind::StragglerVm { vm: 2, factor: 0.05, duration: SimDuration::from_secs(120) },
+    );
+    let mut p = launch_fig2(INPUT, seed, plan);
+    let (spec, app, input) = fig2_job(&mut p, INPUT, seed);
+    let spec = spec.with_config(fig2_job_config().with_speculative(true));
+    let id = p.rt.submit(spec, app, input);
+    loop {
+        if let Some(&(_, _, backup)) = p.rt.mr.speculating(id).first() {
+            return (p, id, backup);
+        }
+        p.step().expect("a map speculates before the job ends");
+    }
+}
+
+#[test]
+fn mid_speculation_checkpoint_restore_replays_byte_identically() {
+    let seed = 4u64;
+    let (mut reference, ref_id, backup) = launch_mid_speculation(seed);
+    reference.fail_node(backup);
+    let (ref_out, ref_trace, _) = finish(reference, ref_id);
+
+    let (mut parent, id, backup) = launch_mid_speculation(seed);
+    let snap = parent.snapshot();
+    let mut restored = VHadoop::restore(&snap);
+    assert_eq!(
+        restored.rt.mr.speculating(id),
+        parent.rt.mr.speculating(id),
+        "both attempts of the speculating map survive the restore"
+    );
+    assert_eq!(restored.snapshot().bytes, snap.bytes, "restore→snapshot is not a fixed point");
+    restored.fail_node(backup);
+    let (out, trace, _) = finish(restored, id);
+    assert_eq!(out, ref_out, "restored outputs diverged");
+    assert_eq!(trace, ref_trace, "restored trace diverged");
 }
 
 #[test]
@@ -273,8 +320,11 @@ fn golden_snapshot_hash_pins_the_format() {
     );
 }
 
-/// Pinned against SNAPSHOT_VERSION = 8, which moved it through the
-/// header alone: this scenario runs no controller. At v7, whose job
+/// Pinned against SNAPSHOT_VERSION = 9, whose JobTracker writes one slot
+/// ledger and one record per task instead of the tracker list, two hashed
+/// slot tables and fourteen per-task columns (the same simulation; only
+/// that layout moved). At v8 it was `0x76db_635b_e390_5d26`, moved from v7
+/// through the header alone: this scenario runs no controller. At v7, whose job
 /// configs carry four values (the same simulation; only each `JobConfig`
 /// encoding is shorter), it was `0xac38_cf85_3f50_b177`. At v6 it was
 /// `0xe77f_e230_4680_37b4`; before that
@@ -285,7 +335,7 @@ fn golden_snapshot_hash_pins_the_format() {
 /// fewer solves (stamps, epochs, `seq`, solve counters). At v5 it was
 /// `0x3605_0ea3_74ec_ed52`; v6 writes every flow's and resource's settle
 /// instant.
-const GOLDEN_HASH: u64 = 0x76db_635b_e390_5d26;
+const GOLDEN_HASH: u64 = 0x26b0_347f_e0a4_a2b2;
 
 /// Folds the FNV-1a of the snapshot taken at every `k`-th wakeup of one
 /// scenario into a single pin, so the formats `GOLDEN_HASH` never sees
@@ -472,8 +522,11 @@ fn golden_snapshot_hashes_pin_every_subsystem() {
     );
 }
 
-/// Pinned against SNAPSHOT_VERSION = 8: controller stream, monitored and
-/// faulted migration, HSGen/HSSort window. All three moved at v8, whose
+/// Pinned against SNAPSHOT_VERSION = 9: controller stream, monitored and
+/// faulted migration, HSGen/HSSort window. All three moved at v9, whose
+/// JobTracker writes one slot ledger and one record per task (same
+/// simulation, new layout); at v8 they were `0x8e16_8796_f86b_6a95`,
+/// `0x6519_5707_ab10_3305` and `0x5ea2_4226_3a3d_701c`. All three moved at v8, whose
 /// controller counters encode eleven values instead of twelve (the
 /// consolidation count went; the other two scenarios moved through the
 /// header); at v7 they were `0x783d_b335_c9a1_05f2`, `0x4ee3_45a8_e739_60cf`
@@ -496,4 +549,4 @@ fn golden_snapshot_hashes_pin_every_subsystem() {
 /// what-if outcome's `measured_s` became the span to the fork's last job
 /// completion), `0xe581_ee59_ba4f_b8f9` and `0xac73_b47c_3a73_85f4`.
 const SUBSYSTEM_PINS: [u64; 3] =
-    [0x8e16_8796_f86b_6a95, 0x6519_5707_ab10_3305, 0x5ea2_4226_3a3d_701c];
+    [0xca98_ce90_6500_d45a, 0xe101_fa04_ca95_01fd, 0x838b_c14f_84db_6f03];
