@@ -34,7 +34,10 @@ impl Default for CostProfile {
     }
 }
 
-/// Decides which reduce partition a key belongs to.
+/// Decides which reduce partition a key belongs to. As in MapReduce, the
+/// partition may depend on nothing but the key and `n`: a map asks once
+/// per distinct key it emitted, not once per record, and every record of
+/// the key goes where that answer says.
 // trait: apps pick one via `MapReduceApp::partitioner` (HSSort, which TeraSort runs: `RangePartitioner`)
 pub trait Partitioner: Send + Sync {
     /// Partition index in `0..n` for `key`.

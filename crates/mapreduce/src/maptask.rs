@@ -12,7 +12,7 @@
 //! bites.
 
 use crate::job::{JobEvent, JobId};
-use crate::run::{combine_run, Run, RunBuilder};
+use crate::run::{combine_run, release_grouping, Run, RunBuilder};
 use crate::state::{tag_full, Partition, TaskPhase, PH_MAP_COMPUTE, PH_MAP_READ, PH_MAP_WRITE};
 use crate::types::{records_size, Record, K, V};
 use simcore::prelude::*;
@@ -83,17 +83,17 @@ impl MrEngine {
         let vm = job.maps[m].attempt_vm[attempt].expect("attempt ran somewhere");
         // Really run the user's map function, over the lent split. What it
         // emits goes where it will stay: a reduce job's records into the
-        // run of their partition (the emitted `K` dies here), a map-only
+        // map's one run builder (the emitted `K` dies here), a map-only
         // job's into the task's output.
         let n_red = job.num_reduces();
-        let mut runs: Vec<RunBuilder> = (0..n_red).map(|_| RunBuilder::default()).collect();
+        let mut builder = RunBuilder::default();
         let mut output: Vec<Record> = Vec::new();
         let mut out_records = 0u64;
         let (mut in_records, mut in_bytes) = (0, job.splits[m].bytes);
         let app = job.app.as_ref();
-        let partitioner = job.partitioner.as_ref();
         job.input.with_split(m, &mut |records| {
             in_records = records.len() as u64;
+            builder.expected = records.len();
             if in_bytes == 0 {
                 in_bytes = records_size(records);
             }
@@ -102,12 +102,7 @@ impl MrEngine {
                 if n_red == 0 {
                     output.push((ek, ev));
                 } else {
-                    // A single reduce takes every key, whatever its hash.
-                    let p = match n_red {
-                        1 => 0,
-                        _ => partitioner.partition(&ek, n_red as u32).min(n_red as u32 - 1),
-                    };
-                    runs[p as usize].push(&ek, ev);
+                    builder.push(&ek, ev);
                 }
             };
             for (k, v) in records {
@@ -119,7 +114,13 @@ impl MrEngine {
         let cycles =
             cost.map_cpu_per_byte * in_bytes as f64 + cost.map_cpu_per_record * in_records as f64;
 
+        // Every attempt of a map emits the same records: the first to run
+        // keeps its output and counters, and a speculative twin or a re-run
+        // after a lost tracker adds neither, as Hadoop counts a map once.
+        let first = job.map_outputs[m].iter().all(Option::is_none)
+            && (!job.map_only() || job.task_outputs[m].is_none());
         let mut out_bytes = 0;
+        let mut combined_records = 0;
         let spill_bytes;
         if job.map_only() {
             // Map-only: emitted records ARE the output; the compute-done
@@ -127,29 +128,35 @@ impl MrEngine {
             let output = Partition::seal(output);
             out_bytes = output.bytes;
             spill_bytes = 0;
-            job.task_outputs[m] = Some(output);
+            job.task_outputs[m].get_or_insert(output);
         } else {
-            // Sort each partition by key, optionally combine, then spill to
-            // local (NFS) disk.
+            // One sorted run per reduce, the partitioner asked once per key,
+            // each optionally combined, then spilled to local (NFS) disk.
+            let (n, partitioner) = (n_red as u32, job.partitioner.as_ref());
+            let sealed = builder.seal(n_red, |k| partitioner.partition(k, n).min(n - 1) as usize);
             let use_combiner = job.spec.config.use_combiner;
-            let stored: Vec<Option<Run>> = runs
+            let stored: Vec<Option<Run>> = sealed
                 .into_iter()
                 .map(|run| {
-                    let run = run.seal();
                     out_bytes += run.bytes();
                     Some(if use_combiner { combine_run(app, run) } else { run })
                 })
                 .collect();
             let spilled = || stored.iter().flatten();
-            job.counters.combine_output_records +=
-                spilled().map(|run| run.len() as u64).sum::<u64>();
+            combined_records = spilled().map(|run| run.len() as u64).sum::<u64>();
             spill_bytes = spilled().map(Run::bytes).sum();
-            job.map_outputs[m] = stored;
+            if first {
+                job.map_outputs[m] = stored;
+            }
         }
-        job.counters.map_input_records += in_records;
-        job.counters.map_input_bytes += in_bytes;
-        job.counters.map_output_records += out_records;
-        job.counters.map_output_bytes += out_bytes;
+        if first {
+            let c = &mut job.counters;
+            c.combine_output_records += combined_records;
+            c.map_input_records += in_records;
+            c.map_input_bytes += in_bytes;
+            c.map_output_records += out_records;
+            c.map_output_bytes += out_bytes;
+        }
 
         let mut chain = cluster.compute(vm, cycles);
         if spill_bytes > 0 {
@@ -204,6 +211,7 @@ impl MrEngine {
                 let done_all = job.completed_maps == job.maps.len();
                 if done_all {
                     job.map_phase_done = Some(engine.now());
+                    release_grouping();
                 }
                 Outcome::Winner { done_all, vm, started }
             }

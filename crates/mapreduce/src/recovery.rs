@@ -164,7 +164,7 @@ impl MrEngine {
 #[cfg(test)]
 mod tests {
     use crate::runtime::MrRuntime;
-    use crate::speculation::tests::{runtime, spread, submit};
+    use crate::speculation::tests::{map_counts, runtime, spread, submit};
     use crate::state::TaskPhase;
     use simcore::prelude::*;
     use vcluster::cluster::VmId;
@@ -214,13 +214,13 @@ mod tests {
 
     /// The primary's tracker dies mid-speculation and the JobTracker
     /// notices only after the heartbeat timeout: the surviving backup
-    /// frees its slot, the map re-runs once, and the output is the clean
-    /// run's.
+    /// frees its slot, the map re-runs once, and the output and the map
+    /// counters are those of a run with neither speculation nor failure.
     #[test]
     fn timed_out_primary_mid_speculation_keeps_the_ledger_accounted() {
         let clean = {
             let mut rt = runtime(31, true);
-            submit(&mut rt, spread(true), "/out");
+            submit(&mut rt, spread(false), "/out");
             rt.drive_all_audited().pop().expect("the job finished")
         };
         let mut rt = runtime(31, true);
@@ -243,6 +243,7 @@ mod tests {
             out
         };
         assert_eq!(sorted(&res), sorted(&clean), "recovery must not change results");
+        assert_eq!(map_counts(&res.counters), map_counts(&clean.counters), "each map counts once");
         assert!(rt.mr.busy_trackers().is_empty(), "a slot leaked after recovery");
     }
 }

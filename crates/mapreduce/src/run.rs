@@ -1,8 +1,9 @@
-//! Map output as runs (DESIGN.md §20): what one map emitted for one
-//! reduce, grouped once at that map — each distinct key packed once, in key
-//! order and in its [`Persist`] encoding, its values in a column in arrival
-//! order — with the k-way merge that streams the key groups of several runs
-//! at the reduce, and the combiner that walks the groups of one.
+//! Map output as runs (DESIGN.md §20): what one map emitted, grouped once
+//! at that map into one run per reduce — each distinct key packed once, in
+//! key order and in its [`Persist`] encoding, its values in a column in
+//! arrival order — with the k-way merge that streams the key groups of
+//! several runs at the reduce, and the combiner that walks the groups of
+//! one.
 //!
 //! A `(K, V)` pair of boxed enums is 64 bytes plus the key's heap object;
 //! a wordcount map output holds millions of `(word, 1)`. While the map
@@ -235,30 +236,72 @@ impl Column {
         }
     }
 
-    fn shrink_to_fit(&mut self) {
+    /// [`Column::push`], then room for `expected` values in all at once.
+    fn push_expecting(&mut self, v: V, expected: usize) {
+        self.push(v);
         match self {
             Column::Same(..) => {}
-            Column::Int(xs) => xs.shrink_to_fit(),
-            Column::Float(xs) => xs.shrink_to_fit(),
-            Column::Mixed(vs) => vs.shrink_to_fit(),
+            Column::Int(xs) => xs.reserve_exact(expected.saturating_sub(xs.len())),
+            Column::Float(xs) => xs.reserve_exact(expected.saturating_sub(xs.len())),
+            Column::Mixed(vs) => vs.reserve_exact(expected.saturating_sub(vs.len())),
         }
+    }
+
+    /// [`crate::types::records_size`] of the values alone.
+    fn bytes(&self) -> u64 {
+        let n = self.len() as u64;
+        match self {
+            Column::Same(s, _) => n * s.value().size_bytes(),
+            Column::Int(_) | Column::Float(_) => n * 8,
+            Column::Mixed(vs) => vs.iter().map(V::size_bytes).sum(),
+        }
+    }
+
+    /// Takes the last `n` values off the column as the column that
+    /// [`Column::push`] builds of them alone, at its exact size: the column
+    /// itself when they are the `whole` of it, before any was taken.
+    fn split_back(&mut self, n: usize, whole: bool) -> Column {
+        let keep = self.len() - n;
+        if whole {
+            let mut all = std::mem::replace(self, Column::Same(Scalar::Null, 0));
+            match &mut all {
+                Column::Same(..) => {}
+                Column::Int(xs) => xs.shrink_to_fit(),
+                Column::Float(xs) => xs.shrink_to_fit(),
+                Column::Mixed(vs) => vs.shrink_to_fit(),
+            }
+            return all;
+        }
+        let mut piece = Column::Same(Scalar::Null, 0);
+        let mut take = |v: V| piece.push_expecting(v, n);
+        match self {
+            Column::Same(s, len) => {
+                *len = keep;
+                return Column::Same(if n > 0 { *s } else { Scalar::Null }, n);
+            }
+            Column::Int(xs) => xs.drain(keep..).for_each(|x| take(V::Int(x))),
+            Column::Float(xs) => xs.drain(keep..).for_each(|x| take(V::Float(x))),
+            Column::Mixed(vs) => vs.drain(keep..).for_each(take),
+        }
+        piece
     }
 }
 
-/// The records one map emits for one reduce, in emission order, until
-/// [`RunBuilder::seal`] groups them into a [`Run`].
+/// The records one map emits, in emission order, until
+/// [`RunBuilder::seal`] groups them into one [`Run`] per reduce.
 #[derive(Debug)]
 pub(crate) struct RunBuilder {
     /// Every key in its `Persist` encoding, back to back.
     keys: Vec<u8>,
     values: Column,
-    /// [`crate::types::records_size`] of the records, kept as they arrive.
-    bytes: u64,
+    /// The records expected, which a column storing values one by one
+    /// makes room for at once: a map expects a record out per record in.
+    pub(crate) expected: usize,
 }
 
 impl Default for RunBuilder {
     fn default() -> Self {
-        RunBuilder { keys: Vec::new(), values: Column::Same(Scalar::Null, 0), bytes: 0 }
+        RunBuilder { keys: Vec::new(), values: Column::Same(Scalar::Null, 0), expected: 0 }
     }
 }
 
@@ -267,36 +310,41 @@ impl RunBuilder {
     /// and the value moved in.
     pub(crate) fn push(&mut self, key: &K, value: V) {
         pack_key(key, &mut self.keys);
-        self.bytes += key.size_bytes() + value.size_bytes();
-        self.values.push(value);
+        self.values.push_expecting(value, self.expected);
     }
 
     /// [`RunBuilder::push`] of a key that is already packed.
     fn push_packed(&mut self, packed: &[u8], value: V) {
         self.keys.extend_from_slice(packed);
-        self.bytes += packed_key_size(packed[0], packed.len()) + value.size_bytes();
         self.values.push(value);
     }
 
-    /// Groups the records into a [`Run`], with the scratch buffers this
-    /// thread keeps for every seal.
-    pub(crate) fn seal(self) -> Run {
-        GROUPING.with(|scratch| self.seal_with(&mut scratch.borrow_mut(), MAX_SLOTS, PROBE_BOUND))
+    /// Groups the records into one run per partition, `parts` of them. A
+    /// key's partition is `partition(key)`, asked once per head (below)
+    /// and never when `parts` is 1.
+    pub(crate) fn seal(self, parts: usize, partition: impl FnMut(&K) -> usize) -> Vec<Run> {
+        GROUPING.with(|scratch| {
+            self.seal_with(&mut scratch.borrow_mut(), parts, partition, MAX_SLOTS, PROBE_BOUND)
+        })
     }
 
     /// [`RunBuilder::seal`] with a table of `max_slots` slots (a power of
     /// two) at most, filled to half, and lookups that visit `probes` slots
-    /// at most. Records are hashed into their keys' heads and only the
-    /// heads are sorted (DESIGN.md §20): one walk over the packed keys
-    /// gives each record a head id through a small bounded table, the
-    /// heads' [`SortKey`]s are sorted, the values are moved into key order,
-    /// and one packed key per key is written with its count. The table is
+    /// at most (DESIGN.md §20): the records are hashed into their keys'
+    /// heads, and only the heads are partitioned and sorted. The table is
     /// an accelerator only: a key it has no room for, or cannot reach
     /// within the probe bound, starts a new head at every record, and the
     /// heads of one key — adjacent once sorted, in arrival order — are
     /// joined.
-    fn seal_with(self, scratch: &mut Grouping, max_slots: usize, probes: usize) -> Run {
-        let RunBuilder { keys, mut values, bytes } = self;
+    fn seal_with(
+        self,
+        scratch: &mut Grouping,
+        parts: usize,
+        mut partition: impl FnMut(&K) -> usize,
+        max_slots: usize,
+        probes: usize,
+    ) -> Vec<Run> {
+        let RunBuilder { keys, mut values, .. } = self;
         let total = values.len();
         assert!(u32::try_from(total).is_ok_and(|n| n < u32::MAX), "2^32 records in one run");
         let Grouping { table, order, heads, ids } = scratch;
@@ -304,6 +352,8 @@ impl RunBuilder {
             let rest = &keys[first as usize..];
             &rest[..split_key(rest).2]
         };
+        // Only the values of a column that holds them move into key order.
+        let moving = !matches!(values, Column::Same(..));
 
         // A head id per record.
         table.clear();
@@ -343,11 +393,23 @@ impl RunBuilder {
                 id
             });
             heads[id as usize].count += 1;
-            ids.push(id);
+            if moving {
+                ids.push(id);
+            }
         }
 
-        // The heads in key order; those of one key by id, which is arrival
-        // order.
+        // Each head's partition, which its entry sorts by first.
+        if parts > 1 {
+            let mut key = K::Int(0);
+            for e in order.iter_mut() {
+                unpack_key_into(packed(heads[e.index()].first), &mut key);
+                let p = u32::try_from(partition(&key)).ok().filter(|&p| p < 1 << 30);
+                e.class |= p.expect("fewer than 2^30 partitions") << 2;
+            }
+        }
+
+        // The heads by partition and key; those of one key by id, which is
+        // arrival order.
         let payload = |first: u32| split_key(packed(first)).1;
         order.sort_unstable();
         for tie in order.chunk_by_mut(|a, b| a.prefix_cmp(b).is_eq()) {
@@ -358,44 +420,58 @@ impl RunBuilder {
         }
 
         // Each head's values, in arrival order, follow those of the heads
-        // before it in key order: every record's head id becomes its
-        // value's position.
+        // before it: every record's head id becomes its value's position.
         let mut start = 0;
         for e in order.iter() {
             let head = &mut heads[e.index()];
             head.next = start;
             start += head.count;
         }
-        for id in ids.iter_mut() {
-            let head = &mut heads[*id as usize];
-            *id = head.next;
-            head.next += 1;
+        if moving {
+            for id in ids.iter_mut() {
+                let head = &mut heads[*id as usize];
+                *id = head.next;
+                head.next += 1;
+            }
+            values.permute(ids);
         }
-        values.permute(ids);
-        values.shrink_to_fit();
 
-        // One packed key per key, behind its count if it has more than
-        // one value: the heads of one key lie side by side, with their
-        // values.
+        // Per partition, from the last: one packed key per key, behind its
+        // count if above one (a key's heads lie side by side, with their
+        // values), and its values cut off the column's end.
         let first = |e: &SortKey| heads[e.index()].first;
         let same = |a: &SortKey, b: &SortKey| {
             a.prefix_cmp(b).is_eq() && (a.is_exact() || packed(first(a)) == packed(first(b)))
         };
         let count = |tie: &[SortKey]| tie.iter().map(|e| heads[e.index()].count).sum::<u32>();
-        let len = order
-            .chunk_by(same)
-            .map(|tie| packed(first(&tie[0])).len() + if count(tie) > 1 { COUNT } else { 0 })
-            .sum();
-        let mut grouped = Vec::with_capacity(len);
-        for tie in order.chunk_by(same) {
-            let n = count(tie);
-            if n > 1 {
-                grouped.push(MANY);
-                grouped.extend_from_slice(&n.to_le_bytes());
+        let (mut runs, mut rest) = (Vec::with_capacity(parts), &order[..]);
+        for p in (0..parts).rev() {
+            let n = rest.iter().rev().take_while(|e| (e.class >> 2) as usize == p).count();
+            let (others, heads_of_p) = rest.split_at(rest.len() - n);
+            rest = others;
+            let len = heads_of_p
+                .chunk_by(same)
+                .map(|tie| packed(first(&tie[0])).len() + if count(tie) > 1 { COUNT } else { 0 })
+                .sum();
+            let mut grouped = Vec::with_capacity(len);
+            let (mut records, mut key_bytes) = (0, 0);
+            for tie in heads_of_p.chunk_by(same) {
+                let (key, n) = (packed(first(&tie[0])), count(tie));
+                if n > 1 {
+                    grouped.push(MANY);
+                    grouped.extend_from_slice(&n.to_le_bytes());
+                }
+                grouped.extend_from_slice(key);
+                records += n as usize;
+                key_bytes += u64::from(n) * packed_key_size(key[0], key.len());
             }
-            grouped.extend_from_slice(packed(first(&tie[0])));
+            let values = values.split_back(records, records == total);
+            let bytes = key_bytes + values.bytes();
+            runs.push(Run { keys: grouped, values, bytes });
         }
-        Run { keys: grouped, values, bytes }
+        assert!(rest.is_empty(), "a partition out of range");
+        runs.reverse();
+        runs
     }
 }
 
@@ -513,7 +589,7 @@ impl FromIterator<Record> for Run {
         for (k, v) in records {
             run.push(&k, v);
         }
-        run.seal()
+        run.seal(1, |_| 0).pop().expect("one run")
     }
 }
 
@@ -545,18 +621,17 @@ impl Persist for Run {
             run.keys.push(tag);
             run.keys.extend_from_slice(&word.to_le_bytes());
             run.keys.extend_from_slice(payload);
-            let value = V::decode(d);
-            run.bytes += packed_key_size(tag, KEY_HEADER + payload.len()) + value.size_bytes();
-            run.values.push(value);
+            run.values.push(V::decode(d));
         }
-        run.seal()
+        run.seal(1, |_| 0).pop().expect("one run")
     }
 }
 
-/// The order sealing sorts a run's keys in and the merge takes runs'
+/// The order sealing sorts a map's keys in and the merge takes runs'
 /// groups in: a fixed-width, order-preserving prefix of a key plus an
 /// index that breaks ties — at a seal the key's head id, handed out as
-/// first records arrive. The prefix is the variant tag, then for
+/// first records arrive. The prefix is the key's partition at a seal (0
+/// elsewhere) and variant tag, then for
 /// [`K::Int`] the sign-flipped value, for [`K::Text`]/[`K::Bytes`] the
 /// first 15 key bytes big-endian and zero-padded followed by one length
 /// byte clamped at 16. Prefix order never contradicts [`K`]'s `Ord`
@@ -565,7 +640,9 @@ impl Persist for Run {
 /// that share their first 15 are left undecided (DESIGN.md §20).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SortKey {
-    tag: u8,
+    /// The partition at a seal (0 elsewhere), shifted past the two bits
+    /// of the variant tag.
+    class: u32,
     hi: u64,
     lo: u64,
     idx: u32,
@@ -589,14 +666,14 @@ impl SortKey {
         let idx = u32::try_from(idx).expect("more than 2^32 records in one sort");
         if tag == 0 {
             let i = i64::from_le_bytes(payload.try_into().expect("eight bytes"));
-            return SortKey { tag, hi: (i as u64) ^ (1 << 63), lo: 0, idx };
+            return SortKey { class: tag.into(), hi: (i as u64) ^ (1 << 63), lo: 0, idx };
         }
         let mut buf = [0u8; 16];
         let n = payload.len().min(15);
         buf[..n].copy_from_slice(&payload[..n]);
         buf[15] = payload.len().min(16) as u8;
         let word = |half: &[u8]| u64::from_be_bytes(half.try_into().expect("eight bytes"));
-        SortKey { tag, hi: word(&buf[..8]), lo: word(&buf[8..]), idx }
+        SortKey { class: tag.into(), hi: word(&buf[..8]), lo: word(&buf[8..]), idx }
     }
 
     /// The arrival index.
@@ -613,7 +690,7 @@ impl SortKey {
     /// Order of the two keys as far as their prefixes decide it. `Equal`
     /// between inexact entries is undecided: compare the keys.
     pub fn prefix_cmp(&self, other: &SortKey) -> std::cmp::Ordering {
-        (self.tag, self.hi, self.lo).cmp(&(other.tag, other.hi, other.lo))
+        (self.class, self.hi, self.lo).cmp(&(other.class, other.hi, other.lo))
     }
 }
 
@@ -666,8 +743,8 @@ struct Head {
     next: u32,
 }
 
-/// The scratch of a seal, grown to the largest run sealed so far and
-/// cleared, not freed, between seals.
+/// The scratch of a seal, grown to the largest seal so far and cleared,
+/// not freed, between seals.
 #[derive(Default)]
 struct Grouping {
     table: Vec<Slot>,
@@ -676,11 +753,18 @@ struct Grouping {
     /// By head id.
     heads: Vec<Head>,
     /// Every record's head id, in arrival order; then its value's position.
+    /// Empty for a column of one scalar, whose values do not move.
     ids: Vec<u32>,
 }
 
 thread_local! {
     static GROUPING: RefCell<Grouping> = RefCell::new(Grouping::default());
+}
+
+/// Frees this thread's seal scratch, grown to a whole map's output, when a
+/// job's maps are done, so that it does not stay through the reduces.
+pub(crate) fn release_grouping() {
+    GROUPING.with(|scratch| *scratch.borrow_mut() = Grouping::default());
 }
 
 /// The group a run is at in the merge, ordered by key, then by run; the
@@ -712,6 +796,44 @@ impl<'a> RunHead<'a> {
     }
 }
 
+/// Shows `f` the values at `places` (an index into `columns`, positions
+/// there) as one slice of `values`, the buffer the merge and the combiner
+/// lend every key group through, grown to the largest group exactly. A
+/// group of one scalar is a prefix of copies of it that `values` keeps;
+/// any other group is lent value by value and put back.
+fn lend<R>(
+    values: &mut Vec<V>,
+    columns: &mut [&mut Column],
+    places: &[(usize, Range<usize>)],
+    f: impl FnOnce(&[V]) -> R,
+) -> R {
+    let n: usize = places.iter().map(|(_, at)| at.len()).sum();
+    let scalar = |c: usize| match &*columns[c] {
+        Column::Same(s, _) => Some(*s),
+        _ => None,
+    };
+    let first = scalar(places[0].0);
+    if let Some(s) = first.filter(|_| places.iter().all(|(c, _)| scalar(*c) == first)) {
+        if values.first().and_then(Scalar::of) != Some(s) {
+            values.clear();
+        }
+        values.reserve_exact(n.saturating_sub(values.len()));
+        values.resize(n.max(values.len()), s.value());
+        return f(&values[..n]);
+    }
+    values.clear();
+    values.reserve_exact(n);
+    for (c, at) in places {
+        values.extend(at.clone().map(|i| columns[*c].lend(i)));
+    }
+    let result = f(values);
+    let each = places.iter().flat_map(|(c, at)| at.clone().map(move |i| (*c, i)));
+    for ((c, i), v) in each.zip(values.drain(..)) {
+        columns[c].give_back(i, v);
+    }
+    result
+}
+
 /// Streams the key groups of `runs` to `f` in key order, each group's
 /// values in run order and, within a run, in emission order: what
 /// [`crate::app::group_by_key`] yields for the concatenation. This is the
@@ -740,16 +862,8 @@ pub fn for_each_group(runs: &mut [&mut Run], mut f: impl FnMut(&K, &[V])) {
             let same = heap.peek().is_some_and(|Reverse(h)| h.key == prefix && h.tail == tail);
             head = if same { heap.pop().map(|Reverse(h)| h) } else { None };
         }
-        // The buffer grows to the largest group exactly, not by doubling.
-        values.reserve_exact(lent.iter().map(|(_, at)| at.len()).sum());
-        for (run, at) in &lent {
-            values.extend(at.clone().map(|i| columns[*run].lend(i)));
-        }
-        f(&key, &values);
-        let places = lent.drain(..).flat_map(|(run, at)| at.map(move |i| (run, i)));
-        for ((run, i), v) in places.zip(values.drain(..)) {
-            columns[run].give_back(i, v);
-        }
+        lend(&mut values, &mut columns, &lent, |vals| f(&key, vals));
+        lent.clear();
     }
 }
 
@@ -768,10 +882,10 @@ pub fn combine_run(app: &dyn MapReduceApp, mut run: Run) -> Run {
     let (mut at, mut kept) = (Cursor::default(), Cursor::default());
     while let Some((packed, positions, next)) = at.group(&run.keys) {
         unpack_key_into(packed, &mut key);
-        values.extend(positions.clone().map(|i| run.values.lend(i)));
-        if app.combine(&key, &values, &mut |k, v| emitted.push((k, v))) {
+        let places = [(0, positions)];
+        let combine = |values: &[V]| app.combine(&key, values, &mut |k, v| emitted.push((k, v)));
+        if lend(&mut values, &mut [&mut run.values], &places, combine) {
             combined = true;
-            values.clear();
             run.move_groups(kept, at, &mut out);
             for (k, v) in emitted.drain(..) {
                 out.push(&k, v);
@@ -779,9 +893,6 @@ pub fn combine_run(app: &dyn MapReduceApp, mut run: Run) -> Run {
             kept = next;
         } else {
             emitted.clear();
-            for (i, v) in positions.zip(values.drain(..)) {
-                run.values.give_back(i, v);
-            }
         }
         at = next;
     }
@@ -789,13 +900,13 @@ pub fn combine_run(app: &dyn MapReduceApp, mut run: Run) -> Run {
         return run;
     }
     run.move_groups(kept, at, &mut out);
-    out.seal()
+    out.seal(1, |_| 0).pop().expect("one run")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::group_by_key;
+    use crate::app::{group_by_key, HashPartitioner, Partitioner, RangePartitioner};
     use proptest::{check, Config, Gen};
 
     fn keys() -> Vec<K> {
@@ -973,7 +1084,7 @@ mod tests {
         assert!(matches!(builder.values, Column::Mixed(_)));
         let expect = vec![V::Int(10), V::Int(20), V::Float(0.5), V::Null].into_iter().enumerate();
         let expect: Vec<Record> = expect.map(|(i, v)| (K::Int(i as i64 + 1), v)).collect();
-        assert_eq!(builder.seal().to_records(), expect);
+        assert_eq!(builder.seal(1, |_| 0).pop().expect("one run").to_records(), expect);
         let nulls: Vec<Record> = (0..3).map(|i| (K::Int(i), V::Null)).collect();
         let run: Run = nulls.iter().cloned().collect();
         assert!(matches!(run.values, Column::Same(Scalar::Null, 3)));
@@ -1015,10 +1126,9 @@ mod tests {
         (0..g.usize_in(0, max)).map(|_| *g.choose(&[0u8, 1, b'a', 0xFF])).collect()
     }
 
-    /// A few runs over a small pool of keys of all three variants — long
-    /// ones that share their first 15 bytes among them — so that groups
-    /// repeat within a run and across runs; one run is empty.
-    fn random_runs(g: &mut Gen, value: fn(&mut Gen, i64) -> V) -> Vec<Vec<Record>> {
+    /// A small pool of keys of all three variants, long ones that share
+    /// their first 15 bytes among them.
+    fn random_pool(g: &mut Gen) -> Vec<K> {
         let stem = vec![b'k'; 15];
         let mut pool: Vec<K> = (0..g.usize_in(1, 30))
             .map(|_| match g.usize_in(0, 3) {
@@ -1029,6 +1139,14 @@ mod tests {
             })
             .collect();
         pool.push(K::Bytes(stem));
+        pool
+    }
+
+    /// A few runs over a small pool of keys of all three variants — long
+    /// ones that share their first 15 bytes among them — so that groups
+    /// repeat within a run and across runs; one run is empty.
+    fn random_runs(g: &mut Gen, value: fn(&mut Gen, i64) -> V) -> Vec<Vec<Record>> {
+        let pool = random_pool(g);
         let mut next = 0;
         let mut runs: Vec<Vec<Record>> = (0..g.usize_in(0, 5))
             .map(|_| {
@@ -1092,17 +1210,115 @@ mod tests {
         out
     }
 
-    /// Seals `records` with a table of `slots` slots and lookups of
-    /// `probes` slots at most; the run, and how many heads were joined.
-    fn sealed_with(records: &[Record], slots: usize, probes: usize) -> (Run, usize) {
+    /// Seals `records` into `parts` runs by `partitioner`, with a table of
+    /// `slots` slots and lookups of `probes` slots at most; the runs in
+    /// partition order, and how many heads were joined.
+    fn split_with(
+        records: &[Record],
+        parts: usize,
+        partitioner: &dyn Partitioner,
+        slots: usize,
+        probes: usize,
+    ) -> (Vec<Run>, usize) {
         let mut builder = RunBuilder::default();
         for (k, v) in records {
             builder.push(k, v.clone());
         }
         let mut scratch = Grouping::default();
-        let run = builder.seal_with(&mut scratch, slots, probes);
-        let joined = scratch.heads.len() - run.group_count();
-        (run, joined)
+        let partition = |k: &K| partitioner.partition(k, parts as u32) as usize;
+        let runs = builder.seal_with(&mut scratch, parts, partition, slots, probes);
+        let joined = scratch.heads.len() - runs.iter().map(Run::group_count).sum::<usize>();
+        (runs, joined)
+    }
+
+    /// [`split_with`] into one run.
+    fn sealed_with(records: &[Record], slots: usize, probes: usize) -> (Run, usize) {
+        let (mut runs, joined) = split_with(records, 1, &HashPartitioner, slots, probes);
+        (runs.pop().expect("one run"), joined)
+    }
+
+    /// Values chosen by key as well as at random, so that a partition's
+    /// share of a typed or mixed column is often one scalar (`0.0` and
+    /// `-0.0` among them) or one kind: every column kind a piece can take.
+    const KEYED_VALUES: [fn(&mut Gen, &K, i64) -> V; 6] = [
+        |_, _, _| V::Int(1),
+        |_, _, n| V::Int(n),
+        |_, k, _| V::Int((k.stable_hash() % 2) as i64),
+        |_, k, _| V::Float(if k.stable_hash() % 2 == 0 { 0.0 } else { -0.0 }),
+        |_, k, n| if k.stable_hash() % 2 == 0 { V::from("text") } else { V::Float(n as f64) },
+        |g, _, n| match g.usize_in(0, 4) {
+            0 => V::Null,
+            1 => V::Int(n),
+            2 => V::Float(n as f64),
+            3 => V::Text(n.to_string()),
+            _ => V::Vector(vec![n as f64; 2]),
+        },
+    ];
+
+    /// Seals `records` into 1 to 8 partitions by both partitioners, with a
+    /// table of `slots` slots and lookups of `probes` slots at most, and
+    /// checks each run against the one `FromIterator` builds from that
+    /// partition's records alone: the same encoding, size, length, column
+    /// and keys. Returns how many heads were joined.
+    fn assert_splits_like_per_partition_seals(
+        records: &[Record],
+        slots: usize,
+        probes: usize,
+    ) -> usize {
+        let mut joined = 0;
+        for parts in 1..=8 {
+            let partitioners: [&dyn Partitioner; 2] = [&HashPartitioner, &RangePartitioner];
+            for partitioner in partitioners {
+                let (runs, j) = split_with(records, parts, partitioner, slots, probes);
+                joined += j;
+                for (p, run) in runs.iter().enumerate() {
+                    let own = records
+                        .iter()
+                        .filter(|(k, _)| partitioner.partition(k, parts as u32) as usize == p);
+                    let expect: Run = own.cloned().collect();
+                    assert_eq!(encoded(run), encoded(&expect), "{p} of {parts}");
+                    assert_eq!((run.bytes(), run.len()), (expect.bytes(), expect.len()));
+                    assert_eq!(run, &expect, "{p} of {parts}");
+                }
+            }
+        }
+        joined
+    }
+
+    #[test]
+    fn a_split_seal_cuts_what_each_partition_seals_to_alone() {
+        let mut joined = 0;
+        check("split-seal", Config::with_cases(100), |g| {
+            let value = *g.choose(&KEYED_VALUES);
+            let pool = random_pool(g);
+            let records: Vec<Record> = (0..g.usize_in(0, 120) as i64)
+                .map(|n| {
+                    let k = g.choose(&pool).clone();
+                    let v = value(g, &k, n);
+                    (k, v)
+                })
+                .collect();
+            assert_splits_like_per_partition_seals(&records, MAX_SLOTS, PROBE_BOUND);
+            joined += assert_splits_like_per_partition_seals(&records, 8, 2);
+        });
+        assert!(joined > 0, "no case joined the heads of a key the table had no room for");
+
+        // More distinct keys than the largest table has room for, of all
+        // three variants, some of those it had no room for twice.
+        let mut g = Gen::from_seed(7);
+        let records: Vec<Record> = (0..20_000i64)
+            .chain(17_000..20_000)
+            .map(|i| {
+                let k = match i % 3 {
+                    0 => K::Int(i * 7919 - 50_000),
+                    1 => K::from(format!("word-{i}").as_str()),
+                    _ => K::Bytes([vec![b'k'; 15], i.to_le_bytes().to_vec()].concat()),
+                };
+                let v = KEYED_VALUES[(i % 6) as usize](&mut g, &k, i);
+                (k, v)
+            })
+            .collect();
+        assert!(assert_splits_like_per_partition_seals(&records, MAX_SLOTS, PROBE_BOUND) > 0);
     }
 
     /// Bounded probing is the contract: with a table that has room for four

@@ -134,6 +134,18 @@ pub(crate) mod tests {
         JobConfig { speculative, locality_aware: false, use_combiner: false, num_reduces: 1 }
     }
 
+    /// The map-side counters: input records and bytes, output records and
+    /// bytes, records after the combiner.
+    pub(crate) fn map_counts(c: &Counters) -> [u64; 5] {
+        [
+            c.map_input_records,
+            c.map_input_bytes,
+            c.map_output_records,
+            c.map_output_bytes,
+            c.combine_output_records,
+        ]
+    }
+
     /// Runs the job with a crushing background load on one tracker VM.
     fn run(speculative: bool) -> JobResult {
         let mut rt = runtime(31, true);
@@ -157,6 +169,9 @@ pub(crate) mod tests {
             with.elapsed_secs(),
             without.elapsed_secs()
         );
+        // Each map counts once, whichever of its attempts wins.
+        assert_eq!(map_counts(&with.counters), map_counts(&without.counters));
+        assert_eq!(map_counts(&without.counters), [160, 4_194_303, 160, 2_560, 160]);
         // Output identical either way.
         let mut a = with.outputs.clone();
         let mut b = without.outputs.clone();

@@ -15,7 +15,7 @@
 //! bottlenecks.
 
 use crate::meta::{BlockId, BlockMeta, FileMeta, Namespace};
-use crate::placement::{choose_replicas, closest_replica};
+use crate::placement::{closest_replica, ReplicaIndex};
 use rand::rngs::StdRng;
 use simcore::owners;
 use simcore::prelude::*;
@@ -274,11 +274,9 @@ impl Hdfs {
         len: u64,
         writer: VmId,
     ) -> &FileMeta {
-        let (cfg, dns) = (self.cfg, self.datanodes.clone());
-        let rng = &mut self.rng;
-        self.ns.create_file(path, len, cfg.block_size, |_| {
-            choose_replicas(cluster, &dns, writer, cfg.replication, rng)
-        })
+        let (cfg, rng) = (self.cfg, &mut self.rng);
+        let index = ReplicaIndex::new(cluster, &self.datanodes, writer);
+        self.ns.create_file(path, len, cfg.block_size, |_| index.choose(cfg.replication, rng))
     }
 
     /// Writes `len` bytes to a new file `path` from `writer`, simulating
@@ -294,11 +292,10 @@ impl Hdfs {
         writer: VmId,
         client_tag: Tag,
     ) -> HdfsOpId {
-        let (cfg, dns) = (self.cfg, self.datanodes.clone());
-        let rng = &mut self.rng;
-        let meta = self.ns.create_file(path, len, cfg.block_size, |_| {
-            choose_replicas(cluster, &dns, writer, cfg.replication, rng)
-        });
+        let (cfg, rng) = (self.cfg, &mut self.rng);
+        let index = ReplicaIndex::new(cluster, &self.datanodes, writer);
+        let meta =
+            self.ns.create_file(path, len, cfg.block_size, |_| index.choose(cfg.replication, rng));
         let blocks = meta.blocks.clone();
 
         let mut chain = ChainSpec::new();

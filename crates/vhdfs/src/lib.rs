@@ -17,5 +17,5 @@ pub mod placement;
 pub mod prelude {
     pub use crate::hdfs::{Hdfs, HdfsCompletion, HdfsConfig, HdfsOpId, RPC_DELAY};
     pub use crate::meta::{BlockId, BlockMeta, FileMeta, Namespace};
-    pub use crate::placement::{choose_replicas, closest_replica};
+    pub use crate::placement::{closest_replica, ReplicaIndex};
 }

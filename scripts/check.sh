@@ -107,12 +107,26 @@ if [ -n "$stale" ]; then
 fi
 python3 -c 'import json, sys; [json.load(open(p)) for p in sys.argv[1:]]' results/*.json
 
-echo "==> platbench: quick smoke of the platform benchmark"
+echo "==> platbench: quick smoke and pinned simulations of the platform benchmark"
 # platbench is a workspace of its own (so the `Instant` ban below stands);
 # its tests run all four BENCHMARK.json workloads at --quick size through
 # the real executable, untraced and traced, with the in-run determinism
 # and output checks on. ~5 s once built.
 cargo test -q --offline --manifest-path platbench/Cargo.toml
+# A host-speed change must not move a simulation: each workload's quick run
+# reproduces the sim_makespan_s and output digest pinned in
+# scripts/platbench_quick.pins (platbench_pairs.sh checks the full-size runs).
+while read -r w makespan digest; do
+    out=$(cargo run -q --offline --manifest-path platbench/Cargo.toml -- \
+        --workload "$w" --quick --seed 2012 < /dev/null)
+    got_digest=$(sed -n 's/^platbench .* digest \(0x[0-9a-f]*\)$/\1/p' <<< "$out")
+    got_makespan=$(grep -o '"sim_makespan_s": {"value": [^,]*' <<< "$out" | sed 's/.*: //')
+    if [ "$got_makespan $got_digest" != "$makespan $digest" ]; then
+        echo "platbench $w: sim_makespan_s $got_makespan digest $got_digest," \
+            "pinned $makespan $digest" >&2
+        exit 1
+    fi
+done < <(grep -v '^#' scripts/platbench_quick.pins)
 
 echo "==> determinism lint"
 # A run must be a pure function of config + seed: no wall clock and no OS

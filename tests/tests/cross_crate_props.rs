@@ -226,7 +226,7 @@ fn replica_sets_span_racks_when_capacity_allows() {
         let datanodes: Vec<VmId> = (1..vms).map(VmId).collect();
         let writer = VmId(g.u32_in(1, vms - 1));
         let mut rng = simcore::rng::RootSeed(g.u64_in(0, u64::MAX - 1)).stream("prop");
-        let reps = vhdfs::placement::choose_replicas(&c, &datanodes, writer, 3, &mut rng);
+        let reps = vhdfs::placement::ReplicaIndex::new(&c, &datanodes, writer).choose(3, &mut rng);
         assert_eq!(reps[0], writer, "first replica stays on the writer");
         let racks: std::collections::BTreeSet<u32> = reps.iter().map(|&v| c.rack_of(v).0).collect();
         assert!(

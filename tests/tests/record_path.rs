@@ -1,10 +1,12 @@
 //! Properties of the copy-free record path (DESIGN.md §20): the sort
 //! key's prefix against `K`'s own order, the merge of sealed map-output
-//! runs and the combiner over one against `group_by_key`, snapshots of the
-//! same records in either order restoring to one run, and a snapshot taken
-//! while the runs are all there is of a job's data. (Sealing under a table
-//! too small for its keys, which needs a constructor tests outside the
-//! crate cannot reach, is a unit test of `mapreduce::run`.)
+//! runs and the combiner over one against `group_by_key`, the exact bits
+//! of the values both lend, one partitioner call per key per map,
+//! snapshots of the same records in either order restoring to one run,
+//! and a snapshot taken while the runs are all there is of a job's data.
+//! (Sealing under a table too small for its keys, and a map's seal into
+//! several partitions against a seal per partition, need constructors
+//! tests outside the crate cannot reach: unit tests of `mapreduce::run`.)
 
 mod common;
 
@@ -14,7 +16,9 @@ use mapreduce::run::{combine_run, for_each_group, Run, SortKey};
 use proptest::{check, Config, Gen};
 use simcore::persist::{Decoder, Encoder, Persist};
 use std::cmp::Ordering;
-use vhadoop::prelude::{FaultPlan, PlatformEvent, RootSeed, VHadoop};
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::Arc;
+use vhadoop::prelude::{FaultPlan, PlatformEvent, RootSeed, VHadoop, VmId};
 use workloads::tpcxhs::{hsgen_job, HsPlan};
 
 fn random_bytes(g: &mut Gen, len: usize) -> Vec<u8> {
@@ -332,6 +336,161 @@ fn in_place_combiner_equals_the_grouping_one() {
             }
         }
     });
+}
+
+/// `groups` as the encoding of their records, which tells `-0.0` from
+/// `0.0` and one `NaN` payload from another.
+fn bits(groups: &[(K, Vec<V>)]) -> Vec<u8> {
+    let records: Vec<Record> =
+        groups.iter().flat_map(|(k, vs)| vs.iter().map(move |v| (k.clone(), v.clone()))).collect();
+    let mut e = Encoder::new();
+    records.encode(&mut e);
+    e.finish()
+}
+
+/// Runs of `(key, value, copies)` records.
+fn runs_of(parts: &[Vec<(&str, V, usize)>]) -> Vec<Vec<Record>> {
+    let record = |(k, v, n): &(&str, V, usize)| vec![(K::from(*k), v.clone()); *n];
+    parts.iter().map(|part| part.iter().flat_map(record).collect()).collect()
+}
+
+/// Values reach `reduce` with their exact bits however they are lent: a
+/// group whose runs all hold one scalar is a prefix of the merge's copies
+/// of it — reused while the scalar stays, refilled when it changes or a
+/// group outgrows them — and any other group is lent value by value.
+#[test]
+fn lent_values_keep_their_exact_bits() {
+    let nan = |payload: u64| V::Float(f64::from_bits(f64::NAN.to_bits() | payload));
+    let (zero, minus_zero) = (V::Float(0.0), V::Float(-0.0));
+    let cases = [
+        // `0.0` next to `-0.0` in one group, and each in groups of its own.
+        vec![
+            vec![("a", zero.clone(), 2), ("b", zero.clone(), 3)],
+            vec![("a", minus_zero.clone(), 3), ("c", minus_zero.clone(), 1)],
+        ],
+        // Two NaN payloads, likewise.
+        vec![vec![("a", nan(1), 2), ("b", nan(1), 1)], vec![("a", nan(2), 1), ("c", nan(2), 3)]],
+        // `Same(Int(1))` next to `Same(Int(2))`; a group of 2s after 1s.
+        vec![
+            vec![("a", V::Int(1), 1), ("b", V::Int(1), 4)],
+            vec![("a", V::Int(2), 2), ("c", V::Int(2), 1)],
+        ],
+        // `Same(Int(1))` next to an `Int` column.
+        vec![
+            vec![("a", V::Int(1), 3), ("d", V::Int(1), 1)],
+            vec![("a", V::Int(5), 1), ("a", V::Int(6), 1), ("d", V::Int(7), 1)],
+        ],
+        // One scalar across runs, in groups that shrink and grow.
+        vec![
+            vec![("a", V::Int(1), 4), ("b", V::Int(1), 1), ("c", V::Int(1), 2)],
+            vec![("b", V::Int(1), 2), ("c", V::Int(1), 5)],
+        ],
+    ];
+    for parts in &cases {
+        let parts = runs_of(parts);
+        let expected = bits(&group_by_key(parts.concat()));
+        let mut runs = to_runs(&parts);
+        assert_eq!(bits(&streamed(&mut runs)), expected, "{parts:?}");
+        assert_eq!(bits(&streamed(&mut runs)), expected, "merged again");
+    }
+}
+
+/// Records what `combine` is shown, and declines every group.
+#[derive(Default)]
+struct WatchApp {
+    seen: std::cell::RefCell<Vec<(K, Vec<V>)>>,
+}
+
+impl MapReduceApp for WatchApp {
+    fn name(&self) -> &str {
+        "watch"
+    }
+    fn map(&self, _: &K, _: &V, _: &mut dyn FnMut(K, V)) {}
+    fn reduce(&self, _: &K, _: &[V], _: &mut dyn FnMut(K, V)) {}
+    fn combine(&self, k: &K, vs: &[V], _: &mut dyn FnMut(K, V)) -> bool {
+        self.seen.borrow_mut().push((k.clone(), vs.to_vec()));
+        false
+    }
+}
+
+#[test]
+fn a_combiner_over_a_one_scalar_run_sees_its_exact_values() {
+    let nan = V::Float(f64::from_bits(f64::NAN.to_bits() | 3));
+    for scalar in [V::Float(-0.0), nan, V::Int(1), V::Null] {
+        let parts = runs_of(&[vec![("a", scalar.clone(), 3), ("b", scalar.clone(), 1)]]);
+        let app = WatchApp::default();
+        let run = to_runs(&parts).pop().expect("one run");
+        assert_eq!(combine_run(&app, run.clone()), run, "a declined run comes back");
+        assert_eq!(bits(&app.seen.into_inner()), bits(&group_by_key(parts.concat())));
+    }
+}
+
+/// Counts the calls of the hash partitioner it stands for.
+struct CountingPartitioner(Arc<AtomicUsize>);
+
+impl Partitioner for CountingPartitioner {
+    fn partition(&self, key: &K, n: u32) -> u32 {
+        self.0.fetch_add(1, AtomicOrdering::Relaxed);
+        HashPartitioner.partition(key, n)
+    }
+}
+
+/// Counts each key's records, partitioned by a [`CountingPartitioner`].
+struct CountKeysApp(Arc<AtomicUsize>);
+
+impl MapReduceApp for CountKeysApp {
+    fn name(&self) -> &str {
+        "count-keys"
+    }
+    fn map(&self, k: &K, v: &V, out: &mut dyn FnMut(K, V)) {
+        out(k.clone(), v.clone());
+    }
+    fn reduce(&self, k: &K, vs: &[V], out: &mut dyn FnMut(K, V)) {
+        out(k.clone(), V::Int(vs.len() as i64));
+    }
+    fn partitioner(&self) -> Box<dyn Partitioner> {
+        Box::new(CountingPartitioner(Arc::clone(&self.0)))
+    }
+}
+
+/// A map asks the partitioner once per distinct key it emitted, however
+/// many records carry the key, and a job with one reduce never asks it.
+#[test]
+fn the_partitioner_is_asked_once_per_key_per_map() {
+    const MAPS: usize = 8;
+    // Map `m` emits 300 records over `20 + m` keys, texts and integers.
+    let split = |m: usize| -> Vec<Record> {
+        (0..300)
+            .map(|i| {
+                let j = i % (20 + m);
+                let k = if j.is_multiple_of(2) {
+                    K::from(format!("key-{j}").as_str())
+                } else {
+                    K::Int(j as i64)
+                };
+                (k, V::Int(1))
+            })
+            .collect()
+    };
+    let distinct: usize = (0..MAPS).map(|m| 20 + m).sum();
+    for reduces in [1, 2, 4, 7] {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let mut p = launch_fig2(MAPS as u64 * MB, 5, FaultPlan::new());
+        p.register_input("/keys", MAPS as u64 * MB - 1, VmId(1));
+        let input = GeneratorInput::new(MAPS, MB, split);
+        let config = JobConfig::default().with_combiner(false).with_reduces(reduces);
+        let spec = JobSpec::new("count-keys", "/keys", "/keys-out").with_config(config);
+        let result = p.run_job(spec, Box::new(CountKeysApp(Arc::clone(&calls))), Box::new(input));
+        assert_eq!(result.counters.map_output_records, 300 * MAPS as u64);
+        let expected = if reduces == 1 { 0 } else { distinct };
+        assert_eq!(calls.load(AtomicOrdering::Relaxed), expected, "{reduces} reduces");
+        let mut outputs = result.outputs;
+        outputs.sort_by(|a, b| a.0.cmp(&b.0));
+        let records: Vec<Record> = (0..MAPS).flat_map(split).collect();
+        let counts: Vec<Record> =
+            group_by_key(records).into_iter().map(|(k, vs)| (k, V::Int(vs.len() as i64))).collect();
+        assert_eq!(outputs, counts, "{reduces} reduces");
+    }
 }
 
 /// Steps `p` until its job is done; the job's outputs.
