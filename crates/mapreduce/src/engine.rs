@@ -34,7 +34,7 @@ use crate::scheduler::{
 use crate::speculation::SPECULATION_HEARTBEAT;
 use crate::state::{
     decode, tag, tag_full, JobState, MapTask, Partition, ReduceTask, SplitInfo, TaskPhase,
-    PH_IGNORE, PH_MAP_COMPUTE, PH_MAP_READ, PH_MAP_STARTUP, PH_MAP_WRITE, PH_REDUCE_COMPUTE,
+    PH_MAP_COMPUTE, PH_MAP_READ, PH_MAP_STARTUP, PH_MAP_WRITE, PH_REDUCE_COMPUTE,
     PH_REDUCE_STARTUP, PH_REDUCE_WRITE, PH_REQUEUE_MAP, PH_REQUEUE_REDUCE, PH_SHUFFLE,
     PH_SPECULATE,
 };
@@ -396,14 +396,6 @@ impl MrEngine {
         let t = wakeup.tag();
         if t.owner != owners::MAPREDUCE {
             return Vec::new();
-        }
-        // Shuffle batch members surface individually; the batch join is
-        // what we act on. (A timer is a tracker-timeout re-queue, see
-        // `recovery`.)
-        if let Wakeup::Activity { batch, .. } = wakeup {
-            if batch.is_some() || decode(t).1 == PH_IGNORE {
-                return Vec::new();
-            }
         }
         self.dispatch(engine, cluster, hdfs, t)
     }

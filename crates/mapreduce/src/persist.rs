@@ -58,7 +58,14 @@ simcore::persist_struct!(JobSpec { name, input_path, output_path, config });
 simcore::persist_struct!(SplitInfo { block, bytes, locations });
 simcore::persist_enum!(TaskPhase { 0 => Pending, 1 => Running(vm), 2 => Done });
 simcore::persist_struct!(MapTask { phase, winner, attempt_vm, active, started_at, epoch, retries });
-simcore::persist_struct!(ReduceTask { phase, epoch, retries, started_at, shuffle_started_at });
+simcore::persist_struct!(ReduceTask {
+    phase,
+    epoch,
+    retries,
+    started_at,
+    shuffle_started_at,
+    merged
+});
 
 /// Encoded as the bare record vector, as [`crate::run::Run`] is.
 // codec by hand: the byte size is not written but recomputed by `Partition::seal`

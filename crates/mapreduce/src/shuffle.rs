@@ -14,7 +14,7 @@
 use crate::job::{JobEvent, JobId};
 use crate::run::{for_each_group, Run};
 use crate::state::{
-    tag, tag_full, Partition, TaskPhase, PH_IGNORE, PH_REDUCE_COMPUTE, PH_REDUCE_WRITE, PH_SHUFFLE,
+    tag_full, Partition, TaskPhase, PH_REDUCE_COMPUTE, PH_REDUCE_WRITE, PH_SHUFFLE,
 };
 use crate::types::Record;
 use simcore::prelude::*;
@@ -34,22 +34,19 @@ impl MrEngine {
         let job = self.jobs.get_mut(&jid.0).expect("unknown job");
         let vm = job.running_reduce_vm(r);
         // Shuffle: one fetch chain per map whose partition r is non-empty.
-        let mut members: Vec<(ChainSpec, Tag)> = Vec::new();
-        let mut shuffle_bytes = 0u64;
+        let mut members: Vec<ChainSpec> = Vec::new();
         for m in 0..job.maps.len() {
             let Some(run) = job.map_outputs[m][r].as_ref() else { continue };
             if run.is_empty() {
                 continue;
             }
             let bytes = run.bytes();
-            shuffle_bytes += bytes;
             let map_vm = job.maps[m].winner.expect("map ran somewhere");
             let chain = cluster
                 .transfer(map_vm, vm, bytes as f64)
                 .then(cluster.disk_write(vm, bytes as f64));
-            members.push((chain, tag(jid, PH_IGNORE, m)));
+            members.push(chain);
         }
-        job.counters.shuffle_bytes += shuffle_bytes;
         job.reduces[r].shuffle_started_at = Some(engine.now());
         let ep = job.reduces[r].epoch;
         engine.start_batch(members, tag_full(jid, PH_SHUFFLE, 0, ep, r));
@@ -95,8 +92,7 @@ impl MrEngine {
             groups += 1;
             app.reduce(k, vals, &mut |ek, ev| out.push((ek, ev)));
         });
-        job.counters.reduce_input_groups += groups;
-        job.counters.reduce_input_records += in_records;
+        job.reduces[r].merged = [in_bytes, in_records, groups];
 
         let cost = app.cost();
         let sort_cycles =
@@ -152,6 +148,10 @@ impl MrEngine {
             let vm = job.running_reduce_vm(r);
             job.reduces[r].phase = TaskPhase::Done;
             job.completed_reduces += 1;
+            let [shuffle_bytes, input_records, input_groups] = job.reduces[r].merged;
+            job.counters.shuffle_bytes += shuffle_bytes;
+            job.counters.reduce_input_records += input_records;
+            job.counters.reduce_input_groups += input_groups;
             let output = job.task_outputs[r].as_ref().expect("reduce output present");
             job.counters.output_bytes += output.bytes;
             job.counters.reduce_output_records += output.records.len() as u64;

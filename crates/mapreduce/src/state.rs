@@ -46,8 +46,6 @@ pub(crate) const PH_SPECULATE: u8 = 8;
 pub(crate) const PH_REQUEUE_MAP: u8 = 9;
 /// Deferred re-queue of a reduce after a tracker timeout.
 pub(crate) const PH_REQUEUE_REDUCE: u8 = 10;
-/// Batch-member completions we deliberately ignore.
-pub(crate) const PH_IGNORE: u8 = 15;
 
 /// Attempt flag: set for the speculative (second) attempt of a task.
 const ATTEMPT_BIT: u64 = 1 << 55;
@@ -186,6 +184,10 @@ pub(crate) struct ReduceTask {
     pub(crate) started_at: Option<SimTime>,
     /// Instant the shuffle batch was issued (trace span start).
     pub(crate) shuffle_started_at: Option<SimTime>,
+    /// Shuffle bytes, input records and key groups this attempt's merge
+    /// read; counted into the job when the attempt commits, so a re-run
+    /// after a lost tracker counts its input once.
+    pub(crate) merged: [u64; 3],
 }
 
 impl ReduceTask {

@@ -2,16 +2,18 @@
 //!
 //! Client subsystems describe work as **activities**: chains of [`Step`]s
 //! that run sequentially (a fluid flow, or a pure latency delay). Chains can
-//! be AND-joined into **batches**. The engine owns the clock, runs the fluid
-//! reallocation whenever the flow set changes, and surfaces completions as
-//! [`Wakeup`]s carrying the client's routing [`Tag`].
+//! be AND-joined into **batches**, which wake their client once, when the
+//! last member ends. The engine owns the clock, runs the fluid reallocation
+//! whenever the flow set changes, and surfaces completions as [`Wakeup`]s
+//! carrying the client's routing [`Tag`].
 //!
 //! The processing loop is pull-based: callers repeatedly invoke
 //! [`Engine::next_wakeup`], dispatch on the tag, and start new activities.
-//! Everything is single-threaded and deterministic.
+//! The event heap holds only what fires: fluid completion estimates, user
+//! timers and chain delays. Everything is single-threaded and deterministic.
 
 use crate::fluid::{Demand, FluidNet, FluidStats, ResourceKind};
-use crate::ids::{ActivityId, BatchId, FlowId, ResourceId, Tag, TimerId};
+use crate::ids::{ActivityId, BatchId, FlowId, ResourceId, Tag};
 use crate::persist::{Decoder, Encoder, Persist};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Name, Tracer};
@@ -79,19 +81,15 @@ impl ChainSpec {
 pub enum Wakeup {
     /// A timer fired.
     Timer {
-        /// Handle returned by `set_timer_*`.
-        id: TimerId,
-        /// Client routing tag.
+        /// Client routing tag given to `set_timer_*`.
         tag: Tag,
     },
-    /// An activity (chain) ran all its steps.
+    /// An activity (chain) ran all its steps. Batch members end silently.
     Activity {
-        /// Handle returned by `start_chain`/`start_batch`.
+        /// Handle returned by `start_chain`/`start_flow`.
         id: ActivityId,
         /// Client routing tag.
         tag: Tag,
-        /// Batch this chain belonged to, if any.
-        batch: Option<BatchId>,
     },
     /// Every member of a batch completed (or was cancelled).
     Batch {
@@ -104,8 +102,8 @@ pub enum Wakeup {
 
 crate::persist_enum!(Step { 0 => Flow { demands, work }, 1 => Delay(duration) });
 crate::persist_enum!(Wakeup {
-    0 => Timer { id, tag },
-    1 => Activity { id, tag, batch },
+    0 => Timer { tag },
+    1 => Activity { id, tag },
     2 => Batch { id, tag },
 });
 
@@ -120,10 +118,17 @@ impl Wakeup {
     }
 }
 
+/// What a heap entry fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
+    /// The fluid net's completion estimate under `epoch`; stale once a
+    /// later solve supersedes it.
     FluidWake { epoch: u64 },
-    Timer { id: TimerId },
+    /// A user timer: wakes its client with `tag`.
+    Timer { tag: Tag },
+    /// The end of `activity`'s delay step; skipped on pop when the activity
+    /// was cancelled during the delay.
+    ChainDelay { activity: ActivityId },
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,7 +138,11 @@ struct Entry {
     ev: Ev,
 }
 
-crate::persist_enum!(Ev { 0 => FluidWake { epoch }, 1 => Timer { id } });
+crate::persist_enum!(Ev {
+    0 => FluidWake { epoch },
+    1 => Timer { tag },
+    2 => ChainDelay { activity },
+});
 crate::persist_struct!(Entry { time, seq, ev });
 
 impl Ord for Entry {
@@ -151,25 +160,27 @@ impl PartialOrd for Entry {
 enum Current {
     Idle,
     Flow(FlowId),
-    Delay(TimerId),
+    Delay,
+}
+
+/// How an activity ends: it wakes its client with its tag, or it counts
+/// down its batch.
+#[derive(Debug, Clone, Copy)]
+enum Ending {
+    Wake(Tag),
+    Batch(BatchId),
 }
 
 #[derive(Debug)]
 struct Activity {
     remaining: VecDeque<Step>,
     current: Current,
-    tag: Tag,
-    batch: Option<BatchId>,
+    ending: Ending,
 }
 
-crate::persist_enum!(Current { 0 => Idle, 1 => Flow(flow), 2 => Delay(timer) });
-crate::persist_struct!(Activity { remaining, current, tag, batch });
-
-#[derive(Debug, Clone, Copy)]
-enum TimerKind {
-    User { tag: Tag },
-    ChainDelay { activity: ActivityId },
-}
+crate::persist_enum!(Current { 0 => Idle, 1 => Flow(flow), 2 => Delay });
+crate::persist_enum!(Ending { 0 => Wake(tag), 1 => Batch(batch) });
+crate::persist_struct!(Activity { remaining, current, ending });
 
 #[derive(Debug)]
 struct Batch {
@@ -204,59 +215,14 @@ pub struct KernelStats {
     pub comp_size_max: u64,
     /// Current completion-index heap length (live + stale).
     pub completion_heap_len: usize,
-    /// Current event heap length (live + tombstoned entries).
+    /// Current event heap length (stale fluid wakes and the delays of
+    /// cancelled chains included).
     pub event_heap_len: usize,
-    /// Cancelled-timer tombstones currently in the event heap.
-    pub dead_timers: usize,
     /// Flow-arena slot count (live + free — occupancy is
     /// `flows_touched`-independent arena footprint).
     pub flow_arena_slots: usize,
-    /// Timer-arena slot count (live + free).
-    pub timer_arena_slots: usize,
     /// Total wakeups delivered so far.
     pub wakeups: u64,
-}
-
-/// Tombstone compaction floor: never rebuild the event heap for fewer dead
-/// entries than this (rebuilds are O(heap) — only worth it at scale).
-/// Compaction triggers at `dead > max(MIN, live/4)`: proportional to the
-/// live population, so a 16k-VM heap is not rebuilt every 64 cancellations.
-const DEAD_TIMER_COMPACT_MIN: usize = 64;
-
-/// One slot of the timer arena: the current generation plus the armed
-/// timer, if any. `kind == None` means the slot is on the free list.
-#[derive(Debug, Clone, Copy)]
-struct TimerSlot {
-    gen: u32,
-    kind: Option<TimerKind>,
-}
-
-// codec by hand: `kind` is one tag byte with 0 for a free slot, not an `Option` prefix
-impl Persist for TimerSlot {
-    fn encode(&self, e: &mut Encoder) {
-        e.u32(self.gen);
-        match self.kind {
-            None => e.u8(0),
-            Some(TimerKind::User { tag }) => {
-                e.u8(1);
-                tag.encode(e);
-            }
-            Some(TimerKind::ChainDelay { activity }) => {
-                e.u8(2);
-                activity.encode(e);
-            }
-        }
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        let gen = d.u32();
-        let kind = match d.u8() {
-            0 => None,
-            1 => Some(TimerKind::User { tag: Tag::decode(d) }),
-            2 => Some(TimerKind::ChainDelay { activity: ActivityId::decode(d) }),
-            other => d.unknown_tag("TimerKind", other),
-        };
-        TimerSlot { gen, kind }
-    }
 }
 
 /// The simulation engine. See the module docs for the programming model.
@@ -270,20 +236,13 @@ pub struct Engine {
     flow_owner: HashMap<FlowId, ActivityId>,
     activities: HashMap<ActivityId, Activity>,
     next_activity: u64,
-    /// Timer arena: dense slots with generation-stamped handles and a free
-    /// list, replacing the former `HashMap<TimerId, TimerKind>` + counter
-    /// (no hashing on the hot arm/fire path, stable memory at scale).
-    timer_slots: Vec<TimerSlot>,
-    timer_free: Vec<u32>,
-    timer_live: usize,
+    /// User timers armed and not yet fired: their `Ev::Timer` heap entries.
+    timers: usize,
     batches: HashMap<BatchId, Batch>,
     next_batch: u64,
     out: VecDeque<(SimTime, Wakeup)>,
     /// Total wakeups delivered; useful for tests and progress telemetry.
     wakeups_delivered: u64,
-    /// Cancelled timers whose heap entry has not yet popped or been
-    /// compacted away.
-    dead_timers: usize,
     tracer: Tracer,
 }
 
@@ -305,14 +264,11 @@ impl Engine {
             flow_owner: HashMap::new(),
             activities: HashMap::new(),
             next_activity: 0,
-            timer_slots: Vec::new(),
-            timer_free: Vec::new(),
-            timer_live: 0,
+            timers: 0,
             batches: HashMap::new(),
             next_batch: 0,
             out: VecDeque::new(),
             wakeups_delivered: 0,
-            dead_timers: 0,
             tracer: Tracer::new(),
         }
     }
@@ -348,18 +304,12 @@ impl Engine {
     /// now is no longer armed, so a periodic observer asks this to learn
     /// whether anything besides itself is pending.
     pub fn in_flight(&self) -> bool {
-        !self.activities.is_empty() || self.timer_live > 0 || !self.out.is_empty()
+        !self.activities.is_empty() || self.timers > 0 || !self.out.is_empty()
     }
 
     /// Total wakeups delivered so far.
     pub fn wakeups_delivered(&self) -> u64 {
         self.wakeups_delivered
-    }
-
-    /// Current event-heap length (live entries + not-yet-compacted
-    /// tombstones); regression tests pin this after mass cancellation.
-    pub fn event_heap_len(&self) -> usize {
-        self.heap.len()
     }
 
     /// Snapshot of the kernel work counters (see [`KernelStats`]).
@@ -386,9 +336,7 @@ impl Engine {
             comp_size_max,
             completion_heap_len,
             event_heap_len: self.heap.len(),
-            dead_timers: self.dead_timers,
             flow_arena_slots: self.fluid.flow_arena_slots(),
-            timer_arena_slots: self.timer_slots.len(),
             wakeups: self.wakeups_delivered,
         }
     }
@@ -428,93 +376,21 @@ impl Engine {
 
     /// Fires a [`Wakeup::Timer`] at the absolute instant `at` (clamped to
     /// "now" if already past).
-    pub fn set_timer_at(&mut self, at: SimTime, tag: Tag) -> TimerId {
-        let at = at.max(self.now);
-        let id = self.alloc_timer(TimerKind::User { tag });
-        self.push_entry(at, Ev::Timer { id });
-        id
+    pub fn set_timer_at(&mut self, at: SimTime, tag: Tag) {
+        self.timers += 1;
+        self.push_entry(at.max(self.now), Ev::Timer { tag });
     }
 
     /// Fires a [`Wakeup::Timer`] after `d`.
-    pub fn set_timer_in(&mut self, d: SimDuration, tag: Tag) -> TimerId {
-        self.set_timer_at(self.now + d, tag)
-    }
-
-    /// Cancels a pending timer. Returns `false` if it already fired or was
-    /// cancelled.
-    ///
-    /// The heap entry becomes a tombstone; once tombstones outnumber live
-    /// timers (fault/timeout churn), the heap is rebuilt without them, so
-    /// mass cancellation cannot grow the event queue without bound.
-    pub fn cancel_timer(&mut self, id: TimerId) -> bool {
-        let cancelled = self.free_timer(id).is_some();
-        if cancelled {
-            self.note_dead_timer();
-        }
-        cancelled
-    }
-
-    /// Allocates a timer-arena slot holding `kind` and returns its
-    /// generation-stamped handle.
-    fn alloc_timer(&mut self, kind: TimerKind) -> TimerId {
-        self.timer_live += 1;
-        if let Some(slot) = self.timer_free.pop() {
-            let s = &mut self.timer_slots[slot as usize];
-            debug_assert!(s.kind.is_none(), "free list held a live slot");
-            s.kind = Some(kind);
-            TimerId { slot, gen: s.gen }
-        } else {
-            let slot = self.timer_slots.len() as u32;
-            self.timer_slots.push(TimerSlot { gen: 0, kind: Some(kind) });
-            TimerId { slot, gen: 0 }
-        }
-    }
-
-    /// Frees the slot behind `id` if the handle is still current, returning
-    /// the armed kind. The generation bump makes every outstanding copy of
-    /// the handle — including the not-yet-popped heap entry — stale, so a
-    /// recycled slot can never be reached through an old id (ABA safety).
-    fn free_timer(&mut self, id: TimerId) -> Option<TimerKind> {
-        let s = self.timer_slots.get_mut(id.slot as usize)?;
-        if s.gen != id.gen || s.kind.is_none() {
-            return None;
-        }
-        let kind = s.kind.take();
-        s.gen = s.gen.wrapping_add(1);
-        self.timer_free.push(id.slot);
-        self.timer_live -= 1;
-        kind
-    }
-
-    /// True while the timer behind `id` is still armed.
-    fn timer_is_live(&self, id: TimerId) -> bool {
-        self.timer_slots.get(id.slot as usize).is_some_and(|s| s.gen == id.gen && s.kind.is_some())
-    }
-
-    /// Accounts one new tombstone and compacts the event heap when dead
-    /// entries outgrow `max(DEAD_TIMER_COMPACT_MIN, live/4)` — proportional
-    /// to the live population so large heaps are not rebuilt constantly,
-    /// floored so small ones are not rebuilt pointlessly.
-    fn note_dead_timer(&mut self) {
-        self.dead_timers += 1;
-        if self.dead_timers <= DEAD_TIMER_COMPACT_MIN.max(self.timer_live / 4) {
-            return;
-        }
-        let epoch = self.epoch;
-        let mut entries = std::mem::take(&mut self.heap).into_vec();
-        entries.retain(|&Reverse(e)| match e.ev {
-            Ev::Timer { id } => self.timer_is_live(id),
-            Ev::FluidWake { epoch: e } => e == epoch,
-        });
-        self.heap = BinaryHeap::from(entries);
-        self.dead_timers = 0;
+    pub fn set_timer_in(&mut self, d: SimDuration, tag: Tag) {
+        self.set_timer_at(self.now + d, tag);
     }
 
     // ----- activities -----------------------------------------------------
 
     /// Starts a chain. An empty chain completes at the current instant.
     pub fn start_chain(&mut self, spec: ChainSpec, tag: Tag) -> ActivityId {
-        self.spawn_chain(spec, tag, None)
+        self.spawn_chain(spec, Ending::Wake(tag))
     }
 
     /// Starts a single fluid flow as a one-step chain.
@@ -522,10 +398,11 @@ impl Engine {
         self.start_chain(ChainSpec::new().flow(demands, work), tag)
     }
 
-    /// Starts `members` concurrently and emits a [`Wakeup::Batch`] with
-    /// `batch_tag` once every member has completed (each member also emits
-    /// its own [`Wakeup::Activity`]). An empty batch completes immediately.
-    pub fn start_batch(&mut self, members: Vec<(ChainSpec, Tag)>, batch_tag: Tag) -> BatchId {
+    /// Starts `members` concurrently and wakes the client once, with a
+    /// [`Wakeup::Batch`] carrying `batch_tag`, when every member has ended;
+    /// a member's own end wakes nobody. An empty batch completes
+    /// immediately.
+    pub fn start_batch(&mut self, members: Vec<ChainSpec>, batch_tag: Tag) -> BatchId {
         let id = BatchId(self.next_batch);
         self.next_batch += 1;
         if members.is_empty() {
@@ -533,8 +410,8 @@ impl Engine {
             return id;
         }
         self.batches.insert(id, Batch { tag: batch_tag, pending: members.len() });
-        for (spec, tag) in members {
-            self.spawn_chain(spec, tag, Some(id));
+        for spec in members {
+            self.spawn_chain(spec, Ending::Batch(id));
         }
         id
     }
@@ -556,22 +433,13 @@ impl Engine {
                 self.fluid.remove_flow(f);
                 self.flow_owner.remove(&f);
             }
-            Current::Delay(t) => {
-                if self.free_timer(t).is_some() {
-                    self.note_dead_timer();
-                }
-            }
-            Current::Idle => {}
+            // The delay's heap entry stays and is skipped when it pops.
+            Current::Delay | Current::Idle => {}
         }
-        if let Some(b) = act.batch {
+        if let Ending::Batch(b) = act.ending {
             self.batch_member_done(b);
         }
         true
-    }
-
-    /// True if `id` is still running.
-    pub fn is_active(&self, id: ActivityId) -> bool {
-        self.activities.contains_key(&id)
     }
 
     // ----- main loop ------------------------------------------------------
@@ -600,21 +468,17 @@ impl Engine {
             let Reverse(entry) = self.heap.pop()?;
             debug_assert!(entry.time >= self.now, "event heap went backwards");
             match entry.ev {
-                Ev::Timer { id } => {
-                    let Some(kind) = self.free_timer(id) else {
-                        // Tombstone of a cancelled timer drained naturally.
-                        self.dead_timers = self.dead_timers.saturating_sub(1);
-                        continue;
-                    };
+                Ev::Timer { tag } => {
+                    self.timers -= 1;
                     self.now = entry.time;
-                    match kind {
-                        TimerKind::User { tag } => {
-                            self.out.push_back((self.now, Wakeup::Timer { id, tag }));
-                        }
-                        TimerKind::ChainDelay { activity } => {
-                            self.step_done(activity);
-                        }
+                    self.out.push_back((self.now, Wakeup::Timer { tag }));
+                }
+                Ev::ChainDelay { activity } => {
+                    if !self.activities.contains_key(&activity) {
+                        continue; // the chain was cancelled during its delay
                     }
+                    self.now = entry.time;
+                    self.step_done(activity);
                 }
                 Ev::FluidWake { epoch } => {
                     if epoch != self.epoch {
@@ -662,21 +526,21 @@ impl Engine {
 
     // ----- persistence (DESIGN.md §16) ------------------------------------
 
-    /// Compacts every lazily-deferred structure: cancelled-timer tombstones
-    /// in the event heap, stale fluid-wake entries of superseded epochs,
-    /// and the fluid completion index. Two byte-identical simulation states
-    /// then encode to byte-identical snapshots regardless of how much
-    /// garbage each happened to accumulate. Observable behavior is
-    /// unchanged — all removed entries would have been skipped on pop.
+    /// Compacts every lazily-deferred structure: the delay entries of
+    /// cancelled chains and the fluid wakes of superseded epochs in the
+    /// event heap, and the fluid completion index. Two byte-identical
+    /// simulation states then encode to byte-identical snapshots regardless
+    /// of how much garbage each happened to accumulate. Observable behavior
+    /// is unchanged — all removed entries would have been skipped on pop.
     pub fn canonicalize(&mut self) {
         let epoch = self.epoch;
         let mut entries = std::mem::take(&mut self.heap).into_vec();
         entries.retain(|&Reverse(en)| match en.ev {
-            Ev::Timer { id } => self.timer_is_live(id),
+            Ev::Timer { .. } => true,
+            Ev::ChainDelay { activity } => self.activities.contains_key(&activity),
             Ev::FluidWake { epoch: e } => e == epoch,
         });
         self.heap = BinaryHeap::from(entries);
-        self.dead_timers = 0;
         self.fluid.canonicalize();
     }
 
@@ -696,8 +560,6 @@ impl Engine {
         self.flow_owner.encode(e);
         self.activities.encode(e);
         self.next_activity.encode(e);
-        self.timer_slots.encode(e);
-        self.timer_free.encode(e);
         self.batches.encode(e);
         self.next_batch.encode(e);
         self.out.encode(e);
@@ -709,7 +571,7 @@ impl Engine {
     /// The rebuilt engine delivers the exact same wakeup sequence as the
     /// original: heap entries keep their `(time, seq)` total order, so pop
     /// order is independent of the heap's internal array layout.
-    // codec by hand: canonical heap order, and the fluid arena and the live-timer count are rebuilt
+    // codec by hand: canonical heap order, and the fluid arena and the armed-timer count are rebuilt
     pub fn decode_state(d: &mut Decoder) -> Engine {
         let mut engine = Engine {
             now: Persist::decode(d),
@@ -720,17 +582,15 @@ impl Engine {
             flow_owner: Persist::decode(d),
             activities: Persist::decode(d),
             next_activity: Persist::decode(d),
-            timer_slots: Persist::decode(d),
-            timer_free: Persist::decode(d),
-            timer_live: 0,
+            timers: 0,
             batches: Persist::decode(d),
             next_batch: Persist::decode(d),
             out: Persist::decode(d),
             wakeups_delivered: Persist::decode(d),
-            dead_timers: 0,
             tracer: Persist::decode(d),
         };
-        engine.timer_live = engine.timer_slots.iter().filter(|s| s.kind.is_some()).count();
+        engine.timers =
+            engine.heap.iter().filter(|&&Reverse(en)| matches!(en.ev, Ev::Timer { .. })).count();
         engine
     }
 
@@ -753,17 +613,11 @@ impl Engine {
     /// whose chain has another step: popping it changes no rate a client
     /// or a fluid wake can read, so the solve before it can wait.
     fn next_pop_continues_a_chain(&self) -> bool {
-        let Some(&Reverse(Entry { time, ev: Ev::Timer { id }, .. })) = self.heap.peek() else {
+        let Some(&Reverse(Entry { time, ev: Ev::ChainDelay { activity }, .. })) = self.heap.peek()
+        else {
             return false;
         };
-        match self.timer_slots.get(id.slot as usize) {
-            Some(&TimerSlot { gen, kind: Some(TimerKind::ChainDelay { activity }) })
-                if time == self.now && gen == id.gen =>
-            {
-                self.activities.get(&activity).is_some_and(|a| !a.remaining.is_empty())
-            }
-            _ => false,
-        }
+        time == self.now && self.activities.get(&activity).is_some_and(|a| !a.remaining.is_empty())
     }
 
     /// If the allocation is dirty, recompute it and schedule the next
@@ -782,13 +636,11 @@ impl Engine {
         }
     }
 
-    fn spawn_chain(&mut self, spec: ChainSpec, tag: Tag, batch: Option<BatchId>) -> ActivityId {
+    fn spawn_chain(&mut self, spec: ChainSpec, ending: Ending) -> ActivityId {
         let id = ActivityId(self.next_activity);
         self.next_activity += 1;
-        self.activities.insert(
-            id,
-            Activity { remaining: spec.steps.into(), current: Current::Idle, tag, batch },
-        );
+        self.activities
+            .insert(id, Activity { remaining: spec.steps.into(), current: Current::Idle, ending });
         self.advance_activity(id);
         id
     }
@@ -819,19 +671,13 @@ impl Engine {
                 self.flow_owner.insert(f, id);
             }
             Some(Step::Delay(d)) => {
-                let tid = self.alloc_timer(TimerKind::ChainDelay { activity: id });
-                self.activities.get_mut(&id).expect("just checked").current = Current::Delay(tid);
-                let at = self.now + d;
-                self.push_entry(at, Ev::Timer { id: tid });
+                self.activities.get_mut(&id).expect("just checked").current = Current::Delay;
+                self.push_entry(self.now + d, Ev::ChainDelay { activity: id });
             }
-            None => {
-                let act = self.activities.remove(&id).expect("just checked");
-                self.out
-                    .push_back((self.now, Wakeup::Activity { id, tag: act.tag, batch: act.batch }));
-                if let Some(b) = act.batch {
-                    self.batch_member_done(b);
-                }
-            }
+            None => match self.activities.remove(&id).expect("just checked").ending {
+                Ending::Wake(tag) => self.out.push_back((self.now, Wakeup::Activity { id, tag })),
+                Ending::Batch(b) => self.batch_member_done(b),
+            },
         }
     }
 
@@ -862,9 +708,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "snapshot corrupt: unknown Ev tag 2 at byte 26")]
+    #[should_panic(expected = "snapshot corrupt: unknown Ev tag 3 at byte 26")]
     fn heap_entry_rejects_an_unknown_event_tag() {
-        decode_body::<Entry>(&[0; 16].into_iter().chain([2]).collect::<Vec<u8>>());
+        decode_body::<Entry>(&[0; 16].into_iter().chain([3]).collect::<Vec<u8>>());
     }
 
     #[test]
@@ -880,9 +726,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "snapshot corrupt: unknown TimerKind tag 3 at byte 14")]
-    fn timer_slot_rejects_an_unknown_kind_tag() {
-        decode_body::<TimerSlot>(&[1, 0, 0, 0, 3]);
+    #[should_panic(expected = "snapshot corrupt: unknown Ending tag 2 at byte 10")]
+    fn ending_rejects_an_unknown_tag() {
+        decode_body::<Ending>(&[2]);
     }
 
     #[test]
@@ -904,10 +750,9 @@ mod tests {
         let (t, w) = e.next_wakeup().expect("completion");
         assert_eq!(t.as_secs_f64().round() as u64, 5);
         match w {
-            Wakeup::Activity { id, tag, batch } => {
+            Wakeup::Activity { id, tag } => {
                 assert_eq!(id, a);
                 assert_eq!(tag, Tag::new(T, 1, 0));
-                assert!(batch.is_none());
             }
             other => panic!("unexpected wakeup {other:?}"),
         }
@@ -956,33 +801,19 @@ mod tests {
     fn batch_joins_members() {
         let (mut e, r) = engine1();
         let members = vec![
-            (ChainSpec::new().on(r, 100.0), Tag::new(T, 1, 0)),
-            (ChainSpec::new().on(r, 100.0), Tag::new(T, 2, 0)),
-            (ChainSpec::new().on(r, 400.0), Tag::new(T, 3, 0)),
+            ChainSpec::new().on(r, 100.0),
+            ChainSpec::new().on(r, 100.0),
+            ChainSpec::new().on(r, 400.0),
         ];
         let b = e.start_batch(members, Tag::new(T, 99, 0));
-        let mut member_tags = Vec::new();
-        let mut batch_at = None;
-        while let Some((t, w)) = e.next_wakeup() {
-            match w {
-                Wakeup::Activity { tag, batch, .. } => {
-                    assert_eq!(batch, Some(b));
-                    member_tags.push(tag.a);
-                }
-                Wakeup::Batch { id, tag } => {
-                    assert_eq!(id, b);
-                    assert_eq!(tag.a, 99);
-                    batch_at = Some(t);
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert_eq!(member_tags.len(), 3);
-        // Batch completes when the largest member does: 3 flows at ~33.3
-        // until 100-work ones finish at 3s, then 400-work has 300 left at
-        // 100/s -> 6s total.
-        let t = batch_at.expect("batch completed").as_secs_f64();
-        assert!((t - 6.0).abs() < 1e-6, "batch at 6s, got {t}");
+        // One wakeup for the whole batch, none per member. It comes when
+        // the largest member ends: 3 flows at ~33.3 until the 100-work ones
+        // finish at 3s, then 400-work has 300 left at 100/s -> 6s total.
+        let (t, w) = e.next_wakeup().expect("batch completed");
+        assert_eq!(w, Wakeup::Batch { id: b, tag: Tag::new(T, 99, 0) });
+        assert!((t.as_secs_f64() - 6.0).abs() < 1e-6, "batch at 6s, got {t}");
+        assert!(e.next_wakeup().is_none(), "members end silently");
+        assert_eq!(e.wakeups_delivered(), 1);
     }
 
     #[test]
@@ -995,15 +826,18 @@ mod tests {
     }
 
     #[test]
-    fn timer_fires_and_cancels() {
+    fn timers_fire_in_time_order() {
         let (mut e, _r) = engine1();
-        let t1 = e.set_timer_in(SimDuration::from_secs(1), Tag::new(T, 1, 0));
-        let t2 = e.set_timer_in(SimDuration::from_secs(2), Tag::new(T, 2, 0));
-        assert!(e.cancel_timer(t2));
-        assert!(!e.cancel_timer(t2), "double cancel rejected");
-        let (at, w) = e.next_wakeup().unwrap();
-        assert_eq!(at, SimTime::from_secs(1));
-        assert_eq!(w, Wakeup::Timer { id: t1, tag: Tag::new(T, 1, 0) });
+        e.set_timer_in(SimDuration::from_secs(2), Tag::new(T, 2, 0));
+        e.set_timer_in(SimDuration::from_secs(1), Tag::new(T, 1, 0));
+        assert_eq!(
+            e.next_wakeup(),
+            Some((SimTime::from_secs(1), Wakeup::Timer { tag: Tag::new(T, 1, 0) }))
+        );
+        assert_eq!(
+            e.next_wakeup(),
+            Some((SimTime::from_secs(2), Wakeup::Timer { tag: Tag::new(T, 2, 0) }))
+        );
         assert!(e.next_wakeup().is_none());
     }
 
@@ -1011,10 +845,10 @@ mod tests {
     fn in_flight_sees_activities_timers_and_undelivered_wakeups() {
         let (mut e, r) = engine1();
         assert!(!e.in_flight(), "a fresh engine has nothing pending");
-        // A cancelled timer leaves a tombstone in the heap, not pending work.
-        let t = e.set_timer_in(SimDuration::from_secs(1), Tag::new(T, 1, 0));
+        // A cancelled chain leaves its delay in the heap, not pending work.
+        let a = e.start_chain(ChainSpec::new().delay(SimDuration::from_secs(1)), Tag::new(T, 1, 0));
         assert!(e.in_flight());
-        e.cancel_timer(t);
+        e.cancel_activity(a);
         assert!(!e.in_flight());
         e.start_flow(vec![Demand::unit(r)], 100.0, Tag::new(T, 2, 0));
         assert!(e.in_flight(), "the flow is running");
@@ -1039,7 +873,7 @@ mod tests {
         let victim = e.start_flow(vec![Demand::unit(r)], 1_000.0, Tag::new(T, 1, 0));
         e.start_flow(vec![Demand::unit(r)], 100.0, Tag::new(T, 2, 0));
         assert!(e.cancel_activity(victim));
-        assert!(!e.is_active(victim));
+        assert!(!e.cancel_activity(victim), "a cancelled activity is gone");
         // Survivor now gets the whole link: 100 work at 100/s = 1s.
         let (t, w) = e.next_wakeup().unwrap();
         assert_eq!(w.tag().a, 2);
@@ -1050,25 +884,16 @@ mod tests {
     fn cancelled_batch_member_still_joins() {
         let (mut e, r) = engine1();
         let b = e.start_batch(
-            vec![
-                (ChainSpec::new().on(r, 100.0), Tag::new(T, 1, 0)),
-                (ChainSpec::new().on(r, 10_000.0), Tag::new(T, 2, 0)),
-            ],
+            vec![ChainSpec::new().on(r, 100.0), ChainSpec::new().on(r, 10_000.0)],
             Tag::new(T, 9, 0),
         );
         // Cancel the slow member: batch must complete when the fast one does.
-        // Find its ActivityId by cancelling the second spawned activity.
         // Activities are numbered in spawn order: 0 and 1.
         assert!(e.cancel_activity(ActivityId(1)));
-        let mut saw_batch = false;
-        while let Some((t, w)) = e.next_wakeup() {
-            if let Wakeup::Batch { id, .. } = w {
-                assert_eq!(id, b);
-                assert!((t.as_secs_f64() - 1.0).abs() < 1e-6);
-                saw_batch = true;
-            }
-        }
-        assert!(saw_batch);
+        let (t, w) = e.next_wakeup().expect("the batch joins");
+        assert_eq!(w, Wakeup::Batch { id: b, tag: Tag::new(T, 9, 0) });
+        assert!((t.as_secs_f64() - 1.0).abs() < 1e-6);
+        assert!(e.next_wakeup().is_none(), "no member wakes the client");
     }
 
     #[test]
@@ -1099,63 +924,6 @@ mod tests {
     }
 
     #[test]
-    fn mass_timer_cancellation_compacts_heap() {
-        let (mut e, _r) = engine1();
-        // Arm a large far-future timer population, then cancel all of it:
-        // the tombstoned heap must shrink instead of holding every entry
-        // until its (never-delivered) pop time.
-        let ids: Vec<_> = (0..10_000u64)
-            .map(|i| e.set_timer_in(SimDuration::from_secs(1_000 + i), Tag::new(T, i as u32, 0)))
-            .collect();
-        let full = e.event_heap_len();
-        assert_eq!(full, 10_000);
-        for id in ids {
-            assert!(e.cancel_timer(id));
-        }
-        let after = e.event_heap_len();
-        assert!(after < full / 10, "heap compacted: {after} entries left of {full}");
-        assert_eq!(e.kernel_stats().dead_timers, after);
-        assert!(e.next_wakeup().is_none(), "no cancelled timer ever fires");
-    }
-
-    #[test]
-    fn timer_compaction_threshold_scales_with_live_population() {
-        let (mut e, _r) = engine1();
-        let ids: Vec<_> = (0..10_000u64)
-            .map(|i| e.set_timer_in(SimDuration::from_secs(1_000 + i), Tag::new(T, i as u32, 0)))
-            .collect();
-        // Below the proportional threshold (live/4) nothing is rebuilt even
-        // though the absolute floor (64) is long past.
-        for id in &ids[..2_000] {
-            assert!(e.cancel_timer(*id));
-        }
-        assert_eq!(e.event_heap_len(), 10_000, "dead=2000 <= live/4=2000: no rebuild");
-        assert_eq!(e.kernel_stats().dead_timers, 2_000);
-        // One more cancellation tips dead over live/4 and compacts.
-        assert!(e.cancel_timer(ids[2_000]));
-        assert_eq!(e.event_heap_len(), 7_999);
-        assert_eq!(e.kernel_stats().dead_timers, 0);
-    }
-
-    #[test]
-    fn timer_arena_reuse_rejects_stale_handles() {
-        let (mut e, _r) = engine1();
-        let a = e.set_timer_in(SimDuration::from_secs(1), Tag::new(T, 1, 0));
-        assert!(e.cancel_timer(a));
-        // The slot is recycled under a bumped generation: the stale handle
-        // must not be able to cancel the newborn timer (ABA).
-        let b = e.set_timer_in(SimDuration::from_secs(2), Tag::new(T, 2, 0));
-        assert_eq!(a.slot, b.slot, "slot recycled through the free list");
-        assert_ne!(a.gen, b.gen, "generation advanced on free");
-        assert!(!e.cancel_timer(a), "stale handle rejected");
-        let (at, w) = e.next_wakeup().unwrap();
-        assert_eq!(at, SimTime::from_secs(2));
-        assert_eq!(w, Wakeup::Timer { id: b, tag: Tag::new(T, 2, 0) });
-        assert!(e.next_wakeup().is_none());
-        assert_eq!(e.kernel_stats().timer_arena_slots, 1, "one slot serves both timers");
-    }
-
-    #[test]
     fn snapshot_mid_run_replays_identically() {
         // Drive a mixed workload halfway, snapshot, and check the restored
         // engine delivers the exact remaining wakeup sequence.
@@ -1172,8 +940,13 @@ mod tests {
                 e.start_chain(spec, Tag::new(T, i, 0));
             }
             e.set_timer_in(SimDuration::from_secs(2), Tag::new(T, 100, 0));
-            let dead = e.set_timer_in(SimDuration::from_secs(3), Tag::new(T, 101, 0));
-            e.cancel_timer(dead);
+            // Garbage for the snapshot to drop: the delay of a chain
+            // cancelled while it waits.
+            let dead = e.start_chain(
+                ChainSpec::new().delay(SimDuration::from_secs(3)).on(r, 10.0),
+                Tag::new(T, 101, 0),
+            );
+            e.cancel_activity(dead);
             e
         };
         let mut control = build();
@@ -1201,39 +974,68 @@ mod tests {
 
     #[test]
     fn canonicalized_snapshots_of_equal_states_are_byte_identical() {
-        // One engine accumulates timer tombstones, the other never had
-        // them; after cancellation both describe the same state and must
-        // encode to the same bytes.
-        let (mut clean, _r) = engine1();
-        let (mut dirty, _r2) = engine1();
-        for i in 0..10u64 {
-            // Keep id allocation identical: both engines arm every timer,
-            // but `dirty` cancels the odd ones while `clean` never arms
-            // odd entries... ids would diverge, so instead both arm and
-            // both cancel — `dirty` simply carries extra *stale fluid*
-            // churn that canonicalization must erase.
-            let id = clean.set_timer_in(SimDuration::from_secs(100 + i), Tag::new(T, i as u32, 0));
-            let id2 = dirty.set_timer_in(SimDuration::from_secs(100 + i), Tag::new(T, i as u32, 0));
-            if i % 2 == 1 {
-                clean.cancel_timer(id);
-                dirty.cancel_timer(id2);
+        // Both engines arm the same timers and chains; only `dirty` keeps
+        // its garbage (the delay entry of a chain cancelled while it waits,
+        // and the fluid wakes of superseded epochs) until the snapshot, while
+        // `clean` drops it first. The two describe one state and must encode
+        // to the same bytes.
+        let build = || {
+            let (mut e, r) = engine1();
+            for i in 0..10u64 {
+                e.set_timer_in(SimDuration::from_secs(100 + i), Tag::new(T, i as u32, 0));
             }
-        }
-        // Extra dead churn on `dirty` only: arm + cancel leaves a tombstone
-        // and bumps next_timer — so mirror the arms on `clean` too, but
-        // only `dirty` is left holding uncompacted garbage via a manual
-        // compaction on `clean`.
-        let a = clean.set_timer_in(SimDuration::from_secs(999), Tag::new(T, 77, 0));
-        let b = dirty.set_timer_in(SimDuration::from_secs(999), Tag::new(T, 77, 0));
-        clean.cancel_timer(a);
-        dirty.cancel_timer(b);
-        clean.canonicalize(); // clean pre-compacts; dirty still has tombstones
+            let waiting = e.start_chain(
+                ChainSpec::new().delay(SimDuration::from_secs(5)).on(r, 10.0),
+                Tag::new(T, 77, 0),
+            );
+            e.cancel_activity(waiting);
+            // Each flow start supersedes the previous completion estimate.
+            for i in 0..3u32 {
+                e.start_flow(vec![Demand::unit(r)], 1_000.0, Tag::new(T, 200 + i, 0));
+                e.set_timer_in(SimDuration::ZERO, Tag::new(T, 300 + i, 0));
+                e.next_wakeup().expect("the zero timer");
+            }
+            e
+        };
+        let mut clean = build();
+        let mut dirty = build();
+        let heap_len = |e: &Engine| e.kernel_stats().event_heap_len;
+        assert_eq!(heap_len(&dirty), 10 + 1 + 3, "timers, one dead delay, three epochs");
+        clean.canonicalize();
+        assert_eq!(heap_len(&clean), 10 + 1, "timers and the current epoch's wake");
         let enc = |e: &mut Engine| {
             let mut enc = Encoder::new();
             e.encode_state(&mut enc);
             enc.finish()
         };
-        assert_eq!(enc(&mut clean), enc(&mut dirty), "tombstones must not leak into bytes");
+        assert_eq!(enc(&mut clean), enc(&mut dirty), "garbage must not leak into bytes");
+    }
+
+    #[test]
+    fn cancelling_a_chain_in_its_delay_leaves_no_trace() {
+        // Two engines run the same flows and timers; one also starts a chain
+        // and cancels it while its delay is armed. Every later wakeup, the
+        // clock and the fluid clock must be as if it had never existed.
+        let run = |with_dead_chain: bool| {
+            let (mut e, r) = engine1();
+            e.start_flow(vec![Demand::unit(r)], 300.0, Tag::new(T, 1, 0));
+            e.set_timer_in(SimDuration::from_secs(4), Tag::new(T, 2, 0));
+            if with_dead_chain {
+                let a = e.start_chain(
+                    ChainSpec::new().delay(SimDuration::from_secs(1)).on(r, 100.0),
+                    Tag::new(T, 3, 0),
+                );
+                assert!(e.cancel_activity(a));
+            }
+            let mut seen = Vec::new();
+            while let Some((t, w)) = e.next_wakeup() {
+                seen.push((t, w, e.fluid().now()));
+            }
+            (seen, e.now(), e.fluid().now())
+        };
+        let plain = run(false);
+        assert_eq!(plain.0.len(), 2, "the flow and the timer");
+        assert_eq!(run(true), plain);
     }
 
     #[test]
@@ -1250,17 +1052,14 @@ mod tests {
     /// reduce starts its shuffle fetches.
     fn fetch_wave(e: &mut Engine, r: ResourceId) {
         let chain = ChainSpec::new().delay(SimDuration::from_secs(1)).on(r, 100.0);
-        e.start_batch(
-            (0..64).map(|i| (chain.clone(), Tag::new(T, i, 0))).collect(),
-            Tag::new(T, 99, 0),
-        );
+        e.start_batch(vec![chain; 64], Tag::new(T, 99, 0));
     }
 
     #[test]
     fn delays_ending_together_cost_one_solve() {
         let (mut e, r) = engine1();
         fetch_wave(&mut e, r);
-        let (t, _) = e.next_wakeup().expect("a fetch completes");
+        let (t, _) = e.next_wakeup().expect("the wave completes");
         // 64 flows at 100/64 each finish 64 s after their delay.
         assert_eq!(t.as_secs_f64().round(), 65.0);
         let s = e.kernel_stats();
@@ -1278,10 +1077,7 @@ mod tests {
         e.set_timer_in(SimDuration::from_secs(1), Tag::new(T, 101, 0));
         let at_1s = SimTime::ZERO + SimDuration::from_secs(1);
         let (t, w) = e.next_wakeup().expect("the delay-only chain");
-        assert_eq!(
-            (t, w),
-            (at_1s, Wakeup::Activity { id: last, tag: Tag::new(T, 100, 0), batch: None })
-        );
+        assert_eq!((t, w), (at_1s, Wakeup::Activity { id: last, tag: Tag::new(T, 100, 0) }));
         assert_eq!(e.fluid().used(r), 100.0, "the chain's wakeup sees all 64 flows");
         let (t, w) = e.next_wakeup().expect("the user timer");
         assert_eq!((t, w.tag()), (at_1s, Tag::new(T, 101, 0)));

@@ -39,22 +39,6 @@ impl fmt::Display for FlowId {
     }
 }
 
-/// Generational handle to a scheduled timer. Like [`FlowId`], the handle
-/// pairs an arena slot with the slot's generation at allocation time, so a
-/// handle kept past its timer's firing or cancellation can never reach a
-/// recycled slot (ABA protection).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TimerId {
-    pub(crate) slot: u32,
-    pub(crate) gen: u32,
-}
-
-impl fmt::Display for TimerId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "t{}.{}", self.slot, self.gen)
-    }
-}
-
 /// Handle to a running activity (a chain of steps).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ActivityId(pub(crate) u64);
@@ -110,7 +94,6 @@ impl fmt::Display for Tag {
 
 crate::persist_struct!(ResourceId(0));
 crate::persist_struct!(FlowId { slot, gen });
-crate::persist_struct!(TimerId { slot, gen });
 crate::persist_struct!(ActivityId(0));
 crate::persist_struct!(BatchId(0));
 crate::persist_struct!(Tag { owner, a, b });

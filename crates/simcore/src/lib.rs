@@ -56,7 +56,7 @@ pub mod prelude {
     pub use crate::engine::{ChainSpec, Engine, KernelStats, Step, Wakeup};
     pub use crate::faults::{FaultEvent, FaultKind, FaultPlan, FaultProfile};
     pub use crate::fluid::{Demand, FluidNet, FluidStats, ResourceKind};
-    pub use crate::ids::{ActivityId, BatchId, FlowId, ResourceId, Tag, TimerId};
+    pub use crate::ids::{ActivityId, BatchId, FlowId, ResourceId, Tag};
     pub use crate::persist::{
         validate_header, Decoder, Encoder, Persist, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
     };

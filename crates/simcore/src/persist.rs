@@ -37,8 +37,7 @@
 //! SoA arena, state rejoined with live residue at restore (`JobState`, the
 //! admission queue, the controller's future arrivals), the map-only job
 //! output layout, `&'static str` fields (HDFS op kinds, throttle names),
-//! RNG state, the timer slot's one-byte `Option<TimerKind>` tag, and
-//! `Run`/`Partition`.
+//! RNG state, and `Run`/`Partition`.
 //!
 //! Malformed bytes fail in [`Decoder`]: a short read (or a sequence length
 //! beyond the bytes left) panics with "snapshot truncated at byte N, need
@@ -66,8 +65,10 @@ pub const SNAPSHOT_MAGIC: [u8; 6] = *b"VHSNAP";
 /// lose the consolidation count. v9: the JobTracker writes one slot ledger
 /// (live trackers, dense live/map/reduce tables) and one record per map
 /// and reduce task, where it wrote the tracker list, two hashed slot tables
-/// and fourteen per-task columns.)
-pub const SNAPSHOT_VERSION: u32 = 9;
+/// and fourteen per-task columns. v10: the timer arena is gone — heap
+/// entries carry the user timer's tag or the delaying chain, a wakeup no
+/// timer id, and an activity how it ends: its client's tag or its batch.)
+pub const SNAPSHOT_VERSION: u32 = 10;
 
 /// Checks the header of a snapshot byte string without constructing a
 /// decoder; returns the embedded format version.

@@ -42,8 +42,9 @@ fn cancel_activity_during_delay_step() {
         Tag::new(USER, 1, 0),
     );
     assert!(e.cancel_activity(a));
-    assert!(!e.is_active(a));
+    assert!(!e.in_flight(), "the cancelled chain holds nothing open");
     assert!(e.next_wakeup().is_none(), "nothing left scheduled");
+    assert_eq!(e.now(), SimTime::ZERO, "the skipped delay does not move the clock");
 }
 
 #[test]
@@ -57,35 +58,23 @@ fn cancel_is_idempotent() {
 #[test]
 fn batch_of_empty_chains_completes_at_now() {
     let (mut e, _r) = engine();
-    let members =
-        vec![(ChainSpec::new(), Tag::new(USER, 1, 0)), (ChainSpec::new(), Tag::new(USER, 2, 0))];
-    e.start_batch(members, Tag::new(USER, 9, 0));
-    let mut saw_batch = false;
-    while let Some((t, w)) = e.next_wakeup() {
-        assert_eq!(t, SimTime::ZERO);
-        if matches!(w, Wakeup::Batch { .. }) {
-            saw_batch = true;
-        }
-    }
-    assert!(saw_batch);
+    let b = e.start_batch(vec![ChainSpec::new(), ChainSpec::new()], Tag::new(USER, 9, 0));
+    assert_eq!(
+        e.next_wakeup(),
+        Some((SimTime::ZERO, Wakeup::Batch { id: b, tag: Tag::new(USER, 9, 0) }))
+    );
+    assert!(e.next_wakeup().is_none(), "the members wake nobody");
 }
 
 #[test]
 fn interleaved_batches_join_independently() {
     let (mut e, r) = engine();
-    let b1 = e.start_batch(
-        vec![(ChainSpec::new().on(r, 100.0), Tag::new(USER, 1, 0))],
-        Tag::new(USER, 101, 0),
-    );
-    let b2 = e.start_batch(
-        vec![(ChainSpec::new().on(r, 300.0), Tag::new(USER, 2, 0))],
-        Tag::new(USER, 102, 0),
-    );
+    let b1 = e.start_batch(vec![ChainSpec::new().on(r, 100.0)], Tag::new(USER, 101, 0));
+    let b2 = e.start_batch(vec![ChainSpec::new().on(r, 300.0)], Tag::new(USER, 102, 0));
     let mut batches = Vec::new();
     while let Some((t, w)) = e.next_wakeup() {
-        if let Wakeup::Batch { id, tag } = w {
-            batches.push((id, tag.a, t.as_secs_f64()));
-        }
+        let Wakeup::Batch { id, tag } = w else { panic!("a member woke the client: {w:?}") };
+        batches.push((id, tag.a, t.as_secs_f64()));
     }
     assert_eq!(batches.len(), 2);
     assert_eq!(batches[0].0, b1);

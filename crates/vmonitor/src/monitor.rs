@@ -39,15 +39,17 @@ pub struct Monitor {
     interval: SimDuration,
     columns: Vec<Column>,
     samples: Vec<Sample>,
-    timer: Option<TimerId>,
+    /// True while this monitor's timer is armed; it is the only
+    /// `owners::MONITOR` timer.
+    armed: bool,
     /// Pre-interned trace counter name per column (so the sampling path
     /// re-emits samples into the trace without allocating).
     counter_names: Vec<Name>,
 }
 
-// Samples and the pending timer id (the timer itself travels with the engine
-// snapshot). Columns, counter names and the interval are launch-derived.
-simcore::persist_state!(Monitor { samples, timer });
+// Samples and whether the timer is armed (the timer itself travels with the
+// engine snapshot). Columns, counter names and the interval are launch-derived.
+simcore::persist_state!(Monitor { samples, armed });
 
 impl Monitor {
     /// Attaches to `engine`, sampling every `interval`. Columns cover
@@ -66,8 +68,8 @@ impl Monitor {
             .collect();
         let counter_names =
             columns.iter().map(|c| engine.tracer_mut().intern_owned(c.name.clone())).collect();
-        let timer = engine.set_timer_in(interval, Tag::owner(owners::MONITOR));
-        Monitor { interval, columns, samples: Vec::new(), timer: Some(timer), counter_names }
+        engine.set_timer_in(interval, Tag::owner(owners::MONITOR));
+        Monitor { interval, columns, samples: Vec::new(), armed: true, counter_names }
     }
 
     /// Column metadata.
@@ -85,13 +87,13 @@ impl Monitor {
     /// when its timer is the last thing pending it takes no sample and
     /// parks, so a run with a monitor drains like one without.
     pub fn on_wakeup(&mut self, engine: &mut Engine, wakeup: &Wakeup) -> bool {
-        let Wakeup::Timer { id, tag } = wakeup else {
+        let Wakeup::Timer { tag } = wakeup else {
             return false;
         };
-        if tag.owner != owners::MONITOR || Some(*id) != self.timer {
+        if tag.owner != owners::MONITOR {
             return false;
         }
-        self.timer = None;
+        self.armed = false;
         if !engine.in_flight() {
             return true;
         }
@@ -109,8 +111,9 @@ impl Monitor {
     /// the next sample lands one interval from now. A no-op while the
     /// monitor is armed or the engine is idle.
     pub fn resume(&mut self, engine: &mut Engine) {
-        if self.timer.is_none() && engine.in_flight() {
-            self.timer = Some(engine.set_timer_in(self.interval, Tag::owner(owners::MONITOR)));
+        if !self.armed && engine.in_flight() {
+            engine.set_timer_in(self.interval, Tag::owner(owners::MONITOR));
+            self.armed = true;
         }
     }
 

@@ -113,17 +113,19 @@ echo "==> platbench: quick smoke and pinned simulations of the platform benchmar
 # the real executable, untraced and traced, with the in-run determinism
 # and output checks on. ~5 s once built.
 cargo test -q --offline --manifest-path platbench/Cargo.toml
-# A host-speed change must not move a simulation: each workload's quick run
-# reproduces the sim_makespan_s and output digest pinned in
-# scripts/platbench_quick.pins (platbench_pairs.sh checks the full-size runs).
-while read -r w makespan digest; do
+# A host-speed change must not move a simulation: each workload's traced
+# quick run reproduces the sim_makespan_s, output digest and wakeup count
+# pinned in scripts/platbench_quick.pins (platbench_pairs.sh checks the
+# full-size runs).
+while read -r w makespan digest wakeups; do
     out=$(cargo run -q --offline --manifest-path platbench/Cargo.toml -- \
-        --workload "$w" --quick --seed 2012 < /dev/null)
-    got_digest=$(sed -n 's/^platbench .* digest \(0x[0-9a-f]*\)$/\1/p' <<< "$out")
-    got_makespan=$(grep -o '"sim_makespan_s": {"value": [^,]*' <<< "$out" | sed 's/.*: //')
-    if [ "$got_makespan $got_digest" != "$makespan $digest" ]; then
-        echo "platbench $w: sim_makespan_s $got_makespan digest $got_digest," \
-            "pinned $makespan $digest" >&2
+        --workload "$w" --quick --seed 2012 --trace 1 < /dev/null)
+    got=$(sed -n 's/^platbench .* sim_makespan_s \([0-9.]*\) digest \(0x[0-9a-f]*\)$/\1 \2/p' \
+        <<< "$out")
+    got="$got $(grep -o '"simcore.wakeups": {"value": [0-9]*' <<< "$out" | sed 's/.*: //')"
+    if [ "$got" != "$makespan $digest $wakeups" ]; then
+        echo "platbench $w: sim_makespan_s digest wakeups $got," \
+            "pinned $makespan $digest $wakeups" >&2
         exit 1
     fi
 done < <(grep -v '^#' scripts/platbench_quick.pins)

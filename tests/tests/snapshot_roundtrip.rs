@@ -320,7 +320,10 @@ fn golden_snapshot_hash_pins_the_format() {
     );
 }
 
-/// Pinned against SNAPSHOT_VERSION = 9, whose JobTracker writes one slot
+/// Pinned against SNAPSHOT_VERSION = 10, whose engine writes no timer arena
+/// (heap entries carry what they fire, an activity how it ends) and whose
+/// reduce records carry their merge's input counts; at v9 it was
+/// `0x26b0_347f_e0a4_a2b2`. V9's JobTracker writes one slot
 /// ledger and one record per task instead of the tracker list, two hashed
 /// slot tables and fourteen per-task columns (the same simulation; only
 /// that layout moved). At v8 it was `0x76db_635b_e390_5d26`, moved from v7
@@ -335,7 +338,7 @@ fn golden_snapshot_hash_pins_the_format() {
 /// fewer solves (stamps, epochs, `seq`, solve counters). At v5 it was
 /// `0x3605_0ea3_74ec_ed52`; v6 writes every flow's and resource's settle
 /// instant.
-const GOLDEN_HASH: u64 = 0x26b0_347f_e0a4_a2b2;
+const GOLDEN_HASH: u64 = 0x684c_b027_aa23_93dd;
 
 /// Folds the FNV-1a of the snapshot taken at every `k`-th wakeup of one
 /// scenario into a single pin, so the formats `GOLDEN_HASH` never sees
@@ -522,8 +525,11 @@ fn golden_snapshot_hashes_pin_every_subsystem() {
     );
 }
 
-/// Pinned against SNAPSHOT_VERSION = 9: controller stream, monitored and
-/// faulted migration, HSGen/HSSort window. All three moved at v9, whose
+/// Pinned against SNAPSHOT_VERSION = 10: controller stream, monitored and
+/// faulted migration, HSGen/HSSort window. All three moved at v10, whose
+/// engine writes no timer arena and delivers no batch-member wakeups (so the
+/// k-th wakeup lands elsewhere too); at v9 they were `0xca98_ce90_6500_d45a`,
+/// `0xe101_fa04_ca95_01fd` and `0x838b_c14f_84db_6f03`. All three moved at v9, whose
 /// JobTracker writes one slot ledger and one record per task (same
 /// simulation, new layout); at v8 they were `0x8e16_8796_f86b_6a95`,
 /// `0x6519_5707_ab10_3305` and `0x5ea2_4226_3a3d_701c`. All three moved at v8, whose
@@ -549,4 +555,4 @@ fn golden_snapshot_hashes_pin_every_subsystem() {
 /// what-if outcome's `measured_s` became the span to the fork's last job
 /// completion), `0xe581_ee59_ba4f_b8f9` and `0xac73_b47c_3a73_85f4`.
 const SUBSYSTEM_PINS: [u64; 3] =
-    [0xca98_ce90_6500_d45a, 0xe101_fa04_ca95_01fd, 0x838b_c14f_84db_6f03];
+    [0x1044_da7d_4e67_c2d8, 0x0940_ded1_3498_0b1d, 0xb517_2688_1e55_7e93];
