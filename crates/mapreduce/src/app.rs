@@ -178,6 +178,9 @@ mod tests {
             assert_eq!(a, p.partition(&k, 7));
             assert!(a < 7);
         }
+        let keys = crate::types::tests::edge_keys();
+        let answers: Vec<u32> = keys.iter().map(|k| p.partition(k, 7)).collect();
+        assert_eq!(answers, [3, 2, 1, 2, 5, 0, 4, 6, 5, 5, 1, 2, 2]);
     }
 
     #[test]
@@ -190,6 +193,9 @@ mod tests {
         assert!(a <= b && b <= c);
         assert_eq!(a, 0);
         assert_eq!(c, 3);
+        let keys = crate::types::tests::edge_keys();
+        let answers: Vec<u32> = keys.iter().map(|k| p.partition(k, 7)).collect();
+        assert_eq!(answers, [0, 2, 2, 2, 2, 2, 1, 0, 0, 0, 0, 0, 0]);
     }
 
     #[test]

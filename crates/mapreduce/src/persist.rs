@@ -18,13 +18,24 @@ use crate::job::{JobId, JobSpec};
 use crate::run::Run;
 use crate::scheduler::SchedulerPolicy;
 use crate::state::{JobState, MapTask, Partition, ReduceTask, SplitInfo, TaskPhase};
-use crate::types::{K, V};
+use crate::types::{KeyText, K, V};
 use simcore::persist::{Decoder, Encoder, Persist};
 use std::rc::Rc;
 
 simcore::persist_struct!(JobId(0));
 // Tag 1 belonged to a retired policy; the tags left keep the snapshot layout.
 simcore::persist_enum!(SchedulerPolicy { 0 => Fifo, 2 => JobDriven });
+/// As the `String` it replaced: a length, then the UTF-8 bytes.
+// codec by hand: a `str` behind the inline-or-heap choice, which the bytes do not record
+impl Persist for KeyText {
+    fn encode(&self, e: &mut Encoder) {
+        e.str(self);
+    }
+    fn decode(d: &mut Decoder) -> Self {
+        KeyText::new(d.str_ref())
+    }
+}
+
 simcore::persist_enum!(K { 0 => Int(i), 1 => Text(s), 2 => Bytes(b) });
 simcore::persist_enum!(V {
     0 => Null,
@@ -248,8 +259,20 @@ mod tests {
     #[test]
     fn records_round_trip() {
         round_trip(K::Int(-7));
-        round_trip(K::Text("word".into()));
+        round_trip(K::from("word"));
         round_trip(K::Bytes(vec![0, 255, 3]));
+        // The variant tag, the payload length as a `u64`, then the payload:
+        // what a `String` or `Vec<u8>` key wrote.
+        let header = Encoder::new().finish().len();
+        for key in crate::types::tests::edge_keys() {
+            let (tag, payload) = crate::types::tests::tag_and_payload(&key);
+            let mut e = Encoder::new();
+            key.encode(&mut e);
+            let want = [&[tag][..], &(payload.len() as u64).to_le_bytes(), &payload].concat();
+            assert_eq!(e.finish()[header..], want, "{key:?}");
+            round_trip(key);
+        }
+        round_trip(V::Bytes(vec![7; 40].into()));
         round_trip(V::Null);
         round_trip(V::Int(-1));
         round_trip(V::Float(-0.5));

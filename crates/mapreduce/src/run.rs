@@ -63,17 +63,12 @@ fn split_key(packed: &[u8]) -> (u8, &[u8], usize) {
 }
 
 /// Decodes the packed key at the front of `packed` into `key`, reusing
-/// `key`'s buffer when the variant is the same.
+/// `key`'s buffer when both are byte keys.
 fn unpack_key_into(packed: &[u8], key: &mut K) {
     let (tag, payload, _) = split_key(packed);
-    let text = || std::str::from_utf8(payload).expect("text keys are UTF-8");
     match (tag, &mut *key) {
         (0, _) => *key = K::Int(i64::from_le_bytes(payload.try_into().expect("eight bytes"))),
-        (1, K::Text(s)) => {
-            s.clear();
-            s.push_str(text());
-        }
-        (1, _) => *key = K::Text(text().to_string()),
+        (1, _) => *key = K::from(std::str::from_utf8(payload).expect("text keys are UTF-8")),
         (_, K::Bytes(b)) => {
             b.clear();
             b.extend_from_slice(payload);
@@ -910,15 +905,17 @@ mod tests {
     use proptest::{check, Config, Gen};
 
     fn keys() -> Vec<K> {
-        vec![
+        let mut keys = vec![
             K::Int(-7),
             K::Int(i64::MAX),
-            K::Text(String::new()),
+            K::from(""),
             K::from("word"),
             K::from("a key of more than sixteen bytes"),
             K::Bytes(vec![]),
             K::Bytes(vec![0, 255, 3]),
-        ]
+        ];
+        keys.extend(crate::types::tests::edge_keys());
+        keys
     }
 
     /// `records` as a sealed run holds them: grouped by key, in key order.
@@ -1134,7 +1131,13 @@ mod tests {
             .map(|_| match g.usize_in(0, 3) {
                 0 => K::Int(g.u64_in(0, 5) as i64 - 2),
                 1 => K::Bytes(random_bytes(g, 9)),
-                2 => K::Text(random_bytes(g, 9).iter().map(|b| (b & 0x7F) as char).collect()),
+                2 => K::from(
+                    random_bytes(g, 9)
+                        .iter()
+                        .map(|b| (b & 0x7F) as char)
+                        .collect::<String>()
+                        .as_str(),
+                ),
                 _ => K::Bytes([stem.clone(), random_bytes(g, 3)].concat()),
             })
             .collect();
@@ -1174,7 +1177,7 @@ mod tests {
             1 => V::Int(n),
             2 => V::Text(n.to_string()),
             3 => V::Vector(vec![n as f64; 2]),
-            _ => V::Bytes(n.to_le_bytes().to_vec()),
+            _ => V::Bytes(n.to_le_bytes().into()),
         },
     ];
 

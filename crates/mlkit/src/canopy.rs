@@ -90,10 +90,7 @@ impl MapReduceApp for CanopyPass {
     /// partition) builds the local canopies. This matches Mahout's
     /// map-side canopy generation in both communication volume and result.
     fn map(&self, _k: &K, v: &V, out: &mut dyn FnMut(K, V)) {
-        out(
-            K::Text("centroid".into()),
-            V::Tuple(vec![V::Vector(v.as_vector().to_vec()), V::Float(1.0)]),
-        );
+        out(K::from("centroid"), V::Tuple(vec![V::Vector(v.as_vector().to_vec()), V::Float(1.0)]));
     }
 
     fn combine(&self, key: &K, values: &[V], out: &mut dyn FnMut(K, V)) -> bool {

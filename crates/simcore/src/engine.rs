@@ -202,25 +202,13 @@ pub struct KernelStats {
     pub flows_touched: u64,
     /// Flow settles (see [`FluidStats::flows_settled`]).
     pub flows_settled: u64,
-    /// Resources visited, summed over all reallocations.
-    pub resources_touched: u64,
     /// Mutations absorbed by coalesced reallocation passes (batched event
     /// application; see [`FluidStats::batch_applied`]).
     pub batch_applied: u64,
-    /// p50 of re-solved component flow counts (lifetime histogram).
-    pub comp_size_p50: u64,
-    /// p99 of re-solved component flow counts.
+    /// p99 of re-solved component flow counts (lifetime histogram).
     pub comp_size_p99: u64,
     /// Largest component ever re-solved (see [`FluidStats::comp_size_max`]).
     pub comp_size_max: u64,
-    /// Current completion-index heap length (live + stale).
-    pub completion_heap_len: usize,
-    /// Current event heap length (stale fluid wakes and the delays of
-    /// cancelled chains included).
-    pub event_heap_len: usize,
-    /// Flow-arena slot count (live + free — occupancy is
-    /// `flows_touched`-independent arena footprint).
-    pub flow_arena_slots: usize,
     /// Total wakeups delivered so far.
     pub wakeups: u64,
 }
@@ -318,25 +306,17 @@ impl Engine {
             reallocations,
             flows_touched,
             flows_settled,
-            resources_touched,
             batch_applied,
-            comp_size_p50,
             comp_size_p99,
             comp_size_max,
-            completion_heap_len,
         } = self.fluid.stats();
         KernelStats {
             reallocations,
             flows_touched,
             flows_settled,
-            resources_touched,
             batch_applied,
-            comp_size_p50,
             comp_size_p99,
             comp_size_max,
-            completion_heap_len,
-            event_heap_len: self.heap.len(),
-            flow_arena_slots: self.fluid.flow_arena_slots(),
             wakeups: self.wakeups_delivered,
         }
     }
@@ -999,7 +979,7 @@ mod tests {
         };
         let mut clean = build();
         let mut dirty = build();
-        let heap_len = |e: &Engine| e.kernel_stats().event_heap_len;
+        let heap_len = |e: &Engine| e.heap.len();
         assert_eq!(heap_len(&dirty), 10 + 1 + 3, "timers, one dead delay, three epochs");
         clean.canonicalize();
         assert_eq!(heap_len(&clean), 10 + 1, "timers and the current epoch's wake");

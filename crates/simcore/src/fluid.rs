@@ -139,21 +139,15 @@ pub struct FluidStats {
     /// because its rate changed, it finished or it was removed. Idle
     /// flows never count, so this grows with what changes, not with time.
     pub flows_settled: u64,
-    /// Total resources visited across all reallocations.
-    pub resources_touched: u64,
     /// Total mutations (flow add/remove/finish, capacity change) absorbed
     /// by coalesced reallocation passes. `batch_applied / reallocations`
     /// is the mean batch size — how much event application amortizes.
     pub batch_applied: u64,
-    /// p50 of per-reallocation component flow counts (lifetime histogram).
-    pub comp_size_p50: u64,
-    /// p99 of per-reallocation component flow counts.
+    /// p99 of per-reallocation component flow counts (lifetime histogram).
     pub comp_size_p99: u64,
     /// Largest component (in flows) ever re-solved — the cost ceiling of a
     /// single incremental re-solve on this workload.
     pub comp_size_max: u64,
-    /// Current completion-heap length (live + stale entries).
-    pub completion_heap_len: usize,
 }
 
 /// One connected component of the dirty closure: ranges into the
@@ -275,6 +269,10 @@ pub struct FluidNet {
     /// Mutations since the last reallocation that found dirty state.
     pending_mutations: u64,
     stats: FluidStats,
+    /// Resources visited, summed over all reallocations. Nothing reads it;
+    /// it stays because the snapshot layout of `SNAPSHOT_VERSION` 10 holds
+    /// it.
+    resources_touched: u64,
     /// Flow count of every component re-solved, over the net's lifetime.
     comp_hist: SizeHist,
 }
@@ -326,6 +324,7 @@ impl FluidNet {
             scratch: SolveScratch::default(),
             pending_mutations: 0,
             stats: FluidStats::default(),
+            resources_touched: 0,
             comp_hist: SizeHist::new(),
         }
     }
@@ -403,8 +402,6 @@ impl FluidNet {
     /// Cumulative kernel counters (see [`FluidStats`]).
     pub fn stats(&self) -> FluidStats {
         FluidStats {
-            completion_heap_len: self.completions.len(),
-            comp_size_p50: self.comp_hist.percentile(0.50),
             comp_size_p99: self.comp_hist.percentile(0.99),
             comp_size_max: self.comp_hist.max(),
             ..self.stats
@@ -504,12 +501,6 @@ impl FluidNet {
         self.active -= 1;
         self.allocation_dirty = true;
         self.pending_mutations += 1;
-    }
-
-    /// Flow-arena slot count (live + free): the arena footprint, which only
-    /// ever grows to the high-water mark of concurrent flows.
-    pub fn flow_arena_slots(&self) -> usize {
-        self.f_gen.len()
     }
 
     /// True if `id` refers to a live flow.
@@ -830,7 +821,7 @@ impl FluidNet {
         for ci in 0..self.comps.len() {
             let c = self.comps[ci];
             self.stats.flows_touched += c.flow_len as u64;
-            self.stats.resources_touched += c.res_len as u64;
+            self.resources_touched += c.res_len as u64;
             if c.flow_len > 0 {
                 self.comp_hist.push(c.flow_len as u64);
             }
@@ -1067,7 +1058,7 @@ impl FluidNet {
         e.u64(self.stats.reallocations);
         e.u64(self.stats.flows_touched);
         e.u64(self.stats.flows_settled);
-        e.u64(self.stats.resources_touched);
+        e.u64(self.resources_touched);
         e.u64(self.stats.batch_applied);
         e.u64(self.pending_mutations);
         self.comp_hist.encode(e);
@@ -1126,7 +1117,7 @@ impl FluidNet {
         net.stats.reallocations = d.u64();
         net.stats.flows_touched = d.u64();
         net.stats.flows_settled = d.u64();
-        net.stats.resources_touched = d.u64();
+        net.resources_touched = d.u64();
         net.stats.batch_applied = d.u64();
         net.pending_mutations = d.u64();
         net.comp_hist = SizeHist::decode(d);
@@ -1378,7 +1369,7 @@ mod tests {
             net.remove_flow(f);
             net.reallocate();
         }
-        let len = net.stats().completion_heap_len;
+        let len = net.completions.len();
         assert!(len <= HEAP_COMPACT_MIN.max(HEAP_SLACK * net.active) + 2, "heap {len}");
     }
 
@@ -1462,7 +1453,7 @@ mod tests {
         assert_eq!(net.comp_hist.count(), 2, "two components solved");
         assert_eq!(s.comp_size_max, 3);
         // Nearest-rank p50 of the two samples {1, 3} resolves to the upper.
-        assert_eq!(s.comp_size_p50, 3);
+        assert_eq!(net.comp_hist.percentile(0.50), 3);
         // Re-solving only the singleton link leaves the max untouched and
         // pulls the median down.
         net.add_flow(vec![Demand::unit(r2)], 1e6);
@@ -1470,6 +1461,6 @@ mod tests {
         let s = net.stats();
         assert_eq!(net.comp_hist.count(), 3);
         assert_eq!(s.comp_size_max, 3);
-        assert_eq!(s.comp_size_p50, 2, "samples {{1, 2, 3}} -> median 2");
+        assert_eq!(net.comp_hist.percentile(0.50), 2, "samples {{1, 2, 3}} -> median 2");
     }
 }

@@ -48,6 +48,7 @@
 
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Leading magic of every snapshot byte string.
 pub const SNAPSHOT_MAGIC: [u8; 6] = *b"VHSNAP";
@@ -262,8 +263,13 @@ impl<'a> Decoder<'a> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> String {
+        self.str_ref().to_owned()
+    }
+
+    /// Reads a length-prefixed UTF-8 string, borrowed from the snapshot.
+    pub fn str_ref(&mut self) -> &'a str {
         let n = self.usize();
-        String::from_utf8(self.raw(n).to_vec()).expect("snapshot strings are UTF-8")
+        std::str::from_utf8(self.raw(n)).expect("snapshot strings are UTF-8")
     }
 }
 
@@ -399,6 +405,21 @@ impl Persist for Cow<'static, str> {
     }
     fn decode(d: &mut Decoder) -> Self {
         Cow::Owned(d.str())
+    }
+}
+
+/// Shared bytes encode as the `Vec<u8>` they stand for: a length, then the
+/// bytes. Sharing is not recorded: each decoded payload is an allocation
+/// of its own.
+// codec by hand: the bytes go in one copy, not one `u8` encode each
+impl Persist for Arc<[u8]> {
+    fn encode(&self, e: &mut Encoder) {
+        e.usize(self.len());
+        e.raw(self);
+    }
+    fn decode(d: &mut Decoder) -> Self {
+        let n = d.usize();
+        Arc::from(d.raw(n))
     }
 }
 

@@ -12,11 +12,14 @@
 
 use mapreduce::prelude::*;
 use simcore::prelude::{RootSeed, SimDuration, SimTime};
+use std::cell::RefCell;
+use std::sync::Arc;
 use vcluster::cluster::VmId;
 
 /// The synthetic application: each map emits one opaque byte blob per
 /// input record; the reducer counts them. CPU cost comes from the cost
-/// profile, I/O volume from the blob size.
+/// profile, I/O volume from the blob size. Every record of one blob size
+/// shares one buffer.
 #[derive(Debug, Clone, Copy)]
 pub struct SyntheticLoadApp {
     /// Guest cycles charged per input record.
@@ -25,12 +28,25 @@ pub struct SyntheticLoadApp {
     pub bytes_per_record: usize,
 }
 
+thread_local! {
+    /// The blob [`SyntheticLoadApp::map`] emitted last, kept for the next
+    /// record of the same size.
+    static BLOB: RefCell<Arc<[u8]>> = RefCell::new(Arc::from([]));
+}
+
 impl MapReduceApp for SyntheticLoadApp {
     fn name(&self) -> &str {
         "synthetic-load"
     }
     fn map(&self, k: &K, _v: &V, out: &mut dyn FnMut(K, V)) {
-        out(k.clone(), V::Bytes(vec![b'x'; self.bytes_per_record]));
+        let blob = BLOB.with(|last| {
+            let mut last = last.borrow_mut();
+            if last.len() != self.bytes_per_record {
+                *last = vec![b'x'; self.bytes_per_record].into();
+            }
+            last.clone()
+        });
+        out(k.clone(), V::Bytes(blob));
     }
     fn reduce(&self, k: &K, vs: &[V], out: &mut dyn FnMut(K, V)) {
         out(k.clone(), V::Int(vs.len() as i64));

@@ -32,8 +32,7 @@ impl MapReduceApp for MrBenchApp {
         // Emit each line keyed by its first word (enough to exercise the
         // shuffle without data-dependent skew).
         let text = value.as_text();
-        let key = text.split_whitespace().next().unwrap_or("").to_string();
-        out(K::Text(key), V::Text(text.to_string()));
+        out(K::from(text.split_whitespace().next().unwrap_or("")), V::Text(text.to_string()));
     }
 
     fn reduce(&self, key: &K, values: &[V], out: &mut dyn FnMut(K, V)) {

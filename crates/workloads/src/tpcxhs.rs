@@ -30,6 +30,7 @@ use rand::Rng;
 use simcore::rng::RootSeed;
 use simcore::time::SimTime;
 use std::ops::Range;
+use std::sync::Arc;
 use vhdfs::hdfs::HdfsConfig;
 
 /// Accounted bytes per HS record ([`records_size`]-exact: a 10-byte key
@@ -169,13 +170,14 @@ impl HsPlan {
 }
 
 /// Deterministically synthesizes the pristine records of HSGen split
-/// `idx`.
+/// `idx`. Every record's payload is the one filler buffer of the split.
 pub fn hsgen_split(seed: RootSeed, idx: usize, records: u64) -> Vec<Record> {
     let mut rng = seed.stream_at("hsgen", idx as u64);
+    let payload: Arc<[u8]> = Arc::from([b'~'; PAYLOAD_BYTES]);
     (0..records)
         .map(|_| {
             let key: Vec<u8> = (0..KEY_BYTES).map(|_| rng.gen()).collect();
-            (K::Bytes(key), V::Bytes(vec![b'~'; PAYLOAD_BYTES]))
+            (K::Bytes(key), V::Bytes(payload.clone()))
         })
         .collect()
 }
@@ -299,7 +301,7 @@ impl BlockSummary {
         b.push(self.min.len() as u8);
         b.extend_from_slice(&self.min);
         b.extend_from_slice(&self.max);
-        V::Bytes(b)
+        V::Bytes(b.into())
     }
 
     fn decode(v: &V) -> Self {

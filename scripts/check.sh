@@ -114,18 +114,19 @@ echo "==> platbench: quick smoke and pinned simulations of the platform benchmar
 # and output checks on. ~5 s once built.
 cargo test -q --offline --manifest-path platbench/Cargo.toml
 # A host-speed change must not move a simulation: each workload's traced
-# quick run reproduces the sim_makespan_s, output digest and wakeup count
-# pinned in scripts/platbench_quick.pins (platbench_pairs.sh checks the
-# full-size runs).
-while read -r w makespan digest wakeups; do
+# quick run reproduces the sim_makespan_s, output digest, wakeup count and
+# allocation calls pinned in scripts/platbench_quick.pins
+# (platbench_pairs.sh checks the full-size runs).
+count() { grep -o "\"$1\": {\"value\": [0-9]*" <<< "$2" | sed 's/.*: //'; }
+while read -r w makespan digest wakeups calls; do
     out=$(cargo run -q --offline --manifest-path platbench/Cargo.toml -- \
         --workload "$w" --quick --seed 2012 --trace 1 < /dev/null)
     got=$(sed -n 's/^platbench .* sim_makespan_s \([0-9.]*\) digest \(0x[0-9a-f]*\)$/\1 \2/p' \
         <<< "$out")
-    got="$got $(grep -o '"simcore.wakeups": {"value": [0-9]*' <<< "$out" | sed 's/.*: //')"
-    if [ "$got" != "$makespan $digest $wakeups" ]; then
-        echo "platbench $w: sim_makespan_s digest wakeups $got," \
-            "pinned $makespan $digest $wakeups" >&2
+    got="$got $(count simcore.wakeups "$out") $(count alloc.calls_per_pass "$out")"
+    if [ "$got" != "$makespan $digest $wakeups $calls" ]; then
+        echo "platbench $w: sim_makespan_s digest wakeups alloc_calls $got," \
+            "pinned $makespan $digest $wakeups $calls" >&2
         exit 1
     fi
 done < <(grep -v '^#' scripts/platbench_quick.pins)

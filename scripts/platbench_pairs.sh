@@ -18,6 +18,10 @@
 # workloads whose simulation the change declares it moves (a kernel rounding
 # change): for those the script prints |Δ sim_makespan_s| in nanoseconds and
 # both digests instead of failing; a move on any other workload still fails.
+# Host drift is printed per workload: the parent's `wall_s` in the first and
+# the last pair and its max/min over all pairs, with a line saying that the
+# workload's `wall_s`/`setup_s` verdicts are drift-limited when that ratio
+# exceeds the `wall_s` bound; it changes no verdict and no exit code.
 #
 #   scripts/platbench_pairs.sh <parent-checkout> <out-dir> [pairs=10] [seed=2012] ["workload ..."] ["moved ..."]
 set -euo pipefail
@@ -98,9 +102,16 @@ def verdict(won, untied, p25, p50, p75, c50, bound, sign):
 
 print("| workload | metric | parent median (quartiles) | change median (quartiles) | change/parent | pairs won | verdict |")
 print("|---|---|---|---|---|---|---|")
-worse, declared = [], []
+worse, declared, drift = [], [], []
+wall_bound = next(spec["bound"] for spec in end_to_end if spec["name"] == "wall_s")
 for w in workloads:
     runs = {s: [metrics(f"{out}/{w}.{i}.{s}.txt") for i in range(1, pairs + 1)] for s in ("parent", "change")}
+    # The parent is the same code in every pair, so its spread is the host's.
+    walls = [r["wall_s"] for r in runs["parent"]]
+    spread = max(walls) / min(walls)
+    drift.append((f"| `{w}` | {walls[0]:.4g} | {walls[-1]:.4g} | {spread:.3f} |",
+                  spread - 1 > wall_bound and f"`{w}`: the parent's `wall_s` max/min {spread:.3f} exceeds "
+                  f"1 + the `wall_s` bound ({wall_bound}); its `wall_s`/`setup_s` verdicts are drift-limited"))
     before, after = digests(w, "parent"), digests(w, "change")
     spans = {s: makespans(w, s) for s in ("parent", "change")}
     if any(len(v) != 1 for v in spans.values()):
@@ -131,6 +142,15 @@ for w in workloads:
             worse.append(f"{w} {m}")
         print(f"| `{w}` | `{m}` | {p50:.4g} ({p25:.4g}–{p75:.4g}) | {c50:.4g} ({c25:.4g}–{c75:.4g}) "
               f"| {c50 / p50:.3f} | {score} | {v} |")
+
+print()
+print("| workload | parent `wall_s`, first pair | parent `wall_s`, last pair | parent max/min over the pairs |")
+print("|---|---|---|---|")
+for row, _ in drift:
+    print(row)
+for _, note in drift:
+    if note:
+        print(note)
 
 print()
 print("| workload | count (`--trace 1`, exact repeat) | parent | change | parent/change |")

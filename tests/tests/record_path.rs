@@ -29,7 +29,7 @@ fn random_bytes(g: &mut Gen, len: usize) -> Vec<u8> {
 /// `bytes` as a `Text` key: every byte is cut to ASCII, so still ordered
 /// byte by byte, zeros included.
 fn text_key(bytes: Vec<u8>) -> K {
-    K::Text(bytes.into_iter().map(|b| (b & 0x7F) as char).collect())
+    K::from(bytes.into_iter().map(|b| (b & 0x7F) as char).collect::<String>().as_str())
 }
 
 fn random_key(g: &mut Gen) -> K {
@@ -135,7 +135,7 @@ fn any_value(g: &mut Gen, n: i64) -> V {
         2 => V::Text(n.to_string()),
         3 => V::Vector(vec![n as f64; 2]),
         4 => V::Tuple(vec![V::Int(n), V::Null]),
-        _ => V::Bytes(n.to_le_bytes().to_vec()),
+        _ => V::Bytes(n.to_le_bytes().into()),
     }
 }
 
