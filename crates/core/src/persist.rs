@@ -5,9 +5,9 @@
 //! VM→host map, the HDFS namespace and in-flight operations, the
 //! JobTracker's full job table, the monitor's samples, the migration
 //! manager, the dirty-page model, the fault driver, and the controller —
-//! into one versioned byte string plus a small *residue* of live `Rc`
-//! handles (user map/reduce code and deferred submission closures, which
-//! cannot serialize but are immutable and safely shared).
+//! into one versioned byte string plus the table of `Rc` handles the bytes
+//! index (user map/reduce code and deferred submission closures, which are
+//! not bytes but are immutable and safely shared; see `simcore::persist`).
 //!
 //! [`VHadoop::restore`] relaunches the platform from the snapshot's
 //! config and overwrites all dynamic state from the bytes. Because
@@ -27,21 +27,19 @@
 //! unperturbed.
 
 use crate::platform::{PlatformConfig, VHadoop};
-use mapreduce::persist::JobResidue;
-use mapreduce::runtime::PendingJob;
-use simcore::persist::{validate_header, Decoder, Encoder, Persist};
+use simcore::persist::{validate_header, Decoder, Encoder, Handles, Persist};
 use simcore::prelude::*;
-use std::collections::HashMap;
 use vcluster::cluster::HostId;
 use vcluster::migration::ClusterMigrationReport;
 use vsched::controller::{WhatIfOutcome, WhatIfRequest};
 
 /// A point-in-time capture of a running [`VHadoop`] platform.
 ///
-/// The byte encoding is canonical: the engine compacts timer tombstones
-/// and stale completion-index entries before encoding, and every map is
-/// written in sorted key order, so two byte-identical platform states
-/// produce byte-identical snapshots regardless of how they got there.
+/// The byte encoding is canonical: the engine drops the heap entries of
+/// cancelled chains and superseded fluid epochs and the stale
+/// completion-index entries before encoding, and every map is written in
+/// sorted key order, so two byte-identical platform states produce
+/// byte-identical snapshots regardless of how they got there.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// The launch configuration the snapshot was taken under. Restore
@@ -51,10 +49,10 @@ pub struct Snapshot {
     /// [`simcore::persist::SNAPSHOT_MAGIC`] +
     /// [`simcore::persist::SNAPSHOT_VERSION`]).
     pub bytes: Vec<u8>,
-    /// Live out-of-band state: user-code trait objects and deferred
-    /// submission closures, shared via `Rc` between the parent and every
+    /// The `Rc`s the bytes index: user-code trait objects and deferred
+    /// submission closures, shared between the parent and every
     /// restore/fork.
-    pub(crate) residue: Residue,
+    pub(crate) handles: Handles,
 }
 
 impl Snapshot {
@@ -64,22 +62,11 @@ impl Snapshot {
     }
 }
 
-/// The non-serializable half of a snapshot (see [`Snapshot::residue`]).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Residue {
-    /// Per-job user code (`app`/`input`/`partitioner`) for every job the
-    /// JobTracker still holds, ascending job id.
-    pub jobs: Vec<JobResidue>,
-    /// Deferred submission closures for jobs queued in admission or
-    /// scheduled as future arrivals, keyed by controller job id.
-    pub pending: Vec<(u32, PendingJob)>,
-}
-
 impl VHadoop {
     /// Captures the full platform state. Takes `&mut self` because the
-    /// engine canonicalizes first (compacting dead timers and stale
-    /// completion entries — unobservable in the trace, but required so
-    /// equal states encode to equal bytes).
+    /// engine canonicalizes first (dropping heap and completion-index
+    /// entries that would be skipped on pop — unobservable in the trace,
+    /// but required so equal states encode to equal bytes).
     pub fn snapshot(&mut self) -> Snapshot {
         let mut e = Encoder::new();
         self.rt.engine.encode_state(&mut e);
@@ -105,11 +92,8 @@ impl VHadoop {
             }
             None => false.encode(&mut e),
         }
-        let mut residue = Residue { jobs: self.rt.mr.residue(), pending: Vec::new() };
-        if let Some(c) = &self.ctrl {
-            residue.pending = c.job_residue();
-        }
-        Snapshot { config: self.launch_config.clone(), bytes: e.finish(), residue }
+        let (bytes, handles) = e.finish_with_handles();
+        Snapshot { config: self.launch_config.clone(), bytes, handles }
     }
 
     /// Reconstructs a platform from `snap`: relaunches from its config,
@@ -118,14 +102,14 @@ impl VHadoop {
     ///
     /// # Panics
     /// If the snapshot header's version is unsupported or the byte stream
-    /// does not decode cleanly (truncation, residue mismatch).
+    /// does not decode cleanly (truncation, a bad tag or handle).
     pub fn restore(snap: &Snapshot) -> VHadoop {
         let mut p = VHadoop::launch(snap.config.clone());
-        let mut d = Decoder::new(&snap.bytes);
+        let mut d = Decoder::with_handles(&snap.bytes, &snap.handles);
         p.rt.engine = Engine::decode_state(&mut d);
         p.rt.cluster.restore_state(&mut d);
         p.rt.hdfs.restore_state(&mut d);
-        p.rt.mr.restore_state(&mut d, &snap.residue.jobs);
+        p.rt.mr.restore_state(&mut d);
         if bool::decode(&mut d) {
             p.monitor
                 .as_mut()
@@ -138,11 +122,10 @@ impl VHadoop {
         p.pending_migration_dst = Option::<HostId>::decode(&mut d);
         p.faults.restore_state(&mut d);
         if bool::decode(&mut d) {
-            let pending: HashMap<u32, PendingJob> = snap.residue.pending.iter().cloned().collect();
             p.ctrl
                 .as_mut()
                 .expect("snapshot has a controller but the relaunched platform does not")
-                .restore_state(&mut d, &pending);
+                .restore_state(&mut d);
         }
         assert!(d.is_exhausted(), "snapshot bytes not fully consumed — version skew?");
         p

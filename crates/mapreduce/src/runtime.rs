@@ -191,12 +191,11 @@ impl MrRuntime {
 /// [`PendingJob::submit`] runs, so a job can wait in a queue for simulated
 /// hours without perturbing the cluster.
 ///
-/// The closure is shared (`Rc<dyn Fn>`), so a queued job can be cloned
-/// into a snapshot and submitted independently by the parent and any
-/// number of forks. Submission recipes must therefore be pure: each
+/// The closure is shared (`Rc<dyn Fn>`), so a snapshot carries a queued
+/// job's closure as a handle and the parent and any number of forks can
+/// submit it independently. Submission recipes must therefore be pure: each
 /// invocation builds a fresh app/input and must not consume captured
 /// state.
-#[derive(Clone)]
 pub struct PendingJob {
     name: String,
     submit: std::rc::Rc<dyn Fn(&mut MrRuntime) -> JobId>,
@@ -227,6 +226,8 @@ impl std::fmt::Debug for PendingJob {
         f.debug_struct("PendingJob").field("name", &self.name).finish_non_exhaustive()
     }
 }
+
+simcore::persist_struct!(PendingJob { name, submit });
 
 /// The results of the jobs that finished among `events`.
 fn finished_jobs(events: Vec<JobEvent>) -> impl Iterator<Item = JobResult> {

@@ -18,7 +18,16 @@ use crate::persist::{Decoder, Encoder, Persist};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Name, Tracer};
 use std::cmp::Reverse;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
+
+/// SipHash-1-3, as `HashMap`'s default, but with fixed keys: a map's
+/// bucket layout, and so when it rehashes and what that allocates, is the
+/// same in every process (a per-process random key moves it from run to
+/// run). For maps keyed by ids the simulation assigns, which no outside
+/// input can pick to collide.
+pub type FixedState = BuildHasherDefault<DefaultHasher>;
 
 /// One stage of an activity chain.
 #[derive(Debug, Clone)]
@@ -221,12 +230,12 @@ pub struct Engine {
     heap: BinaryHeap<Reverse<Entry>>,
     seq: u64,
     epoch: u64,
-    flow_owner: HashMap<FlowId, ActivityId>,
-    activities: HashMap<ActivityId, Activity>,
+    flow_owner: HashMap<FlowId, ActivityId, FixedState>,
+    activities: HashMap<ActivityId, Activity, FixedState>,
     next_activity: u64,
     /// User timers armed and not yet fired: their `Ev::Timer` heap entries.
     timers: usize,
-    batches: HashMap<BatchId, Batch>,
+    batches: HashMap<BatchId, Batch, FixedState>,
     next_batch: u64,
     out: VecDeque<(SimTime, Wakeup)>,
     /// Total wakeups delivered; useful for tests and progress telemetry.
@@ -249,11 +258,11 @@ impl Engine {
             heap: BinaryHeap::new(),
             seq: 0,
             epoch: 0,
-            flow_owner: HashMap::new(),
-            activities: HashMap::new(),
+            flow_owner: HashMap::default(),
+            activities: HashMap::default(),
             next_activity: 0,
             timers: 0,
-            batches: HashMap::new(),
+            batches: HashMap::default(),
             next_batch: 0,
             out: VecDeque::new(),
             wakeups_delivered: 0,

@@ -269,10 +269,6 @@ pub struct FluidNet {
     /// Mutations since the last reallocation that found dirty state.
     pending_mutations: u64,
     stats: FluidStats,
-    /// Resources visited, summed over all reallocations. Nothing reads it;
-    /// it stays because the snapshot layout of `SNAPSHOT_VERSION` 10 holds
-    /// it.
-    resources_touched: u64,
     /// Flow count of every component re-solved, over the net's lifetime.
     comp_hist: SizeHist,
 }
@@ -324,7 +320,6 @@ impl FluidNet {
             scratch: SolveScratch::default(),
             pending_mutations: 0,
             stats: FluidStats::default(),
-            resources_touched: 0,
             comp_hist: SizeHist::new(),
         }
     }
@@ -821,7 +816,6 @@ impl FluidNet {
         for ci in 0..self.comps.len() {
             let c = self.comps[ci];
             self.stats.flows_touched += c.flow_len as u64;
-            self.resources_touched += c.res_len as u64;
             if c.flow_len > 0 {
                 self.comp_hist.push(c.flow_len as u64);
             }
@@ -1058,7 +1052,6 @@ impl FluidNet {
         e.u64(self.stats.reallocations);
         e.u64(self.stats.flows_touched);
         e.u64(self.stats.flows_settled);
-        e.u64(self.resources_touched);
         e.u64(self.stats.batch_applied);
         e.u64(self.pending_mutations);
         self.comp_hist.encode(e);
@@ -1117,7 +1110,6 @@ impl FluidNet {
         net.stats.reallocations = d.u64();
         net.stats.flows_touched = d.u64();
         net.stats.flows_settled = d.u64();
-        net.resources_touched = d.u64();
         net.stats.batch_applied = d.u64();
         net.pending_mutations = d.u64();
         net.comp_hist = SizeHist::decode(d);

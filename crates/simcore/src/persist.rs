@@ -29,25 +29,38 @@
 //! and tuples as their elements, and maps in ascending key order (two equal
 //! maps built in different insertion orders encode identically).
 //!
+//! An `Rc` is not bytes but a handle: the [`Encoder`] records a clone of
+//! it in a handle table ([`Handles`]) and writes its index, and a
+//! [`Decoder`] built over the bytes plus that table
+//! ([`Decoder::with_handles`]) clones the same `Rc` back. Only user code is
+//! held in an `Rc` (a job's map/reduce code, input format and partitioner,
+//! a deferred submission), so it crosses a snapshot in-band, in the field
+//! lists of the state that holds it, and a restore shares it with the
+//! original: it is `&self`-only, immutable and deterministic.
+//!
 //! A codec is written by hand only where the bytes are not a field list,
 //! and each such site says why in a `// codec by hand: <reason>` line
 //! (`scripts/check.sh` fails on a hand-written codec without one): the
-//! engine's event heap and the fluid completion index (canonicalized — lazily
-//! deferred garbage dropped — then written in sorted order), the fluid net's
-//! SoA arena, state rejoined with live residue at restore (`JobState`, the
-//! admission queue, the controller's future arrivals), the map-only job
-//! output layout, `&'static str` fields (HDFS op kinds, throttle names),
-//! RNG state, and `Run`/`Partition`.
+//! engine's event heap and the fluid completion index (canonicalized —
+//! lazily deferred garbage dropped — then written in sorted order), the
+//! fluid net's SoA arena, the `Rc` handle, `&'static str` fields (HDFS op
+//! kinds, throttle names), RNG state, `Run`/`Partition`, shared bytes,
+//! short text keys, and state with derived indexes or optional sub-states
+//! that restore in place (the SLO tracker, the controller).
 //!
 //! Malformed bytes fail in [`Decoder`]: a short read (or a sequence length
 //! beyond the bytes left) panics with "snapshot truncated at byte N, need
 //! M", an unknown enum or `Option` tag with the type's name and the tag's
-//! offset. Any change to what a component encodes must bump
-//! [`SNAPSHOT_VERSION`]; the golden hashes in
+//! offset, and a handle index beyond the table or naming an `Rc` of
+//! another type with the index's offset. Any change to what a component
+//! encodes must bump [`SNAPSHOT_VERSION`]; the golden hashes in
 //! `tests/tests/snapshot_roundtrip.rs` catch silent drift.
 
+use std::any::Any;
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::{BuildHasher, Hash};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Leading magic of every snapshot byte string.
@@ -68,8 +81,13 @@ pub const SNAPSHOT_MAGIC: [u8; 6] = *b"VHSNAP";
 /// and reduce task, where it wrote the tracker list, two hashed slot tables
 /// and fourteen per-task columns. v10: the timer arena is gone — heap
 /// entries carry the user timer's tag or the delaying chain, a wakeup no
-/// timer id, and an activity how it ends: its client's tag or its batch.)
-pub const SNAPSHOT_VERSION: u32 = 10;
+/// timer id, and an activity how it ends: its client's tag or its batch.
+/// v11: user code is an `Rc` handle in the stream — a job's app, input and
+/// partitioner and a deferred job's submission sit in their owners' field
+/// lists; a map-only job writes its outputs as any job does; the fluid
+/// net drops its unread resource-visit count; `SchedulerPolicy::JobDriven`
+/// is tag 1.)
+pub const SNAPSHOT_VERSION: u32 = 11;
 
 /// Checks the header of a snapshot byte string without constructing a
 /// decoder; returns the embedded format version.
@@ -91,11 +109,16 @@ pub fn validate_header(bytes: &[u8]) -> Result<u32, String> {
     Ok(version)
 }
 
+/// The `Rc`s a snapshot carries beside its bytes, in the order they were
+/// encoded; the bytes hold each one's index (see the module docs).
+pub type Handles = Vec<Rc<dyn Any>>;
+
 /// Append-only byte sink. [`Encoder::new`] writes the header; components
 /// then write their fields in a fixed order.
 #[derive(Debug)]
 pub struct Encoder {
     buf: Vec<u8>,
+    handles: Handles,
 }
 
 impl Default for Encoder {
@@ -110,12 +133,23 @@ impl Encoder {
         let mut buf = Vec::with_capacity(4096);
         buf.extend_from_slice(&SNAPSHOT_MAGIC);
         buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        Encoder { buf }
+        Encoder { buf, handles: Handles::new() }
     }
 
     /// Consumes the encoder, returning the snapshot bytes.
+    ///
+    /// # Panics
+    /// If an `Rc` was encoded: its handle would be lost (use
+    /// [`Encoder::finish_with_handles`]).
     pub fn finish(self) -> Vec<u8> {
+        assert!(self.handles.is_empty(), "{} Rc handles encoded", self.handles.len());
         self.buf
+    }
+
+    /// Consumes the encoder, returning the snapshot bytes and the handle
+    /// table a [`Decoder::with_handles`] reads them with.
+    pub fn finish_with_handles(self) -> (Vec<u8>, Handles) {
+        (self.buf, self.handles)
     }
 
     /// Writes one byte.
@@ -168,18 +202,29 @@ impl Encoder {
 pub struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,
+    handles: &'a [Rc<dyn Any>],
 }
 
 impl<'a> Decoder<'a> {
-    /// Decoder positioned after the validated header.
+    /// Decoder over bytes that hold no `Rc` handle, positioned after the
+    /// validated header.
     ///
     /// # Panics
     /// If the magic or version does not match (see [`validate_header`]).
     pub fn new(bytes: &'a [u8]) -> Self {
+        Self::with_handles(bytes, &[])
+    }
+
+    /// Decoder over bytes and the handle table they were encoded with
+    /// ([`Encoder::finish_with_handles`]).
+    ///
+    /// # Panics
+    /// If the magic or version does not match (see [`validate_header`]).
+    pub fn with_handles(bytes: &'a [u8], handles: &'a [Rc<dyn Any>]) -> Self {
         if let Err(e) = validate_header(bytes) {
             panic!("cannot decode snapshot: {e}");
         }
-        Decoder { buf: bytes, pos: SNAPSHOT_MAGIC.len() + 4 }
+        Decoder { buf: bytes, pos: SNAPSHOT_MAGIC.len() + 4, handles }
     }
 
     /// Reads the next `n` bytes as they are.
@@ -493,7 +538,7 @@ persist_tuple!(A 0, B 1, C 2, D 3);
 
 /// Maps are encoded in ascending key order so two equal maps built in
 /// different insertion orders still produce identical bytes.
-impl<K: Persist + Ord + std::hash::Hash + Eq, V: Persist> Persist for HashMap<K, V> {
+impl<K: Persist + Ord + Hash, V: Persist, S: BuildHasher + Default> Persist for HashMap<K, V, S> {
     fn encode(&self, e: &mut Encoder) {
         let mut entries: Vec<(&K, &V)> = self.iter().collect();
         entries.sort_by(|a, b| a.0.cmp(b.0));
@@ -504,13 +549,47 @@ impl<K: Persist + Ord + std::hash::Hash + Eq, V: Persist> Persist for HashMap<K,
         }
     }
     fn decode(d: &mut Decoder) -> Self {
-        let n = d.seq_len();
-        let mut map = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let (k, v) = <(K, V)>::decode(d);
-            map.insert(k, v);
+        (0..d.seq_len()).map(|_| <(K, V)>::decode(d)).collect()
+    }
+}
+
+/// In key order, as a `HashMap` is.
+impl<K: Persist + Ord, V: Persist> Persist for BTreeMap<K, V> {
+    fn encode(&self, e: &mut Encoder) {
+        e.usize(self.len());
+        for (k, v) in self {
+            k.encode(e);
+            v.encode(e);
         }
-        map
+    }
+    fn decode(d: &mut Decoder) -> Self {
+        (0..d.seq_len()).map(|_| <(K, V)>::decode(d)).collect()
+    }
+}
+
+/// An `Rc` is its index in the handle table: encoding records a clone of
+/// it, decoding clones the very same `Rc` back, so what a parent shares
+/// with its restores is the pointee itself (user code, which is not bytes).
+// codec by hand: an index into the handle table, not the pointee's bytes
+impl<T: ?Sized + 'static> Persist for Rc<T> {
+    fn encode(&self, e: &mut Encoder) {
+        e.usize(e.handles.len());
+        e.handles.push(Rc::new(Rc::clone(self)));
+    }
+    fn decode(d: &mut Decoder) -> Self {
+        let at = d.pos;
+        let i = d.usize();
+        let n = d.handles.len();
+        let Some(handle) = d.handles.get(i) else {
+            panic!("snapshot corrupt: handle {i} at byte {at} is beyond {n} handles")
+        };
+        match handle.downcast_ref::<Rc<T>>() {
+            Some(rc) => Rc::clone(rc),
+            None => panic!(
+                "snapshot corrupt: handle {i} at byte {at} is not an {}",
+                std::any::type_name::<Rc<T>>()
+            ),
+        }
     }
 }
 
@@ -811,5 +890,96 @@ mod tests {
     #[should_panic(expected = "snapshot truncated at byte 18, need 18446744073709551615")]
     fn a_corrupt_length_fails_as_a_truncated_read() {
         decode_body::<Vec<u64>>(&u64::MAX.to_le_bytes());
+    }
+
+    #[test]
+    fn btreemap_encodes_as_the_equal_hashmap() {
+        let tree: BTreeMap<u32, String> = (0..20).map(|i| (i * 7 % 20, format!("v{i}"))).collect();
+        let hashed: HashMap<u32, String> = tree.clone().into_iter().collect();
+        assert_eq!(bytes_of(&tree), bytes_of(&hashed));
+        round_trip(tree);
+    }
+
+    /// Code held in an `Rc`, as a job's user code is.
+    trait Code {
+        fn run(&self) -> u32;
+    }
+    struct Adder(u32);
+    impl Code for Adder {
+        fn run(&self) -> u32 {
+            self.0 + 1
+        }
+    }
+
+    struct Holder {
+        id: u32,
+        code: Rc<dyn Code>,
+        also: Option<Rc<dyn Code>>,
+    }
+    crate::persist_struct!(Holder { id, code, also });
+
+    fn holder() -> Holder {
+        let code: Rc<dyn Code> = Rc::new(Adder(4));
+        Holder { id: 3, also: Some(Rc::clone(&code)), code }
+    }
+
+    #[test]
+    fn an_rc_decodes_to_the_one_encoded() {
+        let v = holder();
+        let mut e = Encoder::new();
+        v.encode(&mut e);
+        let (bytes, handles) = e.finish_with_handles();
+        assert_eq!(handles.len(), 2, "one table entry per encoded Rc");
+        let mut d = Decoder::with_handles(&bytes, &handles);
+        let back = Holder::decode(&mut d);
+        assert!(d.is_exhausted());
+        assert_eq!(back.id, 3);
+        assert!(Rc::ptr_eq(&back.code, &v.code));
+        assert!(Rc::ptr_eq(back.also.as_ref().unwrap(), &v.code));
+        assert_eq!(back.code.run(), 5);
+    }
+
+    #[test]
+    fn two_encodes_of_one_state_give_equal_bytes_and_tables() {
+        let v = holder();
+        let encode = || {
+            let mut e = Encoder::new();
+            v.encode(&mut e);
+            e.finish_with_handles()
+        };
+        let ((a, ta), (b, tb)) = (encode(), encode());
+        assert_eq!(a, b);
+        assert_eq!(ta.len(), tb.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "Rc handles encoded")]
+    fn finish_refuses_to_drop_handles() {
+        let mut e = Encoder::new();
+        holder().encode(&mut e);
+        e.finish();
+    }
+
+    /// `Holder`'s bytes with its first handle index replaced by `index`,
+    /// decoded over a table of `handles`.
+    fn decode_holder_with(index: u64, handles: &[Rc<dyn Any>]) -> Holder {
+        let mut e = Encoder::new();
+        e.u32(3);
+        e.u64(index);
+        e.u8(0);
+        Holder::decode(&mut Decoder::with_handles(&e.finish(), handles))
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot corrupt: handle 7 at byte 14 is beyond 1 handles")]
+    fn a_handle_index_beyond_the_table_is_rejected() {
+        let code: Rc<dyn Code> = Rc::new(Adder(0));
+        decode_holder_with(7, &[Rc::new(code)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot corrupt: handle 0 at byte 14 is not an alloc::rc::Rc<dyn")]
+    fn a_handle_of_another_type_is_rejected() {
+        decode_holder_with(0, &[Rc::new(Rc::new(1u32))]);
     }
 }

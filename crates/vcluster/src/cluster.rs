@@ -259,11 +259,6 @@ impl VirtualCluster {
         self.topology.tier_hosts(self.vm_host[a.0 as usize], self.vm_host[b.0 as usize])
     }
 
-    /// Hadoop-style tree distance between two VMs (0 / 2 / 4 / 6).
-    pub fn distance(&self, a: VmId, b: VmId) -> u32 {
-        self.tier(a, b).distance()
-    }
-
     /// Per-rack ToR traffic totals and mean utilization over `elapsed_s`
     /// seconds of simulated time.
     pub fn rack_switch_stats(&self, engine: &Engine, elapsed_s: f64) -> Vec<RackSwitchStat> {
@@ -554,7 +549,6 @@ mod tests {
         assert_eq!(c.transfer_demands(VmId(0), VmId(1)).len(), 5);
         // vm0 → vm2 (host 2, rack 1): ToR + core + ToR.
         assert_eq!(c.tier(VmId(0), VmId(2)), LocalityTier::OffRack);
-        assert_eq!(c.distance(VmId(0), VmId(2)), 6);
         let d = c.transfer_demands(VmId(0), VmId(2));
         // 2 NICs + 3 switches + 2 accounting entries.
         assert_eq!(d.len(), 7);

@@ -27,6 +27,7 @@
 
 use crate::cluster::{HostId, VirtualCluster, VmId};
 use crate::spec::MIB;
+use simcore::engine::FixedState;
 use simcore::owners;
 use simcore::prelude::*;
 use std::collections::{HashMap, VecDeque};
@@ -101,7 +102,7 @@ pub struct UtilizationDirtyModel {
     jitter: Vec<f64>,
     /// Per-VM `(instant, cumulative vcpu work, cumulative I/O bytes)`
     /// marks from the last query.
-    marks: std::collections::HashMap<u32, (SimTime, f64, f64)>,
+    marks: HashMap<u32, (SimTime, f64, f64), FixedState>,
 }
 
 simcore::persist_state!(UtilizationDirtyModel { jitter, marks });
@@ -120,7 +121,7 @@ impl UtilizationDirtyModel {
         use rand::Rng;
         let mut rng = seed.stream("dirty-jitter");
         let jitter = (0..vms).map(|_| rng.gen_range(0.6..1.4)).collect();
-        UtilizationDirtyModel { jitter, marks: std::collections::HashMap::new() }
+        UtilizationDirtyModel { jitter, marks: Default::default() }
     }
 
     /// `(average VCPU utilization, average I/O bytes/s)` of `vm` since the
@@ -271,16 +272,16 @@ pub struct MigrationManager {
     /// How many VMs migrate at once (Xen-era toolstacks migrate
     /// sequentially: 1).
     concurrency: u32,
-    jobs: HashMap<u32, VmJob>,
+    jobs: HashMap<u32, VmJob, FixedState>,
     queue: VecDeque<(VmId, HostId)>,
     active: u32,
     session_started: Option<SimTime>,
     finished: Vec<VmMigrationReport>,
     expected: usize,
     /// VMs whose transfer was aborted, waiting out their backoff timer.
-    retrying: HashMap<u32, HostId>,
+    retrying: HashMap<u32, HostId, FixedState>,
     /// Per-VM abort count within the current session (drives the backoff).
-    aborts: HashMap<u32, u32>,
+    aborts: HashMap<u32, u32, FixedState>,
 }
 
 // Everything but the launch-time concurrency; maps are written in key order.
@@ -300,14 +301,14 @@ impl MigrationManager {
     pub fn new(concurrency: u32) -> Self {
         MigrationManager {
             concurrency,
-            jobs: HashMap::new(),
+            jobs: HashMap::default(),
             queue: VecDeque::new(),
             active: 0,
             session_started: None,
             finished: Vec::new(),
             expected: 0,
-            retrying: HashMap::new(),
-            aborts: HashMap::new(),
+            retrying: HashMap::default(),
+            aborts: HashMap::default(),
         }
     }
 

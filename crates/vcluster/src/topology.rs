@@ -47,17 +47,6 @@ pub enum LocalityTier {
 }
 
 impl LocalityTier {
-    /// Hadoop-style tree distance (0 / 2 / 4 / 6): the number of edges up
-    /// to the common ancestor and back down.
-    pub fn distance(self) -> u32 {
-        match self {
-            LocalityTier::Node => 0,
-            LocalityTier::Host => 2,
-            LocalityTier::Rack => 4,
-            LocalityTier::OffRack => 6,
-        }
-    }
-
     /// Stable lowercase name (CSV series, trace args).
     pub fn name(self) -> &'static str {
         match self {
@@ -258,9 +247,5 @@ mod tests {
         assert!(LocalityTier::Node < LocalityTier::Host);
         assert!(LocalityTier::Host < LocalityTier::Rack);
         assert!(LocalityTier::Rack < LocalityTier::OffRack);
-        assert_eq!(LocalityTier::Node.distance(), 0);
-        assert_eq!(LocalityTier::Host.distance(), 2);
-        assert_eq!(LocalityTier::Rack.distance(), 4);
-        assert_eq!(LocalityTier::OffRack.distance(), 6);
     }
 }

@@ -17,6 +17,7 @@
 use crate::meta::{BlockId, BlockMeta, FileMeta, Namespace};
 use crate::placement::{closest_replica, ReplicaIndex};
 use rand::rngs::StdRng;
+use simcore::engine::FixedState;
 use simcore::owners;
 use simcore::prelude::*;
 use std::collections::HashMap;
@@ -100,7 +101,7 @@ pub struct Hdfs {
     namenode: VmId,
     datanodes: Vec<VmId>,
     ns: Namespace,
-    ops: HashMap<u32, PendingOp>,
+    ops: HashMap<u32, PendingOp, FixedState>,
     next_op: u32,
     rng: StdRng,
 }
@@ -145,7 +146,7 @@ impl Hdfs {
             namenode,
             datanodes: datanodes.to_vec(),
             ns: Namespace::new(),
-            ops: HashMap::new(),
+            ops: HashMap::default(),
             next_op: 0,
             rng: seed.stream("hdfs"),
         }

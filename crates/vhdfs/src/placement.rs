@@ -18,12 +18,6 @@ use rand::Rng;
 use vcluster::cluster::{VirtualCluster, VmId};
 use vcluster::topology::LocalityTier;
 
-/// Hadoop-style tree distance between two VMs (0 same node, 2 same host,
-/// 4 same rack, 6 off-rack).
-pub fn distance(cluster: &VirtualCluster, a: VmId, b: VmId) -> u32 {
-    cluster.distance(a, b)
-}
-
 /// The failure-domain index of `vm`: its rack on a multi-rack fabric,
 /// its host on the flat single-rack one.
 fn domain_of(cluster: &VirtualCluster, vm: VmId) -> u32 {
@@ -360,10 +354,9 @@ mod tests {
     #[test]
     fn distance_matches_tiers() {
         let (_, c) = racked_cluster(12);
-        assert_eq!(distance(&c, VmId(1), VmId(1)), 0);
-        assert_eq!(distance(&c, VmId(1), VmId(5)), 2);
-        assert_eq!(distance(&c, VmId(1), VmId(4)), 4);
-        assert_eq!(distance(&c, VmId(1), VmId(2)), 6);
+        assert_eq!(c.tier(VmId(1), VmId(1)), LocalityTier::Node);
+        assert_eq!(c.tier(VmId(1), VmId(5)), LocalityTier::Host);
         assert_eq!(c.tier(VmId(1), VmId(4)), LocalityTier::Rack);
+        assert_eq!(c.tier(VmId(1), VmId(2)), LocalityTier::OffRack);
     }
 }

@@ -24,11 +24,12 @@
 use crate::model::MakespanKind;
 use crate::placement::{PlacementKind, WorkloadHint};
 use crate::queue::{
-    rejoin, slo_report_json, AdmissionQueue, JobSlo, QueueConfig, QueuedJob, SloReport, SloTracker,
+    slo_report_json, AdmissionQueue, JobSlo, QueueConfig, QueuedJob, SloReport, SloTracker,
 };
 use crate::rebalance::{RebalanceConfig, RebalanceMode, Rebalancer};
 use mapreduce::job::JobEvent;
 use mapreduce::runtime::{MrRuntime, PendingJob};
+use simcore::engine::FixedState;
 use simcore::owners;
 use simcore::prelude::*;
 use std::collections::HashMap;
@@ -125,6 +126,8 @@ struct FutureArrival {
     job: PendingJob,
 }
 
+simcore::persist_struct!(FutureArrival { tenant, expected_s, job });
+
 /// One candidate migration plan priced by the configured makespan model,
 /// awaiting fork-based measurement.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,9 +182,9 @@ pub struct Controller {
     rebalancer: Option<Rebalancer>,
     counters: ControllerCounters,
     /// Scheduled-but-not-yet-arrived jobs, keyed by controller job id.
-    future: HashMap<u32, FutureArrival>,
+    future: HashMap<u32, FutureArrival, FixedState>,
     /// JobTracker id → controller job id for running jobs.
-    active: HashMap<u32, u32>,
+    active: HashMap<u32, u32, FixedState>,
     next_ctrl_id: u32,
     tick_armed: bool,
     energy: Option<EnergyMeter>,
@@ -207,8 +210,8 @@ impl Controller {
             slo: SloTracker::default(),
             rebalancer,
             counters: ControllerCounters::default(),
-            future: HashMap::new(),
-            active: HashMap::new(),
+            future: HashMap::default(),
+            active: HashMap::default(),
             next_ctrl_id: 0,
             tick_armed: false,
             energy: None,
@@ -544,16 +547,6 @@ impl Controller {
         &self.whatif_outcomes
     }
 
-    /// Clones of every deferred job the controller still holds (queued in
-    /// admission or scheduled for a future arrival), keyed by controller
-    /// id — the out-of-band half of a snapshot.
-    pub fn job_residue(&self) -> Vec<(u32, PendingJob)> {
-        let mut out = self.queue.job_residue();
-        out.extend(self.future.iter().map(|(&id, f)| (id, f.job.clone())));
-        out.sort_by_key(|&(id, _)| id);
-        out
-    }
-
     /// Encodes all dynamic controller state. Config, placement, and
     /// interned counter names are not encoded: a restored controller is
     /// rebuilt by a fresh launch from the same config, which re-derives
@@ -566,9 +559,7 @@ impl Controller {
         if let Some(rb) = &self.rebalancer {
             rb.encode_state(e);
         }
-        let future: HashMap<u32, (u32, f64)> =
-            self.future.iter().map(|(&id, f)| (id, (f.tenant, f.expected_s))).collect();
-        future.encode(e);
+        self.future.encode(e);
         self.active.encode(e);
         self.next_ctrl_id.encode(e);
         self.tick_armed.encode(e);
@@ -580,13 +571,12 @@ impl Controller {
     }
 
     /// Restores dynamic controller state over a freshly attached
-    /// controller; `residue` supplies the deferred jobs by controller id.
-    /// Arrival and tick timers come back through the engine snapshot, so
-    /// nothing is re-armed here.
-    // codec by hand: residue rejoin for future arrivals, and the optional sub-states restore in place
-    pub fn restore_state(&mut self, d: &mut Decoder, residue: &HashMap<u32, PendingJob>) {
+    /// controller. Arrival and tick timers come back through the engine
+    /// snapshot, so nothing is re-armed here.
+    // codec by hand: optional sub-states restore in place
+    pub fn restore_state(&mut self, d: &mut Decoder) {
         self.counters = Persist::decode(d);
-        self.queue.restore_state(d, residue);
+        self.queue.restore_state(d);
         self.slo.restore_state(d);
         if bool::decode(d) {
             self.rebalancer
@@ -594,13 +584,7 @@ impl Controller {
                 .expect("snapshot has a rebalancer but the relaunched controller does not")
                 .restore_state(d);
         }
-        let future = HashMap::<u32, (u32, f64)>::decode(d);
-        self.future = future
-            .into_iter()
-            .map(|(id, (tenant, expected_s))| {
-                (id, FutureArrival { tenant, expected_s, job: rejoin(residue, id) })
-            })
-            .collect();
+        self.future = Persist::decode(d);
         self.active = Persist::decode(d);
         self.next_ctrl_id = Persist::decode(d);
         self.tick_armed = Persist::decode(d);

@@ -164,50 +164,10 @@ impl AdmissionQueue {
         *self.started_by_tenant.entry(job.tenant).or_insert(0) += 1;
         Some(job)
     }
-
-    /// Clones of the queued deferred jobs keyed by controller id — the
-    /// out-of-band half of a snapshot (submission closures cannot
-    /// serialize; they ride along as live `Rc` clones instead).
-    pub fn job_residue(&self) -> Vec<(u32, PendingJob)> {
-        self.pending.iter().map(|q| (q.ctrl_id, q.job.clone())).collect()
-    }
-
-    /// Encodes queue state. The `PendingJob`s travel separately via
-    /// [`AdmissionQueue::job_residue`].
-    pub fn encode_state(&self, e: &mut Encoder) {
-        let pending: Vec<_> =
-            self.pending.iter().map(|q| (q.ctrl_id, q.tenant, q.arrival, q.expected_s)).collect();
-        pending.encode(e);
-        self.started_by_tenant.encode(e);
-        self.depth_hwm.encode(e);
-    }
-
-    /// Restores queue state, rejoining each entry with its deferred job
-    /// from `residue`.
-    // codec by hand: residue rejoin — each queued job's closure comes from the residue
-    pub fn restore_state(&mut self, d: &mut Decoder, residue: &HashMap<u32, PendingJob>) {
-        self.pending = Vec::<(u32, u32, SimTime, f64)>::decode(d)
-            .into_iter()
-            .map(|(ctrl_id, tenant, arrival, expected_s)| {
-                let job = rejoin(residue, ctrl_id);
-                QueuedJob { ctrl_id, tenant, arrival, expected_s, job }
-            })
-            .collect();
-        self.started_by_tenant = Persist::decode(d);
-        self.depth_hwm = Persist::decode(d);
-    }
 }
 
-/// The deferred job of controller job `ctrl_id` out of a snapshot residue.
-///
-/// # Panics
-/// If the residue does not carry it.
-pub(crate) fn rejoin(residue: &HashMap<u32, PendingJob>, ctrl_id: u32) -> PendingJob {
-    residue
-        .get(&ctrl_id)
-        .unwrap_or_else(|| panic!("snapshot residue missing deferred job {ctrl_id}"))
-        .clone()
-}
+simcore::persist_struct!(QueuedJob { ctrl_id, tenant, arrival, expected_s, job });
+simcore::persist_state!(AdmissionQueue { pending, started_by_tenant, depth_hwm });
 
 /// Queue waits beyond this count as SLO violations.
 pub const MAX_QUEUE_WAIT: SimDuration = SimDuration::from_secs(60);

@@ -2,7 +2,7 @@
 # Paired before/after evidence for a host-speed change (ROADMAP "rules of
 # evidence", platbench/README.md): builds platbench in a parent checkout
 # and in this one, runs alternating parent/change pairs of every
-# BENCHMARK.json workload plus one traced run per side, and prints the
+# BENCHMARK.json workload plus two traced runs per side, and prints the
 # markdown tables EXPERIMENTS.md carries, each end-to-end row with its
 # `choosing-metrics` §8 verdict against the bounds in BENCHMARK.json; exits
 # non-zero if any row is `worse`. A metric whose runs agree to a part in ten
@@ -22,6 +22,11 @@
 # the last pair and its max/min over all pairs, with a line saying that the
 # workload's `wall_s`/`setup_s` verdicts are drift-limited when that ratio
 # exceeds the `wall_s` bound; it changes no verdict and no exit code.
+# Each side also gets a second traced run, and every `alloc.*`, `simcore.*`,
+# `mapreduce.*`, `vhdfs.*` and `vsched.*` count that differs between a
+# side's two traced runs is printed: those counts are meant to repeat
+# exactly, so a change whose counts drift exits non-zero (a drifting parent
+# is only reported, since the change cannot mend it).
 #
 #   scripts/platbench_pairs.sh <parent-checkout> <out-dir> [pairs=10] [seed=2012] ["workload ..."] ["moved ..."]
 set -euo pipefail
@@ -62,6 +67,7 @@ done
 for w in $workloads; do
     for side in parent change; do
         run "$side" "$w" "$out/$w.trace.$side.txt" --seed "$seed" --trace 1
+        run "$side" "$w" "$out/$w.trace2.$side.txt" --seed "$seed" --trace 1
     done
 done
 
@@ -164,10 +170,26 @@ for w in workloads:
         print(f"| `{w}` | `{m}` | {p[m]:.0f} | {c[m]:.0f} | {ratio} |")
     if not moved_counts:
         print(f"| `{w}` | every `simcore.*`, `mapreduce.*`, `vhdfs.*`, `vsched.*` count | | | unchanged |")
+print()
+print("| workload | side | count (`--trace 1`) | first traced run | second traced run |")
+print("|---|---|---|---|---|")
+for w in workloads:
+    for side in ("parent", "change"):
+        a, b = (metrics(f"{out}/{w}.{run}.{side}.txt") for run in ("trace", "trace2"))
+        drifted = [m for m in sorted(a.keys() | b.keys())
+                   if re.match(r'(alloc|simcore|mapreduce|vhdfs|vsched)\.', m)
+                   and not re.search(r'_s$|frac$', m) and a.get(m) != b.get(m)]
+        for m in drifted:
+            print(f"| `{w}` | {side} | `{m}` | {a.get(m, float('nan')):.0f} | {b.get(m, float('nan')):.0f} |")
+            if side == "change":
+                worse.append(f"{w} {m} differs between two traced runs")
+        if not drifted:
+            print(f"| `{w}` | {side} | every count | | repeats |")
 if declared:
     print()
     print(*declared, sep="\n")
 if worse:
-    sys.exit("worse than the parent beyond the BENCHMARK.json bound, or a simulation that moved: "
+    sys.exit("worse than the parent beyond the BENCHMARK.json bound, a simulation that moved, "
+             "or a count that did not repeat: "
              + ", ".join(worse))
 PY

@@ -320,9 +320,12 @@ fn golden_snapshot_hash_pins_the_format() {
     );
 }
 
-/// Pinned against SNAPSHOT_VERSION = 10, whose engine writes no timer arena
-/// (heap entries carry what they fire, an activity how it ends) and whose
-/// reduce records carry their merge's input counts; at v9 it was
+/// Pinned against SNAPSHOT_VERSION = 11, which writes each job's user code
+/// as `Rc` handle indexes in its field list, the job id in the job's own
+/// record, and no fluid resource-visit count (the same simulation; only the
+/// layout moved); at v10 it was `0x684c_b027_aa23_93dd`. V10's engine writes
+/// no timer arena (heap entries carry what they fire, an activity how it
+/// ends) and its reduce records carry their merge's input counts; at v9 it was
 /// `0x26b0_347f_e0a4_a2b2`. V9's JobTracker writes one slot
 /// ledger and one record per task instead of the tracker list, two hashed
 /// slot tables and fourteen per-task columns (the same simulation; only
@@ -338,7 +341,7 @@ fn golden_snapshot_hash_pins_the_format() {
 /// fewer solves (stamps, epochs, `seq`, solve counters). At v5 it was
 /// `0x3605_0ea3_74ec_ed52`; v6 writes every flow's and resource's settle
 /// instant.
-const GOLDEN_HASH: u64 = 0x684c_b027_aa23_93dd;
+const GOLDEN_HASH: u64 = 0x23e6_e68c_358c_fa47;
 
 /// Folds the FNV-1a of the snapshot taken at every `k`-th wakeup of one
 /// scenario into a single pin, so the formats `GOLDEN_HASH` never sees
@@ -525,8 +528,13 @@ fn golden_snapshot_hashes_pin_every_subsystem() {
     );
 }
 
-/// Pinned against SNAPSHOT_VERSION = 10: controller stream, monitored and
-/// faulted migration, HSGen/HSSort window. All three moved at v10, whose
+/// Pinned against SNAPSHOT_VERSION = 11: controller stream, monitored and
+/// faulted migration, HSGen/HSSort window. All three moved at v11, whose
+/// jobs, queued jobs and future arrivals write their user code as `Rc`
+/// handle indexes, whose map-only jobs write their outputs as other jobs
+/// do and whose fluid net writes no resource-visit count (same simulation,
+/// new layout); at v10 they were `0x1044_da7d_4e67_c2d8`,
+/// `0x0940_ded1_3498_0b1d` and `0xb517_2688_1e55_7e93`. All three moved at v10, whose
 /// engine writes no timer arena and delivers no batch-member wakeups (so the
 /// k-th wakeup lands elsewhere too); at v9 they were `0xca98_ce90_6500_d45a`,
 /// `0xe101_fa04_ca95_01fd` and `0x838b_c14f_84db_6f03`. All three moved at v9, whose
@@ -555,4 +563,4 @@ fn golden_snapshot_hashes_pin_every_subsystem() {
 /// what-if outcome's `measured_s` became the span to the fork's last job
 /// completion), `0xe581_ee59_ba4f_b8f9` and `0xac73_b47c_3a73_85f4`.
 const SUBSYSTEM_PINS: [u64; 3] =
-    [0x1044_da7d_4e67_c2d8, 0x0940_ded1_3498_0b1d, 0xb517_2688_1e55_7e93];
+    [0x761b_7b8c_72bc_3d2a, 0x2578_576e_5d28_fe9f, 0xe50a_3a28_71fb_d700];
