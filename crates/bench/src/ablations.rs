@@ -1,8 +1,7 @@
 //! Ablation studies of the design choices DESIGN.md calls out. The
-//! `ablations` entry runs seven of them and writes their rows to
+//! `ablations` entry runs six of them and writes their rows to
 //! `results/ablations.{csv,json}`:
 //!
-//! * `locality`        — locality-aware map scheduling ON vs. OFF;
 //! * `combiner`        — wordcount with vs. without the combiner;
 //! * `migration-order` — sequential vs. fully concurrent cluster migration;
 //! * `speculation`     — backup attempts for straggling maps ON vs. OFF
@@ -42,17 +41,6 @@ fn input_mb(scale: f64) -> u64 {
 pub fn run(scale: f64) {
     let mb = input_mb(scale);
     let mut sink = ResultSink::new("ablations", "variant (0=off/seq 1=on/conc)", "seconds");
-
-    // --- locality-aware scheduling ---------------------------------------
-    // Cross-domain placement makes remote reads expensive; locality off
-    // should hurt there.
-    for (x, on) in [(0.0, false), (1.0, true)] {
-        let cfg = JobConfig::default().with_locality(on);
-        let t = run_wordcount(cluster_2x16(Placement::CrossDomain).build(), mb << 20, cfg, SEED)
-            .elapsed_s;
-        println!("locality={on}: {t:.1}s");
-        sink.push("locality", x, t);
-    }
 
     // --- combiner ---------------------------------------------------------
     for (x, on) in [(0.0, false), (1.0, true)] {
@@ -124,10 +112,6 @@ pub fn run(scale: f64) {
         down[0].1
     );
     assert!(pts("combiner")[1].1 < pts("combiner")[0].1, "combiner speeds wordcount up");
-    assert!(
-        pts("locality")[1].1 <= pts("locality")[0].1 * 1.05,
-        "locality-aware scheduling does not hurt"
-    );
     assert!(pts("speculation")[1].1 < pts("speculation")[0].1, "speculation rescues the straggler");
     let mk = pts("scheduler-makespan");
     assert_eq!(mk.len(), SchedulerPolicy::all().len(), "one makespan per policy");
@@ -355,7 +339,8 @@ fn run_contending_jobs(policy: SchedulerPolicy, mb: u64, seed: RootSeed) -> (f64
 }
 
 /// A CPU-heavy job with one tracker VM crushed by external load; returns
-/// elapsed seconds.
+/// elapsed seconds. The crushed VM writes `/in`, so it holds every block's
+/// first replica and the locality tiers hand it maps.
 fn run_straggler_job(speculative: bool, seed: RootSeed) -> f64 {
     use mapreduce::prelude::*;
 
@@ -393,8 +378,7 @@ fn run_straggler_job(speculative: bool, seed: RootSeed) -> f64 {
     let input = GeneratorInput::new(8, 1 << 20, |idx| {
         (0..40).map(|i| (K::Int((idx * 100 + i) as i64), V::Float(i as f64))).collect()
     });
-    let config =
-        JobConfig { speculative, locality_aware: false, use_combiner: false, ..Default::default() };
+    let config = JobConfig { speculative, use_combiner: false, ..Default::default() };
     let job = JobSpec::new("heavy", "/in", format!("/out-{speculative}")).with_config(config);
     rt.run_job(job, Box::new(HeavyApp), Box::new(input)).elapsed_secs()
 }

@@ -168,7 +168,6 @@ fn whatif_model_err(hosts: u32, vms: u32, model: MakespanKind) -> f64 {
 /// what-if error.
 pub fn costmodel(_scale: f64) {
     use vchar::prelude::*;
-    use vsched::model::TreeConfig;
     use vsched::placement::PlacementKind;
     use workloads::loadgen::JobMix;
 
@@ -190,7 +189,7 @@ pub fn costmodel(_scale: f64) {
         base_seed: 4242,
     };
     let ds = run_sweep(&spec, 4);
-    let (tree, eval) = fit_cost_model(&ds, &TreeConfig::default());
+    let (tree, eval) = fit_cost_model(&ds);
     println!(
         "costmodel: {} rows ({} train / {} held out), tree {} nodes depth {}",
         eval.rows_total, eval.rows_train, eval.rows_heldout, eval.tree_nodes, eval.tree_depth

@@ -62,6 +62,25 @@ pub struct InjectedFault {
 
 simcore::persist_struct!(InjectedFault { at, kind, lost_blocks, effective });
 
+/// Which throttle fault is in force; its trace spans are named after it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Throttle {
+    LinkDegrade,
+    SlowDisk,
+    StragglerVm,
+}
+
+impl Throttle {
+    /// The fault's trace span name.
+    fn name(self) -> &'static str {
+        match self {
+            Throttle::LinkDegrade => "link_degrade",
+            Throttle::SlowDisk => "slow_disk",
+            Throttle::StragglerVm => "straggler_vm",
+        }
+    }
+}
+
 /// A throttle currently in force, so the restore timer can undo exactly
 /// what was applied.
 #[derive(Debug, Clone, Copy)]
@@ -69,33 +88,12 @@ struct ActiveScale {
     resource: ResourceId,
     factor: f64,
     since: SimTime,
-    name: &'static str,
+    throttle: Throttle,
     track: u32,
 }
 
-/// Trace span names of the throttle faults.
-const THROTTLE_NAMES: [&str; 3] = ["link_degrade", "slow_disk", "straggler_vm"];
-
-// codec by hand: `name` is a `&'static str`, written as the string and matched on decode
-impl Persist for ActiveScale {
-    fn encode(&self, e: &mut Encoder) {
-        self.resource.encode(e);
-        self.factor.encode(e);
-        self.since.encode(e);
-        e.str(self.name);
-        self.track.encode(e);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        let resource = ResourceId::decode(d);
-        let factor = f64::decode(d);
-        let since = SimTime::decode(d);
-        let name = d.str();
-        let Some(&name) = THROTTLE_NAMES.iter().find(|&&n| n == name) else {
-            panic!("snapshot corrupt: unknown throttle name {name:?}");
-        };
-        ActiveScale { resource, factor, since, name, track: d.u32() }
-    }
-}
+simcore::persist_enum!(Throttle { 0 => LinkDegrade, 1 => SlowDisk, 2 => StragglerVm });
+simcore::persist_struct!(ActiveScale { resource, factor, since, throttle, track });
 
 /// Per-platform fault-injection state (see module docs).
 #[derive(Debug, Default)]
@@ -211,7 +209,7 @@ impl VHadoop {
             FaultKind::LinkDegrade { host, factor, duration } => {
                 if host < self.rt.cluster.spec().hosts {
                     let r = self.rt.cluster.host_nic_resource(HostId(host));
-                    self.apply_throttle(idx, r, factor, duration, "link_degrade", host);
+                    self.apply_throttle(idx, r, factor, duration, Throttle::LinkDegrade, host);
                     true
                 } else {
                     false
@@ -219,13 +217,13 @@ impl VHadoop {
             }
             FaultKind::SlowDisk { factor, duration } => {
                 let r = self.rt.cluster.nfs_disk_resource();
-                self.apply_throttle(idx, r, factor, duration, "slow_disk", u32::MAX);
+                self.apply_throttle(idx, r, factor, duration, Throttle::SlowDisk, u32::MAX);
                 true
             }
             FaultKind::StragglerVm { vm, factor, duration } => {
                 if vm < self.rt.cluster.spec().vms {
                     let r = self.rt.cluster.vcpu_resource(VmId(vm));
-                    self.apply_throttle(idx, r, factor, duration, "straggler_vm", vm);
+                    self.apply_throttle(idx, r, factor, duration, Throttle::StragglerVm, vm);
                     true
                 } else {
                     false
@@ -250,15 +248,16 @@ impl VHadoop {
         resource: ResourceId,
         factor: f64,
         duration: SimDuration,
-        name: &'static str,
+        throttle: Throttle,
         track: u32,
     ) {
         let factor = factor.clamp(MIN_THROTTLE_FACTOR, 1.0);
         let now = self.rt.engine.now();
         let cap = self.rt.engine.fluid().capacity(resource);
         self.rt.engine.set_capacity(resource, cap * factor);
-        self.rt.engine.trace_span("fault", name, track, now, &[("factor", factor)]);
-        self.faults.scales.insert(idx, ActiveScale { resource, factor, since: now, name, track });
+        self.rt.engine.trace_span("fault", throttle.name(), track, now, &[("factor", factor)]);
+        let scale = ActiveScale { resource, factor, since: now, throttle, track };
+        self.faults.scales.insert(idx, scale);
         self.rt.engine.set_timer_in(
             duration.max(SimDuration::from_nanos(1)),
             Tag::new(owners::FAULT, idx, FAULT_RESTORE),
@@ -271,6 +270,7 @@ impl VHadoop {
         };
         let cap = self.rt.engine.fluid().capacity(s.resource);
         self.rt.engine.set_capacity(s.resource, cap / s.factor);
-        self.rt.engine.trace_span("fault", s.name, s.track, s.since, &[("factor", s.factor)]);
+        let name = s.throttle.name();
+        self.rt.engine.trace_span("fault", name, s.track, s.since, &[("factor", s.factor)]);
     }
 }

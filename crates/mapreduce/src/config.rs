@@ -31,8 +31,6 @@ pub struct JobConfig {
     pub num_reduces: u32,
     /// Run the application's combiner on map output before spilling.
     pub use_combiner: bool,
-    /// Prefer scheduling a map where one of its split's replicas lives.
-    pub locality_aware: bool,
     /// Launch backup attempts for straggling maps
     /// (`mapred.map.tasks.speculative.execution`). The first attempt to
     /// finish wins; the loser's work is discarded.
@@ -41,7 +39,7 @@ pub struct JobConfig {
 
 impl Default for JobConfig {
     fn default() -> Self {
-        JobConfig { num_reduces: 1, use_combiner: true, locality_aware: true, speculative: false }
+        JobConfig { num_reduces: 1, use_combiner: true, speculative: false }
     }
 }
 
@@ -63,12 +61,6 @@ impl JobConfig {
         self
     }
 
-    /// Toggles locality-aware scheduling, builder style.
-    pub fn with_locality(mut self, on: bool) -> Self {
-        self.locality_aware = on;
-        self
-    }
-
     /// Toggles speculative execution, builder style.
     pub fn with_speculative(mut self, on: bool) -> Self {
         self.speculative = on;
@@ -87,16 +79,15 @@ mod tests {
         let c = JobConfig::default();
         assert_eq!(c.num_reduces, 1);
         assert!(c.use_combiner);
-        assert!(c.locality_aware);
         assert!(!c.speculative);
     }
 
     #[test]
     fn builders_compose() {
-        let c = JobConfig::default().with_reduces(6).with_combiner(false).with_locality(false);
+        let c = JobConfig::default().with_reduces(6).with_combiner(false).with_speculative(true);
         assert_eq!(c.num_reduces, 6);
         assert!(!c.use_combiner);
-        assert!(!c.locality_aware);
+        assert!(c.speculative);
         assert_eq!(JobConfig::map_only().num_reduces, 0);
     }
 }

@@ -120,11 +120,6 @@ impl MrEngine {
         self.slots.busy()
     }
 
-    /// Live counters of an unfinished job (`None` once finished/unknown).
-    pub fn job_counters(&self, id: JobId) -> Option<&Counters> {
-        self.jobs.get(&id.0).map(|j| &j.counters)
-    }
-
     /// Maps of job `id` currently running both a primary and a speculative
     /// attempt, as `(map_index, primary_vm, backup_vm)`. For tests and
     /// failure-injection scenarios that must hit a task mid-speculation.
@@ -254,7 +249,6 @@ impl MrEngine {
             .iter()
             .map(|(&id, job)| JobView {
                 id,
-                config: job.config(),
                 pending_maps: &job.pending_maps,
                 pending_reduces: &job.pending_reduces,
                 map_locations: job.splits.iter().map(|s| s.locations.as_slice()).collect(),

@@ -56,16 +56,6 @@ impl VecInput {
         });
         VecInput { splits: Arc::new(sized.collect()) }
     }
-
-    /// Splits `records` into `n` round-robin shards.
-    pub fn sharded(records: Vec<Record>, n: usize) -> Self {
-        assert!(n > 0, "need at least one shard");
-        let mut splits: Vec<Vec<Record>> = (0..n).map(|_| Vec::new()).collect();
-        for (i, r) in records.into_iter().enumerate() {
-            splits[i % n].push(r);
-        }
-        VecInput::new(splits)
-    }
 }
 
 impl InputFormat for VecInput {
@@ -136,15 +126,6 @@ mod tests {
         };
         assert!(!lent(&input).is_null());
         assert_eq!(lent(&input), lent(&input.clone()));
-    }
-
-    #[test]
-    fn sharded_distributes_round_robin() {
-        let records: Vec<Record> = (0..10).map(|i| (K::Int(i), V::Null)).collect();
-        let input = VecInput::sharded(records, 3);
-        assert_eq!(input.split_count(), 3);
-        let sizes: Vec<usize> = (0..3).map(|i| input.read_split(i).len()).collect();
-        assert_eq!(sizes, vec![4, 3, 3]);
     }
 
     #[test]

@@ -58,7 +58,7 @@ simcore::persist_struct!(Counters {
     speculative_maps,
     relaunched_tasks,
 });
-simcore::persist_struct!(JobConfig { num_reduces, use_combiner, locality_aware, speculative });
+simcore::persist_struct!(JobConfig { num_reduces, use_combiner, speculative });
 simcore::persist_struct!(JobSpec { name, input_path, output_path, config });
 simcore::persist_struct!(SplitInfo { block, bytes, locations });
 simcore::persist_enum!(TaskPhase { 0 => Pending, 1 => Running(vm), 2 => Done });
@@ -149,7 +149,7 @@ mod tests {
         round_trip(JobSpec::new("wc", "/in", "/out"));
         round_trip(
             JobSpec::generated("gen", "/g")
-                .with_config(JobConfig::map_only().with_locality(false).with_speculative(true)),
+                .with_config(JobConfig::map_only().with_combiner(false).with_speculative(true)),
         );
         round_trip(SchedulerPolicy::JobDriven);
         round_trip(Counters { shuffle_bytes: 42, launched_maps: 3, ..Default::default() });
@@ -161,11 +161,11 @@ mod tests {
     /// code, and re-encoding the restored engine gives the same bytes.
     #[test]
     fn a_restored_job_holds_the_original_user_code() {
-        use crate::speculation::tests::{runtime, spread, submit};
+        use crate::speculation::tests::{runtime, squaring, submit};
         use std::rc::Rc;
         let mut rt = runtime(5, false);
-        submit(&mut rt, spread(false), "/out-1");
-        submit(&mut rt, JobConfig { num_reduces: 0, ..spread(false) }, "/out-2");
+        submit(&mut rt, squaring(false), "/out-1");
+        submit(&mut rt, JobConfig { num_reduces: 0, ..squaring(false) }, "/out-2");
         // Mid-run: some map output held, user code still to be called.
         while rt.mr.jobs.values().all(|j| j.completed_maps == 0) {
             rt.step_audited().expect("a map finishes");

@@ -164,7 +164,7 @@ impl MrEngine {
 #[cfg(test)]
 mod tests {
     use crate::runtime::MrRuntime;
-    use crate::speculation::tests::{map_counts, runtime, spread, submit};
+    use crate::speculation::tests::{map_counts, runtime, squaring, submit};
     use crate::state::TaskPhase;
     use simcore::prelude::*;
     use vcluster::cluster::VmId;
@@ -198,14 +198,14 @@ mod tests {
     fn an_orphaned_loser_frees_no_slot_on_its_rejoined_tracker() {
         let vm1 = VmId(1);
         let mut rt = runtime(31, true);
-        submit(&mut rt, spread(true), "/out-1");
+        submit(&mut rt, squaring(true), "/out-1");
         let m = until_a_loser_runs_on(&mut rt, vm1);
         rt.mr.lose_tracker(&mut rt.engine, &rt.cluster, vm1, SimDuration::ZERO);
         rt.mr.assert_slots_accounted();
         let job = rt.mr.jobs.values().next().expect("the job is running");
         assert_eq!(job.maps[m].active, [false; 2], "the loser died with its tracker");
         rt.mr.rejoin_tracker(&mut rt.engine, &rt.cluster, vm1);
-        submit(&mut rt, spread(true), "/out-2");
+        submit(&mut rt, squaring(true), "/out-2");
         let results = rt.drive_all_audited();
         assert_eq!(results.len(), 2);
         assert!(rt.mr.busy_trackers().is_empty(), "a slot is still held after both jobs");
@@ -220,11 +220,11 @@ mod tests {
     fn timed_out_primary_mid_speculation_keeps_the_ledger_accounted() {
         let clean = {
             let mut rt = runtime(31, true);
-            submit(&mut rt, spread(false), "/out");
+            submit(&mut rt, squaring(false), "/out");
             rt.drive_all_audited().pop().expect("the job finished")
         };
         let mut rt = runtime(31, true);
-        let id = submit(&mut rt, spread(true), "/out");
+        let id = submit(&mut rt, squaring(true), "/out");
         let primary = loop {
             rt.step_audited().expect("a map speculates before the job ends");
             if let Some(&(_, primary, _)) = rt.mr.speculating(id).first() {

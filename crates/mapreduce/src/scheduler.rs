@@ -20,7 +20,7 @@
 //! VMs are live TaskTrackers and how many slots each holds; a policy
 //! charges its round against a clone.
 
-use crate::config::{JobConfig, MAP_SLOTS_PER_TRACKER, REDUCE_SLOTS_PER_TRACKER};
+use crate::config::{MAP_SLOTS_PER_TRACKER, REDUCE_SLOTS_PER_TRACKER};
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 use vcluster::cluster::{HostId, VmId};
@@ -101,8 +101,6 @@ pub struct TrackerInfo {
 pub struct JobView<'a> {
     /// Job id.
     pub id: u32,
-    /// The job's configuration (locality flag, reduce count, ...).
-    pub config: &'a JobConfig,
     /// Map task indices awaiting assignment, FIFO order.
     pub pending_maps: &'a VecDeque<usize>,
     /// Reduce task indices awaiting assignment, FIFO order.
@@ -328,20 +326,13 @@ fn emptiest(view: &SchedulerView, slots: &SlotLedger, avoid: Option<VmId>) -> Op
         .max_by_key(|&v| (slots.free_map(v), Reverse(v.0)))
 }
 
-/// Stock Hadoop map placement: the nearest locality tier that has room
-/// (when the job is locality-aware), otherwise the emptiest tracker.
-fn pick_map_vm(
-    view: &SchedulerView,
-    slots: &SlotLedger,
-    cfg: &JobConfig,
-    locations: &[VmId],
-) -> Option<VmId> {
-    let near = if cfg.locality_aware {
-        LOCALITY_TIERS.iter().find_map(|tier| tier(view, slots, locations))
-    } else {
-        None
-    };
-    near.or_else(|| emptiest(view, slots, None))
+/// Stock Hadoop map placement: the nearest locality tier that has room,
+/// otherwise the emptiest tracker.
+fn pick_map_vm(view: &SchedulerView, slots: &SlotLedger, locations: &[VmId]) -> Option<VmId> {
+    LOCALITY_TIERS
+        .iter()
+        .find_map(|tier| tier(view, slots, locations))
+        .or_else(|| emptiest(view, slots, None))
 }
 
 /// Reduce placement: the tracker with the most free reduce slots, ties
@@ -365,7 +356,7 @@ fn fifo(view: &SchedulerView) -> Vec<Assignment> {
     let mut out = Vec::new();
     for job in &view.jobs {
         for &m in job.pending_maps {
-            let Some(vm) = pick_map_vm(view, &slots, job.config, job.map_locations[m]) else {
+            let Some(vm) = pick_map_vm(view, &slots, job.map_locations[m]) else {
                 break;
             };
             slots.take_map(vm);
@@ -467,7 +458,6 @@ mod tests {
         vm_racks: Vec<RackId>,
         racks: u32,
         slots: SlotLedger,
-        configs: Vec<JobConfig>,
         pending_maps: Vec<VecDeque<usize>>,
         pending_reduces: Vec<VecDeque<usize>>,
         locations: Vec<Vec<Vec<VmId>>>,
@@ -483,7 +473,6 @@ mod tests {
                 vm_racks: vec![RackId(0); n_trackers as usize + 1],
                 racks: 1,
                 slots: SlotLedger::new((1..=n_trackers).map(VmId).collect()),
-                configs: Vec::new(),
                 pending_maps: Vec::new(),
                 pending_reduces: Vec::new(),
                 locations: Vec::new(),
@@ -517,18 +506,19 @@ mod tests {
             }
         }
 
+        /// Adds a job with `reduces` reduce tasks and one map per entry of
+        /// `locations` (the VMs holding that map's split).
         fn job(
             &mut self,
-            cfg: JobConfig,
+            reduces: usize,
             maps: usize,
             locations: Vec<Vec<VmId>>,
             reduces_open: bool,
             partition_bytes: Vec<u64>,
         ) -> &mut Self {
             assert_eq!(locations.len(), maps);
-            self.configs.push(cfg.clone());
             self.pending_maps.push((0..maps).collect());
-            self.pending_reduces.push((0..cfg.num_reduces as usize).collect());
+            self.pending_reduces.push((0..reduces).collect());
             self.locations.push(locations);
             self.reduces_open.push(reduces_open);
             self.partition_bytes.push(partition_bytes);
@@ -542,10 +532,9 @@ mod tests {
                 vm_racks: &self.vm_racks,
                 racks: self.racks,
                 slots: &self.slots,
-                jobs: (0..self.configs.len())
+                jobs: (0..self.pending_maps.len())
                     .map(|j| JobView {
                         id: j as u32,
-                        config: &self.configs[j],
                         pending_maps: &self.pending_maps[j],
                         pending_reduces: &self.pending_reduces[j],
                         map_locations: self.locations[j].iter().map(Vec::as_slice).collect(),
@@ -564,13 +553,25 @@ mod tests {
     #[test]
     fn fifo_drains_first_job_before_second() {
         let mut fx = ViewFixture::new(2); // 2 trackers × 2 map slots = 4 slots
-        let cfg = JobConfig::default().with_locality(false);
-        fx.job(cfg.clone(), 4, vec![vec![]; 4], false, vec![]);
-        fx.job(cfg, 4, vec![vec![]; 4], false, vec![]);
+        fx.job(1, 4, vec![vec![]; 4], false, vec![]);
+        fx.job(1, 4, vec![vec![]; 4], false, vec![]);
         let a = SchedulerPolicy::Fifo.assign(&fx.view());
         assert_eq!(a.len(), 4, "all four slots filled");
         assert_eq!(count_for_job(&a, 0), 4, "FIFO gives job 0 everything");
         assert_eq!(count_for_job(&a, 1), 0);
+    }
+
+    /// Map placement is always locality-first: a map goes to its free
+    /// replica tracker even when another tracker is emptier, and a map
+    /// whose split names no replica goes to the emptiest tracker.
+    #[test]
+    fn fifo_places_maps_on_replicas_then_on_the_emptiest() {
+        let mut fx = ViewFixture::new(3);
+        fx.hold(1, 1, 0); // vm1 has one free slot, vm2 and vm3 have two
+        fx.job(1, 2, vec![vec![VmId(1)], vec![]], false, vec![]);
+        let a = SchedulerPolicy::Fifo.assign(&fx.view());
+        let placed: Vec<(TaskKind, VmId)> = a.iter().map(|x| (x.kind, x.vm)).collect();
+        assert_eq!(placed, vec![(TaskKind::Map(0), VmId(1)), (TaskKind::Map(1), VmId(2))]);
     }
 
     #[test]
@@ -581,8 +582,7 @@ mod tests {
         // JobDriven matches map 1 to its replica first.
         let mut fx = ViewFixture::new(2);
         fx.hold(1, 2, 0); // tracker 1 full
-        let cfg = JobConfig::default();
-        fx.job(cfg, 2, vec![vec![VmId(1)], vec![VmId(2)]], false, vec![]);
+        fx.job(1, 2, vec![vec![VmId(1)], vec![VmId(2)]], false, vec![]);
         let a = SchedulerPolicy::JobDriven.assign(&fx.view());
         let first = a.first().expect("an assignment");
         assert_eq!(first.kind, TaskKind::Map(1), "local map jumps the queue");
@@ -595,8 +595,7 @@ mod tests {
     #[test]
     fn job_driven_places_largest_partition_first() {
         let mut fx = ViewFixture::new(2);
-        let cfg = JobConfig::default().with_reduces(3);
-        fx.job(cfg, 0, vec![], true, vec![10, 5000, 70]);
+        fx.job(3, 0, vec![], true, vec![10, 5000, 70]);
         let a = SchedulerPolicy::JobDriven.assign(&fx.view());
         let order: Vec<usize> = a
             .iter()
@@ -616,8 +615,7 @@ mod tests {
     fn reduce_placement_avoids_map_loaded_tracker() {
         let mut fx = ViewFixture::new(2);
         fx.hold(1, 2, 0); // tracker 1 busy with maps; reduce slots equal
-        let cfg = JobConfig::default().with_reduces(1);
-        fx.job(cfg, 0, vec![], true, vec![100]);
+        fx.job(1, 0, vec![], true, vec![100]);
         for a in SchedulerPolicy::Fifo.assign(&fx.view()) {
             assert_eq!(a.vm, VmId(2), "reduce avoids the map-loaded tracker");
         }
@@ -640,7 +638,7 @@ mod tests {
             fx.hold(1, 2, 0);
             fx.hold(3, 2, 0);
             fx.hold(2, 1, 0);
-            fx.job(JobConfig::default(), 1, vec![vec![VmId(1)]], false, vec![]);
+            fx.job(1, 1, vec![vec![VmId(1)]], false, vec![]);
             fx
         };
         let mut racked = setup();
@@ -669,8 +667,7 @@ mod tests {
     #[test]
     fn speculative_placement_avoids_straggler_host() {
         let mut fx = ViewFixture::new(3);
-        let cfg = JobConfig::default();
-        fx.job(cfg, 1, vec![vec![]], false, vec![]);
+        fx.job(1, 1, vec![vec![]], false, vec![]);
         let vm =
             SchedulerPolicy::Fifo.place_speculative(&fx.view(), VmId(1)).expect("free slot exists");
         assert_ne!(vm, VmId(1), "backup attempt runs elsewhere");
@@ -719,12 +716,7 @@ mod tests {
             }
             fx.hold(vm.0, held[0], held[1]);
         }
-        let configs = [
-            JobConfig::default(),
-            JobConfig::default().with_reduces(24),
-            JobConfig::default().with_locality(false),
-        ];
-        for (j, cfg) in configs.into_iter().enumerate() {
+        for (j, reduces) in [1, 24, 1].into_iter().enumerate() {
             let locations = (0..64)
                 .map(|m| {
                     let first = if m == 0 { dead[j] } else { 1 + draw(1024) as u32 };
@@ -734,7 +726,7 @@ mod tests {
             let open = j == 1;
             let bytes =
                 if open { (0..24).map(|r| (1 + r % 5) * (1 << (r % 7))).collect() } else { vec![] };
-            fx.job(cfg, 64, locations, open, bytes);
+            fx.job(reduces, 64, locations, open, bytes);
         }
         fx
     }
@@ -743,13 +735,15 @@ mod tests {
     /// ledger the engine kept until `SlotLedger` replaced it): the hashes cover the
     /// full `(job, kind, vm)` sequence of `assign` plus eight
     /// `place_speculative` answers, per policy, at the fixed per-tracker
-    /// slot counts.
+    /// slot counts. FIFO's assignment hash is pinned against always
+    /// locality-first placement; the hashed ledger's run (hash
+    /// `0x8f9d_1c29_6d50_75bb`) placed the third job without the tiers.
     #[test]
     fn assignments_at_1024_trackers_match_the_hashed_ledger() {
         let fx = scale_fixture();
         let view = fx.view();
         let golden: [(SchedulerPolicy, u64, u64); 2] = [
-            (SchedulerPolicy::Fifo, 0x8f9d_1c29_6d50_75bb, 0xcf0a_7394_cc94_d2a5),
+            (SchedulerPolicy::Fifo, 0x3fe7_cb5c_f37d_bd55, 0xcf0a_7394_cc94_d2a5),
             (SchedulerPolicy::JobDriven, 0x1c25_7ef3_9091_ae20, 0xcf0a_7394_cc94_d2a5),
         ];
         for (policy, assign_hash, speculative_hash) in golden {
@@ -798,13 +792,13 @@ mod tests {
             fx.hold(v, maps, reduces);
         }
         for _ in 0..g.usize_in(0, 4) {
-            let cfg = JobConfig::default().with_reduces(g.u32_in(0, 5)).with_locality(g.bool(0.8));
+            let reduces = g.usize_in(0, 5);
             let maps = g.usize_in(0, 8);
             let locations = (0..maps)
                 .map(|_| (0..g.usize_in(0, 3)).map(|_| VmId(g.u32_in(0, vms))).collect())
                 .collect();
-            let bytes = (0..cfg.num_reduces).map(|_| g.u64_in(0, 1 << 20)).collect();
-            fx.job(cfg, maps, locations, g.bool(0.5), bytes);
+            let bytes = (0..reduces).map(|_| g.u64_in(0, 1 << 20)).collect();
+            fx.job(reduces, maps, locations, g.bool(0.5), bytes);
         }
         fx
     }
@@ -841,7 +835,7 @@ mod tests {
                 }
             }
             // Quiesce: no pending map anywhere, no pending reduce that is open.
-            for j in 0..fx.configs.len() {
+            for j in 0..fx.pending_maps.len() {
                 fx.pending_maps[j].clear();
                 if fx.reduces_open[j] {
                     fx.pending_reduces[j].clear();

@@ -128,10 +128,11 @@ pub(crate) mod tests {
         rt.submit(job, Box::new(SlowSquare), Box::new(input))
     }
 
-    /// The squaring job with maps spread round-robin (so vm1 gets one),
-    /// one reduce and no combiner.
-    pub(crate) fn spread(speculative: bool) -> JobConfig {
-        JobConfig { speculative, locality_aware: false, use_combiner: false, num_reduces: 1 }
+    /// The squaring job's configuration: one reduce, no combiner. vm1
+    /// wrote `/in` and holds every block's first replica, so the locality
+    /// tiers give it two maps.
+    pub(crate) fn squaring(speculative: bool) -> JobConfig {
+        JobConfig { speculative, use_combiner: false, num_reduces: 1 }
     }
 
     /// The map-side counters: input records and bytes, output records and
@@ -149,7 +150,7 @@ pub(crate) mod tests {
     /// Runs the job with a crushing background load on one tracker VM.
     fn run(speculative: bool) -> JobResult {
         let mut rt = runtime(31, true);
-        submit(&mut rt, spread(speculative), &format!("/out-{speculative}"));
+        submit(&mut rt, squaring(speculative), &format!("/out-{speculative}"));
         rt.drive_all_audited().pop().expect("the job finished")
     }
 

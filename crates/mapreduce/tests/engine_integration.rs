@@ -99,9 +99,9 @@ fn combiner_cuts_shuffle_traffic() {
 }
 
 #[test]
-fn locality_aware_scheduling_reads_locally() {
+fn locality_first_placement_reads_locally() {
     let mut rt = runtime(Placement::SingleDomain, 8);
-    let result = register_and_run(&mut rt, 4, JobConfig::default().with_locality(true));
+    let result = register_and_run(&mut rt, 4, JobConfig::default());
     assert!(
         result.counters.data_locality() > 0.7,
         "most maps data-local, got {}",

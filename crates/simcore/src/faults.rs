@@ -152,7 +152,8 @@ impl FaultPlan {
     ///   (keep this below the HDFS replication factor to rule out block
     ///   loss);
     /// * no [`FaultKind::NodeRejoin`] is generated (rejoined nodes would
-    ///   make the crash budget unsound); script rejoins explicitly;
+    ///   make the crash budget unsound), and no [`FaultKind::MigrationAbort`];
+    ///   script those explicitly;
     /// * every event lands strictly inside `(0, horizon)`, factors lie in
     ///   `[0.05, 0.6]`, and throttle durations within `horizon / 8` —
     ///   faults perturb the run rather than dominating it.
@@ -187,7 +188,9 @@ impl FaultPlan {
                 },
                 2 => FaultKind::SlowDisk { factor, duration },
                 3 => FaultKind::StragglerVm { vm: rng.gen_range(1..profile.vms), factor, duration },
-                4 if profile.allow_migration_abort => FaultKind::MigrationAbort,
+                // 4 generates nothing (a migration abort is a no-op unless
+                // the scenario migrates: script one). The draw stays so
+                // that every seed keeps its plan.
                 _ => continue,
             };
             plan.push(at, kind);
@@ -211,14 +214,11 @@ pub struct FaultProfile {
     /// Upper bound on distinct crashed VMs. Keep below the HDFS
     /// replication factor to guarantee no block loses its last replica.
     pub max_crashes: u32,
-    /// Whether [`FaultKind::MigrationAbort`] may be generated (pointless —
-    /// a no-op — unless the scenario also migrates).
-    pub allow_migration_abort: bool,
 }
 
 impl FaultProfile {
     /// A moderate default profile for a `vms`-VM, `hosts`-host cluster:
-    /// 20 s horizon, at most 6 events and 2 crashes, no migration aborts.
+    /// 20 s horizon, at most 6 events and 2 crashes.
     pub fn new(vms: u32, hosts: u32) -> Self {
         FaultProfile {
             vms,
@@ -226,7 +226,6 @@ impl FaultProfile {
             horizon: SimDuration::from_secs(20),
             max_events: 6,
             max_crashes: 2,
-            allow_migration_abort: false,
         }
     }
 }
@@ -281,7 +280,7 @@ mod tests {
                         crashes.push(vm);
                     }
                     FaultKind::NodeRejoin { .. } => panic!("random plans never rejoin"),
-                    FaultKind::MigrationAbort => panic!("aborts disabled in this profile"),
+                    FaultKind::MigrationAbort => panic!("random plans never abort a migration"),
                     FaultKind::LinkDegrade { host, factor, .. } => {
                         assert!(host < profile.hosts);
                         assert!((0.05..0.6).contains(&factor));
@@ -302,19 +301,5 @@ mod tests {
         p = FaultProfile::new(8, 2);
         p.max_events = 0;
         assert!(FaultPlan::random(&p, RootSeed(1)).is_empty());
-    }
-
-    #[test]
-    fn abort_generation_is_gated() {
-        let mut profile = FaultProfile::new(8, 2);
-        profile.allow_migration_abort = true;
-        profile.max_events = 64;
-        let found = (0..20).any(|s| {
-            FaultPlan::random(&profile, RootSeed(s))
-                .events()
-                .iter()
-                .any(|e| e.kind == FaultKind::MigrationAbort)
-        });
-        assert!(found, "with the gate open, aborts do get generated");
     }
 }

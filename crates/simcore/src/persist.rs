@@ -86,8 +86,9 @@ pub const SNAPSHOT_MAGIC: [u8; 6] = *b"VHSNAP";
 /// partitioner and a deferred job's submission sit in their owners' field
 /// lists; a map-only job writes its outputs as any job does; the fluid
 /// net drops its unread resource-visit count; `SchedulerPolicy::JobDriven`
-/// is tag 1.)
-pub const SNAPSHOT_VERSION: u32 = 11;
+/// is tag 1. v12: a job's config writes three values (map placement is
+/// always locality-first), and a throttled resource's name is a tag byte.)
+pub const SNAPSHOT_VERSION: u32 = 12;
 
 /// Checks the header of a snapshot byte string without constructing a
 /// decoder; returns the embedded format version.

@@ -13,7 +13,7 @@
 use crate::dataset::Dataset;
 use simcore::emit::{csv_row, Json};
 use std::fmt::Display;
-use vsched::model::{RegressionTree, TreeConfig};
+use vsched::model::RegressionTree;
 
 /// Train/held-out quality report for one fitted cost model.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,7 +70,7 @@ pub fn is_heldout(i: usize) -> bool {
 ///
 /// Returns the fitted tree (ready to wire in as
 /// `MakespanKind::Learned(tree)`) and the evaluation report.
-pub fn fit_cost_model(ds: &Dataset, cfg: &TreeConfig) -> (RegressionTree, CostModelEval) {
+pub fn fit_cost_model(ds: &Dataset) -> (RegressionTree, CostModelEval) {
     let (feats, labels) = ds.training_pairs();
     let mut train_x = Vec::new();
     let mut train_y = Vec::new();
@@ -83,7 +83,7 @@ pub fn fit_cost_model(ds: &Dataset, cfg: &TreeConfig) -> (RegressionTree, CostMo
             train_y.push(labels[i]);
         }
     }
-    let tree = RegressionTree::fit(&train_x, &train_y, cfg);
+    let tree = RegressionTree::fit(&train_x, &train_y);
 
     let mut learned_errs = Vec::with_capacity(held.len());
     let mut hand_errs = Vec::with_capacity(held.len());
@@ -204,7 +204,7 @@ mod tests {
     #[test]
     fn learned_recalibrates_a_biased_baseline() {
         let ds = synthetic(64);
-        let (tree, eval) = fit_cost_model(&ds, &TreeConfig::default());
+        let (tree, eval) = fit_cost_model(&ds);
         assert_eq!(eval.rows_total, 64);
         assert_eq!(eval.rows_heldout, 16);
         assert_eq!(eval.rows_train, 48);
@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn tiny_datasets_train_on_everything() {
         let ds = synthetic(3);
-        let (_, eval) = fit_cost_model(&ds, &TreeConfig::default());
+        let (_, eval) = fit_cost_model(&ds);
         assert_eq!(eval.rows_train, 3);
         assert_eq!(eval.rows_heldout, 0);
         assert_eq!(eval.learned_mae_s, 0.0);
@@ -235,7 +235,7 @@ mod tests {
     #[test]
     fn heldout_csv_lists_exactly_the_heldout_rows() {
         let ds = synthetic(16);
-        let (tree, _) = fit_cost_model(&ds, &TreeConfig::default());
+        let (tree, _) = fit_cost_model(&ds);
         let csv = heldout_csv(&ds, &tree);
         assert_eq!(csv.lines().count(), 1 + 4);
         assert!(csv.lines().nth(1).unwrap().starts_with("3,"));

@@ -59,40 +59,37 @@ pub struct HdfsCompletion {
     pub submitted: SimTime,
 }
 
+/// What an HDFS operation does; its trace span is named after it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum OpKind {
+    Write,
+    Read,
+    Replicate,
+}
+
+impl OpKind {
+    /// The operation's trace span name.
+    fn name(self) -> &'static str {
+        match self {
+            OpKind::Write => "write",
+            OpKind::Read => "read",
+            OpKind::Replicate => "replicate",
+        }
+    }
+}
+
 #[derive(Debug)]
 struct PendingOp {
     client_tag: Tag,
     bytes: u64,
     submitted: SimTime,
-    /// Trace span name ("write" / "read" / "replicate").
-    kind: &'static str,
+    kind: OpKind,
     /// VM the operation is attributed to (trace track).
     vm: VmId,
 }
 
-/// Trace span names of the operation kinds, by snapshot tag.
-const OP_KINDS: [&str; 3] = ["write", "read", "replicate"];
-
-// codec by hand: `kind` is a `&'static str`, written as its index in `OP_KINDS`
-impl Persist for PendingOp {
-    fn encode(&self, e: &mut Encoder) {
-        self.client_tag.encode(e);
-        self.bytes.encode(e);
-        self.submitted.encode(e);
-        e.u8(OP_KINDS.iter().position(|&k| k == self.kind).expect("a known op kind") as u8);
-        self.vm.encode(e);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        let client_tag = Tag::decode(d);
-        let bytes = d.u64();
-        let submitted = SimTime::decode(d);
-        let kind = match d.u8() {
-            tag @ 0..=2 => OP_KINDS[usize::from(tag)],
-            other => d.unknown_tag("HDFS op kind", other),
-        };
-        PendingOp { client_tag, bytes, submitted, kind, vm: VmId::decode(d) }
-    }
-}
+simcore::persist_enum!(OpKind { 0 => Write, 1 => Read, 2 => Replicate });
+simcore::persist_struct!(PendingOp { client_tag, bytes, submitted, kind, vm });
 
 /// The simulated distributed file system.
 #[derive(Debug)]
@@ -311,7 +308,7 @@ impl Hdfs {
                 prev = replica;
             }
         }
-        self.submit(engine, chain, len, client_tag, "write", writer)
+        self.submit(engine, chain, len, client_tag, OpKind::Write, writer)
     }
 
     /// Reads all of `path` into `reader`, block by block from the closest
@@ -344,7 +341,7 @@ impl Hdfs {
                 .then(cluster.disk_read(src, len as f64))
                 .then(cluster.transfer(src, reader, len as f64));
         }
-        self.submit(engine, chain, total, client_tag, "read", reader)
+        self.submit(engine, chain, total, client_tag, OpKind::Read, reader)
     }
 
     /// Reads a single block into `reader` (a MapReduce input split fetch).
@@ -363,7 +360,7 @@ impl Hdfs {
             .delay(RPC_DELAY)
             .then(cluster.disk_read(src, len as f64))
             .then(cluster.transfer(src, reader, len as f64));
-        self.submit(engine, chain, len, client_tag, "read", reader)
+        self.submit(engine, chain, len, client_tag, OpKind::Read, reader)
     }
 
     fn submit(
@@ -372,7 +369,7 @@ impl Hdfs {
         chain: ChainSpec,
         bytes: u64,
         client_tag: Tag,
-        kind: &'static str,
+        kind: OpKind,
         vm: VmId,
     ) -> HdfsOpId {
         let op = HdfsOpId(self.next_op);
@@ -397,7 +394,7 @@ impl Hdfs {
         let pending = self.ops.remove(&tag.a).expect("completion for unknown HDFS op");
         engine.trace_span(
             "hdfs",
-            pending.kind,
+            pending.kind.name(),
             pending.vm.0,
             pending.submitted,
             &[("bytes", pending.bytes as f64)],
@@ -486,7 +483,7 @@ impl Hdfs {
                 .then(cluster.transfer(src, dst, len as f64))
                 .then(cluster.disk_write(dst, len as f64));
             // Internal op: client tag owned by HDFS itself.
-            self.submit(engine, chain, len, Tag::owner(owners::HDFS), "replicate", dst);
+            self.submit(engine, chain, len, Tag::owner(owners::HDFS), OpKind::Replicate, dst);
             re_replicated += 1;
         }
         (re_replicated, lost)
@@ -529,19 +526,19 @@ mod tests {
     const MB: u64 = 1024 * 1024;
 
     #[test]
-    #[should_panic(expected = "snapshot corrupt: unknown HDFS op kind tag 3 at byte 42")]
+    #[should_panic(expected = "snapshot corrupt: unknown OpKind tag 3 at byte 42")]
     fn op_kind_rejects_an_unknown_tag() {
         let op = PendingOp {
             client_tag: Tag::owner(1),
             bytes: 1,
             submitted: SimTime::ZERO,
-            kind: "replicate",
+            kind: OpKind::Replicate,
             vm: VmId(2),
         };
         let mut e = Encoder::new();
         op.encode(&mut e);
         let mut bytes = e.finish();
-        assert_eq!(PendingOp::decode(&mut Decoder::new(&bytes)).kind, "replicate");
+        assert_eq!(PendingOp::decode(&mut Decoder::new(&bytes)).kind, OpKind::Replicate);
         bytes[42] = 3; // after header, tag, bytes and submitted: the kind byte
         PendingOp::decode(&mut Decoder::new(&bytes));
     }

@@ -475,11 +475,6 @@ impl Controller {
         }
     }
 
-    /// True while jobs are queued, running, or still to arrive.
-    pub fn has_work(&self) -> bool {
-        !self.queue.is_empty() || !self.active.is_empty() || !self.future.is_empty()
-    }
-
     /// Monotonic counters so far.
     pub fn counters(&self) -> &ControllerCounters {
         &self.counters
@@ -702,7 +697,7 @@ mod tests {
         assert_eq!(rep.jobs, 3);
         assert_eq!(rep.finished, 3);
         assert_eq!(rep.starved, 0, "drained run must start every admitted job");
-        assert!(!ctrl.has_work());
+        assert!(ctrl.queue.is_empty() && ctrl.active.is_empty() && ctrl.future.is_empty());
         let c = ctrl.counters();
         assert_eq!(c.jobs_admitted, 3);
         assert_eq!(c.jobs_started, 3);

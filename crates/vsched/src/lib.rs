@@ -40,9 +40,7 @@ pub mod prelude {
         Controller, ControllerConfig, ControllerCounters, WhatIfCandidate, WhatIfOutcome,
         WhatIfRequest,
     };
-    pub use crate::model::{
-        decision_features, MakespanKind, RegressionTree, TreeConfig, FEATURE_NAMES,
-    };
+    pub use crate::model::{decision_features, MakespanKind, RegressionTree, FEATURE_NAMES};
     pub use crate::placement::{apply_placement, estimate_makespan, PlacementKind, WorkloadHint};
     pub use crate::queue::{
         AdmissionQueue, JobSlo, QueueConfig, QueuePolicy, QueuedJob, SloReport, SloTracker,

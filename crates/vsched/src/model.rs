@@ -89,20 +89,11 @@ pub fn decision_features(
     ]
 }
 
-/// Depth/leaf-size knobs of [`RegressionTree::fit`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TreeConfig {
-    /// Maximum split depth (0 = a single leaf).
-    pub max_depth: usize,
-    /// Minimum samples on each side of a split.
-    pub min_leaf: usize,
-}
+/// Maximum split depth of a [`RegressionTree`] (0 would be a single leaf).
+const MAX_DEPTH: usize = 8;
 
-impl Default for TreeConfig {
-    fn default() -> Self {
-        TreeConfig { max_depth: 8, min_leaf: 3 }
-    }
-}
+/// Minimum training samples on each side of a split.
+const MIN_LEAF: usize = 3;
 
 /// Sentinel `feature` value marking a leaf node.
 const LEAF: u32 = u32::MAX;
@@ -140,41 +131,35 @@ simcore::persist_struct!(RegressionTree { n_features, nodes });
 
 impl RegressionTree {
     /// Fits a tree to `rows` (one feature vector per sample) and
-    /// `labels`. Deterministic: the same inputs always produce the same
-    /// tree.
+    /// `labels`, at most `MAX_DEPTH` (8) splits deep with at least
+    /// `MIN_LEAF` (3) samples in every leaf. Deterministic: the same inputs
+    /// always produce the same tree.
     ///
     /// # Panics
     /// If `rows` is empty, lengths mismatch, or rows have uneven widths.
-    pub fn fit(rows: &[Vec<f64>], labels: &[f64], cfg: &TreeConfig) -> Self {
+    pub fn fit(rows: &[Vec<f64>], labels: &[f64]) -> Self {
         assert!(!rows.is_empty(), "cannot fit a tree to zero samples");
         assert_eq!(rows.len(), labels.len(), "one label per row");
         let n_features = rows[0].len();
         assert!(rows.iter().all(|r| r.len() == n_features), "rows must have equal width");
         let mut tree = RegressionTree { nodes: Vec::new(), n_features: n_features as u32 };
         let idx: Vec<usize> = (0..rows.len()).collect();
-        tree.grow(rows, labels, &idx, cfg, 0);
+        tree.grow(rows, labels, &idx, 0);
         tree
     }
 
     /// Recursively grows the subtree over `idx`, returning its root index.
-    fn grow(
-        &mut self,
-        rows: &[Vec<f64>],
-        labels: &[f64],
-        idx: &[usize],
-        cfg: &TreeConfig,
-        depth: usize,
-    ) -> u32 {
+    fn grow(&mut self, rows: &[Vec<f64>], labels: &[f64], idx: &[usize], depth: usize) -> u32 {
         let sum: f64 = idx.iter().map(|&i| labels[i]).sum();
         let mean = sum / idx.len() as f64;
         let leaf = |nodes: &mut Vec<Node>| {
             nodes.push(Node { feature: LEAF, threshold: 0.0, left: 0, right: 0, value: mean });
             (nodes.len() - 1) as u32
         };
-        if depth >= cfg.max_depth || idx.len() < 2 * cfg.min_leaf {
+        if depth >= MAX_DEPTH || idx.len() < 2 * MIN_LEAF {
             return leaf(&mut self.nodes);
         }
-        let Some((feature, threshold)) = best_split(rows, labels, idx, cfg.min_leaf) else {
+        let Some((feature, threshold)) = best_split(rows, labels, idx) else {
             return leaf(&mut self.nodes);
         };
         let (l_idx, r_idx): (Vec<usize>, Vec<usize>) =
@@ -188,8 +173,8 @@ impl RegressionTree {
             right: 0,
             value: mean,
         });
-        let left = self.grow(rows, labels, &l_idx, cfg, depth + 1);
-        let right = self.grow(rows, labels, &r_idx, cfg, depth + 1);
+        let left = self.grow(rows, labels, &l_idx, depth + 1);
+        let right = self.grow(rows, labels, &r_idx, depth + 1);
         self.nodes[me as usize].left = left;
         self.nodes[me as usize].right = right;
         me
@@ -244,13 +229,9 @@ impl RegressionTree {
 /// Exhaustive deterministic split search: for every feature (ascending)
 /// and every boundary between distinct sorted values (ascending), score
 /// the SSE of the two sides and keep the strictly best candidate — ties
-/// keep the earliest, so the search order is part of the format.
-fn best_split(
-    rows: &[Vec<f64>],
-    labels: &[f64],
-    idx: &[usize],
-    min_leaf: usize,
-) -> Option<(usize, f64)> {
+/// keep the earliest, so the search order is part of the format. Each side
+/// keeps at least [`MIN_LEAF`] samples.
+fn best_split(rows: &[Vec<f64>], labels: &[f64], idx: &[usize]) -> Option<(usize, f64)> {
     let n = idx.len();
     let n_features = rows[idx[0]].len();
     let mut best: Option<(f64, usize, f64)> = None; // (sse, feature, threshold)
@@ -275,7 +256,7 @@ fn best_split(
             l_sq += y * y;
             r_sum -= y;
             r_sq -= y * y;
-            if k < min_leaf || n - k < min_leaf {
+            if k < MIN_LEAF || n - k < MIN_LEAF {
                 continue;
             }
             let lo = rows[order[k - 1]][feature];
@@ -359,7 +340,7 @@ mod tests {
     #[test]
     fn tree_fits_a_step_function() {
         let (rows, labels) = grid();
-        let t = RegressionTree::fit(&rows, &labels, &TreeConfig::default());
+        let t = RegressionTree::fit(&rows, &labels);
         let mae: f64 =
             rows.iter().zip(&labels).map(|(r, &y)| (t.predict(r) - y).abs()).sum::<f64>()
                 / rows.len() as f64;
@@ -371,25 +352,35 @@ mod tests {
     #[test]
     fn fitting_is_deterministic() {
         let (rows, labels) = grid();
-        let a = RegressionTree::fit(&rows, &labels, &TreeConfig::default());
-        let b = RegressionTree::fit(&rows, &labels, &TreeConfig::default());
+        let a = RegressionTree::fit(&rows, &labels);
+        let b = RegressionTree::fit(&rows, &labels);
         assert_eq!(a, b, "same data must fit the same tree");
     }
 
     #[test]
-    fn depth_and_leaf_knobs_bound_the_tree() {
-        let (rows, labels) = grid();
-        let stump = RegressionTree::fit(&rows, &labels, &TreeConfig { max_depth: 1, min_leaf: 1 });
-        assert!(stump.depth() <= 1);
-        assert!(leaves(&stump) <= 2);
-        let wide = RegressionTree::fit(&rows, &labels, &TreeConfig { max_depth: 8, min_leaf: 16 });
-        assert!(leaves(&wide) <= 2, "min_leaf=16 on 32 samples allows one split");
+    fn depth_and_leaf_constants_bound_the_tree() {
+        // Labels that differ on every row, so only the bounds stop a split.
+        let rows: Vec<Vec<f64>> = (0..600).map(|i| vec![f64::from(i)]).collect();
+        let labels: Vec<f64> = (0..600).map(|i| f64::from(i * i % 97)).collect();
+        let t = RegressionTree::fit(&rows, &labels);
+        assert_eq!(t.depth(), MAX_DEPTH, "600 distinct rows fill the depth bound");
+        let mut covered = vec![0; t.node_count()];
+        for r in &rows {
+            let mut i = 0;
+            while t.nodes[i].feature != LEAF {
+                let n = t.nodes[i];
+                i = if r[n.feature as usize] <= n.threshold { n.left } else { n.right } as usize;
+            }
+            covered[i] += 1;
+        }
+        let leaf_rows = (0..t.node_count()).filter(|&i| t.nodes[i].feature == LEAF);
+        assert!(leaf_rows.map(|i| covered[i]).all(|n| n >= MIN_LEAF), "{covered:?}");
     }
 
     #[test]
     fn tree_round_trips_to_identical_predictions() {
         let (rows, labels) = grid();
-        let t = RegressionTree::fit(&rows, &labels, &TreeConfig::default());
+        let t = RegressionTree::fit(&rows, &labels);
         let mut e = Encoder::new();
         t.encode(&mut e);
         let bytes = e.finish();
@@ -432,7 +423,7 @@ mod tests {
                 rows.push(f);
             }
         }
-        let t = RegressionTree::fit(&rows, &labels, &TreeConfig { max_depth: 6, min_leaf: 1 });
+        let t = RegressionTree::fit(&rows, &labels);
         let learned = MakespanKind::Learned(t);
         let map = layout(PlacementKind::Pack, &spec);
         let h = WorkloadHint { tasks: 6, ..hint };

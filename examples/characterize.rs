@@ -23,7 +23,6 @@
 use std::path::Path;
 
 use vchar::prelude::*;
-use vsched::model::TreeConfig;
 
 fn main() {
     // 1. CLI: grid preset and worker count.
@@ -71,7 +70,7 @@ fn main() {
 
     // 3. Fit the regression tree and score it against the hand-priced
     // estimator (feature 0 of every row) on the held-out quarter.
-    let (tree, eval) = fit_cost_model(&dataset, &TreeConfig::default());
+    let (tree, eval) = fit_cost_model(&dataset);
     println!(
         "tree: {} nodes, depth {}, trained on {} rows, {} held out",
         eval.tree_nodes, eval.tree_depth, eval.rows_train, eval.rows_heldout

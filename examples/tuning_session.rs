@@ -35,8 +35,8 @@ fn run_once(config: JobConfig, label: &str) -> (JobResult, JobConfig, VHadoop) {
 }
 
 fn main() {
-    // Misconfigured: no combiner, no locality-aware scheduling.
-    let bad = JobConfig::default().with_combiner(false).with_locality(false).with_reduces(4);
+    // Misconfigured: no combiner.
+    let bad = JobConfig::default().with_combiner(false).with_reduces(4);
     let (result, mut config, platform) = run_once(bad, "untuned run ");
 
     let advice = platform.advise(&result, &config);

@@ -239,10 +239,12 @@ fn the_configured_model_prices_adaptive_placement() {
     let spread = PlacementKind::Spread.assign(&spec, &hand).unwrap();
     assert_eq!(adaptive.assign(&spec, &hand).as_ref(), Some(&pack), "the hand model packs");
 
-    // A stump over the two layouts: packed 100 s, spread 1 s.
-    let rows: Vec<Vec<f64>> =
-        [&pack, &spread].map(|map| decision_features(&spec, map, &cpu_bound, &[])).into();
-    let tree = RegressionTree::fit(&rows, &[100.0, 1.0], &TreeConfig { max_depth: 1, min_leaf: 1 });
+    // A stump over the two layouts, three rows each (a leaf holds at least
+    // three): packed 100 s, spread 1 s.
+    let rows: Vec<Vec<f64>> = [&pack, &pack, &pack, &spread, &spread, &spread]
+        .map(|map| decision_features(&spec, map, &cpu_bound, &[]))
+        .into();
+    let tree = RegressionTree::fit(&rows, &[100.0, 100.0, 100.0, 1.0, 1.0, 1.0]);
     let learned = MakespanKind::Learned(tree);
     assert_eq!(adaptive.assign(&spec, &learned).as_ref(), Some(&spread));
 

@@ -355,16 +355,16 @@ fn controller_never_starves_jobs_under_random_faults() {
 #[test]
 fn fitted_trees_round_trip_to_identical_predictions() {
     use simcore::persist::{Decoder, Encoder, Persist};
-    use vsched::model::{RegressionTree, TreeConfig};
+    use vsched::model::RegressionTree;
 
     proptest::check("tree-persist-roundtrip", proptest::Config::with_cases(32), |g| {
-        let n_rows = g.usize_in(2, 60);
+        // At least two leaves' worth of rows (a leaf holds three or more).
+        let n_rows = g.usize_in(6, 60);
         let n_feats = g.usize_in(1, 8);
         let rows: Vec<Vec<f64>> =
             (0..n_rows).map(|_| (0..n_feats).map(|_| g.f64_in(-100.0, 100.0)).collect()).collect();
         let labels: Vec<f64> = (0..n_rows).map(|_| g.f64_in(0.0, 500.0)).collect();
-        let cfg = TreeConfig { max_depth: g.usize_in(1, 10), min_leaf: g.usize_in(1, 5) };
-        let tree = RegressionTree::fit(&rows, &labels, &cfg);
+        let tree = RegressionTree::fit(&rows, &labels);
 
         let mut e = Encoder::new();
         tree.encode(&mut e);

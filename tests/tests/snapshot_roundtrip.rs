@@ -320,7 +320,9 @@ fn golden_snapshot_hash_pins_the_format() {
     );
 }
 
-/// Pinned against SNAPSHOT_VERSION = 11, which writes each job's user code
+/// Pinned against SNAPSHOT_VERSION = 12, whose job configs write three
+/// values (the same simulation; only the layout moved); at v11 it was
+/// `0x23e6_e68c_358c_fa47`. V11 writes each job's user code
 /// as `Rc` handle indexes in its field list, the job id in the job's own
 /// record, and no fluid resource-visit count (the same simulation; only the
 /// layout moved); at v10 it was `0x684c_b027_aa23_93dd`. V10's engine writes
@@ -341,7 +343,7 @@ fn golden_snapshot_hash_pins_the_format() {
 /// fewer solves (stamps, epochs, `seq`, solve counters). At v5 it was
 /// `0x3605_0ea3_74ec_ed52`; v6 writes every flow's and resource's settle
 /// instant.
-const GOLDEN_HASH: u64 = 0x23e6_e68c_358c_fa47;
+const GOLDEN_HASH: u64 = 0x5fb1_3c6c_e1fe_25a8;
 
 /// Folds the FNV-1a of the snapshot taken at every `k`-th wakeup of one
 /// scenario into a single pin, so the formats `GOLDEN_HASH` never sees
@@ -528,8 +530,12 @@ fn golden_snapshot_hashes_pin_every_subsystem() {
     );
 }
 
-/// Pinned against SNAPSHOT_VERSION = 11: controller stream, monitored and
-/// faulted migration, HSGen/HSSort window. All three moved at v11, whose
+/// Pinned against SNAPSHOT_VERSION = 12: controller stream, monitored and
+/// faulted migration, HSGen/HSSort window. All three moved at v12, whose
+/// job configs write three values and whose throttle faults write a tag
+/// byte for their name (same simulation, new layout); at v11 they were
+/// `0x761b_7b8c_72bc_3d2a`, `0x2578_576e_5d28_fe9f` and
+/// `0xe50a_3a28_71fb_d700`. All three moved at v11, whose
 /// jobs, queued jobs and future arrivals write their user code as `Rc`
 /// handle indexes, whose map-only jobs write their outputs as other jobs
 /// do and whose fluid net writes no resource-visit count (same simulation,
@@ -563,4 +569,4 @@ fn golden_snapshot_hashes_pin_every_subsystem() {
 /// what-if outcome's `measured_s` became the span to the fork's last job
 /// completion), `0xe581_ee59_ba4f_b8f9` and `0xac73_b47c_3a73_85f4`.
 const SUBSYSTEM_PINS: [u64; 3] =
-    [0x761b_7b8c_72bc_3d2a, 0x2578_576e_5d28_fe9f, 0xe50a_3a28_71fb_d700];
+    [0xac26_3a4a_32ca_4d3e, 0xbf43_3bad_2219_14a1, 0xb115_bec6_1fbb_3375];

@@ -61,15 +61,13 @@ fn heavy_split(idx: usize) -> Vec<Record> {
     (0..40).map(|i| (K::Int((idx * 100 + i) as i64), V::Float(i as f64))).collect()
 }
 
+/// Submits the heavy job over `/in`, written from VM 2 (the straggler of
+/// [`straggler_plan`]): VM 2 holds every block's first replica, so the
+/// locality tiers give it maps.
 fn submit_heavy(p: &mut VHadoop) -> JobId {
-    p.register_input("/in", INPUT, VmId(1));
+    p.register_input("/in", INPUT, VmId(2));
     let input = GeneratorInput::new(8, 1 << 20, heavy_split);
-    let config = JobConfig {
-        speculative: true,
-        locality_aware: false,
-        use_combiner: false,
-        ..Default::default()
-    };
+    let config = JobConfig { speculative: true, use_combiner: false, ..Default::default() };
     let spec = JobSpec::new("heavy", "/in", "/out").with_config(config);
     p.rt.submit(spec, Box::new(HeavyApp), Box::new(input))
 }

@@ -6,7 +6,7 @@ use simcore::prelude::SimTime;
 use vchar::prelude::*;
 use vcluster::spec::{ClusterSpec, Placement};
 use vhadoop::prelude::*;
-use vsched::model::{MakespanKind, RegressionTree, TreeConfig};
+use vsched::model::{MakespanKind, RegressionTree};
 use vsched::rebalance::{RebalanceConfig, RebalanceMode};
 use workloads::loadgen::load_job;
 
@@ -42,7 +42,7 @@ fn characterization_dataset_is_thread_invariant_and_fits() {
     // The fitted tree must not lose to the baseline it can reproduce
     // (feature 0 *is* the hand estimate, so hand-priced accuracy is a
     // floor, not a coincidence).
-    let (tree, eval) = fit_cost_model(&seq, &TreeConfig::default());
+    let (tree, eval) = fit_cost_model(&seq);
     assert!(eval.rows_heldout > 0);
     assert!(
         eval.learned_mae_s <= eval.hand_mae_s,
@@ -114,7 +114,7 @@ fn whatif_outcomes_carry_model_attribution() {
     // not accuracy — is under test here.
     let rows = vec![vec![0.0], vec![1.0]];
     let labels = vec![30.0, 30.0];
-    let tree = RegressionTree::fit(&rows, &labels, &TreeConfig::default());
+    let tree = RegressionTree::fit(&rows, &labels);
     let learned = whatif_outcomes(MakespanKind::Learned(tree));
     assert!(!learned.is_empty());
     assert!(learned.iter().all(|o| o.model == "learned"));
