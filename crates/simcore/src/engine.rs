@@ -12,7 +12,7 @@
 //! The event heap holds only what fires: fluid completion estimates, user
 //! timers and chain delays. Everything is single-threaded and deterministic.
 
-use crate::fluid::{Demand, FluidNet, FluidStats, ResourceKind};
+use crate::fluid::{FluidNet, FluidStats, ResourceKind};
 use crate::ids::{ActivityId, BatchId, FlowId, ResourceId, Tag};
 use crate::persist::{Decoder, Encoder, Persist};
 use crate::time::{SimDuration, SimTime};
@@ -34,8 +34,8 @@ pub type FixedState = BuildHasherDefault<DefaultHasher>;
 pub enum Step {
     /// Drain `work` units through `demands` under max-min sharing.
     Flow {
-        /// Resources consumed, with weights.
-        demands: Vec<Demand>,
+        /// Resources consumed; one listed `k` times takes `k` × the rate.
+        demands: Vec<ResourceId>,
         /// Amount of work (bytes, cycles, ...).
         work: f64,
     },
@@ -57,14 +57,14 @@ impl ChainSpec {
     }
 
     /// Appends a flow step.
-    pub fn flow(mut self, demands: Vec<Demand>, work: f64) -> Self {
+    pub fn flow(mut self, demands: Vec<ResourceId>, work: f64) -> Self {
         self.steps.push(Step::Flow { demands, work });
         self
     }
 
-    /// Appends a single-resource unit-weight flow step.
+    /// Appends a single-resource flow step.
     pub fn on(self, resource: ResourceId, work: f64) -> Self {
-        self.flow(vec![Demand::unit(resource)], work)
+        self.flow(vec![resource], work)
     }
 
     /// Appends a latency step.
@@ -383,7 +383,7 @@ impl Engine {
     }
 
     /// Starts a single fluid flow as a one-step chain.
-    pub fn start_flow(&mut self, demands: Vec<Demand>, work: f64, tag: Tag) -> ActivityId {
+    pub fn start_flow(&mut self, demands: Vec<ResourceId>, work: f64, tag: Tag) -> ActivityId {
         self.start_chain(ChainSpec::new().flow(demands, work), tag)
     }
 
@@ -735,7 +735,7 @@ mod tests {
     #[test]
     fn single_flow_completes_on_time() {
         let (mut e, r) = engine1();
-        let a = e.start_flow(vec![Demand::unit(r)], 500.0, Tag::new(T, 1, 0));
+        let a = e.start_flow(vec![r], 500.0, Tag::new(T, 1, 0));
         let (t, w) = e.next_wakeup().expect("completion");
         assert_eq!(t.as_secs_f64().round() as u64, 5);
         match w {
@@ -754,8 +754,8 @@ mod tests {
         // (each runs at 50). With unequal work, the shorter finishes, the
         // longer speeds up.
         let (mut e, r) = engine1();
-        e.start_flow(vec![Demand::unit(r)], 100.0, Tag::new(T, 1, 0));
-        e.start_flow(vec![Demand::unit(r)], 300.0, Tag::new(T, 2, 0));
+        e.start_flow(vec![r], 100.0, Tag::new(T, 1, 0));
+        e.start_flow(vec![r], 300.0, Tag::new(T, 2, 0));
         let (t1, w1) = e.next_wakeup().unwrap();
         assert_eq!(w1.tag().a, 1);
         assert!((t1.as_secs_f64() - 2.0).abs() < 1e-6, "short flow at 2s, got {t1}");
@@ -839,9 +839,9 @@ mod tests {
         assert!(e.in_flight());
         e.cancel_activity(a);
         assert!(!e.in_flight());
-        e.start_flow(vec![Demand::unit(r)], 100.0, Tag::new(T, 2, 0));
+        e.start_flow(vec![r], 100.0, Tag::new(T, 2, 0));
         assert!(e.in_flight(), "the flow is running");
-        e.start_flow(vec![Demand::unit(r)], 100.0, Tag::new(T, 3, 0));
+        e.start_flow(vec![r], 100.0, Tag::new(T, 3, 0));
         e.next_wakeup().expect("both flows complete at one instant");
         assert!(e.in_flight(), "the second completion is not delivered yet");
         e.next_wakeup().expect("second completion");
@@ -859,8 +859,8 @@ mod tests {
     #[test]
     fn cancel_activity_frees_capacity() {
         let (mut e, r) = engine1();
-        let victim = e.start_flow(vec![Demand::unit(r)], 1_000.0, Tag::new(T, 1, 0));
-        e.start_flow(vec![Demand::unit(r)], 100.0, Tag::new(T, 2, 0));
+        let victim = e.start_flow(vec![r], 1_000.0, Tag::new(T, 1, 0));
+        e.start_flow(vec![r], 100.0, Tag::new(T, 2, 0));
         assert!(e.cancel_activity(victim));
         assert!(!e.cancel_activity(victim), "a cancelled activity is gone");
         // Survivor now gets the whole link: 100 work at 100/s = 1s.
@@ -890,7 +890,7 @@ mod tests {
         let run = || {
             let (mut e, r) = engine1();
             for i in 0..20u32 {
-                e.start_flow(vec![Demand::unit(r)], 50.0 + f64::from(i) * 13.0, Tag::new(T, i, 0));
+                e.start_flow(vec![r], 50.0 + f64::from(i) * 13.0, Tag::new(T, i, 0));
             }
             let mut trace = Vec::new();
             while let Some((t, w)) = e.next_wakeup() {
@@ -980,7 +980,7 @@ mod tests {
             e.cancel_activity(waiting);
             // Each flow start supersedes the previous completion estimate.
             for i in 0..3u32 {
-                e.start_flow(vec![Demand::unit(r)], 1_000.0, Tag::new(T, 200 + i, 0));
+                e.start_flow(vec![r], 1_000.0, Tag::new(T, 200 + i, 0));
                 e.set_timer_in(SimDuration::ZERO, Tag::new(T, 300 + i, 0));
                 e.next_wakeup().expect("the zero timer");
             }
@@ -1007,7 +1007,7 @@ mod tests {
         // clock and the fluid clock must be as if it had never existed.
         let run = |with_dead_chain: bool| {
             let (mut e, r) = engine1();
-            e.start_flow(vec![Demand::unit(r)], 300.0, Tag::new(T, 1, 0));
+            e.start_flow(vec![r], 300.0, Tag::new(T, 1, 0));
             e.set_timer_in(SimDuration::from_secs(4), Tag::new(T, 2, 0));
             if with_dead_chain {
                 let a = e.start_chain(
@@ -1031,7 +1031,7 @@ mod tests {
     fn run_to_quiescence_counts() {
         let (mut e, r) = engine1();
         for i in 0..5 {
-            e.start_flow(vec![Demand::unit(r)], 10.0, Tag::new(T, i, 0));
+            e.start_flow(vec![r], 10.0, Tag::new(T, i, 0));
         }
         assert_eq!(e.run_to_quiescence(), 5);
         assert_eq!(e.wakeups_delivered(), 5);

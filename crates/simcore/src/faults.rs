@@ -136,13 +136,6 @@ impl FaultPlan {
         &self.events
     }
 
-    /// The scheduled events in injection order, as an owned vec. The plan
-    /// is already sorted at insertion time, so this is just a clone;
-    /// prefer borrowing [`FaultPlan::events`].
-    pub fn sorted(&self) -> Vec<FaultEvent> {
-        self.events.clone()
-    }
-
     /// Generates a random plan from `profile`, deterministically from
     /// `seed`: same profile + seed, same plan, independent of call order.
     ///
@@ -246,11 +239,11 @@ mod tests {
             .at(secs(5), FaultKind::SlowDisk { factor: 0.5, duration: SimDuration::from_secs(2) });
         assert_eq!(plan.len(), 3);
         assert!(!plan.is_empty());
-        let sorted = plan.sorted();
-        assert_eq!(sorted[0].kind, FaultKind::NodeCrash { vm: 3 });
+        let events = plan.events();
+        assert_eq!(events[0].kind, FaultKind::NodeCrash { vm: 3 });
         // Stable: same-instant events keep insertion order.
-        assert_eq!(sorted[1].kind, FaultKind::MigrationAbort);
-        assert_eq!(plan.events().len(), 3);
+        assert_eq!(events[1].kind, FaultKind::MigrationAbort);
+        assert_eq!(events.len(), 3);
     }
 
     #[test]

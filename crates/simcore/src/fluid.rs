@@ -3,11 +3,12 @@
 //! This is the timing substrate of the whole platform, in the style of
 //! SimGrid's fluid network model. A **resource** is a server with a scalar
 //! capacity (bytes/s for links and disks, cycles/s for CPUs). A **flow** is
-//! an amount of *work* that drains through a weighted set of resources: a
-//! flow running at rate `x` consumes `w_r · x` capacity on every resource
-//! `r` it demands. At any instant the kernel assigns rates by max-min
-//! fairness: rates are raised uniformly until a resource saturates, the
-//! flows crossing it are frozen, and filling continues on the rest.
+//! an amount of *work* that drains through a list of resources: a flow
+//! running at rate `x` consumes `x` capacity on every resource it lists
+//! (`k · x` on one it lists `k` times). At any instant the kernel assigns
+//! rates by max-min fairness: rates are raised uniformly until a resource
+//! saturates, the flows crossing it are frozen, and filling continues on
+//! the rest.
 //!
 //! One mechanism expresses every contention effect the vHadoop paper
 //! measures: a vCPU cap is a flow demanding {vcpu, host-cpu}; a cross-host
@@ -46,7 +47,7 @@
 //!
 //! Flow state lives in structure-of-arrays arenas: parallel `Vec`s for
 //! generation, stamp, rate, remaining, anchor, total, plus a flat demand arena
-//! (`dem_res`/`dem_w` with per-flow `(start, len)` ranges) so the solver's
+//! (`dem_res` with per-flow `(start, len)` ranges) so the solver's
 //! inner loops are linear scans over dense scalar arrays rather than
 //! pointer chases through per-flow heap allocations. Reallocation runs in
 //! three phases: **split** the dirty closure into its connected components
@@ -73,7 +74,7 @@ const DONE_EPS: f64 = 1e-6;
 const HEAP_COMPACT_MIN: usize = 64;
 /// See [`HEAP_COMPACT_MIN`].
 const HEAP_SLACK: usize = 4;
-/// Demand-arena compaction: rebuild once the arena holds at least this many
+/// Compaction of the demand arena: rebuild once it holds at least this many
 /// rows *and* more than half of them are garbage (freed flows).
 const DEM_COMPACT_MIN: usize = 4096;
 
@@ -90,30 +91,7 @@ pub enum ResourceKind {
     Other,
 }
 
-/// One demand entry of a flow: `weight` units of `resource` capacity are
-/// consumed per unit of flow rate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Demand {
-    /// The resource consumed.
-    pub resource: ResourceId,
-    /// Capacity consumed per unit rate; must be finite and > 0.
-    pub weight: f64,
-}
-
 crate::persist_enum!(ResourceKind { 0 => Cpu, 1 => Disk, 2 => Net, 3 => Other });
-crate::persist_struct!(Demand { resource, weight });
-
-impl Demand {
-    /// Unit-weight demand on `resource`.
-    pub fn unit(resource: ResourceId) -> Self {
-        Demand { resource, weight: 1.0 }
-    }
-
-    /// Weighted demand on `resource`.
-    pub fn weighted(resource: ResourceId, weight: f64) -> Self {
-        Demand { resource, weight }
-    }
-}
 
 /// A finished flow popped from [`FluidNet::take_finished`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,7 +144,6 @@ struct Comp {
 #[derive(Debug, Default, Clone)]
 struct SolveScratch {
     residual: Vec<f64>,
-    weight: Vec<f64>,
     count: Vec<u32>,
     saturated: Vec<bool>,
     /// Component-local indices of flows not yet frozen this solve.
@@ -178,7 +155,6 @@ impl SolveScratch {
     fn ensure(&mut self, res_len: usize) {
         if self.residual.len() < res_len {
             self.residual.resize(res_len, 0.0);
-            self.weight.resize(res_len, 0.0);
             self.count.resize(res_len, 0);
             self.saturated.resize(res_len, false);
         }
@@ -231,7 +207,6 @@ pub struct FluidNet {
 
     // ----- flat demand arena ----------------------------------------------
     dem_res: Vec<u32>,
-    dem_w: Vec<f64>,
     /// Arena rows owned by freed slots; triggers deterministic compaction.
     dem_garbage: usize,
 
@@ -302,7 +277,6 @@ impl FluidNet {
             free: Vec::new(),
             active: 0,
             dem_res: Vec::new(),
-            dem_w: Vec::new(),
             dem_garbage: 0,
             last_update: SimTime::ZERO,
             allocation_dirty: false,
@@ -407,21 +381,17 @@ impl FluidNet {
     /// marked dirty; the caller must `reallocate` (the engine does).
     ///
     /// # Panics
-    /// If `demands` is empty, any weight is non-positive/non-finite, any
-    /// resource id is unknown, or `work` is negative/non-finite.
-    pub fn add_flow(&mut self, demands: Vec<Demand>, work: f64) -> FlowId {
+    /// If `demands` is empty, any resource id is unknown, or `work` is
+    /// negative/non-finite.
+    pub fn add_flow(&mut self, demands: Vec<ResourceId>, work: f64) -> FlowId {
         assert!(!demands.is_empty(), "a flow must demand at least one resource");
         assert!(work.is_finite() && work >= 0.0, "flow work must be finite and >= 0, got {work}");
-        for d in &demands {
-            assert!(d.weight.is_finite() && d.weight > 0.0, "demand weight must be finite and > 0");
-            assert!(d.resource.index() < self.res_name.len(), "unknown resource {}", d.resource);
+        for r in &demands {
+            assert!(r.index() < self.res_name.len(), "unknown resource {r}");
         }
         let dem_start = self.dem_res.len() as u32;
         let dem_len = demands.len() as u32;
-        for d in &demands {
-            self.dem_res.push(d.resource.index() as u32);
-            self.dem_w.push(d.weight);
-        }
+        self.dem_res.extend(demands.iter().map(|r| r.0));
         let slot = match self.free.pop() {
             Some(s) => {
                 let si = s as usize;
@@ -724,7 +694,6 @@ impl FluidNet {
         scratch.ensure(res.len());
         for (j, &r) in res.iter().enumerate() {
             scratch.residual[j] = self.res_capacity[r as usize];
-            scratch.weight[j] = 0.0;
             scratch.count[j] = 0;
             used[j] = 0.0;
         }
@@ -733,7 +702,6 @@ impl FluidNet {
             let d1 = d0 + self.f_dem_len[s as usize] as usize;
             for k in d0..d1 {
                 let j = self.res_local[self.dem_res[k] as usize] as usize;
-                scratch.weight[j] += self.dem_w[k];
                 scratch.count[j] += 1;
             }
         }
@@ -742,13 +710,11 @@ impl FluidNet {
         scratch.unfrozen.extend(0..flows.len() as u32);
         while !scratch.unfrozen.is_empty() {
             // Find the bottleneck share among component resources that still
-            // carry unfrozen flows (the integer count is the authoritative
-            // membership test — floating-point weight subtraction can leave
-            // dust).
+            // carry unfrozen flows.
             let mut share = f64::INFINITY;
             for j in 0..res.len() {
-                if scratch.count[j] > 0 && scratch.weight[j] > 0.0 {
-                    let s = scratch.residual[j] / scratch.weight[j];
+                if scratch.count[j] > 0 {
+                    let s = scratch.residual[j] / f64::from(scratch.count[j]);
                     if s < share {
                         share = s;
                     }
@@ -764,8 +730,7 @@ impl FluidNet {
                 scratch.saturated[j] = false;
                 if share < RATE_CAP
                     && scratch.count[j] > 0
-                    && scratch.weight[j] > 0.0
-                    && scratch.residual[j] / scratch.weight[j] <= share + tol
+                    && scratch.residual[j] / f64::from(scratch.count[j]) <= share + tol
                 {
                     scratch.saturated[j] = true;
                     any_saturated = true;
@@ -786,14 +751,9 @@ impl FluidNet {
                     rates[li as usize] = share;
                     for k in d0..d1 {
                         let j = self.res_local[self.dem_res[k] as usize] as usize;
-                        let w = self.dem_w[k];
-                        scratch.residual[j] = (scratch.residual[j] - share * w).max(0.0);
-                        scratch.weight[j] -= w;
+                        scratch.residual[j] = (scratch.residual[j] - share).max(0.0);
                         scratch.count[j] -= 1;
-                        if scratch.count[j] == 0 {
-                            scratch.weight[j] = 0.0;
-                        }
-                        used[j] += share * w;
+                        used[j] += share;
                     }
                 } else {
                     scratch.still.push(li);
@@ -857,7 +817,6 @@ impl FluidNet {
         }
         let live = self.dem_res.len() - self.dem_garbage;
         let mut new_res = Vec::with_capacity(live);
-        let mut new_w = Vec::with_capacity(live);
         for si in 0..self.f_live.len() {
             if !self.f_live[si] {
                 continue;
@@ -866,10 +825,8 @@ impl FluidNet {
             let d1 = d0 + self.f_dem_len[si] as usize;
             self.f_dem_start[si] = new_res.len() as u32;
             new_res.extend_from_slice(&self.dem_res[d0..d1]);
-            new_w.extend_from_slice(&self.dem_w[d0..d1]);
         }
         self.dem_res = new_res;
-        self.dem_w = new_w;
         self.dem_garbage = 0;
     }
 
@@ -980,14 +937,12 @@ impl FluidNet {
             .collect()
     }
 
-    /// Demand list of a live slot, reconstructed from the arena (encode and
+    /// The resources a live slot demands, read from the arena (encode and
     /// debug paths only).
-    fn slot_demands(&self, si: usize) -> Vec<Demand> {
+    fn slot_demands(&self, si: usize) -> Vec<ResourceId> {
         let d0 = self.f_dem_start[si] as usize;
         let d1 = d0 + self.f_dem_len[si] as usize;
-        (d0..d1)
-            .map(|k| Demand { resource: ResourceId(self.dem_res[k]), weight: self.dem_w[k] })
-            .collect()
+        self.dem_res[d0..d1].iter().map(|&r| ResourceId(r)).collect()
     }
 }
 
@@ -1078,13 +1033,10 @@ impl FluidNet {
             let live = d.u8() != 0;
             net.f_live.push(live);
             if live {
-                let demands = Vec::<Demand>::decode(d);
+                let demands = Vec::<ResourceId>::decode(d);
                 net.f_dem_start.push(net.dem_res.len() as u32);
                 net.f_dem_len.push(demands.len() as u32);
-                for dem in &demands {
-                    net.dem_res.push(dem.resource.index() as u32);
-                    net.dem_w.push(dem.weight);
-                }
+                net.dem_res.extend(demands.iter().map(|r| r.0));
                 net.f_total.push(d.f64());
                 net.f_remaining.push(d.f64());
                 net.f_anchor.push(SimTime::decode(d));
@@ -1150,7 +1102,7 @@ mod tests {
     #[test]
     fn single_flow_gets_full_capacity() {
         let (mut net, r) = net1();
-        let f = net.add_flow(vec![Demand::unit(r)], 1000.0);
+        let f = net.add_flow(vec![r], 1000.0);
         net.reallocate();
         assert_eq!(net.flow_rate(f), 100.0);
         assert_eq!(net.used(r), 100.0);
@@ -1160,24 +1112,11 @@ mod tests {
     #[test]
     fn two_flows_share_equally() {
         let (mut net, r) = net1();
-        let a = net.add_flow(vec![Demand::unit(r)], 1000.0);
-        let b = net.add_flow(vec![Demand::unit(r)], 500.0);
+        let a = net.add_flow(vec![r], 1000.0);
+        let b = net.add_flow(vec![r], 500.0);
         net.reallocate();
         assert_eq!(net.flow_rate(a), 50.0);
         assert_eq!(net.flow_rate(b), 50.0);
-    }
-
-    #[test]
-    fn weighted_demand_consumes_more() {
-        let (mut net, r) = net1();
-        // Flow with weight 4 consumes 4 capacity units per rate unit.
-        let a = net.add_flow(vec![Demand::weighted(r, 4.0)], 100.0);
-        let b = net.add_flow(vec![Demand::unit(r)], 100.0);
-        net.reallocate();
-        // Equal rates x: 4x + x = 100 -> x = 20.
-        assert!((net.flow_rate(a) - 20.0).abs() < 1e-9);
-        assert!((net.flow_rate(b) - 20.0).abs() < 1e-9);
-        assert!((net.used(r) - 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1186,8 +1125,8 @@ mod tests {
         let r1 = net.add_resource("a", ResourceKind::Net, 100.0);
         let r2 = net.add_resource("b", ResourceKind::Net, 30.0);
         // f1 uses both; f2 only r1. f1 bottlenecked at r2.
-        let f1 = net.add_flow(vec![Demand::unit(r1), Demand::unit(r2)], 1.0);
-        let f2 = net.add_flow(vec![Demand::unit(r1)], 1.0);
+        let f1 = net.add_flow(vec![r1, r2], 1.0);
+        let f2 = net.add_flow(vec![r1], 1.0);
         net.reallocate();
         assert!((net.flow_rate(f1) - 30.0).abs() < 1e-9);
         // f2 takes the leftovers on r1: 100 - 30 = 70.
@@ -1197,7 +1136,7 @@ mod tests {
     #[test]
     fn advance_drains_work_and_completes() {
         let (mut net, r) = net1();
-        let f = net.add_flow(vec![Demand::unit(r)], 200.0);
+        let f = net.add_flow(vec![r], 200.0);
         net.reallocate();
         let done_at = net.earliest_completion().expect("one active flow");
         assert_eq!(done_at.as_nanos(), SimTime::from_secs(2).as_nanos() + 1);
@@ -1211,7 +1150,7 @@ mod tests {
     #[test]
     fn remove_flow_returns_remaining() {
         let (mut net, r) = net1();
-        let f = net.add_flow(vec![Demand::unit(r)], 200.0);
+        let f = net.add_flow(vec![r], 200.0);
         net.reallocate();
         net.advance_to(SimTime::from_secs(1));
         let rem = net.remove_flow(f).expect("live flow");
@@ -1222,7 +1161,7 @@ mod tests {
     #[test]
     fn zero_work_flow_finishes_immediately() {
         let (mut net, r) = net1();
-        let _f = net.add_flow(vec![Demand::unit(r)], 0.0);
+        let _f = net.add_flow(vec![r], 0.0);
         net.reallocate();
         assert_eq!(net.earliest_completion(), Some(SimTime::ZERO));
         assert_eq!(net.take_finished().len(), 1);
@@ -1232,7 +1171,7 @@ mod tests {
     fn infinite_capacity_gives_capped_rate() {
         let mut net = FluidNet::new();
         let r = net.add_resource("inf", ResourceKind::Other, f64::INFINITY);
-        let f = net.add_flow(vec![Demand::unit(r)], 1.0);
+        let f = net.add_flow(vec![r], 1.0);
         net.reallocate();
         assert!(net.flow_rate(f) >= 1e17);
     }
@@ -1241,7 +1180,7 @@ mod tests {
     fn zero_capacity_stalls_flows() {
         let mut net = FluidNet::new();
         let r = net.add_resource("down", ResourceKind::Net, 0.0);
-        let f = net.add_flow(vec![Demand::unit(r)], 1.0);
+        let f = net.add_flow(vec![r], 1.0);
         net.reallocate();
         assert_eq!(net.flow_rate(f), 0.0);
         assert_eq!(net.earliest_completion(), None);
@@ -1250,9 +1189,9 @@ mod tests {
     #[test]
     fn generations_detect_reuse() {
         let (mut net, r) = net1();
-        let f1 = net.add_flow(vec![Demand::unit(r)], 1.0);
+        let f1 = net.add_flow(vec![r], 1.0);
         net.remove_flow(f1);
-        let f2 = net.add_flow(vec![Demand::unit(r)], 1.0);
+        let f2 = net.add_flow(vec![r], 1.0);
         assert_eq!(f1.slot, f2.slot, "slot reused");
         assert!(!net.is_live(f1));
         assert!(net.is_live(f2));
@@ -1278,9 +1217,9 @@ mod tests {
         let l1 = net.add_resource("l1", ResourceKind::Net, 10.0);
         let l2 = net.add_resource("l2", ResourceKind::Net, 20.0);
         let l3 = net.add_resource("l3", ResourceKind::Net, 30.0);
-        let fa = net.add_flow(vec![Demand::unit(l1)], 1.0);
-        let fb = net.add_flow(vec![Demand::unit(l1), Demand::unit(l2)], 1.0);
-        let fc = net.add_flow(vec![Demand::unit(l2), Demand::unit(l3)], 1.0);
+        let fa = net.add_flow(vec![l1], 1.0);
+        let fb = net.add_flow(vec![l1, l2], 1.0);
+        let fc = net.add_flow(vec![l2, l3], 1.0);
         net.reallocate();
         assert!((net.flow_rate(fa) - 5.0).abs() < 1e-9);
         assert!((net.flow_rate(fb) - 5.0).abs() < 1e-9);
@@ -1293,8 +1232,8 @@ mod tests {
         let mut net = FluidNet::new();
         let r1 = net.add_resource("l1", ResourceKind::Net, 100.0);
         let r2 = net.add_resource("l2", ResourceKind::Net, 60.0);
-        let a = net.add_flow(vec![Demand::unit(r1)], 1e6);
-        let b = net.add_flow(vec![Demand::unit(r2)], 1e6);
+        let a = net.add_flow(vec![r1], 1e6);
+        let b = net.add_flow(vec![r2], 1e6);
         net.reallocate();
         assert_eq!(net.flow_rate(a), 100.0);
         assert_eq!(net.flow_rate(b), 60.0);
@@ -1302,7 +1241,7 @@ mod tests {
 
         // Add churn on l1 only: the re-solve must touch l1's two flows and
         // leave b's rate (and touch count) alone.
-        let c = net.add_flow(vec![Demand::unit(r1)], 1e6);
+        let c = net.add_flow(vec![r1], 1e6);
         net.reallocate();
         assert_eq!(net.flow_rate(a), 50.0);
         assert_eq!(net.flow_rate(c), 50.0);
@@ -1319,16 +1258,16 @@ mod tests {
         let idle: Vec<FlowId> = (0..1000)
             .map(|i| {
                 let r = net.add_resource(format!("idle{i}"), ResourceKind::Net, 100.0);
-                net.add_flow(vec![Demand::unit(r)], 1e12)
+                net.add_flow(vec![r], 1e12)
             })
             .collect();
         let link = net.add_resource("link", ResourceKind::Net, 1000.0);
         let slow = net.add_resource("slow", ResourceKind::Net, 10.0);
-        let steady = net.add_flow(vec![Demand::unit(link), Demand::unit(slow)], 1e12);
+        let steady = net.add_flow(vec![link, slow], 1e12);
         net.reallocate();
         let settled = net.stats().flows_settled;
         for _ in 0..1000 {
-            net.add_flow(vec![Demand::unit(link)], 990.0);
+            net.add_flow(vec![link], 990.0);
             net.reallocate();
             let t = net.earliest_completion().expect("the churning flow drains");
             net.advance_to(t);
@@ -1354,9 +1293,9 @@ mod tests {
         let (mut net, r) = net1();
         // One long-lived flow plus heavy add/remove churn: stale entries
         // must not accumulate past the compaction bound.
-        let _keeper = net.add_flow(vec![Demand::unit(r)], 1e12);
+        let _keeper = net.add_flow(vec![r], 1e12);
         for _ in 0..10_000 {
-            let f = net.add_flow(vec![Demand::unit(r)], 1e9);
+            let f = net.add_flow(vec![r], 1e9);
             net.reallocate();
             net.remove_flow(f);
             net.reallocate();
@@ -1368,9 +1307,9 @@ mod tests {
     #[test]
     fn demand_arena_compacts_under_churn() {
         let (mut net, r) = net1();
-        let keeper = net.add_flow(vec![Demand::unit(r), Demand::weighted(r, 2.0)], 1e12);
+        let keeper = net.add_flow(vec![r, r, r], 1e12);
         for _ in 0..10_000 {
-            let f = net.add_flow(vec![Demand::unit(r), Demand::unit(r)], 1e9);
+            let f = net.add_flow(vec![r, r], 1e9);
             net.reallocate();
             net.remove_flow(f);
             net.reallocate();
@@ -1383,7 +1322,7 @@ mod tests {
             "demand arena grew to {}",
             net.dem_res.len()
         );
-        assert_eq!(net.slot_demands(keeper.slot as usize).len(), 2);
+        assert_eq!(net.slot_demands(keeper.slot as usize).len(), 3);
         assert!((net.flow_rate(keeper) - 100.0 / 3.0).abs() < 1e-9);
     }
 
@@ -1395,10 +1334,10 @@ mod tests {
         let mut net = FluidNet::new();
         let r1 = net.add_resource("l1", ResourceKind::Net, 100.0);
         let r2 = net.add_resource("l2", ResourceKind::Net, 60.0);
-        let dead = net.add_flow(vec![Demand::unit(r1), Demand::unit(r1)], 500.0);
+        let dead = net.add_flow(vec![r1, r1], 500.0);
         net.reallocate();
         net.remove_flow(dead);
-        let reborn = net.add_flow(vec![Demand::unit(r2)], 120.0);
+        let reborn = net.add_flow(vec![r2], 120.0);
         net.reallocate();
         assert_eq!(dead.slot, reborn.slot, "free list must recycle the slot");
         assert!(!net.is_live(dead));
@@ -1417,8 +1356,8 @@ mod tests {
     #[test]
     fn batch_counters_track_coalesced_mutations() {
         let (mut net, r) = net1();
-        let a = net.add_flow(vec![Demand::unit(r)], 1e6);
-        let b = net.add_flow(vec![Demand::unit(r)], 1e6);
+        let a = net.add_flow(vec![r], 1e6);
+        let b = net.add_flow(vec![r], 1e6);
         net.set_capacity(r, 80.0);
         net.remove_flow(b);
         net.reallocate();
@@ -1437,9 +1376,9 @@ mod tests {
         let r1 = net.add_resource("l1", ResourceKind::Net, 100.0);
         let r2 = net.add_resource("l2", ResourceKind::Net, 60.0);
         for _ in 0..3 {
-            net.add_flow(vec![Demand::unit(r1)], 1e6);
+            net.add_flow(vec![r1], 1e6);
         }
-        net.add_flow(vec![Demand::unit(r2)], 1e6);
+        net.add_flow(vec![r2], 1e6);
         net.reallocate();
         let s = net.stats();
         assert_eq!(net.comp_hist.count(), 2, "two components solved");
@@ -1448,7 +1387,7 @@ mod tests {
         assert_eq!(net.comp_hist.percentile(0.50), 3);
         // Re-solving only the singleton link leaves the max untouched and
         // pulls the median down.
-        net.add_flow(vec![Demand::unit(r2)], 1e6);
+        net.add_flow(vec![r2], 1e6);
         net.reallocate();
         let s = net.stats();
         assert_eq!(net.comp_hist.count(), 3);

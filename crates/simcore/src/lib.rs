@@ -31,8 +31,8 @@
 //! let mut e = Engine::new();
 //! let link = e.add_resource("link", ResourceKind::Net, 125_000_000.0); // 1 Gb/s
 //! // Two 125 MB transfers share the link: each runs at 62.5 MB/s.
-//! e.start_flow(vec![Demand::unit(link)], 125e6, Tag::new(1, 0, 0));
-//! e.start_flow(vec![Demand::unit(link)], 125e6, Tag::new(1, 1, 0));
+//! e.start_flow(vec![link], 125e6, Tag::new(1, 0, 0));
+//! e.start_flow(vec![link], 125e6, Tag::new(1, 1, 0));
 //! let (t, _) = e.next_wakeup().unwrap();
 //! assert_eq!(t.as_secs_f64().round() as u64, 2);
 //! ```
@@ -55,7 +55,7 @@ pub mod trace;
 pub mod prelude {
     pub use crate::engine::{ChainSpec, Engine, KernelStats, Step, Wakeup};
     pub use crate::faults::{FaultEvent, FaultKind, FaultPlan, FaultProfile};
-    pub use crate::fluid::{Demand, FluidNet, FluidStats, ResourceKind};
+    pub use crate::fluid::{FluidNet, FluidStats, ResourceKind};
     pub use crate::ids::{ActivityId, BatchId, FlowId, ResourceId, Tag};
     pub use crate::persist::{
         validate_header, Decoder, Encoder, Persist, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,

@@ -87,8 +87,10 @@ pub const SNAPSHOT_MAGIC: [u8; 6] = *b"VHSNAP";
 /// lists; a map-only job writes its outputs as any job does; the fluid
 /// net drops its unread resource-visit count; `SchedulerPolicy::JobDriven`
 /// is tag 1. v12: a job's config writes three values (map placement is
-/// always locality-first), and a throttled resource's name is a tag byte.)
-pub const SNAPSHOT_VERSION: u32 = 12;
+/// always locality-first), and a throttled resource's name is a tag byte.
+/// v13: a live flow and a `Step::Flow` write resource ids only (demands
+/// carry no weight), and the controller writes no energy meter.)
+pub const SNAPSHOT_VERSION: u32 = 13;
 
 /// Checks the header of a snapshot byte string without constructing a
 /// decoder; returns the embedded format version.

@@ -13,7 +13,7 @@ fn engine() -> (Engine, ResourceId) {
 #[test]
 fn capacity_change_mid_flow_reprices_completion() {
     let (mut e, r) = engine();
-    e.start_flow(vec![Demand::unit(r)], 200.0, Tag::new(USER, 1, 0));
+    e.start_flow(vec![r], 200.0, Tag::new(USER, 1, 0));
     // Halve the capacity at t=0 (before any progress): 200/50 = 4 s.
     e.set_capacity(r, 50.0);
     let (t, _) = e.next_wakeup().expect("completes");
@@ -50,7 +50,7 @@ fn cancel_activity_during_delay_step() {
 #[test]
 fn cancel_is_idempotent() {
     let (mut e, r) = engine();
-    let a = e.start_flow(vec![Demand::unit(r)], 100.0, Tag::new(USER, 1, 0));
+    let a = e.start_flow(vec![r], 100.0, Tag::new(USER, 1, 0));
     assert!(e.cancel_activity(a));
     assert!(!e.cancel_activity(a), "second cancel reports failure");
 }
@@ -86,7 +86,7 @@ fn interleaved_batches_join_independently() {
 fn wakeups_drain_in_time_order_across_kinds() {
     let (mut e, r) = engine();
     e.set_timer_in(SimDuration::from_millis(1500), Tag::new(USER, 10, 0));
-    e.start_flow(vec![Demand::unit(r)], 100.0, Tag::new(USER, 20, 0)); // 1 s
+    e.start_flow(vec![r], 100.0, Tag::new(USER, 20, 0)); // 1 s
     e.set_timer_in(SimDuration::from_millis(500), Tag::new(USER, 30, 0));
     let mut seen = Vec::new();
     while let Some((_, w)) = e.next_wakeup() {
@@ -98,7 +98,7 @@ fn wakeups_drain_in_time_order_across_kinds() {
 #[test]
 fn zero_capacity_then_restore_resumes_flow() {
     let (mut e, r) = engine();
-    e.start_flow(vec![Demand::unit(r)], 100.0, Tag::new(USER, 1, 0));
+    e.start_flow(vec![r], 100.0, Tag::new(USER, 1, 0));
     e.set_capacity(r, 0.0); // stall
                             // Nothing can complete; restore capacity via a timer-driven edit.
     e.set_timer_in(SimDuration::from_secs(2), Tag::new(USER, 99, 0));
@@ -121,8 +121,7 @@ fn many_flows_on_many_resources_complete_exactly_once() {
     for i in 0..n {
         let a = rs[(i % 8) as usize];
         let b = rs[((i * 3 + 1) % 8) as usize];
-        let demands =
-            if a == b { vec![Demand::unit(a)] } else { vec![Demand::unit(a), Demand::unit(b)] };
+        let demands = if a == b { vec![a] } else { vec![a, b] };
         e.start_flow(demands, 10.0 + f64::from(i), Tag::new(USER, i, 0));
     }
     let mut seen = vec![0u32; n as usize];

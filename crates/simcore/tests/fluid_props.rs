@@ -11,8 +11,8 @@ fn random_cap(rng: &mut StdRng) -> f64 {
     rng.gen_range(1.0..1e6)
 }
 
-/// A flow demanding 1..=3 distinct resources with weights in [0.1, 8].
-fn random_flow(rng: &mut StdRng, n_resources: usize) -> (Vec<usize>, Vec<f64>, f64) {
+/// A flow demanding 1..=3 distinct resources.
+fn random_flow(rng: &mut StdRng, n_resources: usize) -> (Vec<usize>, f64) {
     let k = rng.gen_range(1..=3usize.min(n_resources));
     let mut resources: Vec<usize> = Vec::new();
     while resources.len() < k {
@@ -22,8 +22,7 @@ fn random_flow(rng: &mut StdRng, n_resources: usize) -> (Vec<usize>, Vec<f64>, f
         }
     }
     resources.sort_unstable();
-    let weights: Vec<f64> = resources.iter().map(|_| rng.gen_range(0.1..8.0)).collect();
-    (resources, weights, rng.gen_range(1.0..1e5))
+    (resources, rng.gen_range(1.0..1e5))
 }
 
 /// After reallocation: no finite resource is over capacity, all rates are
@@ -33,11 +32,11 @@ fn random_flow(rng: &mut StdRng, n_resources: usize) -> (Vec<usize>, Vec<f64>, f
 fn maxmin_feasible_and_bottlenecked() {
     let mut rng = StdRng::seed_from_u64(0xF1D0);
     for case in 0..65 {
-        // Case 0 is the shrunk failure the retired `.proptest-regressions`
-        // seed file recorded; the offline shim never replayed it.
+        // Case 0 is the shape of the shrunk failure the retired
+        // `.proptest-regressions` seed file recorded (one flow sharing two
+        // resources, each with a flow of its own), at unit demand.
         let (caps, flows) = if case == 0 {
-            let shared = (vec![0, 4], vec![0.1, 2.791908062142391], 1.0);
-            (vec![1.0; 5], vec![(vec![0], vec![0.1], 1.0), shared, (vec![4], vec![0.1], 1.0)])
+            (vec![1.0; 5], vec![(vec![0], 1.0), (vec![0, 4], 1.0), (vec![4], 1.0)])
         } else {
             let n_res = rng.gen_range(1..6usize);
             let caps: Vec<f64> = (0..n_res).map(|_| random_cap(&mut rng)).collect();
@@ -48,12 +47,8 @@ fn maxmin_feasible_and_bottlenecked() {
         let rids: Vec<ResourceId> =
             caps.iter().map(|&c| net.add_resource("r", ResourceKind::Other, c)).collect();
         let mut fids = Vec::new();
-        for (resources, weights, work) in flows {
-            let demands: Vec<Demand> = resources
-                .iter()
-                .zip(&weights)
-                .map(|(&r, &w)| Demand::weighted(rids[r], w))
-                .collect();
+        for (resources, work) in flows {
+            let demands: Vec<ResourceId> = resources.iter().map(|&r| rids[r]).collect();
             fids.push((net.add_flow(demands.clone(), work), demands));
         }
         net.reallocate();
@@ -74,10 +69,8 @@ fn maxmin_feasible_and_bottlenecked() {
         for (fid, demands) in &fids {
             let rate = net.flow_rate(*fid);
             assert!(rate >= 0.0);
-            let bottlenecked = demands.iter().any(|d| {
-                let r = d.resource;
-                net.used(r) >= net.capacity(r) * (1.0 - 1e-6)
-            });
+            let bottlenecked =
+                demands.iter().any(|&r| net.used(r) >= net.capacity(r) * (1.0 - 1e-6));
             assert!(bottlenecked, "flow {fid} (rate {rate}) has no saturated resource");
         }
     }
@@ -93,7 +86,7 @@ fn single_resource_work_conserving() {
         let mut net = FluidNet::new();
         let r = net.add_resource("r", ResourceKind::Other, cap);
         for _ in 0..rng.gen_range(1..10usize) {
-            net.add_flow(vec![Demand::unit(r)], rng.gen_range(1.0..1e4));
+            net.add_flow(vec![r], rng.gen_range(1.0..1e4));
         }
         net.reallocate();
         assert!((net.used(r) - cap).abs() <= cap * 1e-9);
@@ -111,7 +104,7 @@ fn engine_completes_everything_in_order() {
         let mut e = Engine::new();
         let r = e.add_resource("r", ResourceKind::Other, random_cap(&mut rng));
         for i in 0..n {
-            e.start_flow(vec![Demand::unit(r)], rng.gen_range(1.0..1e4), Tag::new(1, i as u32, 0));
+            e.start_flow(vec![r], rng.gen_range(1.0..1e4), Tag::new(1, i as u32, 0));
         }
         let mut seen = vec![false; n];
         let mut last = SimTime::ZERO;
@@ -144,7 +137,7 @@ fn completion_order_follows_work() {
         let r = e.add_resource("r", ResourceKind::Other, 100.0);
         // Start in reversed order to decouple from insert order.
         for (i, &w) in works.iter().enumerate().rev() {
-            e.start_flow(vec![Demand::unit(r)], w, Tag::new(1, i as u32, 0));
+            e.start_flow(vec![r], w, Tag::new(1, i as u32, 0));
         }
         let mut order = Vec::new();
         while let Some((_, w)) = e.next_wakeup() {

@@ -274,9 +274,9 @@ impl VirtualCluster {
 
     /// Demands for guest computation on `vm`: the VCPU cap plus the host
     /// CPU pool.
-    pub fn cpu_demands(&self, vm: VmId) -> Vec<Demand> {
+    pub fn cpu_demands(&self, vm: VmId) -> Vec<ResourceId> {
         let h = self.vm_host[vm.0 as usize] as usize;
-        vec![Demand::unit(self.vcpu[vm.0 as usize]), Demand::unit(self.host_cpu[h])]
+        vec![self.vcpu[vm.0 as usize], self.host_cpu[h]]
     }
 
     /// A compute step burning `cycles` guest cycles on `vm` (inflated by
@@ -290,19 +290,19 @@ impl VirtualCluster {
     /// path (ToR, or ToR → core → ToR across racks) → receiver NIC
     /// otherwise. Same-VM transfers return an empty path (pure memory
     /// copy).
-    pub fn transfer_demands(&self, src: VmId, dst: VmId) -> Vec<Demand> {
+    pub fn transfer_demands(&self, src: VmId, dst: VmId) -> Vec<ResourceId> {
         if src == dst {
             return Vec::new();
         }
         let hs = self.vm_host[src.0 as usize];
         let hd = self.vm_host[dst.0 as usize];
         let mut d = if hs == hd {
-            vec![Demand::unit(self.host_bridge[hs as usize])]
+            vec![self.host_bridge[hs as usize]]
         } else {
             self.host_transfer_demands(HostId(hs), HostId(hd))
         };
-        d.push(Demand::unit(self.vio[src.0 as usize]));
-        d.push(Demand::unit(self.vio[dst.0 as usize]));
+        d.push(self.vio[src.0 as usize]);
+        d.push(self.vio[dst.0 as usize]);
         d
     }
 
@@ -319,25 +319,25 @@ impl VirtualCluster {
     }
 
     /// Demands for `vm` reading from its NFS-backed virtual disk (per byte).
-    pub fn disk_read_demands(&self, vm: VmId) -> Vec<Demand> {
+    pub fn disk_read_demands(&self, vm: VmId) -> Vec<ResourceId> {
         self.nfs_demands(vm)
     }
 
     /// Demands for `vm` writing to its NFS-backed virtual disk (per byte).
-    pub fn disk_write_demands(&self, vm: VmId) -> Vec<Demand> {
+    pub fn disk_write_demands(&self, vm: VmId) -> Vec<ResourceId> {
         self.nfs_demands(vm)
     }
 
-    fn nfs_demands(&self, vm: VmId) -> Vec<Demand> {
+    fn nfs_demands(&self, vm: VmId) -> Vec<ResourceId> {
         let h = self.vm_host[vm.0 as usize];
-        let mut d = vec![Demand::unit(self.host_nic[h as usize])];
-        d.extend(self.topology.switch_path_to_core(h).into_iter().map(Demand::unit));
-        d.push(Demand::unit(self.nfs_nic));
-        d.push(Demand::unit(self.nfs_disk));
+        let mut d = vec![self.host_nic[h as usize]];
+        d.extend(self.topology.switch_path_to_core(h));
+        d.push(self.nfs_nic);
+        d.push(self.nfs_disk);
         if let Some(&lane) = self.disklane.get(h as usize) {
-            d.push(Demand::unit(lane));
+            d.push(lane);
         }
-        d.push(Demand::unit(self.vio[vm.0 as usize]));
+        d.push(self.vio[vm.0 as usize]);
         d
     }
 
@@ -357,11 +357,11 @@ impl VirtualCluster {
 
     /// Demands for a host-to-host bulk transfer (migration traffic)
     /// along the topology path: sender NIC → switch path → receiver NIC.
-    pub fn host_transfer_demands(&self, src: HostId, dst: HostId) -> Vec<Demand> {
+    pub fn host_transfer_demands(&self, src: HostId, dst: HostId) -> Vec<ResourceId> {
         assert_ne!(src, dst, "migration source and destination must differ");
-        let mut d = vec![Demand::unit(self.host_nic[src.0 as usize])];
-        d.extend(self.topology.switch_path(src.0, dst.0).into_iter().map(Demand::unit));
-        d.push(Demand::unit(self.host_nic[dst.0 as usize]));
+        let mut d = vec![self.host_nic[src.0 as usize]];
+        d.extend(self.topology.switch_path(src.0, dst.0));
+        d.push(self.host_nic[dst.0 as usize]);
         d
     }
 }
@@ -424,13 +424,13 @@ mod tests {
                 c.host_transfer_demands(HostId(0), HostId(1)),
             ];
             for d in paths {
-                assert!(d.iter().all(|x| !cpus.contains(&x.resource)), "{placement:?}: {d:?}");
+                assert!(d.iter().all(|x| !cpus.contains(x)), "{placement:?}: {d:?}");
             }
         }
         // ... so a compute flow and same-host I/O flows solve as separate
         // fluid components.
         let (mut e, c) = build(Placement::SingleDomain);
-        let io = |d: Vec<Demand>| ChainSpec::new().flow(d, 1e6);
+        let io = |d: Vec<ResourceId>| ChainSpec::new().flow(d, 1e6);
         e.start_chain(c.compute(VmId(0), 1e9), Tag::new(simcore::owners::USER, 0, 0));
         e.start_chain(
             io(c.transfer_demands(VmId(0), VmId(1))),

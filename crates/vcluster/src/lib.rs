@@ -14,14 +14,11 @@
 //!   VM↔VM transfer, NFS-backed disk I/O) that HDFS and MapReduce build
 //!   their activities from, resolving every path through the topology;
 //! * [`migration`] — iterative pre-copy live migration with dirty-rate
-//!   feedback, per-VM and whole-cluster reports;
-//! * [`energy`] — linear host power model and exact energy accounting
-//!   (the consolidation argument for migration).
+//!   feedback, per-VM and whole-cluster reports.
 
 #![warn(missing_docs)]
 
 pub mod cluster;
-pub mod energy;
 pub mod migration;
 pub mod spec;
 pub mod topology;
@@ -29,7 +26,6 @@ pub mod topology;
 /// Convenience imports.
 pub mod prelude {
     pub use crate::cluster::{HostId, VirtualCluster, VmId};
-    pub use crate::energy::{EnergyMeter, EnergyReport};
     pub use crate::migration::{
         ClusterMigrationReport, ConstantDirtyModel, DirtyRateModel, MigrationEvent,
         MigrationManager, StopReason, UtilizationDirtyModel, VmMigrationReport,

@@ -34,7 +34,6 @@ use simcore::owners;
 use simcore::prelude::*;
 use std::collections::HashMap;
 use vcluster::cluster::{HostId, VirtualCluster, VmId};
-use vcluster::energy::{EnergyMeter, EnergyReport};
 use vcluster::migration::{MigrationEvent, MigrationManager};
 
 /// `Tag.b` payload of a rebalance tick timer.
@@ -187,7 +186,6 @@ pub struct Controller {
     active: HashMap<u32, u32, FixedState>,
     next_ctrl_id: u32,
     tick_armed: bool,
-    energy: Option<EnergyMeter>,
     queue_depth_name: Option<Name>,
     active_jobs_name: Option<Name>,
     /// A what-if evaluation waiting for the platform to fork and measure.
@@ -214,7 +212,6 @@ impl Controller {
             active: HashMap::default(),
             next_ctrl_id: 0,
             tick_armed: false,
-            energy: None,
             queue_depth_name: None,
             active_jobs_name: None,
             pending_whatif: None,
@@ -237,12 +234,11 @@ impl Controller {
     }
 
     /// Binds the controller to a booted platform: sizes the rebalancer,
-    /// starts the energy meter, interns counter names.
+    /// interns counter names.
     pub fn attach(&mut self, engine: &mut Engine, cluster: &VirtualCluster) {
         if let Some(rb) = &self.cfg.rebalance {
             self.rebalancer = Some(Rebalancer::new(rb.clone(), cluster.host_count()));
         }
-        self.energy = Some(EnergyMeter::start(engine, cluster));
         self.queue_depth_name = Some(engine.tracer_mut().intern("ctrl.queue_depth"));
         self.active_jobs_name = Some(engine.tracer_mut().intern("ctrl.active_jobs"));
     }
@@ -495,12 +491,6 @@ impl Controller {
         slo_report_json(&self.slo.report(), &self.counters)
     }
 
-    /// Energy consumed since [`Controller::attach`], for the
-    /// consolidation report. `None` before attach.
-    pub fn energy_report(&self, engine: &Engine, cluster: &VirtualCluster) -> Option<EnergyReport> {
-        self.energy.as_ref().map(|m| m.report(engine, cluster))
-    }
-
     /// Takes the what-if evaluation deferred by the last tick, if any.
     pub fn take_whatif_request(&mut self) -> Option<WhatIfRequest> {
         self.pending_whatif.take()
@@ -558,17 +548,13 @@ impl Controller {
         self.active.encode(e);
         self.next_ctrl_id.encode(e);
         self.tick_armed.encode(e);
-        self.energy.is_some().encode(e);
-        if let Some(m) = &self.energy {
-            m.encode_state(e);
-        }
         self.whatif_outcomes.encode(e);
     }
 
     /// Restores dynamic controller state over a freshly attached
     /// controller. Arrival and tick timers come back through the engine
     /// snapshot, so nothing is re-armed here.
-    // codec by hand: optional sub-states restore in place
+    // codec by hand: the rebalancer's optional sub-state restores in place
     pub fn restore_state(&mut self, d: &mut Decoder) {
         self.counters = Persist::decode(d);
         self.queue.restore_state(d);
@@ -583,12 +569,6 @@ impl Controller {
         self.active = Persist::decode(d);
         self.next_ctrl_id = Persist::decode(d);
         self.tick_armed = Persist::decode(d);
-        if bool::decode(d) {
-            self.energy
-                .as_mut()
-                .expect("snapshot has an energy meter but the controller is not attached")
-                .restore_state(d);
-        }
         self.whatif_outcomes = Persist::decode(d);
         self.pending_whatif = None;
     }

@@ -38,18 +38,8 @@ fn main() {
 
     // --- idle migration --------------------------------------------------
     let mut idle = VHadoop::launch(PlatformConfig::builder().cluster(cluster.clone()).build());
-    let meter = EnergyMeter::start(&idle.rt.engine, &idle.rt.cluster);
     let idle_rep = idle.migration(HostId(1)).idle();
     report("idle cluster", &idle_rep);
-    // The energy-saving argument: after consolidating onto host 1, host 0
-    // draws only idle power and could be shut down.
-    let energy = meter.report(&idle.rt.engine, &idle.rt.cluster);
-    println!(
-        "energy over the migration window: {:.1} kJ total; shutting idle hosts down would \
-         recover {:.1} kJ",
-        energy.total_j() / 1e3,
-        energy.consolidation_savings_j(1.0) / 1e3
-    );
 
     // --- migration under load ---------------------------------------------
     // Back-to-back wordcount-profile jobs keep every task slot busy for

@@ -1,7 +1,6 @@
 //! Job stream: drive a seeded open-loop stream of MapReduce jobs through
 //! the `vsched` control plane — admission queue, adaptive VM placement,
-//! and the migration-driven rebalancer — then read the SLO report and the
-//! consolidation-energy verdict.
+//! and the migration-driven rebalancer — then read the SLO report.
 //!
 //! ```sh
 //! cargo run -p vhadoop-examples --bin job_stream
@@ -90,14 +89,6 @@ fn main() {
     assert!(c.migrations_planned >= 1, "rebalancer never planned a move");
     assert_eq!(c.migrations_completed, c.migrations_planned, "moves aborted");
     assert!(c.queue_depth_hwm <= 8, "queue ran away: {}", c.queue_depth_hwm);
-    if let Some(energy) = ctrl.energy_report(&platform.rt.engine, &platform.rt.cluster) {
-        println!(
-            "energy: {:.0} J over {:.1}s ({:.0} J reclaimable by consolidating near-idle hosts)",
-            energy.total_j(),
-            energy.span_s,
-            energy.consolidation_savings_j(1.0).max(0.0)
-        );
-    }
 
     // 6. Persist the SLO report.
     let json = ctrl.slo_report_json();

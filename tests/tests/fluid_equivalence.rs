@@ -228,12 +228,11 @@ mod oracle {
     }
 }
 
-/// Discrete capacity/weight pools: plenty of *exact* cross-component ties
-/// (which must still re-solve identically), none of the measure-zero
+/// Discrete capacity pool: plenty of *exact* cross-component ties (which
+/// must still re-solve identically), none of the measure-zero
 /// almost-but-not-quite ties within the solver's 1e-12 saturation tolerance
 /// that real workloads cannot produce either.
 const CAPS: [f64; 6] = [10.0, 25.0, 50.0, 100.0, 400.0, f64::INFINITY];
-const WEIGHTS: [f64; 4] = [0.5, 1.0, 2.0, 4.0];
 
 /// How far the lazy clock's remaining work (as a fraction of the flow's
 /// total work) and cumulative service (as a fraction of itself) may round
@@ -303,8 +302,11 @@ fn fluid_incremental_equivalence() {
         let steps = g.usize_in(20, 60);
         for _ in 0..steps {
             match g.usize_in(0, 9) {
-                // Add a flow (weighted, multi-resource, occasionally empty
-                // work so the near-done path is exercised).
+                // Add a flow (multi-resource, a resource listed once or
+                // twice, occasionally empty work so the near-done path is
+                // exercised). The oracle gets each listed row at weight 1:
+                // one row at weight 2 subtracts `share * 2` where the
+                // kernel subtracts `share` twice, which rounds differently.
                 0..=3 => {
                     let nd = g.usize_in(1, n_res.min(3));
                     let mut picked: Vec<usize> = Vec::new();
@@ -314,16 +316,11 @@ fn fluid_incremental_equivalence() {
                             picked.push(r);
                         }
                     }
-                    let demands: Vec<(usize, f64)> =
-                        picked.iter().map(|&r| (r, *g.choose(&WEIGHTS))).collect();
+                    let listed: Vec<usize> =
+                        picked.iter().flat_map(|&r| vec![r; g.usize_in(1, 2)]).collect();
                     let work = if g.bool(0.05) { 0.0 } else { g.f64_in(1.0, 500.0) };
-                    let id = net.add_flow(
-                        demands
-                            .iter()
-                            .map(|&(r, w)| Demand::weighted(ResourceId::from_index(r), w))
-                            .collect(),
-                        work,
-                    );
+                    let id = net.add_flow(unit_demands(&listed), work);
+                    let demands = listed.iter().map(|&r| (r, 1.0)).collect();
                     let os = ora.add_flow(demands, work);
                     assert_eq!(format!("{id}").split('.').next(), Some(&*format!("f{os}")));
                     live.push((id, os));
@@ -378,11 +375,11 @@ fn fluid_incremental_equivalence() {
 fn flow_arena_recycling_rejects_stale_handles() {
     let mut net = FluidNet::new();
     let r = net.add_resource("link", ResourceKind::Net, 100.0);
-    let stale = net.add_flow(vec![Demand::unit(r)], 1_000.0);
+    let stale = net.add_flow(vec![r], 1_000.0);
     net.reallocate();
     assert_eq!(net.remove_flow(stale), Some(1_000.0));
     // The LIFO free list recycles the same slot for the next flow.
-    let reborn = net.add_flow(vec![Demand::unit(r)], 70.0);
+    let reborn = net.add_flow(vec![r], 70.0);
     net.reallocate();
     assert!(!net.is_live(stale), "stale handle stays dead across recycling");
     assert!(net.is_live(reborn));
@@ -436,8 +433,8 @@ impl Topo {
 /// `iterative_waves` task sizes: equal within a wave, distinct across waves.
 const WAVE_WORK: [f64; 4] = [4e9, 6e9, 3e9, 8e9];
 
-fn unit_demands(res: &[usize]) -> Vec<Demand> {
-    res.iter().map(|&r| Demand::unit(ResourceId::from_index(r))).collect()
+fn unit_demands(res: &[usize]) -> Vec<ResourceId> {
+    res.iter().map(|&r| ResourceId::from_index(r)).collect()
 }
 
 /// `FluidNet` and `Oracle` driven in lockstep, one `step` per burst.
