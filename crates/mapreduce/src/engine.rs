@@ -33,10 +33,9 @@ use crate::scheduler::{
 };
 use crate::speculation::SPECULATION_HEARTBEAT;
 use crate::state::{
-    decode, tag, tag_full, JobState, MapTask, Partition, ReduceTask, SplitInfo, TaskPhase,
-    PH_MAP_COMPUTE, PH_MAP_READ, PH_MAP_STARTUP, PH_MAP_WRITE, PH_REDUCE_COMPUTE,
-    PH_REDUCE_STARTUP, PH_REDUCE_WRITE, PH_REQUEUE_MAP, PH_REQUEUE_REDUCE, PH_SHUFFLE,
-    PH_SPECULATE,
+    decode, tag, tag_full, JobState, MapTask, ReduceTask, SplitInfo, TaskPhase, PH_MAP_COMPUTE,
+    PH_MAP_READ, PH_MAP_STARTUP, PH_MAP_WRITE, PH_REDUCE_COMPUTE, PH_REDUCE_STARTUP,
+    PH_REDUCE_WRITE, PH_REQUEUE_MAP, PH_REQUEUE_REDUCE, PH_SHUFFLE, PH_SPECULATE,
 };
 use simcore::owners;
 use simcore::prelude::*;
@@ -471,18 +470,20 @@ impl MrEngine {
         let finished = engine.now();
         let map_done = job.map_phase_done.unwrap_or(finished);
         // The map output has been reduced; it must not sit beside the
-        // flattened copy of the task outputs.
+        // flattened task outputs.
         job.map_outputs = Vec::new();
         // Flatten output records in task-index order: partition 0's records
         // first, then partition 1's, ... (map index order for map-only
         // jobs). With a total-order partitioner this makes `outputs`
-        // globally sorted — exactly TeraValidate's contract.
-        let parts: Vec<Partition> =
-            job.task_outputs.into_iter().map(|p| p.expect("task output present")).collect();
-        let partition_sizes: Vec<usize> = parts.iter().map(|p| p.records.len()).collect();
-        let mut outputs = Vec::with_capacity(partition_sizes.iter().sum());
-        for p in parts {
-            outputs.extend(p.records);
+        // globally sorted — exactly TeraValidate's contract. Each partition
+        // is dropped once appended and `outputs` grows by exactly its size,
+        // so no full-size copy sits beside all the partitions.
+        let (mut outputs, mut partition_sizes) =
+            (Vec::new(), Vec::with_capacity(job.task_outputs.len()));
+        for p in job.task_outputs {
+            let p = p.expect("task output present");
+            partition_sizes.push(p.len());
+            p.append_to(&mut outputs);
         }
         JobResult {
             id: job.id,

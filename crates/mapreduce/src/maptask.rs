@@ -14,7 +14,7 @@
 use crate::job::{JobEvent, JobId};
 use crate::run::{combine_run, release_grouping, Run, RunBuilder};
 use crate::state::{tag_full, Partition, TaskPhase, PH_MAP_COMPUTE, PH_MAP_READ, PH_MAP_WRITE};
-use crate::types::{records_size, Record, K, V};
+use crate::types::{records_size, K, V};
 use simcore::prelude::*;
 use vcluster::cluster::{VirtualCluster, VmId};
 use vhdfs::hdfs::Hdfs;
@@ -87,7 +87,7 @@ impl MrEngine {
         // job's into the task's output.
         let n_red = job.num_reduces();
         let mut builder = RunBuilder::default();
-        let mut output: Vec<Record> = Vec::new();
+        let mut output = Partition::default();
         let mut out_records = 0u64;
         let (mut in_records, mut in_bytes) = (0, job.splits[m].bytes);
         let app = job.app.as_ref();
@@ -100,7 +100,7 @@ impl MrEngine {
             let mut emit = |ek: K, ev: V| {
                 out_records += 1;
                 if n_red == 0 {
-                    output.push((ek, ev));
+                    output.push(ek, ev);
                 } else {
                     builder.push(&ek, ev);
                 }
@@ -125,10 +125,10 @@ impl MrEngine {
         if job.map_only() {
             // Map-only: emitted records ARE the output; the compute-done
             // handler writes them to HDFS.
-            let output = Partition::seal(output);
+            let output = output.seal();
             out_bytes = output.bytes;
             spill_bytes = 0;
-            job.task_outputs[m].get_or_insert(output);
+            job.task_outputs[m].get_or_insert_with(|| Box::new(output));
         } else {
             // One sorted run per reduce, the partitioner asked once per key,
             // each optionally combined, then spilled to local (NFS) disk.
@@ -284,7 +284,7 @@ impl MrEngine {
             }
             let output = job.task_outputs[m].as_ref().expect("map output present");
             job.counters.output_bytes += output.bytes;
-            job.counters.reduce_output_records += output.records.len() as u64;
+            job.counters.reduce_output_records += output.len() as u64;
             let finished = job.completed_maps == job.maps.len();
             if finished {
                 job.map_phase_done = Some(engine.now());

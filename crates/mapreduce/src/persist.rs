@@ -13,7 +13,7 @@ use crate::counters::Counters;
 use crate::engine::MrEngine;
 use crate::job::{JobId, JobSpec};
 use crate::scheduler::SchedulerPolicy;
-use crate::state::{JobState, MapTask, Partition, ReduceTask, SplitInfo, TaskPhase};
+use crate::state::{JobState, MapTask, ReduceTask, SplitInfo, TaskPhase};
 use crate::types::{KeyText, K, V};
 use simcore::persist::{Decoder, Encoder, Persist};
 
@@ -71,17 +71,6 @@ simcore::persist_struct!(ReduceTask {
     shuffle_started_at,
     merged
 });
-
-/// Encoded as the bare record vector, as [`crate::run::Run`] is.
-// codec by hand: the byte size is not written but recomputed by `Partition::seal`
-impl Persist for Partition {
-    fn encode(&self, e: &mut Encoder) {
-        self.records.encode(e);
-    }
-    fn decode(d: &mut Decoder) -> Self {
-        Partition::seal(Persist::decode(d))
-    }
-}
 
 simcore::persist_struct!(JobState {
     id,

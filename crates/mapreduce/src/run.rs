@@ -10,8 +10,9 @@
 //! runs, a key is its 9 header bytes plus payload, a scalar value 8 bytes
 //! or none, and the emitted `K` dies in the emit callback; once the run is
 //! sealed, a key is stored once however many records carry it. Heap-backed
-//! values (`Text`/`Bytes`/`Vector`/`Tuple`) stay the owned `V` they were
-//! emitted as: moved in, lent to `reduce`, never copied or serialised.
+//! values (`Text`/`Bytes`/`Vector`/`Tuple`) stay what they were emitted
+//! as — a byte payload its shared handle, any other the owned `V` — moved
+//! in, lent to `reduce`, never copied or serialised.
 
 use crate::app::MapReduceApp;
 use crate::types::{Record, K, V};
@@ -20,6 +21,7 @@ use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Packed-key header: the variant tag, then eight little-endian bytes —
 /// the value of a [`K::Int`], the payload length of the other two.
@@ -89,7 +91,7 @@ fn packed_key_size(tag: u8, packed_len: usize) -> u64 {
 /// bit for bit: `0.0` and `-0.0`, or two `NaN`s of different payload, are
 /// different values.
 #[derive(Debug, Clone, Copy)]
-enum Scalar {
+pub(crate) enum Scalar {
     Null,
     Int(i64),
     Float(f64),
@@ -133,32 +135,42 @@ fn widened<T: Clone>(first: T, n: usize, last: T) -> Vec<T> {
     xs
 }
 
-/// The values of a run. `Null`/`Int`/`Float` are stored bare while the run
-/// has seen one kind only — as one value and a count while it has seen one
-/// value only; any other value, or a second kind, turns the column into
-/// owned `V`s (earlier values and their order kept).
+/// The values of a run or a task output. `Null`/`Int`/`Float` are stored
+/// bare while the column has seen one kind only — as one value and a
+/// count while it has seen one value only — and `Bytes` as the shared
+/// handles; any other value, or a second kind, turns the column into owned
+/// `V`s (earlier values and their order kept).
 #[derive(Debug, Clone, PartialEq)]
-enum Column {
+pub(crate) enum Column {
     /// That many copies of one scalar, no storage per value; `Same(_, 0)`
     /// is the empty column of any kind.
     Same(Scalar, usize),
     Int(Vec<i64>),
     Float(Vec<f64>),
+    Bytes(Vec<Arc<[u8]>>),
     Mixed(Vec<V>),
 }
 
+impl Default for Column {
+    fn default() -> Self {
+        Column::Same(Scalar::Null, 0)
+    }
+}
+
 impl Column {
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Column::Same(_, n) => *n,
             Column::Int(xs) => xs.len(),
             Column::Float(xs) => xs.len(),
+            Column::Bytes(bs) => bs.len(),
             Column::Mixed(vs) => vs.len(),
         }
     }
 
     fn push(&mut self, v: V) {
         match (&mut *self, v) {
+            (Column::Same(_, 0), V::Bytes(b)) => *self = Column::Bytes(vec![b]),
             (Column::Same(s, n), v) => {
                 let (s, n) = (*s, *n);
                 *self = match (s, Scalar::of(&v)) {
@@ -170,11 +182,13 @@ impl Column {
             }
             (Column::Int(xs), V::Int(x)) => xs.push(x),
             (Column::Float(xs), V::Float(x)) => xs.push(x),
+            (Column::Bytes(bs), V::Bytes(b)) => bs.push(b),
             (Column::Mixed(vs), v) => vs.push(v),
             (_, v) => {
-                let mut vs: Vec<V> = match &*self {
-                    Column::Int(xs) => xs.iter().map(|&x| V::Int(x)).collect(),
-                    Column::Float(xs) => xs.iter().map(|&x| V::Float(x)).collect(),
+                let mut vs: Vec<V> = match std::mem::take(self) {
+                    Column::Int(xs) => xs.into_iter().map(V::Int).collect(),
+                    Column::Float(xs) => xs.into_iter().map(V::Float).collect(),
+                    Column::Bytes(bs) => bs.into_iter().map(V::Bytes).collect(),
                     Column::Same(..) | Column::Mixed(_) => unreachable!("matched above"),
                 };
                 vs.push(v);
@@ -184,22 +198,25 @@ impl Column {
     }
 
     /// Shows the `i`-th value to `f`.
-    fn with<R>(&self, i: usize, f: impl FnOnce(&V) -> R) -> R {
+    pub(crate) fn with<R>(&self, i: usize, f: impl FnOnce(&V) -> R) -> R {
         match self {
             Column::Same(s, _) => f(&s.value()),
             Column::Int(xs) => f(&V::Int(xs[i])),
             Column::Float(xs) => f(&V::Float(xs[i])),
+            Column::Bytes(bs) => f(&V::Bytes(Arc::clone(&bs[i]))),
             Column::Mixed(vs) => f(&vs[i]),
         }
     }
 
-    /// The `i`-th value: a scalar by value, an owned one moved out (a
-    /// placeholder stays until [`Column::give_back`]).
-    fn lend(&mut self, i: usize) -> V {
+    /// The `i`-th value: a scalar by value, a byte payload as a clone of
+    /// its handle, an owned one moved out (a placeholder stays until
+    /// [`Column::give_back`]).
+    pub(crate) fn lend(&mut self, i: usize) -> V {
         match self {
             Column::Same(s, _) => s.value(),
             Column::Int(xs) => V::Int(xs[i]),
             Column::Float(xs) => V::Float(xs[i]),
+            Column::Bytes(bs) => V::Bytes(Arc::clone(&bs[i])),
             Column::Mixed(vs) => std::mem::replace(&mut vs[i], V::Null),
         }
     }
@@ -227,27 +244,41 @@ impl Column {
             Column::Same(..) => {}
             Column::Int(xs) => apply(xs, to),
             Column::Float(xs) => apply(xs, to),
+            Column::Bytes(bs) => apply(bs, to),
             Column::Mixed(vs) => apply(vs, to),
         }
     }
 
     /// [`Column::push`], then room for `expected` values in all at once.
-    fn push_expecting(&mut self, v: V, expected: usize) {
+    pub(crate) fn push_expecting(&mut self, v: V, expected: usize) {
         self.push(v);
         match self {
             Column::Same(..) => {}
             Column::Int(xs) => xs.reserve_exact(expected.saturating_sub(xs.len())),
             Column::Float(xs) => xs.reserve_exact(expected.saturating_sub(xs.len())),
+            Column::Bytes(bs) => bs.reserve_exact(expected.saturating_sub(bs.len())),
             Column::Mixed(vs) => vs.reserve_exact(expected.saturating_sub(vs.len())),
         }
     }
 
+    /// Gives back the room beyond the values.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        match self {
+            Column::Same(..) => {}
+            Column::Int(xs) => xs.shrink_to_fit(),
+            Column::Float(xs) => xs.shrink_to_fit(),
+            Column::Bytes(bs) => bs.shrink_to_fit(),
+            Column::Mixed(vs) => vs.shrink_to_fit(),
+        }
+    }
+
     /// [`crate::types::records_size`] of the values alone.
-    fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         let n = self.len() as u64;
         match self {
             Column::Same(s, _) => n * s.value().size_bytes(),
             Column::Int(_) | Column::Float(_) => n * 8,
+            Column::Bytes(bs) => bs.iter().map(|b| b.len() as u64 + 4).sum(),
             Column::Mixed(vs) => vs.iter().map(V::size_bytes).sum(),
         }
     }
@@ -258,16 +289,11 @@ impl Column {
     fn split_back(&mut self, n: usize, whole: bool) -> Column {
         let keep = self.len() - n;
         if whole {
-            let mut all = std::mem::replace(self, Column::Same(Scalar::Null, 0));
-            match &mut all {
-                Column::Same(..) => {}
-                Column::Int(xs) => xs.shrink_to_fit(),
-                Column::Float(xs) => xs.shrink_to_fit(),
-                Column::Mixed(vs) => vs.shrink_to_fit(),
-            }
+            let mut all = std::mem::take(self);
+            all.shrink_to_fit();
             return all;
         }
-        let mut piece = Column::Same(Scalar::Null, 0);
+        let mut piece = Column::default();
         let mut take = |v: V| piece.push_expecting(v, n);
         match self {
             Column::Same(s, len) => {
@@ -276,6 +302,7 @@ impl Column {
             }
             Column::Int(xs) => xs.drain(keep..).for_each(|x| take(V::Int(x))),
             Column::Float(xs) => xs.drain(keep..).for_each(|x| take(V::Float(x))),
+            Column::Bytes(bs) => bs.drain(keep..).for_each(|b| take(V::Bytes(b))),
             Column::Mixed(vs) => vs.drain(keep..).for_each(take),
         }
         piece
@@ -284,7 +311,7 @@ impl Column {
 
 /// The records one map emits, in emission order, until
 /// [`RunBuilder::seal`] groups them into one [`Run`] per reduce.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct RunBuilder {
     /// Every key in its `Persist` encoding, back to back.
     keys: Vec<u8>,
@@ -292,12 +319,6 @@ pub(crate) struct RunBuilder {
     /// The records expected, which a column storing values one by one
     /// makes room for at once: a map expects a record out per record in.
     pub(crate) expected: usize,
-}
-
-impl Default for RunBuilder {
-    fn default() -> Self {
-        RunBuilder { keys: Vec::new(), values: Column::Same(Scalar::Null, 0), expected: 0 }
-    }
 }
 
 impl RunBuilder {
@@ -1000,7 +1021,14 @@ mod tests {
             (V::Float(0.0), Some(V::Float(-0.0))),
             (nan(1), Some(nan(2))),
         ];
-        let others = [V::Null, V::Int(7), V::Float(0.5), V::from("text"), V::Vector(vec![1.0])];
+        let others = [
+            V::Null,
+            V::Int(7),
+            V::Float(0.5),
+            V::from("text"),
+            V::Vector(vec![1.0]),
+            V::Bytes(vec![1u8].into()),
+        ];
         for (scalar, sibling) in &kinds {
             for n in [0usize, 1, 5] {
                 let records: Vec<Record> =
@@ -1033,6 +1061,9 @@ mod tests {
                     match (&run.values, n) {
                         (Column::Mixed(_), _) => {}
                         (column, 0) if Scalar::of(other).is_some() => assert!(same(column, 1)),
+                        (Column::Bytes(bs), 0) => {
+                            assert!(matches!(other, V::Bytes(_)) && bs.len() == 1)
+                        }
                         (column, _) => panic!("{n} x {scalar:?} then {other:?}: {column:?}"),
                     }
                     assert_holds(&run, &mixed);
@@ -1090,6 +1121,68 @@ mod tests {
         let run: Run = mixed.iter().cloned().collect();
         assert_eq!(run.to_records()[0], (K::Int(-1), V::Int(1)));
         assert_eq!(run.to_records()[1..], nulls[..]);
+
+        // A byte column keeps the handles; a value of another kind turns it
+        // mixed, the same buffers in the same order.
+        let payloads: Vec<Arc<[u8]>> = (0..3u8).map(|i| vec![i; 3].into()).collect();
+        let mut builder = RunBuilder::default();
+        builder.push(&K::Int(1), V::Bytes(Arc::clone(&payloads[0])));
+        builder.push(&K::Int(2), V::Bytes(Arc::clone(&payloads[1])));
+        assert!(matches!(&builder.values, Column::Bytes(bs) if bs.len() == 2));
+        builder.push(&K::Int(3), V::Float(0.5));
+        builder.push(&K::Int(4), V::Bytes(Arc::clone(&payloads[2])));
+        let run = builder.seal(1, |_| 0).pop().expect("one run");
+        let Column::Mixed(vs) = &run.values else { panic!("{:?}", run.values) };
+        let shared = |v: &V, p: &Arc<[u8]>| matches!(v, V::Bytes(b) if Arc::ptr_eq(b, p));
+        assert!(shared(&vs[0], &payloads[0]) && shared(&vs[1], &payloads[1]));
+        assert_eq!(vs[2], V::Float(0.5));
+        assert!(shared(&vs[3], &payloads[2]));
+        // And a scalar column meeting a byte payload.
+        let mut ints: Vec<Record> = (0..3).map(|i| (K::Int(i), V::Int(i))).collect();
+        ints.push((K::Int(3), V::Bytes(Arc::clone(&payloads[0]))));
+        let run: Run = ints.iter().cloned().collect();
+        assert!(matches!(run.values, Column::Mixed(_)));
+        assert_eq!(run.to_records(), ints);
+    }
+
+    /// Every byte payload a run holds is the buffer that was emitted — the
+    /// same `Arc`, not a copy — through a seal, a partition split, a
+    /// combiner that passes groups through, and the merge.
+    #[test]
+    fn byte_payloads_stay_the_emitted_buffers() {
+        // Payload `n` is record `n`'s, and says so.
+        let records: Vec<Record> =
+            (0..300i64).map(|n| (K::Int(n % 37), V::Bytes(n.to_le_bytes().into()))).collect();
+        let emitted = |v: &V| match v {
+            V::Bytes(b) => {
+                let n = i64::from_le_bytes((**b).try_into().expect("eight bytes"));
+                matches!(&records[n as usize].1, V::Bytes(a) if Arc::ptr_eq(a, b))
+            }
+            _ => true,
+        };
+        let shared = |column: &Column| (0..column.len()).all(|i| column.with(i, emitted));
+
+        let run: Run = records.iter().cloned().collect();
+        assert!(matches!(run.values, Column::Bytes(_)));
+        assert!(shared(&run.values));
+        for parts in [2, 5] {
+            let (runs, _) = split_with(&records, parts, &HashPartitioner, MAX_SLOTS, PROBE_BOUND);
+            assert!(runs.iter().all(|run| matches!(run.values, Column::Bytes(_))));
+            assert!(runs.iter().all(|run| shared(&run.values)));
+        }
+        for accepts in [|_: &K| false, |k: &K| k.as_int() % 2 == 0] {
+            let combined = combine_run(&CountApp { accepts }, run.clone());
+            assert!(!combined.is_empty() && shared(&combined.values));
+        }
+        let mut runs = [run.clone(), run];
+        let mut lent: Vec<&mut Run> = runs.iter_mut().collect();
+        let mut seen = 0;
+        for_each_group(&mut lent, |_, vals| {
+            assert!(vals.iter().all(emitted));
+            seen += vals.len();
+        });
+        assert_eq!(seen, 2 * records.len());
+        assert!(runs.iter().all(|run| shared(&run.values)));
     }
 
     /// An encoded run of `records` with the tag byte of its first key
@@ -1166,12 +1259,13 @@ mod tests {
         runs
     }
 
-    /// Value generators: one scalar throughout, distinct scalars, and
-    /// every kind — heap-backed ones among them — at random.
-    const VALUES: [fn(&mut Gen, i64) -> V; 4] = [
+    /// Value generators: one scalar throughout, distinct scalars, byte
+    /// payloads, and every kind — heap-backed ones among them — at random.
+    const VALUES: [fn(&mut Gen, i64) -> V; 5] = [
         |_, _| V::Int(1),
         |_, n| V::Int(n),
         |_, n| V::Float(n as f64),
+        |_, n| V::Bytes(n.to_le_bytes().into()),
         |g, n| match g.usize_in(0, 4) {
             0 => V::Null,
             1 => V::Int(n),
@@ -1180,6 +1274,16 @@ mod tests {
             _ => V::Bytes(n.to_le_bytes().into()),
         },
     ];
+
+    /// Whether every byte payload among `a`'s values is the very buffer at
+    /// its place among `b`'s.
+    fn same_buffers(a: &[Record], b: &[Record]) -> bool {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|pair| match pair {
+                ((_, V::Bytes(x)), (_, V::Bytes(y))) => Arc::ptr_eq(x, y),
+                _ => true,
+            })
+    }
 
     /// Counts a group's values; combines the groups `accepts` says.
     struct CountApp {
@@ -1243,17 +1347,20 @@ mod tests {
     /// Values chosen by key as well as at random, so that a partition's
     /// share of a typed or mixed column is often one scalar (`0.0` and
     /// `-0.0` among them) or one kind: every column kind a piece can take.
-    const KEYED_VALUES: [fn(&mut Gen, &K, i64) -> V; 6] = [
+    const KEYED_VALUES: [fn(&mut Gen, &K, i64) -> V; 8] = [
         |_, _, _| V::Int(1),
         |_, _, n| V::Int(n),
         |_, k, _| V::Int((k.stable_hash() % 2) as i64),
         |_, k, _| V::Float(if k.stable_hash() % 2 == 0 { 0.0 } else { -0.0 }),
         |_, k, n| if k.stable_hash() % 2 == 0 { V::from("text") } else { V::Float(n as f64) },
-        |g, _, n| match g.usize_in(0, 4) {
+        |_, _, n| V::Bytes(n.to_le_bytes().into()),
+        |_, k, n| if k.stable_hash() % 2 == 0 { V::Bytes(vec![1].into()) } else { V::Int(n) },
+        |g, _, n| match g.usize_in(0, 5) {
             0 => V::Null,
             1 => V::Int(n),
             2 => V::Float(n as f64),
             3 => V::Text(n.to_string()),
+            4 => V::Bytes(n.to_le_bytes().into()),
             _ => V::Vector(vec![n as f64; 2]),
         },
     ];
@@ -1282,6 +1389,7 @@ mod tests {
                     assert_eq!(encoded(run), encoded(&expect), "{p} of {parts}");
                     assert_eq!((run.bytes(), run.len()), (expect.bytes(), expect.len()));
                     assert_eq!(run, &expect, "{p} of {parts}");
+                    assert!(same_buffers(&run.to_records(), &expect.to_records()));
                 }
             }
         }
@@ -1317,7 +1425,7 @@ mod tests {
                     1 => K::from(format!("word-{i}").as_str()),
                     _ => K::Bytes([vec![b'k'; 15], i.to_le_bytes().to_vec()].concat()),
                 };
-                let v = KEYED_VALUES[(i % 6) as usize](&mut g, &k, i);
+                let v = KEYED_VALUES[i as usize % KEYED_VALUES.len()](&mut g, &k, i);
                 (k, v)
             })
             .collect();
@@ -1352,11 +1460,17 @@ mod tests {
             }
             let before = runs.clone();
             // Twice: lent values are back in place after a merge.
+            let flat = |groups: &[(K, Vec<V>)]| -> Vec<Record> {
+                let each =
+                    groups.iter().flat_map(|(k, vs)| vs.iter().map(|v| (k.clone(), v.clone())));
+                each.collect()
+            };
             for _ in 0..2 {
                 let mut lent: Vec<&mut Run> = runs.iter_mut().collect();
                 let mut streamed = Vec::new();
                 for_each_group(&mut lent, |k, vals| streamed.push((k.clone(), vals.to_vec())));
                 assert_eq!(streamed, expected);
+                assert!(same_buffers(&flat(&streamed), &flat(&expected)));
                 assert_eq!(runs, before);
             }
             let records = parts.concat();
@@ -1364,6 +1478,7 @@ mod tests {
                 let combined = combine_run(app, records.iter().cloned().collect());
                 let expect = reference_combiner(app, records.clone());
                 assert_eq!(combined.to_records(), expect);
+                assert!(same_buffers(&combined.to_records(), &expect));
                 assert_eq!(combined.bytes(), crate::types::records_size(&expect));
             }
         });

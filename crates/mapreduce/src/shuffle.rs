@@ -16,7 +16,6 @@ use crate::run::{for_each_group, Run};
 use crate::state::{
     tag_full, Partition, TaskPhase, PH_REDUCE_COMPUTE, PH_REDUCE_WRITE, PH_SHUFFLE,
 };
-use crate::types::Record;
 use simcore::prelude::*;
 use vcluster::cluster::VirtualCluster;
 use vhdfs::hdfs::Hdfs;
@@ -85,12 +84,12 @@ impl MrEngine {
         // The runs' group counts bound the groups from above, exactly when
         // no key is in two runs.
         let bound = fetched.iter().map(|run| run.group_count()).sum();
-        let mut out: Vec<Record> = Vec::with_capacity(bound);
+        let mut out = Partition::with_capacity(bound);
         let mut groups = 0;
         let app = job.app.as_ref();
         for_each_group(&mut fetched, |k, vals| {
             groups += 1;
-            app.reduce(k, vals, &mut |ek, ev| out.push((ek, ev)));
+            app.reduce(k, vals, &mut |ek, ev| out.push(ek, ev));
         });
         job.reduces[r].merged = [in_bytes, in_records, groups];
 
@@ -100,7 +99,7 @@ impl MrEngine {
         let cycles = cost.reduce_cpu_per_byte * in_bytes as f64
             + cost.reduce_cpu_per_record * in_records as f64
             + sort_cycles;
-        job.task_outputs[r] = Some(Partition::seal(out));
+        job.task_outputs[r] = Some(Box::new(out.seal()));
         let ep = job.reduces[r].epoch;
         engine.start_chain(cluster.compute(vm, cycles), tag_full(jid, PH_REDUCE_COMPUTE, 0, ep, r));
     }
@@ -154,7 +153,7 @@ impl MrEngine {
             job.counters.reduce_input_groups += input_groups;
             let output = job.task_outputs[r].as_ref().expect("reduce output present");
             job.counters.output_bytes += output.bytes;
-            job.counters.reduce_output_records += output.records.len() as u64;
+            job.counters.reduce_output_records += output.len() as u64;
             if let Some(t0) = job.reduces[r].started_at {
                 engine.trace_span(
                     "reduce",

@@ -18,10 +18,11 @@ use crate::config::JobConfig;
 use crate::counters::Counters;
 use crate::input::InputFormat;
 use crate::job::{JobId, JobSpec};
-use crate::run::Run;
+use crate::run::{Column, Run};
 use crate::scheduler::SlotLedger;
-use crate::types::{records_size, Record};
+use crate::types::{Record, K, V};
 use simcore::owners;
+use simcore::persist::{Decoder, Encoder, Persist};
 use simcore::prelude::*;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -88,22 +89,74 @@ pub(crate) struct SplitInfo {
     pub(crate) locations: Vec<VmId>,
 }
 
-/// One task's sealed output records (a reduce's, or a map's in a map-only
-/// job; map output bound for a reduce is a [`Run`]), with the byte size
-/// computed once, when it was sealed. Outputs live until their job
-/// finishes, so sealing also returns the unused tail of a vector that grew
-/// by doubling.
-#[derive(Debug)]
+/// One task's sealed output (a reduce's, or a map's in a map-only job;
+/// map output bound for a reduce is a [`Run`]): its keys and a [`Column`]
+/// of its values, in emission order, with the byte size computed once,
+/// when it was sealed. Outputs live until their job finishes, so sealing
+/// also returns the unused tail of vectors that grew by doubling.
+#[derive(Debug, Default)]
 pub(crate) struct Partition {
-    pub(crate) records: Vec<Record>,
+    keys: Vec<K>,
+    values: Column,
     pub(crate) bytes: u64,
 }
 
 impl Partition {
-    pub(crate) fn seal(mut records: Vec<Record>) -> Self {
-        records.shrink_to_fit();
-        let bytes = records_size(&records);
-        Partition { records, bytes }
+    /// An empty output with room for `expected` records.
+    pub(crate) fn with_capacity(expected: usize) -> Self {
+        Partition { keys: Vec::with_capacity(expected), ..Self::default() }
+    }
+
+    /// Appends a record; the column keeps room for as many values as the
+    /// keys have.
+    pub(crate) fn push(&mut self, key: K, value: V) {
+        self.keys.push(key);
+        self.values.push_expecting(value, self.keys.capacity());
+    }
+
+    pub(crate) fn seal(mut self) -> Self {
+        self.keys.shrink_to_fit();
+        self.values.shrink_to_fit();
+        self.bytes = self.keys.iter().map(K::size_bytes).sum::<u64>() + self.values.bytes();
+        self
+    }
+
+    /// Number of records.
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Moves the records onto the end of `out`, which grows by exactly
+    /// their number.
+    pub(crate) fn append_to(self, out: &mut Vec<Record>) {
+        let Partition { keys, mut values, .. } = self;
+        out.reserve_exact(keys.len());
+        let keys = keys.into_iter();
+        match values {
+            // The handles move over; lending would clone each one.
+            Column::Bytes(bs) => out.extend(keys.zip(bs.into_iter().map(V::Bytes))),
+            _ => out.extend(keys.enumerate().map(|(i, k)| (k, values.lend(i)))),
+        }
+    }
+}
+
+/// Encoded as the bare record vector, as [`Run`] is.
+// codec by hand: a record is a key and a column value, and the byte size is recomputed at the seal
+impl Persist for Partition {
+    fn encode(&self, e: &mut Encoder) {
+        e.usize(self.len());
+        for (i, key) in self.keys.iter().enumerate() {
+            key.encode(e);
+            self.values.with(i, |v| v.encode(e));
+        }
+    }
+    fn decode(d: &mut Decoder) -> Self {
+        let mut partition = Partition::default();
+        for _ in 0..d.usize() {
+            let key = K::decode(d);
+            partition.push(key, V::decode(d));
+        }
+        partition.seal()
     }
 }
 
@@ -222,8 +275,9 @@ pub(crate) struct JobState {
     /// so a failed reduce can re-run from them.
     pub(crate) map_outputs: Vec<Vec<Option<Run>>>,
     /// Per output task — reduce, or map of a map-only job: the output
-    /// records awaiting the HDFS write.
-    pub(crate) task_outputs: Vec<Option<Partition>>,
+    /// records awaiting the HDFS write. Boxed: a job holds a slot per task
+    /// from submission on, and most stay empty for most of the job.
+    pub(crate) task_outputs: Vec<Option<Box<Partition>>>,
     pub(crate) completed_maps: usize,
     pub(crate) completed_reduces: usize,
     pub(crate) counters: Counters,
@@ -275,5 +329,70 @@ impl std::fmt::Debug for JobState {
             .field("completed_maps", &self.completed_maps)
             .field("completed_reduces", &self.completed_reduces)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::types::records_size;
+    use std::sync::Arc;
+
+    fn encoded(x: &impl Persist) -> Vec<u8> {
+        let mut e = Encoder::new();
+        x.encode(&mut e);
+        e.finish()
+    }
+
+    /// A task output encodes byte for byte as the record vector it holds,
+    /// whatever column its values took, decodes back to the same records,
+    /// and knows their size; flattened, its byte payloads are the buffers
+    /// that were pushed.
+    #[test]
+    fn a_partition_encodes_as_its_record_vector() {
+        let keys = [
+            K::Int(-7),
+            K::from("word"),
+            K::from("a text key longer than the inline limit"),
+            K::Bytes(vec![0, 255, 3]),
+        ];
+        let payload: Arc<[u8]> = vec![7; 12].into();
+        let bytes = || V::Bytes(Arc::clone(&payload));
+        let columns = [
+            vec![],
+            vec![V::Null],
+            vec![V::Int(1), V::Int(-2)],
+            vec![V::Float(0.5), V::Float(-0.0)],
+            vec![bytes(), V::Bytes(vec![].into())],
+            // A byte column that turns mixed.
+            vec![bytes(), V::Int(3), bytes()],
+            vec![V::Text("x".into()), V::Vector(vec![1.0]), V::Tuple(vec![V::Int(1), V::Null])],
+        ];
+        for values in columns {
+            let records: Vec<Record> =
+                keys.iter().flat_map(|k| values.iter().map(|v| (k.clone(), v.clone()))).collect();
+            let mut partition = Partition::default();
+            for (k, v) in records.iter().cloned() {
+                partition.push(k, v);
+            }
+            let partition = partition.seal();
+            assert_eq!(partition.len(), records.len());
+            assert_eq!(partition.bytes, records_size(&records));
+            let wire = encoded(&partition);
+            assert_eq!(wire, encoded(&records), "{values:?}");
+            let mut d = Decoder::new(&wire);
+            let back = Partition::decode(&mut d);
+            assert!(d.is_exhausted());
+            assert_eq!((encoded(&back), back.bytes), (wire, partition.bytes));
+            let (mut flat, mut decoded) = (Vec::new(), Vec::new());
+            back.append_to(&mut decoded);
+            partition.append_to(&mut flat);
+            assert_eq!((&flat, &decoded), (&records, &records));
+            let pushed = |(_, v): &Record| match v {
+                V::Bytes(b) if b.len() == 12 => Arc::ptr_eq(b, &payload),
+                _ => true,
+            };
+            assert!(flat.iter().all(pushed));
+        }
     }
 }

@@ -471,6 +471,16 @@ impl Persist for Arc<[u8]> {
     }
 }
 
+/// A box is encoded as what it holds.
+impl<T: Persist> Persist for Box<T> {
+    fn encode(&self, e: &mut Encoder) {
+        (**self).encode(e);
+    }
+    fn decode(d: &mut Decoder) -> Self {
+        Box::new(T::decode(d))
+    }
+}
+
 impl<T: Persist> Persist for Option<T> {
     fn encode(&self, e: &mut Encoder) {
         match self {

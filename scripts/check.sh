@@ -115,10 +115,12 @@ echo "==> platbench: quick smoke and pinned simulations of the platform benchmar
 cargo test -q --offline --manifest-path platbench/Cargo.toml
 # A host-speed change must not move a simulation: each workload's traced
 # quick run reproduces the sim_makespan_s, output digest, wakeup count and
-# allocation calls pinned in scripts/platbench_quick.pins
-# (platbench_pairs.sh checks the full-size runs).
+# allocation calls pinned in scripts/platbench_quick.pins, and its untraced
+# quick run's peak_heap_mb reads at most 0.5 % above its pin (the counting
+# allocator counts requested sizes, so the peak does not depend on the
+# host; platbench_pairs.sh checks the full-size runs).
 count() { grep -o "\"$1\": {\"value\": [0-9]*" <<< "$2" | sed 's/.*: //'; }
-while read -r w makespan digest wakeups calls; do
+while read -r w makespan digest wakeups calls peak; do
     out=$(cargo run -q --offline --manifest-path platbench/Cargo.toml -- \
         --workload "$w" --quick --seed 2012 --trace 1 < /dev/null)
     got=$(sed -n 's/^platbench .* sim_makespan_s \([0-9.]*\) digest \(0x[0-9a-f]*\)$/\1 \2/p' \
@@ -127,6 +129,13 @@ while read -r w makespan digest wakeups calls; do
     if [ "$got" != "$makespan $digest $wakeups $calls" ]; then
         echo "platbench $w: sim_makespan_s digest wakeups alloc_calls $got," \
             "pinned $makespan $digest $wakeups $calls" >&2
+        exit 1
+    fi
+    out=$(cargo run -q --offline --manifest-path platbench/Cargo.toml -- \
+        --workload "$w" --quick --seed 2012 < /dev/null)
+    got=$(sed -n 's/^peak_heap_mb *\([0-9.]*\) MB$/\1/p' <<< "$out")
+    if ! awk -v got="$got" -v pin="$peak" 'BEGIN { exit !(got != "" && got <= pin * 1.005) }'; then
+        echo "platbench $w: peak_heap_mb '$got', pinned $peak (0.5 % above it allowed)" >&2
         exit 1
     fi
 done < <(grep -v '^#' scripts/platbench_quick.pins)
