@@ -5,9 +5,7 @@
 //!   paper's layout);
 //! * `disaggregated` — datanode VMs and TaskTracker VMs on disjoint
 //!   host sets (the Frankfurt virtualized-Hadoop "separated"
-//!   configuration): every map read and output write crosses the wire;
-//! * `hetero` — colocated on heterogeneous hosts (hosts 2-3 at half
-//!   CPU and quarter disk speed via [`HostClass`] multipliers).
+//!   configuration): every map read and output write crosses the wire.
 //!
 //! Writes `results/tpcxhs.{json,csv}`: per SF (2, 4 and 8 MB) × configuration the
 //! HSph@SF figure of merit plus `<config>/total_s` and the per-phase
@@ -19,7 +17,7 @@ use mapreduce::prelude::MrRuntime;
 use mapreduce::runtime::NodeRoles;
 use simcore::rng::RootSeed;
 use vcluster::cluster::VmId;
-use vcluster::spec::{ClusterSpec, HostClass, Placement};
+use vcluster::spec::{ClusterSpec, Placement};
 use workloads::tpcxhs::{run_tpcxhs, HsPlan, HsReport};
 
 const REPLICATION: u32 = 2;
@@ -34,8 +32,8 @@ struct Config {
 }
 
 fn configs() -> Vec<Config> {
-    // 1 master + 8 workers over 4 hosts in every shape, so the three
-    // configurations differ only in daemon placement and host speed.
+    // 1 master + 8 workers over 4 hosts in both shapes, so the two
+    // configurations differ only in daemon placement.
     let colocated =
         ClusterSpec::builder().hosts(4).vms(9).placement(Placement::CrossDomain).build();
     // Frankfurt "separated": storage VMs pinned to hosts 0-1, compute
@@ -46,17 +44,6 @@ fn configs() -> Vec<Config> {
         .vms(9)
         .placement(Placement::Custom(vec![0, 0, 0, 1, 1, 2, 2, 3, 3]))
         .build();
-    let hetero = ClusterSpec::builder()
-        .hosts(4)
-        .vms(9)
-        .placement(Placement::CrossDomain)
-        .host_classes(vec![
-            HostClass::default(),
-            HostClass::default(),
-            HostClass { cpu_mult: 0.5, disk_mult: 0.25 },
-            HostClass { cpu_mult: 0.5, disk_mult: 0.25 },
-        ])
-        .build();
     vec![
         Config { name: "colocated", spec: colocated, roles: NodeRoles::colocated() },
         Config {
@@ -64,7 +51,6 @@ fn configs() -> Vec<Config> {
             spec: split,
             roles: NodeRoles::separated((1..=4).map(VmId).collect(), (5..=8).map(VmId).collect()),
         },
-        Config { name: "hetero", spec: hetero, roles: NodeRoles::colocated() },
     ]
 }
 
@@ -128,18 +114,11 @@ pub fn run(_scale: f64) {
     // so at small SF the Frankfurt "separated" layout's smaller compute
     // tier (4 trackers vs 8) shrinks the shuffle fan-out and wins — but
     // at larger SF colocation's doubled map slots dominate.
-    // Heterogeneous hosts can only drag the figure of merit down.
     let at = |series: &str, sf: u64| sink.at(series, sf as f64 / 1e6);
-    for name in ["colocated", "disaggregated", "hetero"] {
+    for name in ["colocated", "disaggregated"] {
         assert!(
             non_decreasing(&sink.series_points(name), 0.02),
             "{name}: HSph@SF must grow with the scale factor"
-        );
-    }
-    for sf in SFS {
-        assert!(
-            at("hetero", sf) <= at("colocated", sf) * 1.001,
-            "SF {sf}: hetero HSph must not beat homogeneous colocated"
         );
     }
     let (small, big) = (SFS[0], SFS[SFS.len() - 1]);

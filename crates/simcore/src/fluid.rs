@@ -43,18 +43,15 @@
 //! work and cumulative service round differently from an eagerly stepped
 //! clock, and completion instants may move by a nanosecond.
 //!
-//! ## Arena/SoA storage and batched re-solve (DESIGN.md §18)
+//! ## Slot arena and one pass per component (DESIGN.md §18)
 //!
-//! Flow state lives in structure-of-arrays arenas: parallel `Vec`s for
-//! generation, stamp, rate, remaining, anchor, total, plus a flat demand arena
-//! (`dem_res` with per-flow `(start, len)` ranges) so the solver's
-//! inner loops are linear scans over dense scalar arrays rather than
-//! pointer chases through per-flow heap allocations. Reallocation runs in
-//! three phases: **split** the dirty closure into its connected components
-//! (deterministic discovery order), **solve** each component's restricted
-//! progressive filling in turn, then **apply** results in component order.
-//! This is the only max-min implementation in the workspace; its reference
-//! is the global-pass `Oracle` in `tests/tests/fluid_equivalence.rs`.
+//! Flow state lives in parallel `Vec`s indexed by slot (generation, stamp,
+//! rate, remaining, anchor, total), and each flow keeps the demand list it
+//! was started with. Reallocation walks the dirty seeds once: each seed not
+//! yet absorbed grows into its connected component, which is solved by
+//! restricted progressive filling and committed before the next seed is
+//! walked. This is the only max-min implementation in the workspace; its
+//! reference is the global-pass `Oracle` in `tests/tests/fluid_equivalence.rs`.
 
 use crate::ids::{FlowId, ResourceId};
 use crate::persist::{Decoder, Encoder, Persist};
@@ -74,9 +71,6 @@ const DONE_EPS: f64 = 1e-6;
 const HEAP_COMPACT_MIN: usize = 64;
 /// See [`HEAP_COMPACT_MIN`].
 const HEAP_SLACK: usize = 4;
-/// Compaction of the demand arena: rebuild once it holds at least this many
-/// rows *and* more than half of them are garbage (freed flows).
-const DEM_COMPACT_MIN: usize = 4096;
 
 /// What a resource meters; used by monitors to group utilization report rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -128,37 +122,21 @@ pub struct FluidStats {
     pub comp_size_max: u64,
 }
 
-/// One connected component of the dirty closure: ranges into the
-/// `comp_flows` / `comp_res` pools.
-#[derive(Debug, Clone, Copy, Default)]
-struct Comp {
-    flow_start: usize,
-    flow_len: usize,
-    res_start: usize,
-    res_len: usize,
-}
-
-/// Scratch for `solve_component`, indexed by component-local resource
-/// position (so a solve touches a dense, cache-resident window regardless
-/// of network size).
+/// Scratch for `solve_component`, indexed by component-local flow or
+/// resource position (so a solve touches a dense, cache-resident window
+/// regardless of network size).
 #[derive(Debug, Default, Clone)]
 struct SolveScratch {
     residual: Vec<f64>,
     count: Vec<u32>,
     saturated: Vec<bool>,
+    /// Solved rate of each flow of the component.
+    rate: Vec<f64>,
+    /// Solved usage of each resource of the component.
+    used: Vec<f64>,
     /// Component-local indices of flows not yet frozen this solve.
     unfrozen: Vec<u32>,
     still: Vec<u32>,
-}
-
-impl SolveScratch {
-    fn ensure(&mut self, res_len: usize) {
-        if self.residual.len() < res_len {
-            self.residual.resize(res_len, 0.0);
-            self.count.resize(res_len, 0);
-            self.saturated.resize(res_len, false);
-        }
-    }
 }
 
 /// The fluid network: resources plus active flows plus the current max-min
@@ -199,16 +177,11 @@ pub struct FluidNet {
     /// since.
     f_anchor: Vec<SimTime>,
     f_rate: Vec<f64>,
-    /// Range of this flow's rows in the flat demand arena.
-    f_dem_start: Vec<u32>,
-    f_dem_len: Vec<u32>,
+    /// The resources each live flow demands, as handed to `add_flow`
+    /// (empty for a free slot).
+    f_dem: Vec<Vec<ResourceId>>,
     free: Vec<u32>,
     active: usize,
-
-    // ----- flat demand arena ----------------------------------------------
-    dem_res: Vec<u32>,
-    /// Arena rows owned by freed slots; triggers deterministic compaction.
-    dem_garbage: usize,
 
     last_update: SimTime,
     allocation_dirty: bool,
@@ -229,14 +202,13 @@ pub struct FluidNet {
     /// Entries whose stamp no longer matches the slot are stale.
     completions: BinaryHeap<Reverse<(u64, u32, u32)>>,
 
-    // ----- component split pools (recycled across reallocations) ---------
+    // ----- closure walk pools (recycled across reallocations) -------------
+    /// Flows and resources of every component walked this pass, each
+    /// component a contiguous run in discovery order.
     comp_flows: Vec<u32>,
     comp_res: Vec<u32>,
-    comps: Vec<Comp>,
-    comp_rates: Vec<f64>,
-    comp_used: Vec<f64>,
     /// Component-local resource index, full network size; only entries for
-    /// the current closure are meaningful.
+    /// the current component are meaningful.
     res_local: Vec<u32>,
     /// Solver scratch, recycled across reallocations.
     scratch: SolveScratch,
@@ -272,12 +244,9 @@ impl FluidNet {
             f_remaining: Vec::new(),
             f_anchor: Vec::new(),
             f_rate: Vec::new(),
-            f_dem_start: Vec::new(),
-            f_dem_len: Vec::new(),
+            f_dem: Vec::new(),
             free: Vec::new(),
             active: 0,
-            dem_res: Vec::new(),
-            dem_garbage: 0,
             last_update: SimTime::ZERO,
             allocation_dirty: false,
             dirty: Vec::new(),
@@ -287,9 +256,6 @@ impl FluidNet {
             completions: BinaryHeap::new(),
             comp_flows: Vec::new(),
             comp_res: Vec::new(),
-            comps: Vec::new(),
-            comp_rates: Vec::new(),
-            comp_used: Vec::new(),
             res_local: Vec::new(),
             scratch: SolveScratch::default(),
             pending_mutations: 0,
@@ -389,9 +355,6 @@ impl FluidNet {
         for r in &demands {
             assert!(r.index() < self.res_name.len(), "unknown resource {r}");
         }
-        let dem_start = self.dem_res.len() as u32;
-        let dem_len = demands.len() as u32;
-        self.dem_res.extend(demands.iter().map(|r| r.0));
         let slot = match self.free.pop() {
             Some(s) => {
                 let si = s as usize;
@@ -401,8 +364,6 @@ impl FluidNet {
                 self.f_remaining[si] = work;
                 self.f_anchor[si] = self.last_update;
                 self.f_rate[si] = 0.0;
-                self.f_dem_start[si] = dem_start;
-                self.f_dem_len[si] = dem_len;
                 s
             }
             None => {
@@ -413,8 +374,7 @@ impl FluidNet {
                 self.f_remaining.push(work);
                 self.f_anchor.push(self.last_update);
                 self.f_rate.push(0.0);
-                self.f_dem_start.push(dem_start);
-                self.f_dem_len.push(dem_len);
+                self.f_dem.push(Vec::new());
                 self.flow_mark.push(false);
                 (self.f_gen.len() - 1) as u32
             }
@@ -422,11 +382,11 @@ impl FluidNet {
         if work <= DONE_EPS {
             self.near_done += 1;
         }
-        for k in dem_start as usize..(dem_start + dem_len) as usize {
-            let r = self.dem_res[k] as usize;
-            self.res_flows[r].push(slot);
-            self.mark_dirty(r);
+        for r in &demands {
+            self.res_flows[r.index()].push(slot);
+            self.mark_dirty(r.index());
         }
+        self.f_dem[slot as usize] = demands;
         self.active += 1;
         self.allocation_dirty = true;
         self.pending_mutations += 1;
@@ -450,7 +410,7 @@ impl FluidNet {
 
     /// Takes live slot `slot` out of the network: settles its remaining
     /// work, stales its handle and completion-index entries, detaches it
-    /// from its resources and frees the slot.
+    /// from its resources (dropping its demand list) and frees the slot.
     fn retire(&mut self, slot: u32) {
         let si = slot as usize;
         self.settle_flow(si);
@@ -461,7 +421,6 @@ impl FluidNet {
         self.f_stamp[si] = self.f_stamp[si].wrapping_add(1);
         self.detach(slot);
         self.f_live[si] = false;
-        self.dem_garbage += self.f_dem_len[si] as usize;
         self.free.push(slot);
         self.active -= 1;
         self.allocation_dirty = true;
@@ -517,18 +476,14 @@ impl FluidNet {
         self.stats.flows_settled += 1;
     }
 
-    /// Unregisters a departing flow from the per-resource index and marks
-    /// its resources dirty (its component must re-solve).
+    /// Unregisters a departing flow from the per-resource index, marks its
+    /// resources dirty (its component must re-solve) and drops its list.
     fn detach(&mut self, slot: u32) {
-        let si = slot as usize;
-        let d0 = self.f_dem_start[si] as usize;
-        let d1 = d0 + self.f_dem_len[si] as usize;
-        for k in d0..d1 {
-            let r = self.dem_res[k] as usize;
-            let list = &mut self.res_flows[r];
+        for r in std::mem::take(&mut self.f_dem[slot as usize]) {
+            let list = &mut self.res_flows[r.index()];
             let pos = list.iter().position(|&s| s == slot).expect("flow indexed on its resource");
             list.swap_remove(pos);
-            self.mark_dirty(r);
+            self.mark_dirty(r.index());
         }
     }
 
@@ -563,13 +518,15 @@ impl FluidNet {
     /// Recomputes the max-min fair allocation over the flows whose
     /// component changed since the last call.
     ///
-    /// Three phases (DESIGN.md §18): **split** the dirty closure into
-    /// connected components (discovery order is a pure function of the
-    /// mutation sequence), **solve** each component's restricted
-    /// progressive filling, and **apply** rates/usage/completions in
-    /// component order. Flows outside the closure keep their rates —
-    /// max-min shares of independent components are unaffected by each
-    /// other, so the result is identical to a global solve.
+    /// One pass over the dirty seeds (DESIGN.md §18): a seed not absorbed by
+    /// an earlier component grows into its connected component of the
+    /// flow/resource graph, which is solved and committed on the spot.
+    /// Discovery order is the seed order, a pure function of the mutation
+    /// sequence; within a component flows are sorted ascending by slot —
+    /// the accumulation order of a global pass, so shares stay
+    /// bit-identical. Flows outside the closure keep their rates — max-min
+    /// shares of independent components are unaffected by each other, so
+    /// the result is identical to a global solve.
     pub fn reallocate(&mut self) {
         self.allocation_dirty = false;
         if self.dirty.is_empty() {
@@ -578,72 +535,23 @@ impl FluidNet {
         self.stats.reallocations += 1;
         self.stats.batch_applied += self.pending_mutations;
         self.pending_mutations = 0;
-        self.compact_demands();
-
-        self.split_components();
-        self.solve_components();
-        self.apply_components();
-        self.compact_completions();
-    }
-
-    /// Phase 1: partition the dirty closure into connected components of
-    /// the flow/resource bipartite graph. Components are discovered in
-    /// dirty-seed order (deterministic: the seed list is the mutation
-    /// order); within each component flows are sorted ascending by slot —
-    /// the exact accumulation order of the former global pass, so shares
-    /// stay bit-identical.
-    fn split_components(&mut self) {
-        self.comps.clear();
         self.comp_flows.clear();
         self.comp_res.clear();
         let seeds = std::mem::take(&mut self.dirty);
-        // `res_mark` currently flags "is in the seed list"; clear it so it
-        // can serve as the BFS visited set (a seed absorbed into an earlier
-        // component must not start its own).
+        // `res_mark` flags "is in the seed list"; clear it so it can serve
+        // as the walk's visited set. Marks stay set until every seed has
+        // been walked: a seed absorbed by an earlier component must not
+        // start its own.
         for &r in &seeds {
             self.res_mark[r as usize] = false;
         }
         for &seed in &seeds {
-            if self.res_mark[seed as usize] {
-                continue;
+            if !self.res_mark[seed as usize] {
+                let (flow_start, res_start) = (self.comp_flows.len(), self.comp_res.len());
+                self.walk_component(seed);
+                self.commit_component(flow_start, res_start);
             }
-            let flow_start = self.comp_flows.len();
-            let res_start = self.comp_res.len();
-            self.res_mark[seed as usize] = true;
-            self.comp_res.push(seed);
-            let mut qi = res_start;
-            while qi < self.comp_res.len() {
-                let r = self.comp_res[qi] as usize;
-                qi += 1;
-                for k in 0..self.res_flows[r].len() {
-                    let s = self.res_flows[r][k] as usize;
-                    if !self.flow_mark[s] {
-                        self.flow_mark[s] = true;
-                        self.comp_flows.push(s as u32);
-                        let d0 = self.f_dem_start[s] as usize;
-                        let d1 = d0 + self.f_dem_len[s] as usize;
-                        for k2 in d0..d1 {
-                            let ri = self.dem_res[k2] as usize;
-                            if !self.res_mark[ri] {
-                                self.res_mark[ri] = true;
-                                self.comp_res.push(ri as u32);
-                            }
-                        }
-                    }
-                }
-            }
-            self.comp_flows[flow_start..].sort_unstable();
-            for (j, &r) in self.comp_res[res_start..].iter().enumerate() {
-                self.res_local[r as usize] = j as u32;
-            }
-            self.comps.push(Comp {
-                flow_start,
-                flow_len: self.comp_flows.len() - flow_start,
-                res_start,
-                res_len: self.comp_res.len() - res_start,
-            });
         }
-        // Restore the all-false invariant on the visited marks.
         for &r in &self.comp_res {
             self.res_mark[r as usize] = false;
         }
@@ -653,68 +561,71 @@ impl FluidNet {
         // Recycle the seed list's allocation.
         self.dirty = seeds;
         self.dirty.clear();
+        self.compact_completions();
     }
 
-    /// Phase 2: solve every component into its own slice of the
-    /// `comp_rates` / `comp_used` pools (parallel to `comp_flows` /
-    /// `comp_res`).
-    fn solve_components(&mut self) {
-        let mut rates = std::mem::take(&mut self.comp_rates);
-        let mut used = std::mem::take(&mut self.comp_used);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        rates.clear();
-        rates.resize(self.comp_flows.len(), 0.0);
-        used.clear();
-        used.resize(self.comp_res.len(), 0.0);
-        for c in &self.comps {
-            let rs = &mut rates[c.flow_start..c.flow_start + c.flow_len];
-            let us = &mut used[c.res_start..c.res_start + c.res_len];
-            self.solve_component(c, &mut scratch, rs, us);
+    /// Appends the connected component reachable from `seed` to the
+    /// `comp_flows` / `comp_res` pools (breadth first, marking what it
+    /// visits), sorts its flows by slot and numbers its resources locally.
+    fn walk_component(&mut self, seed: u32) {
+        let (flow_start, res_start) = (self.comp_flows.len(), self.comp_res.len());
+        self.res_mark[seed as usize] = true;
+        self.comp_res.push(seed);
+        let mut qi = res_start;
+        while qi < self.comp_res.len() {
+            let r = self.comp_res[qi] as usize;
+            qi += 1;
+            for &s in &self.res_flows[r] {
+                if !self.flow_mark[s as usize] {
+                    self.flow_mark[s as usize] = true;
+                    self.comp_flows.push(s);
+                    for ri in &self.f_dem[s as usize] {
+                        if !self.res_mark[ri.index()] {
+                            self.res_mark[ri.index()] = true;
+                            self.comp_res.push(ri.0);
+                        }
+                    }
+                }
+            }
         }
-        self.comp_rates = rates;
-        self.comp_used = used;
-        self.scratch = scratch;
+        self.comp_flows[flow_start..].sort_unstable();
+        for (j, &r) in self.comp_res[res_start..].iter().enumerate() {
+            self.res_local[r as usize] = j as u32;
+        }
     }
 
     /// Restricted progressive filling over one connected component: every
     /// unfrozen flow's rate rises uniformly; the resource with the smallest
     /// residual fair share saturates first and freezes every flow crossing it;
     /// repeat. Scratch is indexed by component-local resource position (via
-    /// `res_local`); rates land in `rates` (parallel to the component's flow
-    /// list), per-resource usage in `used` (parallel to its resource list).
-    fn solve_component(
-        &self,
-        c: &Comp,
-        scratch: &mut SolveScratch,
-        rates: &mut [f64],
-        used: &mut [f64],
-    ) {
-        let flows = &self.comp_flows[c.flow_start..c.flow_start + c.flow_len];
-        let res = &self.comp_res[c.res_start..c.res_start + c.res_len];
-        scratch.ensure(res.len());
-        for (j, &r) in res.iter().enumerate() {
-            scratch.residual[j] = self.res_capacity[r as usize];
-            scratch.count[j] = 0;
-            used[j] = 0.0;
-        }
+    /// `res_local`); rates land in `sc.rate` (parallel to `flows`),
+    /// per-resource usage in `sc.used` (parallel to `res`).
+    fn solve_component(&self, flows: &[u32], res: &[u32], sc: &mut SolveScratch) {
+        sc.residual.clear();
+        sc.residual.extend(res.iter().map(|&r| self.res_capacity[r as usize]));
+        sc.count.clear();
+        sc.count.resize(res.len(), 0);
+        sc.saturated.clear();
+        sc.saturated.resize(res.len(), false);
+        sc.used.clear();
+        sc.used.resize(res.len(), 0.0);
+        sc.rate.clear();
+        sc.rate.resize(flows.len(), 0.0);
         for &s in flows {
-            let d0 = self.f_dem_start[s as usize] as usize;
-            let d1 = d0 + self.f_dem_len[s as usize] as usize;
-            for k in d0..d1 {
-                let j = self.res_local[self.dem_res[k] as usize] as usize;
-                scratch.count[j] += 1;
+            for r in &self.f_dem[s as usize] {
+                sc.count[self.res_local[r.index()] as usize] += 1;
             }
         }
 
-        scratch.unfrozen.clear();
-        scratch.unfrozen.extend(0..flows.len() as u32);
-        while !scratch.unfrozen.is_empty() {
+        sc.unfrozen.clear();
+        sc.unfrozen.extend(0..flows.len() as u32);
+        while !sc.unfrozen.is_empty() {
             // Find the bottleneck share among component resources that still
             // carry unfrozen flows.
             let mut share = f64::INFINITY;
             for j in 0..res.len() {
-                if scratch.count[j] > 0 {
-                    let s = scratch.residual[j] / f64::from(scratch.count[j]);
+                if sc.count[j] > 0 {
+                    let s = sc.residual[j] / f64::from(sc.count[j]);
                     if s < share {
                         share = s;
                     }
@@ -727,122 +638,90 @@ impl FluidNet {
             let tol = share * 1e-12 + 1e-30;
             let mut any_saturated = false;
             for j in 0..res.len() {
-                scratch.saturated[j] = false;
+                sc.saturated[j] = false;
                 if share < RATE_CAP
-                    && scratch.count[j] > 0
-                    && scratch.residual[j] / f64::from(scratch.count[j]) <= share + tol
+                    && sc.count[j] > 0
+                    && sc.residual[j] / f64::from(sc.count[j]) <= share + tol
                 {
-                    scratch.saturated[j] = true;
+                    sc.saturated[j] = true;
                     any_saturated = true;
                 }
             }
 
-            scratch.still.clear();
-            for ui in 0..scratch.unfrozen.len() {
-                let li = scratch.unfrozen[ui];
-                let s = flows[li as usize] as usize;
-                let d0 = self.f_dem_start[s] as usize;
-                let d1 = d0 + self.f_dem_len[s] as usize;
+            sc.still.clear();
+            for ui in 0..sc.unfrozen.len() {
+                let li = sc.unfrozen[ui];
+                let dem = &self.f_dem[flows[li as usize] as usize];
                 let frozen_now = !any_saturated
-                    || (d0..d1).any(|k| {
-                        scratch.saturated[self.res_local[self.dem_res[k] as usize] as usize]
-                    });
+                    || dem.iter().any(|r| sc.saturated[self.res_local[r.index()] as usize]);
                 if frozen_now {
-                    rates[li as usize] = share;
-                    for k in d0..d1 {
-                        let j = self.res_local[self.dem_res[k] as usize] as usize;
-                        scratch.residual[j] = (scratch.residual[j] - share).max(0.0);
-                        scratch.count[j] -= 1;
-                        used[j] += share;
+                    sc.rate[li as usize] = share;
+                    for r in dem {
+                        let j = self.res_local[r.index()] as usize;
+                        sc.residual[j] = (sc.residual[j] - share).max(0.0);
+                        sc.count[j] -= 1;
+                        sc.used[j] += share;
                     }
                 } else {
-                    scratch.still.push(li);
+                    sc.still.push(li);
                 }
             }
             debug_assert!(
-                scratch.still.len() < scratch.unfrozen.len(),
+                sc.still.len() < sc.unfrozen.len(),
                 "progressive filling must freeze at least one flow per round"
             );
-            std::mem::swap(&mut scratch.unfrozen, &mut scratch.still);
+            std::mem::swap(&mut sc.unfrozen, &mut sc.still);
         }
     }
 
-    /// Phase 3: commit solved rates and resource usage in component order.
-    /// Only a flow whose rate changed (bit for bit) is settled, re-stamped
-    /// and re-indexed; one re-solved to the same rate keeps its anchor and
-    /// its completion-index entry, which still projects the right instant.
+    /// Solves the component that starts at `flow_start` / `res_start` in
+    /// the pools and commits its rates and resource usage. Only a flow
+    /// whose rate changed (bit for bit) is settled, re-stamped and
+    /// re-indexed; one re-solved to the same rate keeps its anchor and its
+    /// completion-index entry, which still projects the right instant.
     /// Likewise a resource settles only when its `used` changes.
-    fn apply_components(&mut self) {
-        for ci in 0..self.comps.len() {
-            let c = self.comps[ci];
-            self.stats.flows_touched += c.flow_len as u64;
-            if c.flow_len > 0 {
-                self.comp_hist.push(c.flow_len as u64);
-            }
-            for i in 0..c.flow_len {
-                let s = self.comp_flows[c.flow_start + i];
-                let si = s as usize;
-                let rate = self.comp_rates[c.flow_start + i];
-                if rate.to_bits() == self.f_rate[si].to_bits() {
-                    continue;
-                }
-                self.settle_flow(si);
-                self.f_rate[si] = rate;
-                self.f_stamp[si] = self.f_stamp[si].wrapping_add(1);
-                if rate > 0.0 {
-                    let d = SimDuration::from_secs_f64(self.f_remaining[si] / rate);
-                    let key = self.last_update.as_nanos().saturating_add(d.as_nanos());
-                    self.completions.push(Reverse((key, s, self.f_stamp[si])));
-                }
-            }
-            for j in 0..c.res_len {
-                let r = self.comp_res[c.res_start + j] as usize;
-                let used = self.comp_used[c.res_start + j];
-                if used.to_bits() != self.res_used[r].to_bits() {
-                    self.res_cumulative[r] = self.cumulative(ResourceId(r as u32));
-                    self.res_anchor[r] = self.last_update;
-                    self.res_used[r] = used;
-                }
-            }
+    fn commit_component(&mut self, flow_start: usize, res_start: usize) {
+        let mut sc = std::mem::take(&mut self.scratch);
+        self.solve_component(&self.comp_flows[flow_start..], &self.comp_res[res_start..], &mut sc);
+        let flow_len = self.comp_flows.len() - flow_start;
+        self.stats.flows_touched += flow_len as u64;
+        if flow_len > 0 {
+            self.comp_hist.push(flow_len as u64);
         }
-    }
-
-    /// Rebuilds the flat demand arena once freed rows dominate it,
-    /// repacking live flows in ascending slot order. Deterministic (a pure
-    /// function of the logical state) and invisible to snapshots, which
-    /// encode per-flow demand lists rather than arena offsets.
-    fn compact_demands(&mut self) {
-        if self.dem_res.len() < DEM_COMPACT_MIN || self.dem_garbage * 2 <= self.dem_res.len() {
-            return;
-        }
-        let live = self.dem_res.len() - self.dem_garbage;
-        let mut new_res = Vec::with_capacity(live);
-        for si in 0..self.f_live.len() {
-            if !self.f_live[si] {
+        for (i, &rate) in sc.rate.iter().enumerate() {
+            let s = self.comp_flows[flow_start + i];
+            let si = s as usize;
+            if rate.to_bits() == self.f_rate[si].to_bits() {
                 continue;
             }
-            let d0 = self.f_dem_start[si] as usize;
-            let d1 = d0 + self.f_dem_len[si] as usize;
-            self.f_dem_start[si] = new_res.len() as u32;
-            new_res.extend_from_slice(&self.dem_res[d0..d1]);
+            self.settle_flow(si);
+            self.f_rate[si] = rate;
+            self.f_stamp[si] = self.f_stamp[si].wrapping_add(1);
+            if rate > 0.0 {
+                let d = SimDuration::from_secs_f64(self.f_remaining[si] / rate);
+                let key = self.last_update.as_nanos().saturating_add(d.as_nanos());
+                self.completions.push(Reverse((key, s, self.f_stamp[si])));
+            }
         }
-        self.dem_res = new_res;
-        self.dem_garbage = 0;
+        for (j, &used) in sc.used.iter().enumerate() {
+            let r = self.comp_res[res_start + j] as usize;
+            if used.to_bits() != self.res_used[r].to_bits() {
+                self.res_cumulative[r] = self.cumulative(ResourceId(r as u32));
+                self.res_anchor[r] = self.last_update;
+                self.res_used[r] = used;
+            }
+        }
+        self.scratch = sc;
     }
 
     /// Drops stale completion entries wholesale once they dominate the
     /// heap, bounding memory under long flow churn.
     fn compact_completions(&mut self) {
-        if self.completions.len() <= HEAP_COMPACT_MIN
-            || self.completions.len() <= HEAP_SLACK * self.active
+        if self.completions.len() > HEAP_COMPACT_MIN
+            && self.completions.len() > HEAP_SLACK * self.active
         {
-            return;
+            self.canonicalize();
         }
-        let mut entries = std::mem::take(&mut self.completions).into_vec();
-        entries.retain(|&Reverse((_, s, stamp))| {
-            self.f_stamp[s as usize] == stamp && self.f_live[s as usize]
-        });
-        self.completions = BinaryHeap::from(entries);
     }
 
     /// The next instant at which some flow drains, given current rates, or
@@ -936,14 +815,6 @@ impl FluidNet {
             })
             .collect()
     }
-
-    /// The resources a live slot demands, read from the arena (encode and
-    /// debug paths only).
-    fn slot_demands(&self, si: usize) -> Vec<ResourceId> {
-        let d0 = self.f_dem_start[si] as usize;
-        let d1 = d0 + self.f_dem_len[si] as usize;
-        self.dem_res[d0..d1].iter().map(|&r| ResourceId(r)).collect()
-    }
 }
 
 // ----- persistence (DESIGN.md §16/§18) ------------------------------------
@@ -963,10 +834,8 @@ impl FluidNet {
     }
 
     /// Appends the complete network state to `e`, canonicalizing first.
-    /// The completion heap is written as a sorted vector; demand lists are
-    /// written per-flow (arena offsets are layout, not state, so demand
-    /// compaction never perturbs snapshot bytes); scratch buffers, visit
-    /// marks and component pools are rebuilt on decode rather than encoded.
+    /// The completion heap is written as a sorted vector; scratch buffers,
+    /// visit marks and walk pools are rebuilt on decode rather than encoded.
     pub(crate) fn encode_state(&mut self, e: &mut Encoder) {
         self.canonicalize();
         e.usize(self.res_name.len());
@@ -984,7 +853,7 @@ impl FluidNet {
             e.u32(self.f_stamp[si]);
             if self.f_live[si] {
                 e.u8(1);
-                self.slot_demands(si).encode(e);
+                self.f_dem[si].encode(e);
                 e.f64(self.f_total[si]);
                 e.f64(self.f_remaining[si]);
                 self.f_anchor[si].encode(e);
@@ -1014,7 +883,7 @@ impl FluidNet {
 
     /// Rebuilds a network from bytes written by
     /// [`FluidNet::encode_state`].
-    // codec by hand: the SoA arena, canonical completion-index order, and rebuilt scratch
+    // codec by hand: the slot arena, canonical completion-index order, and rebuilt scratch
     pub(crate) fn decode_state(d: &mut Decoder) -> FluidNet {
         let mut net = FluidNet::new();
         let nres = d.usize();
@@ -1033,17 +902,13 @@ impl FluidNet {
             let live = d.u8() != 0;
             net.f_live.push(live);
             if live {
-                let demands = Vec::<ResourceId>::decode(d);
-                net.f_dem_start.push(net.dem_res.len() as u32);
-                net.f_dem_len.push(demands.len() as u32);
-                net.dem_res.extend(demands.iter().map(|r| r.0));
+                net.f_dem.push(Vec::<ResourceId>::decode(d));
                 net.f_total.push(d.f64());
                 net.f_remaining.push(d.f64());
                 net.f_anchor.push(SimTime::decode(d));
                 net.f_rate.push(d.f64());
             } else {
-                net.f_dem_start.push(0);
-                net.f_dem_len.push(0);
+                net.f_dem.push(Vec::new());
                 net.f_total.push(0.0);
                 net.f_remaining.push(0.0);
                 net.f_anchor.push(SimTime::ZERO);
@@ -1305,7 +1170,7 @@ mod tests {
     }
 
     #[test]
-    fn demand_arena_compacts_under_churn() {
+    fn a_flow_keeps_its_demands_under_churn() {
         let (mut net, r) = net1();
         let keeper = net.add_flow(vec![r, r, r], 1e12);
         for _ in 0..10_000 {
@@ -1314,16 +1179,37 @@ mod tests {
             net.remove_flow(f);
             net.reallocate();
         }
-        // Garbage from 10k freed 2-row flows must not accumulate: the
-        // arena stays within the compaction bound, and the survivor's
-        // demand range stays intact across every compaction.
-        assert!(
-            net.dem_res.len() <= DEM_COMPACT_MIN + 4,
-            "demand arena grew to {}",
-            net.dem_res.len()
-        );
-        assert_eq!(net.slot_demands(keeper.slot as usize).len(), 3);
+        // The survivor still lists its three rows and gets its share of a
+        // resource it demands three times; a retired slot keeps no list.
+        assert_eq!(net.f_dem[keeper.slot as usize], vec![r, r, r]);
         assert!((net.flow_rate(keeper) - 100.0 / 3.0).abs() < 1e-9);
+        for si in (0..net.f_live.len()).filter(|&si| !net.f_live[si]) {
+            assert_eq!(net.f_dem[si].capacity(), 0, "retired slot {si} holds a demand list");
+        }
+    }
+
+    #[test]
+    fn an_absorbed_seed_starts_no_component() {
+        // x on {r1}, y on {r1, r2}: one component. Dirtying r2 and then r1
+        // seeds [r2, r1]; walking r2 absorbs r1, so the pass solves one
+        // component of three flows, once.
+        let mut net = FluidNet::new();
+        let r1 = net.add_resource("r1", ResourceKind::Net, 100.0);
+        let r2 = net.add_resource("r2", ResourceKind::Net, 30.0);
+        let x = net.add_flow(vec![r1], 1e6);
+        let y = net.add_flow(vec![r1, r2], 1e6);
+        net.reallocate();
+        let (comps0, touched0) = (net.comp_hist.count(), net.stats().flows_touched);
+        net.set_capacity(r2, 20.0);
+        let z = net.add_flow(vec![r1], 1e6);
+        assert_eq!(net.dirty, vec![r2.0, r1.0]);
+        net.reallocate();
+        assert_eq!(net.comp_hist.count() - comps0, 1, "one component solved");
+        assert_eq!(net.stats().flows_touched - touched0, 3, "each flow solved once");
+        let sum = net.flow_rate(x) + net.flow_rate(y) + net.flow_rate(z);
+        assert_eq!(net.used(r1), sum);
+        assert_eq!(net.flow_rate(y), 20.0);
+        assert_eq!(net.flow_rate(x), 40.0);
     }
 
     #[test]

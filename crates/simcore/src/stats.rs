@@ -174,14 +174,13 @@ impl SizeHist {
         self.max
     }
 
-    /// Nearest-rank percentile; `p` in [0, 1]. Samples that landed in the
+    /// The sample at rank `round((n − 1) · p)`; `p` in [0, 1]. Samples in the
     /// overflow bucket resolve to the maximum. Returns 0 when empty.
     pub fn percentile(&self, p: f64) -> u64 {
         if self.n == 0 {
             return 0;
         }
-        let p = p.clamp(0.0, 1.0);
-        let rank = (p * (self.n - 1) as f64).round() as u64;
+        let rank = rank(self.n as usize, p) as u64;
         let mut seen = 0u64;
         for (size, &c) in self.counts.iter().enumerate() {
             seen += c;
@@ -193,12 +192,18 @@ impl SizeHist {
     }
 }
 
-/// Nearest-rank percentile over a pre-sorted slice; `p` in [0, 1].
+/// The percentile rule of the workspace: of `n > 0` sorted samples, the
+/// `p`-th percentile (`p` in [0, 1], clamped) is the one at zero-based
+/// rank `round((n − 1) · p)`.
+fn rank(n: usize, p: f64) -> usize {
+    (p.clamp(0.0, 1.0) * (n - 1) as f64).round() as usize
+}
+
+/// The sample at rank `round((n − 1) · p)` of a pre-sorted slice; `p` in
+/// [0, 1].
 pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of empty slice");
-    let p = p.clamp(0.0, 1.0);
-    let rank = (p * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
+    sorted[rank(sorted.len(), p)]
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 
 use crate::dataset::Dataset;
 use simcore::emit::{csv_row, Json};
+use simcore::stats::percentile_sorted;
 use std::fmt::Display;
 use vsched::model::RegressionTree;
 
@@ -32,7 +33,7 @@ pub struct CostModelEval {
     pub learned_mae_s: f64,
     /// Mean absolute error of the hand-priced estimator on the same rows, s.
     pub hand_mae_s: f64,
-    /// 90th-percentile (nearest-rank) absolute error of the tree, s.
+    /// 90th-percentile absolute error of the tree (`stats::percentile_sorted`), s.
     pub learned_p90_s: f64,
     /// 90th-percentile absolute error of the hand-priced estimator, s.
     pub hand_p90_s: f64,
@@ -91,16 +92,20 @@ pub fn fit_cost_model(ds: &Dataset) -> (RegressionTree, CostModelEval) {
         learned_errs.push((tree.predict(&feats[i]) - labels[i]).abs());
         hand_errs.push((feats[i][0] - labels[i]).abs());
     }
+    let (learned_mae_s, hand_mae_s) = (mean(&learned_errs), mean(&hand_errs));
+    learned_errs.sort_by(f64::total_cmp);
+    hand_errs.sort_by(f64::total_cmp);
+    let p90 = |sorted: &[f64]| if sorted.is_empty() { 0.0 } else { percentile_sorted(sorted, 0.9) };
     let eval = CostModelEval {
         rows_total: feats.len(),
         rows_train: train_x.len(),
         rows_heldout: held.len(),
         tree_nodes: tree.node_count(),
         tree_depth: tree.depth(),
-        learned_mae_s: mean(&learned_errs),
-        hand_mae_s: mean(&hand_errs),
-        learned_p90_s: nearest_rank_p90(&learned_errs),
-        hand_p90_s: nearest_rank_p90(&hand_errs),
+        learned_mae_s,
+        hand_mae_s,
+        learned_p90_s: p90(&learned_errs),
+        hand_p90_s: p90(&hand_errs),
     };
     (tree, eval)
 }
@@ -146,17 +151,6 @@ fn mean(xs: &[f64]) -> f64 {
     } else {
         xs.iter().sum::<f64>() / xs.len() as f64
     }
-}
-
-/// Nearest-rank 90th percentile (ceil(0.9·n)-th smallest), 0 when empty.
-fn nearest_rank_p90(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = (0.9 * sorted.len() as f64).ceil() as usize;
-    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
 }
 
 #[cfg(test)]
@@ -239,13 +233,5 @@ mod tests {
         let csv = heldout_csv(&ds, &tree);
         assert_eq!(csv.lines().count(), 1 + 4);
         assert!(csv.lines().nth(1).unwrap().starts_with("3,"));
-    }
-
-    #[test]
-    fn p90_is_nearest_rank() {
-        let xs: Vec<f64> = (1..=10).map(f64::from).collect();
-        assert_eq!(nearest_rank_p90(&xs), 9.0);
-        assert_eq!(nearest_rank_p90(&[5.0]), 5.0);
-        assert_eq!(nearest_rank_p90(&[]), 0.0);
     }
 }

@@ -69,13 +69,6 @@ pub struct VirtualCluster {
     topology: Topology,
     nfs_nic: ResourceId,
     nfs_disk: ResourceId,
-    /// Per-host storage lane to the NFS server, registered only for
-    /// heterogeneous clusters (`spec.host_classes` non-empty): capacity
-    /// `nfs.disk_bw × disk_mult`, so a slow host class throttles its own
-    /// guests' virtual-disk I/O without touching the shared server.
-    /// Empty on homogeneous clusters — the legacy resource layout (and
-    /// thus golden traces) stays byte-identical.
-    disklane: Vec<ResourceId>,
     vcpu: Vec<ResourceId>,
     /// Per-VM I/O accounting resource: infinite capacity (never
     /// constrains), threaded through every transfer/disk path the VM
@@ -105,7 +98,7 @@ impl VirtualCluster {
             host_cpu.push(engine.add_resource(
                 format!("pm{h}.cpu"),
                 ResourceKind::Cpu,
-                spec.host.cpu_capacity() * spec.class_of(h).cpu_mult,
+                spec.host.cpu_capacity(),
             ));
             host_nic.push(engine.add_resource(
                 format!("pm{h}.nic"),
@@ -121,16 +114,6 @@ impl VirtualCluster {
         let topology = Topology::build(engine, &spec);
         let nfs_nic = engine.add_resource("nfs.nic", ResourceKind::Net, spec.nfs.nic_bw);
         let nfs_disk = engine.add_resource("nfs.disk", ResourceKind::Disk, spec.nfs.disk_bw);
-        let mut disklane = Vec::new();
-        if !spec.host_classes.is_empty() {
-            for h in 0..spec.hosts {
-                disklane.push(engine.add_resource(
-                    format!("pm{h}.disklane"),
-                    ResourceKind::Disk,
-                    spec.nfs.disk_bw * spec.class_of(h).disk_mult,
-                ));
-            }
-        }
 
         let mut vcpu = Vec::with_capacity(spec.vms as usize);
         let mut vio = Vec::with_capacity(spec.vms as usize);
@@ -150,7 +133,6 @@ impl VirtualCluster {
             topology,
             nfs_nic,
             nfs_disk,
-            disklane,
             vcpu,
             vio,
             vm_host,
@@ -334,9 +316,6 @@ impl VirtualCluster {
         d.extend(self.topology.switch_path_to_core(h));
         d.push(self.nfs_nic);
         d.push(self.nfs_disk);
-        if let Some(&lane) = self.disklane.get(h as usize) {
-            d.push(lane);
-        }
         d.push(self.vio[vm.0 as usize]);
         d
     }
@@ -607,87 +586,6 @@ mod tests {
         assert!(c.core_resource().is_none());
         assert_eq!(c.tier(VmId(0), VmId(0)), LocalityTier::Node);
         assert_eq!(c.tier(VmId(0), VmId(1)), LocalityTier::Rack);
-    }
-
-    fn build_hetero() -> (Engine, VirtualCluster) {
-        // Host 0 baseline, host 1 half CPU / half storage lane.
-        let mut e = Engine::new();
-        let spec = ClusterSpec::builder()
-            .hosts(2)
-            .vms(4)
-            .placement(Placement::CrossDomain)
-            .host_classes(vec![
-                crate::spec::HostClass::default(),
-                crate::spec::HostClass { cpu_mult: 0.5, disk_mult: 0.25 },
-            ])
-            .build();
-        let c = VirtualCluster::new(&mut e, spec);
-        (e, c)
-    }
-
-    #[test]
-    fn host_classes_register_storage_lanes() {
-        let (e, c) = build_hetero();
-        // Legacy 9 + 2 disklanes + 4 vcpu + 4 vio.
-        assert_eq!(e.fluid().resource_count(), 9 + 2 + 8);
-        // NIC + switch + nfs nic + nfs disk + disklane + vio.
-        assert_eq!(c.disk_read_demands(VmId(0)).len(), 6);
-        assert_eq!(c.disk_read_demands(VmId(1)).len(), 6);
-        // Homogeneous clusters stay on the legacy lane-free path.
-        let (_, legacy) = build(Placement::CrossDomain);
-        assert_eq!(legacy.disk_read_demands(VmId(0)).len(), 5);
-    }
-
-    #[test]
-    fn slow_class_host_reads_disk_slower() {
-        let run = |vm: VmId| {
-            let (mut e, c) = build_hetero();
-            e.start_chain(c.disk_read(vm, 90e6), Tag::new(simcore::owners::USER, 0, 0));
-            let mut last = SimTime::ZERO;
-            while let Some((t, _)) = e.next_wakeup() {
-                last = t;
-            }
-            last.as_secs_f64()
-        };
-        let fast = run(VmId(0)); // host 0, baseline lane
-        let slow = run(VmId(1)); // host 1, 0.25× lane
-        assert!(
-            slow > fast * 3.0,
-            "quarter-speed lane dominates: fast {fast:.2}s vs slow {slow:.2}s"
-        );
-    }
-
-    #[test]
-    fn slow_class_host_computes_slower_when_contended() {
-        // One VM saturates its VCPU cap on each host; the pool only binds
-        // when the host is oversubscribed, so drive two VMs per host with
-        // vcpus that exceed the (scaled) pool.
-        let run = |host: u32| {
-            let mut e = Engine::new();
-            let spec = ClusterSpec::builder()
-                .hosts(2)
-                .vms(4)
-                .vm_vcpus(8)
-                .placement(Placement::Custom(vec![0, 0, 1, 1]))
-                .host_classes(vec![
-                    crate::spec::HostClass::default(),
-                    crate::spec::HostClass { cpu_mult: 0.5, disk_mult: 1.0 },
-                ])
-                .build();
-            let c = VirtualCluster::new(&mut e, spec);
-            let vms = if host == 0 { [VmId(0), VmId(1)] } else { [VmId(2), VmId(3)] };
-            for (i, vm) in vms.into_iter().enumerate() {
-                e.start_chain(c.compute(vm, 2.4e10), Tag::new(simcore::owners::USER, i as u32, 0));
-            }
-            let mut last = SimTime::ZERO;
-            while let Some((t, _)) = e.next_wakeup() {
-                last = t;
-            }
-            last.as_secs_f64()
-        };
-        let fast = run(0);
-        let slow = run(1);
-        assert!(slow > fast * 1.8, "half the pool ≈ twice the time: {fast:.2}s vs {slow:.2}s");
     }
 
     #[test]

@@ -89,25 +89,6 @@ impl Default for NfsSpec {
 /// overhead).
 pub const XEN_CPU_OVERHEAD: f64 = 1.08;
 
-/// Per-host hardware class: multipliers applied on top of the shared
-/// [`HostSpec`] baseline. Heterogeneous clusters (the Frankfurt
-/// virtualized-Hadoop evaluation's mixed-generation hosts) assign one
-/// class per host; an empty class list means every host is the baseline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HostClass {
-    /// Multiplier on the host's aggregate CPU capacity (1.0 = baseline).
-    pub cpu_mult: f64,
-    /// Multiplier on the host's storage-lane bandwidth to the shared NFS
-    /// server (1.0 = baseline; models older HBAs/NICs on old hosts).
-    pub disk_mult: f64,
-}
-
-impl Default for HostClass {
-    fn default() -> Self {
-        HostClass { cpu_mult: 1.0, disk_mult: 1.0 }
-    }
-}
-
 /// Where the VMs of a cluster land on the physical machines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Placement {
@@ -163,9 +144,6 @@ pub struct ClusterSpec {
     /// bytes/second; the same as the default `switch_bw` unless set.
     /// Unused on one rack.
     pub core_bw: f64,
-    /// Per-host hardware classes (one entry per host when non-empty;
-    /// empty = homogeneous baseline, the legacy layout byte-for-byte).
-    pub host_classes: Vec<HostClass>,
 }
 
 impl Default for ClusterSpec {
@@ -180,7 +158,6 @@ impl Default for ClusterSpec {
             switch_bw: 8.0 * GBIT_PER_SEC,
             racks: 1,
             core_bw: 8.0 * GBIT_PER_SEC,
-            host_classes: Vec::new(),
         }
     }
 }
@@ -207,12 +184,6 @@ impl ClusterSpec {
     pub fn rack_of_host(&self, host: u32) -> u32 {
         let per_rack = self.hosts.div_ceil(self.racks).max(1);
         (host / per_rack).min(self.racks - 1)
-    }
-
-    /// Hardware class of physical host `host` (baseline when no classes
-    /// are configured).
-    pub fn class_of(&self, host: u32) -> HostClass {
-        self.host_classes.get(host as usize).copied().unwrap_or_default()
     }
 
     /// Validates internal consistency, returning a description of the first
@@ -268,23 +239,6 @@ impl ClusterSpec {
         }
         if self.racks > self.hosts {
             return Err(format!("{} racks but only {} hosts", self.racks, self.hosts));
-        }
-        if !self.host_classes.is_empty() {
-            if self.host_classes.len() as u32 != self.hosts {
-                return Err(format!(
-                    "host_classes covers {} hosts but cluster has {}",
-                    self.host_classes.len(),
-                    self.hosts
-                ));
-            }
-            for (h, c) in self.host_classes.iter().enumerate() {
-                if !positive(c.cpu_mult) || !positive(c.disk_mult) {
-                    return Err(format!(
-                        "host {h} class multipliers must be positive (cpu {}, disk {})",
-                        c.cpu_mult, c.disk_mult
-                    ));
-                }
-            }
         }
         // Memory oversubscription check per host.
         for h in 0..self.hosts {
@@ -348,12 +302,6 @@ impl ClusterSpecBuilder {
     /// Core switch bandwidth in bytes/second.
     pub fn core_bw(mut self, bw: f64) -> Self {
         self.spec.core_bw = bw;
-        self
-    }
-
-    /// Per-host hardware classes (one per host; empty = homogeneous).
-    pub fn host_classes(mut self, classes: Vec<HostClass>) -> Self {
-        self.spec.host_classes = classes;
         self
     }
 
@@ -431,26 +379,6 @@ mod tests {
     fn host_cpu_capacity() {
         let h = HostSpec::default();
         assert_eq!(h.cpu_capacity(), 8.0 * 2.4e9);
-    }
-
-    #[test]
-    fn host_classes_default_to_baseline() {
-        let s = ClusterSpec::default();
-        assert!(s.host_classes.is_empty());
-        assert_eq!(s.class_of(0), HostClass::default());
-        let s = ClusterSpec::builder()
-            .hosts(2)
-            .vms(4)
-            .host_classes(vec![HostClass::default(), HostClass { cpu_mult: 0.5, disk_mult: 0.5 }])
-            .build();
-        assert_eq!(s.class_of(1).cpu_mult, 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "host_classes covers")]
-    fn builder_rejects_mismatched_host_classes() {
-        let _ =
-            ClusterSpec::builder().hosts(2).vms(4).host_classes(vec![HostClass::default()]).build();
     }
 
     #[test]
@@ -546,15 +474,5 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(zero.validate(), Ok(()));
-    }
-
-    #[test]
-    #[should_panic(expected = "must be positive")]
-    fn builder_rejects_nonpositive_class_multipliers() {
-        let _ = ClusterSpec::builder()
-            .hosts(1)
-            .vms(4)
-            .host_classes(vec![HostClass { cpu_mult: 0.0, disk_mult: 1.0 }])
-            .build();
     }
 }
