@@ -56,6 +56,11 @@ impl VecInput {
         });
         VecInput { splits: Arc::new(sized.collect()) }
     }
+
+    /// Every record, split after split.
+    pub fn records(&self) -> impl Iterator<Item = &Record> {
+        self.splits.iter().flat_map(|(records, _)| records)
+    }
 }
 
 impl InputFormat for VecInput {

@@ -38,10 +38,11 @@ impl CanopyParams {
 /// Builds canopies over `points`: returns `(center, member_count)` pairs.
 /// The center is the running mean of the points that founded/strongly
 /// joined the canopy (within `t2`).
-pub fn build_canopies(points: &[Vec<f64>], params: CanopyParams) -> Vec<(Vec<f64>, f64)> {
+pub fn build_canopies<P: AsRef<[f64]>>(points: &[P], params: CanopyParams) -> Vec<(Vec<f64>, f64)> {
     assert!(params.t1 > params.t2, "T1 must exceed T2");
     let mut canopies: Vec<(Vec<f64>, f64)> = Vec::new();
     for p in points {
+        let p = p.as_ref();
         let mut strongly_bound = false;
         for (center, mass) in canopies.iter_mut() {
             let d = params.distance.between(p, center);
@@ -57,7 +58,7 @@ pub fn build_canopies(points: &[Vec<f64>], params: CanopyParams) -> Vec<(Vec<f64
             }
         }
         if !strongly_bound {
-            canopies.push((p.clone(), 1.0));
+            canopies.push((p.to_vec(), 1.0));
         }
     }
     canopies
@@ -94,8 +95,7 @@ impl MapReduceApp for CanopyPass {
     }
 
     fn combine(&self, key: &K, values: &[V], out: &mut dyn FnMut(K, V)) -> bool {
-        let pts: Vec<Vec<f64>> =
-            values.iter().map(|v| v.as_tuple()[0].as_vector().to_vec()).collect();
+        let pts: Vec<&[f64]> = values.iter().map(|v| v.as_tuple()[0].as_vector()).collect();
         for (center, mass) in build_canopies(&pts, self.params) {
             out(key.clone(), V::Tuple(vec![V::Vector(center), V::Float(mass)]));
         }

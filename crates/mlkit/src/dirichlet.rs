@@ -60,14 +60,14 @@ pub struct DirichletModel {
 impl DirichletModel {
     /// Initializes `k0` components spread over sampled points with unit
     /// deviations and uniform weights.
-    pub fn init(points: &[Vec<f64>], params: DirichletParams, seed: RootSeed) -> Self {
+    pub fn init<P: AsRef<[f64]>>(points: &[P], params: DirichletParams, seed: RootSeed) -> Self {
         let mut rng = seed.stream("dirichlet-init");
-        let dims = points[0].len();
+        let dims = points[0].as_ref().len();
         let components = (0..params.k0)
             .map(|_| {
-                let p = &points[rng.gen_range(0..points.len())];
+                let p = points[rng.gen_range(0..points.len())].as_ref();
                 Component {
-                    mean: p.clone(),
+                    mean: p.to_vec(),
                     std: vec![initial_std(points, dims); dims],
                     weight: 1.0 / params.k0 as f64,
                     count: 0,
@@ -106,15 +106,16 @@ impl DirichletModel {
 }
 
 /// Crude global scale estimate for initial deviations.
-fn initial_std(points: &[Vec<f64>], dims: usize) -> f64 {
+fn initial_std<P: AsRef<[f64]>>(points: &[P], dims: usize) -> f64 {
     let n = points.len() as f64;
     let mut mean = vec![0.0; dims];
     for p in points {
-        crate::vector::add_assign(&mut mean, p);
+        crate::vector::add_assign(&mut mean, p.as_ref());
     }
     crate::vector::scale(&mut mean, 1.0 / n);
-    let var: f64 = points.iter().map(|p| Distance::SquaredEuclidean.between(p, &mean)).sum::<f64>()
-        / (n * dims as f64);
+    let var: f64 =
+        points.iter().map(|p| Distance::SquaredEuclidean.between(p.as_ref(), &mean)).sum::<f64>()
+            / (n * dims as f64);
     var.sqrt().max(1e-3)
 }
 
@@ -189,9 +190,9 @@ pub fn reference(
 }
 
 /// Extracts components above the weight floor and hard-assigns points.
-pub fn significant_clustering(
+pub fn significant_clustering<P: AsRef<[f64]>>(
     model: &DirichletModel,
-    points: &[Vec<f64>],
+    points: &[P],
     params: DirichletParams,
 ) -> Clustering {
     let centers: Vec<Vec<f64>> = model
@@ -201,8 +202,10 @@ pub fn significant_clustering(
         .map(|c| c.mean.clone())
         .collect();
     let centers = if centers.is_empty() { vec![model.components[0].mean.clone()] } else { centers };
-    let assignments =
-        points.iter().map(|p| crate::vector::nearest(p, &centers, Distance::Euclidean).0).collect();
+    let assignments = points
+        .iter()
+        .map(|p| crate::vector::nearest(p.as_ref(), &centers, Distance::Euclidean).0)
+        .collect();
     Clustering { centers, assignments }
 }
 
@@ -275,9 +278,10 @@ pub fn run_mr(
     params: DirichletParams,
     seed: RootSeed,
 ) -> (DirichletModel, Clustering, MlRunStats) {
-    let mut model = DirichletModel::init(ml.points(), params, seed);
-    let dims = ml.points()[0].len();
-    let total = ml.points().len() as u64;
+    let points = ml.points();
+    let mut model = DirichletModel::init(&points, params, seed);
+    let dims = points[0].len();
+    let total = points.len() as u64;
     let mut per_pass = Vec::new();
     for iteration in 0..params.iterations {
         let app = DirichletPass { model: model.clone(), seed, iteration };
@@ -295,7 +299,7 @@ pub fn run_mr(
         }
         model = posterior(&model, &stats, params, total);
     }
-    let clustering = significant_clustering(&model, ml.points(), params);
+    let clustering = significant_clustering(&model, &ml.points(), params);
     // Timed hard-assignment pass for parity with the other algorithms.
     let assignments = ml.assign(&clustering.centers, Distance::Euclidean);
     let elapsed_s = per_pass.iter().sum();

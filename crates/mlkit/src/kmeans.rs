@@ -35,13 +35,20 @@ impl Default for KMeansParams {
 /// k-means++ seeding: the first center uniform, each next center sampled
 /// with probability proportional to its squared distance from the nearest
 /// chosen center (Arthur & Vassilvitskii, 2007).
-pub fn init_centers(points: &[Vec<f64>], k: usize, seed: RootSeed) -> Vec<Vec<f64>> {
+pub fn init_centers<P: AsRef<[f64]>>(
+    points: impl AsRef<[P]>,
+    k: usize,
+    seed: RootSeed,
+) -> Vec<Vec<f64>> {
+    let points = points.as_ref();
     assert!(k > 0 && k <= points.len(), "k must be in 1..=n");
     let mut rng = seed.stream("kmeans-init");
     let mut centers: Vec<Vec<f64>> = Vec::with_capacity(k);
-    centers.push(points[rng.gen_range(0..points.len())].clone());
-    let mut d2: Vec<f64> =
-        points.iter().map(|p| Distance::SquaredEuclidean.between(p, &centers[0])).collect();
+    centers.push(points[rng.gen_range(0..points.len())].as_ref().to_vec());
+    let mut d2: Vec<f64> = points
+        .iter()
+        .map(|p| Distance::SquaredEuclidean.between(p.as_ref(), &centers[0]))
+        .collect();
     while centers.len() < k {
         let total: f64 = d2.iter().sum();
         let next = if total <= 0.0 {
@@ -59,9 +66,10 @@ pub fn init_centers(points: &[Vec<f64>], k: usize, seed: RootSeed) -> Vec<Vec<f6
             }
             pick
         };
-        centers.push(points[next].clone());
+        centers.push(points[next].as_ref().to_vec());
+        let last = centers.last().expect("just pushed");
         for (i, p) in points.iter().enumerate() {
-            let d = Distance::SquaredEuclidean.between(p, centers.last().expect("just pushed"));
+            let d = Distance::SquaredEuclidean.between(p.as_ref(), last);
             if d < d2[i] {
                 d2[i] = d;
             }

@@ -169,7 +169,7 @@ impl MapReduceApp for MeanShiftPass {
 
 /// Runs mean shift as a MapReduce job sequence with driver-side merging.
 pub fn run_mr(ml: &mut MlRuntime, params: MeanShiftParams) -> (Clustering, MlRunStats) {
-    let mut canopies = build_canopies(ml.points(), params.canopy());
+    let mut canopies = build_canopies(&ml.points(), params.canopy());
     let mut per_pass = Vec::new();
     let mut iters = 0;
     for _ in 0..params.max_iters {

@@ -4,12 +4,13 @@
 //! [`MlRuntime`] registers the point set as an HDFS file split into one
 //! block per worker (so every TaskTracker gets a map task, Mahout's
 //! recommended layout) and re-runs a job per iteration, exactly like
-//! Mahout's iterative drivers re-scan the input each pass.
+//! Mahout's iterative drivers re-scan the input each pass. The runtime
+//! holds the data set once: each input record owns its point, and
+//! [`MlRuntime::points`] borrows from the records.
 
 use crate::vector::{nearest, Distance};
 use mapreduce::prelude::*;
 use simcore::rng::RootSeed;
-use std::sync::Arc;
 use vcluster::spec::ClusterSpec;
 use vhdfs::hdfs::HdfsConfig;
 
@@ -46,9 +47,9 @@ pub struct MlRunStats {
 pub struct MlRuntime {
     /// The underlying MapReduce runtime.
     pub rt: MrRuntime,
-    points: Arc<Vec<Vec<f64>>>,
-    /// The point records in contiguous chunks, one per HDFS block; built
-    /// once, shared by the input of every pass.
+    /// The point records `(K::Int(i), V::Vector(point i))` in contiguous
+    /// chunks, one per HDFS block: the only copy of the data set, built
+    /// once and shared by the input of every pass.
     input: VecInput,
     path: String,
     passes: u32,
@@ -70,35 +71,36 @@ impl MlRuntime {
     /// split, so small data sets keep few maps.
     pub fn new(cluster_spec: ClusterSpec, points: Vec<Vec<f64>>, seed: RootSeed) -> Self {
         assert!(!points.is_empty(), "empty dataset");
-        let datanodes = (cluster_spec.vms - 1).max(1) as usize;
-        let size_cap =
-            (point_bytes(points[0].len()) * points.len() as u64).div_ceil(MIN_SPLIT_BYTES) as usize;
-        let splits = datanodes.min(points.len()).min(size_cap.max(1));
         let dims = points[0].len();
+        if let Some(bad) = points.iter().position(|p| p.len() != dims) {
+            panic!("ragged: point {bad} has {} dims, point 0 has {dims}", points[bad].len());
+        }
+        let datanodes = (cluster_spec.vms - 1).max(1) as usize;
         let total_bytes = point_bytes(dims) * points.len() as u64;
+        let size_cap = total_bytes.div_ceil(MIN_SPLIT_BYTES) as usize;
+        let splits = datanodes.min(points.len()).min(size_cap.max(1));
         let block_size = total_bytes.div_ceil(splits as u64).max(1);
         let hdfs_cfg = HdfsConfig { block_size, replication: 3 };
         let mut rt = MrRuntime::new(cluster_spec, hdfs_cfg, seed);
         rt.register_input("/ml/data", total_bytes, VmId(1));
         let blocks = rt.hdfs.stat("/ml/data").expect("registered").blocks.len();
 
-        // Contiguous chunks, one per HDFS block.
-        let points = Arc::new(points);
+        // Contiguous chunks, one per HDFS block; each point moves into
+        // its record.
         let per = points.len().div_ceil(blocks);
+        let mut rows = points.into_iter().enumerate();
         let chunks: Vec<Vec<Record>> = (0..blocks)
-            .map(|b| {
-                let lo = b * per;
-                let hi = ((b + 1) * per).min(points.len());
-                (lo..hi).map(|i| (K::Int(i as i64), V::Vector(points[i].clone()))).collect()
+            .map(|_| {
+                rows.by_ref().take(per).map(|(i, p)| (K::Int(i as i64), V::Vector(p))).collect()
             })
             .collect();
         let input = VecInput::new(chunks);
-        MlRuntime { rt, points, input, path: "/ml/data".to_string(), passes: 0 }
+        MlRuntime { rt, input, path: "/ml/data".to_string(), passes: 0 }
     }
 
-    /// The loaded points.
-    pub fn points(&self) -> &[Vec<f64>] {
-        &self.points
+    /// The loaded points in input order, borrowed from the input records.
+    pub fn points(&self) -> Vec<&[f64]> {
+        self.input.records().map(|(_, v)| v.as_vector()).collect()
     }
 
     /// Number of map splits per pass.
@@ -128,7 +130,7 @@ impl MlRuntime {
             Box::new(app),
             JobConfig::default().with_reduces(1).with_combiner(false),
         );
-        let mut assignments = vec![0usize; self.points.len()];
+        let mut assignments = vec![0usize; self.input.records().count()];
         for (k, v) in &result.outputs {
             assignments[k.as_int() as usize] = v.as_int() as usize;
         }
@@ -247,6 +249,31 @@ mod tests {
         let d = gaussian_mixture(RootSeed(1), 1);
         let ml8 = MlRuntime::new(cluster(8), d.points, RootSeed(1));
         assert!(ml8.splits() <= 2, "got {} splits", ml8.splits());
+    }
+
+    #[test]
+    fn points_are_the_callers_buffers() {
+        // The shapes of the split tests above: each record owns the very
+        // buffer it was given, in input order, and the splits stay put.
+        let shapes = [
+            (crate::datasets::control_chart(RootSeed(1), 100, 60).points, 4, 3),
+            (crate::datasets::control_chart(RootSeed(1), 100, 60).points, 8, 7),
+            (gaussian_mixture(RootSeed(1), 1).points, 8, 2),
+        ];
+        for (points, vms, splits) in shapes {
+            let ptrs: Vec<*const f64> = points.iter().map(|p| p.as_ptr()).collect();
+            let ml = MlRuntime::new(cluster(vms), points, RootSeed(1));
+            let lent: Vec<*const f64> = ml.points().iter().map(|p| p.as_ptr()).collect();
+            assert_eq!(lent, ptrs);
+            assert_eq!(ml.splits(), splits);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged: point 2 has 1 dims, point 0 has 2")]
+    fn rejects_ragged_points() {
+        let points = vec![vec![0.0, 1.0], vec![1.0, 0.0], vec![2.0], vec![3.0, 3.0, 3.0]];
+        MlRuntime::new(cluster(4), points, RootSeed(1));
     }
 
     #[test]

@@ -2,11 +2,15 @@
 //! task output is its keys and a column of its values, and `finish_job`
 //! appends the outputs one at a time, dropping each once appended. So a
 //! job's high-water mark stays below the bound that a full-size copy of
-//! the result beside every task output would exceed. The binary holds
-//! this one test, so its counting allocator sees no other test's bytes.
+//! the result beside every task output would exceed. Likewise the ML
+//! runtime holds its data set once: each input record owns the caller's
+//! point, so loading the points adds records, not a second copy. The
+//! binary holds this one test, so its counting allocator sees no other
+//! test's bytes.
 
 use mapreduce::runtime::MrRuntime;
 use mapreduce::types::Record;
+use mlkit::mlrt::MlRuntime;
 use simcore::rng::RootSeed;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -80,6 +84,8 @@ fn high_water<T>(f: impl FnOnce() -> T) -> (T, usize) {
 
 const RECORDS: usize = 40_000;
 const REDUCES: u32 = 6;
+const POINTS: usize = 20_000;
+const DIMS: usize = 60;
 
 /// HSGen (map-only, 10 maps) and HSSort (6 reduces) over 100-byte records
 /// of 10-byte keys and shared 82-byte payloads. A result vector is
@@ -88,6 +94,11 @@ const REDUCES: u32 = 6;
 /// 16-byte payload handles. Kept beside all of them, a full-size copy
 /// would put at least two record vectors' worth live at once; appended
 /// one output at a time, the job stays under 1.75 of one.
+///
+/// Then `MlRuntime::new` over `POINTS` x `DIMS` points: beyond the
+/// caller's points it keeps a 64-byte record per point and a booted
+/// runtime, under a quarter of the points' bytes; a second copy of the
+/// points would add all of them again.
 #[test]
 fn a_job_result_is_assembled_without_a_second_copy() {
     let plan = HsPlan::new(RECORDS as u64 * RECORD_BYTES, REDUCES, RootSeed(2012))
@@ -109,4 +120,17 @@ fn a_job_result_is_assembled_without_a_second_copy() {
     assert_eq!(sorted.partition_sizes.len(), REDUCES as usize);
     assert!(sorted.outputs.is_sorted_by(|a, b| a.0 <= b.0), "a total order across partitions");
     assert!(peak < bound, "sort job peaked at {peak} bytes, bound {bound}");
+    drop(sorted);
+
+    let base = LIVE.load(Relaxed);
+    let points: Vec<Vec<f64>> = (0..POINTS).map(|i| vec![i as f64; DIMS]).collect();
+    let points_bytes = LIVE.load(Relaxed) - base;
+    let spec = ClusterSpec::builder().hosts(2).vms(16).placement(Placement::CrossDomain).build();
+    let ml = MlRuntime::new(spec, points, RootSeed(2012));
+    let added = (LIVE.load(Relaxed) - base).saturating_sub(points_bytes);
+    assert_eq!(ml.points().len(), POINTS);
+    assert!(
+        added < points_bytes / 4,
+        "loading {points_bytes} bytes of points kept {added} bytes more live"
+    );
 }
