@@ -6,8 +6,9 @@
 //! * `migration-order` — sequential vs. fully concurrent cluster migration;
 //! * `speculation`     — backup attempts for straggling maps ON vs. OFF
 //!   (with one tracker VM crushed by outside load);
-//! * `scheduler`       — FIFO vs. job-driven task scheduling with
-//!   two wordcount jobs contending for the same slots;
+//! * `scheduler`       — FIFO vs. job-driven task scheduling of two
+//!   controller-driven shuffle-heavy jobs on a spread 2-host × 8-VM
+//!   cluster, whose maps contend for the same slots;
 //! * `faults`          — the Fig. 2 wordcount clean vs. under an injected
 //!   `FaultPlan` (node crash + straggler + link degradation); the faulted
 //!   run's trace is exported to `results/faults.trace.json`;
@@ -30,7 +31,7 @@ use vcluster::spec::{ClusterSpec, Placement};
 use vhdfs::hdfs::HdfsConfig;
 use vsched::placement::{PlacementKind, WorkloadHint};
 use workloads::loadgen::JobMix;
-use workloads::wordcount::{run_wordcount, submit_wordcount};
+use workloads::wordcount::run_wordcount;
 
 const SEED: RootSeed = RootSeed(99);
 
@@ -69,9 +70,9 @@ pub fn run(scale: f64) {
         sink.push("speculation", x, t);
     }
 
-    // --- task-scheduler policy under 2-job contention -----------------------
+    // --- task-scheduler policy under job contention -------------------------
     for (x, policy) in SchedulerPolicy::all().iter().enumerate() {
-        let (makespan, mean_job) = run_contending_jobs(*policy, mb, SEED);
+        let (makespan, mean_job) = run_contending_jobs(*policy);
         println!("scheduler={policy}: makespan {makespan:.1}s, mean job {mean_job:.1}s");
         sink.push("scheduler-makespan", x as f64, makespan);
         sink.push("scheduler-mean-job", x as f64, mean_job);
@@ -118,7 +119,12 @@ pub fn run(scale: f64) {
     assert!(pts("speculation")[1].1 < pts("speculation")[0].1, "speculation rescues the straggler");
     let mk = pts("scheduler-makespan");
     assert_eq!(mk.len(), SchedulerPolicy::all().len(), "one makespan per policy");
-    assert!(mk.iter().all(|&(_, y)| y > 0.0), "every policy finishes both jobs");
+    assert!(
+        (mk[1].1 - mk[0].1).abs() >= 0.01 * mk[0].1,
+        "FIFO and job-driven scheduling must differ by at least 1 % ({:.2}s vs {:.2}s)",
+        mk[0].1,
+        mk[1].1
+    );
     let f = pts("faults");
     assert!(f.iter().all(|&(_, y)| y > 0.0), "both runs complete");
     assert!(f[1].1 >= f[0].1 * 1.01, "the crash costs the job its running map's work");
@@ -323,24 +329,33 @@ fn run_faulted_wordcount(faulted: bool, mb: u64) -> (f64, Vec<Record>, String) {
     (result.elapsed_secs(), result.outputs, p.rt.engine.tracer().to_chrome_json())
 }
 
-/// Two identical wordcount jobs submitted back-to-back onto one cluster
-/// small enough that their tasks contend for slots under `policy`;
-/// returns (makespan, mean job elapsed) in seconds.
-fn run_contending_jobs(policy: SchedulerPolicy, mb: u64, seed: RootSeed) -> (f64, f64) {
-    let spec = ClusterSpec::builder().hosts(2).vms(5).placement(Placement::CrossDomain).build();
-    // Small blocks → each job alone oversubscribes the map slots, so both
-    // jobs have pending maps at once and the policies' ordering choices
-    // actually show.
-    let hdfs = HdfsConfig { block_size: 512 << 10, replication: 3 };
-    let mut rt = mapreduce::runtime::MrRuntime::new(spec, hdfs, seed);
-    rt.mr.set_policy(policy);
-    let cfg = JobConfig::default().with_reduces(4);
-    for run in 0..2 {
-        submit_wordcount(&mut rt, run, (mb << 20) / 2, cfg.clone(), seed);
+/// A two-job shuffle-heavy arrival stream through the controller under
+/// `policy`, on the spread 2-host × 8-VM shape of the characterization
+/// sweep: the jobs overlap, so their fifteen maps each contend for the
+/// same slots and the policy chooses which map runs next to its replica.
+/// Returns (makespan, mean job elapsed) in seconds.
+fn run_contending_jobs(policy: SchedulerPolicy) -> (f64, f64) {
+    use vhadoop::prelude::*;
+    use workloads::loadgen::ArrivalProcess;
+
+    let mut p = VHadoop::launch(
+        PlatformConfig::builder()
+            .cluster(ClusterSpec::builder().hosts(2).vms(8).build())
+            .hdfs(HdfsConfig { block_size: 1 << 20, replication: 2 })
+            .scheduler(policy)
+            .no_monitor()
+            .seed(SEED.0)
+            .controller(ControllerConfig::enabled_with(PlacementKind::Spread))
+            .build(),
+    );
+    let arrivals =
+        ArrivalProcess::new(JobMix::ShuffleHeavy, 2, SimDuration::from_secs(2), 2, SEED).schedule();
+    for (i, a) in arrivals.iter().enumerate() {
+        p.schedule_job(a.at, a.tenant, a.expected_s, a.job(i as u32));
     }
-    let results = rt.drive_all();
-    assert_eq!(results.len(), 2, "both jobs must complete under {policy}");
-    let makespan = rt.now().as_secs_f64();
+    let results = p.drive_until_idle();
+    assert_eq!(results.len(), 2, "every job must complete under {policy}");
+    let makespan = p.now().as_secs_f64();
     let mean_job =
         results.iter().map(|r| r.elapsed.as_secs_f64()).sum::<f64>() / results.len() as f64;
     (makespan, mean_job)

@@ -104,8 +104,8 @@ pub fn run(scale: f64) {
              q_hwm {}  wait p95 {:>4.1}s]",
             4,
             p.now().as_secs_f64(),
-            c.jobs_admitted,
-            c.jobs_finished,
+            slo.admitted,
+            slo.finished,
             c.queue_depth_hwm,
             slo.queue_wait_p95_s
         );

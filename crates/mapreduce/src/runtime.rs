@@ -156,11 +156,6 @@ impl MrRuntime {
         None
     }
 
-    /// Routes one wakeup to the owning subsystem; returns job events.
-    pub fn route(&mut self, w: &Wakeup) -> Vec<JobEvent> {
-        self.route_full(w).job_events
-    }
-
     /// Routes one wakeup, also surfacing HDFS completions whose client is
     /// *not* the MapReduce engine (direct HDFS users: uploads, DFSIO).
     pub fn route_full(&mut self, w: &Wakeup) -> Routed {
@@ -252,7 +247,7 @@ impl MrRuntime {
     /// against its task records. `None` once the event queue drains.
     pub(crate) fn step_audited(&mut self) -> Option<Vec<JobEvent>> {
         let (_, w) = self.engine.next_wakeup()?;
-        let events = self.route(&w);
+        let events = self.route_full(&w).job_events;
         self.mr.assert_slots_accounted();
         Some(events)
     }

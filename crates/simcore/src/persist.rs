@@ -45,8 +45,7 @@
 //! lazily deferred garbage dropped — then written in sorted order), the
 //! fluid net's SoA arena, the `Rc` handle, `&'static str` fields (HDFS op
 //! kinds, throttle names), RNG state, `Run`/`Partition`, shared bytes,
-//! short text keys, and state with derived indexes or optional sub-states
-//! that restore in place (the SLO tracker, the controller).
+//! and short text keys.
 //!
 //! Malformed bytes fail in [`Decoder`]: a short read (or a sequence length
 //! beyond the bytes left) panics with "snapshot truncated at byte N, need
@@ -89,8 +88,11 @@ pub const SNAPSHOT_MAGIC: [u8; 6] = *b"VHSNAP";
 /// is tag 1. v12: a job's config writes three values (map placement is
 /// always locality-first), and a throttled resource's name is a tag byte.
 /// v13: a live flow and a `Step::Flow` write resource ids only (demands
-/// carry no weight), and the controller writes no energy meter.)
-pub const SNAPSHOT_VERSION: u32 = 13;
+/// carry no weight), and the controller writes no energy meter. v14: the
+/// controller writes one record per job and a queue of job ids, where it
+/// wrote future arrivals, queued jobs, SLO records, a per-tenant start
+/// count and five job counters.)
+pub const SNAPSHOT_VERSION: u32 = 14;
 
 /// Checks the header of a snapshot byte string without constructing a
 /// decoder; returns the embedded format version.

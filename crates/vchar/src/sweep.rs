@@ -299,7 +299,8 @@ fn run_group(spec: &SweepSpec, g: &GroupPoint) -> Vec<Row> {
             }
             let results = run.drive_until_idle();
             let obs = run.observe();
-            let ctrl = run.controller().expect("a sweep run has a controller").counters();
+            let ctrl = run.controller().expect("a sweep run has a controller");
+            let slo = ctrl.slo_report();
             let (mut data_local, mut launched, mut shuffle_bytes) = (0u64, 0u64, 0u64);
             for r in &results {
                 data_local += r.counters.data_local_maps;
@@ -319,13 +320,13 @@ fn run_group(spec: &SweepSpec, g: &GroupPoint) -> Vec<Row> {
                 wakeups: obs.metrics.wakeups,
                 reallocations: obs.kernel.reallocations,
                 flows_touched: obs.kernel.flows_touched,
-                jobs_finished: ctrl.jobs_finished,
-                migrations_completed: ctrl.migrations_completed,
+                jobs_finished: slo.finished,
+                migrations_completed: ctrl.counters().migrations_completed,
                 data_local_maps: data_local,
                 launched_maps: launched,
                 shuffle_mb: shuffle_bytes as f64 / (1 << 20) as f64,
                 makespan_s: run.now().as_secs_f64(),
-                slo_violations: ctrl.slo_violations,
+                slo_violations: slo.violations,
             }
         })
         .collect()

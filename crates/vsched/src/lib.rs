@@ -42,9 +42,7 @@ pub mod prelude {
     };
     pub use crate::model::{decision_features, MakespanKind, RegressionTree, FEATURE_NAMES};
     pub use crate::placement::{apply_placement, estimate_makespan, PlacementKind, WorkloadHint};
-    pub use crate::queue::{
-        AdmissionQueue, JobSlo, QueueConfig, QueuePolicy, QueuedJob, SloReport, SloTracker,
-    };
+    pub use crate::queue::{JobRecord, QueueConfig, QueuePolicy, SloReport};
     pub use crate::rebalance::{
         HostLoad, RebalanceConfig, RebalanceMode, RebalancePlan, Rebalancer,
     };

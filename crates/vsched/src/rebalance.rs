@@ -79,33 +79,26 @@ struct Mark {
     nic_cum: f64,
 }
 
-/// Stateful load watcher + planner; one per controller.
+/// Stateful load watcher + planner; one per controller, which passes its
+/// [`RebalanceConfig`] into [`Rebalancer::plan`].
 #[derive(Debug)]
 pub struct Rebalancer {
-    cfg: RebalanceConfig,
     marks: Vec<Mark>,
     hot_streak: Vec<u32>,
     last_plan: Option<SimTime>,
 }
 
 simcore::persist_struct!(Mark { at, cpu_cum, nic_cum });
-// The load-watcher state; a restored controller is rebuilt from the same config.
-simcore::persist_state!(Rebalancer { marks, hot_streak, last_plan });
+simcore::persist_struct!(Rebalancer { marks, hot_streak, last_plan });
 
 impl Rebalancer {
     /// New rebalancer for a cluster with `hosts` hosts.
-    pub fn new(cfg: RebalanceConfig, hosts: u32) -> Self {
+    pub fn new(hosts: u32) -> Self {
         Rebalancer {
-            cfg,
             marks: vec![Mark::default(); hosts as usize],
             hot_streak: vec![0; hosts as usize],
             last_plan: None,
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &RebalanceConfig {
-        &self.cfg
     }
 
     /// Differences the fluid cumulative counters against the previous tick
@@ -139,29 +132,30 @@ impl Rebalancer {
     }
 
     /// Updates hysteresis streaks with this window's loads and returns a
-    /// plan when one is due. Returns an empty plan otherwise.
+    /// plan when one is due under `cfg`. Returns an empty plan otherwise.
     pub fn plan(
         &mut self,
+        cfg: &RebalanceConfig,
         now: SimTime,
         cluster: &VirtualCluster,
         loads: &[HostLoad],
     ) -> RebalancePlan {
         for (h, l) in loads.iter().enumerate() {
-            if l.cpu >= self.cfg.hot_cpu || l.nic >= self.cfg.hot_nic {
+            if l.cpu >= cfg.hot_cpu || l.nic >= cfg.hot_nic {
                 self.hot_streak[h] += 1;
             } else {
                 self.hot_streak[h] = 0;
             }
         }
         if let Some(t) = self.last_plan {
-            if now.saturating_since(t) < self.cfg.cooldown {
+            if now.saturating_since(t) < cfg.cooldown {
                 return RebalancePlan::default();
             }
         }
 
         // Hottest host with a full streak, coldest host as the target.
         let hot = (0..loads.len())
-            .filter(|&h| self.hot_streak[h] >= self.cfg.hysteresis_ticks)
+            .filter(|&h| self.hot_streak[h] >= cfg.hysteresis_ticks)
             .max_by(|&a, &b| loads[a].cpu.total_cmp(&loads[b].cpu));
         if let Some(src) = hot {
             let dst = (0..loads.len())
@@ -251,14 +245,14 @@ mod tests {
     fn hysteresis_delays_the_plan() {
         let mut e = Engine::new();
         let c = cluster(&mut e);
-        let mut r =
-            Rebalancer::new(RebalanceConfig { hysteresis_ticks: 3, ..Default::default() }, 2);
+        let cfg = RebalanceConfig { hysteresis_ticks: 3, ..Default::default() };
+        let mut r = Rebalancer::new(2);
         let loads = [hot(0.95), hot(0.05)];
         for tick in 1..=2 {
-            let p = r.plan(SimTime::from_secs(tick), &c, &loads);
+            let p = r.plan(&cfg, SimTime::from_secs(tick), &c, &loads);
             assert!(p.moves.is_empty(), "tick {tick} below the hysteresis threshold");
         }
-        let p = r.plan(SimTime::from_secs(3), &c, &loads);
+        let p = r.plan(&cfg, SimTime::from_secs(3), &c, &loads);
         assert!(!p.moves.is_empty(), "third hot window fires");
         assert!(p.moves.len() <= MAX_MOVES, "bounded by MAX_MOVES");
         assert!(p.moves.iter().all(|&(vm, dst)| vm != VmId(0) && dst == HostId(1)));
@@ -268,35 +262,36 @@ mod tests {
     fn cooldown_spaces_consecutive_plans() {
         let mut e = Engine::new();
         let c = cluster(&mut e);
-        let mut r = Rebalancer::new(
-            RebalanceConfig {
-                hysteresis_ticks: 1,
-                cooldown: SimDuration::from_secs(10),
-                ..Default::default()
-            },
-            2,
-        );
+        let cfg = RebalanceConfig {
+            hysteresis_ticks: 1,
+            cooldown: SimDuration::from_secs(10),
+            ..Default::default()
+        };
+        let mut r = Rebalancer::new(2);
         let loads = [hot(0.95), hot(0.05)];
-        assert!(!r.plan(SimTime::from_secs(1), &c, &loads).moves.is_empty());
+        assert!(!r.plan(&cfg, SimTime::from_secs(1), &c, &loads).moves.is_empty());
         assert!(
-            r.plan(SimTime::from_secs(5), &c, &loads).moves.is_empty(),
+            r.plan(&cfg, SimTime::from_secs(5), &c, &loads).moves.is_empty(),
             "inside the cooldown window"
         );
-        assert!(!r.plan(SimTime::from_secs(12), &c, &loads).moves.is_empty(), "cooldown expired");
+        assert!(
+            !r.plan(&cfg, SimTime::from_secs(12), &c, &loads).moves.is_empty(),
+            "cooldown expired"
+        );
     }
 
     #[test]
     fn a_cool_window_resets_the_streak() {
         let mut e = Engine::new();
         let c = cluster(&mut e);
-        let mut r =
-            Rebalancer::new(RebalanceConfig { hysteresis_ticks: 2, ..Default::default() }, 2);
+        let cfg = RebalanceConfig { hysteresis_ticks: 2, ..Default::default() };
+        let mut r = Rebalancer::new(2);
         let hot_loads = [hot(0.95), hot(0.05)];
         let cool_loads = [hot(0.10), hot(0.05)];
-        assert!(r.plan(SimTime::from_secs(1), &c, &hot_loads).moves.is_empty());
-        assert!(r.plan(SimTime::from_secs(2), &c, &cool_loads).moves.is_empty());
+        assert!(r.plan(&cfg, SimTime::from_secs(1), &c, &hot_loads).moves.is_empty());
+        assert!(r.plan(&cfg, SimTime::from_secs(2), &c, &cool_loads).moves.is_empty());
         assert!(
-            r.plan(SimTime::from_secs(3), &c, &hot_loads).moves.is_empty(),
+            r.plan(&cfg, SimTime::from_secs(3), &c, &hot_loads).moves.is_empty(),
             "streak restarted after the cool window"
         );
     }
@@ -305,18 +300,18 @@ mod tests {
     fn no_plan_without_a_load_gap() {
         let mut e = Engine::new();
         let c = cluster(&mut e);
-        let mut r =
-            Rebalancer::new(RebalanceConfig { hysteresis_ticks: 1, ..Default::default() }, 2);
+        let cfg = RebalanceConfig { hysteresis_ticks: 1, ..Default::default() };
+        let mut r = Rebalancer::new(2);
         // Both hosts hot: migrating just trades one hot host for another.
         let loads = [hot(0.95), hot(0.90)];
-        assert!(r.plan(SimTime::from_secs(1), &c, &loads).moves.is_empty());
+        assert!(r.plan(&cfg, SimTime::from_secs(1), &c, &loads).moves.is_empty());
     }
 
     #[test]
     fn sample_reads_window_averages() {
         let mut e = Engine::new();
         let c = cluster(&mut e);
-        let mut r = Rebalancer::new(RebalanceConfig::default(), 2);
+        let mut r = Rebalancer::new(2);
         // An idle cluster shows zero load over any window.
         e.set_timer_in(SimDuration::from_secs(2), Tag::new(simcore::owners::USER, 0, 0));
         while e.next_wakeup().is_some() {}

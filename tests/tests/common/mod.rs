@@ -92,21 +92,3 @@ pub fn assert_no_data_loss(p: &VHadoop) {
     let injected_losses: usize = p.fault_log().iter().map(|f| f.lost_blocks).sum();
     assert_eq!(injected_losses, 0, "an injected crash destroyed data");
 }
-
-/// At drain, the controller's counters and its SLO report count the same
-/// jobs and violations.
-pub fn assert_counters_match_slo(ctrl: &Controller) {
-    let (c, rep) = (ctrl.counters(), ctrl.slo_report());
-    assert_eq!(
-        [
-            c.jobs_offered,
-            c.jobs_admitted,
-            c.jobs_rejected,
-            c.jobs_started,
-            c.jobs_finished,
-            c.slo_violations
-        ],
-        [rep.jobs, rep.admitted, rep.rejected, rep.started, rep.finished, rep.violations],
-        "counters vs SLO report (offered, admitted, rejected, started, finished, violations)"
-    );
-}

@@ -344,7 +344,6 @@ fn controller_never_starves_jobs_under_random_faults() {
         assert_eq!(rep.admitted, u64::from(jobs));
         assert_eq!(rep.starved, 0, "an admitted job never started: {rep:?}");
         assert_eq!(rep.finished, u64::from(jobs));
-        common::assert_counters_match_slo(ctrl);
     });
 }
 

@@ -320,7 +320,10 @@ fn golden_snapshot_hash_pins_the_format() {
     );
 }
 
-/// Pinned against SNAPSHOT_VERSION = 13, whose live flows write resource
+/// Pinned against SNAPSHOT_VERSION = 14, moved from v13 through the
+/// header alone: this scenario runs no controller, and its bytes after
+/// the header hash to `0xc2d1_4004_413d_f6f6` at both versions. At v13 it
+/// was `0x9b18_f681_33cd_d5ad`. V13's live flows write resource
 /// ids without weights (the same simulation; only the layout moved); at
 /// v12 it was `0x5fb1_3c6c_e1fe_25a8`. V12's job configs write three
 /// values (the same simulation; only the layout moved); at v11 it was
@@ -345,7 +348,7 @@ fn golden_snapshot_hash_pins_the_format() {
 /// fewer solves (stamps, epochs, `seq`, solve counters). At v5 it was
 /// `0x3605_0ea3_74ec_ed52`; v6 writes every flow's and resource's settle
 /// instant.
-const GOLDEN_HASH: u64 = 0x9b18_f681_33cd_d5ad;
+const GOLDEN_HASH: u64 = 0x8221_9cfd_8922_6dfe;
 
 /// Folds the FNV-1a of the snapshot taken at every `k`-th wakeup of one
 /// scenario into a single pin, so the formats `GOLDEN_HASH` never sees
@@ -410,8 +413,8 @@ fn pin_controller_stream() -> u64 {
         finished +=
             events.iter().filter(|e| matches!(e, PlatformEvent::Job(JobEvent::JobDone(_)))).count();
         let c = p.controller().expect("controller is enabled");
-        let queued = c.job_slos().iter().any(|s| s.admitted && s.started.is_none());
-        let scheduled = c.counters().jobs_offered < arrivals.len() as u64;
+        let queued = c.jobs().iter().any(|j| j.admitted && j.started.is_none());
+        let scheduled = c.slo_report().jobs < arrivals.len() as u64;
         let committed = c.whatif_outcomes().iter().any(|o| o.chosen);
         covered |= snapped && committed && queued && scheduled;
     }
@@ -530,8 +533,14 @@ fn golden_snapshot_hashes_pin_every_subsystem() {
     );
 }
 
-/// Pinned against SNAPSHOT_VERSION = 13: controller stream, monitored and
-/// faulted migration, HSGen/HSSort window. All three moved at v13, whose
+/// Pinned against SNAPSHOT_VERSION = 14: controller stream, monitored and
+/// faulted migration, HSGen/HSSort window. The controller stream moved at
+/// v14, whose controller writes one record per job and a queue of job ids
+/// (same simulation, new layout); the other two run no controller and
+/// moved through the header alone, their bytes after the header hashing to
+/// `0xc9ac_8adb_005c_5d2a` and `0x526d_1158_2c9c_b566` at both versions.
+/// At v13 they were `0x4038_c15d_c8b0_61e9`, `0xeafc_3eab_7d4e_0508` and
+/// `0xd131_19d2_9a89_d7a4`. All three moved at v13, whose
 /// live flows and flow steps write resource ids without weights and whose
 /// controller writes no energy meter (same simulation, new layout); at v12
 /// they were `0xac26_3a4a_32ca_4d3e`, `0xbf43_3bad_2219_14a1` and
@@ -573,4 +582,4 @@ fn golden_snapshot_hashes_pin_every_subsystem() {
 /// what-if outcome's `measured_s` became the span to the fork's last job
 /// completion), `0xe581_ee59_ba4f_b8f9` and `0xac73_b47c_3a73_85f4`.
 const SUBSYSTEM_PINS: [u64; 3] =
-    [0x4038_c15d_c8b0_61e9, 0xeafc_3eab_7d4e_0508, 0xd131_19d2_9a89_d7a4];
+    [0xdd89_e235_4dbb_ffa6, 0xcd65_611e_342f_c49a, 0xf5b3_0ec3_2abd_d8b6];
